@@ -3,16 +3,20 @@
 A partition (n_1, ..., n_r) of the dimension splits [1, n] into
 consecutive index blocks I_1, ..., I_r. Each block kind is a vanishing
 pattern over the nonzero entries, phrased entirely through the minimum
-and maximum of an entry's trailing indices relative to the prefix sums
-S_j = n_1 + ... + n_j:
+and maximum of an entry's trailing indices relative to the ends
+(c, d) = (S_{j-1}, S_j) of the row's block, S_j = n_1 + ... + n_j:
 
-* ``UTB1``  rows in I_j (j >= 2) vanish when  min <= S_{j-1}
-* ``UTB2``  rows in I_j (j >= 2) vanish when  min <= S_{j-1} and max <= S_j
-* ``UTB3``  rows in I_j (j >= 2) vanish when  max <= S_{j-1}
-* ``LTB1``  rows in I_j (j <= r-1) vanish when  max >  S_j
-* ``LTB2``  rows in I_j (j <= r-1) vanish when  max >  S_j and min > S_{j-1}
-* ``LTB3``  rows in I_j (j <= r-1) vanish when  min >  S_j
+* ``UTB1``  rows in I_j vanish when  min <= c
+* ``UTB2``  rows in I_j vanish when  min <= c and max <= d
+* ``UTB3``  rows in I_j vanish when  max <= c
+* ``LTB1``  rows in I_j vanish when  max >  d
+* ``LTB2``  rows in I_j vanish when  max >  d and min > c
+* ``LTB3``  rows in I_j vanish when  min >  d
 * ``DIAG``  rows in I_j vanish unless every trailing index stays in I_j
+
+Trailing indices lie in [1, n], so no test needs the block's position.
+Each reads only its row's block: a partition carries a kind exactly
+when each of its blocks (c, d] is allowed on its own.
 
 All checks are exact: an entry either is stored (nonzero) or is a
 structural zero.
@@ -32,7 +36,7 @@ from .errors import (
     PartitionTooCoarse,
 )
 
-_ENUM_GUARD = 12  # exhaustive partition search is 2^(n-1) candidates
+_ENUM_GUARD = 12  # the output can hold all 2^(n-1) compositions
 
 
 @dataclass(frozen=True)
@@ -108,21 +112,21 @@ class BlockKind(enum.Enum):
         return self is not BlockKind.DIAG
 
 
-def _forbidden(kind: BlockKind, p: Partition, j: int, lo: int, hi: int) -> bool:
-    """Does the vanishing pattern cover a row-block-j entry with trailing min/max (lo, hi)?"""
+def _forbidden(kind: BlockKind, c: int, d: int, lo: int, hi: int) -> bool:
+    """Does the vanishing pattern cover a row of block (c, d] with trailing min/max (lo, hi)?"""
     if kind is BlockKind.UTB1:
-        return j >= 2 and lo <= p.S(j - 1)
+        return lo <= c
     if kind is BlockKind.UTB2:
-        return j >= 2 and lo <= p.S(j - 1) and hi <= p.S(j)
+        return lo <= c and hi <= d
     if kind is BlockKind.UTB3:
-        return j >= 2 and hi <= p.S(j - 1)
+        return hi <= c
     if kind is BlockKind.LTB1:
-        return j <= p.r - 1 and hi > p.S(j)
+        return hi > d
     if kind is BlockKind.LTB2:
-        return j <= p.r - 1 and hi > p.S(j) and lo > p.S(j - 1)
+        return hi > d and lo > c
     if kind is BlockKind.LTB3:
-        return j <= p.r - 1 and lo > p.S(j)
-    return lo <= p.S(j - 1) or hi > p.S(j)  # DIAG
+        return lo > d
+    return lo <= c or hi > d  # DIAG
 
 
 def is_blocked(tensor: Tensor, partition: Partition, kind: BlockKind) -> bool:
@@ -136,9 +140,7 @@ def is_blocked(tensor: Tensor, partition: Partition, kind: BlockKind) -> bool:
         raise PartitionTooCoarse(f"{kind.token} structure needs at least two blocks")
     for idx in tensor.entries:
         j = partition.block_of(idx[0])
-        lo = min(idx[1:])
-        hi = max(idx[1:])
-        if _forbidden(kind, partition, j, lo, hi):
+        if _forbidden(kind, partition.S(j - 1), partition.S(j), min(idx[1:]), max(idx[1:])):
             return False
     return True
 
@@ -152,36 +154,46 @@ def diagonal_blocks(tensor: Tensor, partition: Partition) -> list[Tensor]:
             for j in range(1, partition.r + 1)]
 
 
+def _block_ends(tensor: Tensor, kind: BlockKind) -> list[list[int]]:
+    """For each start c in [0, n), the ends d whose block (c, d] the kind allows."""
+    if tensor.order < 2:
+        raise OrderTooSmall("blocked structure needs order >= 2")
+    spans: list[set[tuple[int, int]]] = [set() for _ in range(tensor.dim + 1)]
+    for idx in tensor.entries:
+        spans[idx[0]].add((min(idx[1:]), max(idx[1:])))
+    return [[d for d in range(c + 1, tensor.dim + 1)
+             if not any(_forbidden(kind, c, d, lo, hi)
+                        for row in range(c + 1, d + 1) for lo, hi in spans[row])]
+            for c in range(tensor.dim)]
+
+
+def _chains(ends: list, start: int = 0) -> Iterator[tuple[int, ...]]:
+    """Parts of every chain of allowed blocks (c, d] from ``start`` to n, lexicographically."""
+    if start == len(ends):
+        yield ()
+        return
+    for end in ends[start]:
+        for rest in _chains(ends, end):
+            yield (end - start,) + rest
+
+
 def compositions(n: int, r_min: int = 1) -> Iterator[tuple[int, ...]]:
     """All ordered partitions of n with at least ``r_min`` parts, lexicographically."""
-    found = []
-    for mask in range(2 ** (n - 1)):
-        parts = []
-        last = 0
-        for gap in range(1, n):
-            if mask >> (gap - 1) & 1:
-                parts.append(gap - last)
-                last = gap
-        parts.append(n - last)
-        if len(parts) >= r_min:
-            found.append(tuple(parts))
-    return iter(sorted(found))
+    every = [range(c + 1, n + 1) for c in range(n)]
+    return (parts for parts in _chains(every) if len(parts) >= r_min)
 
 
 def blocked_partitions(tensor: Tensor, kind: BlockKind, r_min: int = 1) -> list[Partition]:
     """Every partition (with at least ``r_min`` parts) under which the tensor has the kind.
 
-    Exhaustive over all 2^(n-1) compositions, so the dimension is capped.
-    Triangular kinds silently skip the single-block composition, which
-    they cannot carry by definition.
+    They are the chains of allowed blocks from ``_block_ends``. The cap
+    bounds the output, not a search: the zero tensor carries every kind
+    under all 2^(n-1) compositions. Triangular kinds silently skip the
+    single-block composition, which they cannot carry by definition.
     """
     if tensor.dim > _ENUM_GUARD:
         raise DimensionTooLarge(
             f"partition enumeration is capped at dim {_ENUM_GUARD}, got {tensor.dim}")
     least = max(r_min, 2 if kind.is_triangular else 1)
-    out = []
-    for parts in compositions(tensor.dim, least):
-        p = Partition(parts)
-        if is_blocked(tensor, p, kind):
-            out.append(p)
-    return out
+    return [Partition(parts) for parts in _chains(_block_ends(tensor, kind))
+            if len(parts) >= least]

@@ -87,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_tensor_flag(p)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=7)
 
     p = sub.add_parser("oracle", help="numerical singularity probe")
     add_tensor_flag(p)
@@ -133,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True, help="path to a hypergraph JSON document")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=7)
 
     return parser
 
@@ -161,7 +159,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         _emit(tensorio.spectrum_to_obj(spec))
     elif cmd == "rho":
         result = spectral_radius(_read_tensor(args.tensor), tol=args.tol,
-                                 max_iter=args.max_iter, seed=args.seed)
+                                 max_iter=args.max_iter)
         _emit({
             "rho": result.rho,
             "iterations": result.iterations,
@@ -205,14 +203,12 @@ def _dispatch(args: argparse.Namespace) -> None:
         graph = tensorio.hypergraph_from_obj(
             tensorio.loads(Path(args.edges).read_text()))
         adjacency = adjacency_tensor(graph)
-        whole = spectral_radius(adjacency, tol=args.tol,
-                                max_iter=args.max_iter, seed=args.seed)
+        whole = spectral_radius(adjacency, tol=args.tol, max_iter=args.max_iter)
         per_component = []
         for component in connected_components(graph):
             sub = principal_subtensor(adjacency, component)
             per_component.append(spectral_radius(sub, tol=args.tol,
-                                                 max_iter=args.max_iter,
-                                                 seed=args.seed).rho)
+                                                 max_iter=args.max_iter).rho)
         _emit({"rho": whole.rho, "component_rhos": per_component})
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(f"unhandled command {cmd!r}")

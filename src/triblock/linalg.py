@@ -11,7 +11,6 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 
-import networkx as nx
 import numpy as np
 
 from .blocked import Partition
@@ -136,19 +135,14 @@ def is_z_matrix(values) -> bool:
 def is_irreducible_matrix(values) -> bool:
     """Strong connectivity of the digraph with an edge i -> j when P[i, j] != 0.
 
-    Dimension-1 matrices count as irreducible.
+    Dimension-1 matrices count as irreducible. Each squaring of the
+    reflexive reachability matrix doubles the path length it covers.
     """
     arr = as_matrix(values)
-    n = arr.shape[0]
-    if n == 1:
-        return True
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n))
-    for i in range(n):
-        for j in range(n):
-            if i != j and arr[i, j] != 0.0:
-                g.add_edge(i, j)
-    return nx.is_strongly_connected(g)
+    reach = (arr != 0.0) | np.eye(arr.shape[0], dtype=bool)
+    for _ in range(arr.shape[0].bit_length()):
+        reach = reach @ reach
+    return bool(reach.all())
 
 
 def is_nonsingular_m_matrix(values) -> bool:

@@ -14,12 +14,13 @@ formula, and asking for it is an error rather than a wrong number.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .blocked import BlockKind, Partition, blocked_partitions, diagonal_blocks, is_blocked
+from .blocked import BlockKind, Partition, _block_ends, diagonal_blocks, is_blocked
 from .core import Tensor, apply
 from .errors import (
     BlockDetUnavailable,
@@ -71,29 +72,29 @@ def det_diagonal(tensor: Tensor) -> float:
         raise OrderTooSmall("determinants need order >= 2")
     if not _is_diagonal(tensor):
         raise NotDiagonal("tensor has an off-diagonal entry")
-    exponent = (tensor.order - 1) ** (tensor.dim - 1)
-    total = 1
-    for i in range(1, tensor.dim + 1):
-        d = tensor.entries.get((i,) * tensor.order, 0.0)
-        total = total * _exact_pow(d, exponent)
-    return float(total)
+    return float(_block_det(tensor))
 
 
 def _finest_refinement(tensor: Tensor) -> Optional[tuple[Partition, BlockKind]]:
     """The refinement with the most parts over the supported kinds, or None.
 
     Ties break toward the earlier kind, then the lexicographically
-    smaller partition, making the recursion deterministic.
+    smaller partition, making the recursion deterministic. For each kind
+    a right-to-left pass over the allowed blocks finds the best chain
+    from every start, so no dimension cap applies.
     """
-    best: Optional[tuple[Partition, BlockKind]] = None
-    best_key = None
+    n = tensor.dim
+    found = []
     for rank, kind in enumerate(_REFINE_ORDER):
-        for p in blocked_partitions(tensor, kind, 2):
-            key = (-p.r, rank, p.parts)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (p, kind)
-    return best
+        ends = _block_ends(tensor, kind)
+        tail: dict[int, tuple[int, ...]] = {n: ()}  # from c: most parts, then smallest
+        for c in range(n - 1, -1, -1):
+            chains = [(d - c,) + tail[d] for d in ends[c] if d in tail]
+            if chains:
+                tail[c] = min(chains, key=lambda parts: (-len(parts), parts))
+        if len(tail[0]) >= 2:  # (0, n] is always allowed, so tail[0] exists
+            found.append((-len(tail[0]), rank, Partition(tail[0]), kind))
+    return min(found)[2:] if found else None  # ranks differ, so keys never tie
 
 
 def _checked(tensor: Tensor, partition: Partition, kind: BlockKind) -> None:
@@ -112,16 +113,10 @@ def _checked(tensor: Tensor, partition: Partition, kind: BlockKind) -> None:
 
 
 def _block_det(block: Tensor):
-    if block.dim == 1:
-        val = det_dim1(block)
-        return int(val) if float(val).is_integer() else val
     if _is_diagonal(block):
         m, n = block.order, block.dim
-        exponent = (m - 1) ** (n - 1)
-        total = 1
-        for i in range(1, n + 1):
-            total = total * _exact_pow(block.entries.get((i,) * m, 0.0), exponent)
-        return total
+        return math.prod(_exact_pow(block.entries.get((i,) * m, 0.0), (m - 1) ** (n - 1))
+                         for i in range(1, n + 1))
     refinement = _finest_refinement(block)
     if refinement is None:
         raise BlockDetUnavailable(
@@ -252,15 +247,13 @@ def _power_iteration(tensor: Tensor, tol: float, max_iter: int) -> SpectralResul
         lower=lower - 1.0, upper=upper - 1.0, iterations=max_iter)
 
 
-def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000,
-                    seed: int = 7) -> SpectralResult:
+def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000) -> SpectralResult:
     """Largest H-eigenvalue of a nonnegative tensor.
 
     Weakly irreducible input runs the power iteration directly from the
     all-ones vector. Anything else is decomposed through the second-type
     normal form and the radius is the maximum over diagonal blocks; the
-    reported residual belongs to the winning block. ``seed`` is accepted
-    for interface stability; the deterministic start never consumes it.
+    reported residual belongs to the winning block.
     """
     if tensor.order < 2:
         raise OrderTooSmall("spectral radius needs order >= 2")
@@ -285,7 +278,7 @@ def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000,
     best: Optional[SpectralResult] = None
     iterations = 0
     for block in nf.blocks:
-        result = spectral_radius(block, tol=tol, max_iter=max_iter, seed=seed)
+        result = spectral_radius(block, tol=tol, max_iter=max_iter)
         iterations += result.iterations
         if best is None or result.rho > best.rho:
             best = result

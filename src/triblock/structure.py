@@ -14,15 +14,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import networkx as nx
-
-from .blocked import BlockKind, Partition, compositions, diagonal_blocks, is_blocked
+from .blocked import BlockKind, Partition, blocked_partitions, diagonal_blocks, is_blocked
 from .core import (
     Permutation,
     Tensor,
     permute_similar,
     principal_subtensor,
-    representation_matrix,
 )
 from .errors import (
     DimensionMismatch,
@@ -35,7 +32,7 @@ from .errors import (
     OrderTooSmall,
 )
 
-_FIRST_TYPE_GUARD = 6  # the witness search is n! * 2^(n-1) candidates
+_FIRST_TYPE_GUARD = 6  # the witness search visits all n! permutations
 _CHAIN_GUARD = 12  # the chain search visits subsets of [n]
 
 
@@ -115,15 +112,43 @@ def is_irreducible(tensor: Tensor) -> bool:
     return find_reducing_set(tensor) is None
 
 
-def _digraph(tensor: Tensor) -> nx.DiGraph:
-    g = nx.DiGraph()
-    g.add_nodes_from(range(1, tensor.dim + 1))
-    rep = representation_matrix(tensor)
-    for i in range(tensor.dim):
-        for j in range(tensor.dim):
-            if rep[i, j] > 0.0:
-                g.add_edge(i + 1, j + 1)
-    return g
+def _components(succ: list[set[int]]) -> list[set[int]]:
+    """Strongly connected components of the digraph v -> succ[v] on [1, n].
+
+    Tarjan's algorithm (SIAM J. Comput. 1(2), 1972) with a stack of
+    edge iterators in place of recursion. A virtual vertex 0 with an edge
+    to every vertex roots the search and comes out last, on its own.
+    """
+    order, low, done = {0: 0}, {0: 0}, set()
+    stack, found = [0], []
+    work = [(0, iter(range(1, len(succ))))]
+    while work:
+        v, edges = work[-1]
+        w = next(edges, None)
+        if w is None:
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if low[v] == order[v]:
+                found.append(set(stack[stack.index(v):]))
+                del stack[stack.index(v):]
+                done.update(found[-1])
+        elif w not in order:
+            order[w] = low[w] = len(order)
+            stack.append(w)
+            work.append((w, iter(succ[w])))
+        elif w not in done:
+            low[v] = min(low[v], order[w])
+    return found[:-1]
+
+
+def _sink(tensor: Tensor) -> frozenset[int]:
+    """The sink component (no edge leaves it) of the entry digraph holding the smallest index."""
+    succ: list[set[int]] = [set() for _ in range(tensor.dim + 1)]
+    for idx in tensor.entries:
+        succ[idx[0]].update(idx[1:])
+    sinks = [c for c in _components(succ) if all(succ[v] <= c for v in c)]
+    return frozenset(min(sinks, key=min))
 
 
 def find_weakly_reducing_set(tensor: Tensor) -> Optional[frozenset[int]]:
@@ -136,15 +161,9 @@ def find_weakly_reducing_set(tensor: Tensor) -> Optional[frozenset[int]]:
     one containing the smallest index is returned for determinism.
     """
     _check_order(tensor)
-    if tensor.dim == 1:
+    found = _sink(tensor)
+    if len(found) == tensor.dim:
         return None
-    g = _digraph(tensor)
-    if nx.is_strongly_connected(g):
-        return None
-    cond = nx.condensation(g)
-    sinks = [cond.nodes[c]["members"] for c in cond.nodes if cond.out_degree(c) == 0]
-    best = min(sinks, key=min)
-    found = frozenset(best)
     assert weakly_reduces(tensor, found)
     return found
 
@@ -306,11 +325,9 @@ def normal_form_2nd(tensor: Tensor) -> NormalForm:
     remaining = list(range(1, tensor.dim + 1))
     peeled: list[frozenset[int]] = []
     while remaining:
-        sub = principal_subtensor(tensor, remaining)
-        g = _digraph(sub)
-        cond = nx.condensation(g)
-        sinks = [cond.nodes[c]["members"] for c in cond.nodes if cond.out_degree(c) == 0]
-        local = min(sinks, key=min)
+        # peeling drops every entry that touches the sink, which can split
+        # what remains, so the digraph is rebuilt from the subtensor each time
+        local = _sink(principal_subtensor(tensor, remaining))
         component = frozenset(remaining[i - 1] for i in local)
         peeled.append(component)
         remaining = [i for i in remaining if i not in component]
@@ -321,21 +338,18 @@ def normal_form_2nd(tensor: Tensor) -> NormalForm:
 def exists_first_type_normal_form(tensor: Tensor) -> Optional[tuple[Permutation, Partition]]:
     """Search for a first-type upper triangular similarity with weakly irreducible blocks.
 
-    Exhausts every permutation and every partition with at least two
-    parts, in lexicographic order, returning the first witness. The
-    guard keeps the n! * 2^(n-1) search at desk scale.
+    Exhausts every permutation, and for each the first-type partitions
+    with at least two parts in lexicographic order, returning the first
+    witness. The guard keeps the n! permutations at desk scale.
     """
     _check_order(tensor)
     if tensor.dim > _FIRST_TYPE_GUARD:
         raise DimensionTooLarge(
             f"witness search is capped at dim {_FIRST_TYPE_GUARD}, got {tensor.dim}")
-    parts_list = [Partition(parts) for parts in compositions(tensor.dim, 2)]
     for image in itertools.permutations(range(1, tensor.dim + 1)):
         sigma = Permutation(image)
         moved = permute_similar(tensor, sigma)
-        for p in parts_list:
-            if not is_blocked(moved, p, BlockKind.UTB1):
-                continue
+        for p in blocked_partitions(moved, BlockKind.UTB1, 2):
             if all(is_weakly_irreducible(b) for b in diagonal_blocks(moved, p)):
                 return sigma, p
     return None

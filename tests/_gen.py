@@ -85,6 +85,70 @@ def brute_weak_sets(tensor: Tensor) -> list[frozenset[int]]:
     return found
 
 
+def brute_partitions(tensor: Tensor, kind: BlockKind, r_min: int = 1) -> list[Partition]:
+    """Every composition with at least ``r_min`` parts that passes the
+    per-entry structure test, built from cut sets and sorted."""
+    n = tensor.dim
+    least = max(r_min, 2 if kind.is_triangular else 1)
+    found = []
+    for k in range(least - 1, n):
+        for cuts in itertools.combinations(range(1, n), k):
+            ends = (0,) + cuts + (n,)
+            parts = tuple(b - a for a, b in zip(ends, ends[1:]))
+            if tb.is_blocked(tensor, Partition(parts), kind):
+                found.append(Partition(parts))
+    return sorted(found, key=lambda p: p.parts)
+
+
+def brute_finest_refinement(tensor: Tensor):
+    """The exhaustive search the determinant recursion once ran: the
+    supported partition with the most parts, ties broken by kind order,
+    then by the lexicographically smaller parts."""
+    best, best_key = None, None
+    kinds = (BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2)
+    for rank, kind in enumerate(kinds):
+        for p in brute_partitions(tensor, kind, 2):
+            key = (-p.r, rank, p.parts)
+            if best_key is None or key < best_key:
+                best_key, best = key, (p, kind)
+    return best
+
+
+def brute_sink(tensor: Tensor) -> frozenset[int]:
+    """The sink component holding the smallest index, from reachability sets:
+    v lies in a sink component exactly when all it reaches reaches it back."""
+    n = tensor.dim
+    edges = {i: set() for i in range(1, n + 1)}
+    for idx in tensor.entries:
+        edges[idx[0]].update(idx[1:])
+    reach = {}
+    for v in range(1, n + 1):
+        seen, todo = {v}, [v]
+        while todo:
+            for w in edges[todo.pop()] - seen:
+                seen.add(w)
+                todo.append(w)
+        reach[v] = seen
+    v = next(v for v in range(1, n + 1) if all(v in reach[u] for u in reach[v]))
+    return frozenset(reach[v])
+
+
+def brute_normal_form_2nd(tensor: Tensor) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sigma image, parts) of the second-type peel, one brute_sink per step."""
+    remaining = list(range(1, tensor.dim + 1))
+    peeled = []
+    while remaining:
+        local = brute_sink(tb.principal_subtensor(tensor, remaining))
+        comp = frozenset(remaining[i - 1] for i in local)
+        peeled.append(comp)
+        remaining = [i for i in remaining if i not in comp]
+    image = [0] * tensor.dim
+    order = [old for comp in reversed(peeled) for old in sorted(comp)]
+    for pos, old in enumerate(order, start=1):
+        image[old - 1] = pos
+    return tuple(image), tuple(len(comp) for comp in reversed(peeled))
+
+
 def forbidden_positions(n: int, m: int, partition: Partition, kind: BlockKind) -> set:
     """Probe the public classifier with single-entry tensors.
 

@@ -14,7 +14,13 @@ from triblock.errors import (
     PartitionTooCoarse,
 )
 
-from _gen import blocked_or_trivial, forbidden_positions, rand_blocked, rand_tensor
+from _gen import (
+    blocked_or_trivial,
+    brute_partitions,
+    forbidden_positions,
+    rand_blocked,
+    rand_tensor,
+)
 
 KINDS = list(BlockKind)
 TRIANGULAR = [k for k in KINDS if k.is_triangular]
@@ -418,3 +424,38 @@ class TestBlockedPartitions:
         big = tb.unit_tensor(2, 13)
         with pytest.raises(DimensionTooLarge):
             tb.blocked_partitions(big, BlockKind.UTB1, 2)
+
+    def test_matches_exhaustive_filter(self):
+        rng = random.Random(401)
+        for trial in range(90):
+            m = (2, 3, 4)[trial % 3]
+            n = rng.randint(1, 8 if m < 4 else 5)
+            if trial % 2 and n > 1:
+                cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+                parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+                a = rand_blocked(rng, parts, rng.choice(KINDS), m, density=0.25)
+            else:
+                a = rand_tensor(rng, n, m, density=rng.choice([0.02, 0.08, 0.2]))
+            for kind in KINDS:
+                for r_min in (1, 3):
+                    assert (tb.blocked_partitions(a, kind, r_min)
+                            == brute_partitions(a, kind, r_min)), (trial, kind, r_min)
+
+    def test_order_one_rejected(self):
+        with pytest.raises(OrderTooSmall):
+            tb.blocked_partitions(tb.new_tensor(1, 3, []), BlockKind.DIAG)
+
+
+class TestCompositions:
+    def test_every_composition_once_in_order(self):
+        for n in range(1, 9):
+            found = list(tb.compositions(n))
+            assert len(found) == 2 ** (n - 1) == len(set(found))
+            assert found == sorted(found)
+            assert all(sum(parts) == n and min(parts) >= 1 for parts in found)
+            assert list(tb.compositions(n, 3)) == [p for p in found if len(p) >= 3]
+
+    def test_lazy(self):
+        # 2^29 compositions: only a generator can hand out the first ones
+        first = itertools.islice(tb.compositions(30, 2), 2)
+        assert list(first) == [(1,) * 30, (1,) * 28 + (2,)]

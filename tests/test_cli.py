@@ -164,10 +164,20 @@ class TestRho:
         ones = tb.new_tensor(3, 2, [(idx, 1.0) for idx in
                                     itertools.product((1, 2), repeat=3)])
         path = write_tensor(tmp_path, "a.json", ones)
-        cli.run(["rho", "--tensor", path, "--seed", "3"])
-        first = capsys.readouterr().out
-        cli.run(["rho", "--tensor", path, "--seed", "3"])
-        assert capsys.readouterr().out == first
+        outs = []
+        for _ in range(2):
+            assert cli.run(["rho", "--tensor", path]) == 0
+            outs.append(capsys.readouterr().out)
+            assert "rho" in json.loads(outs[-1])
+        assert outs[1] == outs[0]
+
+    def test_seed_flag_is_gone(self, capsys, tmp_path, fixtures_dir):
+        # the power iteration starts from the all-ones vector; nothing consumes a seed
+        path = write_tensor(tmp_path, "a.json", tb.unit_tensor(3, 2))
+        assert cli.run(["rho", "--tensor", path, "--seed", "3"]) == 2
+        edges = str(fixtures_dir / "hyper_two_triangles.json")
+        assert cli.run(["hypergraph-rho", "--edges", edges, "--seed", "3"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestOracle:

@@ -21,7 +21,8 @@ from triblock.errors import (
     ThirdTypeUnsupported,
 )
 
-from _gen import rand_irreducible_nonneg, rand_tensor
+from _gen import brute_finest_refinement, rand_blocked, rand_irreducible_nonneg, rand_tensor
+from triblock.spectra import _finest_refinement
 
 UTB1 = BlockKind.UTB1
 LTB1 = BlockKind.LTB1
@@ -81,6 +82,36 @@ class TestDetDiagonal:
             tb.det_diagonal(tb.new_tensor(1, 2, [((1,), 2.0), ((2,), 3.0)]))
 
 
+def unit_upper_matrix(n: int) -> tb.Tensor:
+    return tb.new_tensor(2, n, [((i, j), 1.0) for i in range(1, n + 1)
+                                for j in range(i, n + 1)])
+
+
+class TestFinestRefinement:
+    def test_matches_exhaustive_search(self):
+        rng = random.Random(88)
+        kinds = [BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2]
+        winners = {}
+        for trial in range(160):
+            m = (2, 3, 3, 4)[trial % 4]
+            n = rng.randint(2, 8 if m < 4 else 5)
+            if trial % 3:
+                cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+                parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+                a = rand_blocked(rng, parts, kinds[trial % 4], m, density=0.3)
+            else:
+                a = rand_tensor(rng, n, m, density=rng.choice([0.03, 0.1, 0.3]))
+            want = brute_finest_refinement(a)
+            assert _finest_refinement(a) == want, trial
+            if want is not None:
+                winners[want[1]] = winners.get(want[1], 0) + 1
+        assert set(winners) == set(kinds), winners
+
+    def test_no_dimension_cap(self):
+        p, kind = _finest_refinement(unit_upper_matrix(20))
+        assert p.parts == (1,) * 20 and kind == UTB1
+
+
 class TestDetBlocked:
     def test_triangular_two_by_two(self):
         a = upper_triangular([2, 3], [((1, 2, 2), 7.0)])
@@ -126,6 +157,11 @@ class TestDetBlocked:
                 want *= d ** (2 ** (n - 1))
             assert tb.det_blocked(a, parts, UTB1) == float(want)
             assert tb.det_diagonal(tb.diagonal_tensor(3, diag)) == float(want)
+
+    def test_dimension_fourteen_unit_upper(self):
+        # the recursion refines the 13-block without enumerating 2^12 partitions
+        a = unit_upper_matrix(14)
+        assert tb.det_blocked(a, Partition((1, 13)), UTB1) == 1.0
 
     def test_third_kind_is_refused(self, ex31):
         with pytest.raises(ThirdTypeUnsupported):
@@ -204,6 +240,11 @@ class TestSpectrumBlocked:
         for ev, mult in spec.as_multiset().items():
             prod *= int(ev) ** mult
         assert float(prod) == tb.det_blocked(a, p, UTB1)
+
+    def test_dimension_fourteen_unit_upper(self):
+        spec = tb.spectrum_blocked(unit_upper_matrix(14), Partition((1, 13)), UTB1)
+        assert spec.total_degree == 14
+        assert spec.as_multiset() == {1.0: 14}
 
     def test_third_kind_is_refused(self, ex31):
         with pytest.raises(ThirdTypeUnsupported):

@@ -16,7 +16,14 @@ from triblock.errors import (
     OrderTooSmall,
 )
 
-from _gen import brute_strong_sets, brute_weak_sets, rand_hypergraph, rand_tensor
+from _gen import (
+    brute_normal_form_2nd,
+    brute_sink,
+    brute_strong_sets,
+    brute_weak_sets,
+    rand_hypergraph,
+    rand_tensor,
+)
 
 
 def all_ones(n: int, m: int = 3) -> tb.Tensor:
@@ -26,6 +33,18 @@ def all_ones(n: int, m: int = 3) -> tb.Tensor:
 
 def load_hypergraph(path) -> tb.Hypergraph:
     return tb.tensorio.hypergraph_from_obj(tb.tensorio.loads(path.read_text()))
+
+
+def sink_ensemble(seed: int, count: int):
+    """Orders 2-4, dims 1-8, from near-empty to dense, plus split hypergraphs."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        if trial % 5 == 4:
+            yield tb.adjacency_tensor(rand_hypergraph(rng, 3, [rng.randint(3, 5) for _ in range(2)]))
+            continue
+        m = (2, 3, 4)[trial % 3]
+        n = rng.randint(1, 8 if m < 4 else 5)
+        yield rand_tensor(rng, n, m, density=rng.choice([0.02, 0.06, 0.12, 0.3]))
 
 
 def sub_hypergraph(graph: tb.Hypergraph, component: frozenset[int]) -> tb.Hypergraph:
@@ -150,6 +169,18 @@ class TestFindWeaklyReducingSet:
                 assert every == []
             else:
                 assert found in every
+
+    def test_matches_reachability_reference(self):
+        for a in sink_ensemble(91, 200):
+            sink = brute_sink(a)
+            want = None if len(sink) == a.dim else sink
+            assert tb.find_weakly_reducing_set(a) == want
+
+    def test_long_path_digraph(self):
+        # a 3000-step chain i -> i+1 would overflow a recursive search
+        n = 3000
+        chain = tb.new_tensor(2, n, [((i, i + 1), 1.0) for i in range(1, n)])
+        assert tb.find_weakly_reducing_set(chain) == frozenset({n})
 
     def test_irreducible_implies_weakly_irreducible(self):
         rng = random.Random(74)
@@ -313,6 +344,11 @@ class TestNormalForm2nd:
             a = rand_tensor(rng, n, 3, density=0.2)
             nf = tb.normal_form_2nd(a)
             verify_normal_form(a, nf, weak=True)
+
+    def test_matches_reachability_reference(self):
+        for a in sink_ensemble(92, 150):
+            nf = tb.normal_form_2nd(a)
+            assert (nf.sigma.image, nf.partition.parts) == brute_normal_form_2nd(a)
 
     def test_single_block_iff_weakly_irreducible(self):
         rng = random.Random(78)
