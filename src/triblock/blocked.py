@@ -28,6 +28,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .core import Tensor, principal_subtensor
 from .errors import (
     DimensionMismatch,
@@ -155,16 +157,50 @@ def diagonal_blocks(tensor: Tensor, partition: Partition) -> list[Tensor]:
 
 
 def _block_ends(tensor: Tensor, kind: BlockKind) -> list[list[int]]:
-    """For each start c in [0, n), the ends d whose block (c, d] the kind allows."""
+    """For each start c in [0, n), the ends d whose block (c, d] the kind allows.
+
+    Each kind bounds a quantity read off the trailing spans (lo, hi) of
+    the rows r in (c, d], so a running min or max along d over a (c, r)
+    table settles every block at once, in O(n^2 + nnz): UTB1 c < min lo,
+    UTB3 c < min hi, UTB2 d < min hi over spans with lo <= c, LTB1
+    d >= max hi, LTB3 d >= max lo, LTB2 d >= max hi over spans with
+    lo > c, DIAG both UTB1 and LTB1.
+    """
     if tensor.order < 2:
         raise OrderTooSmall("blocked structure needs order >= 2")
-    spans: list[set[tuple[int, int]]] = [set() for _ in range(tensor.dim + 1)]
-    for idx in tensor.entries:
-        spans[idx[0]].add((min(idx[1:]), max(idx[1:])))
-    return [[d for d in range(c + 1, tensor.dim + 1)
-             if not any(_forbidden(kind, c, d, lo, hi)
-                        for row in range(c + 1, d + 1) for lo, hi in spans[row])]
-            for c in range(tensor.dim)]
+    n, idx = tensor.dim, tensor.coo.idx
+    rows = idx[:, 0] + 1
+    lo, hi = idx[:, 1:].min(axis=1) + 1, idx[:, 1:].max(axis=1) + 1
+    c, d = np.arange(n)[:, None], np.arange(n + 1)
+    inside = d > c  # row d lies in the block (c, d]
+
+    def table(ufunc, fill, keys, values):  # values reduced over equal keys: [r] or [r, lo]
+        out = np.full((n + 1,) * len(keys), fill)
+        ufunc.at(out, keys, values)
+        return out
+
+    def least(t):  # min over rows r in (c, d] of t[c, r]
+        return np.minimum.accumulate(np.where(inside, t, n + 1), axis=1)
+
+    def most(t):  # max over rows r in (c, d] of t[c, r]
+        return np.maximum.accumulate(np.where(inside, t, 0), axis=1)
+
+    ok = inside
+    if kind in (BlockKind.UTB1, BlockKind.DIAG):
+        ok = ok & (least(table(np.minimum, n + 1, (rows,), lo)) > c)
+    if kind in (BlockKind.LTB1, BlockKind.DIAG):
+        ok = ok & (most(table(np.maximum, 0, (rows,), hi)) <= d)
+    if kind is BlockKind.UTB3:
+        ok = ok & (least(table(np.minimum, n + 1, (rows,), hi)) > c)
+    if kind is BlockKind.LTB3:
+        ok = ok & (most(table(np.maximum, 0, (rows,), lo)) <= d)
+    if kind is BlockKind.UTB2:  # prefix minimum over lo <= c
+        t = np.minimum.accumulate(table(np.minimum, n + 1, (rows, lo), hi), axis=1)
+        ok = ok & (least(t[:, :n].T) > d)
+    if kind is BlockKind.LTB2:  # suffix maximum over lo > c
+        t = np.maximum.accumulate(table(np.maximum, 0, (rows, lo), hi)[:, ::-1], axis=1)
+        ok = ok & (most(t[:, ::-1][:, 1:].T) <= d)
+    return [np.flatnonzero(row).tolist() for row in ok]
 
 
 def _chains(ends: list, start: int = 0) -> Iterator[tuple[int, ...]]:

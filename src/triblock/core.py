@@ -2,16 +2,20 @@
 every other module builds on: principal subtensors, permutation similarity,
 polynomial application, and the majorization / representation matrices.
 
-Storage is coordinate format: a mapping from index tuples to nonzero
-doubles. An absent tuple reads as an exact structural zero, and every
-constructor drops exact zeros on the way in, so "is this entry zero"
-questions are answered without tolerances.
+Storage is coordinate format: a read-only mapping from index tuples to
+nonzero doubles. An absent tuple reads as an exact structural zero, and
+every constructor drops exact zeros on the way in, so "is this entry
+zero" questions are answered without tolerances. The numeric kernels read
+the same entries through ``Tensor.coo``, a lazily built array view.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,19 +33,55 @@ Index = tuple[int, ...]
 _DENSE_GUARD = 20_000_000  # refuse to densify anything bigger than this
 
 
+class Coo(NamedTuple):
+    """The entries as read-only arrays, stably sorted by row (dict order within a row).
+
+    ``idx`` holds 0-based index rows (nnz x order, int64) and ``vals`` the
+    values (float64); row i's entries sit at ``bounds[i]:bounds[i+1]``.
+    """
+
+    idx: np.ndarray
+    vals: np.ndarray
+    bounds: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class Tensor:
     """An order-``order`` tensor on ``[1, dim]^order``, stored sparsely.
 
     ``entries`` maps index tuples to nonzero values; missing tuples are
-    exact zeros. Instances are immutable: operations return new tensors
-    and never touch their inputs, so values can be shared freely between
-    threads.
+    exact zeros. The tensor keeps a read-only copy of the mapping (or of
+    the ``(index, value)`` pairs) passed in, so instances are immutable:
+    operations return new tensors and never touch their inputs, and
+    values can be shared freely between threads.
     """
 
     order: int
     dim: int
     entries: Mapping[Index, float]
+
+    def __post_init__(self):
+        entries = self.entries  # a proxy's copy() is the fast dict copy
+        entries = entries.copy() if isinstance(entries, MappingProxyType) else dict(entries)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
+
+    def __reduce__(self):
+        return type(self), (self.order, self.dim, self.entries.copy())
+
+    @cached_property
+    def coo(self) -> Coo:
+        """Coordinate arrays of the entries, built on first use and kept."""
+        m, nnz = self.order, len(self.entries)
+        flat = np.fromiter(itertools.chain.from_iterable(self.entries), dtype=np.int64,
+                           count=nnz * m)
+        idx = flat.reshape(nnz, m)
+        idx -= 1
+        vals = np.fromiter(self.entries.values(), dtype=float, count=nnz)
+        by_row = np.argsort(idx[:, 0], kind="stable")
+        idx, vals = idx[by_row], vals[by_row]
+        idx.flags.writeable = vals.flags.writeable = False
+        counts = np.bincount(idx[:, 0], minlength=self.dim)
+        return Coo(idx, vals, (0,) + tuple(np.cumsum(counts).tolist()))
 
     def get(self, index: Sequence[int]) -> float:
         """Entry at a 1-based index tuple, zero when absent."""
@@ -59,8 +99,7 @@ class Tensor:
         if self.dim ** self.order > _DENSE_GUARD:
             raise MemoryError("tensor too large to densify")
         out = np.zeros((self.dim,) * self.order)
-        for idx, v in self.entries.items():
-            out[tuple(i - 1 for i in idx)] = v
+        out[tuple(self.coo.idx.T)] = self.coo.vals
         return out
 
     @classmethod
@@ -70,12 +109,9 @@ class Tensor:
         dim = arr.shape[0] if order else 0
         if arr.shape != (dim,) * order or order < 1 or dim < 1:
             raise DimensionMismatch(f"expected a hypercubic array, got shape {arr.shape}")
-        entries = {}
-        for idx in np.ndindex(arr.shape):
-            v = float(arr[idx])
-            if v != 0.0:
-                entries[tuple(i + 1 for i in idx)] = v
-        return cls(order, dim, entries)
+        nonzero = np.nonzero(arr)  # C order: index tuples come out sorted
+        keys = zip(*[(axis + 1).tolist() for axis in nonzero])
+        return cls(order, dim, zip(keys, arr[nonzero].tolist()))
 
     def allclose(self, other: "Tensor", tol: float = 0.0) -> bool:
         """Entrywise agreement within an absolute tolerance."""
@@ -160,7 +196,9 @@ def new_tensor(order: int, dim: int,
             data[idx] = v
         else:
             data[idx] = 0.0  # placeholder so later duplicates still collide
-    return Tensor(order, dim, {k: v for k, v in data.items() if v != 0.0})
+    for idx in [idx for idx, v in data.items() if v == 0.0]:
+        del data[idx]
+    return Tensor(order, dim, data)
 
 
 def unit_tensor(order: int, dim: int) -> Tensor:
@@ -192,11 +230,8 @@ def principal_subtensor(tensor: Tensor, index_set: Iterable[int]) -> Tensor:
         if not 1 <= i <= tensor.dim:
             raise IndexOutOfRange(f"index {i} outside [1, {tensor.dim}]")
     relabel = {old: new for new, old in enumerate(members, start=1)}
-    keep = set(members)
-    entries = {}
-    for idx, v in tensor.entries.items():
-        if all(i in keep for i in idx):
-            entries[tuple(relabel[i] for i in idx)] = v
+    entries = ((tuple(relabel[i] for i in idx), v) for idx, v in tensor.entries.items()
+               if all(i in relabel for i in idx))
     return Tensor(tensor.order, len(members), entries)
 
 
@@ -205,33 +240,57 @@ def permute_similar(tensor: Tensor, sigma: Permutation) -> Tensor:
     if sigma.dim != tensor.dim:
         raise DimensionMismatch(
             f"permutation acts on [1, {sigma.dim}] but tensor dim is {tensor.dim}")
-    entries = {tuple(sigma(i) for i in idx): v for idx, v in tensor.entries.items()}
+    entries = ((tuple(sigma(i) for i in idx), v) for idx, v in tensor.entries.items())
     return Tensor(tensor.order, tensor.dim, entries)
+
+
+def _complex_terms(vals: np.ndarray, feet: Iterable[np.ndarray],
+                   z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of vals * z[f1] * z[f2] * ..., multiplied left to right.
+
+    Each step is CPython's complex product (ar*br - ai*bi, ar*bi + ai*br);
+    NumPy's complex multiply can differ from it in the last bit. Real
+    values join as complex(v, 0.0): where Python would keep multiplying
+    floats, that only flips the sign of zero imaginary parts, which no
+    sum here keeps (or gives nan beside an infinite component).
+    """
+    zr, zi = z.real, z.imag
+    re, im = vals, np.zeros(len(vals))
+    for foot in feet:
+        br, bi = zr[foot], zi[foot]
+        re, im = re * br - im * bi, re * bi + im * br
+    return re, im
+
+
+def _row_fsums(terms: np.ndarray, bounds: Sequence[int]) -> list[float]:
+    """math.fsum of each row's slice of a row-sorted term array."""
+    flat = terms.tolist()
+    return [math.fsum(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def apply(tensor: Tensor, x: Sequence[complex]) -> np.ndarray:
     """Evaluate the degree-(order-1) polynomial map: y_i = sum a[i, i2..im] * x_i2 ... x_im.
 
-    Accepts real or complex vectors. Each output component is accumulated
-    with exact compensated summation, so integer inputs stay exact.
+    Accepts real or complex vectors. Each term is multiplied left to
+    right and each output component is accumulated with exact
+    compensated summation, so integer inputs stay exact.
     """
     if tensor.order < 2:
         raise OrderTooSmall("polynomial application needs order >= 2")
     xs = list(x)
     if len(xs) != tensor.dim:
         raise DimensionMismatch(f"vector has length {len(xs)}, tensor dim is {tensor.dim}")
-    is_complex = any(isinstance(v, complex) for v in xs)
-    terms: list[list[complex]] = [[] for _ in range(tensor.dim)]
-    for idx, a in tensor.entries.items():
-        prod: complex = a
-        for t in idx[1:]:
-            prod *= xs[t - 1]
-        terms[idx[0] - 1].append(prod)
-    if is_complex:
-        out = [complex(math.fsum(t.real for t in row), math.fsum(t.imag for t in row))
-               for row in terms]
-        return np.asarray(out, dtype=complex)
-    return np.asarray([math.fsum(row) for row in terms], dtype=float)
+    view = tensor.coo
+    feet = view.idx.T[1:]
+    if any(isinstance(v, complex) for v in xs):
+        re, im = _complex_terms(view.vals, feet, np.asarray(xs, dtype=complex))
+        sums = map(complex, _row_fsums(re, view.bounds), _row_fsums(im, view.bounds))
+        return np.array(list(sums), dtype=complex)
+    xv = np.asarray(xs, dtype=float)
+    terms = view.vals
+    for foot in feet:
+        terms = terms * xv[foot]
+    return np.asarray(_row_fsums(terms, view.bounds), dtype=float)
 
 
 def is_row_diagonal(tensor: Tensor) -> bool:

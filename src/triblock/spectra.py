@@ -14,14 +14,15 @@ formula, and asking for it is an error rather than a wrong number.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .blocked import BlockKind, Partition, _block_ends, diagonal_blocks, is_blocked
-from .core import Tensor, apply
+from .core import Tensor, _complex_terms, apply
 from .errors import (
     BlockDetUnavailable,
     BlockSpectrumUnavailable,
@@ -223,11 +224,8 @@ def _power_iteration(tensor: Tensor, tol: float, max_iter: int) -> SpectralResul
     reporting.
     """
     m, n = tensor.order, tensor.dim
-    shifted = dict(tensor.entries)
-    for i in range(1, n + 1):
-        key = (i,) * m
-        shifted[key] = shifted.get(key, 0.0) + 1.0
-    work = Tensor(m, n, shifted)
+    shift = {(i,) * m: tensor.entries.get((i,) * m, 0.0) + 1.0 for i in range(1, n + 1)}
+    work = Tensor(m, n, itertools.chain(tensor.entries.items(), shift.items()))
 
     x = np.ones(n)
     lower = upper = None
@@ -261,9 +259,9 @@ def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000) -
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    for idx, v in tensor.entries.items():
-        if v < 0:
-            raise NegativeEntry(f"entry {idx} is negative: {v}")
+    if (tensor.coo.vals < 0).any():
+        idx, v = next((idx, v) for idx, v in tensor.entries.items() if v < 0)
+        raise NegativeEntry(f"entry {idx} is negative: {v}")
 
     n, m = tensor.dim, tensor.order
     if tensor.is_zero():
@@ -295,21 +293,30 @@ class OracleReport:
     restarts_used: int
 
 
-def _oracle_jacobian(tensor: Tensor, z: np.ndarray) -> np.ndarray:
-    """Complex Jacobian of x -> apply(tensor, x)."""
+def _oracle_jacobian(tensor: Tensor) -> Callable[[np.ndarray], np.ndarray]:
+    """The complex Jacobian of x -> apply(tensor, x), as a function of x.
+
+    The partial of entry a[i, f_1..f_{m-1}] at position p is a times the
+    other x[f_s], multiplied left to right; the partials are added into
+    jac[i, f_p] entry by entry, then position by position. The index
+    arrays depend only on the tensor, so they are built once here.
+    """
     n, m = tensor.dim, tensor.order
-    jac = np.zeros((n, n), dtype=complex)
-    for idx, a in tensor.entries.items():
-        i = idx[0] - 1
-        feet = [t - 1 for t in idx[1:]]
-        vals = [z[f] for f in feet]
-        for pos, f in enumerate(feet):
-            partial = a
-            for s, v in enumerate(vals):
-                if s != pos:
-                    partial *= v
-            jac[i, f] += partial
-    return jac
+    view = tensor.coo
+    feet = view.idx[:, 1:]
+    others = [[s for s in range(m - 1) if s != p] for p in range(m - 1)]
+    vals = np.repeat(view.vals, m - 1)  # one per (entry, position)
+    other_feet = feet[:, others].reshape(len(vals), m - 2).T
+    cells = (np.repeat(view.idx[:, 0], m - 1), feet.ravel())
+
+    def jacobian(z: np.ndarray) -> np.ndarray:
+        partials = np.empty(len(vals), dtype=complex)
+        partials.real, partials.imag = _complex_terms(vals, other_feet, z)
+        jac = np.zeros((n, n), dtype=complex)
+        np.add.at(jac, cells, partials)
+        return jac
+
+    return jacobian
 
 
 def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
@@ -336,9 +343,11 @@ def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be positive")
 
-    def objective(z: np.ndarray) -> float:
+    jacobian = _oracle_jacobian(tensor)
+
+    def objective(z: np.ndarray) -> tuple[float, np.ndarray]:
         y = apply(tensor, list(z))
-        return float(np.real(np.vdot(y, y)))
+        return float(np.real(np.vdot(y, y))), y
 
     best_f = np.inf
     best_z: Optional[np.ndarray] = None
@@ -346,17 +355,16 @@ def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
         rng = np.random.default_rng(seed + r)
         z = rng.standard_normal(tensor.dim) + 1j * rng.standard_normal(tensor.dim)
         z = z / np.linalg.norm(z)
-        f = objective(z)
+        f, y = objective(z)  # y is always the image of the current z
         for _ in range(iters):
-            y = apply(tensor, list(z))
-            jac = _oracle_jacobian(tensor, z)
+            jac = jacobian(z)
             delta = np.linalg.lstsq(jac, -y, rcond=None)[0]
             norm = np.linalg.norm(z + delta)
             if norm > 0:
                 trial = (z + delta) / norm
-                f_trial = objective(trial)
+                f_trial, y_trial = objective(trial)
                 if f_trial < f:
-                    z, f = trial, f_trial
+                    z, f, y = trial, f_trial, y_trial
                     continue
             # real-coordinate gradient of ||y||^2, packed back into a complex vector
             grad = 2.0 * np.conj(jac.T @ np.conj(y))
@@ -369,9 +377,9 @@ def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
                 norm = np.linalg.norm(trial)
                 if norm > 0:
                     trial = trial / norm
-                    f_trial = objective(trial)
+                    f_trial, y_trial = objective(trial)
                     if f_trial < f:
-                        z, f = trial, f_trial
+                        z, f, y = trial, f_trial, y_trial
                         improved = True
                         break
                 step *= 0.5

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .blocked import BlockKind, Partition, blocked_partitions, diagonal_blocks, is_blocked
 from .core import (
     Permutation,
@@ -144,9 +146,14 @@ def _components(succ: list[set[int]]) -> list[set[int]]:
 
 def _sink(tensor: Tensor) -> frozenset[int]:
     """The sink component (no edge leaves it) of the entry digraph holding the smallest index."""
-    succ: list[set[int]] = [set() for _ in range(tensor.dim + 1)]
-    for idx in tensor.entries:
-        succ[idx[0]].update(idx[1:])
+    n, idx = tensor.dim, tensor.coo.idx
+    codes = np.sort(idx[:, :1] * n + idx[:, 1:], axis=None)  # i -> t as (i-1)*n + (t-1)
+    distinct = np.ones(len(codes), dtype=bool)
+    distinct[1:] = codes[1:] != codes[:-1]
+    edges = codes[distinct]
+    heads = np.searchsorted(edges, np.arange(n + 1) * n).tolist()
+    tails = (edges % n + 1).tolist()
+    succ = [set()] + [set(tails[lo:hi]) for lo, hi in zip(heads, heads[1:])]
     sinks = [c for c in _components(succ) if all(succ[v] <= c for v in c)]
     return frozenset(min(sinks, key=min))
 
@@ -393,10 +400,8 @@ def adjacency_tensor(graph: Hypergraph) -> Tensor:
     in each edge coordinate, the plain product over the other vertices.
     """
     value = 1.0 / math.factorial(graph.k - 1)
-    entries = {}
-    for edge in graph.edges:
-        for perm in itertools.permutations(sorted(edge)):
-            entries[perm] = value
+    entries = ((perm, value) for edge in graph.edges
+               for perm in itertools.permutations(sorted(edge)))
     return Tensor(graph.k, graph.n, entries)
 
 

@@ -2,11 +2,14 @@
 
 The oracles here are deliberately naive re-derivations (dense loops over
 every index tuple, brute-force subset scans) used to pin down expected
-values independently of the library's sparse implementations.
+values independently of the library's sparse implementations. The
+``loop_*`` references are the per-entry dict loops the vectorised kernels
+replaced; the kernels must match them bit for bit.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +17,7 @@ import numpy as np
 
 import triblock as tb
 from triblock import BlockKind, Partition, Tensor
+from triblock.blocked import _forbidden
 
 
 # ---------------------------------------------------------------- oracles
@@ -55,6 +59,72 @@ def dense_product(a: Tensor, b: Tensor) -> Tensor:
                 flat = (i,) + tuple(v for alpha in alphas for v in alpha)
                 entries.append((flat, total))
     return tb.new_tensor(out_order, n, entries)
+
+
+def loop_apply(tensor: Tensor, x) -> np.ndarray:
+    """The per-entry dict loop ``apply`` once ran: each term multiplied left
+    to right in Python arithmetic, each row summed with math.fsum."""
+    xs = list(x)
+    is_complex = any(isinstance(v, complex) for v in xs)
+    terms = [[] for _ in range(tensor.dim)]
+    for idx, a in tensor.entries.items():
+        prod = a
+        for t in idx[1:]:
+            prod *= xs[t - 1]
+        terms[idx[0] - 1].append(prod)
+    if is_complex:
+        out = [complex(math.fsum(t.real for t in row), math.fsum(t.imag for t in row))
+               for row in terms]
+        return np.asarray(out, dtype=complex)
+    return np.asarray([math.fsum(row) for row in terms], dtype=float)
+
+
+def loop_product(a: Tensor, b: Tensor) -> dict:
+    """Entries of the general product from the dict loop ``general_product``
+    once ran: itertools.product over b's rows, math.fsum per coordinate."""
+    rows = {}
+    for idx, v in b.entries.items():
+        rows.setdefault(idx[0], []).append((idx[1:], v))
+    terms = {}
+    for idx, av in a.entries.items():
+        slices = [rows.get(t) for t in idx[1:]]
+        if any(row is None for row in slices):
+            continue
+        for combo in itertools.product(*slices):
+            out_idx, val = (idx[0],), av
+            for alpha, bv in combo:
+                out_idx += alpha
+                val *= bv
+            terms.setdefault(out_idx, []).append(val)
+    totals = {k: math.fsum(vals) for k, vals in terms.items()}
+    return {k: v for k, v in totals.items() if v != 0.0}
+
+
+def loop_jacobian(tensor: Tensor, z: np.ndarray) -> np.ndarray:
+    """The singularity probe's Jacobian as the per-entry triple loop built it."""
+    n = tensor.dim
+    jac = np.zeros((n, n), dtype=complex)
+    for idx, a in tensor.entries.items():
+        feet = [t - 1 for t in idx[1:]]
+        vals = [z[f] for f in feet]
+        for pos, f in enumerate(feet):
+            partial = a
+            for s, v in enumerate(vals):
+                if s != pos:
+                    partial *= v
+            jac[idx[0] - 1, f] += partial
+    return jac
+
+
+def loop_block_ends(tensor: Tensor, kind: BlockKind) -> list[list[int]]:
+    """Allowed block ends by re-testing every row's trailing spans per block."""
+    spans = [set() for _ in range(tensor.dim + 1)]
+    for idx in tensor.entries:
+        spans[idx[0]].add((min(idx[1:]), max(idx[1:])))
+    return [[d for d in range(c + 1, tensor.dim + 1)
+             if not any(_forbidden(kind, c, d, lo, hi)
+                        for row in range(c + 1, d + 1) for lo, hi in spans[row])]
+            for c in range(tensor.dim)]
 
 
 def brute_strong_sets(tensor: Tensor) -> list[frozenset[int]]:
