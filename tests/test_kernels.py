@@ -71,7 +71,7 @@ def ensemble(seed, trials):
 class TestApply:
     @pytest.mark.parametrize("kind", ["real", "int", "complex", "numpy complex", "mixed"])
     def test_matches_loop(self, kind):
-        for rng, integral, density in ensemble(401, 50):
+        for rng, integral, density in ensemble(401, 40):
             order, dim = rng.randint(2, 4), rng.randint(1, 6)
             t = rand_tensor(rng, order, dim, density, integral)
             x = rand_vector(rng, dim, kind)
@@ -85,7 +85,7 @@ class TestApply:
 
 class TestGeneralProduct:
     def test_matches_loop(self):
-        for rng, integral, density in ensemble(402, 100):
+        for rng, integral, density in ensemble(402, 80):
             m, k = rng.randint(2, 4), rng.randint(1, 3)
             dim = rng.randint(1, 6 if m == 2 else 4 if m + k <= 5 else 3)
             a = rand_tensor(rng, m, dim, density, integral)
@@ -117,7 +117,7 @@ class TestGeneralProduct:
 
     def test_rows_larger_than_a_chunk(self, monkeypatch):
         monkeypatch.setattr(product_module, "_CHUNK", 5)
-        for rng, integral, density in ensemble(404, 10):
+        for rng, integral, density in ensemble(404, 8):
             a = rand_tensor(rng, 3, 4, max(density, 0.3), integral)
             b = rand_tensor(rng, 3, 4, 0.5, integral)
             assert bits(tb.general_product(a, b).entries) == bits(loop_product(a, b))
@@ -146,7 +146,7 @@ class TestGeneralProduct:
 
 class TestOracleJacobian:
     def test_matches_loop(self):
-        for rng, integral, density in ensemble(406, 50):
+        for rng, integral, density in ensemble(406, 40):
             order, dim = rng.randint(2, 4), rng.randint(1, 6)
             t = rand_tensor(rng, order, dim, density, integral)
             z = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim)])
