@@ -38,6 +38,17 @@ def _partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _positive(convert):
+    """An argparse type: ``convert`` the text, then refuse values that are not above zero."""
+    def parse(text: str):
+        value = convert(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _read_tensor(path: str) -> Tensor:
     return tensorio.loads_tensor(Path(path).read_text())
 
@@ -85,13 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rho", help="spectral radius of a nonnegative tensor")
     add_tensor_flag(p)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--tol", type=_positive(float), default=1e-10)
+    p.add_argument("--max-iter", type=_positive(int), default=10000)
 
     p = sub.add_parser("oracle", help="numerical singularity probe")
     add_tensor_flag(p)
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--iters", type=int, default=200)
+    p.add_argument("--restarts", type=_positive(int), default=64)
+    p.add_argument("--iters", type=_positive(int), default=200)
     p.add_argument("--seed", type=int, default=7)
 
     p = sub.add_parser("left-inverse", help="unique left k-inverse")
@@ -130,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hypergraph-rho",
                        help="adjacency spectral radius of a uniform hypergraph")
     p.add_argument("--edges", required=True, help="path to a hypergraph JSON document")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--tol", type=_positive(float), default=1e-10)
+    p.add_argument("--max-iter", type=_positive(int), default=10000)
 
     return parser
 

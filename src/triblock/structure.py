@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .blocked import BlockKind, Partition, blocked_partitions, diagonal_blocks, is_blocked
+from .blocked import BlockKind, Partition, diagonal_blocks, is_blocked
 from .core import (
     Permutation,
     Tensor,
@@ -34,7 +34,6 @@ from .errors import (
     OrderTooSmall,
 )
 
-_FIRST_TYPE_GUARD = 6  # the witness search visits all n! permutations
 _CHAIN_GUARD = 12  # the chain search visits subsets of [n]
 
 
@@ -114,16 +113,39 @@ def is_irreducible(tensor: Tensor) -> bool:
     return find_reducing_set(tensor) is None
 
 
-def _components(succ: list[set[int]]) -> list[set[int]]:
-    """Strongly connected components of the digraph v -> succ[v] on [1, n].
+def _successors(idx: np.ndarray, alive: np.ndarray) -> list[set[int]]:
+    """Entry digraph of the principal subtensor on the alive vertices.
+
+    ``idx`` holds 0-based index rows (``Tensor.coo.idx``) and ``alive`` is
+    a boolean mask over [0, n). Entries with an index outside the mask
+    are dropped, as a principal subtensor drops them; every kept row-i
+    entry gives an edge i -> t per trailing index t. Returns successor
+    sets on [1, n] (slot 0 unused).
+    """
+    n = len(alive)
+    keep = alive[idx[:, 0]]
+    for foot in idx.T[1:]:  # per column: a reduction along the short axis is slow
+        keep &= alive[foot]
+    kept = np.compress(keep, idx, axis=0)
+    codes = np.sort(kept[:, :1] * n + kept[:, 1:], axis=None)  # i -> t as (i-1)*n + (t-1)
+    distinct = np.ones(len(codes), dtype=bool)
+    distinct[1:] = codes[1:] != codes[:-1]
+    edges = codes[distinct]
+    heads = np.searchsorted(edges, np.arange(n + 1) * n).tolist()
+    tails = (edges % n + 1).tolist()
+    return [set()] + [set(tails[lo:hi]) for lo, hi in zip(heads, heads[1:])]
+
+
+def _components(succ: list[set[int]], roots: Iterable[int]) -> list[set[int]]:
+    """Strongly connected components reachable from ``roots`` in the digraph v -> succ[v].
 
     Tarjan's algorithm (SIAM J. Comput. 1(2), 1972) with a stack of
     edge iterators in place of recursion. A virtual vertex 0 with an edge
-    to every vertex roots the search and comes out last, on its own.
+    to every root starts the search and comes out last, on its own.
     """
     order, low, done = {0: 0}, {0: 0}, set()
     stack, found = [0], []
-    work = [(0, iter(range(1, len(succ))))]
+    work = [(0, iter(roots))]
     while work:
         v, edges = work[-1]
         w = next(edges, None)
@@ -144,17 +166,15 @@ def _components(succ: list[set[int]]) -> list[set[int]]:
     return found[:-1]
 
 
-def _sink(tensor: Tensor) -> frozenset[int]:
-    """The sink component (no edge leaves it) of the entry digraph holding the smallest index."""
-    n, idx = tensor.dim, tensor.coo.idx
-    codes = np.sort(idx[:, :1] * n + idx[:, 1:], axis=None)  # i -> t as (i-1)*n + (t-1)
-    distinct = np.ones(len(codes), dtype=bool)
-    distinct[1:] = codes[1:] != codes[:-1]
-    edges = codes[distinct]
-    heads = np.searchsorted(edges, np.arange(n + 1) * n).tolist()
-    tails = (edges % n + 1).tolist()
-    succ = [set()] + [set(tails[lo:hi]) for lo, hi in zip(heads, heads[1:])]
-    sinks = [c for c in _components(succ) if all(succ[v] <= c for v in c)]
+def _sink(idx: np.ndarray, alive: np.ndarray) -> frozenset[int]:
+    """The sink component (no edge leaves it) holding the smallest alive index.
+
+    Components are those of the entry digraph of the principal subtensor
+    on the alive vertices, labelled by their original indices.
+    """
+    succ = _successors(idx, alive)
+    roots = (np.flatnonzero(alive) + 1).tolist()
+    sinks = [c for c in _components(succ, roots) if all(succ[v] <= c for v in c)]
     return frozenset(min(sinks, key=min))
 
 
@@ -168,7 +188,7 @@ def find_weakly_reducing_set(tensor: Tensor) -> Optional[frozenset[int]]:
     one containing the smallest index is returned for determinism.
     """
     _check_order(tensor)
-    found = _sink(tensor)
+    found = _sink(tensor.coo.idx, np.ones(tensor.dim, dtype=bool))
     if len(found) == tensor.dim:
         return None
     assert weakly_reduces(tensor, found)
@@ -329,37 +349,56 @@ def normal_form_2nd(tensor: Tensor) -> NormalForm:
     smallest index goes first, making the output deterministic.
     """
     _check_order(tensor)
-    remaining = list(range(1, tensor.dim + 1))
+    idx, alive = tensor.coo.idx, np.ones(tensor.dim, dtype=bool)
     peeled: list[frozenset[int]] = []
-    while remaining:
+    while alive.any():
         # peeling drops every entry that touches the sink, which can split
-        # what remains, so the digraph is rebuilt from the subtensor each time
-        local = _sink(principal_subtensor(tensor, remaining))
-        component = frozenset(remaining[i - 1] for i in local)
-        peeled.append(component)
-        remaining = [i for i in remaining if i not in component]
+        # what remains, so the digraph is rebuilt from the live entries each time
+        peeled.append(_sink(idx, alive))
+        alive[[v - 1 for v in peeled[-1]]] = False
 
     return _assemble(tensor, list(reversed(peeled)), BlockKind.UTB2, weak=True)
 
 
 def exists_first_type_normal_form(tensor: Tensor) -> Optional[tuple[Permutation, Partition]]:
-    """Search for a first-type upper triangular similarity with weakly irreducible blocks.
+    """A first-type upper triangular similarity with weakly irreducible blocks, or None.
 
-    Exhausts every permutation, and for each the first-type partitions
-    with at least two parts in lexicographic order, returning the first
-    witness. The guard keeps the n! permutations at desk scale.
+    Under a first-type partition every edge i -> t of the entry digraph
+    stays in its block or goes to a later one, and a weakly irreducible
+    block is strongly connected, so the blocks are exactly the strongly
+    connected components, in an order with every edge forward. A witness
+    therefore exists when there are at least two components and each
+    component's principal subtensor is weakly irreducible (it can lose
+    edges the component relies on: a_{123} = a_{213} = a_{333} = 1 has
+    the component {1, 2} but an empty block there).
+
+    The witness returned is the one with the lexicographically first
+    sigma. Components are placed from the back, each time the one with
+    the largest smallest index among those with no edge into an unplaced
+    component: moving it last only moves earlier every component whose
+    smallest index is smaller.
     """
     _check_order(tensor)
-    if tensor.dim > _FIRST_TYPE_GUARD:
-        raise DimensionTooLarge(
-            f"witness search is capped at dim {_FIRST_TYPE_GUARD}, got {tensor.dim}")
-    for image in itertools.permutations(range(1, tensor.dim + 1)):
-        sigma = Permutation(image)
-        moved = permute_similar(tensor, sigma)
-        for p in blocked_partitions(moved, BlockKind.UTB1, 2):
-            if all(is_weakly_irreducible(b) for b in diagonal_blocks(moved, p)):
-                return sigma, p
-    return None
+    idx, n = tensor.coo.idx, tensor.dim
+    succ = _successors(idx, np.ones(n, dtype=bool))
+    comps = [frozenset(c) for c in _components(succ, range(1, n + 1))]
+    if len(comps) < 2:
+        return None
+    for comp in comps:
+        inside = np.zeros(n, dtype=bool)
+        inside[[v - 1 for v in comp]] = True
+        if len(comp) > 1 and _sink(idx, inside) != comp:
+            return None
+    leaves = {comp: set().union(*(succ[v] for v in comp)) - comp for comp in comps}
+    unplaced = sorted(comps, key=min)
+    placed: set[int] = set()
+    chain: list[frozenset[int]] = []
+    while unplaced:
+        last = next(i for i in reversed(range(len(unplaced))) if leaves[unplaced[i]] <= placed)
+        placed |= unplaced[last]
+        chain.append(unplaced.pop(last))
+    nf = _assemble(tensor, list(reversed(chain)), BlockKind.UTB1, weak=True)
+    return nf.sigma, nf.partition
 
 
 @dataclass(frozen=True)

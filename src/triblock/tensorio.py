@@ -49,8 +49,11 @@ def tensor_from_obj(obj: Any) -> Tensor:
         if not isinstance(idx, list) or not isinstance(value, (int, float)) \
                 or isinstance(value, bool):
             raise FormatError(f"bad entry record: {item!r}")
-        pairs.append((idx, float(value)))
-    return new_tensor(order, dim, pairs)
+        pairs.append((idx, value))
+    try:
+        return new_tensor(order, dim, pairs)
+    except (ValueError, OverflowError) as exc:  # NaN, infinities, integers past the double range
+        raise FormatError(f"entry value is not a finite double: {exc}") from exc
 
 
 def dumps(obj: Any) -> str:
@@ -61,7 +64,7 @@ def dumps(obj: Any) -> str:
 def loads(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
         raise FormatError(f"invalid JSON: {exc}") from exc
 
 

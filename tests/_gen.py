@@ -18,6 +18,8 @@ import numpy as np
 import triblock as tb
 from triblock import BlockKind, Partition, Tensor
 from triblock.blocked import _forbidden
+from triblock.errors import DimensionMismatch
+from triblock.linalg import _rows, as_matrix
 
 
 # ---------------------------------------------------------------- oracles
@@ -219,6 +221,20 @@ def brute_normal_form_2nd(tensor: Tensor) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(image), tuple(len(comp) for comp in reversed(peeled))
 
 
+def brute_first_type(tensor: Tensor):
+    """The exhaustive first-type witness search the library once ran: every
+    permutation in lexicographic order, and for each the first-type
+    partitions with at least two parts in lexicographic order; the first
+    one whose diagonal blocks are all weakly irreducible wins."""
+    for image in itertools.permutations(range(1, tensor.dim + 1)):
+        sigma = tb.Permutation(image)
+        moved = tb.permute_similar(tensor, sigma)
+        for p in tb.blocked_partitions(moved, BlockKind.UTB1, 2):
+            if all(tb.is_weakly_irreducible(b) for b in tb.diagonal_blocks(moved, p)):
+                return sigma, p
+    return None
+
+
 def forbidden_positions(n: int, m: int, partition: Partition, kind: BlockKind) -> set:
     """Probe the public classifier with single-entry tensors.
 
@@ -260,6 +276,91 @@ def exact_int_det(matrix: np.ndarray) -> int:
     result = sign * det
     assert result.denominator == 1
     return int(result)
+
+
+# ------------------------------------------------------- matrix predicates
+# Dense matrix counterparts of the tensor predicates, used only as
+# references by the tests.
+
+
+def _eliminate(rows: list[list[Fraction]]) -> tuple[list[Fraction], int]:
+    """Forward elimination with partial pivoting; returns (pivots, swap parity)."""
+    n = len(rows)
+    sign = 1
+    pivots: list[Fraction] = []
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        if rows[pivot_row][col] == 0:
+            pivots.append(Fraction(0))
+            continue
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            sign = -sign
+        piv = rows[col][col]
+        pivots.append(piv)
+        for r in range(col + 1, n):
+            factor = rows[r][col] / piv
+            if factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return pivots, sign
+
+
+def determinant(values) -> float:
+    """Exact determinant via rational elimination."""
+    arr = as_matrix(values)
+    pivots, sign = _eliminate(_rows(arr))
+    det = Fraction(sign)
+    for p in pivots:
+        det *= p
+    return float(det)
+
+
+def leading_principal_minors(values) -> list[float]:
+    """Determinants of the leading k-by-k corners, k = 1..n."""
+    arr = as_matrix(values)
+    return [determinant(arr[:k, :k]) for k in range(1, arr.shape[0] + 1)]
+
+
+def is_z_matrix(values) -> bool:
+    """All off-diagonal entries nonpositive."""
+    arr = as_matrix(values)
+    off = arr - np.diag(np.diag(arr))
+    return bool(np.all(off <= 0.0))
+
+
+def is_irreducible_matrix(values) -> bool:
+    """Strong connectivity of the digraph with an edge i -> j when P[i, j] != 0.
+
+    Dimension-1 matrices count as irreducible. Each squaring of the
+    reflexive reachability matrix doubles the path length it covers.
+    """
+    arr = as_matrix(values)
+    reach = (arr != 0.0) | np.eye(arr.shape[0], dtype=bool)
+    for _ in range(arr.shape[0].bit_length()):
+        reach = reach @ reach
+    return bool(reach.all())
+
+
+def is_nonsingular_m_matrix(values) -> bool:
+    """Z-matrix with every leading principal minor strictly positive."""
+    arr = as_matrix(values)
+    if not is_z_matrix(arr):
+        return False
+    return all(minor > 0.0 for minor in leading_principal_minors(arr))
+
+
+def is_blocked_matrix(values, partition: Partition) -> bool:
+    """Upper-triangular block structure: rows of I_l vanish left of column S_{l-1} + 1."""
+    arr = as_matrix(values)
+    if partition.n != arr.shape[0]:
+        raise DimensionMismatch(
+            f"partition covers [1, {partition.n}] but matrix dim is {arr.shape[0]}")
+    for l in range(2, partition.r + 1):
+        lead = partition.S(l - 1)
+        for i in partition.block(l):
+            if np.any(arr[i - 1, :lead] != 0.0):
+                return False
+    return True
 
 
 # -------------------------------------------------------------- generators

@@ -18,13 +18,16 @@ import numpy as np
 import pytest
 
 import triblock as tb
-from triblock import BlockKind, Partition, linalg
+from triblock import BlockKind, Partition
 from triblock.errors import ThirdTypeUnsupported
 
 from _gen import (
     blocked_or_trivial,
     brute_strong_sets,
     brute_weak_sets,
+    is_irreducible_matrix,
+    is_nonsingular_m_matrix,
+    is_z_matrix,
     rand_blocked,
     rand_blocked_m_matrix,
     rand_blocked_unimodular,
@@ -209,7 +212,7 @@ def test_criterion_07():
 
 
 def _matrix_is_m(mat: np.ndarray, strict: bool, tol: float = 1e-9) -> bool:
-    if not linalg.is_z_matrix(mat):
+    if not is_z_matrix(mat):
         return False
     s = float(np.max(np.diag(mat)))
     rho = float(np.max(np.abs(np.linalg.eigvals(s * np.eye(len(mat)) - mat))))
@@ -231,19 +234,19 @@ def test_criterion_08():
             shifted = split.s * np.eye(n) - mat
             assert lifted == pytest.approx(
                 float(np.max(np.abs(np.linalg.eigvals(shifted)))), abs=1e-8)
-            assert tb.is_z_tensor(a) and linalg.is_z_matrix(mat)
-            assert tb.is_weakly_irreducible(a) and linalg.is_irreducible_matrix(mat)
+            assert tb.is_z_tensor(a) and is_z_matrix(mat)
+            assert tb.is_weakly_irreducible(a) and is_irreducible_matrix(mat)
             assert tb.is_m_tensor(a) and _matrix_is_m(mat, strict=False)
-            assert tb.is_nonsingular_m_tensor(a) and linalg.is_nonsingular_m_matrix(mat)
+            assert tb.is_nonsingular_m_tensor(a) and is_nonsingular_m_matrix(mat)
         for trial in range(10):
             n = rng.randint(2, 4)
             good = rand_m_matrix(rng, n)
             shift = float(np.max(np.diag(good))) * 0.5
             bad = good - shift * np.eye(n)  # Z, but shifted below the M threshold
             a = tb.row_diagonal_from_matrix(bad, 3)
-            assert tb.is_z_tensor(a) and linalg.is_z_matrix(bad)
+            assert tb.is_z_tensor(a) and is_z_matrix(bad)
             assert tb.is_m_tensor(a) == _matrix_is_m(bad, strict=False)
-            assert tb.is_nonsingular_m_tensor(a) == linalg.is_nonsingular_m_matrix(bad)
+            assert tb.is_nonsingular_m_tensor(a) == is_nonsingular_m_matrix(bad)
         parts_pool = [(2, 2), (2, 3), (2, 2, 2)]
         for trial in range(25):
             p = Partition(parts_pool[trial % 3])

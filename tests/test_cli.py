@@ -180,6 +180,19 @@ class TestRho:
         assert capsys.readouterr().out == ""
 
 
+    @pytest.mark.parametrize("verb,flag,value", [
+        ("rho", "--tol", "0"), ("rho", "--tol", "-0.001"), ("rho", "--tol", "nan"),
+        ("rho", "--max-iter", "0"), ("hypergraph-rho", "--tol", "0"),
+        ("hypergraph-rho", "--max-iter", "-5"),
+    ])
+    def test_non_positive_limits_are_usage_errors(self, capsys, fixtures_dir, verb, flag, value):
+        source = ["--tensor", str(fixtures_dir / "ex31.json")] if verb == "rho" else \
+            ["--edges", str(fixtures_dir / "hyper_chain.json")]
+        assert cli.run([verb, *source, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be positive" in captured.err
+
+
 class TestOracle:
     def test_unit_tensor_floor(self, capsys, tmp_path):
         path = write_tensor(tmp_path, "a.json", tb.unit_tensor(3, 2))
@@ -195,6 +208,13 @@ class TestOracle:
         code, doc = run_cli(capsys, "oracle", "--tensor", path,
                             "--restarts", "8", "--iters", "200")
         assert code == 0 and doc["min_norm"] < 1e-6
+
+    @pytest.mark.parametrize("flag", ["--restarts", "--iters"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_counts_are_usage_errors(self, capsys, ex31_path, flag, value):
+        assert cli.run(["oracle", "--tensor", ex31_path, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be positive" in captured.err
 
     def test_deterministic_bytes(self, capsys, tmp_path):
         path = write_tensor(tmp_path, "a.json", tb.unit_tensor(3, 2))
@@ -337,6 +357,15 @@ class TestProcessLevel:
         code, doc = run_cli(capsys, "classify", "--tensor", "/no/such/file.json",
                             "--partition", "1,1", "--kind", "utb3")
         assert code == 1 and doc["error"] == "FileNotFound"
+
+    @pytest.mark.parametrize("value", [
+        "NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="10**400")])
+    def test_value_a_double_cannot_hold(self, capsys, tmp_path, value):
+        path = tmp_path / "a.json"
+        path.write_text('{"order": 2, "dim": 1, "entries": [{"i": [1, 1], "v": %s}]}' % value)
+        code, doc = run_cli(capsys, "classify", "--tensor", str(path),
+                            "--partition", "1", "--kind", "diag")
+        assert code == 1 and doc["error"] == "FormatError"
 
     def test_unknown_command(self, capsys):
         code, doc = run_cli(capsys, "frobnicate")

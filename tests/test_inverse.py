@@ -15,9 +15,8 @@ from triblock.errors import (
     NotRightInvertible,
     OrderTooSmall,
 )
-from triblock.linalg import is_blocked_matrix
 
-from _gen import rand_blocked_unimodular, rand_unimodular
+from _gen import is_blocked_matrix, rand_blocked_unimodular, rand_unimodular
 
 
 def row_diag(p, m=3):

@@ -1,5 +1,6 @@
-"""Exact rational matrix helpers: inversion, determinants, minors, and the
-structural predicates built on them."""
+"""Exact rational matrix inversion and the nonsingularity test that shares
+it, plus the test-side matrix references (determinants, minors and the
+structural predicates built on them) from ``_gen``."""
 import random
 import warnings
 
@@ -8,18 +9,19 @@ import pytest
 
 from triblock import Partition
 from triblock.errors import DimensionMismatch, SingularMatrix
-from triblock.linalg import (
+from triblock.linalg import invert, is_nonsingular
+
+from _gen import (
     determinant,
-    invert,
+    exact_int_det,
     is_blocked_matrix,
     is_irreducible_matrix,
-    is_nonsingular,
     is_nonsingular_m_matrix,
     is_z_matrix,
     leading_principal_minors,
+    rand_blocked_unimodular,
+    rand_unimodular,
 )
-
-from _gen import exact_int_det, rand_blocked_unimodular, rand_unimodular
 
 
 class TestDeterminant:
@@ -105,6 +107,19 @@ class TestPredicates:
         assert is_nonsingular([[2.0, 1.0], [1.0, 1.0]])
         assert not is_nonsingular([[1.0, 2.0], [2.0, 4.0]])
         assert not is_nonsingular([[0.0]])
+
+    def test_nonsingular_matches_exact_determinant(self):
+        rng = random.Random(16)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            mat = np.array([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            assert is_nonsingular(mat) == (exact_int_det(mat) != 0)
+
+    def test_nonsingular_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_nonsingular([[1.0, 1e7], [0.0, 1.0]])
+            assert not is_nonsingular([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
 
     def test_leading_minors(self):
         mat = [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]

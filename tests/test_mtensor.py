@@ -8,9 +8,15 @@ import pytest
 import triblock as tb
 from triblock import BlockKind, Partition
 from triblock.errors import NotZTensor, OrderTooSmall
-from triblock.linalg import is_irreducible_matrix, is_nonsingular_m_matrix, is_z_matrix
 
-from _gen import rand_blocked_m_matrix, rand_irreducible_nonneg, rand_m_matrix
+from _gen import (
+    is_irreducible_matrix,
+    is_nonsingular_m_matrix,
+    is_z_matrix,
+    rand_blocked_m_matrix,
+    rand_irreducible_nonneg,
+    rand_m_matrix,
+)
 
 
 def row_diag(p, m=3):

@@ -17,11 +17,14 @@ from triblock.errors import (
 )
 
 from _gen import (
+    brute_first_type,
     brute_normal_form_2nd,
     brute_sink,
     brute_strong_sets,
     brute_weak_sets,
+    rand_blocked,
     rand_hypergraph,
+    rand_permutation,
     rand_tensor,
 )
 
@@ -45,6 +48,24 @@ def sink_ensemble(seed: int, count: int):
         m = (2, 3, 4)[trial % 3]
         n = rng.randint(1, 8 if m < 4 else 5)
         yield rand_tensor(rng, n, m, density=rng.choice([0.02, 0.06, 0.12, 0.3]))
+
+
+def first_type_ensemble(seed: int, count: int):
+    """Orders 2-4, dims 1-6: random tensors, permuted first-type blocked ones
+    and split hypergraphs."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        m = (2, 3, 4)[trial % 3]
+        n = rng.randint(1, (6, 5, 4)[trial % 3])
+        if trial % 7 == 6:
+            yield tb.adjacency_tensor(rand_hypergraph(rng, 3, [3, rng.randint(1, 3)]))
+        elif trial % 2 and n > 1:
+            cut = rng.randint(1, n - 1)
+            a = rand_blocked(rng, (cut, n - cut), BlockKind.UTB1, m,
+                             density=rng.choice([0.1, 0.3, 0.6]))
+            yield tb.permute_similar(a, rand_permutation(rng, n))
+        else:
+            yield rand_tensor(rng, n, m, density=rng.choice([0.02, 0.06, 0.12, 0.3]))
 
 
 def sub_hypergraph(graph: tb.Hypergraph, component: frozenset[int]) -> tb.Hypergraph:
@@ -406,9 +427,34 @@ class TestFirstTypeWitness:
                        for b in tb.diagonal_blocks(moved, p))
         assert found > 5
 
-    def test_dimension_guard(self):
-        with pytest.raises(DimensionTooLarge):
-            tb.exists_first_type_normal_form(tb.new_tensor(2, 7, []))
+    def test_matches_exhaustive_search(self):
+        for a in first_type_ensemble(81, 300):
+            assert tb.exists_first_type_normal_form(a) == brute_first_type(a)
+
+    def test_lexicographically_first_sigma(self):
+        # neither the identity nor the order the components come out in
+        a = tb.new_tensor(2, 3, [((3, 1), 1.0)])
+        assert tb.exists_first_type_normal_form(a) == (Permutation((2, 3, 1)),
+                                                       Partition((1, 1, 1)))
+
+    def test_component_block_can_lose_its_edges(self):
+        # {1, 2} is strongly connected only through entries that leave it,
+        # so its principal subtensor is zero and weakly reducible
+        a = tb.new_tensor(3, 3, [((1, 2, 3), 1.0), ((2, 1, 3), 1.0), ((3, 3, 3), 1.0)])
+        assert tb.exists_first_type_normal_form(a) is None
+
+    def test_answers_past_dim_six(self):
+        witness = tb.exists_first_type_normal_form(tb.unit_tensor(3, 12))
+        assert witness == (Permutation.identity(12), Partition((1,) * 12))
+        # two interleaved paths of triples: odd vertices and even vertices
+        paths = [[v, v + 2, v + 4] for v in range(1, 197)]
+        a = tb.adjacency_tensor(tb.Hypergraph.from_edge_lists(3, 200, paths))
+        sigma, p = tb.exists_first_type_normal_form(a)
+        assert sigma.image == tuple((v + 1) // 2 + 100 * (v % 2 == 0) for v in range(1, 201))
+        assert p == Partition((100, 100))
+        moved = tb.permute_similar(a, sigma)
+        assert tb.is_blocked(moved, p, BlockKind.UTB1)
+        assert all(tb.is_weakly_irreducible(b) for b in tb.diagonal_blocks(moved, p))
 
 
 class TestHypergraphValidation:

@@ -59,9 +59,20 @@ class TestTensorErrors:
         with pytest.raises(FormatError):
             tensorio.tensor_from_obj(doc)
 
+    @pytest.mark.parametrize("text", [
+        "NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="10**400")])
+    def test_values_a_double_cannot_hold(self, text):
+        doc = tensorio.loads('{"order": 2, "dim": 1, "entries": [{"i": [1, 1], "v": %s}]}' % text)
+        with pytest.raises(FormatError, match="finite"):
+            tensorio.tensor_from_obj(doc)
+
     def test_invalid_json_text(self):
         with pytest.raises(FormatError, match="invalid JSON"):
             tensorio.loads("{not json")
+
+    def test_integer_literal_past_the_digit_limit(self):
+        with pytest.raises(FormatError, match="invalid JSON"):
+            tensorio.loads("1" * 5000)
 
     def test_domain_checks_still_apply(self):
         with pytest.raises(BadArity):
