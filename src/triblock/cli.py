@@ -123,11 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="candidate multiplies from the right")
     p.add_argument("candidate", help="path to the inverse candidate")
     p.add_argument("tensor", help="path to the tensor")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive(float), default=1e-10)
 
     p = sub.add_parser("mtensor", help="Z / M / nonsingular-M classification")
     add_tensor_flag(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive(float), default=1e-9)
 
     p = sub.add_parser("normal-form", help="block triangular normal form")
     add_tensor_flag(p)

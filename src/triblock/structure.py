@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (
     OrderTooSmall,
 )
 
-_CHAIN_GUARD = 12  # the chain search visits subsets of [n]
+_PREFIX_BUDGET = 1 << 12  # dead prefixes normal_form_3rd may hold before it gives up
 
 
 def _check_order(tensor: Tensor) -> None:
@@ -76,36 +76,46 @@ def weakly_reduces(tensor: Tensor, index_set: Iterable[int]) -> bool:
     return True
 
 
-def _closure(tensor: Tensor, seed: int) -> set[int]:
-    """Smallest superset of {seed} closed under "some row reaches it with all feet inside"."""
-    inside = {seed}
-    grew = True
-    while grew:
-        grew = False
-        for idx in tensor.entries:
-            if idx[0] not in inside and all(t in inside for t in idx[1:]):
-                inside.add(idx[0])
-                grew = True
-    return inside
+def _closure(pattern: Iterable[tuple[int, frozenset[int]]],
+             inside: Iterable[int]) -> frozenset[int]:
+    """Least superset of ``inside`` holding ``row`` for each ``(row, feet)`` whose feet it holds.
+
+    Forward chaining: each pass drops the pairs whose row is already
+    inside and fires those whose feet all are, until none fires.
+    """
+    inside = set(inside)
+    while True:
+        pattern = [(row, feet) for row, feet in pattern if row not in inside]
+        fired = {row for row, feet in pattern if feet <= inside}
+        if not fired:
+            return frozenset(inside)
+        inside |= fired
+
+
+def _reducing_set(pattern: Iterable[tuple[int, frozenset[int]]],
+                  members: frozenset[int]) -> Optional[frozenset[int]]:
+    """A strongly reducing set of the pattern's principal part on ``members``, or None.
+
+    Seeds a closure from each member in turn; the complement of the first
+    closure that fails to swallow ``members`` strongly reduces. The search
+    is complete: any reducing set's complement is closed, so seeding
+    inside it must succeed.
+    """
+    inner = [(row, feet) for row, feet in pattern if row in members and feet <= members]
+    for seed in sorted(members):
+        inside = _closure(inner, {seed})
+        if inside != members:
+            return members - inside
+    return None
 
 
 def find_reducing_set(tensor: Tensor) -> Optional[frozenset[int]]:
-    """A strongly reducing index set, or None when the tensor is irreducible.
-
-    Seeds a closure from each index in turn; the complement of the first
-    closure that fails to swallow [1, n] strongly reduces the tensor.
-    The search is complete: any reducing set's complement is closed, so
-    seeding inside it must succeed.
-    """
+    """A strongly reducing index set, or None when the tensor is irreducible."""
     _check_order(tensor)
-    full = set(range(1, tensor.dim + 1))
-    for seed in range(1, tensor.dim + 1):
-        inside = _closure(tensor, seed)
-        if inside != full:
-            found = frozenset(full - inside)
-            assert strongly_reduces(tensor, found)
-            return found
-    return None
+    pattern = {(idx[0], frozenset(idx[1:])) for idx in tensor.entries}
+    found = _reducing_set(pattern, frozenset(range(1, tensor.dim + 1)))
+    assert found is None or strongly_reduces(tensor, found)
+    return found
 
 
 def is_irreducible(tensor: Tensor) -> bool:
@@ -273,70 +283,59 @@ def _assemble(tensor: Tensor, chain: list[frozenset[int]], kind: BlockKind,
 def normal_form_3rd(tensor: Tensor) -> NormalForm:
     """Third-type upper triangular normal form with irreducible diagonal blocks.
 
-    The triangular condition is equivalent to every block prefix being
-    closed in the following sense: whenever all trailing indices of a
-    nonzero entry lie in the prefix, its row index does too. Splitting
-    off one reducing set at a time and recursing does not work, because
-    an entry whose trailing indices straddle a cut escapes both halves;
-    a valid refinement of one prefix can still break an outer one. So
-    this runs a complete backtracking search over chains of closed
-    prefixes whose successive differences induce irreducible blocks,
-    trying smaller blocks first and lexicographically within a size,
-    which makes the output deterministic.
+    The triangular condition says every block prefix is closed: whenever
+    all trailing indices of a nonzero entry lie in it, so does its row
+    index. Splitting off one reducing set at a time does not work, since
+    an entry whose trailing indices straddle a cut escapes both halves.
+    So this backtracks over chains of closed prefixes whose differences
+    induce irreducible blocks, smaller blocks first and lexicographically
+    within a size, which makes the output deterministic.
 
-    Some reducible tensors admit no such decomposition at all (with
-    a_{122}=a_{233}=a_{312}=1 the only closed candidate prefix is {1}
-    and the forced remainder block {2,3} is reducible); for those the
-    search is exhaustive and NormalFormUnavailable is raised.
+    If P is a closed prefix and B a valid next block, cl(P | {s}) = P | B
+    for every s in B: P | B is closed, and B's own entries carry s to all
+    of B. So the candidates after P are the sets cl(P | {s}) - P, closed
+    by construction; only irreducibility is left to test.
+
+    Some reducible tensors have no such form (a_{122}=a_{233}=a_{312}=1:
+    the only closed candidate prefix is {1} and the remainder {2,3} is
+    reducible); for those the search is exhaustive and raises
+    NormalFormUnavailable. The number of prefixes visited is not
+    polynomial, so DimensionTooLarge is raised once more than
+    _PREFIX_BUDGET dead prefixes (those no chain completes) are held.
+    They are distinct proper subsets of [n], so no tensor of dimension
+    12 or less reaches the limit.
     """
     _check_order(tensor)
-    n = tensor.dim
-    if n > _CHAIN_GUARD:
-        raise DimensionTooLarge(
-            f"decomposition search is capped at dim {_CHAIN_GUARD}, got {n}")
-    pattern = [(idx[0], frozenset(idx[1:])) for idx in tensor.entries]
-    full = frozenset(range(1, n + 1))
+    pattern = {(idx[0], frozenset(idx[1:])) for idx in tensor.entries}
+    full = frozenset(range(1, tensor.dim + 1))
 
-    def closed(members: frozenset[int]) -> bool:
-        return not any(row not in members and feet <= members
-                       for row, feet in pattern)
+    def candidates(prefix: frozenset[int]) -> Iterator[frozenset[int]]:
+        rest = [(row, feet - prefix) for row, feet in pattern if row not in prefix]
+        blocks = {_closure(rest, {s}) for s in full - prefix}
+        return iter(sorted(blocks, key=lambda block: (len(block), sorted(block))))
 
-    block_ok: dict[frozenset[int], bool] = {}
-
-    def irreducible_block(members: frozenset[int]) -> bool:
-        got = block_ok.get(members)
-        if got is None:
-            got = is_irreducible(principal_subtensor(tensor, sorted(members)))
-            block_ok[members] = got
-        return got
-
+    # an explicit stack: a chain can hold more blocks than Python's recursion limit
     dead: set[frozenset[int]] = set()
-
-    def extend(prefix: frozenset[int]) -> Optional[list[frozenset[int]]]:
-        if prefix == full:
-            return []
-        if prefix in dead:
-            return None
-        rest = sorted(full - prefix)
-        for size in range(1, len(rest) + 1):
-            for combo in itertools.combinations(rest, size):
-                block = frozenset(combo)
-                grown = prefix | block
-                if grown != full and not closed(grown):
-                    continue
-                if not irreducible_block(block):
-                    continue
-                tail = extend(grown)
-                if tail is not None:
-                    return [block] + tail
-        dead.add(prefix)
-        return None
-
-    chain = extend(frozenset())
-    if chain is None:
-        raise NormalFormUnavailable(
-            "no permutation gives block upper triangular structure with "
-            "irreducible diagonal blocks")
+    prefixes, todo = [frozenset()], [candidates(frozenset())]
+    while prefixes[-1] != full:
+        grown = next((prefixes[-1] | block for block in todo[-1]
+                      if prefixes[-1] | block not in dead
+                      and _reducing_set(pattern, block) is None), None)
+        if grown is not None:
+            prefixes.append(grown)
+            todo.append(candidates(grown))
+            continue
+        dead.add(prefixes.pop())
+        todo.pop()
+        if not prefixes:
+            raise NormalFormUnavailable(
+                "no permutation gives block upper triangular structure with "
+                "irreducible diagonal blocks")
+        if len(dead) > _PREFIX_BUDGET:
+            raise DimensionTooLarge(
+                f"decomposition search gave up at dim {tensor.dim} after "
+                f"{len(dead)} dead prefixes (limit {_PREFIX_BUDGET})")
+    chain = [outer - inner for inner, outer in zip(prefixes, prefixes[1:])]
     return _assemble(tensor, chain, BlockKind.UTB3, weak=False)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import triblock as tb
 from triblock import BlockKind, Partition, Tensor
 from triblock.blocked import _forbidden
-from triblock.errors import DimensionMismatch
+from triblock.errors import DimensionMismatch, NormalFormUnavailable
 from triblock.linalg import _rows, as_matrix
 
 
@@ -233,6 +233,49 @@ def brute_first_type(tensor: Tensor):
             if all(tb.is_weakly_irreducible(b) for b in tb.diagonal_blocks(moved, p)):
                 return sigma, p
     return None
+
+
+def brute_normal_form_3rd(tensor: Tensor) -> tb.NormalForm:
+    """The subset search the third-type normal form once ran: backtrack over
+    chains of closed prefixes, trying every subset of the unplaced indices
+    as the next block, by size and then lexicographically, and keeping the
+    first whose principal subtensor is irreducible. Raises
+    NormalFormUnavailable when no chain reaches [1, n]."""
+    n = tensor.dim
+    pattern = [(idx[0], frozenset(idx[1:])) for idx in tensor.entries]
+    full = frozenset(range(1, n + 1))
+    dead = set()
+
+    def closed(members):
+        return not any(row not in members and feet <= members for row, feet in pattern)
+
+    def extend(prefix):
+        if prefix == full:
+            return []
+        if prefix in dead:
+            return None
+        rest = sorted(full - prefix)
+        for size in range(1, len(rest) + 1):
+            for combo in itertools.combinations(rest, size):
+                grown = prefix | frozenset(combo)
+                if not (closed(grown) and tb.is_irreducible(tb.principal_subtensor(tensor, combo))):
+                    continue
+                tail = extend(grown)
+                if tail is not None:
+                    return [combo] + tail
+        dead.add(prefix)
+        return None
+
+    chain = extend(frozenset())
+    if chain is None:
+        raise NormalFormUnavailable("no chain of closed prefixes with irreducible blocks")
+    order = [old for combo in chain for old in combo]
+    image = [0] * n
+    for pos, old in enumerate(order, start=1):
+        image[old - 1] = pos
+    blocks = tuple(tb.principal_subtensor(tensor, combo) for combo in chain)
+    return tb.NormalForm(tb.Permutation(tuple(image)),
+                         Partition(tuple(len(combo) for combo in chain)), BlockKind.UTB3, blocks)
 
 
 def forbidden_positions(n: int, m: int, partition: Partition, kind: BlockKind) -> set:

@@ -183,11 +183,14 @@ class TestRho:
     @pytest.mark.parametrize("verb,flag,value", [
         ("rho", "--tol", "0"), ("rho", "--tol", "-0.001"), ("rho", "--tol", "nan"),
         ("rho", "--max-iter", "0"), ("hypergraph-rho", "--tol", "0"),
-        ("hypergraph-rho", "--max-iter", "-5"),
+        ("hypergraph-rho", "--max-iter", "-5"), ("mtensor", "--tol", "-1"),
+        ("mtensor", "--tol", "nan"), ("verify", "--tol", "-1"), ("verify", "--tol", "nan"),
     ])
     def test_non_positive_limits_are_usage_errors(self, capsys, fixtures_dir, verb, flag, value):
-        source = ["--tensor", str(fixtures_dir / "ex31.json")] if verb == "rho" else \
-            ["--edges", str(fixtures_dir / "hyper_chain.json")]
+        ex31 = str(fixtures_dir / "ex31.json")
+        source = {"rho": ["--tensor", ex31], "mtensor": ["--tensor", ex31],
+                  "verify": ["--left", ex31, ex31],
+                  "hypergraph-rho": ["--edges", str(fixtures_dir / "hyper_chain.json")]}[verb]
         assert cli.run([verb, *source, flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "must be positive" in captured.err
@@ -318,6 +321,12 @@ class TestNormalFormCommand:
         path = write_tensor(tmp_path, "a.json", a)
         code, doc = run_cli(capsys, "normal-form", "--tensor", path, "--type", "3rd")
         assert code == 1 and doc["error"] == "NormalFormUnavailable"
+
+    def test_third_type_past_dim_twelve(self, capsys, tmp_path):
+        path = write_tensor(tmp_path, "a.json", tb.new_tensor(3, 13, [((2, 1, 3), 1.0)]))
+        code, doc = run_cli(capsys, "normal-form", "--tensor", path, "--type", "3rd")
+        assert code == 0
+        assert doc["partition"] == [1] * 13 and doc["kind"] == "utb3"
 
     def test_unknown_type_is_a_usage_error(self, capsys, ex31_path):
         code, doc = run_cli(capsys, "normal-form", "--tensor", ex31_path,

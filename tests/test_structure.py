@@ -5,7 +5,7 @@ import random
 import pytest
 
 import triblock as tb
-from triblock import BlockKind, Partition, Permutation
+from triblock import BlockKind, Partition, Permutation, structure
 from triblock.errors import (
     DimensionTooLarge,
     EmptyIndexSet,
@@ -19,6 +19,7 @@ from triblock.errors import (
 from _gen import (
     brute_first_type,
     brute_normal_form_2nd,
+    brute_normal_form_3rd,
     brute_sink,
     brute_strong_sets,
     brute_weak_sets,
@@ -66,6 +67,19 @@ def first_type_ensemble(seed: int, count: int):
             yield tb.permute_similar(a, rand_permutation(rng, n))
         else:
             yield rand_tensor(rng, n, m, density=rng.choice([0.02, 0.06, 0.12, 0.3]))
+
+
+def third_form_ensemble(seed: int, small: int, sparse: int):
+    """Orders 2-4 at dims 1-8 (order 4 up to 5), from near-empty to dense, then
+    sparse order-3 tensors of dims 9-12 with about one to three entries per index."""
+    rng = random.Random(seed)
+    for trial in range(small):
+        m = (2, 3, 4)[trial % 3]
+        n = rng.randint(1, 8 if m < 4 else 5)
+        yield rand_tensor(rng, n, m, density=rng.choice([0.02, 0.06, 0.12, 0.2, 0.3, 0.5]))
+    for _ in range(sparse):
+        n = rng.randint(9, 12)
+        yield rand_tensor(rng, n, 3, density=rng.uniform(1.0, 3.0) / n ** 2)
 
 
 def sub_hypergraph(graph: tb.Hypergraph, component: frozenset[int]) -> tb.Hypergraph:
@@ -326,9 +340,57 @@ class TestNormalForm3rd:
     def test_deterministic(self, ex61):
         assert tb.normal_form_3rd(ex61) == tb.normal_form_3rd(ex61)
 
-    def test_dimension_guard(self):
+    def test_matches_subset_search(self):
+        outcomes = set()
+        for a in third_form_ensemble(77, 300, 20):
+            try:
+                expected = brute_normal_form_3rd(a)
+            except NormalFormUnavailable:
+                with pytest.raises(NormalFormUnavailable):
+                    tb.normal_form_3rd(a)
+                outcomes.add((a.dim > 8, None))
+            else:
+                assert tb.normal_form_3rd(a) == expected
+                outcomes.add((a.dim > 8, True))
+        assert len(outcomes) == 4  # both outcomes, at dims up to 8 and past 8
+
+    def test_empty_dim_13_is_singletons(self):
+        nf = tb.normal_form_3rd(tb.new_tensor(3, 13, []))
+        assert nf.sigma == Permutation.identity(13)
+        assert nf.partition == Partition((1,) * 13)
+
+    def test_permuted_chain_past_dim_twelve(self):
+        # a cycle a[i, i+1, i+1] inside each block makes it irreducible, and
+        # every other entry has a foot in its row's block or a later one
+        rng = random.Random(78)
+        sizes = [3, 1, 4, 2, 5, 3, 4, 2, 6, 3]
+        starts = [sum(sizes[:l]) for l in range(len(sizes) + 1)]
+        n = starts[-1]
+        block_of = [l for l, size in enumerate(sizes) for _ in range(size)]  # at index i - 1
+        entries = {}
+        for l, size in enumerate(sizes):
+            for pos in range(size):
+                nxt = starts[l] + (pos + 1) % size + 1
+                entries[(starts[l] + pos + 1, nxt, nxt)] = 1.0
+        for _ in range(3 * n):
+            i = rng.randint(1, n)
+            later = rng.randint(starts[block_of[i - 1]] + 1, n)
+            entries[(i, later, rng.randint(1, n))] = 1.0
+        a = tb.permute_similar(tb.new_tensor(3, n, list(entries.items())), rand_permutation(rng, n))
+        nf = tb.normal_form_3rd(a)
+        verify_normal_form(a, nf, weak=False)
+        assert sorted(nf.partition.parts) == sorted(sizes)
+
+    def test_dead_prefix_limit(self, monkeypatch):
+        # {1} is closed and irreducible but no chain completes it, so the
+        # search backtracks through {1} joined with every subset of the
+        # empty indices 4..13 before it starts from {3}
+        a = tb.new_tensor(3, 13, [((2, 1, 3), 1.0), ((3, 2, 2), 1.0)])
+        nf = tb.normal_form_3rd(a)
+        assert nf.sigma.image == (3, 2, 1) + tuple(range(4, 14))
+        monkeypatch.setattr(structure, "_PREFIX_BUDGET", 8)
         with pytest.raises(DimensionTooLarge):
-            tb.normal_form_3rd(tb.new_tensor(3, 13, []))
+            tb.normal_form_3rd(a)
 
     def test_order_guard(self):
         with pytest.raises(OrderTooSmall):
