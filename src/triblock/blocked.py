@@ -26,11 +26,11 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Tensor, principal_subtensor
+from .core import Tensor, _from_arrays
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -50,11 +50,14 @@ class Partition:
     def __post_init__(self):
         if not self.parts:
             raise PartitionTooCoarse("partition needs at least one part")
-        if any((not isinstance(p, int)) or p < 1 for p in self.parts):
+        if any(not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 1
+               for p in self.parts):
             raise DimensionMismatch(f"parts must be positive integers, got {self.parts}")
+        parts = tuple(int(p) for p in self.parts)
         sums = [0]
-        for p in self.parts:
+        for p in parts:
             sums.append(sums[-1] + p)
+        object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "_sums", tuple(sums))
 
     @classmethod
@@ -114,63 +117,83 @@ class BlockKind(enum.Enum):
         return self is not BlockKind.DIAG
 
 
-def _forbidden(kind: BlockKind, c: int, d: int, lo: int, hi: int) -> bool:
-    """Does the vanishing pattern cover a row of block (c, d] with trailing min/max (lo, hi)?"""
+def _forbidden(kind: BlockKind, c, d, lo, hi):
+    """Does the vanishing pattern cover a row of block (c, d] with trailing min/max (lo, hi)?
+
+    Elementwise over arrays as well as on numbers.
+    """
     if kind is BlockKind.UTB1:
         return lo <= c
     if kind is BlockKind.UTB2:
-        return lo <= c and hi <= d
+        return (lo <= c) & (hi <= d)
     if kind is BlockKind.UTB3:
         return hi <= c
     if kind is BlockKind.LTB1:
         return hi > d
     if kind is BlockKind.LTB2:
-        return hi > d and lo > c
+        return (hi > d) & (lo > c)
     if kind is BlockKind.LTB3:
         return lo > d
-    return lo <= c or hi > d  # DIAG
+    return (lo <= c) | (hi > d)  # DIAG
+
+
+def _spans(tensor: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, trailing minimum and trailing maximum of every entry of the view, 1-based."""
+    columns = np.ascontiguousarray(tensor.coo.idx.T) + 1  # a short-axis min or max is slow
+    return columns[0], columns[1:].min(axis=0), columns[1:].max(axis=0)
+
+
+def _check_fits(tensor: Tensor, partition: Partition) -> None:
+    if partition.n != tensor.dim:
+        raise DimensionMismatch(
+            f"partition covers [1, {partition.n}] but tensor dim is {tensor.dim}")
 
 
 def is_blocked(tensor: Tensor, partition: Partition, kind: BlockKind) -> bool:
     """Exact structural test: does every stored entry avoid the kind's vanishing region?"""
     if tensor.order < 2:
         raise OrderTooSmall("blocked structure needs order >= 2")
-    if partition.n != tensor.dim:
-        raise DimensionMismatch(
-            f"partition covers [1, {partition.n}] but tensor dim is {tensor.dim}")
+    _check_fits(tensor, partition)
     if kind.is_triangular and partition.r < 2:
         raise PartitionTooCoarse(f"{kind.token} structure needs at least two blocks")
-    for idx in tensor.entries:
-        j = partition.block_of(idx[0])
-        if _forbidden(kind, partition.S(j - 1), partition.S(j), min(idx[1:]), max(idx[1:])):
-            return False
-    return True
+    rows, lo, hi = _spans(tensor)
+    sums = np.asarray(partition._sums)
+    block = np.searchsorted(sums, rows)  # the row lies in (sums[block - 1], sums[block]]
+    return not _forbidden(kind, sums[block - 1], sums[block], lo, hi).any()
 
 
 def diagonal_blocks(tensor: Tensor, partition: Partition) -> list[Tensor]:
-    """The principal subtensors on the partition's index blocks."""
-    if partition.n != tensor.dim:
-        raise DimensionMismatch(
-            f"partition covers [1, {partition.n}] but tensor dim is {tensor.dim}")
-    return [principal_subtensor(tensor, partition.block(j))
-            for j in range(1, partition.r + 1)]
+    """The principal subtensors on the partition's index blocks, all from one pass."""
+    _check_fits(tensor, partition)
+    view = tensor.coo
+    sums = np.asarray(partition._sums)
+    # 0-based index i lies in block[i]; one row per index position
+    block = np.searchsorted(sums, np.ascontiguousarray(view.idx.T), side="right")
+    inside = (block == block[0]).all(axis=0)
+    out = []
+    for c, d in zip(partition._sums, partition._sums[1:]):
+        lo, hi = view.bounds[c], view.bounds[d]
+        keep = inside[lo:hi]
+        out.append(_from_arrays(tensor.order, d - c, view.idx[lo:hi][keep] - c,
+                                view.vals[lo:hi][keep]))
+    return out
 
 
-def _block_ends(tensor: Tensor, kind: BlockKind) -> list[list[int]]:
-    """For each start c in [0, n), the ends d whose block (c, d] the kind allows.
+def _block_ends(tensor: Tensor, kinds: Sequence[BlockKind]) -> Iterator[list[list[int]]]:
+    """Per kind in turn: for each start c in [0, n), the ends d whose block (c, d] it allows.
 
     Each kind bounds a quantity read off the trailing spans (lo, hi) of
     the rows r in (c, d], so a running min or max along d over a (c, r)
     table settles every block at once, in O(n^2 + nnz): UTB1 c < min lo,
     UTB3 c < min hi, UTB2 d < min hi over spans with lo <= c, LTB1
     d >= max hi, LTB3 d >= max lo, LTB2 d >= max hi over spans with
-    lo > c, DIAG both UTB1 and LTB1.
+    lo > c, DIAG both UTB1 and LTB1. The spans and grids are built once
+    for all the kinds asked for.
     """
     if tensor.order < 2:
         raise OrderTooSmall("blocked structure needs order >= 2")
-    n, idx = tensor.dim, tensor.coo.idx
-    rows = idx[:, 0] + 1
-    lo, hi = idx[:, 1:].min(axis=1) + 1, idx[:, 1:].max(axis=1) + 1
+    n = tensor.dim
+    rows, lo, hi = _spans(tensor)
     c, d = np.arange(n)[:, None], np.arange(n + 1)
     inside = d > c  # row d lies in the block (c, d]
 
@@ -185,22 +208,23 @@ def _block_ends(tensor: Tensor, kind: BlockKind) -> list[list[int]]:
     def most(t):  # max over rows r in (c, d] of t[c, r]
         return np.maximum.accumulate(np.where(inside, t, 0), axis=1)
 
-    ok = inside
-    if kind in (BlockKind.UTB1, BlockKind.DIAG):
-        ok = ok & (least(table(np.minimum, n + 1, (rows,), lo)) > c)
-    if kind in (BlockKind.LTB1, BlockKind.DIAG):
-        ok = ok & (most(table(np.maximum, 0, (rows,), hi)) <= d)
-    if kind is BlockKind.UTB3:
-        ok = ok & (least(table(np.minimum, n + 1, (rows,), hi)) > c)
-    if kind is BlockKind.LTB3:
-        ok = ok & (most(table(np.maximum, 0, (rows,), lo)) <= d)
-    if kind is BlockKind.UTB2:  # prefix minimum over lo <= c
-        t = np.minimum.accumulate(table(np.minimum, n + 1, (rows, lo), hi), axis=1)
-        ok = ok & (least(t[:, :n].T) > d)
-    if kind is BlockKind.LTB2:  # suffix maximum over lo > c
-        t = np.maximum.accumulate(table(np.maximum, 0, (rows, lo), hi)[:, ::-1], axis=1)
-        ok = ok & (most(t[:, ::-1][:, 1:].T) <= d)
-    return [np.flatnonzero(row).tolist() for row in ok]
+    for kind in kinds:
+        ok = inside
+        if kind in (BlockKind.UTB1, BlockKind.DIAG):
+            ok = ok & (least(table(np.minimum, n + 1, (rows,), lo)) > c)
+        if kind in (BlockKind.LTB1, BlockKind.DIAG):
+            ok = ok & (most(table(np.maximum, 0, (rows,), hi)) <= d)
+        if kind is BlockKind.UTB3:
+            ok = ok & (least(table(np.minimum, n + 1, (rows,), hi)) > c)
+        if kind is BlockKind.LTB3:
+            ok = ok & (most(table(np.maximum, 0, (rows,), lo)) <= d)
+        if kind is BlockKind.UTB2:  # prefix minimum over lo <= c
+            t = np.minimum.accumulate(table(np.minimum, n + 1, (rows, lo), hi), axis=1)
+            ok = ok & (least(t[:, :n].T) > d)
+        if kind is BlockKind.LTB2:  # suffix maximum over lo > c
+            t = np.maximum.accumulate(table(np.maximum, 0, (rows, lo), hi)[:, ::-1], axis=1)
+            ok = ok & (most(t[:, ::-1][:, 1:].T) <= d)
+        yield [np.flatnonzero(row).tolist() for row in ok]
 
 
 def _chains(ends: list, start: int = 0) -> Iterator[tuple[int, ...]]:
@@ -231,5 +255,5 @@ def blocked_partitions(tensor: Tensor, kind: BlockKind, r_min: int = 1) -> list[
         raise DimensionTooLarge(
             f"partition enumeration is capped at dim {_ENUM_GUARD}, got {tensor.dim}")
     least = max(r_min, 2 if kind.is_triangular else 1)
-    return [Partition(parts) for parts in _chains(_block_ends(tensor, kind))
+    return [Partition(parts) for parts in _chains(next(_block_ends(tensor, (kind,))))
             if len(parts) >= least]

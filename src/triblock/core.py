@@ -5,8 +5,10 @@ polynomial application, and the majorization / representation matrices.
 Storage is coordinate format: a read-only mapping from index tuples to
 nonzero doubles. An absent tuple reads as an exact structural zero, and
 every constructor drops exact zeros on the way in, so "is this entry
-zero" questions are answered without tolerances. The numeric kernels read
-the same entries through ``Tensor.coo``, a lazily built array view.
+zero" questions are answered without tolerances. The numeric kernels and
+the structural operations read the same entries through ``Tensor.coo``,
+a lazily built array view, and a tensor derived from another one gets
+its view handed on at construction.
 """
 from __future__ import annotations
 
@@ -77,11 +79,7 @@ class Tensor:
         idx = flat.reshape(nnz, m)
         idx -= 1
         vals = np.fromiter(self.entries.values(), dtype=float, count=nnz)
-        by_row = np.argsort(idx[:, 0], kind="stable")
-        idx, vals = idx[by_row], vals[by_row]
-        idx.flags.writeable = vals.flags.writeable = False
-        counts = np.bincount(idx[:, 0], minlength=self.dim)
-        return Coo(idx, vals, (0,) + tuple(np.cumsum(counts).tolist()))
+        return _row_sorted(idx, vals, self.dim)
 
     def get(self, index: Sequence[int]) -> float:
         """Entry at a 1-based index tuple, zero when absent."""
@@ -110,8 +108,7 @@ class Tensor:
         if arr.shape != (dim,) * order or order < 1 or dim < 1:
             raise DimensionMismatch(f"expected a hypercubic array, got shape {arr.shape}")
         nonzero = np.nonzero(arr)  # C order: index tuples come out sorted
-        keys = zip(*[(axis + 1).tolist() for axis in nonzero])
-        return cls(order, dim, zip(keys, arr[nonzero].tolist()))
+        return _from_arrays(order, dim, np.stack(nonzero, axis=1), arr[nonzero])
 
     def allclose(self, other: "Tensor", tol: float = 0.0) -> bool:
         """Entrywise agreement within an absolute tolerance."""
@@ -126,6 +123,26 @@ class Tensor:
         return f"Tensor(order={self.order}, dim={self.dim}, nnz={self.nnz})"
 
 
+def _row_sorted(idx: np.ndarray, vals: np.ndarray, dim: int) -> Coo:
+    """The view of entries given as 0-based index rows and values: their stable sort by row."""
+    by_row = np.argsort(idx[:, 0], kind="stable")
+    idx, vals = idx[by_row], vals[by_row]
+    idx.flags.writeable = vals.flags.writeable = False
+    counts = np.bincount(idx[:, 0], minlength=dim)
+    return Coo(idx, vals, (0,) + tuple(np.cumsum(counts).tolist()))
+
+
+def _from_arrays(order: int, dim: int, idx: np.ndarray, vals: np.ndarray) -> Tensor:
+    """A tensor from 0-based index rows and nonzero values, with its view handed on.
+
+    The entries follow the rows' order; the view is their stable sort by
+    row, which is what ``Tensor.coo`` would build from those entries.
+    """
+    tensor = Tensor(order, dim, zip(map(tuple, (idx + 1).tolist()), vals.tolist()))
+    tensor.__dict__["coo"] = _row_sorted(idx, vals, dim)
+    return tensor
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A bijection of ``[1, n]``, stored as the image tuple ``(sigma(1), ..., sigma(n))``."""
@@ -134,8 +151,10 @@ class Permutation:
 
     def __post_init__(self):
         n = len(self.image)
-        if sorted(self.image) != list(range(1, n + 1)):
-            raise IndexOutOfRange(f"image {self.image} is not a bijection of [1, {n}]")
+        image = _validated_index(self.image, n, n)
+        if len(set(image)) != n:
+            raise IndexOutOfRange(f"image {image} is not a bijection of [1, {n}]")
+        object.__setattr__(self, "image", image)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -171,6 +190,15 @@ def _validated_index(index: Sequence[int], order: int, dim: int) -> Index:
         if not 1 <= i <= dim:
             raise IndexOutOfRange(f"index component {i} outside [1, {dim}]")
     return tuple(int(i) for i in idx)
+
+
+def _index_set(index_set: Iterable[int], dim: int) -> list[int]:
+    """The sorted distinct members of a nonempty index set, each checked as an index component."""
+    members = tuple(index_set)
+    members = sorted(set(_validated_index(members, len(members), dim)))
+    if not members:
+        raise EmptyIndexSet("index set must be nonempty")
+    return members
 
 
 def new_tensor(order: int, dim: int,
@@ -223,16 +251,13 @@ def diagonal_tensor(order: int, diag: Sequence[float]) -> Tensor:
 
 def principal_subtensor(tensor: Tensor, index_set: Iterable[int]) -> Tensor:
     """Restrict to rows and columns in ``index_set``, relabelled 1..k in sorted order."""
-    members = sorted(set(int(i) for i in index_set))
-    if not members:
-        raise EmptyIndexSet("principal subtensor needs a nonempty index set")
-    for i in members:
-        if not 1 <= i <= tensor.dim:
-            raise IndexOutOfRange(f"index {i} outside [1, {tensor.dim}]")
-    relabel = {old: new for new, old in enumerate(members, start=1)}
-    entries = ((tuple(relabel[i] for i in idx), v) for idx, v in tensor.entries.items()
-               if all(i in relabel for i in idx))
-    return Tensor(tensor.order, len(members), entries)
+    members = _index_set(index_set, tensor.dim)
+    relabel = np.full(tensor.dim, -1, dtype=np.int64)
+    relabel[np.asarray(members) - 1] = np.arange(len(members))
+    view = tensor.coo
+    idx = relabel[view.idx]
+    keep = np.ascontiguousarray(idx.T).min(axis=0) >= 0  # a min along the short axis is slow
+    return _from_arrays(tensor.order, len(members), idx[keep], view.vals[keep])
 
 
 def permute_similar(tensor: Tensor, sigma: Permutation) -> Tensor:
@@ -240,8 +265,9 @@ def permute_similar(tensor: Tensor, sigma: Permutation) -> Tensor:
     if sigma.dim != tensor.dim:
         raise DimensionMismatch(
             f"permutation acts on [1, {sigma.dim}] but tensor dim is {tensor.dim}")
-    entries = ((tuple(sigma(i) for i in idx), v) for idx, v in tensor.entries.items())
-    return Tensor(tensor.order, tensor.dim, entries)
+    view = tensor.coo
+    lookup = np.asarray(sigma.image, dtype=np.int64) - 1
+    return _from_arrays(tensor.order, tensor.dim, lookup[view.idx], view.vals)
 
 
 def _complex_terms(vals: np.ndarray, feet: Iterable[np.ndarray],
@@ -293,22 +319,27 @@ def apply(tensor: Tensor, x: Sequence[complex]) -> np.ndarray:
     return np.asarray(_row_fsums(terms, view.bounds), dtype=float)
 
 
+def _equal_from(tensor: Tensor, first: int) -> np.ndarray:
+    """Per entry of the view: are its indices from position ``first`` on all equal?"""
+    columns = np.ascontiguousarray(tensor.coo.idx.T[first:])
+    return (columns == columns[-1]).all(axis=0)
+
+
 def is_row_diagonal(tensor: Tensor) -> bool:
     """True when every nonzero entry has all trailing indices equal."""
     if tensor.order < 2:
         raise OrderTooSmall("row-diagonal structure needs order >= 2")
-    return all(len(set(idx[1:])) == 1 for idx in tensor.entries)
+    return bool(_equal_from(tensor, 1).all())
 
 
 def majorization_matrix(tensor: Tensor) -> np.ndarray:
     """The n-by-n matrix reading off M[i, j] = a[i, j, j, ..., j]."""
     if tensor.order < 2:
         raise OrderTooSmall("majorization matrix needs order >= 2")
-    n, m = tensor.dim, tensor.order
+    view, n = tensor.coo, tensor.dim
+    row_diagonal = _equal_from(tensor, 1)
     out = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            out[i - 1, j - 1] = tensor.entries.get((i,) + (j,) * (m - 1), 0.0)
+    out[view.idx[row_diagonal, 0], view.idx[row_diagonal, -1]] = view.vals[row_diagonal]
     return out
 
 
@@ -336,14 +367,9 @@ def row_diagonal_from_matrix(values: np.ndarray, order: int) -> Tensor:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-    n = arr.shape[0]
-    entries = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            v = float(arr[i - 1, j - 1])
-            if v != 0.0:
-                entries[(i,) + (j,) * (order - 1)] = v
-    return Tensor(order, n, entries)
+    rows, columns = np.nonzero(arr)  # row-major: the entries come row by row
+    idx = np.stack((rows,) + (columns,) * (order - 1), axis=1)
+    return _from_arrays(order, arr.shape[0], idx, arr[rows, columns])
 
 
 def tensor_from_matrix(values: np.ndarray) -> Tensor:

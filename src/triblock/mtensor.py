@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Tensor
+import numpy as np
+
+from .core import Tensor, _equal_from, _from_arrays
 from .errors import NotZTensor, OrderTooSmall
 from .spectra import spectral_radius
 
@@ -23,7 +25,7 @@ def is_z_tensor(tensor: Tensor) -> bool:
     """Every off-diagonal entry is nonpositive."""
     if tensor.order < 2:
         raise OrderTooSmall("Z-tensor classification needs order >= 2")
-    return all(v <= 0.0 for idx, v in tensor.entries.items() if len(set(idx)) > 1)
+    return bool((tensor.coo.vals[~_equal_from(tensor, 0)] <= 0.0).all())
 
 
 @dataclass(frozen=True)
@@ -40,18 +42,14 @@ def z_split(tensor: Tensor) -> ZSplit:
         bad = next(idx for idx, v in tensor.entries.items()
                    if len(set(idx)) > 1 and v > 0.0)
         raise NotZTensor(f"positive off-diagonal entry at {bad}")
-    m, n = tensor.order, tensor.dim
-    s = max(tensor.entries.get((i,) * m, 0.0) for i in range(1, n + 1))
-    entries = {}
-    for i in range(1, n + 1):
-        key = (i,) * m
-        v = s - tensor.entries.get(key, 0.0)
-        if v != 0.0:
-            entries[key] = v
-    for idx, v in tensor.entries.items():
-        if len(set(idx)) > 1:
-            entries[idx] = -v
-    return ZSplit(s, Tensor(m, n, entries))
+    m, view, diagonal = tensor.order, tensor.coo, _equal_from(tensor, 0)
+    d = np.zeros(tensor.dim)
+    d[view.idx[diagonal, 0]] = view.vals[diagonal]
+    s = float(d.max())
+    shifted = np.flatnonzero(d != s)  # the rows of b's nonzero diagonal, s - d_i
+    idx = np.concatenate((np.repeat(shifted[:, None], m, axis=1), view.idx[~diagonal]))
+    vals = np.concatenate((s - d[shifted], -view.vals[~diagonal]))
+    return ZSplit(s, _from_arrays(m, tensor.dim, idx, vals))
 
 
 def _split_margin(tensor: Tensor, tol: float) -> tuple[ZSplit, float]:

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .blocked import BlockKind, Partition, _block_ends, diagonal_blocks, is_blocked
-from .core import Tensor, _complex_terms, apply
+from .core import Tensor, _complex_terms, _equal_from, apply
 from .errors import (
     BlockDetUnavailable,
     BlockSpectrumUnavailable,
@@ -46,7 +46,7 @@ _REFINE_ORDER = (BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2)
 
 
 def _is_diagonal(tensor: Tensor) -> bool:
-    return all(len(set(idx)) == 1 for idx in tensor.entries)
+    return bool(_equal_from(tensor, 0).all())
 
 
 def _exact_pow(base: float, exponent: int):
@@ -79,20 +79,23 @@ def det_diagonal(tensor: Tensor) -> float:
 def _finest_refinement(tensor: Tensor) -> Optional[tuple[Partition, BlockKind]]:
     """The refinement with the most parts over the supported kinds, or None.
 
-    Ties break toward the earlier kind, then the lexicographically
-    smaller partition, making the recursion deterministic. For each kind
-    a right-to-left pass over the allowed blocks finds the best chain
-    from every start, so no dimension cap applies.
+    For each kind a right-to-left pass over the allowed blocks finds the
+    chain with the most parts from every start, so no dimension cap
+    applies. That chain is unique: the allowed ends from a start form a
+    prefix for the upper kinds, and the allowed starts before an end a
+    suffix for the lower ones, so merging the cuts of two valid chains
+    gives a valid chain, with more parts than either when they differ.
+    Ties between kinds break toward the earlier kind, making the
+    recursion deterministic.
     """
     n = tensor.dim
     found = []
-    for rank, kind in enumerate(_REFINE_ORDER):
-        ends = _block_ends(tensor, kind)
-        tail: dict[int, tuple[int, ...]] = {n: ()}  # from c: most parts, then smallest
+    for rank, (kind, ends) in enumerate(zip(_REFINE_ORDER, _block_ends(tensor, _REFINE_ORDER))):
+        tail: dict[int, tuple[int, ...]] = {n: ()}  # from c: the chain with the most parts
         for c in range(n - 1, -1, -1):
             chains = [(d - c,) + tail[d] for d in ends[c] if d in tail]
             if chains:
-                tail[c] = min(chains, key=lambda parts: (-len(parts), parts))
+                tail[c] = max(chains, key=len)
         if len(tail[0]) >= 2:  # (0, n] is always allowed, so tail[0] exists
             found.append((-len(tail[0]), rank, Partition(tail[0]), kind))
     return min(found)[2:] if found else None  # ranks differ, so keys never tie

@@ -17,17 +17,9 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .blocked import BlockKind, Partition, diagonal_blocks, is_blocked
-from .core import (
-    Permutation,
-    Tensor,
-    permute_similar,
-    principal_subtensor,
-)
+from .core import Permutation, Tensor, _index_set, permute_similar
 from .errors import (
-    DimensionMismatch,
     DimensionTooLarge,
-    EmptyIndexSet,
-    IndexOutOfRange,
     InvalidHypergraph,
     NormalFormUnavailable,
     NotReducingSet,
@@ -42,38 +34,32 @@ def _check_order(tensor: Tensor) -> None:
         raise OrderTooSmall("reducibility needs order >= 2")
 
 
-def _check_subset(tensor: Tensor, index_set: Iterable[int]) -> frozenset[int]:
-    members = frozenset(int(i) for i in index_set)
-    if not members:
-        raise EmptyIndexSet("index set must be nonempty")
-    for i in members:
-        if not 1 <= i <= tensor.dim:
-            raise IndexOutOfRange(f"index {i} outside [1, {tensor.dim}]")
-    return members
+def _reduces(tensor: Tensor, index_set: Iterable[int], weak: bool) -> bool:
+    """Do rows of I vanish whenever every trailing index (or, if weak, any) leaves I?"""
+    _check_order(tensor)
+    members = _index_set(index_set, tensor.dim)
+    if len(members) == tensor.dim:
+        return False  # must be proper
+    inside = np.zeros(tensor.dim, dtype=bool)
+    inside[np.asarray(members) - 1] = True
+    columns = inside[np.ascontiguousarray(tensor.coo.idx.T)]
+    leaves = ~columns[1:].all(axis=0) if weak else ~columns[1:].any(axis=0)
+    return not (columns[0] & leaves).any()
 
 
 def strongly_reduces(tensor: Tensor, index_set: Iterable[int]) -> bool:
     """Do rows of I vanish whenever every trailing index stays outside I?"""
-    _check_order(tensor)
-    members = _check_subset(tensor, index_set)
-    if len(members) == tensor.dim:
-        return False  # must be proper
-    for idx in tensor.entries:
-        if idx[0] in members and all(t not in members for t in idx[1:]):
-            return False
-    return True
+    return _reduces(tensor, index_set, weak=False)
 
 
 def weakly_reduces(tensor: Tensor, index_set: Iterable[int]) -> bool:
     """Do rows of I vanish whenever at least one trailing index leaves I?"""
-    _check_order(tensor)
-    members = _check_subset(tensor, index_set)
-    if len(members) == tensor.dim:
-        return False
-    for idx in tensor.entries:
-        if idx[0] in members and any(t not in members for t in idx[1:]):
-            return False
-    return True
+    return _reduces(tensor, index_set, weak=True)
+
+
+def _pattern(tensor: Tensor) -> set[tuple[int, frozenset[int]]]:
+    """Each entry's row with the set of its trailing indices, 1-based, repeats dropped."""
+    return {(row[0], frozenset(row[1:])) for row in (tensor.coo.idx + 1).tolist()}
 
 
 def _closure(pattern: Iterable[tuple[int, frozenset[int]]],
@@ -112,8 +98,7 @@ def _reducing_set(pattern: Iterable[tuple[int, frozenset[int]]],
 def find_reducing_set(tensor: Tensor) -> Optional[frozenset[int]]:
     """A strongly reducing index set, or None when the tensor is irreducible."""
     _check_order(tensor)
-    pattern = {(idx[0], frozenset(idx[1:])) for idx in tensor.entries}
-    found = _reducing_set(pattern, frozenset(range(1, tensor.dim + 1)))
+    found = _reducing_set(_pattern(tensor), frozenset(range(1, tensor.dim + 1)))
     assert found is None or strongly_reduces(tensor, found)
     return found
 
@@ -219,16 +204,13 @@ def reducing_to_utb(tensor: Tensor, index_set: Iterable[int],
     upper triangular over (k, n-k) for a strong set, first-type for a
     weak one. The set is re-verified first.
     """
-    members = _check_subset(tensor, index_set)
+    members = _index_set(index_set, tensor.dim)
     ok = weakly_reduces(tensor, members) if weak else strongly_reduces(tensor, members)
     if not ok:
         kind = "weakly" if weak else "strongly"
-        raise NotReducingSet(f"{sorted(members)} does not {kind} reduce the tensor")
-    complement = sorted(set(range(1, tensor.dim + 1)) - members)
-    image = [0] * tensor.dim
-    for pos, old in enumerate(complement + sorted(members), start=1):
-        image[old - 1] = pos
-    sigma = Permutation(tuple(image))
+        raise NotReducingSet(f"{members} does not {kind} reduce the tensor")
+    complement = set(range(1, tensor.dim + 1)) - set(members)
+    sigma = _stacked([complement, members])
     moved = permute_similar(tensor, sigma)
     k = len(complement)
     expected = BlockKind.UTB1 if weak else BlockKind.UTB3
@@ -251,33 +233,24 @@ class NormalForm:
     blocks: tuple[Tensor, ...]
 
 
-def _verify_normal_form(tensor: Tensor, nf: NormalForm, weak: bool) -> None:
-    moved = permute_similar(tensor, nf.sigma)
-    if nf.partition.r >= 2 and not is_blocked(moved, nf.partition, nf.kind):
-        raise AssertionError("normal form failed block verification")
-    got = diagonal_blocks(moved, nf.partition)
-    if list(nf.blocks) != got:
-        raise AssertionError("normal form blocks disagree with the moved tensor")
-    check = is_weakly_irreducible if weak else is_irreducible
-    if not all(check(b) for b in nf.blocks):
-        raise AssertionError("normal form produced a reducible diagonal block")
+def _stacked(chain: Iterable[Iterable[int]]) -> Permutation:
+    """The relabelling that lays the index blocks of ``chain`` out in order, each one sorted."""
+    return Permutation(tuple(old for comp in chain for old in sorted(comp))).inverse()
 
 
 def _assemble(tensor: Tensor, chain: list[frozenset[int]], kind: BlockKind,
               weak: bool) -> NormalForm:
-    """Turn an ordered list of index blocks into a verified NormalForm."""
-    image = [0] * tensor.dim
-    pos = 1
-    for comp in chain:
-        for old in sorted(comp):
-            image[old - 1] = pos
-            pos += 1
-    sigma = Permutation(tuple(image))
-    parts = tuple(len(comp) for comp in chain)
-    blocks = tuple(principal_subtensor(tensor, sorted(comp)) for comp in chain)
-    nf = NormalForm(sigma, Partition(parts), kind, blocks)
-    _verify_normal_form(tensor, nf, weak)
-    return nf
+    """Turn an ordered list of index blocks into a NormalForm, verified on its own blocks."""
+    sigma = _stacked(chain)
+    partition = Partition(tuple(len(comp) for comp in chain))
+    moved = permute_similar(tensor, sigma)
+    if partition.r >= 2 and not is_blocked(moved, partition, kind):
+        raise AssertionError("normal form failed block verification")
+    blocks = tuple(diagonal_blocks(moved, partition))
+    check = is_weakly_irreducible if weak else is_irreducible
+    if not all(check(b) for b in blocks):
+        raise AssertionError("normal form produced a reducible diagonal block")
+    return NormalForm(sigma, partition, kind, blocks)
 
 
 def normal_form_3rd(tensor: Tensor) -> NormalForm:
@@ -306,7 +279,7 @@ def normal_form_3rd(tensor: Tensor) -> NormalForm:
     12 or less reaches the limit.
     """
     _check_order(tensor)
-    pattern = {(idx[0], frozenset(idx[1:])) for idx in tensor.entries}
+    pattern = _pattern(tensor)
     full = frozenset(range(1, tensor.dim + 1))
 
     def candidates(prefix: frozenset[int]) -> Iterator[frozenset[int]]:

@@ -1,0 +1,222 @@
+"""Seeded output digest of the structural layer, one sha256 per area.
+
+    python tests/_digest.py [SRC]
+
+imports ``triblock`` from SRC (default: the ``src/`` beside this file's
+directory) and prints one ``area sha256`` line per area. Two source
+trees that print the same lines give the same outputs on a fixed seeded
+ensemble of tensors whose dict order is shuffled against row order:
+entries bit for bit (as a mapping) with their coordinate views, answers,
+error classes, and CLI stdout on ``fixtures/`` byte for byte. It reads
+only names that have long been part of the package, so it runs unchanged
+against an older ``src/`` for a before/after comparison. pytest does not
+collect it (the name does not start with ``test_``).
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else str(ROOT / "src"))
+
+import triblock as tb  # noqa: E402
+from triblock import BlockKind, Partition, cli, tensorio  # noqa: E402
+from triblock.blocked import _forbidden  # noqa: E402
+from triblock.errors import TriblockError  # noqa: E402
+from triblock.spectra import _finest_refinement  # noqa: E402
+
+SEED = 20161
+TRIALS = 160
+VALUES = [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 0.5, -1.25]
+
+
+def canon(x) -> str:
+    """A text form that tells apart every output the digest compares."""
+    if isinstance(x, tb.Tensor):
+        view = x.coo
+        pairs = sorted((idx, v.hex()) for idx, v in x.entries.items())
+        return (f"T{x.order},{x.dim},{pairs},{view.idx.tobytes().hex()},"
+                f"{view.vals.tobytes().hex()},{view.bounds}")
+    if isinstance(x, tb.SpectralResult):
+        return canon([x.rho, x.eigvec, x.iterations, x.residual])
+    if isinstance(x, tb.NormalForm):
+        return f"NF{x.sigma.image},{x.partition.parts},{x.kind.token},{canon(x.blocks)}"
+    if isinstance(x, (tb.Permutation, Partition)):
+        return repr(x)
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (list, tuple)):
+        return "[" + ",".join(canon(v) for v in x) + "]"
+    if hasattr(x, "tobytes"):
+        return f"A{x.dtype},{x.shape},{x.tobytes().hex()}"
+    if isinstance(x, frozenset):
+        return canon(sorted(x))
+    return repr(x)
+
+
+def outcome(fn, *args) -> str:
+    try:
+        return canon(fn(*args))
+    except TriblockError as exc:
+        return "E" + type(exc).__name__
+
+
+def rand_partition(rng: random.Random, n: int) -> Partition:
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    ends = [0] + cuts + [n]
+    return Partition(tuple(b - a for a, b in zip(ends, ends[1:])))
+
+
+def shuffled(order: int, dim: int, entries: dict, rng: random.Random) -> tb.Tensor:
+    keys = list(entries)
+    rng.shuffle(keys)
+    return tb.Tensor(order, dim, {idx: entries[idx] for idx in keys})
+
+
+def ensemble():
+    """(rng, tensor, partition, kind): random tensors, and blocked ones under (partition, kind)."""
+    rng = random.Random(SEED)
+    for trial in range(TRIALS):
+        order, dim = rng.randint(2, 4), rng.randint(1, 7 if trial % 3 else 4)
+        if order == 4:
+            dim = min(dim, 5)
+        density = rng.choice([0.05, 0.15, 0.3, 0.6])
+        kind = rng.choice(list(BlockKind))
+        p = rand_partition(rng, dim)
+        blocked = trial % 2 == 0 and (p.r >= 2 or not kind.is_triangular)
+        entries = {}
+        for idx in itertools.product(range(1, dim + 1), repeat=order):
+            if rng.random() >= density:
+                continue
+            j = p.block_of(idx[0])
+            if blocked and _forbidden(kind, p.S(j - 1), p.S(j), min(idx[1:]), max(idx[1:])):
+                continue
+            entries[idx] = rng.choice(VALUES)
+        yield rng, shuffled(order, dim, entries, rng), p, (kind if blocked else None)
+
+
+def area_subtensors(rng, t, p, kind, out):
+    for _ in range(2):
+        members = rng.sample(range(1, t.dim + 1), rng.randint(1, t.dim))
+        out.append(canon(tb.principal_subtensor(t, members)))
+    image = list(range(1, t.dim + 1))
+    rng.shuffle(image)
+    out.append(canon(tb.permute_similar(t, tb.Permutation(tuple(image)))))
+    out.append(canon(tb.diagonal_blocks(t, p)))
+    out.append(canon(tb.diagonal_blocks(t, rand_partition(rng, t.dim))))
+    out.append(canon(tb.Tensor.from_dense(t.to_dense())))
+    out.append(canon(tb.row_diagonal_from_matrix(tb.majorization_matrix(t), t.order)))
+
+
+def area_is_blocked(rng, t, p, kind, out):
+    for k in BlockKind:
+        for q in (p, rand_partition(rng, t.dim)):
+            out.append(outcome(tb.is_blocked, t, q, k))
+
+
+def area_reducing(rng, t, p, kind, out):
+    strong, weak = tb.find_reducing_set(t), tb.find_weakly_reducing_set(t)
+    out.append(canon([strong, weak, tb.is_irreducible(t), tb.is_weakly_irreducible(t)]))
+    members = rng.sample(range(1, t.dim + 1), rng.randint(1, t.dim))
+    out.append(canon([tb.strongly_reduces(t, members), tb.weakly_reduces(t, members)]))
+    for found, w in ((strong, False), (weak, True)):
+        if found is not None:
+            out.append(canon(tb.reducing_to_utb(t, found, weak=w)))
+
+
+def area_normal_forms(rng, t, p, kind, out):
+    out.append(outcome(tb.normal_form_2nd, t))
+    out.append(outcome(tb.normal_form_3rd, t))
+    out.append(outcome(tb.exists_first_type_normal_form, t))
+
+
+def area_refinement(rng, t, p, kind, out):
+    out.append(canon(_finest_refinement(t)))
+
+
+def area_det_spectrum(rng, t, p, kind, out):
+    for k in (kind,) if kind is not None else (BlockKind.UTB1, BlockKind.UTB3):
+        out.append(outcome(tb.det_blocked, t, p, k))
+        out.append(outcome(tb.spectrum_blocked, t, p, k))
+    nonneg = tb.Tensor(t.order, t.dim, {idx: abs(v) for idx, v in t.entries.items()})
+    out.append(outcome(lambda a: tb.spectral_radius(a, max_iter=2000), nonneg))
+
+
+def area_majorization(rng, t, p, kind, out):
+    out.append(canon(tb.majorization_matrix(t)))
+    out.append(canon(tb.representation_matrix(t)))
+    out.append(canon([tb.is_row_diagonal(t), tb.is_z_tensor(t)]))
+    out.append(outcome(tb.det_diagonal, t))
+    out.append(outcome(lambda a: [tb.z_split(a).s, tb.z_split(a).b], t))
+
+
+def cli_runs():
+    """Every verb on every fixture it applies to, with a few partitions."""
+    fx = ROOT / "fixtures"
+    for path in sorted(fx.glob("*.json")):
+        name = str(path)
+        if "hyper" in path.name:
+            yield ["hypergraph-rho", "--edges", name]
+            continue
+        dim = tensorio.loads_tensor(path.read_text()).dim
+        partitions = [",".join(map(str, parts)) for parts in tb.compositions(dim)]
+        for q in partitions:
+            yield ["blocks", "--tensor", name, "--partition", q]
+            for k in BlockKind:
+                yield ["classify", "--tensor", name, "--partition", q, "--kind", k.token]
+            for k in ("utb1", "utb2", "utb3", "ltb1", "diag"):
+                yield ["det", "--tensor", name, "--partition", q, "--kind", k]
+                yield ["spectrum", "--tensor", name, "--partition", q, "--kind", k]
+        yield ["rho", "--tensor", name]
+        yield ["oracle", "--tensor", name, "--restarts", "2", "--iters", "20"]
+        yield ["mtensor", "--tensor", name]
+        yield ["normal-form", "--tensor", name, "--type", "2nd"]
+        yield ["normal-form", "--tensor", name, "--type", "3rd"]
+        yield ["first-type-normal", "--tensor", name]
+        yield ["left-inverse", "--tensor", name, "-k", "2"]
+        yield ["right-inverse", "--tensor", name, "-k", "3"]
+        yield ["product", name, name]
+        yield ["verify", "--left", name, name]
+
+
+def cli_digest() -> str:
+    h = hashlib.sha256()
+    for argv in cli_runs():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.run(argv)
+        h.update(f"{argv[0]} {code}\n{buf.getvalue()}".encode())
+    return h.hexdigest()
+
+
+AREAS = {
+    "subtensors_permutations_blocks": area_subtensors,
+    "is_blocked": area_is_blocked,
+    "reducing_sets": area_reducing,
+    "normal_forms": area_normal_forms,
+    "finest_refinement": area_refinement,
+    "det_spectrum": area_det_spectrum,
+    "majorization": area_majorization,
+}
+
+
+def main() -> None:
+    hashes = {name: hashlib.sha256() for name in AREAS}
+    for rng, t, p, kind in ensemble():
+        for name, area in AREAS.items():
+            out: list[str] = []
+            area(random.Random(f"{name}{rng.random()}"), t, p, kind, out)
+            hashes[name].update(("\n".join(out) + "\n").encode())
+    for name, h in hashes.items():
+        print(name, h.hexdigest())
+    print("cli_fixtures", cli_digest())
+
+
+if __name__ == "__main__":
+    main()

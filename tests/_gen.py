@@ -8,6 +8,7 @@ replaced; the kernels must match them bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -127,6 +128,108 @@ def loop_block_ends(tensor: Tensor, kind: BlockKind) -> list[list[int]]:
              if not any(_forbidden(kind, c, d, lo, hi)
                         for row in range(c + 1, d + 1) for lo, hi in spans[row])]
             for c in range(tensor.dim)]
+
+
+def loop_from_dense(values: np.ndarray) -> Tensor:
+    """``Tensor.from_dense`` as it once built its keys, per axis of ``np.nonzero``."""
+    arr = np.asarray(values, dtype=float)
+    nonzero = np.nonzero(arr)
+    keys = zip(*[(axis + 1).tolist() for axis in nonzero])
+    return Tensor(arr.ndim, arr.shape[0], zip(keys, arr[nonzero].tolist()))
+
+
+def loop_row_diagonal_from_matrix(values: np.ndarray, order: int) -> Tensor:
+    """a[i, j, ..., j] = P[i, j] from a double loop over the matrix."""
+    arr = np.asarray(values, dtype=float)
+    n = arr.shape[0]
+    entries = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            v = float(arr[i - 1, j - 1])
+            if v != 0.0:
+                entries[(i,) + (j,) * (order - 1)] = v
+    return Tensor(order, n, entries)
+
+
+def loop_principal_subtensor(tensor: Tensor, index_set) -> Tensor:
+    """The principal subtensor from one pass over the entries dict."""
+    members = sorted(set(index_set))
+    relabel = {old: new for new, old in enumerate(members, start=1)}
+    entries = ((tuple(relabel[i] for i in idx), v) for idx, v in tensor.entries.items()
+               if all(i in relabel for i in idx))
+    return Tensor(tensor.order, len(members), entries)
+
+
+def loop_permute_similar(tensor: Tensor, sigma: tb.Permutation) -> Tensor:
+    """Permutation similarity from one pass over the entries dict."""
+    entries = ((tuple(sigma(i) for i in idx), v) for idx, v in tensor.entries.items())
+    return Tensor(tensor.order, tensor.dim, entries)
+
+
+def loop_diagonal_blocks(tensor: Tensor, partition: Partition) -> list[Tensor]:
+    """Diagonal blocks as one principal-subtensor scan each."""
+    return [loop_principal_subtensor(tensor, partition.block(j))
+            for j in range(1, partition.r + 1)]
+
+
+def loop_is_blocked(tensor: Tensor, partition: Partition, kind: BlockKind) -> bool:
+    """The per-entry structure test: each entry's row block against its trailing span."""
+    for idx in tensor.entries:
+        j = partition.block_of(idx[0])
+        if _forbidden(kind, partition.S(j - 1), partition.S(j), min(idx[1:]), max(idx[1:])):
+            return False
+    return True
+
+
+def loop_reduces(tensor: Tensor, members: frozenset[int], weak: bool) -> bool:
+    """Strong (weak) reduction as the twin per-entry loops tested it."""
+    if len(members) == tensor.dim:
+        return False
+    leaves = any if weak else all
+    return not any(idx[0] in members and leaves(t not in members for t in idx[1:])
+                   for idx in tensor.entries)
+
+
+def loop_pattern(tensor: Tensor) -> set:
+    """The (row, trailing index set) pairs of the entries, read off the dict."""
+    return {(idx[0], frozenset(idx[1:])) for idx in tensor.entries}
+
+
+def loop_is_diagonal(tensor: Tensor) -> bool:
+    return all(len(set(idx)) == 1 for idx in tensor.entries)
+
+
+def loop_is_row_diagonal(tensor: Tensor) -> bool:
+    return all(len(set(idx[1:])) == 1 for idx in tensor.entries)
+
+
+def loop_is_z_tensor(tensor: Tensor) -> bool:
+    return all(v <= 0.0 for idx, v in tensor.entries.items() if len(set(idx)) > 1)
+
+
+def loop_z_split(tensor: Tensor) -> tuple[float, Tensor]:
+    """(s, b) of the canonical Z-split, b built entry by entry: the diagonal first."""
+    m, n = tensor.order, tensor.dim
+    s = max(tensor.entries.get((i,) * m, 0.0) for i in range(1, n + 1))
+    entries = {}
+    for i in range(1, n + 1):
+        v = s - tensor.entries.get((i,) * m, 0.0)
+        if v != 0.0:
+            entries[(i,) * m] = v
+    for idx, v in tensor.entries.items():
+        if len(set(idx)) > 1:
+            entries[idx] = -v
+    return s, Tensor(m, n, entries)
+
+
+def loop_majorization_matrix(tensor: Tensor) -> np.ndarray:
+    """M[i, j] = a[i, j, ..., j] by n^2 dict lookups."""
+    n, m = tensor.dim, tensor.order
+    out = np.zeros((n, n))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            out[i - 1, j - 1] = tensor.entries.get((i,) + (j,) * (m - 1), 0.0)
+    return out
 
 
 def brute_strong_sets(tensor: Tensor) -> list[frozenset[int]]:
@@ -278,18 +381,16 @@ def brute_normal_form_3rd(tensor: Tensor) -> tb.NormalForm:
                          Partition(tuple(len(combo) for combo in chain)), BlockKind.UTB3, blocks)
 
 
-def forbidden_positions(n: int, m: int, partition: Partition, kind: BlockKind) -> set:
+@functools.cache
+def forbidden_positions(n: int, m: int, partition: Partition, kind: BlockKind) -> frozenset:
     """Probe the public classifier with single-entry tensors.
 
     A position is forbidden under (partition, kind) exactly when the
-    tensor holding a lone 1.0 there fails the structure test.
+    tensor holding a lone 1.0 there fails the structure test. The probe
+    is a pure function of its arguments, so each one runs once per session.
     """
-    out = set()
-    for idx in itertools.product(range(1, n + 1), repeat=m):
-        probe = tb.new_tensor(m, n, [(idx, 1.0)])
-        if not tb.is_blocked(probe, partition, kind):
-            out.add(idx)
-    return out
+    return frozenset(idx for idx in itertools.product(range(1, n + 1), repeat=m)
+                     if not tb.is_blocked(tb.new_tensor(m, n, [(idx, 1.0)]), partition, kind))
 
 
 def blocked_or_trivial(tensor: Tensor, parts: tuple[int, ...], kind: BlockKind) -> bool:

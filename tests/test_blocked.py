@@ -3,6 +3,7 @@ relate them."""
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import triblock as tb
@@ -98,6 +99,14 @@ class TestPartition:
             Partition((2, 0))
         with pytest.raises(DimensionMismatch):
             Partition.from_string("1,x")
+        for parts in [(True, 2), (1, 2.0), (np.bool_(True), 1), (1.5, 1)]:
+            with pytest.raises(DimensionMismatch):
+                Partition(parts)
+
+    def test_numpy_integer_parts_become_ints(self):
+        p = Partition((np.int64(1), 2))
+        assert p == Partition((1, 2)) and all(type(part) is int for part in p.parts)
+        assert p.n == 3 and str(p) == "1,2"
 
 
 class TestClassifyExamples:

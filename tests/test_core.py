@@ -109,6 +109,15 @@ class TestPrincipalSubtensor:
         with pytest.raises(IndexOutOfRange):
             tb.principal_subtensor(ex31, [1, 3])
 
+    @pytest.mark.parametrize("members", [[1.7, 2.2], [True], [1, 2.0], [np.bool_(True)], ["1"]])
+    def test_non_integer_members_rejected(self, ex31, members):
+        with pytest.raises(BadArity):
+            tb.principal_subtensor(ex31, members)
+
+    def test_numpy_integer_members_accepted(self, ex31):
+        sub = tb.principal_subtensor(ex31, np.array([1]))
+        assert dict(sub.entries) == {(1, 1, 1): 1.0}
+
     def test_commutes_with_scaling(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -126,6 +135,20 @@ class TestPermutation:
     def test_bijection_enforced(self):
         with pytest.raises(IndexOutOfRange):
             tb.Permutation((1, 1, 3))
+        with pytest.raises(IndexOutOfRange):
+            tb.Permutation((0, 1))
+
+    @pytest.mark.parametrize("image", [(2.0, 3.0, 1.0), (True, 2), (1, np.float64(2.0))])
+    def test_non_integer_image_rejected(self, image):
+        with pytest.raises(BadArity):
+            tb.Permutation(image)
+
+    def test_numpy_integers_become_ints(self, ex31):
+        sigma = tb.Permutation(tuple(np.array([2, 1])))
+        assert sigma.image == (2, 1) and all(type(i) is int for i in sigma.image)
+        assert sigma == tb.Permutation((2, 1))
+        moved = tb.permute_similar(ex31, sigma)
+        assert all(type(i) is int for idx in moved.entries for i in idx)
 
     def test_inverse_and_compose(self):
         sigma = tb.Permutation((2, 3, 1))

@@ -1,9 +1,12 @@
 """The array kernels against the dict loops they replaced, bit for bit.
 
-``apply``, ``general_product``, the probe's Jacobian and the allowed
-block ends all read ``Tensor.coo``; each must reproduce the loop
-reference in ``_gen`` exactly, not just to a tolerance. Also pinned: the
-read-only ``entries`` mapping and pickling.
+``apply``, ``general_product``, the probe's Jacobian, the allowed block
+ends and the structural operations (principal subtensors, permutations,
+diagonal blocks, ``is_blocked``, the reducibility tests, the diagonal
+predicates, the majorization matrix) all read ``Tensor.coo``; each must
+reproduce the loop reference in ``_gen`` exactly, not just to a
+tolerance. Also pinned: the view a structural operation hands on to its
+result, the read-only ``entries`` mapping and pickling.
 """
 import copy
 import itertools
@@ -18,10 +21,32 @@ import triblock as tb
 from triblock import BlockKind
 from triblock import product as product_module
 from triblock.blocked import _block_ends
+from triblock.core import Coo
 from triblock.errors import NegativeEntry
-from triblock.spectra import _oracle_jacobian
+from triblock.spectra import _is_diagonal, _oracle_jacobian
+from triblock.structure import _pattern
 
-from _gen import loop_apply, loop_block_ends, loop_jacobian, loop_product, rand_blocked
+from _gen import (
+    loop_apply,
+    loop_block_ends,
+    loop_diagonal_blocks,
+    loop_from_dense,
+    loop_is_blocked,
+    loop_is_diagonal,
+    loop_is_row_diagonal,
+    loop_is_z_tensor,
+    loop_jacobian,
+    loop_majorization_matrix,
+    loop_pattern,
+    loop_permute_similar,
+    loop_principal_subtensor,
+    loop_product,
+    loop_reduces,
+    loop_row_diagonal_from_matrix,
+    loop_z_split,
+    rand_blocked,
+    rand_permutation,
+)
 
 
 def value(rng: random.Random, integral: bool) -> float:
@@ -153,18 +178,118 @@ class TestOracleJacobian:
             assert same_bits(_oracle_jacobian(t)(z), loop_jacobian(t, z))
 
 
+def structured(seed, trials):
+    """Random tensors with shuffled dict order, every other one blocked."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        if trial % 2:
+            t = rand_tensor(rng, rng.randint(2, 4), rng.randint(1, 6),
+                            rng.choice([0.02, 0.1, 0.3]), True)
+        else:
+            parts = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 3)))
+            t = rand_blocked(rng, parts, rng.choice(list(BlockKind)), rng.randint(2, 3))
+            keys = list(t.entries)
+            rng.shuffle(keys)
+            t = tb.Tensor(t.order, t.dim, {idx: t.entries[idx] for idx in keys})
+        yield rng, t
+
+
+def rand_partition(rng, n):
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    ends = [0] + cuts + [n]
+    return tb.Partition(tuple(b - a for a, b in zip(ends, ends[1:])))
+
+
+def same_view(got: Coo, want: Coo) -> bool:
+    return (same_bits(got.idx, want.idx) and got.idx.shape == want.idx.shape
+            and same_bits(got.vals, want.vals) and got.bounds == want.bounds)
+
+
+def same_tensor(got: tb.Tensor, want: tb.Tensor) -> bool:
+    """Equal entries, bit for bit, and the same view."""
+    return ((got.order, got.dim) == (want.order, want.dim)
+            and bits(got.entries) == bits(want.entries) and same_view(got.coo, want.coo))
+
+
 class TestBlockEnds:
     def test_matches_loop(self):
-        rng = random.Random(407)
-        for trial in range(40):
-            if trial % 2:
-                t = rand_tensor(rng, rng.randint(2, 4), rng.randint(1, 6),
-                                rng.choice([0.02, 0.1, 0.3]), True)
-            else:
-                parts = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 3)))
-                t = rand_blocked(rng, parts, rng.choice(list(BlockKind)), rng.randint(2, 3))
+        for trial, (_, t) in enumerate(structured(407, 40)):
+            want = [loop_block_ends(t, kind) for kind in BlockKind]
+            assert list(_block_ends(t, tuple(BlockKind))) == want, trial
+
+
+class TestStructuralOps:
+    def test_subtensors_permutations_and_blocks(self):
+        for rng, t in structured(410, 60):
+            members = rng.sample(range(1, t.dim + 1), rng.randint(1, t.dim))
+            assert same_tensor(tb.principal_subtensor(t, members),
+                               loop_principal_subtensor(t, members))
+            sigma = rand_permutation(rng, t.dim)
+            assert same_tensor(tb.permute_similar(t, sigma), loop_permute_similar(t, sigma))
+            p = rand_partition(rng, t.dim)
+            got, want = tb.diagonal_blocks(t, p), loop_diagonal_blocks(t, p)
+            assert len(got) == len(want) and all(map(same_tensor, got, want))
+
+    def test_from_dense_and_row_diagonal(self):
+        for rng, t in structured(411, 30):
+            arr = t.to_dense()
+            matrix = arr.reshape(t.dim, -1)[:, :t.dim]
+            for got, want in [(tb.Tensor.from_dense(arr), loop_from_dense(arr)),
+                              (tb.row_diagonal_from_matrix(matrix, t.order),
+                               loop_row_diagonal_from_matrix(matrix, t.order))]:
+                assert same_tensor(got, want) and list(got.entries) == list(want.entries)
+
+    def test_is_blocked(self):
+        for rng, t in structured(412, 60):
             for kind in BlockKind:
-                assert _block_ends(t, kind) == loop_block_ends(t, kind), (trial, kind)
+                p = rand_partition(rng, t.dim)
+                if t.dim < 2 or (kind.is_triangular and p.r < 2):
+                    continue
+                assert tb.is_blocked(t, p, kind) is loop_is_blocked(t, p, kind)
+
+    def test_reducibility(self):
+        for rng, t in structured(413, 60):
+            members = frozenset(rng.sample(range(1, t.dim + 1), rng.randint(1, t.dim)))
+            assert tb.strongly_reduces(t, members) is loop_reduces(t, members, weak=False)
+            assert tb.weakly_reduces(t, members) is loop_reduces(t, members, weak=True)
+            assert _pattern(t) == loop_pattern(t)
+
+    def test_diagonal_predicates_and_majorization(self):
+        for rng, t in structured(414, 60):
+            assert _is_diagonal(t) is loop_is_diagonal(t)
+            assert tb.is_row_diagonal(t) is loop_is_row_diagonal(t)
+            assert tb.is_z_tensor(t) is loop_is_z_tensor(t)
+            assert same_bits(tb.majorization_matrix(t), loop_majorization_matrix(t))
+            z = tb.Tensor(t.order, t.dim, {idx: v if len(set(idx)) == 1 else -abs(v)
+                                           for idx, v in t.entries.items()})
+            split, (s, b) = tb.z_split(z), loop_z_split(z)
+            assert split.s.hex() == s.hex() and same_tensor(split.b, b)
+        row_diag = tb.row_diagonal_from_matrix(np.array([[2.0, -1.0], [0.0, -3.0]]), 3)
+        assert tb.is_row_diagonal(row_diag) and tb.is_z_tensor(row_diag)
+        assert not _is_diagonal(row_diag)
+
+
+class TestHandedOnView:
+    """A structural operation hands its result a view; it must be the one
+    ``Tensor.coo`` would build from the result's entries, and read-only."""
+
+    @staticmethod
+    def children(rng, t):
+        yield tb.principal_subtensor(t, rng.sample(range(1, t.dim + 1), rng.randint(1, t.dim)))
+        yield tb.permute_similar(t, rand_permutation(rng, t.dim))
+        yield from tb.diagonal_blocks(t, rand_partition(rng, t.dim))
+        yield tb.Tensor.from_dense(t.to_dense())
+        yield tb.row_diagonal_from_matrix(tb.majorization_matrix(t), t.order)
+        yield tb.z_split(tb.Tensor(t.order, t.dim, {idx: -abs(v) for idx, v in t.entries.items()
+                                                    if len(set(idx)) > 1})).b
+
+    def test_view_is_rebuilt_view(self):
+        for rng, t in structured(415, 40):
+            for child in self.children(rng, t):
+                handed = child.__dict__["coo"]  # seeded, not built on first use
+                assert same_view(handed, tb.Tensor(child.order, child.dim, child.entries).coo)
+                assert handed.idx.dtype == np.int64 and handed.vals.dtype == np.float64
+                assert not handed.idx.flags.writeable and not handed.vals.flags.writeable
 
 
 class TestReadOnlyEntries:

@@ -2,11 +2,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import triblock as tb
 from triblock import BlockKind, Partition, Permutation, structure
 from triblock.errors import (
+    BadArity,
     DimensionTooLarge,
     EmptyIndexSet,
     IndexOutOfRange,
@@ -125,6 +127,23 @@ class TestReducesPredicates:
             tb.strongly_reduces(ex61, {5})
         with pytest.raises(IndexOutOfRange):
             tb.weakly_reduces(ex61, {0, 1})
+        with pytest.raises(IndexOutOfRange):
+            tb.reducing_to_utb(ex61, {4, 5})
+
+    @pytest.mark.parametrize("members", [{1.7, 2.2}, {True}, {4.0}])
+    def test_non_integer_members_rejected(self, ex61, members):
+        # int() would read {4.0} as the reducing set {4}, and {True} as {1}
+        with pytest.raises(BadArity):
+            tb.strongly_reduces(ex61, members)
+        with pytest.raises(BadArity):
+            tb.weakly_reduces(ex61, members)
+        with pytest.raises(BadArity):
+            tb.reducing_to_utb(ex61, members)
+
+    def test_numpy_integer_members_accepted(self, ex61):
+        assert tb.strongly_reduces(ex61, {np.int64(4)})
+        sigma, _ = tb.reducing_to_utb(ex61, [np.int64(4)])
+        assert sigma == Permutation.identity(4)
 
     def test_order_one_rejected(self):
         vec = tb.new_tensor(1, 2, [((1,), 2.0)])
