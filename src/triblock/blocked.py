@@ -2,17 +2,12 @@
 
 A partition (n_1, ..., n_r) of the dimension splits [1, n] into
 consecutive index blocks I_1, ..., I_r. Each block kind is a vanishing
-pattern over the nonzero entries, phrased entirely through the minimum
-and maximum of an entry's trailing indices relative to the ends
-(c, d) = (S_{j-1}, S_j) of the row's block, S_j = n_1 + ... + n_j:
-
-* ``UTB1``  rows in I_j vanish when  min <= c
-* ``UTB2``  rows in I_j vanish when  min <= c and max <= d
-* ``UTB3``  rows in I_j vanish when  max <= c
-* ``LTB1``  rows in I_j vanish when  max >  d
-* ``LTB2``  rows in I_j vanish when  max >  d and min > c
-* ``LTB3``  rows in I_j vanish when  min >  d
-* ``DIAG``  rows in I_j vanish unless every trailing index stays in I_j
+pattern over the nonzero entries, read off the ends (c, d) =
+(S_{j-1}, S_j) of the row's block, S_j = n_1 + ... + n_j, and the
+minimum ``lo`` and maximum ``hi`` of the entry's trailing indices: one
+box of block ends, two for ``DIAG``, in which a row must vanish. The
+table ``_BOXES`` is the one place the kinds are defined; the per-entry
+test ``is_blocked`` and the block-end search ``_block_ends`` both read it.
 
 Trailing indices lie in [1, n], so no test needs the block's position.
 Each reads only its row's block: a partition carries a kind exactly
@@ -117,24 +112,36 @@ class BlockKind(enum.Enum):
         return self is not BlockKind.DIAG
 
 
+_LO, _HI = 0, 1  # a box bound: the row's trailing minimum or maximum
+
+# Per kind, the boxes (c0, c1, d0, d1) of block ends (c, d) where a row
+# must vanish: c0 <= c < c1 and d0 <= d < d1, None for an absent bound.
+_BOXES = {
+    BlockKind.UTB1: ((_LO, None, None, None),),  # lo <= c
+    BlockKind.UTB2: ((_LO, None, _HI, None),),  # lo <= c and hi <= d
+    BlockKind.UTB3: ((_HI, None, None, None),),  # hi <= c
+    BlockKind.LTB1: ((None, None, None, _HI),),  # d < hi
+    BlockKind.LTB2: ((None, _LO, None, _HI),),  # c < lo and d < hi
+    BlockKind.LTB3: ((None, None, None, _LO),),  # d < lo
+    BlockKind.DIAG: ((_LO, None, None, None), (None, None, None, _HI)),  # UTB1 or LTB1
+}
+
+
 def _forbidden(kind: BlockKind, c, d, lo, hi):
     """Does the vanishing pattern cover a row of block (c, d] with trailing min/max (lo, hi)?
 
     Elementwise over arrays as well as on numbers.
     """
-    if kind is BlockKind.UTB1:
-        return lo <= c
-    if kind is BlockKind.UTB2:
-        return (lo <= c) & (hi <= d)
-    if kind is BlockKind.UTB3:
-        return hi <= c
-    if kind is BlockKind.LTB1:
-        return hi > d
-    if kind is BlockKind.LTB2:
-        return (hi > d) & (lo > c)
-    if kind is BlockKind.LTB3:
-        return lo > d
-    return (lo <= c) | (hi > d)  # DIAG
+    span = (lo, hi)
+    hit = None
+    for c0, c1, d0, d1 in _BOXES[kind]:
+        box = None  # the present bounds' tests, and-ed; an absent bound adds none
+        for bound, lower, end in ((c0, True, c), (c1, False, c), (d0, True, d), (d1, False, d)):
+            if bound is not None:
+                test = span[bound] <= end if lower else end < span[bound]
+                box = test if box is None else box & test
+        hit = box if hit is None else hit | box
+    return hit
 
 
 def _spans(tensor: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -182,49 +189,39 @@ def diagonal_blocks(tensor: Tensor, partition: Partition) -> list[Tensor]:
 def _block_ends(tensor: Tensor, kinds: Sequence[BlockKind]) -> Iterator[list[list[int]]]:
     """Per kind in turn: for each start c in [0, n), the ends d whose block (c, d] it allows.
 
-    Each kind bounds a quantity read off the trailing spans (lo, hi) of
-    the rows r in (c, d], so a running min or max along d over a (c, r)
-    table settles every block at once, in O(n^2 + nnz): UTB1 c < min lo,
-    UTB3 c < min hi, UTB2 d < min hi over spans with lo <= c, LTB1
-    d >= max hi, LTB3 d >= max lo, LTB2 d >= max hi over spans with
-    lo > c, DIAG both UTB1 and LTB1. The spans and grids are built once
-    for all the kinds asked for.
+    Each entry's boxes, cut to the blocks (c, d] that hold its row r
+    (c < r <= d), are the blocks it forbids. A signed count of the box
+    corners and a 2-D prefix sum give how many boxes cover every block,
+    for all the kinds asked for at once, in O(n^2 + nnz) per kind.
     """
     if tensor.order < 2:
         raise OrderTooSmall("blocked structure needs order >= 2")
     n = tensor.dim
     rows, lo, hi = _spans(tensor)
-    c, d = np.arange(n)[:, None], np.arange(n + 1)
-    inside = d > c  # row d lies in the block (c, d]
-
-    def table(ufunc, fill, keys, values):  # values reduced over equal keys: [r] or [r, lo]
-        out = np.full((n + 1,) * len(keys), fill)
-        ufunc.at(out, keys, values)
-        return out
-
-    def least(t):  # min over rows r in (c, d] of t[c, r]
-        return np.minimum.accumulate(np.where(inside, t, n + 1), axis=1)
-
-    def most(t):  # max over rows r in (c, d] of t[c, r]
-        return np.maximum.accumulate(np.where(inside, t, 0), axis=1)
-
-    for kind in kinds:
-        ok = inside
-        if kind in (BlockKind.UTB1, BlockKind.DIAG):
-            ok = ok & (least(table(np.minimum, n + 1, (rows,), lo)) > c)
-        if kind in (BlockKind.LTB1, BlockKind.DIAG):
-            ok = ok & (most(table(np.maximum, 0, (rows,), hi)) <= d)
-        if kind is BlockKind.UTB3:
-            ok = ok & (least(table(np.minimum, n + 1, (rows,), hi)) > c)
-        if kind is BlockKind.LTB3:
-            ok = ok & (most(table(np.maximum, 0, (rows,), lo)) <= d)
-        if kind is BlockKind.UTB2:  # prefix minimum over lo <= c
-            t = np.minimum.accumulate(table(np.minimum, n + 1, (rows, lo), hi), axis=1)
-            ok = ok & (least(t[:, :n].T) > d)
-        if kind is BlockKind.LTB2:  # suffix maximum over lo > c
-            t = np.maximum.accumulate(table(np.maximum, 0, (rows, lo), hi)[:, ::-1], axis=1)
-            ok = ok & (most(t[:, ::-1][:, 1:].T) <= d)
-        yield [np.flatnonzero(row).tolist() for row in ok]
+    span = (lo, hi)
+    width = n + 1  # c and d run over [0, n]
+    plus, minus = [], []
+    for slot, kind in enumerate(kinds):
+        for c0, c1, d0, d1 in _BOXES[kind]:  # cut to c < r <= d; an empty cut has no area
+            c_from = 0 if c0 is None else span[c0]
+            c_to = np.maximum(rows if c1 is None else np.minimum(span[c1], rows), c_from)
+            d_from = rows if d0 is None else np.maximum(span[d0], rows)
+            c_from, c_to = (slot * width + c_from) * width, (slot * width + c_to) * width
+            plus.append(c_from + d_from)
+            minus.append(c_to + d_from)
+            if d1 is not None:  # else the far corners lie past every block end
+                d_to = np.maximum(span[d1], d_from)
+                plus.append(c_to + d_to)
+                minus.append(c_from + d_to)
+    size = len(kinds) * width * width
+    cover = (np.bincount(np.concatenate(plus), minlength=size)
+             - np.bincount(np.concatenate(minus), minlength=size))
+    cover = cover.reshape(len(kinds), width, width).cumsum(axis=1).cumsum(axis=2)
+    ok = (cover[:, :n] == 0) & (np.arange(n + 1) > np.arange(n)[:, None])
+    ends = np.nonzero(ok)[2].tolist()
+    cuts = [0] + np.count_nonzero(ok, axis=2).ravel().cumsum().tolist()
+    for slot in range(len(kinds)):
+        yield [ends[a:b] for a, b in zip(cuts[slot * n:(slot + 1) * n], cuts[slot * n + 1:])]
 
 
 def _chains(ends: list, start: int = 0) -> Iterator[tuple[int, ...]]:

@@ -214,13 +214,10 @@ def _dispatch(args: argparse.Namespace) -> None:
         graph = tensorio.hypergraph_from_obj(
             tensorio.loads(Path(args.edges).read_text()))
         adjacency = adjacency_tensor(graph)
-        whole = spectral_radius(adjacency, tol=args.tol, max_iter=args.max_iter)
-        per_component = []
-        for component in connected_components(graph):
-            sub = principal_subtensor(adjacency, component)
-            per_component.append(spectral_radius(sub, tol=args.tol,
-                                                 max_iter=args.max_iter).rho)
-        _emit({"rho": whole.rho, "component_rhos": per_component})
+        per_component = [spectral_radius(principal_subtensor(adjacency, component),
+                                         tol=args.tol, max_iter=args.max_iter).rho
+                         for component in connected_components(graph)]
+        _emit({"rho": max(per_component), "component_rhos": per_component})
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(f"unhandled command {cmd!r}")
 

@@ -108,7 +108,9 @@ class Tensor:
         if arr.shape != (dim,) * order or order < 1 or dim < 1:
             raise DimensionMismatch(f"expected a hypercubic array, got shape {arr.shape}")
         nonzero = np.nonzero(arr)  # C order: index tuples come out sorted
-        return _from_arrays(order, dim, np.stack(nonzero, axis=1), arr[nonzero])
+        idx, vals = np.stack(nonzero, axis=1), arr[nonzero]
+        _check_finite(idx, vals)
+        return _from_arrays(order, dim, idx, vals)
 
     def allclose(self, other: "Tensor", tol: float = 0.0) -> bool:
         """Entrywise agreement within an absolute tolerance."""
@@ -130,6 +132,14 @@ def _row_sorted(idx: np.ndarray, vals: np.ndarray, dim: int) -> Coo:
     idx.flags.writeable = vals.flags.writeable = False
     counts = np.bincount(idx[:, 0], minlength=dim)
     return Coo(idx, vals, (0,) + tuple(np.cumsum(counts).tolist()))
+
+
+def _check_finite(idx: np.ndarray, vals: np.ndarray) -> None:
+    """Refuse NaN and infinite values from outside as ``new_tensor`` does, naming the first."""
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        k = bad[0]
+        raise ValueError(f"entry {tuple((idx[k] + 1).tolist())} is not finite: {vals[k].item()!r}")
 
 
 def _from_arrays(order: int, dim: int, idx: np.ndarray, vals: np.ndarray) -> Tensor:
@@ -368,8 +378,9 @@ def row_diagonal_from_matrix(values: np.ndarray, order: int) -> Tensor:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
     rows, columns = np.nonzero(arr)  # row-major: the entries come row by row
-    idx = np.stack((rows,) + (columns,) * (order - 1), axis=1)
-    return _from_arrays(order, arr.shape[0], idx, arr[rows, columns])
+    idx, vals = np.stack((rows,) + (columns,) * (order - 1), axis=1), arr[rows, columns]
+    _check_finite(idx, vals)
+    return _from_arrays(order, arr.shape[0], idx, vals)
 
 
 def tensor_from_matrix(values: np.ndarray) -> Tensor:

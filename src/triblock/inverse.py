@@ -9,7 +9,7 @@ Q's row entries, which is what the recovery routine reconstructs.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +99,7 @@ def recover_right_form(tensor: Tensor) -> RightFormRecovery:
     q = np.zeros((n, n))
     profile: list[tuple[int, ...]] = []
 
-    for i in range(1, n + 1):
-        diag = [tensor.entries.get((i,) + (t,) * degree, 0.0) for t in range(1, n + 1)]
+    for i, diag in enumerate(majorization_matrix(tensor).tolist(), start=1):
         signs = [0] * n
         if degree % 2 == 1:
             # odd root: unique real solution, sign carried by the entry
@@ -127,17 +126,14 @@ def recover_right_form(tensor: Tensor) -> RightFormRecovery:
                 q[i - 1, t] = signs[t] * mags[t]
         profile.append(tuple(signs))
 
-    for i in range(1, n + 1):
-        row = q[i - 1]
-        for feet in itertools.product(range(1, n + 1), repeat=degree):
-            expected = tensor.entries.get((i,) + feet, 0.0)
-            got = 1.0
-            for t in feet:
-                got *= row[t - 1]
-            if abs(got - expected) > VERIFY_TOL * max(1.0, abs(expected)):
-                raise NotRightForm(
-                    f"entry ({i}, {', '.join(map(str, feet))}) = {expected} "
-                    f"but the factorization gives {got}")
+    product = general_product(unit_tensor(m, n), tensor_from_matrix(q))
+    for key in sorted(tensor.entries.keys() | product.entries.keys()):
+        expected, got = tensor.entries.get(key, 0.0), product.entries.get(key, 0.0)
+        if abs(got - expected) > VERIFY_TOL * max(1.0, abs(expected)):
+            # recomputed: the product drops a -0.0 that the message should show
+            got = math.prod(q[key[0] - 1, [t - 1 for t in key[1:]]].tolist())
+            raise NotRightForm(f"entry ({', '.join(map(str, key))}) = {expected} "
+                               f"but the factorization gives {got}")
 
     return RightFormRecovery(q, tuple(profile))
 

@@ -275,16 +275,11 @@ def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000) -
     if is_weakly_irreducible(tensor):
         return _power_iteration(tensor, tol, max_iter)
 
-    nf = normal_form_2nd(tensor)
-    best: Optional[SpectralResult] = None
-    iterations = 0
-    for block in nf.blocks:
-        result = spectral_radius(block, tol=tol, max_iter=max_iter)
-        iterations += result.iterations
-        if best is None or result.rho > best.rho:
-            best = result
-    assert best is not None
-    return SpectralResult(best.rho, None, iterations, best.residual)
+    # the blocks are weakly irreducible: dim 1 gives the entry, any other the iteration
+    results = [SpectralResult(det_dim1(b), None, 0, 0.0) if b.dim == 1
+               else _power_iteration(b, tol, max_iter) for b in normal_form_2nd(tensor).blocks]
+    best = max(results, key=lambda r: r.rho)  # the first maximum
+    return SpectralResult(best.rho, None, sum(r.iterations for r in results), best.residual)
 
 
 @dataclass(frozen=True)

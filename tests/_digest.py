@@ -27,7 +27,7 @@ sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else str(ROOT / "src"))
 
 import triblock as tb  # noqa: E402
 from triblock import BlockKind, Partition, cli, tensorio  # noqa: E402
-from triblock.blocked import _forbidden  # noqa: E402
+from triblock.blocked import _block_ends, _forbidden  # noqa: E402
 from triblock.errors import TriblockError  # noqa: E402
 from triblock.spectra import _finest_refinement  # noqa: E402
 
@@ -120,6 +120,10 @@ def area_is_blocked(rng, t, p, kind, out):
             out.append(outcome(tb.is_blocked, t, q, k))
 
 
+def area_block_ends(rng, t, p, kind, out):
+    out.append(canon(list(_block_ends(t, tuple(BlockKind)))))
+
+
 def area_reducing(rng, t, p, kind, out):
     strong, weak = tb.find_reducing_set(t), tb.find_weakly_reducing_set(t)
     out.append(canon([strong, weak, tb.is_irreducible(t), tb.is_weakly_irreducible(t)]))
@@ -198,6 +202,7 @@ def cli_digest() -> str:
 AREAS = {
     "subtensors_permutations_blocks": area_subtensors,
     "is_blocked": area_is_blocked,
+    "block_ends": area_block_ends,
     "reducing_sets": area_reducing,
     "normal_forms": area_normal_forms,
     "finest_refinement": area_refinement,

@@ -66,6 +66,18 @@ class TestConstruction:
         with pytest.raises(BadArity):
             tb.new_tensor(2, 2, [((1.5, 1), 1.0)])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, value):
+        # every constructor names the first such entry as new_tensor does
+        matrix, dense = np.array([[1.0, 0.0], [value, value]]), np.zeros((2, 2, 2))
+        dense[0, 0, 0], dense[1, 0, 0], dense[1, 1, 0] = 1.0, value, value
+        constructors = [lambda: tb.new_tensor(3, 2, [((1, 1, 1), 1.0), ((2, 1, 1), value)]),
+                        lambda: tb.row_diagonal_from_matrix(matrix, 3),
+                        lambda: tb.Tensor.from_dense(dense)]
+        for build in constructors:
+            with pytest.raises(ValueError, match=rf"^entry \(2, 1, 1\) is not finite: {value!r}$"):
+                build()
+
     def test_unit_tensor(self):
         u = tb.unit_tensor(3, 2)
         assert dict(u.entries) == {(1, 1, 1): 1.0, (2, 2, 2): 1.0}

@@ -20,7 +20,7 @@ import pytest
 import triblock as tb
 from triblock import BlockKind
 from triblock import product as product_module
-from triblock.blocked import _block_ends
+from triblock.blocked import _block_ends, _forbidden
 from triblock.core import Coo
 from triblock.errors import NegativeEntry
 from triblock.spectra import _is_diagonal, _oracle_jacobian
@@ -211,9 +211,28 @@ def same_tensor(got: tb.Tensor, want: tb.Tensor) -> bool:
             and bits(got.entries) == bits(want.entries) and same_view(got.coo, want.coo))
 
 
+def sparse_ends_cases(seed):
+    """Sparse tensors of dims 15-40, plain and blocked, and the edge cases."""
+    rng = random.Random(seed)
+    yield tb.Tensor(3, 5, {})
+    yield tb.Tensor(2, 1, {})
+    yield tb.Tensor(3, 1, {(1, 1, 1): 2.0})
+    yield tb.unit_tensor(3, 7)
+    for n in (15, 22, 31, 40):
+        m, p, kind = rng.randint(2, 4), rand_partition(rng, n), rng.choice(list(BlockKind))
+        keys = list(dict.fromkeys(tuple(rng.randint(1, n) for _ in range(m))
+                                  for _ in range(3 * n)))
+        yield tb.Tensor(m, n, {idx: 1.0 for idx in keys})
+        yield tb.Tensor(m, n, {idx: 1.0 for idx in keys
+                               if not _forbidden(kind, p.S(p.block_of(idx[0]) - 1),
+                                                 p.S(p.block_of(idx[0])), min(idx[1:]),
+                                                 max(idx[1:]))})
+
+
 class TestBlockEnds:
     def test_matches_loop(self):
-        for trial, (_, t) in enumerate(structured(407, 40)):
+        cases = [t for _, t in structured(407, 40)] + list(sparse_ends_cases(408))
+        for trial, t in enumerate(cases):
             want = [loop_block_ends(t, kind) for kind in BlockKind]
             assert list(_block_ends(t, tuple(BlockKind))) == want, trial
 
