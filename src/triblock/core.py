@@ -72,13 +72,27 @@ class Tensor:
 
     @cached_property
     def coo(self) -> Coo:
-        """Coordinate arrays of the entries, built on first use and kept."""
-        m, nnz = self.order, len(self.entries)
-        flat = np.fromiter(itertools.chain.from_iterable(self.entries), dtype=np.int64,
-                           count=nnz * m)
+        """Coordinate arrays of the entries, built on first use and kept.
+
+        Every kernel indexes through this view, so building it checks what
+        ``new_tensor`` checks of entries given to the constructor: each
+        index has ``order`` components in ``[1, dim]`` (else ``BadArity``
+        or ``IndexOutOfRange``) and each value is finite (else
+        ``ValueError``), naming the first offender in dict order.
+        """
+        m, nnz, keys = self.order, len(self.entries), self.entries.keys()
+        if nnz and set(map(len, keys)) != {m}:
+            key = next(key for key in keys if len(key) != m)
+            raise BadArity(f"index {key} has {len(key)} components, expected {m}")
+        flat = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64, count=nnz * m)
         idx = flat.reshape(nnz, m)
         idx -= 1
+        if nnz and (idx.min() < 0 or idx.max() >= self.dim):
+            k = np.flatnonzero(((idx < 0) | (idx >= self.dim)).any(axis=1))[0]
+            raise IndexOutOfRange(f"index {tuple((idx[k] + 1).tolist())} has a component "
+                                  f"outside [1, {self.dim}]")
         vals = np.fromiter(self.entries.values(), dtype=float, count=nnz)
+        _check_finite(idx, vals)
         return _row_sorted(idx, vals, self.dim)
 
     def get(self, index: Sequence[int]) -> float:
@@ -136,9 +150,8 @@ def _row_sorted(idx: np.ndarray, vals: np.ndarray, dim: int) -> Coo:
 
 def _check_finite(idx: np.ndarray, vals: np.ndarray) -> None:
     """Refuse NaN and infinite values from outside as ``new_tensor`` does, naming the first."""
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if len(bad):
-        k = bad[0]
+    if not np.isfinite(vals).all():
+        k = np.flatnonzero(~np.isfinite(vals))[0]
         raise ValueError(f"entry {tuple((idx[k] + 1).tolist())} is not finite: {vals[k].item()!r}")
 
 
@@ -357,17 +370,21 @@ def representation_matrix(tensor: Tensor) -> np.ndarray:
     """Row i, column j sums |a[i, i2..im]| over entries whose trailing indices include j.
 
     Each entry contributes once per distinct index it mentions, so the
-    zero pattern encodes exactly which indices row i touches.
+    zero pattern encodes exactly which indices row i touches. A cell's
+    contributions are added in the view's order, which within a row is
+    the entries' order.
     """
     if tensor.order < 2:
         raise OrderTooSmall("representation matrix needs order >= 2")
-    n = tensor.dim
-    out = np.zeros((n, n))
-    for idx, v in tensor.entries.items():
-        i = idx[0]
-        for j in set(idx[1:]):
-            out[i - 1, j - 1] += abs(v)
-    return out
+    view, n = tensor.coo, tensor.dim
+    feet = view.idx[:, 1:]
+    first = np.ones(feet.shape, dtype=bool)  # a foot counts unless an earlier foot repeats it
+    for p in range(1, feet.shape[1]):
+        first[:, p] = (feet[:, :p] != feet[:, p:p + 1]).all(axis=1)
+    cells = (view.idx[:, :1] * n + feet)[first]  # entry-major, so each cell sums in view order
+    weights = np.broadcast_to(np.abs(view.vals)[:, None], feet.shape)[first]
+    # bincount gives integer zeros when there are no entries
+    return np.bincount(cells, weights, minlength=n * n).astype(float, copy=False).reshape(n, n)
 
 
 def row_diagonal_from_matrix(values: np.ndarray, order: int) -> Tensor:

@@ -6,6 +6,12 @@ the largest diagonal entry, making the diagonal of b nonnegative and as
 small as possible. M-tensor status then reduces to comparing s with the
 spectral radius of b, which is well defined because the margin
 s - rho(b) does not depend on the chosen split.
+
+The radius is accurate relative to b's largest row sum r, the scale it
+is computed in, so ``tol`` is relative to r as well: a tensor is an
+M-tensor when s - rho(b) >= -tol * r, and a nonsingular one when
+s - rho(b) > tol * r. Scaling the tensor by c > 0 scales the margin and
+r alike, so the classification does not depend on c.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ import numpy as np
 
 from .core import Tensor, _equal_from, _from_arrays
 from .errors import NotZTensor, OrderTooSmall
-from .spectra import spectral_radius
+from .spectra import _largest_row_sum, spectral_radius
 
 DEFAULT_TOL = 1e-9
 
@@ -52,22 +58,23 @@ def z_split(tensor: Tensor) -> ZSplit:
     return ZSplit(s, _from_arrays(m, tensor.dim, idx, vals))
 
 
-def _split_margin(tensor: Tensor, tol: float) -> tuple[ZSplit, float]:
+def _split_margin(tensor: Tensor, tol: float) -> tuple[ZSplit, float, float]:
+    """The canonical split, its margin s - rho(b), and the band tol * r the margin is read in."""
     split = z_split(tensor)
     rho = spectral_radius(split.b, tol=min(tol, 1e-10)).rho
-    return split, split.s - rho
+    return split, split.s - rho, tol * _largest_row_sum(split.b)
 
 
 def is_m_tensor(tensor: Tensor, tol: float = DEFAULT_TOL) -> bool:
-    """s >= rho(b) up to tol for the canonical split; raises NotZTensor otherwise."""
-    _, margin = _split_margin(tensor, tol)
-    return margin >= -tol
+    """s >= rho(b) up to tol relative to b's scale; raises NotZTensor otherwise."""
+    _, margin, band = _split_margin(tensor, tol)
+    return margin >= -band
 
 
 def is_nonsingular_m_tensor(tensor: Tensor, tol: float = DEFAULT_TOL) -> bool:
-    """Strict margin: s > rho(b) + tol for the canonical split."""
-    _, margin = _split_margin(tensor, tol)
-    return margin > tol
+    """Strict margin: s > rho(b) by more than tol relative to b's scale."""
+    _, margin, band = _split_margin(tensor, tol)
+    return margin > band
 
 
 def is_positive_tensor(tensor: Tensor) -> bool:
@@ -80,11 +87,11 @@ def m_tensor_report(tensor: Tensor, tol: float = DEFAULT_TOL) -> dict:
     """One-pass classification used by the command line tool."""
     if not is_z_tensor(tensor):
         return {"z": False, "m": False, "nonsingular_m": False, "s": None, "rho": None}
-    split, margin = _split_margin(tensor, tol)
+    split, margin, band = _split_margin(tensor, tol)
     return {
         "z": True,
-        "m": bool(margin >= -tol),
-        "nonsingular_m": bool(margin > tol),
+        "m": bool(margin >= -band),
+        "nonsingular_m": bool(margin > band),
         "s": split.s,
         "rho": split.s - margin,
     }

@@ -14,7 +14,6 @@ formula, and asking for it is an error rather than a wrong number.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -219,33 +218,69 @@ class SpectralResult:
     residual: float
 
 
-def _power_iteration(tensor: Tensor, tol: float, max_iter: int) -> SpectralResult:
-    """Collatz-Wielandt bracketing on the tensor shifted by the unit tensor.
+# The iteration runs on A/s + _SHIFT * unit, s the largest row sum, so the
+# shift is s/8 in the input's scale. Any positive shift converges on weakly
+# irreducible input; its size trades two costs. A large one pulls the other
+# eigenvalues' moduli toward the radius (a shift of s took about three times
+# the steps on dense and hypergraph tensors). A small one leaves cyclic
+# tensors slow, whose other eigenvalues sit on the radius's circle (a
+# weighted 6-cycle takes 216 steps at s/8 and 615 at s/32).
+_SHIFT = 0.125
 
-    The shift keeps every iterate strictly positive and guarantees the
-    bounds close for weakly irreducible input; it is undone exactly when
-    reporting.
+
+def _largest_row_sum(tensor: Tensor) -> float:
+    """The scale the radius is computed in: the largest row sum, which bounds it from above."""
+    view = tensor.coo
+    return float(np.bincount(view.idx[:, 0], view.vals, minlength=tensor.dim).max())
+
+
+def _power_step(tensor: Tensor, scale: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The iteration's map x -> (A/scale) x^(m-1) + _SHIFT * x^[m-1], for positive x.
+
+    Each term is multiplied left to right and each row summed by
+    ``np.bincount`` in plain float64: every term is nonnegative, so the
+    sum is accurate to a few ulps, and the bracket does not need
+    ``apply``'s exact ``fsum``. The index arrays are built once here.
     """
-    m, n = tensor.order, tensor.dim
-    shift = {(i,) * m: tensor.entries.get((i,) * m, 0.0) + 1.0 for i in range(1, n + 1)}
-    work = Tensor(m, n, itertools.chain(tensor.entries.items(), shift.items()))
+    view, n, m = tensor.coo, tensor.dim, tensor.order
+    rows, feet = view.idx[:, 0].copy(), np.ascontiguousarray(view.idx.T[1:])
+    vals = view.vals / scale
 
-    x = np.ones(n)
-    lower = upper = None
+    def step(x: np.ndarray) -> np.ndarray:
+        terms = vals
+        for foot in feet:
+            terms = terms * x[foot]
+        return np.bincount(rows, terms, minlength=n) + _SHIFT * x ** (m - 1)
+
+    return step
+
+
+def _power_iteration(tensor: Tensor, tol: float, max_iter: int) -> SpectralResult:
+    """Ng-Qi-Zhou bracketing of the radius of the tensor divided by its largest row sum s.
+
+    The shift keeps every iterate strictly positive and makes the bounds
+    close for weakly irreducible input. The stop is relative to s; the
+    radius, its bounds and the residual are reported in the input's scale,
+    and the residual comes from the exact ``apply``.
+    """
+    m = tensor.order
+    scale = _largest_row_sum(tensor)
+    step = _power_step(tensor, scale)
+    x = np.ones(tensor.dim)
     for it in range(1, max_iter + 1):
-        y = apply(work, x)
+        y = step(x)
         ratios = y / x ** (m - 1)
         lower = float(ratios.min())
         upper = float(ratios.max())
         if upper - lower <= tol:
-            rho = upper - 1.0
+            rho = (upper - _SHIFT) * scale
             residual = float(np.max(np.abs(apply(tensor, x) - rho * x ** (m - 1))))
             return SpectralResult(rho, x, it, residual)
         x = y ** (1.0 / (m - 1))
         x = x / x.max()
     raise NoConvergence(
-        f"bounds still {upper - lower:.3e} apart after {max_iter} iterations",
-        lower=lower - 1.0, upper=upper - 1.0, iterations=max_iter)
+        f"bounds still {(upper - lower) * scale:.3e} apart after {max_iter} iterations",
+        lower=(lower - _SHIFT) * scale, upper=(upper - _SHIFT) * scale, iterations=max_iter)
 
 
 def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000) -> SpectralResult:
@@ -255,6 +290,11 @@ def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000) -
     all-ones vector. Anything else is decomposed through the second-type
     normal form and the radius is the maximum over diagonal blocks; the
     reported residual belongs to the winning block.
+
+    ``tol`` is relative: the iteration stops once its bounds on the radius
+    lie within ``tol`` times the largest row sum of the tensor it runs on
+    (the whole tensor, or one diagonal block), so ``rho(c * A)`` is
+    ``c * rho(A)`` to that accuracy for every ``c > 0``.
     """
     if tensor.order < 2:
         raise OrderTooSmall("spectral radius needs order >= 2")

@@ -232,6 +232,16 @@ def loop_majorization_matrix(tensor: Tensor) -> np.ndarray:
     return out
 
 
+def loop_representation_matrix(tensor: Tensor) -> np.ndarray:
+    """G[i, j] += |a| once per distinct trailing index j, entry by entry in dict order."""
+    n = tensor.dim
+    out = np.zeros((n, n))
+    for idx, v in tensor.entries.items():
+        for j in set(idx[1:]):
+            out[idx[0] - 1, j - 1] += abs(v)
+    return out
+
+
 def brute_strong_sets(tensor: Tensor) -> list[frozenset[int]]:
     """All strongly reducing proper nonempty subsets, by definition."""
     n = tensor.dim

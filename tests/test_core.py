@@ -78,6 +78,24 @@ class TestConstruction:
             with pytest.raises(ValueError, match=rf"^entry \(2, 1, 1\) is not finite: {value!r}$"):
                 build()
 
+    @pytest.mark.parametrize("entries, error, message", [
+        ({(1, 5): 1.0, (2, 2): 1.0}, IndexOutOfRange, r"index \(1, 5\) has a component outside"),
+        ({(2, 2): 1.0, (0, 1): 1.0}, IndexOutOfRange, r"index \(0, 1\) has a component outside"),
+        ({(1, 2, 1): 1.0}, BadArity, r"index \(1, 2, 1\) has 3 components, expected 2"),
+        ({(1, 1): 1.0, (2,): 1.0}, BadArity, r"index \(2,\) has 1 components, expected 2"),
+        ({(1, 1): math.nan, (2, 2): 1.0}, ValueError, r"entry \(1, 1\) is not finite: nan"),
+        ({(2, 2): 1.0, (1, 2): -math.inf}, ValueError, r"entry \(1, 2\) is not finite: -inf"),
+    ])
+    def test_constructor_entries_checked_by_the_view(self, entries, error, message):
+        # Tensor(...) stores what it is given; every kernel reads the view, which refuses it
+        t = tb.Tensor(2, 2, entries)
+        readers = [lambda: t.coo, lambda: tb.apply(t, [1.0, 1.0]),
+                   lambda: tb.spectral_radius(t), lambda: tb.representation_matrix(t),
+                   lambda: tb.is_blocked(t, tb.Partition((1, 1)), tb.BlockKind.UTB1)]
+        for read in readers:
+            with pytest.raises(error, match=message):
+                read()
+
     def test_unit_tensor(self):
         u = tb.unit_tensor(3, 2)
         assert dict(u.entries) == {(1, 1, 1): 1.0, (2, 2, 2): 1.0}

@@ -3,10 +3,12 @@
 ``apply``, ``general_product``, the probe's Jacobian, the allowed block
 ends and the structural operations (principal subtensors, permutations,
 diagonal blocks, ``is_blocked``, the reducibility tests, the diagonal
-predicates, the majorization matrix) all read ``Tensor.coo``; each must
-reproduce the loop reference in ``_gen`` exactly, not just to a
-tolerance. Also pinned: the view a structural operation hands on to its
-result, the read-only ``entries`` mapping and pickling.
+predicates, the majorization and representation matrices) all read
+``Tensor.coo``; each must reproduce the loop reference in ``_gen``
+exactly, not just to a tolerance. The power iteration's step is the one
+kernel that sums in plain float64, and it is held to a relative 1e-13.
+Also pinned: the view a structural operation hands on to its result, the
+read-only ``entries`` mapping and pickling.
 """
 import copy
 import itertools
@@ -23,7 +25,7 @@ from triblock import product as product_module
 from triblock.blocked import _block_ends, _forbidden
 from triblock.core import Coo
 from triblock.errors import NegativeEntry
-from triblock.spectra import _is_diagonal, _oracle_jacobian
+from triblock.spectra import _SHIFT, _is_diagonal, _largest_row_sum, _oracle_jacobian, _power_step
 from triblock.structure import _pattern
 
 from _gen import (
@@ -42,6 +44,7 @@ from _gen import (
     loop_principal_subtensor,
     loop_product,
     loop_reduces,
+    loop_representation_matrix,
     loop_row_diagonal_from_matrix,
     loop_z_split,
     rand_blocked,
@@ -106,6 +109,19 @@ class TestApply:
         t = tb.Tensor(3, 4, {})
         assert same_bits(tb.apply(t, [1.0] * 4), np.zeros(4))
         assert same_bits(tb.apply(t, [1j] * 4), np.zeros(4, dtype=complex))
+
+
+class TestPowerStep:
+    def test_matches_loop_apply_plus_shift(self):
+        # nonnegative terms: float64 sums agree with fsum to a few ulps per component
+        for rng, integral, density in ensemble(415, 60):
+            order, dim = rng.randint(2, 4), rng.randint(1, 6)
+            t = tb.Tensor(order, dim, {idx: abs(v) for idx, v in
+                                       rand_entries(rng, order, dim, density, integral).items()})
+            x = np.abs(rand_vector(rng, dim, "real"))
+            scale = _largest_row_sum(t) or 1.0
+            want = loop_apply(t, x) / scale + _SHIFT * x ** (order - 1)
+            np.testing.assert_allclose(_power_step(t, scale)(x), want, rtol=1e-13, atol=0)
 
 
 class TestGeneralProduct:
@@ -272,6 +288,13 @@ class TestStructuralOps:
             assert tb.strongly_reduces(t, members) is loop_reduces(t, members, weak=False)
             assert tb.weakly_reduces(t, members) is loop_reduces(t, members, weak=True)
             assert _pattern(t) == loop_pattern(t)
+
+    def test_representation_matrix(self):
+        # non-integral values in shuffled dict order: a cell's sum shows its order
+        for rng, integral, density in ensemble(416, 60):
+            order, dim = rng.randint(2, 4), rng.randint(1, 6)
+            t = rand_tensor(rng, order, dim, density, integral)
+            assert same_bits(tb.representation_matrix(t), loop_representation_matrix(t))
 
     def test_diagonal_predicates_and_majorization(self):
         for rng, t in structured(414, 60):

@@ -127,6 +127,27 @@ class TestMTensorClassification:
             tb.is_m_tensor(ones())
 
 
+class TestMarginScale:
+    @pytest.mark.parametrize("ratio", [1.25, 0.8])
+    def test_report_does_not_depend_on_scale(self, ratio):
+        # Z = s * unit - b with s = ratio * rho(b): the margin is read relative to b's scale
+        rng = random.Random(31)
+        for _ in range(4):
+            n = rng.randint(2, 5)
+            b = {idx: rng.uniform(0.1, 1.0)
+                 for idx in itertools.product(range(1, n + 1), repeat=3)
+                 if len(set(idx)) > 1 and rng.random() < 0.5}
+            b.update({(i, i % n + 1, i % n + 1): 1.0 for i in range(1, n + 1)})  # irreducible
+            s = ratio * tb.spectral_radius(tb.Tensor(3, n, b)).rho
+            z = {idx: -v for idx, v in b.items()}
+            z.update({(i,) * 3: s for i in range(1, n + 1)})
+            for c in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+                got = tb.m_tensor_report(tb.Tensor(3, n, {idx: c * v for idx, v in z.items()}))
+                assert got["z"] and got["m"] is got["nonsingular_m"] is (ratio > 1)
+                assert got["s"] == c * s
+                assert got["rho"] == pytest.approx(c * s / ratio, rel=1e-9)
+
+
 class TestIsPositiveTensor:
     def test_inverse_of_m_matrix_tensor(self):
         inv = tb.left_k_inverse(row_diag([[2, -1], [-1, 2]]), 3)

@@ -1,5 +1,6 @@
 """Closed-form determinants, factored spectra, the power-iteration radius,
 and the complex singularity probe."""
+import itertools
 import math
 import random
 
@@ -21,7 +22,14 @@ from triblock.errors import (
     ThirdTypeUnsupported,
 )
 
-from _gen import brute_finest_refinement, rand_blocked, rand_irreducible_nonneg, rand_tensor
+from _gen import (
+    brute_finest_refinement,
+    rand_blocked,
+    rand_irreducible_nonneg,
+    rand_permutation,
+    rand_tensor,
+)
+from triblock import core, spectra
 from triblock.spectra import _finest_refinement
 
 UTB1 = BlockKind.UTB1
@@ -350,6 +358,86 @@ class TestSpectralRadius:
             tb.spectral_radius(a, max_iter=1)
         assert err.value.iterations == 1
         assert err.value.lower <= math.sqrt(3.0) <= err.value.upper
+
+
+CYCLE_WEIGHTS = (1, 2, 3, 1, 5, 2)
+CYCLE_RHO = 60 ** (1 / 6)  # a[i, i+1, i+1] = w_i: rho^6 is the product of the weights
+SCALES = (1e-12, 1e-9, 1e-6, 1e-3, 0.37, 1e3, 1e6, 1e9, 1e12)
+
+
+def cycle6(scale):
+    """The order-3 weighted 6-cycle, scaled."""
+    return tb.Tensor(3, 6, {(i, i % 6 + 1, i % 6 + 1): scale * w
+                            for i, w in enumerate(CYCLE_WEIGHTS, start=1)})
+
+
+def scaled(t, c):
+    return tb.Tensor(t.order, t.dim, {idx: c * v for idx, v in t.entries.items()})
+
+
+def nonneg_ensemble(seed, trials):
+    """Nonnegative tensors of orders 2-4 and dims 2-8: odd trials carry a cycle through
+    every index, so they are weakly irreducible; even ones are first-kind blocked."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        m = rng.randint(2, 4)
+        n = rng.randint(2, 8 if m < 4 else 5)
+        if trial % 2:
+            entries = {(i,) + (i % n + 1,) * (m - 1): rng.uniform(0.5, 2.0)
+                       for i in range(1, n + 1)}
+            for idx in itertools.product(range(1, n + 1), repeat=m):
+                if rng.random() < 0.2:
+                    entries[idx] = entries.get(idx, 0.0) + rng.uniform(0.1, 1.5)
+            yield tb.Tensor(m, n, entries)
+        else:
+            cut = rng.randint(1, n - 1)
+            yield rand_blocked(rng, (cut, n - cut), UTB1, m, density=0.4,
+                               values=[0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+
+
+class TestRadiusLaws:
+    def test_scale_law(self):
+        kinds = set()
+        for t in nonneg_ensemble(27, 30):
+            kinds.add(tb.is_weakly_irreducible(t))
+            base = tb.spectral_radius(t).rho
+            for c in SCALES:
+                assert tb.spectral_radius(scaled(t, c)).rho == pytest.approx(c * base, rel=1e-9)
+        assert kinds == {True, False}
+
+    def test_permutation_law(self):
+        rng = random.Random(28)
+        for t in nonneg_ensemble(29, 30):
+            sigma = rand_permutation(rng, t.dim)
+            assert tb.spectral_radius(tb.permute_similar(t, sigma)).rho == tb.spectral_radius(t).rho
+
+    @pytest.mark.parametrize("scale", (1.0,) + SCALES)
+    def test_weighted_six_cycle(self, scale):
+        assert tb.spectral_radius(cycle6(scale)).rho == pytest.approx(scale * CYCLE_RHO, rel=1e-9)
+
+    def test_no_convergence_bounds_in_input_scale(self):
+        reference = None
+        for c in (1.0, 1e-9, 1e9):
+            with pytest.raises(NoConvergence) as err:
+                tb.spectral_radius(cycle6(c), max_iter=5)
+            lower, upper = err.value.lower, err.value.upper
+            assert lower <= c * CYCLE_RHO <= upper
+            reference = reference or (lower, upper)
+            assert (lower / c, upper / c) == pytest.approx(reference, rel=1e-12)
+
+    def test_one_exact_apply_for_the_residual(self, monkeypatch):
+        calls = []
+
+        def counted(tensor, x):
+            calls.append(tensor)
+            return core.apply(tensor, x)
+
+        monkeypatch.setattr(spectra, "apply", counted)
+        t = cycle6(1e3)
+        res = tb.spectral_radius(t)
+        assert res.iterations > 100 and calls == [t]
+        want = np.max(np.abs(core.apply(t, res.eigvec) - res.rho * res.eigvec ** 2))
+        assert res.residual == want
 
 
 class TestSingularityOracle:
