@@ -76,16 +76,19 @@ class Tensor:
 
         Every kernel indexes through this view, so building it checks what
         ``new_tensor`` checks of entries given to the constructor: each
-        index has ``order`` components in ``[1, dim]`` (else ``BadArity``
-        or ``IndexOutOfRange``) and each value is finite (else
+        index has ``order`` integer components in ``[1, dim]`` (else
+        ``BadArity`` or ``IndexOutOfRange``) and each value is finite (else
         ``ValueError``), naming the first offender in dict order.
         """
         m, nnz, keys = self.order, len(self.entries), self.entries.keys()
         if nnz and set(map(len, keys)) != {m}:
             key = next(key for key in keys if len(key) != m)
             raise BadArity(f"index {key} has {len(key)} components, expected {m}")
-        flat = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64, count=nnz * m)
-        idx = flat.reshape(nnz, m)
+        flat = list(itertools.chain.from_iterable(keys))
+        if not all(map(_integer_type, set(map(type, flat)))):
+            key, i = next((key, i) for key in keys for i in key if not _integer_type(type(i)))
+            raise BadArity(f"index {key} has a component that is not an integer: {i!r}")
+        idx = np.fromiter(flat, dtype=np.int64, count=nnz * m).reshape(nnz, m)
         idx -= 1
         if nnz and (idx.min() < 0 or idx.max() >= self.dim):
             k = np.flatnonzero(((idx < 0) | (idx >= self.dim)).any(axis=1))[0]
@@ -203,12 +206,17 @@ class Permutation:
         return Permutation(tuple(self(other(i)) for i in range(1, self.dim + 1)))
 
 
+def _integer_type(kind: type) -> bool:
+    """Whether values of this type are index components: Python or NumPy integers, not bools."""
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
 def _validated_index(index: Sequence[int], order: int, dim: int) -> Index:
     idx = tuple(index)
     if len(idx) != order:
         raise BadArity(f"index {idx} has {len(idx)} components, expected {order}")
     for i in idx:
-        if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+        if not _integer_type(type(i)):
             raise BadArity(f"index component {i!r} is not an integer")
         if not 1 <= i <= dim:
             raise IndexOutOfRange(f"index component {i} outside [1, {dim}]")

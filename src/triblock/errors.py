@@ -82,6 +82,19 @@ class NoConvergence(TriblockError):
         self.iterations = iterations
 
 
+class DeterminantOutOfRange(TriblockError):
+    """A nonzero determinant is too large or too small for a double.
+
+    Carries its ``sign`` (1 or -1) and ``log_abs``, the natural log of its
+    absolute value, which do fit.
+    """
+
+    def __init__(self, message: str, sign: int | None = None, log_abs: float | None = None):
+        super().__init__(message)
+        self.sign = sign
+        self.log_abs = log_abs
+
+
 class SingularMatrix(TriblockError):
     """Matrix inversion hit a zero (or below-threshold) pivot."""
 

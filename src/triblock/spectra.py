@@ -9,6 +9,7 @@ factors as
 
 and the characteristic polynomial factors the same way, so spectra come
 back as (block eigenvalue, exponent) pairs rather than flat multisets.
+Both read one walk of the recursion, whose leaves are those pairs.
 Third-type structure is excluded: it genuinely does not satisfy the
 formula, and asking for it is an error rather than a wrong number.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,6 +27,7 @@ from .core import Tensor, _complex_terms, _equal_from, apply
 from .errors import (
     BlockDetUnavailable,
     BlockSpectrumUnavailable,
+    DeterminantOutOfRange,
     DimensionMismatch,
     DimensionTooLarge,
     NegativeEntry,
@@ -42,6 +45,9 @@ _ORACLE_GUARD = 6
 _SUPPORTED = (BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2, BlockKind.DIAG)
 # preference order when hunting refinements of a diagonal block
 _REFINE_ORDER = (BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2)
+_UNAVAILABLE = {BlockDetUnavailable: "admits no supported refinement",
+                BlockSpectrumUnavailable: "cannot be reduced to dimension 1"}
+_LOG_RANGE = (-745.2, 709.8)  # log|det| between these is a nonzero double
 
 
 def _is_diagonal(tensor: Tensor) -> bool:
@@ -50,9 +56,7 @@ def _is_diagonal(tensor: Tensor) -> bool:
 
 def _exact_pow(base: float, exponent: int):
     """Integer bases go through arbitrary-precision integer power."""
-    if float(base).is_integer():
-        return int(base) ** exponent
-    return base ** exponent
+    return int(base) ** exponent if float(base).is_integer() else base ** exponent
 
 
 def det_dim1(tensor: Tensor) -> float:
@@ -63,16 +67,12 @@ def det_dim1(tensor: Tensor) -> float:
 
 
 def det_diagonal(tensor: Tensor) -> float:
-    """prod d_i ** (m-1)^(n-1) for a diagonal tensor.
-
-    Integer diagonals are multiplied out in exact integer arithmetic
-    before the final float conversion.
-    """
+    """prod d_i ** (m-1)^(n-1) for a diagonal tensor, as ``det_blocked`` computes it."""
     if tensor.order < 2:
         raise OrderTooSmall("determinants need order >= 2")
     if not _is_diagonal(tensor):
         raise NotDiagonal("tensor has an off-diagonal entry")
-    return float(_block_det(tensor))
+    return _det(_leaves(tensor, Partition((tensor.dim,)), BlockDetUnavailable))
 
 
 def _finest_refinement(tensor: Tensor) -> Optional[tuple[Partition, BlockKind]]:
@@ -115,37 +115,58 @@ def _checked(tensor: Tensor, partition: Partition, kind: BlockKind) -> None:
         raise NotBlocked(f"tensor is not {partition}-{kind.token} blocked")
 
 
-def _block_det(block: Tensor):
-    if _is_diagonal(block):
-        m, n = block.order, block.dim
-        return math.prod(_exact_pow(block.entries.get((i,) * m, 0.0), (m - 1) ** (n - 1))
-                         for i in range(1, n + 1))
-    refinement = _finest_refinement(block)
-    if refinement is None:
-        raise BlockDetUnavailable(
-            f"a dim-{block.dim} diagonal block admits no supported refinement")
-    p, kind = refinement
-    return _det_product(block, p, kind)
+def _leaves(tensor: Tensor, partition: Partition, unavailable: type):
+    """The dimension-1 leaves of the block recursion, each as (entry, exponent).
 
-
-def _det_product(tensor: Tensor, partition: Partition, kind: BlockKind):
+    A diagonal block yields its diagonal entries with exponent (m-1)^(n_i-1);
+    any other recurses into its finest refinement, or raises ``unavailable``
+    if it has none. Each level lifts the exponents by (m-1)^(dim - part).
+    """
     m, n = tensor.order, tensor.dim
-    total = 1
     for part, block in zip(partition.parts, diagonal_blocks(tensor, partition)):
-        total = total * _exact_pow(_block_det(block), (m - 1) ** (n - part))
-    return total
+        lift = (m - 1) ** (n - part)
+        if _is_diagonal(block):
+            for i in range(1, part + 1):
+                yield block.entries.get((i,) * m, 0.0), lift * (m - 1) ** (part - 1)
+            continue
+        refinement = _finest_refinement(block)
+        if refinement is None:
+            raise unavailable(f"a dim-{part} diagonal block {_UNAVAILABLE[unavailable]}")
+        for value, exponent in _leaves(block, refinement[0], unavailable):
+            yield value, lift * exponent
+
+
+def _det(leaves) -> float:
+    """The product of the leaves' powers, with integral entries multiplied exactly.
+
+    0.0 if a leaf is zero; else a nonzero finite double or DeterminantOutOfRange.
+    """
+    leaves = list(leaves)
+    if any(value == 0 for value, _ in leaves):
+        return 0.0
+    sign = -1 if sum(e for value, e in leaves if value < 0) % 2 else 1
+    log_abs = math.fsum(e * math.log(abs(value)) for value, e in leaves)
+    # a partial product can leave the range log|det| lies in: then round the exact one
+    in_range = _LOG_RANGE[0] < log_abs < _LOG_RANGE[1]
+    for power in (_exact_pow, lambda v, e: Fraction(v) ** e)[:1 + in_range]:
+        try:
+            det = float(math.prod(power(v, e) for v, e in leaves))
+        except OverflowError:
+            continue
+        if 0 < abs(det) < math.inf:
+            return det
+    raise DeterminantOutOfRange(f"the determinant, {'-' if sign < 0 else ''}exp({log_abs!r}), "
+                                "is out of the double range", sign=sign, log_abs=log_abs)
 
 
 def det_blocked(tensor: Tensor, partition: Partition, kind: BlockKind) -> float:
-    """Determinant through the block formula.
+    """Determinant through the block formula, from the leaves of its recursion.
 
-    Each diagonal block must be dimension-1, diagonal, or recursively
-    blocked under some supported kind; otherwise BlockDetUnavailable.
-    Third-type input raises ThirdTypeUnsupported because the formula is
-    provably false there.
+    A block with no supported refinement raises BlockDetUnavailable, third-type
+    input ThirdTypeUnsupported, and a determinant no double holds DeterminantOutOfRange.
     """
     _checked(tensor, partition, kind)
-    return float(_det_product(tensor, partition, kind))
+    return _det(_leaves(tensor, partition, BlockDetUnavailable))
 
 
 @dataclass(frozen=True)
@@ -172,32 +193,11 @@ class SpectrumFactored:
 
 
 def spectrum_blocked(tensor: Tensor, partition: Partition, kind: BlockKind) -> SpectrumFactored:
-    """Factored spectrum over a supported block structure.
-
-    Recursion must bottom out in dimension-1 blocks (single eigenvalue
-    each); exponents pick up (m-1)^(dim - part) at every level, which
-    telescopes to (m-1)^(n-1) for each surviving entry.
-    """
+    """Factored spectrum over a supported block structure: one item per leaf of the recursion."""
     _checked(tensor, partition, kind)
-    m, n = tensor.order, tensor.dim
-    items: list[SpectrumItem] = []
-
-    def collect(block: Tensor, lifted: int) -> None:
-        if block.dim == 1:
-            items.append(SpectrumItem((det_dim1(block),), lifted))
-            return
-        refinement = _finest_refinement(block)
-        if refinement is None:
-            raise BlockSpectrumUnavailable(
-                f"a dim-{block.dim} diagonal block cannot be reduced to dimension 1")
-        p, _ = refinement
-        for part, sub in zip(p.parts, diagonal_blocks(block, p)):
-            collect(sub, lifted * (m - 1) ** (block.dim - part))
-
-    for part, block in zip(partition.parts, diagonal_blocks(tensor, partition)):
-        collect(block, (m - 1) ** (n - part))
-
-    degree = n * (m - 1) ** (n - 1)
+    items = [SpectrumItem((value,), exponent)
+             for value, exponent in _leaves(tensor, partition, BlockSpectrumUnavailable)]
+    degree = tensor.dim * (tensor.order - 1) ** (tensor.dim - 1)
     if sum(len(it.eigenvalues) * it.exponent for it in items) != degree:
         raise AssertionError("spectrum bookkeeping lost degrees")
     return SpectrumFactored(tuple(items), degree)
@@ -306,12 +306,11 @@ def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000) -
         idx, v = next((idx, v) for idx, v in tensor.entries.items() if v < 0)
         raise NegativeEntry(f"entry {idx} is negative: {v}")
 
-    n, m = tensor.dim, tensor.order
+    n = tensor.dim
     if tensor.is_zero():
         return SpectralResult(0.0, np.ones(n), 0, 0.0)
     if n == 1:
-        value = tensor.entries.get((1,) * m, 0.0)
-        return SpectralResult(value, np.ones(1), 0, 0.0)
+        return SpectralResult(det_dim1(tensor), np.ones(1), 0, 0.0)
     if is_weakly_irreducible(tensor):
         return _power_iteration(tensor, tol, max_iter)
 

@@ -7,10 +7,11 @@ directory) and prints one ``area sha256`` line per area. Two source
 trees that print the same lines give the same outputs on a fixed seeded
 ensemble of tensors whose dict order is shuffled against row order:
 entries bit for bit (as a mapping) with their coordinate views, answers,
-error classes, and CLI stdout on ``fixtures/`` byte for byte. It reads
-only names that have long been part of the package, so it runs unchanged
-against an older ``src/`` for a before/after comparison. pytest does not
-collect it (the name does not start with ``test_``).
+error classes with their messages, and CLI stdout on ``fixtures/`` byte
+for byte. It reads only names that have long been part of the package,
+so it runs unchanged against an older ``src/`` for a before/after
+comparison. pytest does not collect it (the name does not start with
+``test_``).
 
 The spectral radius has areas of its own, ``radius`` for the API and
 ``cli_radius`` for the ``rho``, ``mtensor`` and ``hypergraph-rho`` verbs,
@@ -69,7 +70,7 @@ def outcome(fn, *args) -> str:
     try:
         return canon(fn(*args))
     except TriblockError as exc:
-        return "E" + type(exc).__name__
+        return f"E{type(exc).__name__}: {exc}"
 
 
 def rand_partition(rng: random.Random, n: int) -> Partition:

@@ -125,6 +125,13 @@ class TestDet:
                             "--partition", "1,1", "--kind", "utb3")
         assert code == 1 and doc["error"] == "ThirdTypeUnsupported"
 
+    @pytest.mark.parametrize("value", [2.0, 0.5])
+    def test_out_of_range_is_an_error_document(self, capsys, tmp_path, value):
+        path = write_tensor(tmp_path, "a.json", tb.diagonal_tensor(3, [value] * 10))
+        code, doc = run_cli(capsys, "det", "--tensor", path,
+                            "--partition", "5,5", "--kind", "diag")
+        assert code == 1 and doc["error"] == "DeterminantOutOfRange"
+
 
 class TestSpectrum:
     def test_diagonal_blocks(self, capsys, tmp_path):

@@ -85,6 +85,10 @@ class TestConstruction:
         ({(1, 1): 1.0, (2,): 1.0}, BadArity, r"index \(2,\) has 1 components, expected 2"),
         ({(1, 1): math.nan, (2, 2): 1.0}, ValueError, r"entry \(1, 1\) is not finite: nan"),
         ({(2, 2): 1.0, (1, 2): -math.inf}, ValueError, r"entry \(1, 2\) is not finite: -inf"),
+        ({(1.5, 2): 1.0, (2, 2): 1.0}, BadArity,
+         r"index \(1\.5, 2\) has a component that is not an integer: 1\.5"),
+        ({(2, 2): 1.0, (True, 2): 1.0}, BadArity,
+         r"index \(True, 2\) has a component that is not an integer: True"),
     ])
     def test_constructor_entries_checked_by_the_view(self, entries, error, message):
         # Tensor(...) stores what it is given; every kernel reads the view, which refuses it

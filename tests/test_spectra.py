@@ -3,6 +3,7 @@ and the complex singularity probe."""
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from triblock import BlockKind, Partition
 from triblock.errors import (
     BlockDetUnavailable,
     BlockSpectrumUnavailable,
+    DeterminantOutOfRange,
     DimensionMismatch,
     DimensionTooLarge,
     NegativeEntry,
@@ -211,6 +213,58 @@ class TestDetBlocked:
             for di, ei in zip(d, e):
                 want *= (di * ei ** 2) ** (2 ** (n - 1))
             assert tb.det_blocked(c, p, UTB1) == float(want)
+
+    def test_non_dyadic_diagonal_rounds_once_per_leaf(self):
+        # one pow per leaf and n-1 products: a relative (n+1) 2^-52 of the exact rational value
+        rng = random.Random(23)
+        kinds = [BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2]
+        zeros = 0
+        for trial in range(120):
+            m = (2, 3, 4)[trial % 3]
+            n = rng.randint(2, 8 if m < 4 else 5)
+            kind = kinds[trial % 4]
+            diag = [rng.choice([1.1, -1.3, 0.7, -0.9, 1.7]) for _ in range(n)]
+            if trial % 10 == 0:
+                diag[rng.randrange(n)] = 0.0
+            off = rand_blocked(rng, (1,) * n, kind, m, density=0.2)
+            a = tb.new_tensor(m, n, [(idx, v) for idx, v in off.entries.items()
+                                     if len(set(idx)) > 1]
+                              + [((i,) * m, d) for i, d in enumerate(diag, 1)])
+            cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+            p = Partition(tuple(b - c for c, b in zip([0] + cuts, cuts + [n])))
+            if not tb.is_blocked(a, p, kind):
+                p = Partition((1,) * n)
+            got = tb.det_blocked(a, p, kind)
+            want = math.prod(Fraction(d) ** (m - 1) ** (n - 1) for d in diag)
+            if want == 0:
+                zeros += 1
+                assert got == 0.0 and math.copysign(1.0, got) == 1.0, trial
+            else:
+                assert abs(Fraction(got) - want) <= (n + 1) * 2.0 ** -52 * abs(want), trial
+        assert zeros == 12
+
+
+class TestDeterminantOutOfRange:
+    @pytest.mark.parametrize("order, diag, sign, log_abs", [
+        (3, [2.0] * 10, 1, 5120 * math.log(2)),
+        (3, [0.5] * 10, 1, -5120 * math.log(2)),
+        (2, [-1e300, 1e300, 1e300], -1, 3 * math.log(1e300)),
+    ])
+    def test_beyond_a_double(self, order, diag, sign, log_abs):
+        # 2^5120 overflows a double and 0.5^5120 underflows it, but neither is zero
+        a = tb.diagonal_tensor(order, diag)
+        for det in (lambda: tb.det_diagonal(a),
+                    lambda: tb.det_blocked(a, Partition((1, len(diag) - 1)), BlockKind.DIAG)):
+            with pytest.raises(DeterminantOutOfRange) as info:
+                det()
+            assert info.value.sign == sign
+            assert info.value.log_abs == pytest.approx(log_abs, rel=1e-14)
+
+    @pytest.mark.parametrize("diag", [[1e200, 1e200, 1e-300], [1e-200, 1e-200, 1e100]])
+    def test_partial_product_out_of_range(self, diag):
+        # the partial product leaves the double range but the determinant does not
+        want = float(math.prod(Fraction(d) for d in diag))
+        assert tb.det_diagonal(tb.diagonal_tensor(2, diag)) == want
 
 
 class TestSpectrumBlocked:
