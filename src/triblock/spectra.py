@@ -16,6 +16,7 @@ formula, and asking for it is an error rather than a wrong number.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -47,7 +48,10 @@ _SUPPORTED = (BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2, Bl
 _REFINE_ORDER = (BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2)
 _UNAVAILABLE = {BlockDetUnavailable: "admits no supported refinement",
                 BlockSpectrumUnavailable: "cannot be reduced to dimension 1"}
-_LOG_RANGE = (-745.2, 709.8)  # log|det| between these is a nonzero double
+_NORMAL = (sys.float_info.min, sys.float_info.max)
+_LOG_NORMAL = 708.0  # e^x is a normal double for |x| below this
+_LOG_MAX = math.log(sys.float_info.max)
+_EXACT_BITS = 1 << 20  # the exact power's budget: about 20 ms of integer arithmetic
 
 
 def _is_diagonal(tensor: Tensor) -> bool:
@@ -56,7 +60,9 @@ def _is_diagonal(tensor: Tensor) -> bool:
 
 def _exact_pow(base: float, exponent: int):
     """Integer bases go through arbitrary-precision integer power."""
-    return int(base) ** exponent if float(base).is_integer() else base ** exponent
+    if float(base).is_integer():
+        return int(base) ** exponent
+    return base ** exponent
 
 
 def det_dim1(tensor: Tensor) -> float:
@@ -125,9 +131,10 @@ def _leaves(tensor: Tensor, partition: Partition, unavailable: type):
     m, n = tensor.order, tensor.dim
     for part, block in zip(partition.parts, diagonal_blocks(tensor, partition)):
         lift = (m - 1) ** (n - part)
-        if _is_diagonal(block):
+        if block.dim == 1 or _is_diagonal(block):
+            exponent = lift * (m - 1) ** (part - 1)
             for i in range(1, part + 1):
-                yield block.entries.get((i,) * m, 0.0), lift * (m - 1) ** (part - 1)
+                yield block.entries.get((i,) * m, 0.0), exponent
             continue
         refinement = _finest_refinement(block)
         if refinement is None:
@@ -136,27 +143,70 @@ def _leaves(tensor: Tensor, partition: Partition, unavailable: type):
             yield value, lift * exponent
 
 
-def _det(leaves) -> float:
-    """The product of the leaves' powers, with integral entries multiplied exactly.
+def _log_ratio(n: int, d: int) -> float:
+    """log(n / d) for positive integers, to a few ulps also where n / d is near 1."""
+    if d < 2 * n and n < 2 * d:  # from the exact difference, so no digits cancel
+        return math.log1p((n - d) / d)
+    k = n.bit_length() - d.bit_length()  # n / d lies between 2^(k-1) and 2^(k+1)
+    return math.log((n << max(-k, 0)) / (d << max(k, 0))) + k * math.log(2)
 
-    0.0 if a leaf is zero; else a nonzero finite double or DeterminantOutOfRange.
+
+def _power_product(leaves: list) -> Optional[float]:
+    """The product of |v|^e in double precision, or None where it may be inexact.
+
+    Integral powers are exact integers, so an integral product is rounded
+    once. Only when every power and partial product is a normal double is
+    the product kept; it is then within a relative (n+1)*2^-52 of the exact
+    value. A power is not taken if it is beyond the normal doubles or its
+    exponent beyond the exact ones.
+    """
+    det = 1
+    for value, exponent in leaves:
+        if exponent > 2 ** 53 or abs(exponent * math.log(abs(value))) >= _LOG_NORMAL:
+            return None
+        det *= _exact_pow(abs(value), exponent)
+        if not _NORMAL[0] <= det <= _NORMAL[1]:
+            return None
+    return float(det)
+
+
+def _det(leaves) -> float:
+    """The product of the leaves' powers: 0.0 if a leaf is zero, else a nonzero double.
+
+    Every leaf of a walk has the exponent e = (m-1)^(n-1), so the
+    determinant is P^e for the exact product P of the entries. It is the
+    double-precision product of the powers where that is accurate; else
+    P^e rounded once if that has at most _EXACT_BITS bits; else
+    exp(e * log|P|), within a relative 2^-52 * |log|det|| or so. A
+    determinant no double holds raises DeterminantOutOfRange.
     """
     leaves = list(leaves)
     if any(value == 0 for value, _ in leaves):
         return 0.0
-    sign = -1 if sum(e for value, e in leaves if value < 0) % 2 else 1
-    log_abs = math.fsum(e * math.log(abs(value)) for value, e in leaves)
-    # a partial product can leave the range log|det| lies in: then round the exact one
-    in_range = _LOG_RANGE[0] < log_abs < _LOG_RANGE[1]
-    for power in (_exact_pow, lambda v, e: Fraction(v) ** e)[:1 + in_range]:
+    (exponent,) = {e for _, e in leaves}  # one exponent, (m-1)^(n-1)
+    sign = -1 if exponent % 2 and sum(value < 0 for value, _ in leaves) % 2 else 1
+    det = _power_product(leaves)
+    if det is not None:
+        return sign * det
+    product = abs(math.prod(Fraction(value) for value, _ in leaves))
+    n, d = product.numerator, product.denominator
+    log_p = _log_ratio(n, d)
+    try:
+        log_abs = exponent * log_p if log_p else 0.0
+    except OverflowError:  # the exponent is beyond a double
+        log_abs = math.copysign(math.inf, log_p)
+    if exponent * (n.bit_length() + d.bit_length() - 2) <= _EXACT_BITS:
         try:
-            det = float(math.prod(power(v, e) for v, e in leaves))
+            det = float(product ** exponent)  # rounded once
         except OverflowError:
-            continue
-        if 0 < abs(det) < math.inf:
-            return det
-    raise DeterminantOutOfRange(f"the determinant, {'-' if sign < 0 else ''}exp({log_abs!r}), "
-                                "is out of the double range", sign=sign, log_abs=log_abs)
+            det = math.inf
+    else:
+        det = math.exp(log_abs) if log_abs < _LOG_MAX else math.inf
+    if not 0 < det < math.inf:
+        raise DeterminantOutOfRange(
+            f"the determinant, {'-' if sign < 0 else ''}exp({log_abs!r}), "
+            "is out of the double range", sign=sign, log_abs=log_abs)
+    return sign * det
 
 
 def det_blocked(tensor: Tensor, partition: Partition, kind: BlockKind) -> float:

@@ -3,6 +3,7 @@ and the complex singularity probe."""
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -249,9 +250,11 @@ class TestDeterminantOutOfRange:
         (3, [2.0] * 10, 1, 5120 * math.log(2)),
         (3, [0.5] * 10, 1, -5120 * math.log(2)),
         (2, [-1e300, 1e300, 1e300], -1, 3 * math.log(1e300)),
+        (3, [2.0] + [1.0] * 1024, 1, math.inf),
     ])
     def test_beyond_a_double(self, order, diag, sign, log_abs):
-        # 2^5120 overflows a double and 0.5^5120 underflows it, but neither is zero
+        # 2^5120 overflows a double and 0.5^5120 underflows it, but neither is zero;
+        # 2^(2^1024) is beyond a double even in its log
         a = tb.diagonal_tensor(order, diag)
         for det in (lambda: tb.det_diagonal(a),
                     lambda: tb.det_blocked(a, Partition((1, len(diag) - 1)), BlockKind.DIAG)):
@@ -260,11 +263,27 @@ class TestDeterminantOutOfRange:
             assert info.value.sign == sign
             assert info.value.log_abs == pytest.approx(log_abs, rel=1e-14)
 
-    @pytest.mark.parametrize("diag", [[1e200, 1e200, 1e-300], [1e-200, 1e-200, 1e100]])
-    def test_partial_product_out_of_range(self, diag):
-        # the partial product leaves the double range but the determinant does not
-        want = float(math.prod(Fraction(d) for d in diag))
-        assert tb.det_diagonal(tb.diagonal_tensor(2, diag)) == want
+    @pytest.mark.parametrize("order, diag", [
+        (2, [1e200, 1e200, 1e-300]),
+        (2, [1e-200, 1e-200, 1e100]),
+        (2, [1e-160, 1e-160, 1e300]),  # a subnormal partial product
+        (3, [1.0] * 1025),  # exponent 2^1024
+        (3, [-1.0, 2.0, 0.5] + [1.0] * 1022),
+    ])
+    def test_in_range_past_the_double_product(self, order, diag):
+        # a power or partial product leaves the normal doubles but the determinant does not;
+        # every leaf has the exponent (m-1)^(n-1), so the determinant is the diagonal's product to it
+        want = float(math.prod(Fraction(d) for d in diag) ** (order - 1) ** (len(diag) - 1))
+        assert tb.det_diagonal(tb.diagonal_tensor(order, diag)) == want
+
+    def test_exact_product_is_bounded(self):
+        # the exact product would have about 10^9 bits; exp(log|det|) answers at once
+        diag = [1.001] * 10 + [1 / 1.001] * 10
+        start = time.perf_counter()
+        got = tb.det_diagonal(tb.diagonal_tensor(3, diag))
+        assert time.perf_counter() - start < 2.0
+        base = math.prod(Fraction(d) for d in diag)
+        assert got == pytest.approx(math.exp(2 ** 19 * math.log1p(base - 1)), rel=1e-10)
 
 
 class TestSpectrumBlocked:
