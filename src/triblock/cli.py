@@ -53,8 +53,7 @@ def _read_tensor(path: str) -> Tensor:
     return tensorio.loads_tensor(Path(path).read_text())
 
 
-def _emit(doc, out_path: str | None = None) -> None:
-    text = tensorio.dumps(doc)
+def _emit(text: str, out_path: str | None = None) -> None:
     if out_path:
         Path(out_path).write_text(text + "\n")
     print(text)
@@ -152,64 +151,64 @@ def _dispatch(args: argparse.Namespace) -> None:
     if cmd == "classify":
         tensor = _read_tensor(args.tensor)
         ok = is_blocked(tensor, args.partition, BlockKind.from_token(args.kind))
-        _emit({"result": ok})
+        _emit(tensorio.dumps({"result": ok}))
     elif cmd == "blocks":
         tensor = _read_tensor(args.tensor)
         blocks = diagonal_blocks(tensor, args.partition)
-        _emit({"blocks": [tensorio.tensor_to_obj(b) for b in blocks]})
+        _emit(tensorio.dumps_blocks(blocks))
     elif cmd == "product":
         result = general_product(_read_tensor(args.left), _read_tensor(args.right))
-        _emit(tensorio.tensor_to_obj(result), args.output)
+        _emit(tensorio.dumps_tensor(result), args.output)
     elif cmd == "det":
         tensor = _read_tensor(args.tensor)
         value = det_blocked(tensor, args.partition, BlockKind.from_token(args.kind))
-        _emit({"det": value})
+        _emit(tensorio.dumps({"det": value}))
     elif cmd == "spectrum":
         tensor = _read_tensor(args.tensor)
         spec = spectrum_blocked(tensor, args.partition, BlockKind.from_token(args.kind))
-        _emit(tensorio.spectrum_to_obj(spec))
+        _emit(tensorio.dumps(tensorio.spectrum_to_obj(spec)))
     elif cmd == "rho":
         result = spectral_radius(_read_tensor(args.tensor), tol=args.tol,
                                  max_iter=args.max_iter)
-        _emit({
+        _emit(tensorio.dumps({
             "rho": result.rho,
             "iterations": result.iterations,
             "residual": result.residual,
             "eigvec": None if result.eigvec is None else [float(v) for v in result.eigvec],
-        })
+        }))
     elif cmd == "oracle":
         report = singularity_oracle(_read_tensor(args.tensor), restarts=args.restarts,
                                     iters=args.iters, seed=args.seed)
-        _emit({
+        _emit(tensorio.dumps({
             "min_norm": report.min_norm,
             "witness": {"re": [float(v.real) for v in report.witness],
                         "im": [float(v.imag) for v in report.witness]},
             "restarts_used": report.restarts_used,
-        })
+        }))
     elif cmd == "left-inverse":
         result = left_k_inverse(_read_tensor(args.tensor), args.k)
-        _emit(tensorio.tensor_to_obj(result), args.output)
+        _emit(tensorio.dumps_tensor(result), args.output)
     elif cmd == "right-inverse":
         result = right_k_inverse(_read_tensor(args.tensor), args.k)
-        _emit(tensorio.tensor_to_obj(result), args.output)
+        _emit(tensorio.dumps_tensor(result), args.output)
     elif cmd == "verify":
         side = "left" if args.left else "right"
         ok = verify_inverse(_read_tensor(args.candidate), _read_tensor(args.tensor),
                             side, tol=args.tol)
-        _emit({"result": ok})
+        _emit(tensorio.dumps({"result": ok}))
     elif cmd == "mtensor":
-        _emit(m_tensor_report(_read_tensor(args.tensor), tol=args.tol))
+        _emit(tensorio.dumps(m_tensor_report(_read_tensor(args.tensor), tol=args.tol)))
     elif cmd == "normal-form":
         tensor = _read_tensor(args.tensor)
         nf = normal_form_3rd(tensor) if args.form_type == "3rd" else normal_form_2nd(tensor)
-        _emit(tensorio.normal_form_to_obj(nf), args.output)
+        _emit(tensorio.dumps_normal_form(nf), args.output)
     elif cmd == "first-type-normal":
         witness = exists_first_type_normal_form(_read_tensor(args.tensor))
         if witness is None:
-            _emit("none")
+            _emit(tensorio.dumps("none"))
         else:
             sigma, partition = witness
-            _emit({"sigma": list(sigma.image), "partition": list(partition.parts)})
+            _emit(tensorio.dumps({"sigma": list(sigma.image), "partition": list(partition.parts)}))
     elif cmd == "hypergraph-rho":
         graph = tensorio.hypergraph_from_obj(
             tensorio.loads(Path(args.edges).read_text()))
@@ -217,7 +216,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         per_component = [spectral_radius(principal_subtensor(adjacency, component),
                                          tol=args.tol, max_iter=args.max_iter).rho
                          for component in connected_components(graph)]
-        _emit({"rho": max(per_component), "component_rhos": per_component})
+        _emit(tensorio.dumps({"rho": max(per_component), "component_rhos": per_component}))
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(f"unhandled command {cmd!r}")
 

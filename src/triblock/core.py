@@ -16,8 +16,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .errors import (
 Index = tuple[int, ...]
 
 _DENSE_GUARD = 20_000_000  # refuse to densify anything bigger than this
+_INT64_MAX = np.iinfo(np.int64).max  # an index component past it is out of range
 
 
 class Coo(NamedTuple):
@@ -74,28 +76,12 @@ class Tensor:
     def coo(self) -> Coo:
         """Coordinate arrays of the entries, built on first use and kept.
 
-        Every kernel indexes through this view, so building it checks what
-        ``new_tensor`` checks of entries given to the constructor: each
-        index has ``order`` integer components in ``[1, dim]`` (else
-        ``BadArity`` or ``IndexOutOfRange``) and each value is finite (else
-        ``ValueError``), naming the first offender in dict order.
+        Every kernel indexes through this view, so building it checks the
+        entries as ``new_tensor`` does, naming the whole index where a
+        component is at fault.
         """
-        m, nnz, keys = self.order, len(self.entries), self.entries.keys()
-        if nnz and set(map(len, keys)) != {m}:
-            key = next(key for key in keys if len(key) != m)
-            raise BadArity(f"index {key} has {len(key)} components, expected {m}")
-        flat = list(itertools.chain.from_iterable(keys))
-        if not all(map(_integer_type, set(map(type, flat)))):
-            key, i = next((key, i) for key in keys for i in key if not _integer_type(type(i)))
-            raise BadArity(f"index {key} has a component that is not an integer: {i!r}")
-        idx = np.fromiter(flat, dtype=np.int64, count=nnz * m).reshape(nnz, m)
-        idx -= 1
-        if nnz and (idx.min() < 0 or idx.max() >= self.dim):
-            k = np.flatnonzero(((idx < 0) | (idx >= self.dim)).any(axis=1))[0]
-            raise IndexOutOfRange(f"index {tuple((idx[k] + 1).tolist())} has a component "
-                                  f"outside [1, {self.dim}]")
-        vals = np.fromiter(self.entries.values(), dtype=float, count=nnz)
-        _check_finite(idx, vals)
+        m, n, keys, values = self.order, self.dim, self.entries.keys(), self.entries.values()
+        idx, vals, _ = _screened(m, n, keys, values) or _refuse(m, n, keys, values, True)
         return _row_sorted(idx, vals, self.dim)
 
     def get(self, index: Sequence[int]) -> float:
@@ -158,15 +144,57 @@ def _check_finite(idx: np.ndarray, vals: np.ndarray) -> None:
         raise ValueError(f"entry {tuple((idx[k] + 1).tolist())} is not finite: {vals[k].item()!r}")
 
 
-def _from_arrays(order: int, dim: int, idx: np.ndarray, vals: np.ndarray) -> Tensor:
+def _from_arrays(order: int, dim: int, idx: np.ndarray, vals: np.ndarray,
+                 rows: Iterable[Sequence[int]] | None = None) -> Tensor:
     """A tensor from 0-based index rows and nonzero values, with its view handed on.
 
     The entries follow the rows' order; the view is their stable sort by
-    row, which is what ``Tensor.coo`` would build from those entries.
+    row, which is what ``Tensor.coo`` would build from those entries. A
+    caller that holds the rows 1-based, as Python ints, passes them too.
     """
-    tensor = Tensor(order, dim, zip(map(tuple, (idx + 1).tolist()), vals.tolist()))
+    rows = (idx + 1).tolist() if rows is None else rows
+    tensor = Tensor(order, dim, zip(map(tuple, rows), vals.tolist()))
     tensor.__dict__["coo"] = _row_sorted(idx, vals, dim)
     return tensor
+
+
+def _screened(order: int, dim: int, keys, values):
+    """The entries' 0-based index rows (int64), values (float64) and 1-based rows of Python
+    ints (``keys`` itself where it holds only those), if every entry passes in bulk: ``order``
+    components, integers (not bools) in ``[1, dim]`` and int64, and a finite double value.
+    """
+    n, flat = len(keys), list(itertools.chain.from_iterable(keys))
+    types = set(map(type, flat))
+    if set(map(len, keys)) - {order} or not all(map(_integer_type, types)):
+        return None
+    try:
+        idx = np.fromiter(flat, np.int64, n * order).reshape(n, order)
+        vals = np.fromiter(values, float, n)  # only None converts where float() refuses: to nan
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if not np.isfinite(vals).all() or n and (idx.min() < 1 or idx.max() > dim):
+        return None
+    rows = keys if types <= {int} else idx.tolist()
+    idx -= 1
+    return idx, vals, rows
+
+
+def _refuse(order: int, dim: int, keys, values, name_index: bool) -> NoReturn:
+    """Raise for the first entry that fails ``_screened`` or repeats an earlier index: the
+    last of the shortest prefix that fails, found by bisection. Its index is checked by
+    ``_validated_index``, then for a repeat, then its value by ``float`` and for finiteness."""
+    keys, values = list(keys), list(values)
+    lo, hi = 0, len(keys)  # keys[:lo] pass, keys[:hi] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        passes = _screened(order, dim, keys[:mid], values[:mid]) is not None \
+            and len(set(map(tuple, keys[:mid]))) == mid
+        lo, hi = (mid, hi) if passes else (lo, mid)
+    idx = _validated_index(keys[lo], order, dim, name_index)
+    if idx in set(map(tuple, keys[:lo])):
+        raise DuplicateIndex(f"index {idx} supplied twice")
+    float(values[lo])  # raises what float() raises on a value it cannot convert
+    raise ValueError(f"entry {idx} is not finite: {values[lo]!r}")
 
 
 @dataclass(frozen=True)
@@ -211,15 +239,21 @@ def _integer_type(kind: type) -> bool:
     return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
-def _validated_index(index: Sequence[int], order: int, dim: int) -> Index:
-    idx = tuple(index)
+def _validated_index(index: Sequence[int], order: int, dim: int,
+                     name_index: bool = False) -> Index:
+    """The index as a tuple of Python ints, checked for its arity, then component by component
+    for an integer type and the range ``[1, dim]`` (int64 at most). A component's fault names
+    the component, or with ``name_index`` the whole index."""
+    idx, limit = tuple(index), min(dim, _INT64_MAX)
     if len(idx) != order:
         raise BadArity(f"index {idx} has {len(idx)} components, expected {order}")
     for i in idx:
         if not _integer_type(type(i)):
-            raise BadArity(f"index component {i!r} is not an integer")
-        if not 1 <= i <= dim:
-            raise IndexOutOfRange(f"index component {i} outside [1, {dim}]")
+            raise BadArity(f"index {idx} has a component that is not an integer: {i!r}"
+                           if name_index else f"index component {i!r} is not an integer")
+        if not 1 <= i <= limit:
+            raise IndexOutOfRange(f"index {idx} has a component outside [1, {dim}]"
+                                  if name_index else f"index component {i} outside [1, {dim}]")
     return tuple(int(i) for i in idx)
 
 
@@ -239,25 +273,28 @@ def new_tensor(order: int, dim: int,
     Indices are 1-based tuples of length ``order``. Exact zeros are
     dropped; duplicate tuples are rejected rather than summed.
     """
+    pairs = list(entries)
+    keys, values = list(map(tuple, map(itemgetter(0), pairs))), list(map(itemgetter(1), pairs))
+    del pairs  # the pair tuples go before the checks build their arrays
+    return _tensor_from_entries(order, dim, keys, values)
+
+
+def _tensor_from_entries(order: int, dim: int, keys: list, values: list) -> Tensor:
+    """``new_tensor`` on the pairs of index sequences and values, each entry checked once."""
     if order < 1:
         raise OrderTooSmall(f"order must be >= 1, got {order}")
     if dim < 1:
         raise DimensionMismatch(f"dim must be >= 1, got {dim}")
-    data: dict[Index, float] = {}
-    for index, value in entries:
-        idx = _validated_index(index, order, dim)
-        if idx in data:
-            raise DuplicateIndex(f"index {idx} supplied twice")
-        v = float(value)
-        if math.isnan(v) or math.isinf(v):
-            raise ValueError(f"entry {idx} is not finite: {value!r}")
-        if v != 0.0:
-            data[idx] = v
-        else:
-            data[idx] = 0.0  # placeholder so later duplicates still collide
-    for idx in [idx for idx, v in data.items() if v == 0.0]:
-        del data[idx]
-    return Tensor(order, dim, data)
+    checked = _screened(order, dim, keys, values) or _refuse(order, dim, keys, values, False)
+    idx, vals, rows = checked
+    tensor = _from_arrays(order, dim, idx, vals, rows)
+    if tensor.nnz < len(vals):  # an index repeats, maybe one first given a zero value
+        _refuse(order, dim, keys, values, False)
+    nonzero = vals != 0.0
+    if not nonzero.all():
+        rows = itertools.compress(rows, nonzero)
+        tensor = _from_arrays(order, dim, idx[nonzero], vals[nonzero], rows)
+    return tensor
 
 
 def unit_tensor(order: int, dim: int) -> Tensor:

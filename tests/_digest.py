@@ -16,7 +16,12 @@ comparison. pytest does not collect it (the name does not start with
 The spectral radius has areas of its own, ``radius`` for the API and
 ``cli_radius`` for the ``rho``, ``mtensor`` and ``hypergraph-rho`` verbs,
 so a change to the power iteration's arithmetic shows there and nowhere
-else. The ``radius`` area draws nothing from the ensemble's random stream.
+else. The ``wire`` area parses and serializes each ensemble tensor as a
+document (``tensor_from_obj``, ``new_tensor``, ``loads_tensor``,
+``dumps_tensor``), then with faulty records at random positions, and
+records each result or error message. Neither ``radius`` nor ``wire``
+draws from the ensemble's random stream, so adding them moved no other
+area's line.
 """
 from __future__ import annotations
 
@@ -24,6 +29,8 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -169,6 +176,47 @@ def area_majorization(rng, t, p, kind, out):
     out.append(outcome(lambda a: [tb.z_split(a).s, tb.z_split(a).b], t))
 
 
+WIRE_FAULTS = [
+    lambda rng, m, n: rng.choice([None, 7, "x", [1] * m, {"v": 1.0}, {"i": [1] * m, "v": True}]),
+    lambda rng, m, n: {"i": [1] * (m + rng.choice([-1, 1])), "v": 1.0},
+    lambda rng, m, n: {"i": [1] * (m - 1) + [rng.choice([1.5, True, "1", None])], "v": 1.0},
+    lambda rng, m, n: {"i": [rng.choice([0, n + 1, 2 ** 63, 2 ** 70])] + [1] * (m - 1), "v": 1.0},
+    lambda rng, m, n: {"i": [n] * m, "v": rng.choice([math.nan, -math.inf, 10 ** 400])},
+]
+
+
+def wire_outcome(fn, *args) -> str:
+    try:
+        return canon(fn(*args))
+    except (TriblockError, ValueError, OverflowError) as exc:
+        return f"E{type(exc).__name__}: {exc}"
+
+
+def area_wire(rng, t, out):
+    """The tensor as a document in dict order, with integer values and explicit zeros, then
+    with one or two faulty records (or a repeated index) at random positions."""
+    records = [{"i": list(idx), "v": int(v) if v.is_integer() and rng.random() < 0.5 else v}
+               for idx, v in t.entries.items()]
+    for _ in range(rng.randint(0, 2)):
+        zero = {"i": [rng.randint(1, t.dim) for _ in range(t.order)], "v": rng.choice([0, 0.0])}
+        records.insert(rng.randint(0, len(records)), zero)
+    doc = {"order": t.order, "dim": t.dim, "entries": records}
+    out.append(wire_outcome(tensorio.tensor_from_obj, doc))
+    out.append(wire_outcome(tb.new_tensor, t.order, t.dim,
+                            [(tuple(r["i"]), r["v"]) for r in records]))
+    out.append(wire_outcome(lambda text: tensorio.dumps_tensor(tensorio.loads_tensor(text)),
+                            json.dumps(doc)))
+    for faults in (1, 2):
+        bad = list(records)
+        for _ in range(faults):
+            k = rng.randint(0, len(bad))
+            if rng.random() < 0.2:  # repeat an index of the document
+                bad.insert(k, {"i": rng.choice(records or [{"i": [1] * t.order}])["i"], "v": 1.0})
+            else:
+                bad.insert(k, rng.choice(WIRE_FAULTS)(rng, t.order, t.dim))
+        out.append(wire_outcome(tensorio.tensor_from_obj, dict(doc, entries=bad)))
+
+
 def cli_runs():
     """Every verb on every fixture it applies to, with a few partitions."""
     fx = ROOT / "fixtures"
@@ -227,13 +275,16 @@ AREAS = {
 
 
 def main() -> None:
-    hashes = {name: hashlib.sha256() for name in [*AREAS, "radius"]}
-    for rng, t, p, kind in ensemble():
+    hashes = {name: hashlib.sha256() for name in [*AREAS, "radius", "wire"]}
+    for trial, (rng, t, p, kind) in enumerate(ensemble()):
         for name, area in AREAS.items():
             out: list[str] = []
             area(random.Random(f"{name}{rng.random()}"), t, p, kind, out)
             hashes[name].update(("\n".join(out) + "\n").encode())
         hashes["radius"].update((area_radius(t) + "\n").encode())
+        out = []
+        area_wire(random.Random(f"wire{trial}"), t, out)
+        hashes["wire"].update(("\n".join(out) + "\n").encode())
     for name, h in hashes.items():
         print(name, h.hexdigest())
     print("cli_fixtures", cli_digest(radius=False))

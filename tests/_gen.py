@@ -19,7 +19,15 @@ import numpy as np
 import triblock as tb
 from triblock import BlockKind, Partition, Tensor
 from triblock.blocked import _forbidden
-from triblock.errors import DimensionMismatch, NormalFormUnavailable
+from triblock.errors import (
+    BadArity,
+    DimensionMismatch,
+    DuplicateIndex,
+    FormatError,
+    IndexOutOfRange,
+    NormalFormUnavailable,
+    OrderTooSmall,
+)
 from triblock.linalg import _rows, as_matrix
 
 
@@ -149,6 +157,66 @@ def loop_row_diagonal_from_matrix(values: np.ndarray, order: int) -> Tensor:
             if v != 0.0:
                 entries[(i,) + (j,) * (order - 1)] = v
     return Tensor(order, n, entries)
+
+
+def loop_new_tensor(order: int, dim: int, entries) -> Tensor:
+    """``new_tensor`` as it once checked each entry in turn, first offender first.
+
+    Per entry: arity, then each component's type (an integer, not a bool)
+    and range, then a repeat of an earlier index (a zero-valued earlier
+    entry included), then a finite value. The result comes from the raw
+    constructor, so its view is built on first use.
+    """
+    if order < 1:
+        raise OrderTooSmall(f"order must be >= 1, got {order}")
+    if dim < 1:
+        raise DimensionMismatch(f"dim must be >= 1, got {dim}")
+    data = {}
+    for index, value in entries:
+        idx = tuple(index)
+        if len(idx) != order:
+            raise BadArity(f"index {idx} has {len(idx)} components, expected {order}")
+        for i in idx:
+            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+                raise BadArity(f"index component {i!r} is not an integer")
+            if not 1 <= i <= dim:
+                raise IndexOutOfRange(f"index component {i} outside [1, {dim}]")
+        idx = tuple(int(i) for i in idx)
+        if idx in data:
+            raise DuplicateIndex(f"index {idx} supplied twice")
+        v = float(value)
+        if math.isnan(v) or math.isinf(v):
+            raise ValueError(f"entry {idx} is not finite: {value!r}")
+        data[idx] = v  # a zero stays until the end, so a later repeat still collides
+    return Tensor(order, dim, {idx: v for idx, v in data.items() if v != 0.0})
+
+
+def loop_tensor_from_obj(obj) -> Tensor:
+    """``tensorio.tensor_from_obj`` as it once read a document: every record's shape, in
+    order, then ``loop_new_tensor`` on the pairs."""
+    if not isinstance(obj, dict):
+        raise FormatError("tensor document must be a JSON object")
+    missing = {"order", "dim", "entries"} - obj.keys()
+    if missing:
+        raise FormatError(f"tensor document lacks keys: {sorted(missing)}")
+    order, dim, raw = obj["order"], obj["dim"], obj["entries"]
+    if not isinstance(order, int) or not isinstance(dim, int):
+        raise FormatError("order and dim must be integers")
+    if not isinstance(raw, list):
+        raise FormatError("entries must be a list")
+    pairs = []
+    for item in raw:
+        if not isinstance(item, dict) or "i" not in item or "v" not in item:
+            raise FormatError(f"bad entry record: {item!r}")
+        idx, value = item["i"], item["v"]
+        if not isinstance(idx, list) or not isinstance(value, (int, float)) \
+                or isinstance(value, bool):
+            raise FormatError(f"bad entry record: {item!r}")
+        pairs.append((idx, value))
+    try:
+        return loop_new_tensor(order, dim, pairs)
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"entry value is not a finite double: {exc}") from exc
 
 
 def loop_principal_subtensor(tensor: Tensor, index_set) -> Tensor:
@@ -542,6 +610,59 @@ def rand_blocked(rng: random.Random, parts: tuple[int, ...], kind: BlockKind,
         if idx not in banned and rng.random() < density:
             entries.append((idx, float(rng.choice(values))))
     return tb.new_tensor(m, n, entries)
+
+
+WIRE_VALUES = [0, 0.0, -0.0, 1, -2, 3, 0.5, -1.25, 1e-300, 1e300]
+WIRE_FAULTS = {
+    "record": lambda rng, order, dim, idx: rng.choice([
+        list(idx), 7, "x", None, {"i": list(idx)}, {"v": 1.0}, {"i": tuple(idx), "v": 1.0},
+        {"i": "1" * order, "v": 1.0}, {"i": list(idx), "v": "1"}, {"i": list(idx), "v": True},
+        {"i": list(idx), "v": None}, {"i": list(idx), "v": [1.0]}]),
+    "arity": lambda rng, order, dim, idx: {"i": rng.choice([[], idx[:-1], idx + [1]]), "v": 1.0},
+    "type": lambda rng, order, dim, idx: {"i": _swap(rng, idx, [1.0, 1.5, True, False, "1", None]),
+                                          "v": 1.0},
+    "range": lambda rng, order, dim, idx: {"i": _swap(rng, idx, [0, -1, dim + 1, 2 ** 63, 2 ** 70,
+                                                                 -2 ** 70]), "v": 1.0},
+    "value": lambda rng, order, dim, idx: {"i": idx, "v": rng.choice(
+        [math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400])},
+}
+
+
+def _swap(rng: random.Random, idx: list, choices: list) -> list:
+    out = list(idx)
+    out[rng.randrange(len(out))] = rng.choice(choices)
+    return out
+
+
+def rand_wire_doc(rng: random.Random, faults=()) -> dict:
+    """A tensor document of order 2-4 with one fault of each category named.
+
+    The records come in random order, not row order, with integer values
+    and explicit zeros among the floats. A ``"header"`` fault spoils the
+    order, the dim or the entries list; any other puts a faulty record in
+    at a random position, where a ``"repeat"`` repeats the index of a
+    well-formed record before it, whose value may be zero.
+    """
+    order, dim = rng.randint(2, 4), rng.randint(1, 4)
+    cells = [list(idx) for idx in itertools.product(range(1, dim + 1), repeat=order)]
+    records = [{"i": idx, "v": rng.choice(WIRE_VALUES)}
+               for idx in rng.sample(cells, rng.randint(0, min(len(cells), 10)))]
+    doc = {"order": order, "dim": dim, "entries": records}
+    for fault in sorted(faults, key=lambda f: f != "repeat"):
+        k = rng.randint(0, len(records))
+        if fault == "header":
+            doc.update([rng.choice([("order", 0), ("order", -1), ("dim", 0), ("dim", -2),
+                                    ("order", "3"), ("dim", 2.5), ("entries", {})])])
+            continue
+        if fault == "repeat":
+            k = max(k, 1)
+            if len(records) < k:
+                records.append({"i": rng.choice(cells), "v": rng.choice(WIRE_VALUES)})
+            record = {"i": list(records[rng.randrange(k)]["i"]), "v": rng.choice(WIRE_VALUES)}
+        else:
+            record = WIRE_FAULTS[fault](rng, order, dim, rng.choice(cells))
+        records.insert(k, record)
+    return doc
 
 
 def rand_permutation(rng: random.Random, n: int) -> tb.Permutation:

@@ -89,6 +89,8 @@ class TestConstruction:
          r"index \(1\.5, 2\) has a component that is not an integer: 1\.5"),
         ({(2, 2): 1.0, (True, 2): 1.0}, BadArity,
          r"index \(True, 2\) has a component that is not an integer: True"),
+        ({(2 ** 70, 1): 1.0, (2, 2): 1.0}, IndexOutOfRange,
+         r"index \(1180591620717411303424, 1\) has a component outside \[1, 2\]$"),
     ])
     def test_constructor_entries_checked_by_the_view(self, entries, error, message):
         # Tensor(...) stores what it is given; every kernel reads the view, which refuses it
