@@ -83,15 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right", help="path to the order-k factor")
     p.add_argument("-o", "--output", help="also write the result here")
 
-    p = sub.add_parser("det", help="determinant through the block formula")
-    add_tensor_flag(p)
-    p.add_argument("--partition", required=True, type=_partition_arg)
-    p.add_argument("--kind", required=True, choices=KIND_TOKENS)
-
-    p = sub.add_parser("spectrum", help="factored spectrum over a block structure")
-    add_tensor_flag(p)
-    p.add_argument("--partition", required=True, type=_partition_arg)
-    p.add_argument("--kind", required=True, choices=KIND_TOKENS)
+    for name, text in (("det", "determinant through the block formula"),
+                       ("spectrum", "factored spectrum over a block structure")):
+        p = sub.add_parser(name, help=text)
+        add_tensor_flag(p)
+        p.add_argument("--partition", required=True, type=_partition_arg)
+        p.add_argument("--kind", required=True, choices=KIND_TOKENS)
 
     p = sub.add_parser("rho", help="spectral radius of a nonnegative tensor")
     add_tensor_flag(p)
@@ -104,15 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=_positive(int), default=200)
     p.add_argument("--seed", type=int, default=7)
 
-    p = sub.add_parser("left-inverse", help="unique left k-inverse")
-    add_tensor_flag(p)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-o", "--output")
-
-    p = sub.add_parser("right-inverse", help="canonical right k-inverse")
-    add_tensor_flag(p)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-o", "--output")
+    for name, text in (("left-inverse", "unique left k-inverse"),
+                       ("right-inverse", "canonical right k-inverse")):
+        p = sub.add_parser(name, help=text)
+        add_tensor_flag(p)
+        p.add_argument("-k", type=int, required=True)
+        p.add_argument("-o", "--output")
 
     p = sub.add_parser("verify", help="check an inverse candidate")
     side = p.add_mutually_exclusive_group(required=True)

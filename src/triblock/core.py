@@ -239,6 +239,16 @@ def _integer_type(kind: type) -> bool:
     return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
+def _shape(order, dim) -> tuple[int, int]:
+    """``order`` and ``dim`` as Python ints, each refused unless an integer (not a bool) >= 1."""
+    for name, value, error in (("order", order, OrderTooSmall), ("dim", dim, DimensionMismatch)):
+        if not _integer_type(type(value)):
+            raise error(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise error(f"{name} must be >= 1, got {value}")
+    return int(order), int(dim)
+
+
 def _validated_index(index: Sequence[int], order: int, dim: int,
                      name_index: bool = False) -> Index:
     """The index as a tuple of Python ints, checked for its arity, then component by component
@@ -281,10 +291,7 @@ def new_tensor(order: int, dim: int,
 
 def _tensor_from_entries(order: int, dim: int, keys: list, values: list) -> Tensor:
     """``new_tensor`` on the pairs of index sequences and values, each entry checked once."""
-    if order < 1:
-        raise OrderTooSmall(f"order must be >= 1, got {order}")
-    if dim < 1:
-        raise DimensionMismatch(f"dim must be >= 1, got {dim}")
+    order, dim = _shape(order, dim)
     checked = _screened(order, dim, keys, values) or _refuse(order, dim, keys, values, False)
     idx, vals, rows = checked
     tensor = _from_arrays(order, dim, idx, vals, rows)
@@ -299,10 +306,7 @@ def _tensor_from_entries(order: int, dim: int, keys: list, values: list) -> Tens
 
 def unit_tensor(order: int, dim: int) -> Tensor:
     """The identity for the tensor product: 1 on the all-equal diagonal."""
-    if order < 1:
-        raise OrderTooSmall(f"order must be >= 1, got {order}")
-    if dim < 1:
-        raise DimensionMismatch(f"dim must be >= 1, got {dim}")
+    order, dim = _shape(order, dim)
     return Tensor(order, dim, {(i,) * order: 1.0 for i in range(1, dim + 1)})
 
 

@@ -1,6 +1,6 @@
 """Exact dense matrix inversion for the inverse code.
 
-Elimination runs over exact rationals (every double is a rational), with
+Elimination runs fraction-free in integers on the matrix times 2^K, with
 partial pivoting for determinism and a relative pivot floor of 1e-12 to
 classify numerically singular inputs. Exactness matters here: inverses
 of integer block-triangular matrices must come back with their zero
@@ -9,7 +9,6 @@ blocks exactly zero, or structural classification downstream would lie.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,38 +28,41 @@ def as_matrix(values) -> np.ndarray:
     return arr
 
 
-def _rows(arr: np.ndarray) -> list[list[Fraction]]:
-    return [[Fraction(float(x)) for x in row] for row in arr]
-
-
 def _gauss_jordan(arr: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan over rationals with partial pivoting; raises SingularMatrix."""
+    """Bareiss's Gauss-Jordan (Math. Comp. 22, 1968) on ``[2^K A | I]``, row ``r`` holding
+    columns ``col..`` of the left half, then the right half; raises SingularMatrix. Each
+    division is exact; an integer column is the rational one times ``|d_col|``, so the same
+    row pivots. Rational pivot ``k`` is ``d_k / (d_{k-1}·2^K)``, the inverse ``2^K·R / d_n``."""
     n = arr.shape[0]
-    rows = _rows(arr)
-    aug = [rows[i] + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-
-    pivot_seen: list[Fraction] = []
+    ratios = [x.as_integer_ratio() for x in arr.ravel().tolist()]
+    shift = max(den.bit_length() for _, den in ratios) - 1
+    ints = [num << (shift + 1 - den.bit_length()) for num, den in ratios]
+    rows = [ints[i * n:(i + 1) * n] + [int(i == j) for j in range(n)] for i in range(n)]
+    dets = [1]  # d_0, then the leading minors of the row-permuted integer matrix
     for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if aug[pivot_row][col] == 0:
+        pivot_row = max(range(col, n), key=lambda r: abs(rows[r][0]))
+        p, prev = rows[pivot_row][0], dets[-1]
+        if p == 0:
             raise SingularMatrix(f"zero pivot in column {col + 1}")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        piv = aug[col][col]
-        pivot_seen.append(piv)
-        aug[col] = [x / piv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    sizes = [abs(float(p)) for p in pivot_seen]
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        pivot = rows[col][1:]
+        rows = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], pivot)] if r != col
+                else pivot for r, row in enumerate(rows)]
+        dets.append(p)
+    try:
+        sizes = [abs(d) / (abs(prev) << shift) for prev, d in zip(dets, dets[1:])]
+    except OverflowError:
+        raise SingularMatrix("a pivot is beyond the double range") from None
     if min(sizes) <= PIVOT_RTOL * max(sizes):
         raise SingularMatrix("pivot below the relative floor; treating as singular")
-    return np.array([[float(aug[i][n + j]) for j in range(n)] for i in range(n)])
+    try:  # an exact zero divided by a negative d_n would give -0.0
+        return np.array([[(x << shift) / dets[-1] if x else 0.0 for x in row] for row in rows])
+    except OverflowError:
+        raise SingularMatrix("an inverse entry is beyond the double range") from None
 
 
 def is_nonsingular(values) -> bool:
-    """Invertibility under exact elimination with the relative pivot floor."""
+    """Invertibility under exact elimination, the relative pivot floor and the double range."""
     try:
         _gauss_jordan(as_matrix(values))
     except SingularMatrix:
@@ -69,12 +71,12 @@ def is_nonsingular(values) -> bool:
 
 
 def invert(values) -> np.ndarray:
-    """Exact inverse of a square matrix, returned as floats.
+    """Exact inverse of a square matrix, correctly rounded to floats.
 
-    Gauss-Jordan over rationals: zero entries of the true inverse come
-    back exactly zero and integer inverses exactly integer. Raises
-    SingularMatrix on (numerically) singular input, warns when the
-    condition number makes float results untrustworthy anyway.
+    Zero entries of the true inverse come back as ``0.0`` and integer
+    inverses exactly integer. Raises SingularMatrix on (numerically)
+    singular input or a pivot or entry past the double range; warns when
+    the condition number makes float results untrustworthy anyway.
     """
     arr = as_matrix(values)
     inv = _gauss_jordan(arr)

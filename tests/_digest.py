@@ -19,9 +19,14 @@ so a change to the power iteration's arithmetic shows there and nowhere
 else. The ``wire`` area parses and serializes each ensemble tensor as a
 document (``tensor_from_obj``, ``new_tensor``, ``loads_tensor``,
 ``dumps_tensor``), then with faulty records at random positions, and
-records each result or error message. Neither ``radius`` nor ``wire``
-draws from the ensemble's random stream, so adding them moved no other
-area's line.
+records each result or error message. The ``inverse`` area records
+``linalg.invert`` (with its warnings) and ``linalg.is_nonsingular`` on
+each ensemble tensor's majorization matrix and on a matrix of its own:
+small integers, Gaussians, block triangular integers (exact zeros over a
+negative determinant), singular, near the pivot floor, or scaled by a
+power of two. Its matrices keep pivots and inverses inside the double
+range. None of ``radius``, ``wire`` and ``inverse`` draws from the
+ensemble's random stream, so adding them moved no other area's line.
 """
 from __future__ import annotations
 
@@ -33,13 +38,14 @@ import json
 import math
 import random
 import sys
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else str(ROOT / "src"))
 
 import triblock as tb  # noqa: E402
-from triblock import BlockKind, Partition, cli, tensorio  # noqa: E402
+from triblock import BlockKind, Partition, cli, linalg, tensorio  # noqa: E402
 from triblock.blocked import _block_ends, _forbidden  # noqa: E402
 from triblock.errors import TriblockError  # noqa: E402
 from triblock.spectra import _finest_refinement  # noqa: E402
@@ -217,6 +223,34 @@ def area_wire(rng, t, out):
         out.append(wire_outcome(tensorio.tensor_from_obj, dict(doc, entries=bad)))
 
 
+def inverse_matrix(rng: random.Random) -> list[list[float]]:
+    n, kind = rng.randint(1, 8), rng.randrange(6)
+    mat = [[float(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+    if kind == 1:
+        mat = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(n)]
+    elif kind == 2:  # block triangular with a nonzero diagonal, maybe a negative determinant
+        mat = [[0.0 if j < i else rng.choice([-2.0, -1.0, 1.0, 3.0]) if j == i else v
+                for j, v in enumerate(row)] for i, row in enumerate(mat)]
+    elif kind == 3:  # a row repeated, maybe scaled
+        mat[rng.randrange(n)] = [rng.choice([1.0, -2.0]) * v for v in mat[rng.randrange(n)]]
+    elif kind == 4:  # the last row near the span of the others
+        coeffs = [rng.randint(-2, 2) for _ in mat[:-1]]
+        mat[-1] = [sum(c * row[j] for c, row in zip(coeffs, mat)) for j in range(n)]
+        mat[-1][rng.randrange(n)] += 10.0 ** rng.uniform(-14, -10)
+    elif kind == 5:
+        mat = [[v * 2.0 ** rng.randint(-60, 60) for v in row] for row in mat]
+    return mat
+
+
+def area_inverse(rng, t, out):
+    for mat in (tb.majorization_matrix(t), inverse_matrix(rng)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out.append(outcome(linalg.invert, mat))
+        out.append(canon([str(w.message) for w in caught]))
+        out.append(canon(linalg.is_nonsingular(mat)))
+
+
 def cli_runs():
     """Every verb on every fixture it applies to, with a few partitions."""
     fx = ROOT / "fixtures"
@@ -275,7 +309,7 @@ AREAS = {
 
 
 def main() -> None:
-    hashes = {name: hashlib.sha256() for name in [*AREAS, "radius", "wire"]}
+    hashes = {name: hashlib.sha256() for name in [*AREAS, "radius", "wire", "inverse"]}
     for trial, (rng, t, p, kind) in enumerate(ensemble()):
         for name, area in AREAS.items():
             out: list[str] = []
@@ -285,6 +319,9 @@ def main() -> None:
         out = []
         area_wire(random.Random(f"wire{trial}"), t, out)
         hashes["wire"].update(("\n".join(out) + "\n").encode())
+        out = []
+        area_inverse(random.Random(f"inverse{trial}"), t, out)
+        hashes["inverse"].update(("\n".join(out) + "\n").encode())
     for name, h in hashes.items():
         print(name, h.hexdigest())
     print("cli_fixtures", cli_digest(radius=False))

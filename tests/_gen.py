@@ -27,8 +27,9 @@ from triblock.errors import (
     IndexOutOfRange,
     NormalFormUnavailable,
     OrderTooSmall,
+    SingularMatrix,
 )
-from triblock.linalg import _rows, as_matrix
+from triblock.linalg import PIVOT_RTOL, as_matrix
 
 
 # ---------------------------------------------------------------- oracles
@@ -500,6 +501,44 @@ def exact_int_det(matrix: np.ndarray) -> int:
     return int(result)
 
 
+def _rows(arr: np.ndarray) -> list[list[Fraction]]:
+    return [[Fraction(float(x)) for x in row] for row in arr]
+
+
+def loop_gauss_jordan(arr: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan over ``Fraction`` with partial pivoting, the elimination the integer
+    one in ``linalg`` replaced. Like ``linalg``, it raises SingularMatrix where a pivot
+    size or an inverse entry is past the double range."""
+    n = arr.shape[0]
+    rows = _rows(arr)
+    aug = [rows[i] + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
+
+    pivot_seen: list[Fraction] = []
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda r: abs(aug[r][col]))
+        if aug[pivot_row][col] == 0:
+            raise SingularMatrix(f"zero pivot in column {col + 1}")
+        if pivot_row != col:
+            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        piv = aug[col][col]
+        pivot_seen.append(piv)
+        aug[col] = [x / piv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    try:
+        sizes = [abs(float(p)) for p in pivot_seen]
+    except OverflowError:
+        raise SingularMatrix("a pivot is beyond the double range") from None
+    if min(sizes) <= PIVOT_RTOL * max(sizes):
+        raise SingularMatrix("pivot below the relative floor; treating as singular")
+    try:
+        return np.array([[float(aug[i][n + j]) for j in range(n)] for i in range(n)])
+    except OverflowError:
+        raise SingularMatrix("an inverse entry is beyond the double range") from None
+
+
 # ------------------------------------------------------- matrix predicates
 # Dense matrix counterparts of the tensor predicates, used only as
 # references by the tests.
@@ -699,6 +738,58 @@ def rand_blocked_unimodular(rng: random.Random, parts: tuple[int, ...]) -> np.nd
             for j in range(p.S(l) + 1, n + 1):
                 if rng.random() < 0.4:
                     mat[i - 1, j - 1] = rng.choice(NONZERO)
+    return mat
+
+
+INVERSE_KINDS = ("integer", "gaussian", "magnitude", "edge", "singular", "floor",
+                 "triangular", "blocked", "tied")
+
+
+def rand_inverse_case(rng: random.Random, n: int, kind: str) -> np.ndarray:
+    """A float ``n x n`` matrix of one of ``INVERSE_KINDS``: small integers, Gaussians,
+    magnitudes up to 1e±300, small integers scaled to the edges of the double range
+    (pivots or inverse entries past it), singular by a repeated or scaled row, near
+    singular at the pivot floor, triangular with 1e±13 diagonals, block triangular
+    integers with a sign flip (zero inverse entries over a negative determinant), and
+    unit triangular ones whose first pivot candidates tie in magnitude near the floor."""
+    def ints(lo, hi):
+        return np.array([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)], float)
+    if kind == "integer":
+        return ints(-4, 4)
+    if kind == "gaussian":
+        return np.array([[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(n)])
+    if kind == "magnitude":
+        return np.array([[rng.gauss(0.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+                          for _ in range(n)] for _ in range(n)])
+    if kind == "edge":
+        return ints(-3, 3) * 10.0 ** rng.choice([-315, -310, -300, 300, 307, 307.5])
+    if kind == "singular":
+        mat = ints(-3, 3)
+        mat[rng.randrange(n)] = rng.choice([1.0, 2.0, -0.5]) * mat[rng.randrange(n)]
+        return mat
+    if kind == "floor":  # the last row an integer combination of the others, then nudged
+        mat = ints(-2, 2)
+        mat[-1] = sum((rng.randint(-2, 2) * mat[i] for i in range(n - 1)), np.zeros(n))
+        mat[-1, rng.randrange(n)] += rng.choice([-1, 1]) * 10.0 ** rng.uniform(-13.5, -10.5)
+        return mat
+    if kind == "triangular":
+        mat = np.triu(ints(-3, 3))
+        mat[np.diag_indices(n)] = [rng.choice([-2, -1, 1, 3]) * 10.0 ** rng.choice([-13, 0, 13])
+                                   for _ in range(n)]
+        return mat
+    if kind == "blocked":
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+        mat = rand_blocked_unimodular(rng, parts).astype(float)
+        mat[rng.randrange(n)] *= rng.choice([-1, 2, -3])
+        return mat
+    # tied: the first three rows tie in column 1, and which of them pivots decides whether
+    # the last of their pivots, near 1e-12 times the largest, falls below the floor
+    mat = np.triu(ints(-2, 2))
+    mat[np.diag_indices(n)] = [rng.choice([-1, 1]) for _ in range(n)]
+    if n >= 3:
+        tie = np.array([[1, 0, 0], [1, 2, 0], [1, 1, 10.0 ** rng.uniform(-12.5, -11.5)]])
+        mat[:3, :3] = tie[rng.sample(range(3), 3)] * [[rng.choice([-1, 1])] for _ in range(3)]
     return mat
 
 

@@ -251,6 +251,14 @@ class TestInverses:
                             str(fixtures_dir / "ex24.json"), "-k", "2")
         assert code == 1 and doc["error"] == "NoLeftInverse"
 
+    def test_inverse_past_the_double_range(self, capsys, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text('{"order": 2, "dim": 1, "entries": [{"i": [1, 1], "v": 1e-310}]}')
+        code = cli.run(["left-inverse", "--tensor", str(path), "-k", "2"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": "NoLeftInverse", "detail": "row matrix is singular"}
+
     def test_right_inverse_round_trip(self, capsys, tmp_path):
         q = [[2.0, 1.0], [0.0, 3.0]]
         a = tb.general_product(tb.unit_tensor(3, 2), tb.tensor_from_matrix(q))

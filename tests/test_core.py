@@ -102,6 +102,26 @@ class TestConstruction:
             with pytest.raises(error, match=message):
                 read()
 
+    def test_bool_order_rejected(self):
+        with pytest.raises(OrderTooSmall, match=r"^order must be an integer, got True$"):
+            tb.new_tensor(True, 2, [])
+
+    def test_float_order_rejected(self):
+        with pytest.raises(OrderTooSmall, match=r"^order must be an integer, got 2\.0$"):
+            tb.new_tensor(2.0, 2, [])
+
+    def test_bool_dim_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"^dim must be an integer, got True$"):
+            tb.new_tensor(2, True, [])
+
+    def test_float_dim_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"^dim must be an integer, got 2\.5$"):
+            tb.new_tensor(2, 2.5, [])
+
+    def test_numpy_integer_order_and_dim_become_ints(self):
+        t = tb.new_tensor(np.int64(2), np.int32(3), [((1, 3), 1.0)])
+        assert (type(t.order), type(t.dim), t.order, t.dim) == (int, int, 2, 3)
+
     def test_unit_tensor(self):
         u = tb.unit_tensor(3, 2)
         assert dict(u.entries) == {(1, 1, 1): 1.0, (2, 2, 2): 1.0}

@@ -94,6 +94,13 @@ class TestLeftKInverse:
         with pytest.raises(OrderTooSmall):
             tb.left_k_inverse(tb.unit_tensor(3, 2), 1)
 
+    def test_inverse_past_the_double_range(self):
+        # 1 / 1e-310 is beyond the largest double
+        with pytest.raises(NoLeftInverse, match="^row matrix is singular$") as info:
+            tb.left_k_inverse(tb.new_tensor(2, 1, [((1, 1), 1e-310)]), 2)
+        assert "inverse entry is beyond the double range" in str(info.value.__cause__)
+        assert not tb.has_left_inverse(tb.new_tensor(3, 1, [((1, 1, 1), 1e-310)]))
+
 
 class TestRecoverRightForm:
     def test_diagonal_squares(self):
@@ -169,6 +176,11 @@ class TestRightKInverse:
             tb.right_k_inverse(unit_times([[1, 1], [1, 1]]), 2)
         with pytest.raises(OrderTooSmall):
             tb.right_k_inverse(tb.unit_tensor(3, 2), 1)
+
+    def test_inverse_past_the_double_range(self):
+        with pytest.raises(NotRightInvertible, match="factor matrix is singular") as info:
+            tb.right_k_inverse(tb.new_tensor(2, 1, [((1, 1), 1e-310)]), 2)
+        assert "inverse entry is beyond the double range" in str(info.value.__cause__)
 
     def test_both_sides_on_a_monomial_tensor(self):
         # a_{122} = 2, a_{211} = 3 is both row diagonal and of the

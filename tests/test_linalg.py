@@ -1,5 +1,6 @@
-"""Exact rational matrix inversion and the nonsingularity test that shares
-it, plus the test-side matrix references (determinants, minors and the
+"""Exact matrix inversion by integer elimination and the nonsingularity test
+that shares it, checked against the ``Fraction`` elimination it replaced,
+plus the test-side matrix references (determinants, minors and the
 structural predicates built on them) from ``_gen``."""
 import random
 import warnings
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 from triblock import Partition
-from triblock.errors import DimensionMismatch, SingularMatrix
-from triblock.linalg import invert, is_nonsingular
+from triblock.errors import DimensionMismatch, SingularMatrix, TriblockError
+from triblock.linalg import as_matrix, invert, is_nonsingular
 
 from _gen import (
+    INVERSE_KINDS,
     determinant,
     exact_int_det,
     is_blocked_matrix,
@@ -19,7 +21,9 @@ from _gen import (
     is_nonsingular_m_matrix,
     is_z_matrix,
     leading_principal_minors,
+    loop_gauss_jordan,
     rand_blocked_unimodular,
+    rand_inverse_case,
     rand_unimodular,
 )
 
@@ -100,6 +104,58 @@ class TestInvert:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             invert([[2.0, -1.0], [-1.0, 2.0]])
+
+
+def _outcome(fn, mat) -> str | bytes:
+    """The result's bytes (so the sign of a zero counts), or the error's class and message."""
+    try:
+        return fn(mat).tobytes()
+    except TriblockError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestAgainstLoop:
+    """``invert`` and ``is_nonsingular`` against the ``Fraction`` Gauss-Jordan."""
+
+    def test_seeded_ensemble(self):
+        rng = random.Random(1968)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the condition warning
+            for trial in range(360):
+                kind = INVERSE_KINDS[trial % len(INVERSE_KINDS)]
+                n = rng.randint(1, 6 if kind in ("magnitude", "edge") else 12)
+                mat = rand_inverse_case(rng, n, kind)
+                want = _outcome(lambda m: loop_gauss_jordan(as_matrix(m)), mat)
+                assert _outcome(invert, mat) == want, (trial, kind, n)
+                assert is_nonsingular(mat) == isinstance(want, bytes), (trial, kind, n)
+
+    def test_first_of_tied_pivots(self):
+        # column 1 ties three ways: pivoting on the first row leaves pivots 1, 2, 1.5e-12,
+        # below the floor; pivoting on the last would leave 1, 1, 3e-12, above it
+        mat = [[1.0, 0.0, 0.0], [1.0, 2.0, 0.0], [1.0, 1.0, 1.5e-12]]
+        want = "SingularMatrix: pivot below the relative floor; treating as singular"
+        assert _outcome(lambda m: loop_gauss_jordan(as_matrix(m)), mat) == want
+        assert _outcome(invert, mat) == want
+        assert not is_nonsingular(mat)
+
+    def test_zero_entries_are_positive_zeros(self):
+        # the determinant is negative, and 0 / -1 would be -0.0
+        inv = invert([[-1.0, 5.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        assert inv.tobytes() == np.array([[-1.0, 5.0, 0.0], [0.0, 1.0, 0.0],
+                                          [0.0, 0.0, 0.5]]).tobytes()
+
+
+class TestOutOfRange:
+    def test_inverse_entry_past_the_double_range(self):
+        with pytest.raises(SingularMatrix, match="^an inverse entry is beyond the double range$"):
+            invert([[1e-310]])
+        assert not is_nonsingular([[1e-310]])
+
+    def test_pivot_past_the_double_range(self):
+        mat = [[1e308, -1e308], [1e308, 1e308]]
+        with pytest.raises(SingularMatrix, match="^a pivot is beyond the double range$"):
+            invert(mat)
+        assert not is_nonsingular(mat)
 
 
 class TestPredicates:
