@@ -29,6 +29,7 @@ from .errors import (
     NotRightInvertible,
     OrderTooSmall,
     SingularMatrix,
+    TriblockError,
 )
 from .product import general_product
 
@@ -52,11 +53,18 @@ def left_k_inverse(tensor: Tensor, k: int) -> Tensor:
         raise OrderTooSmall("inverses need order >= 2")
     if not is_row_diagonal(tensor):
         raise NoLeftInverse("tensor is not row diagonal")
-    try:
-        inv = linalg.invert(majorization_matrix(tensor))
-    except SingularMatrix as exc:
-        raise NoLeftInverse("row matrix is singular") from exc
+    inv = _invert(majorization_matrix(tensor), "row matrix", NoLeftInverse)
     return general_product(unit_tensor(k, tensor.dim), tensor_from_matrix(inv))
+
+
+def _invert(matrix: np.ndarray, name: str, error: type[TriblockError]) -> np.ndarray:
+    """``linalg.invert``, raising ``error`` that names the matrix singular, or gives the
+    elimination's reason when a pivot or an inverse entry is beyond the double range."""
+    try:
+        return linalg.invert(matrix)
+    except SingularMatrix as exc:
+        reason = f": {exc}" if "double range" in str(exc) else " is singular"
+        raise error(name + reason) from exc
 
 
 @dataclass(frozen=True)
@@ -146,10 +154,7 @@ def right_k_inverse(tensor: Tensor, k: int) -> Tensor:
         recovery = recover_right_form(tensor)
     except NotRightForm as exc:
         raise NotRightInvertible(str(exc)) from exc
-    try:
-        inv = linalg.invert(recovery.q)
-    except SingularMatrix as exc:
-        raise NotRightInvertible("recovered factor matrix is singular") from exc
+    inv = _invert(recovery.q, "recovered factor matrix", NotRightInvertible)
     return general_product(tensor_from_matrix(inv), unit_tensor(k, tensor.dim))
 
 

@@ -122,7 +122,9 @@ def general_product(a: Tensor, b: Tensor) -> Tensor:
         del ent, picks
         terms = terms[order]
         del order
-        if integral and np.abs(terms).sum() < _EXACT_LIMIT:
+        with np.errstate(over="ignore"):  # an infinite sum takes the fsum route
+            exact = integral and np.abs(terms).sum() < _EXACT_LIMIT
+        if exact:
             sums = np.add.reduceat(terms, starts).tolist()
         else:
             cuts = starts.tolist() + [total]

@@ -9,6 +9,7 @@ is what the normal-form peeling exploits.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -108,69 +109,97 @@ def is_irreducible(tensor: Tensor) -> bool:
     return find_reducing_set(tensor) is None
 
 
-def _successors(idx: np.ndarray, alive: np.ndarray) -> list[set[int]]:
-    """Entry digraph of the principal subtensor on the alive vertices.
-
-    ``idx`` holds 0-based index rows (``Tensor.coo.idx``) and ``alive`` is
-    a boolean mask over [0, n). Entries with an index outside the mask
-    are dropped, as a principal subtensor drops them; every kept row-i
-    entry gives an edge i -> t per trailing index t. Returns successor
-    sets on [1, n] (slot 0 unused).
-    """
-    n = len(alive)
-    keep = alive[idx[:, 0]]
-    for foot in idx.T[1:]:  # per column: a reduction along the short axis is slow
-        keep &= alive[foot]
-    kept = np.compress(keep, idx, axis=0)
-    codes = np.sort(kept[:, :1] * n + kept[:, 1:], axis=None)  # i -> t as (i-1)*n + (t-1)
-    distinct = np.ones(len(codes), dtype=bool)
-    distinct[1:] = codes[1:] != codes[:-1]
-    edges = codes[distinct]
-    heads = np.searchsorted(edges, np.arange(n + 1) * n).tolist()
-    tails = (edges % n + 1).tolist()
-    return [set()] + [set(tails[lo:hi]) for lo, hi in zip(heads, heads[1:])]
+def _edges(idx: np.ndarray, n: int) -> np.ndarray:
+    """Sorted codes (i-1)*n + (t-1) of the entry digraph's edges i -> t, one per row-i entry
+    and trailing index t, from 0-based index rows (``Tensor.coo.idx``); repeats dropped."""
+    codes = np.sort(idx[:, :1] * n + idx[:, 1:], axis=None)
+    return np.concatenate((codes[:1], codes[1:][codes[1:] != codes[:-1]]))
 
 
-def _components(succ: list[set[int]], roots: Iterable[int]) -> list[set[int]]:
+def _heads(edges: np.ndarray, n: int, rows: np.ndarray) -> list[list[int]]:
+    """The heads of sorted edge codes out of each of ``rows`` (ascending, 1-based)."""
+    starts, ends = np.searchsorted(edges, np.stack((rows - 1, rows)) * n).tolist()
+    heads = (edges % n + 1).tolist()
+    return [heads[lo:hi] for lo, hi in zip(starts, ends)]
+
+
+def _successors(edges: np.ndarray, n: int) -> list[list[int]]:
+    """Successor lists on [1, n] (slot 0 unused) of sorted edge codes."""
+    return [[]] + _heads(edges, n, np.arange(1, n + 1))
+
+
+def _components(succ, roots: Iterable[int]) -> list[frozenset[int]]:
     """Strongly connected components reachable from ``roots`` in the digraph v -> succ[v].
 
     Tarjan's algorithm (SIAM J. Comput. 1(2), 1972) with a stack of
-    edge iterators in place of recursion. A virtual vertex 0 with an edge
-    to every root starts the search and comes out last, on its own.
+    edge iterators in place of recursion: a vertex scans its edges up to
+    a new vertex and resumes there once that one is done. A virtual
+    vertex 0 with an edge to every root starts the search and comes out
+    last, on its own. Work items keep their vertex's place on the stack.
     """
     order, low, done = {0: 0}, {0: 0}, set()
     stack, found = [0], []
-    work = [(0, iter(roots))]
+    work = [(0, iter(roots), 0)]
     while work:
-        v, edges = work[-1]
-        w = next(edges, None)
-        if w is None:
+        v, edges, base = work[-1]
+        for w in edges:
+            if w not in order:
+                break
+            if w not in done and order[w] < low[v]:
+                low[v] = order[w]
+        else:
             work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
             if low[v] == order[v]:
-                found.append(set(stack[stack.index(v):]))
-                del stack[stack.index(v):]
+                found.append(frozenset(stack[base:]))
+                del stack[base:]
                 done.update(found[-1])
-        elif w not in order:
-            order[w] = low[w] = len(order)
-            stack.append(w)
-            work.append((w, iter(succ[w])))
-        elif w not in done:
-            low[v] = min(low[v], order[w])
+            continue
+        order[w] = low[w] = len(order)
+        work.append((w, iter(succ[w]), len(stack)))
+        stack.append(w)
     return found[:-1]
 
 
-def _sink(idx: np.ndarray, alive: np.ndarray) -> frozenset[int]:
-    """The sink component (no edge leaves it) holding the smallest alive index.
+def _peel(tensor: Tensor) -> Iterator[frozenset[int]]:
+    """Sink components (no edge leaves them), each the one holding the smallest index once
+    the earlier ones and every entry that mentions them are gone.
 
-    Components are those of the entry digraph of the principal subtensor
-    on the alive vertices, labelled by their original indices.
+    One search finds the components. A peel rebuilds only the rows with an
+    edge into the sink, from their slices of the view, and searches again
+    only inside their components, which removing edges can only split.
+    Any other component keeps every edge, so it stays a sink or not.
     """
-    succ = _successors(idx, alive)
-    roots = (np.flatnonzero(alive) + 1).tolist()
-    sinks = [c for c in _components(succ, roots) if all(succ[v] <= c for v in c)]
-    return frozenset(min(sinks, key=min))
+    coo, n = tensor.coo, tensor.dim
+    edges = _edges(coo.idx, n)
+    succ, pred = _successors(edges, n), None
+    home: list[frozenset[int]] = [frozenset()] * (n + 1)
+    sinks: list[tuple[int, frozenset[int]]] = []
+    alive = np.ones(n, dtype=bool)
+
+    def place(parts: list[frozenset[int]]) -> None:
+        for part in parts:
+            for v in part:
+                home[v] = part
+            if all(part.issuperset(succ[v]) for v in part):
+                heapq.heappush(sinks, (min(part), part))
+
+    place(_components(succ, range(1, n + 1)))
+    while sinks:
+        sink = heapq.heappop(sinks)[1]
+        yield sink
+        pred = pred or _successors(np.sort(edges % n * n + edges // n), n)  # reversed edges
+        alive[[v - 1 for v in sink]] = False
+        rows = sorted({u for v in sink for u in pred[v] if alive[u - 1] and v in succ[u]})
+        if not rows:
+            continue
+        entries = np.concatenate([coo.idx[coo.bounds[r - 1]:coo.bounds[r]] for r in rows])
+        kept = np.compress(np.logical_and.reduce([alive[i] for i in entries.T]), entries, axis=0)
+        for r, heads in zip(rows, _heads(_edges(kept, n), n, np.array(rows))):
+            succ[r] = heads
+        for comp in {home[u] for u in rows}:
+            place(_components({v: [w for w in succ[v] if w in comp] for v in comp}, comp))
 
 
 def find_weakly_reducing_set(tensor: Tensor) -> Optional[frozenset[int]]:
@@ -183,7 +212,7 @@ def find_weakly_reducing_set(tensor: Tensor) -> Optional[frozenset[int]]:
     one containing the smallest index is returned for determinism.
     """
     _check_order(tensor)
-    found = _sink(tensor.coo.idx, np.ones(tensor.dim, dtype=bool))
+    found = next(_peel(tensor))
     if len(found) == tensor.dim:
         return None
     assert weakly_reduces(tensor, found)
@@ -321,15 +350,7 @@ def normal_form_2nd(tensor: Tensor) -> NormalForm:
     smallest index goes first, making the output deterministic.
     """
     _check_order(tensor)
-    idx, alive = tensor.coo.idx, np.ones(tensor.dim, dtype=bool)
-    peeled: list[frozenset[int]] = []
-    while alive.any():
-        # peeling drops every entry that touches the sink, which can split
-        # what remains, so the digraph is rebuilt from the live entries each time
-        peeled.append(_sink(idx, alive))
-        alive[[v - 1 for v in peeled[-1]]] = False
-
-    return _assemble(tensor, list(reversed(peeled)), BlockKind.UTB2, weak=True)
+    return _assemble(tensor, list(_peel(tensor))[::-1], BlockKind.UTB2, weak=True)
 
 
 def exists_first_type_normal_form(tensor: Tensor) -> Optional[tuple[Permutation, Partition]]:
@@ -342,7 +363,9 @@ def exists_first_type_normal_form(tensor: Tensor) -> Optional[tuple[Permutation,
     therefore exists when there are at least two components and each
     component's principal subtensor is weakly irreducible (it can lose
     edges the component relies on: a_{123} = a_{213} = a_{333} = 1 has
-    the component {1, 2} but an empty block there).
+    the component {1, 2} but an empty block there). So one more search
+    runs over the entries whose indices share a component: each such
+    subtensor is weakly irreducible when it finds no more components.
 
     The witness returned is the one with the lexicographically first
     sigma. Components are placed from the back, each time the one with
@@ -352,15 +375,14 @@ def exists_first_type_normal_form(tensor: Tensor) -> Optional[tuple[Permutation,
     """
     _check_order(tensor)
     idx, n = tensor.coo.idx, tensor.dim
-    succ = _successors(idx, np.ones(n, dtype=bool))
-    comps = [frozenset(c) for c in _components(succ, range(1, n + 1))]
+    succ = _successors(_edges(idx, n), n)
+    comps = _components(succ, range(1, n + 1))
     if len(comps) < 2:
         return None
-    for comp in comps:
-        inside = np.zeros(n, dtype=bool)
-        inside[[v - 1 for v in comp]] = True
-        if len(comp) > 1 and _sink(idx, inside) != comp:
-            return None
+    labels = np.array(sorted((v, k) for k, comp in enumerate(comps) for v in comp))[idx, 1]
+    inner = _successors(_edges(idx[(labels == labels[:, :1]).all(axis=1)], n), n)
+    if len(_components(inner, range(1, n + 1))) > len(comps):
+        return None
     leaves = {comp: set().union(*(succ[v] for v in comp)) - comp for comp in comps}
     unplaced = sorted(comps, key=min)
     placed: set[int] = set()

@@ -25,8 +25,13 @@ each ensemble tensor's majorization matrix and on a matrix of its own:
 small integers, Gaussians, block triangular integers (exact zeros over a
 negative determinant), singular, near the pivot floor, or scaled by a
 power of two. Its matrices keep pivots and inverses inside the double
-range. None of ``radius``, ``wire`` and ``inverse`` draws from the
-ensemble's random stream, so adding them moved no other area's line.
+range. The ``peel`` area records ``normal_form_2nd`` (sigma and
+partition), ``find_weakly_reducing_set`` and
+``exists_first_type_normal_form`` on tensors of its own: non-symmetric
+and mostly reducible, up to dim 40, with trailing indices mostly at or
+after the row, so one peel takes many blocks. None of ``radius``,
+``wire``, ``inverse`` and ``peel`` draws from the ensemble's random
+stream, so adding them moved no other area's line.
 """
 from __future__ import annotations
 
@@ -52,6 +57,8 @@ from triblock.spectra import _finest_refinement  # noqa: E402
 
 SEED = 20161
 TRIALS = 160
+PEEL_SEED = 20162
+PEEL_TRIALS = 120
 VALUES = [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 0.5, -1.25]
 
 
@@ -251,6 +258,26 @@ def area_inverse(rng, t, out):
         out.append(canon(linalg.is_nonsingular(mat)))
 
 
+def peel_tensors():
+    """Up to 3·dim random index tuples, 85 % of them with trailing indices >= the row."""
+    rng = random.Random(PEEL_SEED)
+    for _ in range(PEEL_TRIALS):
+        order, dim = rng.randint(2, 4), rng.randint(1, 40)
+        entries = {}
+        for _ in range(rng.randint(0, 3 * dim)):
+            row = rng.randint(1, dim)
+            lo = row if rng.random() < 0.85 else 1
+            feet = tuple(rng.randint(lo, dim) for _ in range(order - 1))
+            entries[(row,) + feet] = rng.choice(VALUES)
+        yield shuffled(order, dim, entries, rng)
+
+
+def area_peel(t) -> str:
+    nf = tb.normal_form_2nd(t)
+    return canon([nf.sigma, nf.partition, tb.find_weakly_reducing_set(t),
+                  tb.exists_first_type_normal_form(t)])
+
+
 def cli_runs():
     """Every verb on every fixture it applies to, with a few partitions."""
     fx = ROOT / "fixtures"
@@ -309,7 +336,7 @@ AREAS = {
 
 
 def main() -> None:
-    hashes = {name: hashlib.sha256() for name in [*AREAS, "radius", "wire", "inverse"]}
+    hashes = {name: hashlib.sha256() for name in [*AREAS, "radius", "wire", "inverse", "peel"]}
     for trial, (rng, t, p, kind) in enumerate(ensemble()):
         for name, area in AREAS.items():
             out: list[str] = []
@@ -322,6 +349,8 @@ def main() -> None:
         out = []
         area_inverse(random.Random(f"inverse{trial}"), t, out)
         hashes["inverse"].update(("\n".join(out) + "\n").encode())
+    for t in peel_tensors():
+        hashes["peel"].update((area_peel(t) + "\n").encode())
     for name, h in hashes.items():
         print(name, h.hexdigest())
     print("cli_fixtures", cli_digest(radius=False))

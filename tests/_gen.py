@@ -30,6 +30,7 @@ from triblock.errors import (
     SingularMatrix,
 )
 from triblock.linalg import PIVOT_RTOL, as_matrix
+from triblock.structure import _components, _stacked
 
 
 # ---------------------------------------------------------------- oracles
@@ -262,6 +263,61 @@ def loop_reduces(tensor: Tensor, members: frozenset[int], weak: bool) -> bool:
 def loop_pattern(tensor: Tensor) -> set:
     """The (row, trailing index set) pairs of the entries, read off the dict."""
     return {(idx[0], frozenset(idx[1:])) for idx in tensor.entries}
+
+
+def _loop_successors(idx: np.ndarray, alive: np.ndarray) -> list[set[int]]:
+    """Successor sets on [1, n] of the entry digraph of the principal subtensor on the
+    alive vertices (a boolean mask over [0, n)), rebuilt from every entry."""
+    n = len(alive)
+    kept = idx[alive[idx].all(axis=1)]
+    succ = [set() for _ in range(n + 1)]
+    for row in (kept + 1).tolist():
+        succ[row[0]].update(row[1:])
+    return succ
+
+
+def loop_sink(tensor: Tensor, alive: np.ndarray) -> frozenset[int]:
+    """The sink component holding the smallest alive index, from a fresh digraph and SCC
+    search over the alive vertices: one step of the peel the library once ran."""
+    succ = _loop_successors(tensor.coo.idx, alive)
+    roots = (np.flatnonzero(alive) + 1).tolist()
+    sinks = [c for c in _components(succ, roots) if all(succ[v] <= c for v in c)]
+    return frozenset(min(sinks, key=min))
+
+
+def loop_find_weakly_reducing_set(tensor: Tensor):
+    found = loop_sink(tensor, np.ones(tensor.dim, dtype=bool))
+    return None if len(found) == tensor.dim else found
+
+
+def loop_normal_form_2nd(tensor: Tensor) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sigma image, parts) of the second-type peel, rebuilding the digraph per sink."""
+    alive, peeled = np.ones(tensor.dim, dtype=bool), []
+    while alive.any():
+        peeled.append(loop_sink(tensor, alive))
+        alive[[v - 1 for v in peeled[-1]]] = False
+    return _stacked(peeled[::-1]).image, tuple(len(comp) for comp in peeled[::-1])
+
+
+def loop_first_type(tensor: Tensor):
+    """The first-type witness with one fresh sink search per component."""
+    n = tensor.dim
+    succ = _loop_successors(tensor.coo.idx, np.ones(n, dtype=bool))
+    comps = _components(succ, range(1, n + 1))
+    if len(comps) < 2:
+        return None
+    for comp in comps:
+        inside = np.zeros(n, dtype=bool)
+        inside[[v - 1 for v in comp]] = True
+        if len(comp) > 1 and loop_sink(tensor, inside) != comp:
+            return None
+    leaves = {comp: set().union(*(succ[v] for v in comp)) - comp for comp in comps}
+    unplaced, placed, chain = sorted(comps, key=min), set(), []
+    while unplaced:
+        last = next(i for i in reversed(range(len(unplaced))) if leaves[unplaced[i]] <= placed)
+        placed |= unplaced[last]
+        chain.append(unplaced.pop(last))
+    return _stacked(chain[::-1]), Partition(tuple(len(comp) for comp in chain[::-1]))
 
 
 def loop_is_diagonal(tensor: Tensor) -> bool:
@@ -636,6 +692,18 @@ def rand_tensor(rng: random.Random, n: int, m: int, density: float = 0.3,
         if rng.random() < density:
             entries.append((idx, float(rng.choice(values))))
     return tb.new_tensor(m, n, entries)
+
+
+def rand_sparse(rng: random.Random, m: int, n: int, upper: float = 0.0) -> Tensor:
+    """Up to 3n random index tuples, without enumerating [n]^m. With probability
+    ``upper`` a tuple's trailing indices are at least its row, which leaves the entry
+    digraph many components with edges between them."""
+    entries = {}
+    for _ in range(rng.randint(0, 3 * n)):
+        row = rng.randint(1, n)
+        lo = row if rng.random() < upper else 1
+        entries[(row,) + tuple(rng.randint(lo, n) for _ in range(m - 1))] = 1.0
+    return tb.Tensor(m, n, entries)
 
 
 def rand_blocked(rng: random.Random, parts: tuple[int, ...], kind: BlockKind,

@@ -251,13 +251,25 @@ class TestInverses:
                             str(fixtures_dir / "ex24.json"), "-k", "2")
         assert code == 1 and doc["error"] == "NoLeftInverse"
 
-    def test_inverse_past_the_double_range(self, capsys, tmp_path):
+    @staticmethod
+    def past_the_double_range(capsys, tmp_path, verb):
+        # 1 / 1e-310 is past the largest double: the detail says so, not "singular"
         path = tmp_path / "a.json"
-        path.write_text('{"order": 2, "dim": 1, "entries": [{"i": [1, 1], "v": 1e-310}]}')
-        code = cli.run(["left-inverse", "--tensor", str(path), "-k", "2"])
+        path.write_text('{"order":2,"dim":1,"entries":[{"i":[1,1],"v":1e-310}]}')
+        code = cli.run([verb, "--tensor", str(path), "-k", "2"])
         out, err = capsys.readouterr()
         assert (code, err) == (1, "")
-        assert json.loads(out) == {"error": "NoLeftInverse", "detail": "row matrix is singular"}
+        return json.loads(out)
+
+    def test_inverse_past_the_double_range(self, capsys, tmp_path):
+        assert self.past_the_double_range(capsys, tmp_path, "left-inverse") == {
+            "error": "NoLeftInverse",
+            "detail": "row matrix: an inverse entry is beyond the double range"}
+
+    def test_right_inverse_past_the_double_range(self, capsys, tmp_path):
+        assert self.past_the_double_range(capsys, tmp_path, "right-inverse") == {
+            "error": "NotRightInvertible",
+            "detail": "recovered factor matrix: an inverse entry is beyond the double range"}
 
     def test_right_inverse_round_trip(self, capsys, tmp_path):
         q = [[2.0, 1.0], [0.0, 3.0]]

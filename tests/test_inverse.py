@@ -2,6 +2,7 @@
 preservation of block structure on both sides."""
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -89,14 +90,15 @@ class TestLeftKInverse:
     def test_rejections(self, ex24):
         with pytest.raises(NoLeftInverse):
             tb.left_k_inverse(ex24, 2)
-        with pytest.raises(NoLeftInverse):
+        with pytest.raises(NoLeftInverse, match="^row matrix is singular$"):
             tb.left_k_inverse(row_diag([[1, 1], [1, 1]]), 2)
         with pytest.raises(OrderTooSmall):
             tb.left_k_inverse(tb.unit_tensor(3, 2), 1)
 
     def test_inverse_past_the_double_range(self):
-        # 1 / 1e-310 is beyond the largest double
-        with pytest.raises(NoLeftInverse, match="^row matrix is singular$") as info:
+        # 1 / 1e-310 is beyond the largest double: a range fault, not a singular matrix
+        want = "^row matrix: an inverse entry is beyond the double range$"
+        with pytest.raises(NoLeftInverse, match=want) as info:
             tb.left_k_inverse(tb.new_tensor(2, 1, [((1, 1), 1e-310)]), 2)
         assert "inverse entry is beyond the double range" in str(info.value.__cause__)
         assert not tb.has_left_inverse(tb.new_tensor(3, 1, [((1, 1, 1), 1e-310)]))
@@ -172,15 +174,26 @@ class TestRightKInverse:
     def test_rejections(self, ex24):
         with pytest.raises(NotRightInvertible):
             tb.right_k_inverse(ex24, 2)
-        with pytest.raises(NotRightInvertible):
+        with pytest.raises(NotRightInvertible, match="^recovered factor matrix is singular$"):
             tb.right_k_inverse(unit_times([[1, 1], [1, 1]]), 2)
         with pytest.raises(OrderTooSmall):
             tb.right_k_inverse(tb.unit_tensor(3, 2), 1)
 
     def test_inverse_past_the_double_range(self):
-        with pytest.raises(NotRightInvertible, match="factor matrix is singular") as info:
+        want = "^recovered factor matrix: an inverse entry is beyond the double range$"
+        with pytest.raises(NotRightInvertible, match=want) as info:
             tb.right_k_inverse(tb.new_tensor(2, 1, [((1, 1), 1e-310)]), 2)
         assert "inverse entry is beyond the double range" in str(info.value.__cause__)
+
+    def test_pivot_past_the_double_range_warns_nothing(self):
+        # the factorization check sums |terms| past the double range: that sum
+        # takes the fsum route without an overflow warning
+        q = tb.tensor_from_matrix(np.array([[1e308, -1e308], [1e308, 1e308]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotRightInvertible,
+                               match="^recovered factor matrix: a pivot is beyond"):
+                tb.right_k_inverse(q, 2)
 
     def test_both_sides_on_a_monomial_tensor(self):
         # a_{122} = 2, a_{211} = 3 is both row diagonal and of the

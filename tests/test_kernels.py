@@ -8,13 +8,17 @@ predicates, the majorization and representation matrices) all read
 exactly, not just to a tolerance. The power iteration's step is the one
 kernel that sums in plain float64, and it is held to a relative 1e-13.
 Also pinned: the view a structural operation hands on to its result, the
-read-only ``entries`` mapping and pickling.
+read-only ``entries`` mapping and pickling. The incremental peel behind
+``normal_form_2nd``, ``find_weakly_reducing_set`` and
+``exists_first_type_normal_form`` must give what the loop that rebuilt
+the digraph for every sink gave, and stay near-linear at scale.
 """
 import copy
 import itertools
 import math
 import pickle
 import random
+import time
 
 import numpy as np
 import pytest
@@ -26,12 +30,14 @@ from triblock.blocked import _block_ends, _forbidden
 from triblock.core import Coo
 from triblock.errors import NegativeEntry
 from triblock.spectra import _SHIFT, _is_diagonal, _largest_row_sum, _oracle_jacobian, _power_step
-from triblock.structure import _pattern
+from triblock.structure import _components, _pattern
 
 from _gen import (
     loop_apply,
     loop_block_ends,
     loop_diagonal_blocks,
+    loop_find_weakly_reducing_set,
+    loop_first_type,
     loop_from_dense,
     loop_is_blocked,
     loop_is_diagonal,
@@ -39,6 +45,7 @@ from _gen import (
     loop_is_z_tensor,
     loop_jacobian,
     loop_majorization_matrix,
+    loop_normal_form_2nd,
     loop_pattern,
     loop_permute_similar,
     loop_principal_subtensor,
@@ -48,7 +55,9 @@ from _gen import (
     loop_row_diagonal_from_matrix,
     loop_z_split,
     rand_blocked,
+    rand_hypergraph,
     rand_permutation,
+    rand_sparse,
 )
 
 
@@ -371,3 +380,85 @@ class TestViewUsers:
         t = tb.Tensor(3, 2, {(2, 1, 1): -1.0, (1, 1, 1): -2.0, (1, 2, 2): 1.0})
         with pytest.raises(NegativeEntry, match=r"entry \(2, 1, 1\) is negative: -1.0"):
             tb.spectral_radius(t)
+
+
+def same_peel(t: tb.Tensor) -> bool:
+    nf = tb.normal_form_2nd(t)
+    return ((nf.sigma.image, nf.partition.parts) == loop_normal_form_2nd(t)
+            and tb.find_weakly_reducing_set(t) == loop_find_weakly_reducing_set(t)
+            and tb.exists_first_type_normal_form(t) == loop_first_type(t))
+
+
+class TestPeel:
+    def test_matches_loop_on_random_tensors(self):
+        rng = random.Random(420)
+        for trial in range(300):
+            t = rand_sparse(rng, rng.randint(2, 4), rng.randint(1, 40))
+            assert same_peel(t), (trial, dict(t.entries))
+
+    def test_matches_loop_on_upper_biased_patterns(self):
+        rng = random.Random(421)
+        blocks = 0
+        for trial in range(300):
+            t = rand_sparse(rng, rng.randint(2, 4), rng.randint(1, 40), upper=0.85)
+            assert same_peel(t), (trial, dict(t.entries))
+            blocks += tb.normal_form_2nd(t).partition.r
+        assert blocks > 300 * 5  # the peels are long, not one block each
+
+    def test_matches_loop_on_split_hypergraphs(self):
+        rng = random.Random(422)
+        for _ in range(40):
+            groups = [rng.randint(1, 8) for _ in range(rng.randint(1, 6))]
+            graph = rand_hypergraph(rng, rng.randint(2, 4), groups, edges_per_group=4)
+            assert same_peel(tb.adjacency_tensor(graph))
+
+    def test_peel_drops_entries_that_mention_the_sink(self):
+        # {1, 2} is one component until {3} is peeled and takes a_123 with it
+        t = tb.new_tensor(3, 3, [((1, 2, 3), 1.0), ((2, 1, 1), 1.0), ((3, 3, 3), 1.0)])
+        assert same_peel(t)
+        assert tb.find_weakly_reducing_set(t) == frozenset({3})
+        assert tb.normal_form_2nd(t).partition.parts == (1, 1, 1)
+        assert tb.exists_first_type_normal_form(t) is None
+
+    def test_empty_tensor(self):
+        t = tb.Tensor(3, 4, {})
+        assert same_peel(t)
+        assert tb.normal_form_2nd(t).partition.parts == (1, 1, 1, 1)
+
+
+def timed(fn, *args):
+    """(seconds taken, result) of one call."""
+    start = time.perf_counter()
+    result = fn(*args)
+    return time.perf_counter() - start, result
+
+
+class TestPeelScale:
+    """Wide bounds: the loop that rebuilt the digraph for every sink took about
+    a minute on the chain and 6 s on the pairs, and the search 6 s on the path."""
+
+    def test_chain(self):
+        # a_iii and a_{i,i+1,i+1}: every index is its own block, peeled from the end
+        n = 2000
+        chain = tb.new_tensor(3, n, [((i, i, i), 1.0) for i in range(1, n + 1)]
+                              + [((i, i + 1, i + 1), 1.0) for i in range(1, n)])
+        seconds, nf = timed(tb.normal_form_2nd, chain)
+        assert seconds < 3.0 and nf.partition.r == n
+        seconds, rho = timed(tb.spectral_radius, chain)
+        assert seconds < 3.0 and rho.rho == 1.0
+
+    def test_components_on_a_long_path(self):
+        n = 20000
+        succ = [set()] + [{v + 1} for v in range(1, n)] + [set()]
+        seconds, comps = timed(_components, succ, range(1, n + 1))
+        assert seconds < 1.0 and len(comps) == n
+
+    def test_first_type_with_many_two_vertex_components(self):
+        k = 2000
+        entries = [((2 * i - 1, 2 * i, 2 * i), 1.0) for i in range(1, k + 1)]
+        entries += [((2 * i, 2 * i - 1, 2 * i - 1), 1.0) for i in range(1, k + 1)]
+        entries += [((2 * i, 2 * i + 1, 2 * i + 1), 1.0) for i in range(1, k)]
+        pairs = tb.new_tensor(3, 2 * k, entries)
+        seconds, (sigma, p) = timed(tb.exists_first_type_normal_form, pairs)
+        assert seconds < 3.0
+        assert sigma == tb.Permutation.identity(2 * k) and p.parts == (2,) * k
