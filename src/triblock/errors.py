@@ -95,6 +95,10 @@ class DeterminantOutOfRange(TriblockError):
         self.log_abs = log_abs
 
 
+class ProductOutOfRange(TriblockError):
+    """An entry of a general product is too large for a double."""
+
+
 class SingularMatrix(TriblockError):
     """Matrix inversion hit a zero (or below-threshold) pivot."""
 

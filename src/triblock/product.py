@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import Tensor
-from .errors import DimensionMismatch, OrderTooSmall
+from .errors import DimensionMismatch, OrderTooSmall, ProductOutOfRange
 
 # Terms expanded at once (a single row of ``a`` may hold more). A chunk
 # keeps about ten int64/float64 arrays of this length alive; at 1 << 18
@@ -40,6 +40,14 @@ def _chunks(bounds: Sequence[int], ends: Sequence[int]) -> Iterator[tuple[int, i
             yield bounds[first], bounds[row - 1]
             first = row - 1
     yield bounds[first], bounds[-1]
+
+
+def _fsum(terms: np.ndarray) -> float:
+    """math.fsum of the terms, or inf where a term or a partial sum is past the double range."""
+    try:
+        return math.fsum(terms.tolist())
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        return math.inf
 
 
 def _fold(code: np.ndarray, top: int, digits: np.ndarray, base: int) -> tuple[np.ndarray, int]:
@@ -70,6 +78,7 @@ def general_product(a: Tensor, b: Tensor) -> Tensor:
     addition when both factors are integral and the chunk's sum of
     |term| is below 2^53 (every partial sum is then exact, so it equals
     fsum), and by math.fsum over the terms in generation order otherwise.
+    A term or a sum past the double range raises ProductOutOfRange.
     """
     if a.order < 2:
         raise OrderTooSmall("left factor must have order >= 2")
@@ -108,9 +117,11 @@ def general_product(a: Tensor, b: Tensor) -> Tensor:
         del pos, digit
 
         terms, code, top = av.vals[ent], av.idx[ent, 0], n
-        for pick in picks:
-            terms = terms * bv.vals[pick]
-            code, top = _fold(code, top, alpha[pick], width)
+        with np.errstate(over="ignore"):  # an infinite term or sum takes the fsum route
+            for pick in picks:
+                terms = terms * bv.vals[pick]
+                code, top = _fold(code, top, alpha[pick], width)
+            exact = integral and np.abs(terms).sum() < _EXACT_LIMIT  # any order is exact below it
 
         # one at a time, so that each unsorted array is freed before the next sort
         order = np.argsort(code, kind="stable")
@@ -122,17 +133,18 @@ def general_product(a: Tensor, b: Tensor) -> Tensor:
         del ent, picks
         terms = terms[order]
         del order
-        with np.errstate(over="ignore"):  # an infinite sum takes the fsum route
-            exact = integral and np.abs(terms).sum() < _EXACT_LIMIT
         if exact:
             sums = np.add.reduceat(terms, starts).tolist()
         else:
             cuts = starts.tolist() + [total]
-            sums = [math.fsum(terms[s:e].tolist()) for s, e in zip(cuts, cuts[1:])]
+            sums = [_fsum(terms[s:e]) for s, e in zip(cuts, cuts[1:])]
         del terms
 
         # tails is (m-1, groups, k-1); keys come from per-column lists
         columns = np.concatenate((rows, tails.transpose(0, 2, 1).reshape(-1, len(first))))
         keys = zip(*(columns + 1).tolist())
+        if not exact and not all(map(math.isfinite, sums)):  # exact sums are below 2^53
+            key = next(key for key, s in zip(keys, sums) if not math.isfinite(s))
+            raise ProductOutOfRange(f"entry {key} of the product is beyond the double range")
         entries.update((key, s) for key, s in zip(keys, sums) if s != 0.0)
     return Tensor(out_order, n, entries)

@@ -16,9 +16,7 @@ formula, and asking for it is an error rather than a wrong number.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,21 +46,11 @@ _SUPPORTED = (BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2, Bl
 _REFINE_ORDER = (BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2)
 _UNAVAILABLE = {BlockDetUnavailable: "admits no supported refinement",
                 BlockSpectrumUnavailable: "cannot be reduced to dimension 1"}
-_NORMAL = (sys.float_info.min, sys.float_info.max)
-_LOG_NORMAL = 708.0  # e^x is a normal double for |x| below this
-_LOG_MAX = math.log(sys.float_info.max)
-_EXACT_BITS = 1 << 20  # the exact power's budget: about 20 ms of integer arithmetic
+_PRECISION = 192  # mantissa bits kept while the determinant is raised to its power
 
 
 def _is_diagonal(tensor: Tensor) -> bool:
     return bool(_equal_from(tensor, 0).all())
-
-
-def _exact_pow(base: float, exponent: int):
-    """Integer bases go through arbitrary-precision integer power."""
-    if float(base).is_integer():
-        return int(base) ** exponent
-    return base ** exponent
 
 
 def det_dim1(tensor: Tensor) -> float:
@@ -143,66 +131,47 @@ def _leaves(tensor: Tensor, partition: Partition, unavailable: type):
             yield value, lift * exponent
 
 
-def _log_ratio(n: int, d: int) -> float:
-    """log(n / d) for positive integers, to a few ulps also where n / d is near 1."""
-    if d < 2 * n and n < 2 * d:  # from the exact difference, so no digits cancel
-        return math.log1p((n - d) / d)
-    k = n.bit_length() - d.bit_length()  # n / d lies between 2^(k-1) and 2^(k+1)
-    return math.log((n << max(-k, 0)) / (d << max(k, 0))) + k * math.log(2)
-
-
-def _power_product(leaves: list) -> Optional[float]:
-    """The product of |v|^e in double precision, or None where it may be inexact.
-
-    Integral powers are exact integers, so an integral product is rounded
-    once. Only when every power and partial product is a normal double is
-    the product kept; it is then within a relative (n+1)*2^-52 of the exact
-    value. A power is not taken if it is beyond the normal doubles or its
-    exponent beyond the exact ones.
-    """
-    det = 1
-    for value, exponent in leaves:
-        if exponent > 2 ** 53 or abs(exponent * math.log(abs(value))) >= _LOG_NORMAL:
-            return None
-        det *= _exact_pow(abs(value), exponent)
-        if not _NORMAL[0] <= det <= _NORMAL[1]:
-            return None
-    return float(det)
+def _truncated(mantissa: int, exponent: int, sticky: bool) -> tuple[int, int, bool]:
+    """mantissa * 2^exponent cut to its top _PRECISION bits; sticky is set if a dropped bit was."""
+    drop = max(mantissa.bit_length() - _PRECISION, 0)
+    return mantissa >> drop, exponent + drop, sticky or (mantissa & ((1 << drop) - 1)) != 0
 
 
 def _det(leaves) -> float:
     """The product of the leaves' powers: 0.0 if a leaf is zero, else a nonzero double.
 
     Every leaf of a walk has the exponent e = (m-1)^(n-1), so the
-    determinant is P^e for the exact product P of the entries. It is the
-    double-precision product of the powers where that is accurate; else
-    P^e rounded once if that has at most _EXACT_BITS bits; else
-    exp(e * log|P|), within a relative 2^-52 * |log|det|| or so. A
-    determinant no double holds raises DeterminantOutOfRange.
+    determinant is P^e for the exact product P of the entries, and as every
+    denominator is a power of two, |P| = M * 2^K. (M, K) is raised to e by
+    squaring, each product cut to its top _PRECISION bits with a sticky bit
+    set if a dropped bit was, so the one rounding at the end (an int/int
+    division, subnormals included) is correct. A determinant no double
+    holds raises DeterminantOutOfRange, with log|det| from the same pair.
     """
     leaves = list(leaves)
     if any(value == 0 for value, _ in leaves):
         return 0.0
     (exponent,) = {e for _, e in leaves}  # one exponent, (m-1)^(n-1)
     sign = -1 if exponent % 2 and sum(value < 0 for value, _ in leaves) % 2 else 1
-    det = _power_product(leaves)
-    if det is not None:
-        return sign * det
-    product = abs(math.prod(Fraction(value) for value, _ in leaves))
-    n, d = product.numerator, product.denominator
-    log_p = _log_ratio(n, d)
-    try:
-        log_abs = exponent * log_p if log_p else 0.0
-    except OverflowError:  # the exponent is beyond a double
-        log_abs = math.copysign(math.inf, log_p)
-    if exponent * (n.bit_length() + d.bit_length() - 2) <= _EXACT_BITS:
+    ratios = [abs(value).as_integer_ratio() for value, _ in leaves]  # d a power of two
+    base, scale, sticky = _truncated(
+        math.prod(n for n, _ in ratios), len(ratios) - sum(d.bit_length() for _, d in ratios), False)
+    power, shift = 1, 0
+    for bit in bin(exponent)[2:]:  # from the top bit down
+        power, shift, sticky = _truncated(power * power, 2 * shift, sticky)
+        if bit == "1":
+            power, shift, sticky = _truncated(power * base, shift + scale, sticky)
+    top = shift + power.bit_length()  # 2^(top-1) <= |det| < 2^top
+    mantissa, k = power << 1 | sticky, shift - 1  # the sticky bit below the last kept one
+    try:  # 0.0 where |det| rounds to 0 or past a double, found from top before any shift
+        det = (mantissa << max(k, 0)) / (1 << max(-k, 0)) if -1075 < top <= 1024 else 0.0
+    except OverflowError:  # rounded up to 2^1024
+        det = 0.0
+    if not det:
         try:
-            det = float(product ** exponent)  # rounded once
-        except OverflowError:
-            det = math.inf
-    else:
-        det = math.exp(log_abs) if log_abs < _LOG_MAX else math.inf
-    if not 0 < det < math.inf:
+            log_abs = math.log(power) + shift * math.log(2)
+        except OverflowError:  # the exponent K is beyond a double
+            log_abs = math.inf if shift > 0 else -math.inf
         raise DeterminantOutOfRange(
             f"the determinant, {'-' if sign < 0 else ''}exp({log_abs!r}), "
             "is out of the double range", sign=sign, log_abs=log_abs)

@@ -112,6 +112,12 @@ class TestProduct:
         code, doc = run_cli(capsys, "product", ex31_path, right)
         assert code == 1 and doc["error"] == "DimensionMismatch"
 
+    def test_past_the_double_range(self, capsys, tmp_path):
+        path = write_matrix(tmp_path, "a.json", [[1e200]])
+        code, doc = run_cli(capsys, "product", path, path)
+        assert code == 1 and doc == {"error": "ProductOutOfRange", "detail":
+                                     "entry (1, 1) of the product is beyond the double range"}
+
 
 class TestDet:
     def test_diagonal_blocks(self, capsys, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 import triblock as tb
 from triblock import BlockKind, Partition
-from triblock.errors import DimensionMismatch, OrderTooSmall
+from triblock.errors import DimensionMismatch, OrderTooSmall, ProductOutOfRange
 
 from _gen import dense_product, rand_blocked, rand_tensor
 
@@ -103,6 +103,31 @@ class TestDenseOracle:
         c = tb.general_product(a, b)
         assert (1, 1) not in c.entries
         assert c.get((1, 1)) == 0.0
+
+
+class TestDoubleRange:
+    @pytest.mark.parametrize("a, b, key", [
+        ({(1, 1): 1e200}, {(1, 1): 1e200}, (1, 1)),  # one term past the range
+        ({(1, 1): 1e308, (1, 2): 1e308}, {(1, 1): 1.0, (2, 1): 1.0}, (1, 1)),  # its sum
+        ({(1, 1): 1e200, (1, 2): 1e200}, {(1, 1): 1e200, (2, 1): -1e200}, (1, 1)),  # inf - inf
+        ({(1, 1): 1.0, (2, 2): 1e300}, {(1, 2): 1.0, (2, 1): 1e10}, (2, 1)),
+    ])
+    def test_refused_naming_the_entry(self, a, b, key):
+        n = max(max(idx) for idx in a)
+        with pytest.raises(ProductOutOfRange, match=rf"entry \({key[0]}, {key[1]}\) of the product"):
+            tb.general_product(tb.Tensor(2, n, a), tb.Tensor(2, n, b))
+
+    def test_order_three_term_past_the_range(self):
+        a = tb.new_tensor(3, 2, [((1, 1, 1), 1.0), ((2, 2, 2), 1e200)])
+        b = tb.new_tensor(2, 2, [((1, 1), 1.0), ((2, 2), 1e60)])
+        with pytest.raises(ProductOutOfRange, match=r"entry \(2, 2, 2\)"):
+            tb.general_product(a, b)
+
+    def test_in_range_near_the_edge(self):
+        # 1e308 - 1e308 cancels, and 1.7e308 is below the largest double
+        a = tb.Tensor(2, 2, {(1, 1): 1e308, (1, 2): -1e308, (2, 2): 1e154})
+        b = tb.Tensor(2, 2, {(1, 1): 1.0, (2, 1): 1.0, (1, 2): 1.7})
+        assert tb.general_product(a, b).entries == {(1, 2): 1e308 * 1.7, (2, 1): 1e154}
 
 
 class TestBlockedClosure:

@@ -216,7 +216,7 @@ class TestDetBlocked:
             assert tb.det_blocked(c, p, UTB1) == float(want)
 
     def test_non_dyadic_diagonal_rounds_once_per_leaf(self):
-        # one pow per leaf and n-1 products: a relative (n+1) 2^-52 of the exact rational value
+        # the exact rational power, rounded once
         rng = random.Random(23)
         kinds = [BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2]
         zeros = 0
@@ -241,7 +241,7 @@ class TestDetBlocked:
                 zeros += 1
                 assert got == 0.0 and math.copysign(1.0, got) == 1.0, trial
             else:
-                assert abs(Fraction(got) - want) <= (n + 1) * 2.0 ** -52 * abs(want), trial
+                assert got == float(want), trial
         assert zeros == 12
 
 
@@ -277,13 +277,99 @@ class TestDeterminantOutOfRange:
         assert tb.det_diagonal(tb.diagonal_tensor(order, diag)) == want
 
     def test_exact_product_is_bounded(self):
-        # the exact product would have about 10^9 bits; exp(log|det|) answers at once
+        # the exact power would have about 10^9 bits; the powering keeps 192 of them
         diag = [1.001] * 10 + [1 / 1.001] * 10
         start = time.perf_counter()
         got = tb.det_diagonal(tb.diagonal_tensor(3, diag))
         assert time.perf_counter() - start < 2.0
         base = math.prod(Fraction(d) for d in diag)
         assert got == pytest.approx(math.exp(2 ** 19 * math.log1p(base - 1)), rel=1e-10)
+
+
+def rand_leaf_set(rng: random.Random) -> tuple[list[float], int]:
+    """Nonzero leaf entries of one walk (small integers, 1.1, -1.3, magnitudes up to 1e±300)
+    and their shared exponent (m-1)^(n-1), for orders 2-4 and dims 1-7."""
+    m, n = rng.randint(2, 4), rng.randint(1, 7)
+
+    def value() -> float:
+        r = rng.random()
+        if r < 0.4:
+            return float(rng.choice([-3, -2, -1, 1, 2, 3, 5, 7]))
+        if r < 0.7:
+            return rng.choice([1.1, -1.3])
+        return rng.choice([-1, 1]) * 10.0 ** rng.uniform(-300, 300)
+
+    return [value() for _ in range(n)], (m - 1) ** (n - 1)
+
+
+MAX = 2.0 ** 1023 * (2 - 2.0 ** -52)  # the largest double
+TINY = 2.0 ** -1074  # the smallest subnormal
+MIDPOINT = [(2 ** 27 - 1) * 2.0 ** 485, (2 ** 27 + 1) * 2.0 ** 485]  # product 2^1024 - 2^970
+
+
+class TestDetRounding:
+    def test_correctly_rounded(self):
+        # the exact P^e rounded once, or refused where that rounds to 0 or past a double
+        rng = random.Random(16)
+        refused = 0
+        for trial in range(4000):
+            values, e = rand_leaf_set(rng)
+            try:
+                want = float(math.prod(Fraction(v) for v in values) ** e)
+            except OverflowError:
+                want = math.inf
+            if 0 < abs(want) < math.inf:
+                assert spectra._det([(v, e) for v in values]) == want, (trial, values, e)
+            else:
+                refused += 1
+                with pytest.raises(DeterminantOutOfRange):
+                    spectra._det([(v, e) for v in values])
+        assert 500 < refused < 3500
+
+    def test_sticky_bit_breaks_a_tie(self, monkeypatch):
+        # 612413 * 60242823302933 = (2^53 + 1) * 2^12 + 1: kept to 60 bits, the product is the
+        # midpoint between 1 and 1 + 2^-52, and only the dropped 1 says that it lies above it
+        monkeypatch.setattr(spectra, "_PRECISION", 60)
+        assert spectra._det([(612413.0, 1), (60242823302933.0 * 2.0 ** -65, 1)]) == 1 + 2.0 ** -52
+
+    @pytest.mark.parametrize("order, diag, want", [
+        (2, [MAX], MAX),
+        (2, [MAX / 4, 4.0], MAX),
+        (2, MIDPOINT + [1 - 2.0 ** -53], MAX),  # just below the midpoint to 2^1024
+        (2, [TINY], TINY),
+        (2, [2.0 ** -500, 2.0 ** -574], TINY),
+        (3, [2.0 ** -537, 1.0], TINY),  # (2^-537)^2
+        (2, [TINY, 0.5 + 2.0 ** -53], TINY),  # just above half the smallest subnormal
+        (2, [TINY, 0.75], TINY),
+        (2, [3 * TINY, 0.5], 2 * TINY),  # a tie goes to the even neighbour
+    ])
+    def test_edges_of_the_range(self, order, diag, want):
+        assert tb.det_diagonal(tb.diagonal_tensor(order, diag)) == want
+
+    @pytest.mark.parametrize("order, diag", [
+        (2, MIDPOINT),  # the tie between the largest double and 2^1024 goes to 2^1024
+        (2, MIDPOINT + [1 + 2.0 ** -52]),
+        (2, [TINY, 0.5]),  # half the smallest subnormal ties to 0
+        (2, [TINY, 0.5 - 2.0 ** -54]),
+        (3, [2.0 ** -538, 1.0]),  # (2^-538)^2 = 2^-1076
+    ])
+    def test_rounds_out_of_range(self, order, diag):
+        with pytest.raises(DeterminantOutOfRange) as info:
+            tb.det_diagonal(tb.diagonal_tensor(order, diag))
+        p = math.prod(Fraction(d) for d in diag)
+        want = (order - 1) ** (len(diag) - 1) * (math.log(p.numerator) - math.log(p.denominator))
+        assert info.value.log_abs == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("diag", [[1.0] * 1025, [2.0] + [1.0] * 1024])
+    def test_exponent_two_to_the_1024_is_cheap(self, diag):
+        # the order-3 dim-1025 diagonal has exponent 2^1024; its power takes 1024 squarings
+        a = tb.diagonal_tensor(3, diag)
+        start = time.perf_counter()
+        try:
+            tb.det_diagonal(a)
+        except DeterminantOutOfRange:
+            pass
+        assert time.perf_counter() - start < 0.5
 
 
 class TestSpectrumBlocked:
