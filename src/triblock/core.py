@@ -130,7 +130,7 @@ class Tensor:
 
 def _row_sorted(idx: np.ndarray, vals: np.ndarray, dim: int) -> Coo:
     """The view of entries given as 0-based index rows and values: their stable sort by row."""
-    by_row = np.argsort(idx[:, 0], kind="stable")
+    by_row = idx[:, 0].argsort(kind="stable")
     idx, vals = idx[by_row], vals[by_row]
     idx.flags.writeable = vals.flags.writeable = False
     counts = np.bincount(idx[:, 0], minlength=dim)

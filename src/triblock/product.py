@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Tensor
+from .core import Tensor, _from_arrays
 from .errors import DimensionMismatch, OrderTooSmall, ProductOutOfRange
 
 # Terms expanded at once (a single row of ``a`` may hold more). A chunk
@@ -43,10 +43,25 @@ def _chunks(bounds: Sequence[int], ends: Sequence[int]) -> Iterator[tuple[int, i
 
 
 def _fsum(terms: np.ndarray) -> float:
-    """math.fsum of the terms, or inf where a term or a partial sum is past the double range."""
+    """The terms' sum, correctly rounded, or inf where a term or the sum is past the double range.
+
+    math.fsum refuses a group whose partial sums overflow in its order
+    even where the exact sum is in range. That sum is then taken exactly,
+    as integers over the terms' common power-of-two denominator, and
+    rounded once by an int/int true division.
+    """
+    values = terms.tolist()
     try:
-        return math.fsum(terms.tolist())
-    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        return math.fsum(values)
+    except ValueError:  # inf - inf
+        return math.inf
+    except OverflowError:  # a partial sum, in generation order
+        pass
+    try:  # an infinite term has no integer ratio, and a sum past the range no quotient
+        ratios = [v.as_integer_ratio() for v in values]
+        scale = max(q for _, q in ratios)
+        return sum(p * (scale // q) for p, q in ratios) / scale
+    except OverflowError:
         return math.inf
 
 
@@ -72,13 +87,18 @@ def general_product(a: Tensor, b: Tensor) -> Tensor:
     integer outputs and structural zeros stay structural.
 
     Terms are expanded per chunk of whole rows of ``a``, so no output
-    coordinate spans two chunks, and each is multiplied left to right
-    as a * b_1 * ... * b_{m-1}. A term's output coordinate becomes one
-    int64 code, and terms sharing a code are summed: by plain float64
-    addition when both factors are integral and the chunk's sum of
-    |term| is below 2^53 (every partial sum is then exact, so it equals
-    fsum), and by math.fsum over the terms in generation order otherwise.
-    A term or a sum past the double range raises ProductOutOfRange.
+    coordinate spans two chunks, one slot of ``a`` at a time: slot s
+    multiplies each partial term by the row of ``b`` at its s-th foot,
+    left to right as a * b_1 * ... * b_s. A partial term is keyed by its
+    row, the tuples taken so far and the feet still to come. Where both
+    factors are integral and the chunk's sum of |term| (the sum over its
+    entries of |a| times the row sums of |b| at the feet) is below 2^53,
+    every partial sum is an exact integer in any order, so the partial
+    terms sharing a key are summed after every slot and zero sums are
+    dropped: a dense order-3 product expands n^3·r + n^2·r^2 terms, not
+    n^3·r^2, for rows of r entries. Otherwise nothing merges before the
+    last slot, and each output coordinate is the ``_fsum`` of its terms in
+    generation order. Terms or sums past the double range raise ProductOutOfRange.
     """
     if a.order < 2:
         raise OrderTooSmall("left factor must have order >= 2")
@@ -93,58 +113,63 @@ def general_product(a: Tensor, b: Tensor) -> Tensor:
     alpha, width = np.zeros(len(bv.vals), dtype=np.int64), 1  # code of b's trailing tuple
     for column in bv.idx.T[1:]:
         alpha, width = _fold(alpha, width, column, n)
-    b_bounds = np.asarray(bv.bounds)
-    feet = av.idx.T[1:]
+    b_bounds, tails = np.asarray(bv.bounds), bv.idx[:, 1:]
+    a_rows, feet = av.idx[:, 0], av.idx.T[1:]
     counts = (b_bounds[1:] - b_bounds[:-1])[feet]  # per slot and a entry: b entries met
     firsts = b_bounds[feet]
     per_entry = counts.prod(axis=0)
-    ends = [0] + np.cumsum(per_entry).tolist()
+    ends = [0] + per_entry.cumsum().tolist()
     values = np.concatenate((av.vals, bv.vals))
     integral = bool((values == np.trunc(values)).all())
 
-    entries = {}
-    for lo, hi in _chunks(av.bounds, ends):
-        total = ends[hi] - ends[lo]
-        if total == 0:
-            continue
-        sizes = per_entry[lo:hi]
-        ent = np.repeat(np.arange(lo, hi), sizes)
-        pos = np.arange(total) - np.repeat(np.asarray(ends[lo:hi]) - ends[lo], sizes)
-        picks = np.empty((m - 1, total), dtype=np.int64)  # the b entry taken in each slot
-        for slot in range(m - 2, -1, -1):  # the last slot varies fastest
-            pos, digit = np.divmod(pos, counts[slot][ent])
-            picks[slot] = firsts[slot][ent] + digit
-        del pos, digit
+    rows, sums = [np.empty((0, out_order), dtype=np.int64)], [np.empty(0)]
+    # a term or a weight past the double range takes the fsum route; a nan weight (inf
+    # times an empty row's 0) belongs to an entry without terms, which ``ent`` leaves out
+    with np.errstate(over="ignore", invalid="ignore"):
+        if integral:  # per a entry, the sum of |term| over its terms
+            row_abs = np.bincount(bv.idx[:, 0], np.abs(bv.vals), n)
+            weights = np.abs(av.vals) * row_abs[feet].prod(axis=0)
+        for lo, hi in _chunks(av.bounds, ends):
+            ent = lo + per_entry[lo:hi].nonzero()[0]  # entries meeting an empty row drop out
+            exact = integral and weights[ent].sum() < _EXACT_LIMIT  # any order is exact below it
+            terms, code, top, picks = av.vals[ent], a_rows[ent], n, []
+            for slot in range(m - 1):
+                if not len(ent):  # no terms, or every merged sum cancelled
+                    break
+                size = counts[slot][ent]
+                src = np.arange(len(ent)).repeat(size)
+                place = np.arange(len(src)) - (size.cumsum() - size).repeat(size)  # in the row
+                pick = firsts[slot][ent][src] + place  # the b entry taken in this slot
+                ent, picks = ent[src], [p[src] for p in picks] + [pick]
+                terms = terms[src] * bv.vals[pick]
+                code, top = _fold(code[src], top, alpha[pick], width)
+                del src, place, pick  # ten or so arrays of the chunk's length stay alive
+                if not exact and slot < m - 2:
+                    continue
+                key, key_top = code, top
+                for foot in feet[slot + 1:]:
+                    key, key_top = _fold(key, key_top, foot[ent], n)
+                order = key.argsort(kind="stable")
+                key = key[order]
+                starts = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
+                del key
+                terms = terms[order]
+                if exact:
+                    terms = np.add.reduceat(terms, starts)
+                else:
+                    cuts = starts.tolist() + [len(terms)]
+                    terms = np.array([_fsum(terms[s:e]) for s, e in zip(cuts, cuts[1:])])
+                nonzero = terms != 0.0
+                first = order[starts[nonzero]]  # one term per nonzero sum
+                del order
+                terms, ent, code = terms[nonzero], ent[first], code[first]
+                picks = [p[first] for p in picks]
+            if len(ent):
+                rows.append(np.concatenate([a_rows[ent, None]] + [tails[p] for p in picks], 1))
+                sums.append(terms)
 
-        terms, code, top = av.vals[ent], av.idx[ent, 0], n
-        with np.errstate(over="ignore"):  # an infinite term or sum takes the fsum route
-            for pick in picks:
-                terms = terms * bv.vals[pick]
-                code, top = _fold(code, top, alpha[pick], width)
-            exact = integral and np.abs(terms).sum() < _EXACT_LIMIT  # any order is exact below it
-
-        # one at a time, so that each unsorted array is freed before the next sort
-        order = np.argsort(code, kind="stable")
-        code = code[order]
-        starts = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
-        del code
-        first = order[starts]  # one term per output coordinate
-        rows, tails = av.idx[ent[first], :1].T, bv.idx[picks[:, first], 1:]
-        del ent, picks
-        terms = terms[order]
-        del order
-        if exact:
-            sums = np.add.reduceat(terms, starts).tolist()
-        else:
-            cuts = starts.tolist() + [total]
-            sums = [_fsum(terms[s:e]) for s, e in zip(cuts, cuts[1:])]
-        del terms
-
-        # tails is (m-1, groups, k-1); keys come from per-column lists
-        columns = np.concatenate((rows, tails.transpose(0, 2, 1).reshape(-1, len(first))))
-        keys = zip(*(columns + 1).tolist())
-        if not exact and not all(map(math.isfinite, sums)):  # exact sums are below 2^53
-            key = next(key for key, s in zip(keys, sums) if not math.isfinite(s))
-            raise ProductOutOfRange(f"entry {key} of the product is beyond the double range")
-        entries.update((key, s) for key, s in zip(keys, sums) if s != 0.0)
-    return Tensor(out_order, n, entries)
+    idx, vals = np.concatenate(rows), np.concatenate(sums)
+    if not np.isfinite(vals).all():
+        key = tuple((idx[np.flatnonzero(~np.isfinite(vals))[0]] + 1).tolist())
+        raise ProductOutOfRange(f"entry {key} of the product is beyond the double range")
+    return _from_arrays(out_order, n, idx, vals, zip(*(idx + 1).T.tolist()))  # keys by column

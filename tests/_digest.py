@@ -25,13 +25,17 @@ each ensemble tensor's majorization matrix and on a matrix of its own:
 small integers, Gaussians, block triangular integers (exact zeros over a
 negative determinant), singular, near the pivot floor, or scaled by a
 power of two. Its matrices keep pivots and inverses inside the double
-range. The ``peel`` area records ``normal_form_2nd`` (sigma and
+range. The ``product`` area records ``general_product`` of each ensemble
+tensor, as it is or scaled, by a right factor of its own: orders 1-3,
+integral or not, integral sums past 2^53 (the fsum route), and factors
+whose every term is past the double range (``ProductOutOfRange``). The
+``peel`` area records ``normal_form_2nd`` (sigma and
 partition), ``find_weakly_reducing_set`` and
 ``exists_first_type_normal_form`` on tensors of its own: non-symmetric
 and mostly reducible, up to dim 40, with trailing indices mostly at or
 after the row, so one peel takes many blocks. None of ``radius``,
-``wire``, ``inverse`` and ``peel`` draws from the ensemble's random
-stream, so adding them moved no other area's line.
+``wire``, ``inverse``, ``product`` and ``peel`` draws from the
+ensemble's random stream, so adding them moved no other area's line.
 """
 from __future__ import annotations
 
@@ -230,6 +234,22 @@ def area_wire(rng, t, out):
         out.append(wire_outcome(tensorio.tensor_from_obj, dict(doc, entries=bad)))
 
 
+PRODUCT_SCALES = [(1.0, 1.0), (4.0, 1.0), (4.0, 4.0), (4.0, 4.0 * 2.0 ** 50), (1e200, 1e200)]
+
+
+def area_product(rng, t, out):
+    """``general_product`` of the tensor, scaled, by a random right factor of order 1-3 (1-2
+    beside order 4). Scaling by 4 makes ``VALUES`` integral, 2^50 sends integral sums past
+    2^53 (the fsum route) and 1e200 on both factors takes every term past the double range."""
+    a_scale, b_scale = rng.choice(PRODUCT_SCALES)
+    k = rng.randint(1, 2 if t.order == 4 else 3)
+    density = rng.choice([0.3, 0.6, 1.0])
+    entries = {idx: rng.choice(VALUES) * b_scale
+               for idx in itertools.product(range(1, t.dim + 1), repeat=k) if rng.random() < density}
+    a = tb.Tensor(t.order, t.dim, {idx: v * a_scale for idx, v in t.entries.items()})
+    out.append(outcome(tb.general_product, a, shuffled(k, t.dim, entries, rng)))
+
+
 def inverse_matrix(rng: random.Random) -> list[list[float]]:
     n, kind = rng.randint(1, 8), rng.randrange(6)
     mat = [[float(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
@@ -336,7 +356,7 @@ AREAS = {
 
 
 def main() -> None:
-    hashes = {name: hashlib.sha256() for name in [*AREAS, "radius", "wire", "inverse", "peel"]}
+    hashes = {name: hashlib.sha256() for name in [*AREAS, "radius", "wire", "inverse", "product", "peel"]}
     for trial, (rng, t, p, kind) in enumerate(ensemble()):
         for name, area in AREAS.items():
             out: list[str] = []
@@ -349,6 +369,9 @@ def main() -> None:
         out = []
         area_inverse(random.Random(f"inverse{trial}"), t, out)
         hashes["inverse"].update(("\n".join(out) + "\n").encode())
+        out = []
+        area_product(random.Random(f"product{trial}"), t, out)
+        hashes["product"].update(("\n".join(out) + "\n").encode())
     for t in peel_tensors():
         hashes["peel"].update((area_peel(t) + "\n").encode())
     for name, h in hashes.items():

@@ -188,6 +188,90 @@ class TestGeneralProduct:
         assert list(c.entries) == sorted(c.entries)
         assert bits(c.entries) == bits(loop_product(a, b))
 
+    @pytest.mark.parametrize("chunk", [1, 1 << 14])
+    def test_merged_sums_cancel(self, monkeypatch, chunk):
+        # rows 1 and 2 of b agree, so a[i, 1, t] = -a[i, 2, t] cancels every partial term
+        # (i, alpha, t) after the first slot: all of row 1 of a, part of row 2. Row 3's two
+        # partial terms differ in their last foot and cancel in the last slot, and rows 1
+        # and 4 of the matrix product cancel whole.
+        monkeypatch.setattr(product_module, "_CHUNK", chunk)  # 1: each row a chunk of its own
+        b = tb.Tensor(3, 4, {**{(j, s, t): float(s + 2 * t) for j in (1, 2)
+                                for s in (1, 2, 4) for t in (1, 3)},
+                             (3, 2, 2): 2.0, (4, 2, 2): -2.0})
+        a = tb.Tensor(3, 4, {(1, 1, 3): 2.0, (1, 2, 3): -2.0, (1, 1, 1): 1.0, (1, 2, 1): -1.0,
+                             (2, 1, 2): 3.0, (2, 2, 2): -3.0, (2, 3, 3): 1.0,
+                             (3, 3, 3): 1.0, (3, 3, 4): 1.0, (4, 1, 1): 1.0})
+        c = tb.general_product(a, b)
+        assert bits(c.entries) == bits(loop_product(a, b))
+        assert {idx[0] for idx in c.entries} == {2, 4}
+        rows = tb.Tensor(2, 4, {(1, 1): 1.0, (1, 2): -1.0, (2, 3): 1.0, (4, 1): 1.0, (4, 2): -1.0})
+        c = tb.general_product(rows, b)
+        assert bits(c.entries) == bits(loop_product(rows, b))
+        assert {idx[0] for idx in c.entries} == {2}
+        everything = tb.Tensor(2, 4, {(1, 1): 1.0, (1, 2): -1.0})
+        assert tb.general_product(everything, b).entries == {}
+        assert tb.general_product(a, tb.Tensor(3, 4, {})).nnz == 0
+
+    def test_three_slots_with_cancellation(self):
+        # order-4 left factors with values +-1, so partial terms often cancel in each slot
+        rng = random.Random(416)
+        for trial in range(60):
+            k, dim = rng.randint(1, 3), rng.randint(1, 4)
+            a = tb.Tensor(4, dim, {idx: rng.choice([-1.0, 1.0]) for idx in
+                                   itertools.product(range(1, dim + 1), repeat=4)
+                                   if rng.random() < 0.6})
+            b = tb.Tensor(k, dim, {idx: rng.choice([-1.0, 1.0, 2.0]) for idx in
+                                   itertools.product(range(1, dim + 1), repeat=k)
+                                   if rng.random() < 0.7})
+            if trial % 3 == 0:  # and non-integral factors, which merge nothing early
+                b = tb.Tensor(k, dim, {idx: v / 3 for idx, v in b.entries.items()})
+            c = tb.general_product(a, b)
+            assert c.order == 3 * (k - 1) + 1
+            assert bits(c.entries) == bits(loop_product(a, b))
+
+    def test_feet_on_empty_rows_of_b(self, monkeypatch):
+        rng = random.Random(417)
+        for chunk in (1 << 14, 7):
+            monkeypatch.setattr(product_module, "_CHUNK", chunk)
+            for _, integral, density in ensemble(418, 30):
+                m, k, dim = rng.randint(2, 4), rng.randint(1, 3), rng.randint(2, 4)
+                a = rand_tensor(rng, m, dim, max(density, 0.5), integral)
+                empty = set(rng.sample(range(1, dim + 1), rng.randint(1, dim - 1)))
+                b = tb.Tensor(k, dim, {idx: v for idx, v in
+                                       rand_entries(rng, k, dim, 0.6, integral).items()
+                                       if idx[0] not in empty})
+                assert bits(tb.general_product(a, b).entries) == bits(loop_product(a, b))
+
+    def test_sum_past_two_to_53_only_after_the_first_slot(self):
+        # a[i, j1, j2] with j1 on rows of b holding 1 and j2 on rows holding 2^50 + odd:
+        # every sum after the first slot is 3, but the last slot's sums pass 2^53, where
+        # adding the merged partial terms in order rounds away from their exact sum
+        rng = random.Random(419)
+        n, small, large = 8, (1, 2, 3), (4, 5, 6, 7, 8)
+        b = tb.Tensor(2, n, {**{(s, 1): 1.0 for s in small},
+                             **{(t, 1): float(2 ** 50 + 2 * rng.randint(0, 999) + 1)
+                                for t in large}})
+        feet = {i: sorted(rng.sample(large, rng.randint(3, 5))) for i in range(1, n + 1)}
+        a = tb.Tensor(3, n, {(i, s, t): 1.0 for i in feet for s in small for t in feet[i]})
+        merged = {i: [3.0 * b.get((t, 1)) for t in feet[i]] for i in feet}
+        assert any(sum(row) != math.fsum(row) for row in merged.values())
+        c = tb.general_product(a, b)
+        assert c.entries == {(i, 1, 1): math.fsum(row) for i, row in merged.items()}
+        assert bits(c.entries) == bits(loop_product(a, b))
+
+    def test_dense_integral_dim_eight_is_fast(self):
+        # 512 x 64 x 64 terms one by one; after the first slot's merge, 32k + 262k
+        rng = np.random.default_rng(3)
+        a, b = (tb.Tensor.from_dense(rng.integers(1, 10, (8,) * 3).astype(float))
+                for _ in range(2))
+        a.coo, b.coo
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            tb.general_product(a, b)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.1
+
     def test_fold_reranks_near_the_int64_bound(self):
         code = np.array([2 ** 62 + 1, 7, 2 ** 62, 7])
         folded, top = product_module._fold(code, 2 ** 62 + 2, np.array([1, 0, 3, 2]), 4)
@@ -333,6 +417,9 @@ class TestHandedOnView:
         yield tb.row_diagonal_from_matrix(tb.majorization_matrix(t), t.order)
         yield tb.z_split(tb.Tensor(t.order, t.dim, {idx: -abs(v) for idx, v in t.entries.items()
                                                     if len(set(idx)) > 1})).b
+        for integral in (True, False):
+            k = rng.randint(1, 2 if t.order == 4 else 3)
+            yield tb.general_product(t, rand_tensor(rng, k, t.dim, 0.5, integral))
 
     def test_view_is_rebuilt_view(self):
         for rng, t in structured(415, 40):

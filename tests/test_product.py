@@ -1,5 +1,6 @@
 """General tensor product: order law, matrix reductions, closure of the
 blocked structure, and agreement with a dense contraction oracle."""
+import math
 import random
 
 import numpy as np
@@ -128,6 +129,61 @@ class TestDoubleRange:
         a = tb.Tensor(2, 2, {(1, 1): 1e308, (1, 2): -1e308, (2, 2): 1e154})
         b = tb.Tensor(2, 2, {(1, 1): 1.0, (2, 1): 1.0, (1, 2): 1.7})
         assert tb.general_product(a, b).entries == {(1, 2): 1e308 * 1.7, (2, 1): 1e154}
+
+    @staticmethod
+    def column_sum(terms):
+        """The product of a one-row matrix of ``terms`` with a column of ones."""
+        n = len(terms)
+        a = tb.Tensor(2, n, {(1, t): v for t, v in enumerate(terms, start=1)})
+        return tb.general_product(a, tb.Tensor(2, n, {(t, 1): 1.0 for t in range(1, n + 1)}))
+
+    @pytest.mark.parametrize("terms, want", [
+        ([1e308, 1e308, -1e308], 1e308),  # fsum's partial sums overflow in this order
+        ([1e308, 1e308, -1e308, -1e308, 3e-320], 3e-320),
+        ([1.7e308, 1.7e308, -1.7e308, 1e-300, -1.0], 1.7e308),
+        ([1e308, 1e308, -1e308, 2.0 ** -1074], 1e308),
+    ])
+    def test_in_range_past_fsums_partial_sums(self, terms, want):
+        assert dict(self.column_sum(terms).entries) == {(1, 1): want}
+
+    @pytest.mark.parametrize("terms", [
+        [1e308, 1e308, 1e308, -1e308],  # the exact sum, 2e308, is past the largest double
+        [1.7976931348623157e308, 1.7976931348623157e308, -1.7976931348623157e308, 1e292],
+    ])
+    def test_out_of_range_past_fsums_partial_sums(self, terms):
+        with pytest.raises(ProductOutOfRange, match=r"entry \(1, 1\) of the product"):
+            self.column_sum(terms)
+
+    def test_infinite_term_beside_an_overflowing_sum(self):
+        a = tb.Tensor(2, 3, {(1, 1): 1e308, (1, 2): 1e308, (1, 3): 1e200})
+        b = tb.Tensor(2, 3, {(1, 1): 1.0, (2, 1): 1.0, (3, 1): 1e200})
+        with pytest.raises(ProductOutOfRange, match=r"entry \(1, 1\) of the product"):
+            tb.general_product(a, b)
+
+    def test_overflowing_partial_sums_round_once(self):
+        # fsum of the terms scaled by 2^-64 (exact here) and scaled back is the correctly
+        # rounded sum; groups whose own partial sums overflow take the exact fallback
+        rng = random.Random(57)
+        fallbacks = refused = 0
+        for _ in range(400):
+            big = [rng.uniform(1, 2) * 2.0 ** 1023 for _ in range(rng.randint(2, 4))]
+            terms = big + [-v * rng.uniform(0.5, 1.0) for v in big[:-1]]
+            terms += [rng.uniform(-2, 2) * 2.0 ** rng.randint(-950, 1000)
+                      for _ in range(rng.randint(0, 3))]
+            sign = rng.choice([-1.0, 1.0])
+            terms = [sign * v for v in terms]
+            want = math.fsum(v * 2.0 ** -64 for v in terms) * 2.0 ** 64
+            try:
+                math.fsum(terms)
+            except OverflowError:
+                fallbacks += 1
+                refused += math.isinf(want)
+            if math.isinf(want):
+                with pytest.raises(ProductOutOfRange):
+                    self.column_sum(terms)
+            else:
+                assert self.column_sum(terms).entries.get((1, 1), 0.0) == want
+        assert fallbacks - refused > 100 and refused > 100
 
 
 class TestBlockedClosure:
