@@ -356,7 +356,8 @@ AREAS = {
 
 
 def main() -> None:
-    hashes = {name: hashlib.sha256() for name in [*AREAS, "radius", "wire", "inverse", "product", "peel"]}
+    names = [*AREAS, "radius", "wire", "inverse", "product", "peel"]
+    hashes = {name: hashlib.sha256() for name in names}
     for trial, (rng, t, p, kind) in enumerate(ensemble()):
         for name, area in AREAS.items():
             out: list[str] = []
