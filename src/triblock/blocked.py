@@ -7,7 +7,7 @@ pattern over the nonzero entries, read off the ends (c, d) =
 minimum ``lo`` and maximum ``hi`` of the entry's trailing indices: one
 box of block ends, two for ``DIAG``, in which a row must vanish. The
 table ``_BOXES`` is the one place the kinds are defined; the per-entry
-test ``is_blocked`` and the block-end search ``_block_ends`` both read it.
+test ``is_blocked`` and the last-end bound ``_last_ends`` both read it.
 
 Trailing indices lie in [1, n], so no test needs the block's position.
 Each reads only its row's block: a partition carries a kind exactly
@@ -21,7 +21,8 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import accumulate
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -49,11 +50,8 @@ class Partition:
                for p in self.parts):
             raise DimensionMismatch(f"parts must be positive integers, got {self.parts}")
         parts = tuple(int(p) for p in self.parts)
-        sums = [0]
-        for p in parts:
-            sums.append(sums[-1] + p)
         object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_sums", tuple(sums))
+        object.__setattr__(self, "_sums", (0, *accumulate(parts)))
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
@@ -132,20 +130,20 @@ def _forbidden(kind: BlockKind, c, d, lo, hi):
 
     Elementwise over arrays as well as on numbers.
     """
-    span = (lo, hi)
-    hit = None
+    span, hit = (lo, hi), False
     for c0, c1, d0, d1 in _BOXES[kind]:
-        box = None  # the present bounds' tests, and-ed; an absent bound adds none
+        box = True  # the present bounds' tests, and-ed; an absent bound adds none
         for bound, lower, end in ((c0, True, c), (c1, False, c), (d0, True, d), (d1, False, d)):
             if bound is not None:
-                test = span[bound] <= end if lower else end < span[bound]
-                box = test if box is None else box & test
-        hit = box if hit is None else hit | box
+                box = box & (span[bound] <= end if lower else end < span[bound])
+        hit = hit | box
     return hit
 
 
 def _spans(tensor: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, trailing minimum and trailing maximum of every entry of the view, 1-based."""
+    if tensor.order < 2:
+        raise OrderTooSmall("blocked structure needs order >= 2")
     columns = np.ascontiguousarray(tensor.coo.idx.T) + 1  # a short-axis min or max is slow
     return columns[0], columns[1:].min(axis=0), columns[1:].max(axis=0)
 
@@ -158,70 +156,108 @@ def _check_fits(tensor: Tensor, partition: Partition) -> None:
 
 def is_blocked(tensor: Tensor, partition: Partition, kind: BlockKind) -> bool:
     """Exact structural test: does every stored entry avoid the kind's vanishing region?"""
-    if tensor.order < 2:
-        raise OrderTooSmall("blocked structure needs order >= 2")
+    rows, lo, hi = _spans(tensor)  # OrderTooSmall below order 2
     _check_fits(tensor, partition)
     if kind.is_triangular and partition.r < 2:
         raise PartitionTooCoarse(f"{kind.token} structure needs at least two blocks")
-    rows, lo, hi = _spans(tensor)
     sums = np.asarray(partition._sums)
     block = np.searchsorted(sums, rows)  # the row lies in (sums[block - 1], sums[block]]
     return not _forbidden(kind, sums[block - 1], sums[block], lo, hi).any()
 
 
+def _inside(tensor: Tensor, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry of the view: its row's block j (1-based) and whether all its indices lie in it."""
+    columns = np.ascontiguousarray(tensor.coo.idx.T)  # 0-based, one row per index position
+    block = np.searchsorted(np.asarray(partition._sums), columns, side="right")
+    return block[0], (block == block[0]).all(axis=0)
+
+
+def _principal_block(tensor: Tensor, inside: np.ndarray, c: int, d: int) -> Tensor:
+    """The principal subtensor on (c, d], from the rows' slice of the view."""
+    view = tensor.coo
+    lo, hi = view.bounds[c], view.bounds[d]
+    keep = inside[lo:hi]
+    return _from_arrays(tensor.order, d - c, view.idx[lo:hi][keep] - c, view.vals[lo:hi][keep])
+
+
 def diagonal_blocks(tensor: Tensor, partition: Partition) -> list[Tensor]:
     """The principal subtensors on the partition's index blocks, all from one pass."""
     _check_fits(tensor, partition)
-    view = tensor.coo
-    sums = np.asarray(partition._sums)
-    # 0-based index i lies in block[i]; one row per index position
-    block = np.searchsorted(sums, np.ascontiguousarray(view.idx.T), side="right")
-    inside = (block == block[0]).all(axis=0)
-    out = []
-    for c, d in zip(partition._sums, partition._sums[1:]):
-        lo, hi = view.bounds[c], view.bounds[d]
-        keep = inside[lo:hi]
-        out.append(_from_arrays(tensor.order, d - c, view.idx[lo:hi][keep] - c,
-                                view.vals[lo:hi][keep]))
-    return out
+    inside = _inside(tensor, partition)[1]
+    return [_principal_block(tensor, inside, c, d)
+            for c, d in zip(partition._sums, partition._sums[1:])]
+
+
+# A lower kind is the upper kind of the reversed index order, i -> n+1-i.
+_MIRROR = {BlockKind.LTB1: BlockKind.UTB1, BlockKind.LTB2: BlockKind.UTB2,
+           BlockKind.LTB3: BlockKind.UTB3}
+# the supported kinds, in the order that breaks ties between their finest refinements
+_REFINE_ORDER = (BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2)
+
+
+def _last_ends(tensor: Tensor, kind: BlockKind, spans) -> np.ndarray:
+    """D(c), c in [0, n]: an upper kind allows (c, d] exactly when d <= D(c); a lower kind's mirror.
+
+    An upper box forbids the starts start <= c < r with all ends d >= e, e
+    the larger of r and the box's bound on d, if any: D(c) is the least
+    e - 1 over the boxes covering c, n if none does. A box's starts are two
+    power-of-two ranges, whose minima are pushed down a level at a time.
+    """
+    n, (rows, lo, hi) = tensor.dim, spans
+    if kind in _MIRROR:  # a block (c, d] goes to (n-d, n-c]
+        kind, rows, lo, hi = _MIRROR[kind], n + 1 - rows, n + 1 - hi, n + 1 - lo
+    ((c0, _, d0, _),) = _BOXES[kind]
+    start, stop = (lo, hi)[c0], rows
+    last = stop - 1 if d0 is None else np.maximum((lo, hi)[d0], stop) - 1
+    level = np.frexp(np.maximum(stop - start, 0))[1] - 1  # largest k, 2^k <= stop - start, or -1
+    reach = np.full(n + 1, n)
+    for k in range(level.max(initial=-1), -1, -1):
+        at = level == k
+        np.minimum.at(reach, start[at], last[at])
+        np.minimum.at(reach, stop[at] - (1 << k), last[at])
+        if k:  # a range [c, c + 2^(k-1)) lies in the level-k ones from c and c - 2^(k-1)
+            half = 1 << (k - 1)
+            reach[half:] = np.minimum(reach[half:], reach[:-half])
+    return reach
+
+
+def _finest_refinement(tensor: Tensor) -> Optional[tuple[Partition, BlockKind]]:
+    """The refinement with the most parts over the supported kinds, or None.
+
+    An upper kind allows (c, d] when d <= D(c), and D(0) = n. So every cut
+    is reachable from 0, and as merging two valid chains gives one, the
+    finest chain is every cut c from which n is: the nearest such cut past
+    c is at most D(c). A lower kind sweeps its mirror. Ties between kinds
+    break toward the earlier kind, making the recursion deterministic.
+    """
+    n, spans, chains = tensor.dim, _spans(tensor), []
+    for kind in _REFINE_ORDER:
+        last, cuts = _last_ends(tensor, kind, spans).tolist(), [n]
+        for c in range(n - 1, -1, -1):
+            if cuts[-1] <= last[c]:
+                cuts.append(c)
+        parts = tuple(b - a for b, a in zip(cuts, cuts[1:]))  # right to left
+        chains.append((parts if kind in _MIRROR else parts[::-1], kind))
+    parts, kind = max(chains, key=lambda chain: len(chain[0]))  # the first of the longest
+    return (Partition(parts), kind) if len(parts) >= 2 else None
 
 
 def _block_ends(tensor: Tensor, kinds: Sequence[BlockKind]) -> Iterator[list[list[int]]]:
     """Per kind in turn: for each start c in [0, n), the ends d whose block (c, d] it allows.
 
-    Each entry's boxes, cut to the blocks (c, d] that hold its row r
-    (c < r <= d), are the blocks it forbids. A signed count of the box
-    corners and a 2-D prefix sum give how many boxes cover every block,
-    for all the kinds asked for at once, in O(n^2 + nnz) per kind.
+    They are those with d <= D(c) and S(d) <= c: an upper kind sets D, a lower kind S, its
+    mirror's D reversed, and DIAG, with the boxes of UTB1 and LTB1, both.
     """
-    if tensor.order < 2:
-        raise OrderTooSmall("blocked structure needs order >= 2")
-    n = tensor.dim
-    rows, lo, hi = _spans(tensor)
-    span = (lo, hi)
-    width = n + 1  # c and d run over [0, n]
-    plus, minus = [], []
-    for slot, kind in enumerate(kinds):
-        for c0, c1, d0, d1 in _BOXES[kind]:  # cut to c < r <= d; an empty cut has no area
-            c_from = 0 if c0 is None else span[c0]
-            c_to = np.maximum(rows if c1 is None else np.minimum(span[c1], rows), c_from)
-            d_from = rows if d0 is None else np.maximum(span[d0], rows)
-            c_from, c_to = (slot * width + c_from) * width, (slot * width + c_to) * width
-            plus.append(c_from + d_from)
-            minus.append(c_to + d_from)
-            if d1 is not None:  # else the far corners lie past every block end
-                d_to = np.maximum(span[d1], d_from)
-                plus.append(c_to + d_to)
-                minus.append(c_from + d_to)
-    size = len(kinds) * width * width
-    cover = (np.bincount(np.concatenate(plus), minlength=size)
-             - np.bincount(np.concatenate(minus), minlength=size))
-    cover = cover.reshape(len(kinds), width, width).cumsum(axis=1).cumsum(axis=2)
-    ok = (cover[:, :n] == 0) & (np.arange(n + 1) > np.arange(n)[:, None])
-    ends = np.nonzero(ok)[2].tolist()
-    cuts = [0] + np.count_nonzero(ok, axis=2).ravel().cumsum().tolist()
-    for slot in range(len(kinds)):
-        yield [ends[a:b] for a, b in zip(cuts[slot * n:(slot + 1) * n], cuts[slot * n + 1:])]
+    n, spans = tensor.dim, _spans(tensor)
+    for kind in kinds:
+        last, first = np.full(n + 1, n), np.zeros(n + 1, dtype=np.int64)
+        for half in (BlockKind.UTB1, BlockKind.LTB1) if kind is BlockKind.DIAG else (kind,):
+            if half in _MIRROR:
+                first = n - _last_ends(tensor, half, spans)[::-1]
+            else:
+                last = _last_ends(tensor, half, spans)
+        last, first = last.tolist(), first.tolist()
+        yield [[d for d in range(c + 1, last[c] + 1) if first[d] <= c] for c in range(n)]
 
 
 def _chains(ends: list, start: int = 0) -> Iterator[tuple[int, ...]]:

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .blocked import BlockKind, Partition, _block_ends, diagonal_blocks, is_blocked
+from .blocked import BlockKind, Partition, _finest_refinement, _inside, _principal_block, is_blocked
 from .core import Tensor, _complex_terms, _equal_from, apply
 from .errors import (
     BlockDetUnavailable,
@@ -42,8 +42,6 @@ _ORACLE_GUARD = 6
 
 # kinds whose diagonal blocks determine determinant and spectrum
 _SUPPORTED = (BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2, BlockKind.DIAG)
-# preference order when hunting refinements of a diagonal block
-_REFINE_ORDER = (BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2)
 _UNAVAILABLE = {BlockDetUnavailable: "admits no supported refinement",
                 BlockSpectrumUnavailable: "cannot be reduced to dimension 1"}
 _PRECISION = 192  # mantissa bits kept while the determinant is raised to its power
@@ -62,36 +60,9 @@ def det_dim1(tensor: Tensor) -> float:
 
 def det_diagonal(tensor: Tensor) -> float:
     """prod d_i ** (m-1)^(n-1) for a diagonal tensor, as ``det_blocked`` computes it."""
-    if tensor.order < 2:
-        raise OrderTooSmall("determinants need order >= 2")
-    if not _is_diagonal(tensor):
+    if not _is_diagonal(tensor):  # true below order 2, which det_blocked refuses
         raise NotDiagonal("tensor has an off-diagonal entry")
-    return _det(_leaves(tensor, Partition((tensor.dim,)), BlockDetUnavailable))
-
-
-def _finest_refinement(tensor: Tensor) -> Optional[tuple[Partition, BlockKind]]:
-    """The refinement with the most parts over the supported kinds, or None.
-
-    For each kind a right-to-left pass over the allowed blocks finds the
-    chain with the most parts from every start, so no dimension cap
-    applies. That chain is unique: the allowed ends from a start form a
-    prefix for the upper kinds, and the allowed starts before an end a
-    suffix for the lower ones, so merging the cuts of two valid chains
-    gives a valid chain, with more parts than either when they differ.
-    Ties between kinds break toward the earlier kind, making the
-    recursion deterministic.
-    """
-    n = tensor.dim
-    found = []
-    for rank, (kind, ends) in enumerate(zip(_REFINE_ORDER, _block_ends(tensor, _REFINE_ORDER))):
-        tail: dict[int, tuple[int, ...]] = {n: ()}  # from c: the chain with the most parts
-        for c in range(n - 1, -1, -1):
-            chains = [(d - c,) + tail[d] for d in ends[c] if d in tail]
-            if chains:
-                tail[c] = max(chains, key=len)
-        if len(tail[0]) >= 2:  # (0, n] is always allowed, so tail[0] exists
-            found.append((-len(tail[0]), rank, Partition(tail[0]), kind))
-    return min(found)[2:] if found else None  # ranks differ, so keys never tie
+    return det_blocked(tensor, Partition((tensor.dim,)), BlockKind.DIAG)
 
 
 def _checked(tensor: Tensor, partition: Partition, kind: BlockKind) -> None:
@@ -102,33 +73,30 @@ def _checked(tensor: Tensor, partition: Partition, kind: BlockKind) -> None:
             "third-type triangular structure does not determine the determinant or spectrum")
     if kind not in _SUPPORTED:
         raise NotBlocked(f"unsupported block kind {kind!r}")
-    if partition.n != tensor.dim:
-        raise DimensionMismatch(
-            f"partition covers [1, {partition.n}] but tensor dim is {tensor.dim}")
     if not is_blocked(tensor, partition, kind):
         raise NotBlocked(f"tensor is not {partition}-{kind.token} blocked")
 
 
 def _leaves(tensor: Tensor, partition: Partition, unavailable: type):
-    """The dimension-1 leaves of the block recursion, each as (entry, exponent).
+    """The dimension-1 leaves of the block recursion, left to right, each of exponent (m-1)^(n-1).
 
-    A diagonal block yields its diagonal entries with exponent (m-1)^(n_i-1);
-    any other recurses into its finest refinement, or raises ``unavailable``
-    if it has none. Each level lifts the exponents by (m-1)^(dim - part).
+    A block with no off-diagonal entry of its own yields its diagonal from the view; any
+    other is built to recurse into its finest refinement, or raises ``unavailable``.
     """
-    m, n = tensor.order, tensor.dim
-    for part, block in zip(partition.parts, diagonal_blocks(tensor, partition)):
-        lift = (m - 1) ** (n - part)
-        if block.dim == 1 or _is_diagonal(block):
-            exponent = lift * (m - 1) ** (part - 1)
-            for i in range(1, part + 1):
-                yield block.entries.get((i,) * m, 0.0), exponent
+    view, (rows, inside) = tensor.coo, _inside(tensor, partition)
+    plain = _equal_from(tensor, 0)
+    busy = np.bincount(rows[inside & ~plain], minlength=partition.r + 1)
+    diagonal = np.zeros(tensor.dim)
+    diagonal[view.idx[plain, 0]] = view.vals[plain]
+    for j, (c, d) in enumerate(zip(partition._sums, partition._sums[1:]), start=1):
+        if not busy[j]:
+            yield from diagonal[c:d].tolist()
             continue
+        block = _principal_block(tensor, inside, c, d)
         refinement = _finest_refinement(block)
         if refinement is None:
-            raise unavailable(f"a dim-{part} diagonal block {_UNAVAILABLE[unavailable]}")
-        for value, exponent in _leaves(block, refinement[0], unavailable):
-            yield value, lift * exponent
+            raise unavailable(f"a dim-{d - c} diagonal block {_UNAVAILABLE[unavailable]}")
+        yield from _leaves(block, refinement[0], unavailable)
 
 
 def _truncated(mantissa: int, exponent: int, sticky: bool) -> tuple[int, int, bool]:
@@ -137,7 +105,7 @@ def _truncated(mantissa: int, exponent: int, sticky: bool) -> tuple[int, int, bo
     return mantissa >> drop, exponent + drop, sticky or (mantissa & ((1 << drop) - 1)) != 0
 
 
-def _det(leaves) -> float:
+def _det(leaves, exponent: int) -> float:
     """The product of the leaves' powers: 0.0 if a leaf is zero, else a nonzero double.
 
     Every leaf of a walk has the exponent e = (m-1)^(n-1), so the
@@ -149,11 +117,10 @@ def _det(leaves) -> float:
     holds raises DeterminantOutOfRange, with log|det| from the same pair.
     """
     leaves = list(leaves)
-    if any(value == 0 for value, _ in leaves):
+    if 0 in leaves:
         return 0.0
-    (exponent,) = {e for _, e in leaves}  # one exponent, (m-1)^(n-1)
-    sign = -1 if exponent % 2 and sum(value < 0 for value, _ in leaves) % 2 else 1
-    ratios = [abs(value).as_integer_ratio() for value, _ in leaves]  # d a power of two
+    sign = -1 if exponent % 2 and sum(value < 0 for value in leaves) % 2 else 1
+    ratios = [abs(value).as_integer_ratio() for value in leaves]  # d a power of two
     base, scale, sticky = _truncated(
         math.prod(n for n, _ in ratios), len(ratios) - sum(d.bit_length() for _, d in ratios), False)
     power, shift = 1, 0
@@ -185,7 +152,8 @@ def det_blocked(tensor: Tensor, partition: Partition, kind: BlockKind) -> float:
     input ThirdTypeUnsupported, and a determinant no double holds DeterminantOutOfRange.
     """
     _checked(tensor, partition, kind)
-    return _det(_leaves(tensor, partition, BlockDetUnavailable))
+    return _det(_leaves(tensor, partition, BlockDetUnavailable),
+                (tensor.order - 1) ** (tensor.dim - 1))
 
 
 @dataclass(frozen=True)
@@ -214,12 +182,12 @@ class SpectrumFactored:
 def spectrum_blocked(tensor: Tensor, partition: Partition, kind: BlockKind) -> SpectrumFactored:
     """Factored spectrum over a supported block structure: one item per leaf of the recursion."""
     _checked(tensor, partition, kind)
+    exponent = (tensor.order - 1) ** (tensor.dim - 1)  # every leaf's, as in ``_det``
     items = [SpectrumItem((value,), exponent)
-             for value, exponent in _leaves(tensor, partition, BlockSpectrumUnavailable)]
-    degree = tensor.dim * (tensor.order - 1) ** (tensor.dim - 1)
-    if sum(len(it.eigenvalues) * it.exponent for it in items) != degree:
+             for value in _leaves(tensor, partition, BlockSpectrumUnavailable)]
+    if len(items) != tensor.dim:  # one leaf per index, each with the same exponent
         raise AssertionError("spectrum bookkeeping lost degrees")
-    return SpectrumFactored(tuple(items), degree)
+    return SpectrumFactored(tuple(items), tensor.dim * exponent)
 
 
 @dataclass(frozen=True)
@@ -289,8 +257,7 @@ def _power_iteration(tensor: Tensor, tol: float, max_iter: int) -> SpectralResul
     for it in range(1, max_iter + 1):
         y = step(x)
         ratios = y / x ** (m - 1)
-        lower = float(ratios.min())
-        upper = float(ratios.max())
+        lower, upper = float(ratios.min()), float(ratios.max())
         if upper - lower <= tol:
             rho = (upper - _SHIFT) * scale
             residual = float(np.max(np.abs(apply(tensor, x) - rho * x ** (m - 1))))
@@ -426,20 +393,16 @@ def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
             grad = 2.0 * np.conj(jac.T @ np.conj(y))
             if np.linalg.norm(grad) < 1e-14:
                 break
-            step = 0.5
-            improved = False
-            while step > 1e-17:
-                trial = z - step * grad
+            for k in range(1, 57):  # steps 2^-1 down to 2^-56, the last above 1e-17
+                trial = z - 2.0 ** -k * grad
                 norm = np.linalg.norm(trial)
                 if norm > 0:
                     trial = trial / norm
                     f_trial, y_trial = objective(trial)
                     if f_trial < f:
                         z, f, y = trial, f_trial, y_trial
-                        improved = True
                         break
-                step *= 0.5
-            if not improved:
+            else:
                 break
         if f < best_f:
             best_f, best_z = f, z

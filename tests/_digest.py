@@ -33,9 +33,15 @@ whose every term is past the double range (``ProductOutOfRange``). The
 partition), ``find_weakly_reducing_set`` and
 ``exists_first_type_normal_form`` on tensors of its own: non-symmetric
 and mostly reducible, up to dim 40, with trailing indices mostly at or
-after the row, so one peel takes many blocks. None of ``radius``,
-``wire``, ``inverse``, ``product`` and ``peel`` draws from the
-ensemble's random stream, so adding them moved no other area's line.
+after the row, so one peel takes many blocks. The
+``refinement_wide`` area records ``_finest_refinement``, then
+``det_blocked`` and ``spectrum_blocked`` under a partition of their own
+and under that refinement, on tensors of dims 13-120, past the
+ensemble's: up to 3n random index tuples, trailing indices mostly at or
+after the row, at or before it, or anywhere, half of them blocked, with
+a diagonal of mostly ±1. None of ``radius``, ``wire``, ``inverse``,
+``product``, ``peel`` and ``refinement_wide`` draws from the ensemble's
+random stream, so adding them moved no other area's line.
 """
 from __future__ import annotations
 
@@ -63,6 +69,8 @@ SEED = 20161
 TRIALS = 160
 PEEL_SEED = 20162
 PEEL_TRIALS = 120
+WIDE_SEED = 20163
+WIDE_TRIALS = 60
 VALUES = [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 0.5, -1.25]
 
 
@@ -298,6 +306,35 @@ def area_peel(t) -> str:
                   tb.exists_first_type_normal_form(t)])
 
 
+def wide_tensors():
+    """(tensor, partition, kind or None) at dims 13-120, blocked under (partition, kind) or not."""
+    rng = random.Random(WIDE_SEED)
+    supported = [BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2, BlockKind.DIAG]
+    for trial in range(WIDE_TRIALS):
+        order, dim, pattern = rng.randint(2, 4), rng.randint(13, 120), trial % 3
+        kind, p, gap = rng.choice(supported), rand_partition(rng, dim), rng.choice([0.0, 0.02])
+        blocked = trial % 2 == 0 and (p.r >= 2 or not kind.is_triangular)
+        entries = {(i,) * order: rng.choice([1.0, -1.0] * 20 + [2.0, 0.5])
+                   for i in range(1, dim + 1) if rng.random() >= gap}
+        for _ in range(rng.randint(0, 3 * dim)):
+            row = rng.randint(1, dim)
+            lo, hi = ((row, dim), (1, row), (1, dim))[pattern if rng.random() < 0.9 else 2]
+            feet = tuple(rng.randint(lo, hi) for _ in range(order - 1))
+            j = p.block_of(row)
+            if not (blocked and _forbidden(kind, p.S(j - 1), p.S(j), min(feet), max(feet))):
+                entries[(row,) + feet] = rng.choice(VALUES)
+        yield shuffled(order, dim, entries, rng), p, (kind if blocked else None)
+
+
+def area_refinement_wide(t, p, kind) -> str:
+    found = _finest_refinement(t)
+    out = [canon(found)]
+    for q, k in ([(p, kind)] if kind is not None else []) + ([found] if found else []):
+        out.append(outcome(tb.det_blocked, t, q, k))
+        out.append(outcome(tb.spectrum_blocked, t, q, k))
+    return "\n".join(out)
+
+
 def cli_runs():
     """Every verb on every fixture it applies to, with a few partitions."""
     fx = ROOT / "fixtures"
@@ -356,7 +393,7 @@ AREAS = {
 
 
 def main() -> None:
-    names = [*AREAS, "radius", "wire", "inverse", "product", "peel"]
+    names = [*AREAS, "radius", "wire", "inverse", "product", "peel", "refinement_wide"]
     hashes = {name: hashlib.sha256() for name in names}
     for trial, (rng, t, p, kind) in enumerate(ensemble()):
         for name, area in AREAS.items():
@@ -375,6 +412,8 @@ def main() -> None:
         hashes["product"].update(("\n".join(out) + "\n").encode())
     for t in peel_tensors():
         hashes["peel"].update((area_peel(t) + "\n").encode())
+    for t, p, kind in wide_tensors():
+        hashes["refinement_wide"].update((area_refinement_wide(t, p, kind) + "\n").encode())
     for name, h in hashes.items():
         print(name, h.hexdigest())
     print("cli_fixtures", cli_digest(radius=False))

@@ -424,6 +424,24 @@ def brute_finest_refinement(tensor: Tensor):
     return best
 
 
+def loop_finest_refinement(tensor: Tensor):
+    """The finest refinement as a right-to-left DP over ``loop_block_ends``: from each start
+    c, the chain to n with the most parts, over every allowed block (c, d]. No dimension cap,
+    but O(n^3) per kind; ties between kinds go to the earlier one."""
+    n, found = tensor.dim, []
+    kinds = (BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2)
+    for rank, kind in enumerate(kinds):
+        ends = loop_block_ends(tensor, kind)
+        tail = {n: ()}  # from c: the chain with the most parts
+        for c in range(n - 1, -1, -1):
+            chains = [(d - c,) + tail[d] for d in ends[c] if d in tail]
+            if chains:
+                tail[c] = max(chains, key=len)
+        if len(tail[0]) >= 2:  # (0, n] is always allowed, so tail[0] exists
+            found.append((-len(tail[0]), rank, Partition(tail[0]), kind))
+    return min(found)[2:] if found else None
+
+
 def brute_sink(tensor: Tensor) -> frozenset[int]:
     """The sink component holding the smallest index, from reachability sets:
     v lies in a sink component exactly when all it reaches reaches it back."""

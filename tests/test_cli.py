@@ -139,6 +139,23 @@ class TestDet:
         assert code == 1 and doc["error"] == "DeterminantOutOfRange"
 
 
+@pytest.mark.parametrize("verb, error", [("det", "BlockDetUnavailable"),
+                                         ("spectrum", "BlockSpectrumUnavailable")])
+def test_dimension_million_two_entries(tmp_path, verb, error):
+    # a_233 = a_322 = 1: the 999999-block refines to (2, 1, ..., 1), whose 2-block has no
+    # supported refinement; one error document and no traceback, in a fresh interpreter
+    path = tmp_path / "a.json"
+    path.write_text('{"order": 3, "dim": 1000000, "entries": '
+                    '[{"i": [2, 3, 3], "v": 1}, {"i": [3, 2, 2], "v": 1}]}')
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "triblock.cli", verb, "--tensor", str(path),
+                           "--partition", "1,999999", "--kind", "utb1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (1, ""), proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["error"] == error
+
+
 class TestSpectrum:
     def test_diagonal_blocks(self, capsys, tmp_path):
         path = write_tensor(tmp_path, "a.json", tb.diagonal_tensor(3, [2.0, 3.0]))

@@ -27,6 +27,7 @@ from triblock.errors import (
 
 from _gen import (
     brute_finest_refinement,
+    loop_finest_refinement,
     rand_blocked,
     rand_irreducible_nonneg,
     rand_permutation,
@@ -114,9 +115,32 @@ class TestFinestRefinement:
                 a = rand_tensor(rng, n, m, density=rng.choice([0.03, 0.1, 0.3]))
             want = brute_finest_refinement(a)
             assert _finest_refinement(a) == want, trial
+            assert loop_finest_refinement(a) == want, trial
             if want is not None:
                 winners[want[1]] = winners.get(want[1], 0) + 1
         assert set(winners) == set(kinds), winners
+
+    def test_matches_loop_reference_past_brute_force(self):
+        # dims 13-40, beyond the exhaustive search: up to 3n random index tuples whose
+        # trailing indices mostly lie at or after the row (upper), at or before it (lower),
+        # or anywhere (unbiased)
+        rng = random.Random(89)
+        winners, parts = {}, set()
+        for trial in range(60):
+            m, n, pattern = rng.randint(2, 4), rng.randint(13, 40), trial % 3
+            entries = {}
+            for _ in range(rng.randint(0, 3 * n)):
+                row = rng.randint(1, n)
+                lo, hi = ((row, n), (1, row), (1, n))[pattern if rng.random() < 0.9 else 2]
+                entries[(row,) + tuple(rng.randint(lo, hi) for _ in range(m - 1))] = 1.0
+            a = tb.Tensor(m, n, entries)
+            want = loop_finest_refinement(a)
+            assert _finest_refinement(a) == want, trial
+            if want is not None:
+                winners[want[1]] = winners.get(want[1], 0) + 1
+                parts.add(want[0].r)
+        assert set(winners) == {UTB1, BlockKind.UTB2, LTB1, BlockKind.LTB2}, winners
+        assert len(parts) > 10, parts  # refinements of many sizes, not only all singletons
 
     def test_no_dimension_cap(self):
         p, kind = _finest_refinement(unit_upper_matrix(20))
@@ -173,6 +197,19 @@ class TestDetBlocked:
         # the recursion refines the 13-block without enumerating 2^12 partitions
         a = unit_upper_matrix(14)
         assert tb.det_blocked(a, Partition((1, 13)), UTB1) == 1.0
+
+    def test_dimension_thousand_is_fast(self):
+        # order 3, upper triangular over singletons: a unit diagonal and 3n entries whose
+        # trailing indices lie at or after the row; the 999-block refines to singletons
+        rng, n = random.Random(1000), 1000
+        entries = {(i, i, i): 1.0 for i in range(1, n + 1)}
+        while len(entries) < 4 * n:
+            row = rng.randint(1, n - 1)
+            entries[(row, rng.randint(row, n), rng.randint(row + 1, n))] = 1.0
+        a = tb.Tensor(3, n, entries)
+        start = time.perf_counter()
+        assert tb.det_blocked(a, Partition((1, n - 1)), UTB1) == 1.0
+        assert time.perf_counter() - start < 1.0
 
     def test_third_kind_is_refused(self, ex31):
         with pytest.raises(ThirdTypeUnsupported):
@@ -319,18 +356,18 @@ class TestDetRounding:
             except OverflowError:
                 want = math.inf
             if 0 < abs(want) < math.inf:
-                assert spectra._det([(v, e) for v in values]) == want, (trial, values, e)
+                assert spectra._det(values, e) == want, (trial, values, e)
             else:
                 refused += 1
                 with pytest.raises(DeterminantOutOfRange):
-                    spectra._det([(v, e) for v in values])
+                    spectra._det(values, e)
         assert 500 < refused < 3500
 
     def test_sticky_bit_breaks_a_tie(self, monkeypatch):
         # 612413 * 60242823302933 = (2^53 + 1) * 2^12 + 1: kept to 60 bits, the product is the
         # midpoint between 1 and 1 + 2^-52, and only the dropped 1 says that it lies above it
         monkeypatch.setattr(spectra, "_PRECISION", 60)
-        assert spectra._det([(612413.0, 1), (60242823302933.0 * 2.0 ** -65, 1)]) == 1 + 2.0 ** -52
+        assert spectra._det([612413.0, 60242823302933.0 * 2.0 ** -65], 1) == 1 + 2.0 ** -52
 
     @pytest.mark.parametrize("order, diag, want", [
         (2, [MAX], MAX),
