@@ -95,6 +95,10 @@ class DeterminantOutOfRange(TriblockError):
         self.log_abs = log_abs
 
 
+class RadiusOutOfRange(TriblockError):
+    """A spectral radius is too large for a double."""
+
+
 class ProductOutOfRange(TriblockError):
     """An entry of a general product is too large for a double."""
 

@@ -172,4 +172,4 @@ def general_product(a: Tensor, b: Tensor) -> Tensor:
     if not np.isfinite(vals).all():
         key = tuple((idx[np.flatnonzero(~np.isfinite(vals))[0]] + 1).tolist())
         raise ProductOutOfRange(f"entry {key} of the product is beyond the double range")
-    return _from_arrays(out_order, n, idx, vals, zip(*(idx + 1).T.tolist()))  # keys by column
+    return _from_arrays(out_order, n, idx, vals)

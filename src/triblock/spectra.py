@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .blocked import BlockKind, Partition, _finest_refinement, _inside, _principal_block, is_blocked
-from .core import Tensor, _complex_terms, _equal_from, apply
+from .core import Tensor, _complex_terms, _equal_from, _row_fsums, apply
 from .errors import (
     BlockDetUnavailable,
     BlockSpectrumUnavailable,
@@ -34,9 +34,10 @@ from .errors import (
     NotBlocked,
     NotDiagonal,
     OrderTooSmall,
+    RadiusOutOfRange,
     ThirdTypeUnsupported,
 )
-from .structure import is_weakly_irreducible, normal_form_2nd
+from .structure import _peel
 
 _ORACLE_GUARD = 6
 
@@ -269,18 +270,80 @@ def _power_iteration(tensor: Tensor, tol: float, max_iter: int) -> SpectralResul
         lower=(lower - _SHIFT) * scale, upper=(upper - _SHIFT) * scale, iterations=max_iter)
 
 
+def _block_radii(tensor: Tensor, blocks: list, tol: float, max_iter: int,
+                 k: int = 0) -> list[SpectralResult]:
+    """``_power_iteration`` on the principal subtensor of each of ``blocks`` (weakly
+    irreducible, or of dim 1 for its diagonal entry), batched: the view is relabelled so a
+    block's rows are contiguous, its entries in that subtensor's order. A block keeps its own
+    scale, bounds, stop, step count and exact residual, and its entries leave in the step it
+    converges; past ``max_iter`` the first block still open raises. The iteration runs on
+    A / 2^k, exactly scaled, and reports in the input's scale."""
+    m, n, unit = tensor.order, tensor.dim, 2.0 ** k
+    dims = np.array([len(block) for block in blocks])
+    label = np.argsort(np.concatenate([sorted(block) for block in blocks]))  # old - 1 to new
+    home = np.repeat(np.arange(len(dims)), dims)  # the block of each new label
+    columns = label[np.ascontiguousarray(tensor.coo.idx.T)]
+    kept = np.flatnonzero((home[columns] == home[columns[0]]).all(axis=0))
+    kept = kept[columns[0, kept].argsort(kind="stable")]
+    columns, vals = columns.take(kept, axis=1), np.ldexp(tensor.coo.vals[kept], -k)
+    starts = np.cumsum(dims) - dims
+    sums = np.bincount(columns[0], vals, minlength=n)
+    scale = np.maximum.reduceat(sums, starts)
+    rhos, steps, eig = sums[starts], np.zeros(len(dims), dtype=int), np.ones(n)  # dim 1: its entry
+    rows, feet, weights = columns[0], columns[1:], vals / scale[home[columns[0]]]
+    x, live, gone = np.ones(n), dims > 1, (dims == 1).any()
+    for it in range(1, max_iter + 1):
+        if gone:  # the entries of the blocks that are done leave the loop
+            kept = live[home[rows]]
+            rows, feet, weights = rows[kept], feet[:, kept], weights[kept]
+            if not live.any():
+                break
+        terms = weights
+        for foot in feet:
+            terms = terms * x[foot]
+        power = x ** (m - 1)
+        y = np.bincount(rows, terms, minlength=n) + _SHIFT * power
+        ratios = y / power
+        lower, upper = np.minimum.reduceat(ratios, starts), np.maximum.reduceat(ratios, starts)
+        done = live & (upper - lower <= tol)
+        gone = done.any()
+        if gone:  # a block done keeps its rows at 1 from here on
+            on = done[home]
+            eig[on], steps[done], live[done], y[on] = x[on], it, False, 1.0
+            rhos[done] = (upper[done] - _SHIFT) * scale[done]
+        x = y ** (1.0 / (m - 1))
+        x = x / np.maximum.reduceat(x, starts)[home]
+    if live.any():  # the first block still open raises, in the input's scale
+        j = int(np.argmax(live))
+        lower, upper, scale = float(lower[j]), float(upper[j]), float(scale[j])
+        raise NoConvergence(
+            f"bounds still {(upper - lower) * scale * unit:.3e} apart after {max_iter} iterations",
+            lower=(lower - _SHIFT) * scale * unit, upper=(upper - _SHIFT) * scale * unit,
+            iterations=max_iter)
+    terms = vals  # the residuals, each block's eigenvector taken as ``apply`` takes it
+    for foot in columns[1:]:
+        terms = terms * eig[foot]
+    bounds = np.searchsorted(columns[0], np.arange(n + 1)).tolist()
+    gaps = np.abs(np.asarray(_row_fsums(terms, bounds)) - rhos[home] * eig ** (m - 1))
+    return [SpectralResult(rho * unit, vec, count, gap * unit) for rho, vec, count, gap in zip(
+        rhos.tolist(), np.split(eig, starts[1:]), steps.tolist(),
+        np.maximum.reduceat(gaps, starts).tolist())]
+
+
 def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000) -> SpectralResult:
     """Largest H-eigenvalue of a nonnegative tensor.
 
-    Weakly irreducible input runs the power iteration directly from the
-    all-ones vector. Anything else is decomposed through the second-type
-    normal form and the radius is the maximum over diagonal blocks; the
+    Weakly irreducible input (its first sink holds every index) runs the
+    power iteration directly from the all-ones vector. Anything else is
+    peeled into the second-type normal form's diagonal blocks, all run in
+    one batched iteration; the radius is their first maximum, and the
     reported residual belongs to the winning block.
 
     ``tol`` is relative: the iteration stops once its bounds on the radius
     lie within ``tol`` times the largest row sum of the tensor it runs on
     (the whole tensor, or one diagonal block), so ``rho(c * A)`` is
-    ``c * rho(A)`` to that accuracy for every ``c > 0``.
+    ``c * rho(A)`` to that accuracy for every ``c > 0``. A row sum past the
+    double range runs on A / 2^k; a radius past it raises RadiusOutOfRange.
     """
     if tensor.order < 2:
         raise OrderTooSmall("spectral radius needs order >= 2")
@@ -297,14 +360,18 @@ def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000) -
         return SpectralResult(0.0, np.ones(n), 0, 0.0)
     if n == 1:
         return SpectralResult(det_dim1(tensor), np.ones(1), 0, 0.0)
-    if is_weakly_irreducible(tensor):
+    k = 0 if math.isfinite(_largest_row_sum(tensor)) else tensor.nnz.bit_length() + 1
+    peel = _peel(tensor)
+    sink = next(peel)
+    if len(sink) == n and not k:  # weakly irreducible, its row sums in the double range
         return _power_iteration(tensor, tol, max_iter)
-
-    # the blocks are weakly irreducible: dim 1 gives the entry, any other the iteration
-    results = [SpectralResult(det_dim1(b), None, 0, 0.0) if b.dim == 1
-               else _power_iteration(b, tol, max_iter) for b in normal_form_2nd(tensor).blocks]
+    # the sinks peeled last are the normal form's first blocks
+    results = _block_radii(tensor, [sink, *peel][::-1], tol, max_iter, k)
     best = max(results, key=lambda r: r.rho)  # the first maximum
-    return SpectralResult(best.rho, None, sum(r.iterations for r in results), best.residual)
+    if best.rho == math.inf:
+        raise RadiusOutOfRange("the spectral radius is past the double range")
+    eigvec = best.eigvec if len(results) == 1 else None
+    return SpectralResult(best.rho, eigvec, sum(r.iterations for r in results), best.residual)
 
 
 @dataclass(frozen=True)

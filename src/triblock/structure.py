@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .blocked import BlockKind, Partition, diagonal_blocks, is_blocked
-from .core import Permutation, Tensor, _index_set, permute_similar
+from .core import Permutation, Tensor, _from_arrays, _index_set, permute_similar
 from .errors import (
     DimensionTooLarge,
     InvalidHypergraph,
@@ -189,8 +189,10 @@ def _peel(tensor: Tensor) -> Iterator[frozenset[int]]:
     while sinks:
         sink = heapq.heappop(sinks)[1]
         yield sink
-        pred = pred or _successors(np.sort(edges % n * n + edges // n), n)  # reversed edges
         alive[[v - 1 for v in sink]] = False
+        if not alive.any():
+            return
+        pred = pred or _successors(np.sort(edges % n * n + edges // n), n)  # reversed edges
         rows = sorted({u for v in sink for u in pred[v] if alive[u - 1] and v in succ[u]})
         if not rows:
             continue
@@ -432,10 +434,10 @@ def adjacency_tensor(graph: Hypergraph) -> Tensor:
     The normalization makes applying the tensor to a vector reproduce,
     in each edge coordinate, the plain product over the other vertices.
     """
-    value = 1.0 / math.factorial(graph.k - 1)
-    entries = ((perm, value) for edge in graph.edges
-               for perm in itertools.permutations(sorted(edge)))
-    return Tensor(graph.k, graph.n, entries)
+    k = graph.k
+    edges = np.array([sorted(edge) for edge in graph.edges], dtype=np.int64).reshape(-1, k) - 1
+    idx = edges[:, list(itertools.permutations(range(k)))].reshape(-1, k)  # edge by edge
+    return _from_arrays(k, graph.n, idx, np.full(len(idx), 1.0 / math.factorial(k - 1)))
 
 
 def connected_components(graph: Hypergraph) -> list[frozenset[int]]:

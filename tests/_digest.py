@@ -39,9 +39,13 @@ after the row, so one peel takes many blocks. The
 and under that refinement, on tensors of dims 13-120, past the
 ensemble's: up to 3n random index tuples, trailing indices mostly at or
 after the row, at or before it, or anywhere, half of them blocked, with
-a diagonal of mostly ±1. None of ``radius``, ``wire``, ``inverse``,
-``product``, ``peel`` and ``refinement_wide`` draws from the ensemble's
-random stream, so adding them moved no other area's line.
+a diagonal of mostly ±1. The ``radius_blocks`` area records
+``spectral_radius``, with the default ``max_iter`` and with 20, on the
+``peel`` tensors with absolute values: mostly reducible, so most radii
+come from many diagonal blocks at once. None of ``radius``, ``wire``,
+``inverse``, ``product``, ``peel``, ``refinement_wide`` and
+``radius_blocks`` draws from the ensemble's random stream, so adding
+them moved no other area's line.
 """
 from __future__ import annotations
 
@@ -306,6 +310,12 @@ def area_peel(t) -> str:
                   tb.exists_first_type_normal_form(t)])
 
 
+def area_radius_blocks(t) -> str:
+    nonneg = tb.Tensor(t.order, t.dim, {idx: abs(v) for idx, v in t.entries.items()})
+    return "\n".join([outcome(tb.spectral_radius, nonneg),
+                      outcome(lambda a: tb.spectral_radius(a, max_iter=20), nonneg)])
+
+
 def wide_tensors():
     """(tensor, partition, kind or None) at dims 13-120, blocked under (partition, kind) or not."""
     rng = random.Random(WIDE_SEED)
@@ -393,7 +403,8 @@ AREAS = {
 
 
 def main() -> None:
-    names = [*AREAS, "radius", "wire", "inverse", "product", "peel", "refinement_wide"]
+    names = [*AREAS, "radius", "wire", "inverse", "product", "peel", "refinement_wide",
+             "radius_blocks"]
     hashes = {name: hashlib.sha256() for name in names}
     for trial, (rng, t, p, kind) in enumerate(ensemble()):
         for name, area in AREAS.items():
@@ -412,6 +423,7 @@ def main() -> None:
         hashes["product"].update(("\n".join(out) + "\n").encode())
     for t in peel_tensors():
         hashes["peel"].update((area_peel(t) + "\n").encode())
+        hashes["radius_blocks"].update((area_radius_blocks(t) + "\n").encode())
     for t, p, kind in wide_tensors():
         hashes["refinement_wide"].update((area_refinement_wide(t, p, kind) + "\n").encode())
     for name, h in hashes.items():

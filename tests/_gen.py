@@ -30,6 +30,7 @@ from triblock.errors import (
     SingularMatrix,
 )
 from triblock.linalg import PIVOT_RTOL, as_matrix
+from triblock.spectra import _power_iteration
 from triblock.structure import _components, _stacked
 
 
@@ -297,6 +298,23 @@ def loop_normal_form_2nd(tensor: Tensor) -> tuple[tuple[int, ...], tuple[int, ..
         peeled.append(loop_sink(tensor, alive))
         alive[[v - 1 for v in peeled[-1]]] = False
     return _stacked(peeled[::-1]).image, tuple(len(comp) for comp in peeled[::-1])
+
+
+def loop_spectral_radius(tensor: Tensor, tol: float = 1e-10,
+                         max_iter: int = 10000) -> tb.SpectralResult:
+    """``spectral_radius`` on nonnegative input as the library once took it: an SCC search
+    for weak irreducibility, then the ``normal_form_2nd`` blocks' radii one at a time."""
+    n = tensor.dim
+    if tensor.is_zero():
+        return tb.SpectralResult(0.0, np.ones(n), 0, 0.0)
+    if n == 1:
+        return tb.SpectralResult(tb.det_dim1(tensor), np.ones(1), 0, 0.0)
+    if tb.is_weakly_irreducible(tensor):
+        return _power_iteration(tensor, tol, max_iter)
+    results = [tb.SpectralResult(tb.det_dim1(b), None, 0, 0.0) if b.dim == 1
+               else _power_iteration(b, tol, max_iter) for b in tb.normal_form_2nd(tensor).blocks]
+    best = max(results, key=lambda r: r.rho)  # the first maximum
+    return tb.SpectralResult(best.rho, None, sum(r.iterations for r in results), best.residual)
 
 
 def loop_first_type(tensor: Tensor):

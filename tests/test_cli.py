@@ -201,6 +201,19 @@ class TestRho:
             assert "rho" in json.loads(outs[-1])
         assert outs[1] == outs[0]
 
+    @pytest.mark.parametrize("entries, code", [
+        ({(1, 1): 1e308, (1, 2): 1e308, (2, 1): 1.0}, 0),
+        ({(i, j): 1e308 for i in (1, 2) for j in (1, 2)}, 1),
+    ])
+    def test_row_sums_past_the_double_range(self, capsys, tmp_path, entries, code):
+        path = write_tensor(tmp_path, "a.json", tb.new_tensor(2, 2, entries.items()))
+        got, doc = run_cli(capsys, "rho", "--tensor", path)
+        assert got == code
+        if code:
+            assert doc["error"] == "RadiusOutOfRange"
+        else:
+            assert doc["rho"] == pytest.approx(1e308, rel=1e-9)
+
     def test_seed_flag_is_gone(self, capsys, tmp_path, fixtures_dir):
         # the power iteration starts from the all-ones vector; nothing consumes a seed
         path = write_tensor(tmp_path, "a.json", tb.unit_tensor(3, 2))

@@ -29,7 +29,14 @@ from triblock import product as product_module
 from triblock.blocked import _block_ends, _forbidden
 from triblock.core import Coo
 from triblock.errors import NegativeEntry
-from triblock.spectra import _SHIFT, _is_diagonal, _largest_row_sum, _oracle_jacobian, _power_step
+from triblock.spectra import (
+    _SHIFT,
+    _block_radii,
+    _is_diagonal,
+    _largest_row_sum,
+    _oracle_jacobian,
+    _power_step,
+)
 from triblock.structure import _components, _pattern
 
 from _gen import (
@@ -53,6 +60,7 @@ from _gen import (
     loop_reduces,
     loop_representation_matrix,
     loop_row_diagonal_from_matrix,
+    loop_spectral_radius,
     loop_z_split,
     rand_blocked,
     rand_hypergraph,
@@ -549,3 +557,135 @@ class TestPeelScale:
         seconds, (sigma, p) = timed(tb.exists_first_type_normal_form, pairs)
         assert seconds < 3.0
         assert sigma == tb.Permutation.identity(2 * k) and p.parts == (2,) * k
+
+
+def rand_block_triangular(rng: random.Random, m: int, n: int) -> tb.Tensor:
+    """A nonnegative tensor on shuffled indices that fall into blocks of dims 1-8.
+
+    A block of dim >= 2 carries a weighted cycle through its indices plus
+    random entries among them, so it is weakly irreducible; about a third
+    reuse the entries of an earlier block of their dim, so their radii tie
+    bit for bit. A dim-1 block has its diagonal entry or none. Every
+    other entry reaches from a block into a later one.
+    """
+    perm, groups, templates = rng.sample(range(1, n + 1), n), [], {}
+    while len(perm) > sum(map(len, groups)):
+        start = sum(map(len, groups))
+        groups.append(sorted(perm[start:start + rng.choice([1, 1, 2, 3, 4, 6, 8])]))
+    entries = {}
+    for g in groups:
+        d = len(g)
+        if d == 1:
+            if rng.random() < 0.5:
+                entries[(g[0],) * m] = rng.choice([0.5, 1.0, 2.0, 7.0])
+            continue
+        if d not in templates or rng.random() < 0.7:
+            cycle = [((i,) + (i % d + 1,) * (m - 1), rng.uniform(0.5, 2.0))
+                     for i in range(1, d + 1)]
+            extra = [(tuple(rng.randint(1, d) for _ in range(m)), rng.choice([0.25, 1.0, 3.0]))
+                     for _ in range(rng.randint(0, 2 * d))]
+            templates[d] = cycle + extra
+        for local, w in templates[d]:
+            entries.setdefault(tuple(g[i - 1] for i in local), w)
+    for _ in range(rng.randint(0, 2 * n)):
+        j = rng.randrange(len(groups) - 1) if len(groups) > 1 else 0
+        later = [v for g in groups[j + 1:] for v in g] or groups[j]
+        feet = (rng.choice(later),) + tuple(rng.choice(later + groups[j]) for _ in range(m - 2))
+        entries.setdefault((rng.choice(groups[j]),) + feet, rng.uniform(0.1, 3.0))
+    keys = list(entries)
+    if rng.random() < 0.5:  # dict order differs from row order
+        rng.shuffle(keys)
+    return tb.Tensor(m, n, {idx: entries[idx] for idx in keys})
+
+
+def radius_outcome(fn, *args, **kwargs):
+    """Every field of a radius result, or of the error raised, bit for bit."""
+    try:
+        r = fn(*args, **kwargs)
+    except tb.errors.TriblockError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "lower", None),
+                getattr(exc, "upper", None), getattr(exc, "iterations", None))
+    return (r.rho.hex(), None if r.eigvec is None else r.eigvec.tobytes(), r.iterations,
+            r.residual.hex())
+
+
+class TestBlockRadii:
+    """``spectral_radius`` reads its blocks off one peel and runs them in one batched
+    iteration; every field must be what the SCC test and the ``normal_form_2nd`` blocks,
+    taken one by one, gave."""
+
+    def test_matches_loop_on_block_triangular_tensors(self):
+        rng = random.Random(430)
+        seen = set()
+        for trial in range(300):
+            t = rand_block_triangular(rng, rng.randint(2, 4), rng.randint(1, 40))
+            for max_iter in (10000, rng.choice([1, 3, 10, 30])):
+                got = radius_outcome(tb.spectral_radius, t, max_iter=max_iter)
+                assert got == radius_outcome(loop_spectral_radius, t, max_iter=max_iter), trial
+                seen.add(got[0] if len(got) == 5 else "ok")
+        assert seen == {"ok", "NoConvergence"}
+
+    def test_matches_loop_on_upper_biased_patterns(self):
+        rng = random.Random(431)
+        for trial in range(200):
+            t = rand_sparse(rng, rng.randint(2, 4), rng.randint(1, 40), upper=0.85)
+            t = tb.Tensor(t.order, t.dim, {idx: abs(v) for idx, v in t.entries.items()})
+            for max_iter in (10000, 20):
+                got = radius_outcome(tb.spectral_radius, t, max_iter=max_iter)
+                assert got == radius_outcome(loop_spectral_radius, t, max_iter=max_iter), trial
+
+    def test_tied_blocks_give_the_first(self):
+        block = [((1, 2, 2), 1.0), ((2, 1, 1), 2.0), ((1, 1, 1), 0.5)]
+        entries = [((i + 2 * k, j + 2 * k, l + 2 * k), v)
+                   for k in range(3) for (i, j, l), v in block] + [((1, 3, 5), 1.0)]
+        t = tb.new_tensor(3, 6, entries)
+        got = tb.spectral_radius(t)
+        assert radius_outcome(tb.spectral_radius, t) == radius_outcome(loop_spectral_radius, t)
+        assert got.eigvec is None and got.iterations == 3 * tb.spectral_radius(
+            tb.new_tensor(3, 2, block)).iterations
+
+    def test_dim_one_blocks(self):
+        # 1 -> 2 -> 3, a_111 = 2, no a_222, a_333 = 3: three dim-1 blocks, no iteration
+        t = tb.new_tensor(3, 3, [((1, 1, 1), 2.0), ((1, 2, 2), 1.0), ((2, 3, 3), 5.0),
+                                 ((3, 3, 3), 3.0)])
+        assert tb.spectral_radius(t) == tb.SpectralResult(3.0, None, 0, 0.0)
+
+    def test_first_open_block_raises(self):
+        # a fast dense block before a slow cycle: the cycle is the block that fails
+        cycle = [((4 + i, 4 + (i + 1) % 6, 4 + (i + 1) % 6), w)
+                 for i, w in enumerate((1.0, 2.0, 3.0, 1.0, 5.0, 2.0))]
+        dense = [((i, j, k), 1.0) for i in (1, 2, 3) for j in (1, 2, 3) for k in (1, 2, 3)]
+        t = tb.new_tensor(3, 9, dense + cycle + [((1, 4, 4), 1.0)])
+        with pytest.raises(tb.errors.NoConvergence) as err:
+            tb.spectral_radius(t, max_iter=50)
+        assert radius_outcome(tb.spectral_radius, t, max_iter=50) == radius_outcome(
+            loop_spectral_radius, t, max_iter=50)
+        assert err.value.iterations == 50 and err.value.lower <= 60 ** (1 / 6) <= err.value.upper
+
+    def test_hypergraph_components_in_one_call(self):
+        rng = random.Random(432)
+        for _ in range(30):
+            groups = [rng.randint(1, 8) for _ in range(rng.randint(1, 6))]
+            graph = rand_hypergraph(rng, rng.randint(2, 4), groups, edges_per_group=4)
+            adjacency, comps = tb.adjacency_tensor(graph), tb.connected_components(graph)
+            want = [radius_outcome(tb.spectral_radius, tb.principal_subtensor(adjacency, c))
+                    for c in comps]
+            got = _block_radii(adjacency, comps, 1e-10, 10000)
+            assert [(r.rho.hex(), r.iterations, r.residual.hex()) for r in got] == [
+                (w[0], w[2], w[3]) for w in want]
+
+    def test_converged_blocks_leave_the_loop(self):
+        # a dense dim-40 block (11 steps) linked to a weighted 6-cycle (216 steps): without
+        # compaction every cycle step also multiplies the dense block's 64,000 entries, which
+        # took longer than the loop reference; with it, the batch takes about a third of it
+        rng = np.random.default_rng(433)
+        dense = {idx: rng.uniform(0.01, 1.0) for idx in itertools.product(range(1, 41), repeat=3)}
+        cycle = {(41 + i, 41 + (i + 1) % 6, 41 + (i + 1) % 6): w
+                 for i, w in enumerate((1.0, 2.0, 3.0, 1.0, 5.0, 2.0))}
+        t = tb.Tensor(3, 46, {**dense, **cycle, (1, 41, 41): 1.0})
+        t.coo  # both sides start from a built view
+        loop_seconds, want = min(timed(loop_spectral_radius, t) for _ in range(2))
+        seconds, got = min(timed(tb.spectral_radius, t) for _ in range(3))
+        assert radius_outcome(lambda: got) == radius_outcome(lambda: want)
+        assert got.iterations == 11 + 216
+        assert seconds < loop_seconds / 2, (seconds, loop_seconds)

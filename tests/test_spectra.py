@@ -22,6 +22,7 @@ from triblock.errors import (
     NotBlocked,
     NotDiagonal,
     OrderTooSmall,
+    RadiusOutOfRange,
     ThirdTypeUnsupported,
 )
 
@@ -620,6 +621,27 @@ class TestRadiusLaws:
             assert lower <= c * CYCLE_RHO <= upper
             reference = reference or (lower, upper)
             assert (lower / c, upper / c) == pytest.approx(reference, rel=1e-12)
+
+    def test_row_sums_past_the_double_range(self):
+        # [[a, a], [1, 0]] has rho = (a + sqrt(a^2 + 4a)) / 2; its first row sum 2a overflows
+        a = 1e308
+        t = tb.Tensor(2, 2, {(1, 1): a, (1, 2): a, (2, 1): 1.0})
+        want = a / 2 * (1 + math.sqrt(1 + 4 / a))
+        res = tb.spectral_radius(t)
+        assert res.rho == pytest.approx(want, rel=1e-9) and res.residual <= 1e-9 * want
+        with pytest.raises(NoConvergence) as err:
+            tb.spectral_radius(t, max_iter=5)
+        assert err.value.lower <= want <= err.value.upper < math.inf
+        # the same matrix as a diagonal block beside a dim-1 block
+        split = tb.Tensor(2, 3, {(1, 1): a, (1, 2): a, (2, 1): 1.0, (3, 3): 5.0, (3, 1): a})
+        assert tb.spectral_radius(split).rho == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_radius_past_the_double_range_is_refused(self, order):
+        # every entry 1e308 in dim 2: rho = 2^(order-1) * 1e308
+        t = tb.Tensor(order, 2, {idx: 1e308 for idx in itertools.product((1, 2), repeat=order)})
+        with pytest.raises(RadiusOutOfRange):
+            tb.spectral_radius(t)
 
     def test_one_exact_apply_for_the_residual(self, monkeypatch):
         calls = []
