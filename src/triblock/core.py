@@ -81,7 +81,7 @@ class Tensor:
         component is at fault.
         """
         m, n, keys, values = self.order, self.dim, self.entries.keys(), self.entries.values()
-        idx, vals = _screened(m, n, keys, values) or _refuse(m, n, keys, values, True)
+        idx, vals, _ = _screened(m, n, keys, values) or _refuse(m, n, keys, values, True)
         return _row_sorted(idx, vals, self.dim)
 
     def get(self, index: Sequence[int]) -> float:
@@ -144,22 +144,25 @@ def _check_finite(idx: np.ndarray, vals: np.ndarray) -> None:
         raise ValueError(f"entry {tuple((idx[k] + 1).tolist())} is not finite: {vals[k].item()!r}")
 
 
-def _from_arrays(order: int, dim: int, idx: np.ndarray, vals: np.ndarray) -> Tensor:
+def _from_arrays(order: int, dim: int, idx: np.ndarray, vals: np.ndarray,
+                 rows: Iterable[Sequence[int]] | None = None) -> Tensor:
     """A tensor from 0-based index rows and nonzero values, with its view handed on.
 
-    The entries follow the rows' order, their keys built column by column;
-    the view is their stable sort by row, which is what ``Tensor.coo``
-    would build from those entries.
+    The entries follow the rows' order; the view is their stable sort by
+    row, which is what ``Tensor.coo`` would build from those entries. A
+    caller that holds the rows 1-based, as Python ints, passes them too;
+    otherwise the keys are built column by column.
     """
-    tensor = Tensor(order, dim, zip(zip(*(idx + 1).T.tolist()), vals.tolist()))
+    keys = zip(*(idx + 1).T.tolist()) if rows is None else map(tuple, rows)
+    tensor = Tensor(order, dim, zip(keys, vals.tolist()))
     tensor.__dict__["coo"] = _row_sorted(idx, vals, dim)
     return tensor
 
 
 def _screened(order: int, dim: int, keys, values):
-    """The entries' 0-based index rows (int64) and values (float64), if every entry passes in
-    bulk: ``order`` components, integers (not bools) in ``[1, dim]`` and int64, and a finite
-    double value.
+    """The entries' 0-based index rows (int64), values (float64) and 1-based rows of Python
+    ints (``keys`` itself where it holds only those), if every entry passes in bulk: ``order``
+    components, integers (not bools) in ``[1, dim]`` and int64, and a finite double value.
     """
     n, flat = len(keys), list(itertools.chain.from_iterable(keys))
     types = set(map(type, flat))
@@ -172,8 +175,9 @@ def _screened(order: int, dim: int, keys, values):
         return None
     if not np.isfinite(vals).all() or n and (idx.min() < 1 or idx.max() > dim):
         return None
+    rows = keys if types <= {int} else idx.tolist()
     idx -= 1
-    return idx, vals
+    return idx, vals, rows
 
 
 def _refuse(order: int, dim: int, keys, values, name_index: bool) -> NoReturn:
@@ -289,13 +293,15 @@ def new_tensor(order: int, dim: int,
 def _tensor_from_entries(order: int, dim: int, keys: list, values: list) -> Tensor:
     """``new_tensor`` on the pairs of index sequences and values, each entry checked once."""
     order, dim = _shape(order, dim)
-    idx, vals = _screened(order, dim, keys, values) or _refuse(order, dim, keys, values, False)
-    tensor = _from_arrays(order, dim, idx, vals)
+    checked = _screened(order, dim, keys, values) or _refuse(order, dim, keys, values, False)
+    idx, vals, rows = checked
+    tensor = _from_arrays(order, dim, idx, vals, rows)
     if tensor.nnz < len(vals):  # an index repeats, maybe one first given a zero value
         _refuse(order, dim, keys, values, False)
     nonzero = vals != 0.0
     if not nonzero.all():
-        tensor = _from_arrays(order, dim, idx[nonzero], vals[nonzero])
+        rows = itertools.compress(rows, nonzero)
+        tensor = _from_arrays(order, dim, idx[nonzero], vals[nonzero], rows)
     return tensor
 
 

@@ -26,6 +26,7 @@ import pytest
 import triblock as tb
 from triblock import BlockKind
 from triblock import product as product_module
+from triblock import structure
 from triblock.blocked import _block_ends, _forbidden
 from triblock.core import Coo
 from triblock.errors import NegativeEntry
@@ -428,6 +429,7 @@ class TestHandedOnView:
         for integral in (True, False):
             k = rng.randint(1, 2 if t.order == 4 else 3)
             yield tb.general_product(t, rand_tensor(rng, k, t.dim, 0.5, integral))
+        yield tb.adjacency_tensor(rand_hypergraph(rng, t.order, [t.dim, rng.randint(1, 5)]))
 
     def test_view_is_rebuilt_view(self):
         for rng, t in structured(415, 40):
@@ -514,6 +516,13 @@ class TestPeel:
         assert tb.find_weakly_reducing_set(t) == frozenset({3})
         assert tb.normal_form_2nd(t).partition.parts == (1, 1, 1)
         assert tb.exists_first_type_normal_form(t) is None
+
+    def test_no_reversed_edges_after_the_last_sink(self, monkeypatch):
+        built = []
+        real = structure._successors
+        monkeypatch.setattr(structure, "_successors", lambda *a: built.append(a) or real(*a))
+        cycle = tb.new_tensor(3, 3, [((1, 2, 2), 1.0), ((2, 3, 3), 1.0), ((3, 1, 1), 1.0)])
+        assert list(structure._peel(cycle)) == [frozenset({1, 2, 3})] and len(built) == 1
 
     def test_empty_tensor(self):
         t = tb.Tensor(3, 4, {})

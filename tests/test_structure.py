@@ -589,6 +589,16 @@ class TestAdjacencyTensor:
         triangle = tb.adjacency_tensor(tb.Hypergraph.from_edge_lists(3, 3, [[1, 2, 3]]))
         assert tb.diagonal_blocks(a, Partition((3, 3))) == [triangle, triangle]
 
+    def test_entries_in_edge_then_permutation_order(self):
+        # the order the per-edge loop over itertools.permutations(sorted(edge)) gave
+        rng = random.Random(571)
+        for k in (2, 3, 4):
+            graph = rand_hypergraph(rng, k, [rng.randint(1, 7) for _ in range(3)], 5)
+            a = tb.adjacency_tensor(graph)
+            want = [perm for edge in graph.edges for perm in itertools.permutations(sorted(edge))]
+            assert list(a.entries) == want and all(type(i) is int for idx in want for i in idx)
+            assert "coo" in a.__dict__  # handed on, not screened from the keys
+
     def test_connected_graph_is_weakly_irreducible(self, fixtures_dir):
         graph = load_hypergraph(fixtures_dir / "hyper_chain.json")
         assert tb.connected_components(graph) == [frozenset(range(1, 8))]
