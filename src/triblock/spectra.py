@@ -360,7 +360,9 @@ def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000) -
         return SpectralResult(0.0, np.ones(n), 0, 0.0)
     if n == 1:
         return SpectralResult(det_dim1(tensor), np.ones(1), 0, 0.0)
-    k = 0 if math.isfinite(_largest_row_sum(tensor)) else tensor.nnz.bit_length() + 1
+    # a row sum past the double range iterates on A / 2^k; the bound spares the exact test
+    fits = float(tensor.coo.vals.max()) * tensor.nnz * 2 < math.inf
+    k = 0 if fits or math.isfinite(_largest_row_sum(tensor)) else tensor.nnz.bit_length() + 1
     peel = _peel(tensor)
     sink = next(peel)
     if len(sink) == n and not k:  # weakly irreducible, its row sums in the double range

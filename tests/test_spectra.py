@@ -636,6 +636,13 @@ class TestRadiusLaws:
         split = tb.Tensor(2, 3, {(1, 1): a, (1, 2): a, (2, 1): 1.0, (3, 3): 5.0, (3, 1): a})
         assert tb.spectral_radius(split).rho == pytest.approx(want, rel=1e-9)
 
+    def test_large_finite_row_sums_keep_the_plain_iteration(self):
+        # nnz * max * 2 passes the double range, the largest row sum (5e307) does not
+        t = cycle6(1e307)
+        got, want = tb.spectral_radius(t), spectra._power_iteration(t, 1e-10, 10000)
+        assert (got.rho, got.iterations, got.residual) == (want.rho, want.iterations, want.residual)
+        assert np.array_equal(got.eigvec, want.eigvec)
+
     @pytest.mark.parametrize("order", [2, 3])
     def test_radius_past_the_double_range_is_refused(self, order):
         # every entry 1e308 in dim 2: rho = 2^(order-1) * 1e308
