@@ -275,9 +275,9 @@ def _block_radii(tensor: Tensor, blocks: list, tol: float, max_iter: int,
     """``_power_iteration`` on the principal subtensor of each of ``blocks`` (weakly
     irreducible, or of dim 1 for its diagonal entry), batched: the view is relabelled so a
     block's rows are contiguous, its entries in that subtensor's order. A block keeps its own
-    scale, bounds, stop, step count and exact residual, and its entries leave in the step it
-    converges; past ``max_iter`` the first block still open raises. The iteration runs on
-    A / 2^k, exactly scaled, and reports in the input's scale."""
+    scale, bounds, stop, step count and exact residual, and its rows and entries leave the
+    active arrays in the step it converges; past ``max_iter`` the first block still open
+    raises. The iteration runs on A / 2^k, exactly scaled, and reports in the input's scale."""
     m, n, unit = tensor.order, tensor.dim, 2.0 ** k
     dims = np.array([len(block) for block in blocks])
     label = np.argsort(np.concatenate([sorted(block) for block in blocks]))  # old - 1 to new
@@ -291,31 +291,37 @@ def _block_radii(tensor: Tensor, blocks: list, tol: float, max_iter: int,
     scale = np.maximum.reduceat(sums, starts)
     rhos, steps, eig = sums[starts], np.zeros(len(dims), dtype=int), np.ones(n)  # dim 1: its entry
     rows, feet, weights = columns[0], columns[1:], vals / scale[home[columns[0]]]
-    x, live, gone = np.ones(n), dims > 1, (dims == 1).any()
+    x, labels, live, act = np.ones(n), np.arange(n), dims > 1, np.arange(len(dims))
+    offsets, here, gone = starts, home, not live.all()  # here: each active row's block
     for it in range(1, max_iter + 1):
-        if gone:  # the entries of the blocks that are done leave the loop
-            kept = live[home[rows]]
-            rows, feet, weights = rows[kept], feet[:, kept], weights[kept]
-            if not live.any():
+        if gone:  # the blocks that are done leave the active arrays
+            keep = live[act]
+            kept_rows = np.repeat(keep, dims[act])
+            relabel, kept = np.cumsum(kept_rows) - 1, kept_rows[rows]
+            rows, feet, weights = relabel[rows[kept]], relabel[feet[:, kept]], weights[kept]
+            x, labels, act = x[kept_rows], labels[kept_rows], act[keep]
+            if not act.size:
                 break
+            sizes = dims[act]
+            offsets, here = np.cumsum(sizes) - sizes, np.repeat(np.arange(act.size), sizes)
         terms = weights
         for foot in feet:
             terms = terms * x[foot]
         power = x ** (m - 1)
-        y = np.bincount(rows, terms, minlength=n) + _SHIFT * power
+        y = np.bincount(rows, terms, minlength=len(x)) + _SHIFT * power
         ratios = y / power
-        lower, upper = np.minimum.reduceat(ratios, starts), np.maximum.reduceat(ratios, starts)
-        done = live & (upper - lower <= tol)
+        lower, upper = np.minimum.reduceat(ratios, offsets), np.maximum.reduceat(ratios, offsets)
+        done = upper - lower <= tol
         gone = done.any()
-        if gone:  # a block done keeps its rows at 1 from here on
-            on = done[home]
-            eig[on], steps[done], live[done], y[on] = x[on], it, False, 1.0
-            rhos[done] = (upper[done] - _SHIFT) * scale[done]
+        if gone:
+            on, b = done[here], act[done]
+            eig[labels[on]], steps[b], live[b] = x[on], it, False
+            rhos[b] = (upper[done] - _SHIFT) * scale[b]
         x = y ** (1.0 / (m - 1))
-        x = x / np.maximum.reduceat(x, starts)[home]
+        x = x / np.maximum.reduceat(x, offsets)[here]
     if live.any():  # the first block still open raises, in the input's scale
-        j = int(np.argmax(live))
-        lower, upper, scale = float(lower[j]), float(upper[j]), float(scale[j])
+        j = int(np.argmax(live[act]))
+        lower, upper, scale = float(lower[j]), float(upper[j]), float(scale[act[j]])
         raise NoConvergence(
             f"bounds still {(upper - lower) * scale * unit:.3e} apart after {max_iter} iterations",
             lower=(lower - _SHIFT) * scale * unit, upper=(upper - _SHIFT) * scale * unit,
