@@ -12,20 +12,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import tensorio
+from . import spectra, tensorio
 from .blocked import BlockKind, Partition, diagonal_blocks, is_blocked
 from .core import Tensor
 from .errors import TriblockError
 from .inverse import left_k_inverse, right_k_inverse, verify_inverse
 from .mtensor import m_tensor_report
 from .product import general_product
-from .spectra import (
-    _block_radii,
-    det_blocked,
-    singularity_oracle,
-    spectral_radius,
-    spectrum_blocked,
-)
+from .spectra import det_blocked, singularity_oracle, spectral_radius, spectrum_blocked
 from .structure import (
     adjacency_tensor,
     connected_components,
@@ -213,8 +207,8 @@ def _dispatch(args: argparse.Namespace) -> None:
         graph = tensorio.hypergraph_from_obj(
             tensorio.loads(Path(args.edges).read_text()))
         # a connected hypergraph's adjacency tensor is weakly irreducible
-        radii = _block_radii(adjacency_tensor(graph), connected_components(graph),
-                             args.tol, args.max_iter)
+        radii = spectra._block_radii(adjacency_tensor(graph), connected_components(graph),
+                                     args.tol, args.max_iter)
         per_component = [r.rho for r in radii]
         _emit(tensorio.dumps({"rho": max(per_component), "component_rhos": per_component}))
     else:  # pragma: no cover - argparse enforces the choices
