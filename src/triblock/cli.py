@@ -9,6 +9,7 @@ and seeds always produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -59,7 +60,9 @@ def _emit(text: str, out_path: str | None = None) -> None:
     print(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built once: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="triblock",
         description="Structure, products, determinants, spectra, inverses and "
@@ -160,7 +163,7 @@ def _dispatch(args: argparse.Namespace) -> None:
     elif cmd == "spectrum":
         tensor = _read_tensor(args.tensor)
         spec = spectrum_blocked(tensor, args.partition, BlockKind.from_token(args.kind))
-        _emit(tensorio.dumps(tensorio.spectrum_to_obj(spec)))
+        _emit(tensorio.dumps_spectrum(spec))
     elif cmd == "rho":
         result = spectral_radius(_read_tensor(args.tensor), tol=args.tol,
                                  max_iter=args.max_iter)

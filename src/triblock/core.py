@@ -164,10 +164,22 @@ def _screened(order: int, dim: int, keys, values):
     ints (``keys`` itself where it holds only those), if every entry passes in bulk: ``order``
     components, integers (not bools) in ``[1, dim]`` and int64, and a finite double value.
     """
-    n, flat = len(keys), list(itertools.chain.from_iterable(keys))
+    flat = list(itertools.chain.from_iterable(keys))
     types = set(map(type, flat))
     if set(map(len, keys)) - {order} or not all(map(_integer_type, types)):
         return None
+    checked = _in_range(order, dim, flat, values)
+    if checked is None:
+        return None
+    idx, vals = checked
+    return idx, vals, keys if types <= {int} else (idx + 1).tolist()
+
+
+def _in_range(order: int, dim: int, flat, values):
+    """The 0-based index rows (int64) and the values (float64) of integer components ``flat``,
+    ``order`` to an entry, if every component is in ``[1, dim]`` and int64 and every value is
+    a finite double; None otherwise."""
+    n = len(values)
     try:
         idx = np.fromiter(flat, np.int64, n * order).reshape(n, order)
         vals = np.fromiter(values, float, n)  # only None converts where float() refuses: to nan
@@ -175,9 +187,8 @@ def _screened(order: int, dim: int, keys, values):
         return None
     if not np.isfinite(vals).all() or n and (idx.min() < 1 or idx.max() > dim):
         return None
-    rows = keys if types <= {int} else idx.tolist()
     idx -= 1
-    return idx, vals, rows
+    return idx, vals
 
 
 def _refuse(order: int, dim: int, keys, values, name_index: bool) -> NoReturn:
@@ -294,13 +305,19 @@ def _tensor_from_entries(order: int, dim: int, keys: list, values: list) -> Tens
     """``new_tensor`` on the pairs of index sequences and values, each entry checked once."""
     order, dim = _shape(order, dim)
     checked = _screened(order, dim, keys, values) or _refuse(order, dim, keys, values, False)
-    idx, vals, rows = checked
+    return _nonzero_tensor(order, dim, *checked) or _refuse(order, dim, keys, values, False)
+
+
+def _nonzero_tensor(order: int, dim: int, idx: np.ndarray, vals: np.ndarray,
+                    rows: Iterable[Sequence[int]] | None = None) -> Tensor | None:
+    """``_from_arrays`` on checked entries, exact zeros dropped; None where an index repeats,
+    maybe one first given the value 0."""
     tensor = _from_arrays(order, dim, idx, vals, rows)
-    if tensor.nnz < len(vals):  # an index repeats, maybe one first given a zero value
-        _refuse(order, dim, keys, values, False)
+    if tensor.nnz < len(vals):
+        return None
     nonzero = vals != 0.0
     if not nonzero.all():
-        rows = itertools.compress(rows, nonzero)
+        rows = None if rows is None else itertools.compress(rows, nonzero)
         tensor = _from_arrays(order, dim, idx[nonzero], vals[nonzero], rows)
     return tensor
 

@@ -136,4 +136,5 @@ class InvalidHypergraph(TriblockError):
 
 
 class FormatError(TriblockError):
-    """A JSON document does not match the expected wire format."""
+    """A JSON document does not match the expected wire format, or a result cannot be written
+    in it."""

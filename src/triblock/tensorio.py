@@ -14,10 +14,19 @@ the shape of every record (``FormatError``), then the order and dim,
 then entry by entry its arity, each component's type and range, a
 repeat of an earlier index (even one given the value 0), and a finite
 double value (``FormatError``).
+
+``loads_tensor`` reads a document in exactly the layout ``dumps_tensor``
+writes (at least one record, maybe followed by JSON whitespace) from the
+text straight to index and value arrays, without the JSON object tree.
+Every other text, and every canonical one with a faulty number, index or
+value, goes through ``tensor_from_obj(loads(text))``, so every refusal
+comes from that one path.
 """
 from __future__ import annotations
 
 import json
+import re
+import sys
 from itertools import repeat
 from operator import itemgetter
 from typing import Any, Sequence
@@ -25,10 +34,20 @@ from typing import Any, Sequence
 import numpy as np
 
 from .blocked import Partition
-from .core import Tensor, _tensor_from_entries
+from .core import Tensor, _in_range, _nonzero_tensor, _tensor_from_entries
 from .errors import FormatError
 from .spectra import SpectrumFactored
 from .structure import Hypergraph, NormalForm
+
+# The canonical layout: the document around its records joined by _JOIN, each record around
+# its index components joined by _JOIN. ``dumps_tensor`` writes it and ``loads_tensor`` reads
+# it without the JSON object tree.
+_DOCUMENT = '{"order": %d, "dim": %d, "entries": [%s]}'
+_RECORD = '{"i": [%s], "v": %%r}'
+_JOIN = ", "
+_HEAD, _TAIL = _DOCUMENT.split("%s")
+_HEADER = re.compile(re.escape(_HEAD).replace("%d", "([1-9][0-9]{0,17})"))
+_NUMBER = b"0123456789.+-eE"  # the characters of JSON numbers
 
 
 def tensor_to_obj(tensor: Tensor) -> dict:
@@ -38,6 +57,11 @@ def tensor_to_obj(tensor: Tensor) -> dict:
         "entries": [{"i": list(idx), "v": v}
                     for idx, v in sorted(tensor.entries.items())],
     }
+
+
+def _is_int(value: Any) -> bool:
+    """Whether a parsed JSON value is an integer: true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_record(item: Any) -> bool:
@@ -65,8 +89,7 @@ def tensor_from_obj(obj: Any) -> Tensor:
     if missing:
         raise FormatError(f"tensor document lacks keys: {sorted(missing)}")
     order, dim, raw = obj["order"], obj["dim"], obj["entries"]
-    if not isinstance(order, int) or not isinstance(dim, int) or isinstance(order, bool) \
-            or isinstance(dim, bool):
+    if not (_is_int(order) and _is_int(dim)):
         raise FormatError("order and dim must be integers")
     if not isinstance(raw, list):
         raise FormatError("entries must be a list")
@@ -89,18 +112,72 @@ def loads(text: str) -> Any:
         raise FormatError(f"invalid JSON: {exc}") from exc
 
 
+def _record(order: int) -> str:
+    """The record template of an order-``order`` tensor: ``%d`` per index component, ``%r``
+    for the value."""
+    return _RECORD % _JOIN.join(["%d"] * order)
+
+
 def dumps_tensor(tensor: Tensor) -> str:
     """What ``dumps(tensor_to_obj(tensor))`` prints, written from the view: values as doubles."""
     view = tensor.coo
     by_index = np.lexsort(view.idx.T[::-1])
     columns = [(column + 1).tolist() for column in view.idx[by_index].T]
-    entry = '{"i": [%s], "v": %%r}' % ", ".join(["%d"] * tensor.order)
-    entries = ", ".join(map(entry.__mod__, zip(*columns, view.vals[by_index].tolist())))
-    return '{"order": %d, "dim": %d, "entries": [%s]}' % (tensor.order, tensor.dim, entries)
+    entries = _JOIN.join(map(_record(tensor.order).__mod__,
+                             zip(*columns, view.vals[by_index].tolist())))
+    return _DOCUMENT % (tensor.order, tensor.dim, entries)
+
+
+def _canonical_tensor(text: str) -> Tensor | None:
+    """The tensor of a document in exactly the layout ``dumps_tensor`` writes, with at least
+    one record and maybe followed by JSON whitespace, read from the text straight to index and
+    value arrays; None for any other text and wherever the general path would raise.
+
+    With the number characters deleted, the records must be the skeleton of the record
+    template joined k times. Each structural token between two numbers then becomes one
+    separator, and the result must read as a flat JSON array of k·(order + 1) numbers whose
+    index slots are ints. A number outside its slot leaves a token in place, where the array
+    does not parse, or splits a separator, which the count of separators finds.
+    """
+    header = _HEADER.match(text)
+    end = len(text.rstrip(" \t\n\r"))
+    if header is None or not text.endswith(_TAIL, 0, end):
+        return None
+    order, dim = int(header[1]), int(header[2])
+    body = text[header.end():end - len(_TAIL)]
+    if len(body) < order or not body.isascii():  # a record holds order digits; ASCII encodes
+        return None
+    pieces = re.split("%[dr]", _record(order))  # opening, separators, middle, closing
+    opening, middle, closing = pieces[0], pieces[-2], pieces[-1]
+    skeleton, join = "".join(pieces).encode().translate(None, _NUMBER), _JOIN.encode()
+    found = body.encode().translate(None, _NUMBER)
+    records = (len(found) + len(join)) // (len(skeleton) + len(join))
+    if found != join.join([skeleton] * records) \
+            or not (body.startswith(opening) and body.endswith(closing)):
+        return None
+    slots = records * (order + 1)
+    flat = body[len(opening):-len(closing)].replace(middle, _JOIN)
+    flat = flat.replace(closing + _JOIN + opening, _JOIN)
+    if flat.count(_JOIN) != slots - 1:
+        return None
+    try:
+        numbers = json.loads("[%s]" % flat)
+    except ValueError:  # not a JSON number, a token left in place, or an integer too long
+        return None
+    if len(numbers) != slots:
+        return None
+    values = numbers[order::order + 1]
+    del numbers[order::order + 1]
+    if not set(map(type, numbers)) <= {int}:
+        return None
+    checked = _in_range(order, dim, numbers, values)
+    return checked and _nonzero_tensor(order, dim, *checked)
 
 
 def loads_tensor(text: str) -> Tensor:
-    return tensor_from_obj(loads(text))
+    """The tensor of a document: a canonical one read directly, any other through
+    ``tensor_from_obj``, which raises every refusal."""
+    return _canonical_tensor(text) or tensor_from_obj(loads(text))
 
 
 def spectrum_to_obj(spectrum: SpectrumFactored) -> dict:
@@ -109,6 +186,17 @@ def spectrum_to_obj(spectrum: SpectrumFactored) -> dict:
                   for item in spectrum.items],
         "degree": spectrum.total_degree,
     }
+
+
+def dumps_spectrum(spectrum: SpectrumFactored) -> str:
+    """``dumps(spectrum_to_obj(spectrum))``, refusing a spectrum whose exponent or degree has
+    more digits than Python converts from int to text (``sys.get_int_max_str_digits()``)."""
+    try:
+        return dumps(spectrum_to_obj(spectrum))
+    except ValueError as exc:  # the one ValueError json.dumps raises on ints and doubles
+        raise FormatError(f"the spectrum has an integer past the limit of "
+                          f"{sys.get_int_max_str_digits()} digits for integer string "
+                          f"conversion") from exc
 
 
 def normal_form_to_obj(nf: NormalForm) -> dict:
@@ -139,10 +227,10 @@ def hypergraph_from_obj(obj: Any) -> Hypergraph:
     if missing:
         raise FormatError(f"hypergraph document lacks keys: {sorted(missing)}")
     k, n, edges = obj["k"], obj["n"], obj["edges"]
-    if not isinstance(k, int) or not isinstance(n, int) or not isinstance(edges, list):
+    if not (_is_int(k) and _is_int(n) and isinstance(edges, list)):
         raise FormatError("k and n must be integers and edges a list")
     for edge in edges:
-        if not isinstance(edge, list) or not all(isinstance(v, int) for v in edge):
+        if not isinstance(edge, list) or not all(map(_is_int, edge)):
             raise FormatError(f"bad edge record: {edge!r}")
     return Hypergraph.from_edge_lists(k, n, edges)
 

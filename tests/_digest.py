@@ -42,10 +42,15 @@ after the row, at or before it, or anywhere, half of them blocked, with
 a diagonal of mostly ±1. The ``radius_blocks`` area records
 ``spectral_radius``, with the default ``max_iter`` and with 20, on the
 ``peel`` tensors with absolute values: mostly reducible, so most radii
-come from many diagonal blocks at once. None of ``radius``, ``wire``,
-``inverse``, ``product``, ``peel``, ``refinement_wide`` and
-``radius_blocks`` draws from the ensemble's random stream, so adding
-them moved no other area's line.
+come from many diagonal blocks at once. The ``wire_text`` area records
+``loads_tensor`` on each ensemble tensor's ``dumps_tensor`` text, which
+the canonical reader takes, and on four seeded copies with 1-3
+single-character replacements, insertions or deletions over the
+characters of numbers and of the layout, most of which go to the
+general path. None of ``radius``, ``wire``, ``inverse``, ``product``,
+``peel``, ``refinement_wide``, ``radius_blocks`` and ``wire_text`` draws
+from the ensemble's random stream, so adding them moved no other area's
+line.
 """
 from __future__ import annotations
 
@@ -246,6 +251,23 @@ def area_wire(rng, t, out):
         out.append(wire_outcome(tensorio.tensor_from_obj, dict(doc, entries=bad)))
 
 
+TEXT_ALPHABET = '0123456789.-+eE,[]{}":iv \t\n'
+
+
+def area_wire_text(rng, t, out):
+    """``loads_tensor`` on the tensor's canonical text, then on four copies with 1-3 seeded
+    single-character replacements, insertions or deletions each."""
+    text = tensorio.dumps_tensor(t)
+    out.append(wire_outcome(tensorio.loads_tensor, text))
+    for _ in range(4):
+        bad = text
+        for _ in range(rng.randint(1, 3)):
+            k, edit = rng.randrange(len(bad) + 1), rng.randrange(3)
+            keep = k + 1 if edit == 1 else k  # a replacement or deletion drops bad[k]
+            bad = bad[:k] + ("" if edit == 2 else rng.choice(TEXT_ALPHABET)) + bad[keep:]
+        out.append(wire_outcome(tensorio.loads_tensor, bad))
+
+
 PRODUCT_SCALES = [(1.0, 1.0), (4.0, 1.0), (4.0, 4.0), (4.0, 4.0 * 2.0 ** 50), (1e200, 1e200)]
 
 
@@ -404,7 +426,7 @@ AREAS = {
 
 def main() -> None:
     names = [*AREAS, "radius", "wire", "inverse", "product", "peel", "refinement_wide",
-             "radius_blocks"]
+             "radius_blocks", "wire_text"]
     hashes = {name: hashlib.sha256() for name in names}
     for trial, (rng, t, p, kind) in enumerate(ensemble()):
         for name, area in AREAS.items():
@@ -421,6 +443,9 @@ def main() -> None:
         out = []
         area_product(random.Random(f"product{trial}"), t, out)
         hashes["product"].update(("\n".join(out) + "\n").encode())
+        out = []
+        area_wire_text(random.Random(f"wire_text{trial}"), t, out)
+        hashes["wire_text"].update(("\n".join(out) + "\n").encode())
     for t in peel_tensors():
         hashes["peel"].update((area_peel(t) + "\n").encode())
         hashes["radius_blocks"].update((area_radius_blocks(t) + "\n").encode())

@@ -165,6 +165,14 @@ class TestSpectrum:
         assert doc == {"items": [{"eigs": [2.0], "exp": 2}, {"eigs": [3.0], "exp": 2}],
                        "degree": 4}
 
+    def test_exponent_past_the_digit_limit(self, capsys, tmp_path):
+        # the 14999-block's exponent 2**14998 has 4515 digits, past the int-to-text limit
+        path = write_tensor(tmp_path, "a.json", tb.diagonal_tensor(3, [1.0] * 15000))
+        code, doc = run_cli(capsys, "spectrum", "--tensor", path,
+                            "--partition", "1,14999", "--kind", "utb1")
+        assert code == 1 and doc["error"] == "FormatError"
+        assert f"limit of {sys.get_int_max_str_digits()} digits" in doc["detail"]
+
 
 class TestRho:
     def test_all_ones(self, capsys, tmp_path):

@@ -12,8 +12,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 AREAS = ["subtensors_permutations_blocks", "is_blocked", "block_ends", "reducing_sets",
          "normal_forms", "finest_refinement", "det_spectrum", "majorization", "radius",
-         "wire", "inverse", "product", "peel", "refinement_wide", "radius_blocks", "cli_fixtures",
-         "cli_radius"]
+         "wire", "inverse", "product", "peel", "refinement_wide", "radius_blocks", "wire_text",
+         "cli_fixtures", "cli_radius"]
 
 
 def test_digest_prints_one_hash_per_area():

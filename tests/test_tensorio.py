@@ -6,6 +6,7 @@ first offender first; the serializer writes from the view and must print
 what ``dumps(tensor_to_obj(...))`` prints.
 """
 import itertools
+import json
 import math
 import random
 
@@ -194,6 +195,79 @@ class TestCheckedOnce:
         assert t.nnz == 6 ** 3 and calls == []
 
 
+MUTATION_ALPHABET = '0123456789.-+eE,[]{}":iv \t\n'
+
+
+def mutated(rng: random.Random, text: str) -> str:
+    """The text after 1-3 single-character replacements, insertions and deletions."""
+    for _ in range(rng.randint(1, 3)):
+        k, edit = rng.randrange(len(text) + 1), rng.randrange(3)
+        keep = k + 1 if edit == 1 else k  # a replacement or deletion drops text[k]
+        text = text[:k] + ("" if edit == 2 else rng.choice(MUTATION_ALPHABET)) + text[keep:]
+    return text
+
+
+def general_read(text: str):
+    return tensorio.tensor_from_obj(tensorio.loads(text))
+
+
+class TestCanonicalReader:
+    """Documents in the layout ``dumps_tensor`` writes are read without the object tree; the
+    reader returns None on every other text, and never raises."""
+
+    def assert_same_as_general(self, text: str) -> bool:
+        fast = tensorio._canonical_tensor(text)  # raises nothing, whatever the text
+        got, want = outcome(tensorio.loads_tensor, text), outcome(general_read, text)
+        assert same_outcome(got, want), text
+        assert fast is None or same_outcome(fast, want), text
+        return fast is not None
+
+    def test_seeded_documents_and_their_mutations(self):
+        read = {"documents": 0, "mutations": 0}
+        for rng, doc in wire_docs(1104, 600):
+            text = json.dumps(doc)
+            read["documents"] += self.assert_same_as_general(text)
+            for _ in range(3):
+                read["mutations"] += self.assert_same_as_general(mutated(rng, text))
+        # the valid documents with records, and a mutation that leaves one valid, read directly
+        assert read["documents"] > 100 and read["mutations"] > 50, read
+
+    @pytest.mark.parametrize("text", [
+        # deleting the structural characters would merge -0.0 and 6 into -0.06
+        '{"order": 2, "dim": 2, "entries": [{"i": [1, 1], "v": -0.0}6, {"i": [1, 2], "v": 1.0}]}',
+        # mapping them to spaces would let the value's number sit before the colon
+        '{"order": 2, "dim": 2, "entries": [{"i": [1, 2], "v"3: }]}',
+        # valid JSON, but a number split from its separator's space
+        '{"order": 3, "dim": 3, "entries": [{"i": [1,2 , 3], "v": 1.0}]}',
+        '{"order": 2, "dim": 2, "entries": [{"i": [1, 2], "v": 0}, {"i": [1, 2], "v": 1.0}]}',
+        '{"order": 2, "dim": 2, "entries": [{"i": [1, 3], "v": 1.0}]}',
+        '{"order": 2, "dim": 2, "entries": [{"i": [1, 2.0], "v": 1.0}]}',
+        '{"order": 2, "dim": 2, "entries": [{"i": [1, 2], "v": 1e400}]}',
+        '{"order": 2, "dim": 2, "entries": [{"i": [1, 2], "v": 01}]}',
+        '{"order": 2, "dim": 2, "entries": [{"i": [1, 2], "v": %s}]}' % ("1" * 5000),
+        '{"order": 1, "dim": 2, "entries": [{"i": [%d], "v": 1.0}]}' % 2 ** 70,
+        ' {"order": 1, "dim": 2, "entries": [{"i": [1], "v": 1.0}]}',
+        '{"order": 01, "dim": 2, "entries": [{"i": [1], "v": 1.0}]}',
+        '{"order": 1, "dim": 2, "entries": []}',
+    ])
+    def test_refused_or_not_canonical(self, text):
+        assert not self.assert_same_as_general(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"order": 2, "dim": 2, "entries": [{"i": [2, 1], "v": 0}, {"i": [1, 2], "v": -0.0}, '
+        '{"i": [1, 1], "v": 2}, {"i": [2, 2], "v": -1.5e-300}]}\n \t\r\n',
+        '{"order": 1, "dim": 3, "entries": [{"i": [3], "v": 1E+2}]}',
+    ])
+    def test_read_directly(self, text):
+        assert self.assert_same_as_general(text)
+
+    def test_dense_document_skips_the_general_path(self, monkeypatch):
+        text = TestCheckedOnce.DENSE
+        want = tensorio.loads_tensor(text)
+        monkeypatch.setattr(tensorio, "tensor_from_obj", None)
+        assert same_outcome(tensorio.loads_tensor(text), want)
+
+
 class TestSerializer:
     def test_matches_the_dict_document(self):
         rng = random.Random(1103)
@@ -261,6 +335,9 @@ class TestHypergraphDocuments:
         {"k": "3", "n": 6, "edges": []},
         {"k": 3, "n": 6, "edges": [[1, 2, "3"]]},
         {"k": 3, "n": 6, "edges": [(1, 2, 3)]},
+        {"k": 3, "n": 3, "edges": [[True, 2, 3]]},
+        {"k": 3, "n": True, "edges": []},
+        {"k": True, "n": 3, "edges": []},
     ])
     def test_malformed_documents(self, doc):
         with pytest.raises(FormatError):
