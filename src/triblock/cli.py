@@ -210,10 +210,9 @@ def _dispatch(args: argparse.Namespace) -> None:
         graph = tensorio.hypergraph_from_obj(
             tensorio.loads(Path(args.edges).read_text()))
         # a connected hypergraph's adjacency tensor is weakly irreducible
-        radii = spectra._block_radii(adjacency_tensor(graph), connected_components(graph),
-                                     args.tol, args.max_iter)
-        per_component = [r.rho for r in radii]
-        _emit(tensorio.dumps({"rho": max(per_component), "component_rhos": per_component}))
+        rhos = spectra._block_radii(adjacency_tensor(graph), connected_components(graph),
+                                    args.tol, args.max_iter)[0].tolist()
+        _emit(tensorio.dumps({"rho": max(rhos), "component_rhos": rhos}))
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(f"unhandled command {cmd!r}")
 

@@ -68,7 +68,8 @@ class NegativeEntry(TriblockError):
 
 
 class NoConvergence(TriblockError):
-    """Iteration stopped at ``max_iter`` before the bounds closed.
+    """Iteration stopped before the bounds closed: at ``max_iter``, or where
+    an underflowing iterate no longer gave a bracket.
 
     Carries the best lower/upper bounds seen so callers can still act on
     the partial answer.

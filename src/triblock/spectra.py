@@ -193,12 +193,8 @@ def spectrum_blocked(tensor: Tensor, partition: Partition, kind: BlockKind) -> S
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Output of the power iteration.
-
-    ``eigvec`` is a positive vector when the iteration itself converged;
-    reducible inputs go through the normal form, which yields the radius
-    but no single positive eigenvector.
-    """
+    """Output of the power iteration. ``eigvec`` is the positive eigenvector of weakly
+    irreducible input, and None where the normal form has several blocks."""
 
     rho: float
     eigvec: Optional[np.ndarray]
@@ -214,6 +210,11 @@ class SpectralResult:
 # tensors slow, whose other eigenvalues sit on the radius's circle (a
 # weighted 6-cycle takes 216 steps at s/8 and 615 at s/32).
 _SHIFT = 0.125
+# The ratios y_i / x_i^(m-1) bracket a block's radius while they are finite and at least
+# _SHIFT, as y_i >= _SHIFT * x_i^(m-1); both hold while every power is at least _LEAST, so
+# that _SHIFT times it is a normal double. As y <= 1 + _SHIFT, no power falls more than
+# 9-fold in a step, so the ratios are checked only once _FALL-fold falls could reach _LEAST.
+_LEAST, _FALL = np.finfo(float).tiny / _SHIFT, 16
 
 
 def _largest_row_sum(tensor: Tensor) -> float:
@@ -222,134 +223,105 @@ def _largest_row_sum(tensor: Tensor) -> float:
     return float(np.bincount(view.idx[:, 0], view.vals, minlength=tensor.dim).max())
 
 
-def _power_step(tensor: Tensor, scale: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The iteration's map x -> (A/scale) x^(m-1) + _SHIFT * x^[m-1], for positive x.
+def _unconverged(bounds, j: int, scale: float, unit: float, steps: int) -> NoConvergence:
+    """The error of a block that stopped open, from its bounds at position j."""
+    lower, upper, scale = float(bounds[0][j]), float(bounds[1][j]), float(scale)
+    return NoConvergence(
+        f"bounds still {(upper - lower) * scale * unit:.3e} apart after {steps} iterations",
+        lower=(lower - _SHIFT) * scale * unit, upper=(upper - _SHIFT) * scale * unit,
+        iterations=steps)
 
-    Each term is multiplied left to right and each row summed by
-    ``np.bincount`` in plain float64: every term is nonnegative, so the
-    sum is accurate to a few ulps, and the bracket does not need
-    ``apply``'s exact ``fsum``. The index arrays are built once here.
+
+def _block_radii(tensor: Tensor, blocks: list, tol: float, max_iter: int, k: int = 0):
+    """Ng-Qi-Zhou bracketing of the radius of each of ``blocks``' principal subtensors
+    (weakly irreducible, or of dim 1 for the diagonal entry), batched in one iteration.
+
+    The view is relabelled so a block's rows are contiguous, its entries in that
+    subtensor's order (one block holding every index already is). A block iterates on its
+    subtensor over its largest row sum from the all-ones vector, and leaves the active
+    arrays in the step its bounds close within ``tol``. A block whose bracket stops forming
+    raises at once with its last bounds; past ``max_iter`` the first block still open
+    raises. Runs on A / 2^k; returns, in the input's scale, arrays of the radii, step counts
+    and exact residuals (as ``apply`` sums rows) per block, and the eigenvectors in order.
     """
-    view, n, m = tensor.coo, tensor.dim, tensor.order
-    rows, feet = view.idx[:, 0].copy(), np.ascontiguousarray(view.idx.T[1:])
-    vals = view.vals / scale
-
-    def step(x: np.ndarray) -> np.ndarray:
-        terms = vals
-        for foot in feet:
-            terms = terms * x[foot]
-        return np.bincount(rows, terms, minlength=n) + _SHIFT * x ** (m - 1)
-
-    return step
-
-
-def _power_iteration(tensor: Tensor, tol: float, max_iter: int) -> SpectralResult:
-    """Ng-Qi-Zhou bracketing of the radius of the tensor divided by its largest row sum s.
-
-    The shift keeps every iterate strictly positive and makes the bounds
-    close for weakly irreducible input. The stop is relative to s; the
-    radius, its bounds and the residual are reported in the input's scale,
-    and the residual comes from the exact ``apply``.
-    """
-    m = tensor.order
-    scale = _largest_row_sum(tensor)
-    step = _power_step(tensor, scale)
-    x = np.ones(tensor.dim)
-    for it in range(1, max_iter + 1):
-        y = step(x)
-        ratios = y / x ** (m - 1)
-        lower, upper = float(ratios.min()), float(ratios.max())
-        if upper - lower <= tol:
-            rho = (upper - _SHIFT) * scale
-            residual = float(np.max(np.abs(apply(tensor, x) - rho * x ** (m - 1))))
-            return SpectralResult(rho, x, it, residual)
-        x = y ** (1.0 / (m - 1))
-        x = x / x.max()
-    raise NoConvergence(
-        f"bounds still {(upper - lower) * scale:.3e} apart after {max_iter} iterations",
-        lower=(lower - _SHIFT) * scale, upper=(upper - _SHIFT) * scale, iterations=max_iter)
-
-
-def _block_radii(tensor: Tensor, blocks: list, tol: float, max_iter: int,
-                 k: int = 0) -> list[SpectralResult]:
-    """``_power_iteration`` on the principal subtensor of each of ``blocks`` (weakly
-    irreducible, or of dim 1 for its diagonal entry), batched: the view is relabelled so a
-    block's rows are contiguous, its entries in that subtensor's order. A block keeps its own
-    scale, bounds, stop, step count and exact residual, and its rows and entries leave the
-    active arrays in the step it converges; past ``max_iter`` the first block still open
-    raises. The iteration runs on A / 2^k, exactly scaled, and reports in the input's scale."""
     m, n, unit = tensor.order, tensor.dim, 2.0 ** k
     dims = np.array([len(block) for block in blocks])
-    label = np.argsort(np.concatenate([sorted(block) for block in blocks]))  # old - 1 to new
-    home = np.repeat(np.arange(len(dims)), dims)  # the block of each new label
-    columns = label[np.ascontiguousarray(tensor.coo.idx.T)]
-    kept = np.flatnonzero((home[columns] == home[columns[0]]).all(axis=0))
-    kept = kept[columns[0, kept].argsort(kind="stable")]
-    columns, vals = columns.take(kept, axis=1), np.ldexp(tensor.coo.vals[kept], -k)
-    starts = np.cumsum(dims) - dims
+    starts, home = np.cumsum(dims) - dims, np.repeat(np.arange(len(dims)), dims)
+    columns, vals = np.ascontiguousarray(tensor.coo.idx.T), tensor.coo.vals
+    if len(dims) > 1:
+        label = np.argsort(np.concatenate([sorted(block) for block in blocks]))  # old - 1 to new
+        columns = label[columns]
+        kept = np.flatnonzero((home[columns] == home[columns[0]]).all(axis=0))
+        kept = kept[columns[0, kept].argsort(kind="stable")]
+        columns, vals = columns.take(kept, axis=1), vals[kept]
+    vals = np.ldexp(vals, -k) if k else vals
     sums = np.bincount(columns[0], vals, minlength=n)
     scale = np.maximum.reduceat(sums, starts)
     rhos, steps, eig = sums[starts], np.zeros(len(dims), dtype=int), np.ones(n)  # dim 1: its entry
-    rows, feet, weights = columns[0], columns[1:], vals / scale[home[columns[0]]]
+    rows, feet = columns[0], columns[1:]
+    weights = vals / (scale.repeat(dims)[rows] if len(dims) > 1 else scale)  # each row's scale
     x, labels, live, act = np.ones(n), np.arange(n), dims > 1, np.arange(len(dims))
     offsets, here, gone = starts, home, not live.all()  # here: each active row's block
-    for it in range(1, max_iter + 1):
-        if gone:  # the blocks that are done leave the active arrays
-            keep = live[act]
-            kept_rows = np.repeat(keep, dims[act])
-            relabel, kept = np.cumsum(kept_rows) - 1, kept_rows[rows]
-            rows, feet, weights = relabel[rows[kept]], relabel[feet[:, kept]], weights[kept]
-            x, labels, act = x[kept_rows], labels[kept_rows], act[keep]
-            if not act.size:
-                break
-            sizes = dims[act]
-            offsets, here = np.cumsum(sizes) - sizes, np.repeat(np.arange(act.size), sizes)
-        terms = weights
-        for foot in feet:
-            terms = terms * x[foot]
-        power = x ** (m - 1)
-        y = np.bincount(rows, terms, minlength=len(x)) + _SHIFT * power
-        ratios = y / power
-        lower, upper = np.minimum.reduceat(ratios, offsets), np.maximum.reduceat(ratios, offsets)
-        done = upper - lower <= tol
-        gone = done.any()
-        if gone:
-            on, b = done[here], act[done]
-            eig[labels[on]], steps[b], live[b] = x[on], it, False
-            rhos[b] = (upper[done] - _SHIFT) * scale[b]
-        x = y ** (1.0 / (m - 1))
-        x = x / np.maximum.reduceat(x, offsets)[here]
-    if live.any():  # the first block still open raises, in the input's scale
-        j = int(np.argmax(live[act]))
-        lower, upper, scale = float(lower[j]), float(upper[j]), float(scale[act[j]])
-        raise NoConvergence(
-            f"bounds still {(upper - lower) * scale * unit:.3e} apart after {max_iter} iterations",
-            lower=(lower - _SHIFT) * scale * unit, upper=(upper - _SHIFT) * scale * unit,
-            iterations=max_iter)
-    terms = vals  # the residuals, each block's eigenvector taken as ``apply`` takes it
-    for foot in columns[1:]:
-        terms = terms * eig[foot]
-    bounds = np.searchsorted(columns[0], np.arange(n + 1)).tolist()
-    gaps = np.abs(np.asarray(_row_fsums(terms, bounds)) - rhos[home] * eig ** (m - 1))
-    return [SpectralResult(rho * unit, vec, count, gap * unit) for rho, vec, count, gap in zip(
-        rhos.tolist(), np.split(eig, starts[1:]), steps.tolist(),
-        np.maximum.reduceat(gaps, starts).tolist())]
+    check = int(math.log(1 / _LEAST, _FALL))  # from powers of 1, no earlier step reaches _LEAST
+    # ratios past a broken bracket may divide by 0, and a radius past the double range is inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            if gone:  # the blocks that are done leave the active arrays
+                keep = live[act]
+                if not keep.any():
+                    break
+                kept_rows = np.repeat(keep, dims[act])
+                relabel, kept = np.cumsum(kept_rows) - 1, kept_rows[rows]
+                rows, feet, weights = relabel[rows[kept]], relabel[feet[:, kept]], weights[kept]
+                x, labels, act = x[kept_rows], labels[kept_rows], act[keep]
+                sizes = dims[act]
+                offsets, here = np.cumsum(sizes) - sizes, np.repeat(np.arange(act.size), sizes)
+            terms = weights
+            for foot in feet:
+                terms = terms * x[foot]
+            power = x ** (m - 1)
+            y = np.bincount(rows, terms, minlength=len(x)) + _SHIFT * power
+            ratios = y / power
+            bounds = np.minimum.reduceat(ratios, offsets), np.maximum.reduceat(ratios, offsets)
+            if it == check:
+                check = it + max(int(math.log(max(power.min() / _LEAST, 1.0), _FALL)), 1)
+                broken = ~((bounds[0] >= _SHIFT) & (bounds[1] < math.inf))
+                if broken.any():
+                    b = act[broken.argmax()]
+                    raise _unconverged(last[1], last[0].searchsorted(b), scale[b], unit, it - 1)
+            done = bounds[1] - bounds[0] <= tol
+            gone = np.count_nonzero(done)
+            if gone:
+                on, b = done[here], act[done]
+                eig[labels[on]], steps[b], live[b] = x[on], it, False
+                rhos[b] = (bounds[1][done] - _SHIFT) * scale[b]
+            last = act, bounds  # for a bracket that breaks in the next step
+            x = y ** (1.0 / (m - 1))
+            x = x / np.maximum.reduceat(x, offsets)[here]
+        if live.any():
+            j = int(np.argmax(live[act]))
+            raise _unconverged(bounds, j, scale[act[j]], unit, max_iter)
+        terms = vals  # the residuals, each block's eigenvector taken as ``apply`` takes it
+        for foot in columns[1:]:
+            terms = terms * eig[foot]
+        bounds = np.searchsorted(columns[0], np.arange(n + 1)).tolist()
+        gaps = np.abs(np.asarray(_row_fsums(terms, bounds)) - rhos[home] * eig ** (m - 1))
+        return rhos * unit, steps, np.maximum.reduceat(gaps, starts) * unit, eig
 
 
 def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000) -> SpectralResult:
     """Largest H-eigenvalue of a nonnegative tensor.
 
-    Weakly irreducible input (its first sink holds every index) runs the
-    power iteration directly from the all-ones vector. Anything else is
-    peeled into the second-type normal form's diagonal blocks, all run in
-    one batched iteration; the radius is their first maximum, and the
-    reported residual belongs to the winning block.
+    The tensor is peeled into the second-type normal form's diagonal blocks
+    (one, if it is weakly irreducible), which run in one batched power
+    iteration from the all-ones vector. The radius is their first maximum,
+    the residual the winning block's, and the iterations their sum.
 
-    ``tol`` is relative: the iteration stops once its bounds on the radius
-    lie within ``tol`` times the largest row sum of the tensor it runs on
-    (the whole tensor, or one diagonal block), so ``rho(c * A)`` is
+    ``tol`` is relative: a block stops once its bounds on the radius lie
+    within ``tol`` times its largest row sum, so ``rho(c * A)`` is
     ``c * rho(A)`` to that accuracy for every ``c > 0``. A row sum past the
     double range runs on A / 2^k; a radius past it raises RadiusOutOfRange.
+    An iterate that underflows until no bracket forms raises NoConvergence.
     """
     if tensor.order < 2:
         raise OrderTooSmall("spectral radius needs order >= 2")
@@ -361,25 +333,18 @@ def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000) -
         idx, v = next((idx, v) for idx, v in tensor.entries.items() if v < 0)
         raise NegativeEntry(f"entry {idx} is negative: {v}")
 
-    n = tensor.dim
     if tensor.is_zero():
-        return SpectralResult(0.0, np.ones(n), 0, 0.0)
-    if n == 1:
-        return SpectralResult(det_dim1(tensor), np.ones(1), 0, 0.0)
+        return SpectralResult(0.0, np.ones(tensor.dim), 0, 0.0)
     # a row sum past the double range iterates on A / 2^k; the bound spares the exact test
     fits = float(tensor.coo.vals.max()) * tensor.nnz * 2 < math.inf
     k = 0 if fits or math.isfinite(_largest_row_sum(tensor)) else tensor.nnz.bit_length() + 1
-    peel = _peel(tensor)
-    sink = next(peel)
-    if len(sink) == n and not k:  # weakly irreducible, its row sums in the double range
-        return _power_iteration(tensor, tol, max_iter)
     # the sinks peeled last are the normal form's first blocks
-    results = _block_radii(tensor, [sink, *peel][::-1], tol, max_iter, k)
-    best = max(results, key=lambda r: r.rho)  # the first maximum
-    if best.rho == math.inf:
+    rhos, steps, residuals, eig = _block_radii(tensor, [*_peel(tensor)][::-1], tol, max_iter, k)
+    j = int(np.argmax(rhos))  # the first maximum
+    if rhos[j] == math.inf:
         raise RadiusOutOfRange("the spectral radius is past the double range")
-    eigvec = best.eigvec if len(results) == 1 else None
-    return SpectralResult(best.rho, eigvec, sum(r.iterations for r in results), best.residual)
+    return SpectralResult(float(rhos[j]), eig if len(rhos) == 1 else None, int(steps.sum()),
+                          float(residuals[j]))
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,12 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 import triblock as tb
-from triblock import BlockKind, Partition, Tensor
+from triblock import BlockKind, Partition, SpectralResult, Tensor, apply
 from triblock.blocked import _forbidden
 from triblock.errors import (
     BadArity,
@@ -25,12 +26,13 @@ from triblock.errors import (
     DuplicateIndex,
     FormatError,
     IndexOutOfRange,
+    NoConvergence,
     NormalFormUnavailable,
     OrderTooSmall,
     SingularMatrix,
 )
 from triblock.linalg import PIVOT_RTOL, as_matrix
-from triblock.spectra import _power_iteration
+from triblock.spectra import _SHIFT, _largest_row_sum
 from triblock.structure import _components, _stacked
 
 
@@ -298,6 +300,57 @@ def loop_normal_form_2nd(tensor: Tensor) -> tuple[tuple[int, ...], tuple[int, ..
         peeled.append(loop_sink(tensor, alive))
         alive[[v - 1 for v in peeled[-1]]] = False
     return _stacked(peeled[::-1]).image, tuple(len(comp) for comp in peeled[::-1])
+
+
+# The power iteration ``spectral_radius`` ran on weakly irreducible input before one batched
+# kernel took every block; ``loop_spectral_radius`` keeps it as the reference.
+
+def _power_step(tensor: Tensor, scale: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The iteration's map x -> (A/scale) x^(m-1) + _SHIFT * x^[m-1], for positive x.
+
+    Each term is multiplied left to right and each row summed by
+    ``np.bincount`` in plain float64: every term is nonnegative, so the
+    sum is accurate to a few ulps, and the bracket does not need
+    ``apply``'s exact ``fsum``. The index arrays are built once here.
+    """
+    view, n, m = tensor.coo, tensor.dim, tensor.order
+    rows, feet = view.idx[:, 0].copy(), np.ascontiguousarray(view.idx.T[1:])
+    vals = view.vals / scale
+
+    def step(x: np.ndarray) -> np.ndarray:
+        terms = vals
+        for foot in feet:
+            terms = terms * x[foot]
+        return np.bincount(rows, terms, minlength=n) + _SHIFT * x ** (m - 1)
+
+    return step
+
+
+def _power_iteration(tensor: Tensor, tol: float, max_iter: int) -> SpectralResult:
+    """Ng-Qi-Zhou bracketing of the radius of the tensor divided by its largest row sum s.
+
+    The shift keeps every iterate strictly positive and makes the bounds
+    close for weakly irreducible input. The stop is relative to s; the
+    radius, its bounds and the residual are reported in the input's scale,
+    and the residual comes from the exact ``apply``.
+    """
+    m = tensor.order
+    scale = _largest_row_sum(tensor)
+    step = _power_step(tensor, scale)
+    x = np.ones(tensor.dim)
+    for it in range(1, max_iter + 1):
+        y = step(x)
+        ratios = y / x ** (m - 1)
+        lower, upper = float(ratios.min()), float(ratios.max())
+        if upper - lower <= tol:
+            rho = (upper - _SHIFT) * scale
+            residual = float(np.max(np.abs(apply(tensor, x) - rho * x ** (m - 1))))
+            return SpectralResult(rho, x, it, residual)
+        x = y ** (1.0 / (m - 1))
+        x = x / x.max()
+    raise NoConvergence(
+        f"bounds still {(upper - lower) * scale:.3e} apart after {max_iter} iterations",
+        lower=(lower - _SHIFT) * scale, upper=(upper - _SHIFT) * scale, iterations=max_iter)
 
 
 def loop_spectral_radius(tensor: Tensor, tol: float = 1e-10,
@@ -947,3 +1000,10 @@ def rand_hypergraph(rng: random.Random, k: int, groups: list[int],
         for _ in range(edges_per_group):
             edges.add(frozenset(rng.sample(verts, k)))
     return tb.Hypergraph(k, n, tuple(sorted(edges, key=sorted)))
+
+
+# A weakly irreducible order-3 dim-3 tensor whose entries span about 500 decades: its
+# power iterate underflows long before the radius's bounds could close.
+UNDERFLOWING = {(1, 1, 2): 3.43e219, (1, 3, 2): 7.99e175, (2, 1, 2): 3.79e-266,
+                (2, 2, 1): 3.27e88, (2, 2, 2): 1.83e234, (2, 3, 1): 6.89e-219,
+                (3, 3, 1): 5.05e68, (3, 3, 2): 3.73e-24}

@@ -13,6 +13,8 @@ import pytest
 import triblock as tb
 from triblock import cli, tensorio
 
+from _gen import UNDERFLOWING
+
 try:
     import tomllib
 except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli there
@@ -221,6 +223,14 @@ class TestRho:
             assert doc["error"] == "RadiusOutOfRange"
         else:
             assert doc["rho"] == pytest.approx(1e308, rel=1e-9)
+
+    def test_underflowing_iterate_is_an_error_document(self, capsys, tmp_path):
+        path = write_tensor(tmp_path, "a.json", tb.Tensor(3, 3, UNDERFLOWING))
+        assert cli.run(["rho", "--tensor", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.count("\n") == 1
+        doc = json.loads(captured.out)
+        assert doc["error"] == "NoConvergence" and "nan" not in doc["detail"]
 
     def test_seed_flag_is_gone(self, capsys, tmp_path, fixtures_dir):
         # the power iteration starts from the all-ones vector; nothing consumes a seed

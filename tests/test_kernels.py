@@ -6,7 +6,9 @@ diagonal blocks, ``is_blocked``, the reducibility tests, the diagonal
 predicates, the majorization and representation matrices) all read
 ``Tensor.coo``; each must reproduce the loop reference in ``_gen``
 exactly, not just to a tolerance. The power iteration's step is the one
-kernel that sums in plain float64, and it is held to a relative 1e-13.
+kernel that sums in plain float64: the reference iteration's step in
+``_gen`` is held to ``loop_apply`` plus the shift within a relative 1e-13,
+and the batched radius to that reference bit for bit.
 Also pinned: the view a structural operation hands on to its result, the
 read-only ``entries`` mapping and pickling. The incremental peel behind
 ``normal_form_2nd``, ``find_weakly_reducing_set`` and
@@ -36,11 +38,11 @@ from triblock.spectra import (
     _is_diagonal,
     _largest_row_sum,
     _oracle_jacobian,
-    _power_step,
 )
 from triblock.structure import _components, _pattern
 
 from _gen import (
+    _power_step,
     loop_apply,
     loop_block_ends,
     loop_diagonal_blocks,
@@ -679,9 +681,24 @@ class TestBlockRadii:
             adjacency, comps = tb.adjacency_tensor(graph), tb.connected_components(graph)
             want = [radius_outcome(tb.spectral_radius, tb.principal_subtensor(adjacency, c))
                     for c in comps]
-            got = _block_radii(adjacency, comps, 1e-10, 10000)
-            assert [(r.rho.hex(), r.iterations, r.residual.hex()) for r in got] == [
+            rhos, steps, residuals, _ = _block_radii(adjacency, comps, 1e-10, 10000)
+            got = zip(rhos.tolist(), steps.tolist(), residuals.tolist())
+            assert [(rho.hex(), count, gap.hex()) for rho, count, gap in got] == [
                 (w[0], w[2], w[3]) for w in want]
+
+    def test_many_dim_one_blocks_beside_a_cycle(self):
+        # a weighted 6-cycle and 19,994 dim-1 blocks, each linked into the cycle or into an
+        # earlier one: the batch returns arrays, with no result object per block
+        rng = random.Random(434)
+        cycle = {(i, i % 6 + 1, i % 6 + 1): w
+                 for i, w in enumerate((1.0, 2.0, 3.0, 1.0, 5.0, 2.0), start=1)}
+        links = {(j, rng.randint(1, 6), rng.randint(1, j - 1)): 1.0 for j in range(7, 20001)}
+        diagonal = {(j, j, j): rng.choice([0.5, 1.0, 1.5])
+                    for j in range(7, 20001) if rng.random() < 0.5}
+        t = tb.Tensor(3, 20000, {**cycle, **links, **diagonal})
+        got = radius_outcome(tb.spectral_radius, t)
+        assert got == radius_outcome(loop_spectral_radius, t)
+        assert got[1] is None and got[2] == 216
 
     def test_converged_blocks_leave_the_loop(self):
         # a dense dim-40 block (11 steps) linked to a weighted 6-cycle (216 steps): without

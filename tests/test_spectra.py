@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,8 @@ from triblock.errors import (
 )
 
 from _gen import (
+    UNDERFLOWING,
+    _power_iteration,
     brute_finest_refinement,
     loop_finest_refinement,
     rand_blocked,
@@ -639,9 +642,28 @@ class TestRadiusLaws:
     def test_large_finite_row_sums_keep_the_plain_iteration(self):
         # nnz * max * 2 passes the double range, the largest row sum (5e307) does not
         t = cycle6(1e307)
-        got, want = tb.spectral_radius(t), spectra._power_iteration(t, 1e-10, 10000)
+        got, want = tb.spectral_radius(t), _power_iteration(t, 1e-10, 10000)
         assert (got.rho, got.iterations, got.residual) == (want.rho, want.iterations, want.residual)
         assert np.array_equal(got.eigvec, want.eigvec)
+
+    def test_underflowing_iterate_stops_with_its_last_bounds(self):
+        # once an iterate underflows no bracket forms: the radius raises with the last
+        # bounds that did, without a warning, instead of dividing 0 by 0 to max_iter
+        t = tb.Tensor(3, 3, UNDERFLOWING)
+        assert tb.is_weakly_irreducible(t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence) as err:
+                tb.spectral_radius(t)
+            # the same block beside a dim-1 block that links into it runs in the batch
+            split = tb.Tensor(3, 4, {**UNDERFLOWING, (4, 4, 4): 1.0, (4, 1, 1): 1.0})
+            with pytest.raises(NoConvergence) as split_err:
+                tb.spectral_radius(split)
+        lower, upper, steps = err.value.lower, err.value.upper, err.value.iterations
+        assert 0.0 <= lower <= upper < math.inf and 1 < steps < 1000
+        assert str(split_err.value) == str(err.value)
+        assert (split_err.value.lower, split_err.value.upper, split_err.value.iterations) == (
+            lower, upper, steps)
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_radius_past_the_double_range_is_refused(self, order):
@@ -653,14 +675,14 @@ class TestRadiusLaws:
     def test_one_exact_apply_for_the_residual(self, monkeypatch):
         calls = []
 
-        def counted(tensor, x):
-            calls.append(tensor)
-            return core.apply(tensor, x)
+        def counted(terms, bounds):
+            calls.append(len(bounds))
+            return core._row_fsums(terms, bounds)
 
-        monkeypatch.setattr(spectra, "apply", counted)
+        monkeypatch.setattr(spectra, "_row_fsums", counted)
         t = cycle6(1e3)
         res = tb.spectral_radius(t)
-        assert res.iterations > 100 and calls == [t]
+        assert res.iterations > 100 and calls == [t.dim + 1]
         want = np.max(np.abs(core.apply(t, res.eigvec) - res.rho * res.eigvec ** 2))
         assert res.residual == want
 
