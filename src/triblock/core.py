@@ -2,13 +2,15 @@
 every other module builds on: principal subtensors, permutation similarity,
 polynomial application, and the majorization / representation matrices.
 
-Storage is coordinate format: a read-only mapping from index tuples to
-nonzero doubles. An absent tuple reads as an exact structural zero, and
-every constructor drops exact zeros on the way in, so "is this entry
-zero" questions are answered without tolerances. The numeric kernels and
-the structural operations read the same entries through ``Tensor.coo``,
-a lazily built array view, and a tensor derived from another one gets
-its view handed on at construction.
+Storage is coordinate format: ``Tensor.coo``, read-only arrays of the
+0-based index rows and the nonzero doubles. An absent index reads as an
+exact structural zero, and every constructor drops exact zeros on the way
+in, so "is this entry zero" questions are answered without tolerances.
+The numeric kernels and the structural operations read only the view, and
+a tensor they build from arrays keeps only its view. ``Tensor.entries``,
+a read-only mapping from index tuples to values, is what
+``Tensor(order, dim, entries)`` stores; for a tensor built from arrays it
+is built from the view on first read.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ _INT64_MAX = np.iinfo(np.int64).max  # an index component past it is out of rang
 
 
 class Coo(NamedTuple):
-    """The entries as read-only arrays, stably sorted by row (dict order within a row).
+    """The entries as read-only arrays, stably sorted by row (entry order within a row).
 
     ``idx`` holds 0-based index rows (nnz x order, int64) and ``vals`` the
     values (float64); row i's entries sit at ``bounds[i]:bounds[i+1]``.
@@ -49,40 +51,55 @@ class Coo(NamedTuple):
     bounds: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Tensor:
     """An order-``order`` tensor on ``[1, dim]^order``, stored sparsely.
 
     ``entries`` maps index tuples to nonzero values; missing tuples are
-    exact zeros. The tensor keeps a read-only copy of the mapping (or of
-    the ``(index, value)`` pairs) passed in, so instances are immutable:
-    operations return new tensors and never touch their inputs, and
-    values can be shared freely between threads.
+    exact zeros. ``Tensor(order, dim, entries)`` keeps a read-only copy of
+    the mapping (or of the ``(index, value)`` pairs) passed in and builds
+    its view from it on first use. A tensor built from arrays keeps only
+    its view, and builds ``entries`` from it on first read. Instances are
+    immutable: operations return new tensors and never touch their inputs,
+    and values can be shared freely between threads.
     """
 
     order: int
     dim: int
-    entries: Mapping[Index, float]
 
-    def __post_init__(self):
-        entries = self.entries  # a proxy's copy() is the fast dict copy
+    def __init__(self, order: int, dim: int, entries: Mapping[Index, float]):
+        # a proxy's copy() is the fast dict copy
         entries = entries.copy() if isinstance(entries, MappingProxyType) else dict(entries)
-        object.__setattr__(self, "entries", MappingProxyType(entries))
+        self.__dict__.update(order=order, dim=dim, entries=MappingProxyType(entries))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.dim, self.entries) == (other.order, other.dim, other.entries)
 
     def __reduce__(self):
         return type(self), (self.order, self.dim, self.entries.copy())
 
     @cached_property
+    def entries(self) -> Mapping[Index, float]:
+        """The entries of a tensor built from arrays, in the order the arrays came in: built
+        from the view on first read, undoing its row sort, and kept."""
+        view, by_row = self.coo, self.__dict__["_by_row"]
+        back = slice(None) if by_row is None else by_row.argsort()
+        idx, vals = view.idx[back], view.vals[back]
+        return MappingProxyType(dict(zip(zip(*(idx + 1).T.tolist()), vals.tolist())))
+
+    @cached_property
     def coo(self) -> Coo:
-        """Coordinate arrays of the entries, built on first use and kept.
+        """Coordinate arrays of the stored mapping, built on first use and kept.
 
         Every kernel indexes through this view, so building it checks the
         entries as ``new_tensor`` does, naming the whole index where a
         component is at fault.
         """
         m, n, keys, values = self.order, self.dim, self.entries.keys(), self.entries.values()
-        idx, vals, _ = _screened(m, n, keys, values) or _refuse(m, n, keys, values, True)
-        return _row_sorted(idx, vals, self.dim)
+        idx, vals = _screened(m, n, keys, values) or _refuse(m, n, keys, values, True)
+        return _row_sorted(idx, vals, self.dim)[0]
 
     def get(self, index: Sequence[int]) -> float:
         """Entry at a 1-based index tuple, zero when absent."""
@@ -90,10 +107,12 @@ class Tensor:
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        """The number of entries: the stored mapping's length, or else the view's."""
+        entries = self.__dict__.get("entries")
+        return len(self.coo.vals if entries is None else entries)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return self.nnz == 0
 
     def to_dense(self) -> np.ndarray:
         """Dense ``(dim,) * order`` array with 0-based axes."""
@@ -116,25 +135,49 @@ class Tensor:
         return _from_arrays(order, dim, idx, vals)
 
     def allclose(self, other: "Tensor", tol: float = 0.0) -> bool:
-        """Entrywise agreement within an absolute tolerance."""
+        """Entrywise agreement within an absolute tolerance, which must be a number >= 0."""
+        if not tol >= 0:
+            raise ValueError("tol must be nonnegative")
         if (self.order, self.dim) != (other.order, other.dim):
             return False
-        for key in self.entries.keys() | other.entries.keys():
-            if abs(self.entries.get(key, 0.0) - other.entries.get(key, 0.0)) > tol:
-                return False
-        return True
+        _, mine, theirs = _aligned(self, other)
+        return bool((np.abs(mine - theirs) <= tol).all())
 
     def __repr__(self) -> str:  # keep test output readable
         return f"Tensor(order={self.order}, dim={self.dim}, nnz={self.nnz})"
 
 
-def _row_sorted(idx: np.ndarray, vals: np.ndarray, dim: int) -> Coo:
-    """The view of entries given as 0-based index rows and values: their stable sort by row."""
-    by_row = idx[:, 0].argsort(kind="stable")
-    idx, vals = idx[by_row], vals[by_row]
+def _row_sorted(idx: np.ndarray, vals: np.ndarray, dim: int) -> tuple[Coo, np.ndarray | None]:
+    """The view of entries given as 0-based index rows and values, their stable sort by row,
+    and the sort's permutation (None where the rows are in order already)."""
+    rows = idx[:, 0]
+    by_row = None if (rows[1:] >= rows[:-1]).all() else rows.argsort(kind="stable")
+    if by_row is not None:
+        idx, vals = idx[by_row], vals[by_row]
     idx.flags.writeable = vals.flags.writeable = False
     counts = np.bincount(idx[:, 0], minlength=dim)
-    return Coo(idx, vals, (0,) + tuple(np.cumsum(counts).tolist()))
+    return Coo(idx, vals, (0,) + tuple(np.cumsum(counts).tolist())), by_row
+
+
+def _codes(idx: np.ndarray, dim: int) -> np.ndarray:
+    """Per 0-based index row, an int64 that is equal for equal rows and ordered as the rows
+    are: the row read in base ``dim`` where dim^order fits, its rank among the rows otherwise."""
+    if dim ** idx.shape[1] > _INT64_MAX:
+        return np.unique(idx, axis=0, return_inverse=True)[1].reshape(-1)
+    codes = idx[:, 0]
+    for column in idx.T[1:]:
+        codes = codes * dim + column
+    return codes
+
+
+def _aligned(a: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 0-based index rows that hold an entry of ``a`` or of ``b`` (of one order and dim)
+    in sorted order, and each tensor's values at them, zero where it has none."""
+    idx, n = np.concatenate((a.coo.idx, b.coo.idx)), len(a.coo.vals)
+    _, first, where = np.unique(_codes(idx, a.dim), return_index=True, return_inverse=True)
+    values = np.zeros((2, len(first)))
+    values[0, where[:n]], values[1, where[n:]] = a.coo.vals, b.coo.vals
+    return idx[first], values[0], values[1]
 
 
 def _check_finite(idx: np.ndarray, vals: np.ndarray) -> None:
@@ -144,35 +187,25 @@ def _check_finite(idx: np.ndarray, vals: np.ndarray) -> None:
         raise ValueError(f"entry {tuple((idx[k] + 1).tolist())} is not finite: {vals[k].item()!r}")
 
 
-def _from_arrays(order: int, dim: int, idx: np.ndarray, vals: np.ndarray,
-                 rows: Iterable[Sequence[int]] | None = None) -> Tensor:
-    """A tensor from 0-based index rows and nonzero values, with its view handed on.
-
-    The entries follow the rows' order; the view is their stable sort by
-    row, which is what ``Tensor.coo`` would build from those entries. A
-    caller that holds the rows 1-based, as Python ints, passes them too;
-    otherwise the keys are built column by column.
-    """
-    keys = zip(*(idx + 1).T.tolist()) if rows is None else map(tuple, rows)
-    tensor = Tensor(order, dim, zip(keys, vals.tolist()))
-    tensor.__dict__["coo"] = _row_sorted(idx, vals, dim)
+def _from_arrays(order: int, dim: int, idx: np.ndarray, vals: np.ndarray) -> Tensor:
+    """A tensor that keeps only its view: the stable sort by row of 0-based index rows (int64,
+    no index twice) and nonzero values (float64), which become read-only. Its ``entries``,
+    built on first read, follow the rows' order."""
+    tensor = Tensor.__new__(Tensor)
+    view, by_row = _row_sorted(idx, vals, dim)
+    tensor.__dict__.update(order=order, dim=dim, coo=view, _by_row=by_row)
     return tensor
 
 
 def _screened(order: int, dim: int, keys, values):
-    """The entries' 0-based index rows (int64), values (float64) and 1-based rows of Python
-    ints (``keys`` itself where it holds only those), if every entry passes in bulk: ``order``
-    components, integers (not bools) in ``[1, dim]`` and int64, and a finite double value.
+    """The entries' 0-based index rows (int64) and values (float64), if every entry passes in
+    bulk: ``order`` components, integers (not bools) in ``[1, dim]`` and int64, and a finite
+    double value.
     """
     flat = list(itertools.chain.from_iterable(keys))
-    types = set(map(type, flat))
-    if set(map(len, keys)) - {order} or not all(map(_integer_type, types)):
+    if set(map(len, keys)) - {order} or not all(map(_integer_type, set(map(type, flat)))):
         return None
-    checked = _in_range(order, dim, flat, values)
-    if checked is None:
-        return None
-    idx, vals = checked
-    return idx, vals, keys if types <= {int} else (idx + 1).tolist()
+    return _in_range(order, dim, flat, values)
 
 
 def _in_range(order: int, dim: int, flat, values):
@@ -308,24 +341,22 @@ def _tensor_from_entries(order: int, dim: int, keys: list, values: list) -> Tens
     return _nonzero_tensor(order, dim, *checked) or _refuse(order, dim, keys, values, False)
 
 
-def _nonzero_tensor(order: int, dim: int, idx: np.ndarray, vals: np.ndarray,
-                    rows: Iterable[Sequence[int]] | None = None) -> Tensor | None:
+def _nonzero_tensor(order: int, dim: int, idx: np.ndarray, vals: np.ndarray) -> Tensor | None:
     """``_from_arrays`` on checked entries, exact zeros dropped; None where an index repeats,
     maybe one first given the value 0."""
-    tensor = _from_arrays(order, dim, idx, vals, rows)
-    if tensor.nnz < len(vals):
+    codes = np.sort(_codes(idx, dim))
+    if (codes[1:] == codes[:-1]).any():
         return None
     nonzero = vals != 0.0
     if not nonzero.all():
-        rows = None if rows is None else itertools.compress(rows, nonzero)
-        tensor = _from_arrays(order, dim, idx[nonzero], vals[nonzero], rows)
-    return tensor
+        idx, vals = idx[nonzero], vals[nonzero]
+    return _from_arrays(order, dim, idx, vals)
 
 
 def unit_tensor(order: int, dim: int) -> Tensor:
     """The identity for the tensor product: 1 on the all-equal diagonal."""
     order, dim = _shape(order, dim)
-    return Tensor(order, dim, {(i,) * order: 1.0 for i in range(1, dim + 1)})
+    return _from_arrays(order, dim, np.arange(dim).repeat(order).reshape(dim, order), np.ones(dim))
 
 
 def diagonal_tensor(order: int, diag: Sequence[float]) -> Tensor:

@@ -17,6 +17,8 @@ import numpy as np
 from . import linalg
 from .core import (
     Tensor,
+    _aligned,
+    _equal_from,
     is_row_diagonal,
     majorization_matrix,
     tensor_from_matrix,
@@ -106,8 +108,13 @@ def recover_right_form(tensor: Tensor) -> RightFormRecovery:
     degree = m - 1
     q = np.zeros((n, n))
     profile: list[tuple[int, ...]] = []
+    major, mixed = majorization_matrix(tensor), np.zeros((n, n))
+    if degree % 2 == 0:  # mixed[i, t] = a[i, anchor, t, ..., t], anchor i's first positive
+        idx = tensor.coo.idx
+        hit = _equal_from(tensor, 2) & (idx[:, 1] == (major > 0).argmax(axis=1)[idx[:, 0]])
+        mixed[idx[hit, 0], idx[hit, -1]] = tensor.coo.vals[hit]
 
-    for i, diag in enumerate(majorization_matrix(tensor).tolist(), start=1):
+    for i, diag in enumerate(major.tolist(), start=1):
         signs = [0] * n
         if degree % 2 == 1:
             # odd root: unique real solution, sign carried by the entry
@@ -126,22 +133,21 @@ def recover_right_form(tensor: Tensor) -> RightFormRecovery:
                 anchor = support[0]
                 signs[anchor] = 1
                 for t in support[1:]:
-                    mixed = tensor.entries.get(
-                        (i, anchor + 1) + (t + 1,) * (degree - 1), 0.0)
                     # a[i, anchor, t, ..., t] = q[i, anchor] * q[i, t]^(m-2), odd power of q[i, t]
-                    signs[t] = 1 if mixed >= 0 else -1
+                    signs[t] = 1 if mixed[i - 1, t] >= 0 else -1
             for t in support:
                 q[i - 1, t] = signs[t] * mags[t]
         profile.append(tuple(signs))
 
     product = general_product(unit_tensor(m, n), tensor_from_matrix(q))
-    for key in sorted(tensor.entries.keys() | product.entries.keys()):
-        expected, got = tensor.entries.get(key, 0.0), product.entries.get(key, 0.0)
-        if abs(got - expected) > VERIFY_TOL * max(1.0, abs(expected)):
-            # recomputed: the product drops a -0.0 that the message should show
-            got = math.prod(q[key[0] - 1, [t - 1 for t in key[1:]]].tolist())
-            raise NotRightForm(f"entry ({', '.join(map(str, key))}) = {expected} "
-                               f"but the factorization gives {got}")
+    idx, expected, got = _aligned(tensor, product)
+    bad = np.flatnonzero(np.abs(got - expected) > VERIFY_TOL * np.maximum(1.0, np.abs(expected)))
+    if len(bad):  # the first in sorted order
+        key = idx[bad[0]]
+        # recomputed: the product drops a -0.0 that the message should show
+        got = math.prod(q[key[0], key[1:]].tolist())
+        raise NotRightForm(f"entry ({', '.join(map(str, (key + 1).tolist()))}) = "
+                           f"{expected[bad[0]].item()} but the factorization gives {got}")
 
     return RightFormRecovery(q, tuple(profile))
 
@@ -169,6 +175,8 @@ def verify_inverse(candidate: Tensor, tensor: Tensor, side: str,
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if candidate.dim != tensor.dim:
         raise DimensionMismatch(f"dimensions differ: {candidate.dim} vs {tensor.dim}")
+    if not tol >= 0:  # before the product, which may raise for its own reasons
+        raise ValueError("tol must be nonnegative")
     if side == "left":
         prod = general_product(candidate, tensor)
     else:

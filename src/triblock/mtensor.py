@@ -80,7 +80,7 @@ def is_nonsingular_m_tensor(tensor: Tensor, tol: float = DEFAULT_TOL) -> bool:
 def is_positive_tensor(tensor: Tensor) -> bool:
     """Every one of the n^order positions holds a strictly positive value."""
     want = tensor.dim ** tensor.order
-    return tensor.nnz == want and all(v > 0.0 for v in tensor.entries.values())
+    return tensor.nnz == want and bool((tensor.coo.vals > 0.0).all())
 
 
 def m_tensor_report(tensor: Tensor, tol: float = DEFAULT_TOL) -> dict:

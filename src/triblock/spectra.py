@@ -56,7 +56,8 @@ def det_dim1(tensor: Tensor) -> float:
     """Determinant of a dimension-1 tensor: its single entry."""
     if tensor.dim != 1:
         raise DimensionMismatch(f"expected dim 1, got {tensor.dim}")
-    return tensor.entries.get((1,) * tensor.order, 0.0)
+    vals = tensor.coo.vals  # one entry at most: every index is (1, ..., 1)
+    return vals[0].item() if len(vals) else 0.0
 
 
 def det_diagonal(tensor: Tensor) -> float:
@@ -325,7 +326,7 @@ def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000) -
     """
     if tensor.order < 2:
         raise OrderTooSmall("spectral radius needs order >= 2")
-    if tol <= 0:
+    if not tol > 0:  # nan too
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")

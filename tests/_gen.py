@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 import triblock as tb
-from triblock import BlockKind, Partition, SpectralResult, Tensor, apply
+from triblock import BlockKind, Partition, RightFormRecovery, SpectralResult, Tensor, apply
 from triblock.blocked import _forbidden
 from triblock.errors import (
     BadArity,
@@ -28,9 +28,11 @@ from triblock.errors import (
     IndexOutOfRange,
     NoConvergence,
     NormalFormUnavailable,
+    NotRightForm,
     OrderTooSmall,
     SingularMatrix,
 )
+from triblock.inverse import VERIFY_TOL, _root_with_snap
 from triblock.linalg import PIVOT_RTOL, as_matrix
 from triblock.spectra import _SHIFT, _largest_row_sum
 from triblock.structure import _components, _stacked
@@ -416,6 +418,44 @@ def loop_z_split(tensor: Tensor) -> tuple[float, Tensor]:
         if len(set(idx)) > 1:
             entries[idx] = -v
     return s, Tensor(m, n, entries)
+
+
+def loop_allclose(a: Tensor, b: Tensor, tol: float) -> bool:
+    if (a.order, a.dim) != (b.order, b.dim):
+        return False
+    return all(abs(a.entries.get(key, 0.0) - b.entries.get(key, 0.0)) <= tol
+               for key in a.entries.keys() | b.entries.keys())
+
+
+def loop_recover_right_form(tensor: Tensor) -> RightFormRecovery:
+    """``recover_right_form`` with the mixed entries and the check read from the dicts."""
+    m, n = tensor.order, tensor.dim
+    degree, q, profile = m - 1, np.zeros((n, n)), []
+    for i, diag in enumerate(loop_majorization_matrix(tensor).tolist(), start=1):
+        signs = [0] * n
+        if degree % 2 == 1:
+            for t, d in enumerate(diag):
+                signs[t] = 1 if d >= 0 else -1
+                q[i - 1, t] = signs[t] * _root_with_snap(abs(d), degree)
+        else:
+            for t, d in enumerate(diag):
+                if d < 0:
+                    raise NotRightForm(f"entry ({i}, {t + 1}, ...) = {d} cannot be an even power")
+            mags = [_root_with_snap(d, degree) for d in diag]
+            support = [t for t, v in enumerate(mags) if v > 0.0]
+            for t in support:
+                mixed = tensor.entries.get((i, support[0] + 1) + (t + 1,) * (degree - 1), 0.0)
+                signs[t] = 1 if t == support[0] or mixed >= 0 else -1
+                q[i - 1, t] = signs[t] * mags[t]
+        profile.append(tuple(signs))
+    product = tb.general_product(tb.unit_tensor(m, n), tb.tensor_from_matrix(q))
+    for key in sorted(tensor.entries.keys() | product.entries.keys()):
+        expected, got = tensor.entries.get(key, 0.0), product.entries.get(key, 0.0)
+        if abs(got - expected) > VERIFY_TOL * max(1.0, abs(expected)):
+            got = math.prod(q[key[0] - 1, [t - 1 for t in key[1:]]].tolist())
+            raise NotRightForm(f"entry ({', '.join(map(str, key))}) = {expected} "
+                               f"but the factorization gives {got}")
+    return RightFormRecovery(q, tuple(profile))
 
 
 def loop_majorization_matrix(tensor: Tensor) -> np.ndarray:

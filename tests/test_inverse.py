@@ -1,6 +1,7 @@
 """Left and right k-inverses through the two product forms, plus the
 preservation of block structure on both sides."""
 import itertools
+import math
 import random
 import warnings
 
@@ -223,6 +224,20 @@ class TestVerifyInverse:
             tb.verify_inverse(u, u, "middle")
         with pytest.raises(DimensionMismatch):
             tb.verify_inverse(u, tb.unit_tensor(3, 3), "left")
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-10, -math.inf])
+    def test_nan_and_negative_tolerances_refused(self, tol):
+        # a nan tolerance passed every entry: the wrong inverse verified
+        a = row_diag([[2, 0], [0, 3]])
+        half = tb.tensor_from_matrix(np.array([[0.5, 0.0], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="^tol must be nonnegative$"):
+            tb.verify_inverse(half, a, "left", tol=tol)
+        with pytest.raises(ValueError, match="^tol must be nonnegative$"):
+            half.allclose(a, tol)
+        huge = tb.tensor_from_matrix(np.array([[1e300, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="^tol must be nonnegative$"):
+            tb.verify_inverse(huge, huge, "right", tol=tol)  # the product is out of range
+        assert half.allclose(half, 0.0) and half.allclose(tb.unit_tensor(2, 2), math.inf)
 
 
 class TestBlockedInverses:

@@ -21,6 +21,7 @@ import math
 import pickle
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,10 +29,10 @@ import pytest
 import triblock as tb
 from triblock import BlockKind
 from triblock import product as product_module
-from triblock import structure
+from triblock import spectra, structure, tensorio
 from triblock.blocked import _block_ends, _forbidden
 from triblock.core import Coo
-from triblock.errors import NegativeEntry
+from triblock.errors import NegativeEntry, NotRightForm
 from triblock.spectra import (
     _SHIFT,
     _block_radii,
@@ -43,6 +44,7 @@ from triblock.structure import _components, _pattern
 
 from _gen import (
     _power_step,
+    loop_allclose,
     loop_apply,
     loop_block_ends,
     loop_diagonal_blocks,
@@ -57,6 +59,7 @@ from _gen import (
     loop_majorization_matrix,
     loop_normal_form_2nd,
     loop_pattern,
+    loop_recover_right_form,
     loop_permute_similar,
     loop_principal_subtensor,
     loop_product,
@@ -442,6 +445,101 @@ class TestHandedOnView:
                 assert not handed.idx.flags.writeable and not handed.vals.flags.writeable
 
 
+class TestViewOnlyStorage:
+    """A tensor built from arrays keeps only its view; its entries mapping is built on first
+    read, which none of the constructors and kernels below does."""
+
+    @staticmethod
+    def built(rng):
+        dense = np.array([[[rng.choice([0.0, 0.5, 1.0, 2.0]) for _ in range(4)]
+                           for _ in range(4)] for _ in range(4)])
+        t = tb.Tensor.from_dense(dense)
+        yield t
+        yield tb.new_tensor(3, 4, [((2, 1, 3), 1.5), ((1, 4, 4), 2.0), ((2, 2, 2), 0.0)])
+        yield tensorio.loads_tensor(tensorio.dumps_tensor(t))  # the canonical reader
+        yield tensorio.loads_tensor(tensorio.dumps_tensor(t).replace(", ", ","))  # the general one
+        yield tb.principal_subtensor(t, [1, 3, 4])
+        yield tb.permute_similar(t, tb.Permutation((3, 1, 4, 2)))
+        yield from tb.diagonal_blocks(t, tb.Partition((1, 3)))
+        yield tb.general_product(t, tb.Tensor.from_dense(dense[:, :, 0]))
+        shift = 9.0 * np.eye(4)[:, :, None] * np.eye(4)  # 9 at (i, i, i)
+        yield tb.z_split(tb.Tensor.from_dense(shift - dense)).b
+        yield tb.adjacency_tensor(tb.Hypergraph.from_edge_lists(3, 4, [[1, 2, 3], [2, 3, 4]]))
+        yield tb.unit_tensor(3, 4)
+
+    def test_constructors_and_kernels_leave_the_mapping_unbuilt(self):
+        rng = random.Random(442)
+        for t in self.built(rng):
+            assert "entries" not in t.__dict__, t
+            assert (t.coo.vals > 0).all()  # every kernel below runs
+            tb.apply(t, [1.0] * t.dim)
+            tb.spectral_radius(t)
+            if t.dim > 1:
+                tb.is_blocked(t, tb.Partition((1, t.dim - 1)), BlockKind.UTB1)
+                tb.diagonal_blocks(t, tb.Partition((1, t.dim - 1)))
+            tensorio.dumps_tensor(t)
+            tb.verify_inverse(t, t, "left")
+            assert "entries" not in t.__dict__, t
+            before = t.nnz
+            assert len(t.entries) == before and "entries" in t.__dict__  # built on first read
+            assert t.entries is t.entries and t == tb.Tensor(t.order, t.dim, dict(t.entries))
+
+    def test_from_dense_retains_the_arrays_only(self):
+        # 64,000 entries: 1.5 MB of indices and 0.5 MB of values; a dict of tuples beside
+        # them took another 9.8 MB
+        arr = np.random.default_rng(443).uniform(0.5, 1.0, (40, 40, 40))
+        tracemalloc.start()
+        try:
+            t = tb.Tensor.from_dense(arr)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert t.nnz == 64_000 and retained < 4_000_000, retained
+
+
+class TestViewReaders:
+    """``allclose`` and ``recover_right_form`` read the views: their results and messages
+    are those of the dict loops."""
+
+    def test_allclose(self):
+        for rng, integral, density in ensemble(444, 80):
+            order, dim = rng.randint(1, 4), rng.randint(1, 4)
+            a = rand_tensor(rng, order, dim, density, integral)
+            entries = dict(a.entries)
+            for key in rng.sample(sorted(entries), min(2, len(entries))):
+                entries[key] += rng.choice([-1.0, 1.0]) * 10.0 ** rng.randint(-14, 2)
+            for key in rng.sample(sorted(entries), min(1, len(entries))):
+                del entries[key]
+            entries[tuple(rng.randint(1, dim) for _ in range(order))] = value(rng, integral)
+            b = tb.new_tensor(order, dim, list(entries.items()))
+            for tol in (0.0, 1e-12, 1e-6, 0.5, 20.0, math.inf):
+                assert a.allclose(b, tol) == loop_allclose(a, b, tol)
+                assert b.allclose(a, tol) == loop_allclose(b, a, tol)
+            assert a.allclose(a) and not a.allclose(tb.unit_tensor(order + 1, dim), math.inf)
+
+    def test_recover_right_form(self):
+        rng = random.Random(445)
+
+        def outcome(recover, t):
+            try:
+                got = recover(t)
+            except NotRightForm as exc:
+                return str(exc)
+            return got.q.tobytes(), got.sign_profile
+
+        for _ in range(300):
+            m, n = rng.randint(2, 5), rng.randint(1, 4)
+            q = np.array([[rng.choice([0, 0, 1, -1, 2, -3, 0.5]) for _ in range(n)]
+                          for _ in range(n)], dtype=float)
+            entries = dict(tb.general_product(tb.unit_tensor(m, n), tb.tensor_from_matrix(q))
+                           .entries)
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                key = tuple(rng.randint(1, n) for _ in range(m))
+                entries[key] = rng.choice([-1.0, 1.0 + 1e-9, 0.0]) * entries.get(key, 1.0)
+            t = tb.new_tensor(m, n, list(entries.items()))
+            assert outcome(tb.recover_right_form, t) == outcome(loop_recover_right_form, t)
+
+
 class TestReadOnlyEntries:
     def test_entries_cannot_be_assigned(self):
         t = tb.unit_tensor(2, 2)
@@ -700,18 +798,29 @@ class TestBlockRadii:
         assert got == radius_outcome(loop_spectral_radius, t)
         assert got[1] is None and got[2] == 216
 
-    def test_converged_blocks_leave_the_loop(self):
+    def test_converged_blocks_leave_the_loop(self, monkeypatch):
         # a dense dim-40 block (11 steps) linked to a weighted 6-cycle (216 steps): without
-        # compaction every cycle step also multiplies the dense block's 64,000 entries, which
-        # took longer than the loop reference; with it, the batch takes about a third of it
+        # compaction every cycle step also multiplies the dense block's 64,000 entries; with
+        # it, no step after the 11th does. Each step sums its terms by rows in one bincount.
         rng = np.random.default_rng(433)
         dense = {idx: rng.uniform(0.01, 1.0) for idx in itertools.product(range(1, 41), repeat=3)}
         cycle = {(41 + i, 41 + (i + 1) % 6, 41 + (i + 1) % 6): w
                  for i, w in enumerate((1.0, 2.0, 3.0, 1.0, 5.0, 2.0))}
         t = tb.Tensor(3, 46, {**dense, **cycle, (1, 41, 41): 1.0})
-        t.coo  # both sides start from a built view
-        loop_seconds, want = min(timed(loop_spectral_radius, t) for _ in range(2))
-        seconds, got = min(timed(tb.spectral_radius, t) for _ in range(3))
+        want, fed = loop_spectral_radius(t), []
+
+        class Counting:  # numpy as spectra sees it, recording the length each bincount sums
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def bincount(x, *args, **kwargs):
+                fed.append(len(x))
+                return np.bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(spectra, "np", Counting())
+        got = tb.spectral_radius(t)
         assert radius_outcome(lambda: got) == radius_outcome(lambda: want)
         assert got.iterations == 11 + 216
-        assert seconds < loop_seconds / 2, (seconds, loop_seconds)
+        # the row sums before the loop, then one bincount a step: the link entry is in neither
+        assert fed == [64_000 + 6] * (1 + 11) + [6] * (216 - 11)

@@ -174,6 +174,12 @@ class TestReport:
         assert got == {"z": False, "m": False, "nonsingular_m": False,
                        "s": None, "rho": None}
 
+    def test_nan_tolerance_refused(self):
+        # min(nan, 1e-10) is nan, which the radius refuses
+        for classify in (tb.m_tensor_report, tb.is_m_tensor):
+            with pytest.raises(ValueError, match="^tol must be positive$"):
+                classify(shifted_unit_minus_ones(5), tol=float("nan"))
+
 
 class TestRowMatrixCorrespondence:
     def test_z_and_weak_irreducibility_track_the_matrix(self):

@@ -547,8 +547,9 @@ class TestSpectralRadius:
 
     def test_bad_controls_rejected(self):
         a = tb.unit_tensor(3, 2)
-        with pytest.raises(ValueError):
-            tb.spectral_radius(a, tol=0.0)
+        for tol in (0.0, -1e-10, math.nan):
+            with pytest.raises(ValueError, match="^tol must be positive$"):
+                tb.spectral_radius(a, tol=tol)
         with pytest.raises(ValueError):
             tb.spectral_radius(a, max_iter=0)
 
