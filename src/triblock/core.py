@@ -102,8 +102,15 @@ class Tensor:
         return _row_sorted(idx, vals, self.dim)[0]
 
     def get(self, index: Sequence[int]) -> float:
-        """Entry at a 1-based index tuple, zero when absent."""
-        return self.entries.get(tuple(index), 0.0)
+        """Entry at a 1-based index tuple, zero when absent; an unbuilt mapping stays unbuilt."""
+        key = tuple(index)
+        if "entries" in self.__dict__ or not all(map(_integer_type, set(map(type, key)))):
+            return self.entries.get(key, 0.0)
+        if len(key) != self.order or not all(1 <= i <= self.dim for i in key):
+            return 0.0
+        lo, hi = self.coo.bounds[key[0] - 1:key[0] + 1]
+        hit = np.flatnonzero((self.coo.idx[lo:hi, 1:] == np.subtract(key[1:], 1)).all(axis=1))
+        return self.coo.vals[lo + hit[0]].item() if len(hit) else 0.0
 
     @property
     def nnz(self) -> int:
@@ -296,12 +303,15 @@ def _shape(order, dim) -> tuple[int, int]:
 
 def _validated_index(index: Sequence[int], order: int, dim: int,
                      name_index: bool = False) -> Index:
-    """The index as a tuple of Python ints, checked for its arity, then component by component
-    for an integer type and the range ``[1, dim]`` (int64 at most). A component's fault names
-    the component, or with ``name_index`` the whole index."""
+    """The index as a tuple of Python ints, checked for its arity, then in bulk (or where that
+    fails component by component) for an integer type and the range ``[1, dim]`` (int64 at
+    most). The first component at fault is named, or with ``name_index`` the whole index."""
     idx, limit = tuple(index), min(dim, _INT64_MAX)
     if len(idx) != order:
         raise BadArity(f"index {idx} has {len(idx)} components, expected {order}")
+    if all(map(_integer_type, set(map(type, idx)))) \
+            and (not idx or 1 <= min(idx) <= max(idx) <= limit):
+        return tuple(map(int, idx))
     for i in idx:
         if not _integer_type(type(i)):
             raise BadArity(f"index {idx} has a component that is not an integer: {i!r}"

@@ -162,17 +162,48 @@ def _components(succ, roots: Iterable[int]) -> list[frozenset[int]]:
     return found[:-1]
 
 
+def _labels(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Per vertex of [0, n), the least vertex of its class under undirected 0-based edges.
+
+    Hooking and pointer jumping (Shiloach and Vishkin, J. Algorithms 3(1), 1982): a round
+    hooks each root to the least root across an edge out of its tree, if smaller, then jumps
+    pointers to roots. A tree left alone borders a smaller new root and hooks the next round.
+    """
+    ends, label = np.ascontiguousarray(pairs.T), np.arange(n)
+    while True:
+        roots = label[ends]
+        cross = roots[0] != roots[1]  # an edge inside a tree stays inside it
+        if not cross.any():
+            return label
+        ends, roots = ends.compress(cross, axis=1), roots.compress(cross, axis=1)
+        np.minimum.at(label, roots.ravel(), roots[::-1].ravel())  # each way along the edge
+        while (label[label] != label).any():
+            label = label[label]
+
+
+def _classes(label: np.ndarray) -> list[frozenset[int]]:
+    """The 1-based classes of a labelling by least member, in order of their least member."""
+    order = np.argsort(label, kind="stable")
+    flat, cuts = (order + 1).tolist(), np.flatnonzero(np.diff(label[order])) + 1
+    return [frozenset(flat[lo:hi]) for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), None])]
+
+
 def _peel(tensor: Tensor) -> Iterator[frozenset[int]]:
     """Sink components (no edge leaves them), each the one holding the smallest index once
     the earlier ones and every entry that mentions them are gone.
 
-    One search finds the components. A peel rebuilds only the rows with an
-    edge into the sink, from their slices of the view, and searches again
-    only inside their components, which removing edges can only split.
+    Where every edge goes both ways, they are the classes by least index: none has an edge
+    out, and no entry of one mentions another. Otherwise one search finds them. A peel
+    rebuilds only the rows with an edge into the sink, from their slices of the view, and
+    searches again only inside their components, which removing edges can only split.
     Any other component keeps every edge, so it stays a sink or not.
     """
     coo, n = tensor.coo, tensor.dim
     edges = _edges(coo.idx, n)
+    back = np.sort(edges % n * n + edges // n)  # the reversed edges
+    if np.array_equal(back, edges):
+        yield from _classes(_labels(np.stack(divmod(edges[edges // n < edges % n], n), 1), n))
+        return
     succ, pred = _successors(edges, n), None
     home: list[frozenset[int]] = [frozenset()] * (n + 1)
     sinks: list[tuple[int, frozenset[int]]] = []
@@ -192,7 +223,7 @@ def _peel(tensor: Tensor) -> Iterator[frozenset[int]]:
         alive[[v - 1 for v in sink]] = False
         if not alive.any():
             return
-        pred = pred or _successors(np.sort(edges % n * n + edges // n), n)  # reversed edges
+        pred = pred or _successors(back, n)
         rows = sorted({u for v in sink for u in pred[v] if alive[u - 1] and v in succ[u]})
         if not rows:
             continue
@@ -428,39 +459,27 @@ class Hypergraph:
         return cls(k, n, fixed)
 
 
+def _edge_rows(graph: Hypergraph) -> np.ndarray:
+    """The edges as rows of 0-based vertices, each row ascending, in edge order."""
+    return np.sort(np.fromiter(itertools.chain(*graph.edges), np.int64).reshape(-1, graph.k), 1) - 1
+
+
 def adjacency_tensor(graph: Hypergraph) -> Tensor:
     """Order-k adjacency tensor, 1/(k-1)! at every arrangement of every edge.
 
     The normalization makes applying the tensor to a vector reproduce,
     in each edge coordinate, the plain product over the other vertices.
     """
-    k = graph.k
-    edges = np.array([sorted(edge) for edge in graph.edges], dtype=np.int64).reshape(-1, k) - 1
-    idx = edges[:, list(itertools.permutations(range(k)))].reshape(-1, k)  # edge by edge
+    k = graph.k  # the entries come edge by edge
+    idx = _edge_rows(graph)[:, list(itertools.permutations(range(k)))].reshape(-1, k)
     return _from_arrays(k, graph.n, idx, np.full(len(idx), 1.0 / math.factorial(k - 1)))
 
 
 def connected_components(graph: Hypergraph) -> list[frozenset[int]]:
     """Vertex classes reachable through shared edges, sorted by smallest member.
 
-    Plain union-find over the edge list; isolated vertices come back as
-    singletons.
+    Each edge joins its least vertex to the others, and ``_labels`` labels
+    the classes; isolated vertices come back as singletons.
     """
-    parent = list(range(graph.n + 1))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for edge in graph.edges:
-        verts = sorted(edge)
-        root = find(verts[0])
-        for v in verts[1:]:
-            parent[find(v)] = root
-
-    groups: dict[int, set[int]] = {}
-    for v in range(1, graph.n + 1):
-        groups.setdefault(find(v), set()).add(v)
-    return [frozenset(g) for g in sorted(groups.values(), key=min)]
+    pairs = _edge_rows(graph)[:, [(0, j) for j in range(1, graph.k)]].reshape(-1, 2)
+    return _classes(_labels(pairs, graph.n))

@@ -15,8 +15,8 @@ comparison. pytest does not collect it (the name does not start with
 
 The spectral radius has areas of its own, ``radius`` for the API and
 ``cli_radius`` for the ``rho``, ``mtensor`` and ``hypergraph-rho`` verbs,
-so a change to the power iteration's arithmetic shows there and nowhere
-else. The ``wire`` area parses and serializes each ensemble tensor as a
+so a change to the power iteration's arithmetic shows there, in
+``radius_blocks`` and in ``components``, and nowhere else. The ``wire`` area parses and serializes each ensemble tensor as a
 document (``tensor_from_obj``, ``new_tensor``, ``loads_tensor``,
 ``dumps_tensor``), then with faulty records at random positions, and
 records each result or error message. The ``inverse`` area records
@@ -47,10 +47,16 @@ come from many diagonal blocks at once. The ``wire_text`` area records
 the canonical reader takes, and on four seeded copies with 1-3
 single-character replacements, insertions or deletions over the
 characters of numbers and of the layout, most of which go to the
-general path. None of ``radius``, ``wire``, ``inverse``, ``product``,
-``peel``, ``refinement_wide``, ``radius_blocks`` and ``wire_text`` draws
-from the ensemble's random stream, so adding them moved no other area's
-line.
+general path. The ``components`` area records ``connected_components``
+on k-uniform hypergraphs of their own (k = 2-4, up to 300 vertices, from
+no edges to one per vertex), then ``normal_form_2nd`` and
+``spectral_radius`` on symmetrised tensors: orders 2-4, dims 1-30,
+entries on some of the indices only, and beside each entry of row i that
+mentions t one of row t whose trailing indices are all i, so every edge
+of the entry digraph goes both ways. None of ``radius``, ``wire``,
+``inverse``, ``product``, ``peel``, ``refinement_wide``,
+``radius_blocks``, ``wire_text`` and ``components`` draws from the
+ensemble's random stream, so adding them moved no other area's line.
 """
 from __future__ import annotations
 
@@ -80,6 +86,8 @@ PEEL_SEED = 20162
 PEEL_TRIALS = 120
 WIDE_SEED = 20163
 WIDE_TRIALS = 60
+COMPONENTS_SEED = 20164
+COMPONENTS_TRIALS = 120
 VALUES = [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 0.5, -1.25]
 
 
@@ -396,6 +404,29 @@ def cli_runs():
         yield ["verify", "--left", name, name]
 
 
+def component_cases():
+    """(hypergraph, symmetrised nonnegative tensor) pairs, as the docstring describes."""
+    rng = random.Random(COMPONENTS_SEED)
+    for _ in range(COMPONENTS_TRIALS):
+        k, n = rng.randint(2, 4), rng.randint(1, 300)
+        count = rng.choice([0, 1, n // 4, n // 2, n]) if n >= k else 0
+        edges = {frozenset(rng.sample(range(1, n + 1), k)): None for _ in range(count)}
+        graph = tb.Hypergraph.from_edge_lists(k, n, edges)
+        order, dim = rng.randint(2, 4), rng.randint(1, 30)
+        used = rng.sample(range(1, dim + 1), rng.randint(1, dim))
+        entries = {tuple(rng.choice(used) for _ in range(order)): rng.choice([0.5, 1.0, 3.0])
+                   for _ in range(rng.randint(0, 2 * len(used)))}
+        for idx in list(entries):
+            for foot in idx[1:]:
+                entries.setdefault((foot,) + (idx[0],) * (order - 1), rng.choice([0.5, 2.0]))
+        yield graph, shuffled(order, dim, entries, rng)
+
+
+def area_components(graph, t) -> str:
+    nf = outcome(tb.normal_form_2nd, t)
+    return "\n".join([canon(tb.connected_components(graph)), nf, outcome(tb.spectral_radius, t)])
+
+
 RADIUS_VERBS = {"rho", "mtensor", "hypergraph-rho"}
 
 
@@ -426,7 +457,7 @@ AREAS = {
 
 def main() -> None:
     names = [*AREAS, "radius", "wire", "inverse", "product", "peel", "refinement_wide",
-             "radius_blocks", "wire_text"]
+             "radius_blocks", "wire_text", "components"]
     hashes = {name: hashlib.sha256() for name in names}
     for trial, (rng, t, p, kind) in enumerate(ensemble()):
         for name, area in AREAS.items():
@@ -451,6 +482,8 @@ def main() -> None:
         hashes["radius_blocks"].update((area_radius_blocks(t) + "\n").encode())
     for t, p, kind in wide_tensors():
         hashes["refinement_wide"].update((area_refinement_wide(t, p, kind) + "\n").encode())
+    for graph, t in component_cases():
+        hashes["components"].update((area_components(graph, t) + "\n").encode())
     for name, h in hashes.items():
         print(name, h.hexdigest())
     print("cli_fixtures", cli_digest(radius=False))

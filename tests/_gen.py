@@ -304,6 +304,48 @@ def loop_normal_form_2nd(tensor: Tensor) -> tuple[tuple[int, ...], tuple[int, ..
     return _stacked(peeled[::-1]).image, tuple(len(comp) for comp in peeled[::-1])
 
 
+def loop_index_set(index_set, dim: int) -> list[int]:
+    """``core._index_set`` as it checked its members one by one, raising for the first."""
+    members = tuple(index_set)
+    for i in members:
+        if not (isinstance(i, (int, np.integer)) and not isinstance(i, bool)):
+            raise BadArity(f"index component {i!r} is not an integer")
+        if not 1 <= i <= min(dim, np.iinfo(np.int64).max):
+            raise IndexOutOfRange(f"index component {i} outside [1, {dim}]")
+    if not members:
+        raise tb.errors.EmptyIndexSet("index set must be nonempty")
+    return sorted(set(int(i) for i in members))
+
+
+# ``connected_components`` was this union-find before one array labelling took its place;
+# ``loop_connected_components`` keeps it as the reference.
+
+def loop_connected_components(graph: tb.Hypergraph) -> list[frozenset[int]]:
+    """Vertex classes reachable through shared edges, sorted by smallest member.
+
+    Plain union-find over the edge list; isolated vertices come back as
+    singletons.
+    """
+    parent = list(range(graph.n + 1))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for edge in graph.edges:
+        verts = sorted(edge)
+        root = find(verts[0])
+        for v in verts[1:]:
+            parent[find(v)] = root
+
+    groups: dict[int, set[int]] = {}
+    for v in range(1, graph.n + 1):
+        groups.setdefault(find(v), set()).add(v)
+    return [frozenset(g) for g in sorted(groups.values(), key=min)]
+
+
 # The power iteration ``spectral_radius`` ran on weakly irreducible input before one batched
 # kernel took every block; ``loop_spectral_radius`` keeps it as the reference.
 

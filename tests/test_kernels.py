@@ -14,6 +14,11 @@ read-only ``entries`` mapping and pickling. The incremental peel behind
 ``normal_form_2nd``, ``find_weakly_reducing_set`` and
 ``exists_first_type_normal_form`` must give what the loop that rebuilt
 the digraph for every sink gave, and stay near-linear at scale.
+``connected_components`` must give what the union-find it replaced gave,
+its labelling kernel must take a logarithmic number of hook rounds, and
+the peel of a pattern whose edges all go both ways must give Tarjan's
+sinks in order of their least index. ``Tensor.get`` and the bulk index
+check must answer as the mapping and the component loop did.
 """
 import copy
 import itertools
@@ -22,6 +27,7 @@ import pickle
 import random
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -29,7 +35,7 @@ import pytest
 import triblock as tb
 from triblock import BlockKind
 from triblock import product as product_module
-from triblock import spectra, structure, tensorio
+from triblock import core, spectra, structure, tensorio
 from triblock.blocked import _block_ends, _forbidden
 from triblock.core import Coo
 from triblock.errors import NegativeEntry, NotRightForm
@@ -50,7 +56,9 @@ from _gen import (
     loop_diagonal_blocks,
     loop_find_weakly_reducing_set,
     loop_first_type,
+    loop_connected_components,
     loop_from_dense,
+    loop_index_set,
     loop_is_blocked,
     loop_is_diagonal,
     loop_is_row_diagonal,
@@ -824,3 +832,199 @@ class TestBlockRadii:
         assert got.iterations == 11 + 216
         # the row sums before the loop, then one bincount a step: the link entry is in neither
         assert fed == [64_000 + 6] * (1 + 11) + [6] * (216 - 11)
+
+
+class CountingHooks:
+    """numpy as ``structure`` sees it, counting the hook rounds (calls of ``np.minimum.at``)."""
+
+    def __init__(self):
+        self.hooks = 0
+        self.minimum = types.SimpleNamespace(at=self.hook)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def hook(self, *args):
+        self.hooks += 1
+        return np.minimum.at(*args)
+
+
+def rand_graph(rng: random.Random) -> tb.Hypergraph:
+    """A k-uniform hypergraph, k = 2-4, on up to 2,000 vertices: no edges, a few (most
+    vertices isolated), or up to about one per vertex."""
+    k, n = rng.randint(2, 4), rng.choice([1, 2, 3, 5, 8, 20, 100, 500, 2000])
+    count = rng.choice([0, 1, 3, n // 4, n // 2, n]) if n >= k else 0
+    edges = {frozenset(rng.sample(range(1, n + 1), k)) for _ in range(count)}
+    return tb.Hypergraph(k, n, tuple(edges))
+
+
+def hostile_shapes(n: int) -> dict[str, np.ndarray]:
+    """Connected 0-based edge lists on [0, n) that slow a labelling that only hooks."""
+    rng = np.random.default_rng(450)
+    walk = rng.permutation(n)
+    zigzag = np.stack((np.arange(n // 2), np.arange(n - 1, n // 2 - 1, -1)), axis=1).ravel()
+    heap = np.arange(1, n)  # node j under node (j - 1) // 2, labelled n - 1 - j
+    return {
+        "random path": np.stack((walk[:-1], walk[1:]), axis=1),
+        "zigzag path": np.stack((zigzag[:-1], zigzag[1:]), axis=1),
+        "reversed binary tree": np.stack((n - 1 - heap, n - 1 - (heap - 1) // 2), axis=1),
+        "star": np.stack((np.full(n - 1, n - 1), np.arange(n - 1)), axis=1),
+        "random cycle": np.stack((walk, np.roll(walk, 1)), axis=1),
+    }
+
+
+class TestLabels:
+    """``connected_components`` labels the classes with ``structure._labels``; it must give
+    what the union-find it replaced gave, in a logarithmic number of hook rounds."""
+
+    def test_components_match_union_find(self):
+        rng = random.Random(451)
+        shapes = set()
+        for trial in range(300):
+            graph = rand_graph(rng)
+            got = tb.connected_components(graph)
+            assert got == loop_connected_components(graph), trial
+            assert all(type(v) is int for comp in got for v in comp)
+            shapes.add((graph.k, len(graph.edges) == 0, len(got) == graph.n))
+        assert {k for k, _, _ in shapes} == {2, 3, 4} and (2, True, True) in shapes
+
+    def test_components_of_split_hypergraphs(self):
+        rng = random.Random(452)
+        for _ in range(40):
+            groups = [rng.randint(1, 50) for _ in range(rng.randint(1, 8))]
+            graph = rand_hypergraph(rng, rng.randint(2, 4), groups, edges_per_group=30)
+            assert tb.connected_components(graph) == loop_connected_components(graph)
+
+    @pytest.mark.parametrize("shape", ["random path", "zigzag path", "reversed binary tree",
+                                       "star", "random cycle"])
+    def test_hook_rounds_on_hostile_shapes(self, shape, monkeypatch):
+        n = 1 << 15
+        pairs = hostile_shapes(n)[shape]
+        counting = CountingHooks()
+        monkeypatch.setattr(structure, "np", counting)
+        label = structure._labels(pairs, n)
+        assert (label == 0).all()
+        assert 1 <= counting.hooks <= 2 * math.ceil(math.log2(n)) + 2, counting.hooks
+
+    def test_two_interleaved_paths(self):
+        # the even vertices in one random walk, the odd ones in another
+        n = 1 << 12
+        rng = np.random.default_rng(453)
+        walks = [rng.permutation(np.arange(parity, n, 2)) for parity in (0, 1)]
+        pairs = np.concatenate([np.stack((w[:-1], w[1:]), axis=1) for w in walks])
+        assert (structure._labels(pairs, n) == np.arange(n) % 2).all()
+
+    def test_no_pairs(self):
+        assert structure._labels(np.zeros((0, 2), dtype=np.int64), 3).tolist() == [0, 1, 2]
+
+
+def symmetrised(t: tb.Tensor) -> tb.Tensor:
+    """The tensor with an entry (t, i, ..., i) beside each entry of row i mentioning t, so
+    each edge of its entry digraph goes both ways."""
+    entries = dict(t.entries)
+    for idx in t.entries:
+        for foot in idx[1:]:
+            entries.setdefault((foot,) + (idx[0],) * (t.order - 1), 1.0)
+    return tb.Tensor(t.order, t.dim, entries)
+
+
+def symmetric_tensors(seed: int, count: int):
+    """Symmetrised sparse tensors of orders 2-4 and dims 1-40 whose entries mention only
+    some of the indices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(2, 4), rng.randint(1, 40)
+        used = rng.sample(range(1, n + 1), rng.randint(1, n))
+        entries = {tuple(rng.choice(used) for _ in range(m)): rng.choice([0.5, 1.0, 2.0])
+                   for _ in range(rng.randint(0, 2 * len(used)))}
+        yield symmetrised(tb.Tensor(m, n, entries))
+
+
+class TestSymmetricPeel:
+    """Where every edge of the entry digraph goes both ways, ``_peel`` gives the classes
+    of the undirected graph in order of their least index, without the Tarjan search."""
+
+    def test_matches_tarjan_sinks(self):
+        singletons = 0
+        for trial, t in enumerate(symmetric_tensors(454, 300)):
+            n = t.dim
+            comps = _components(structure._successors(structure._edges(t.coo.idx, n), n),
+                                range(1, n + 1))
+            assert list(structure._peel(t)) == sorted(comps, key=min), trial
+            assert same_peel(t), trial
+            singletons += sum(len(c) == 1 for c in comps)
+        assert singletons > 300  # indices with no entries come out on their own
+
+    def test_asymmetric_input_takes_the_tarjan_path(self, monkeypatch):
+        searched = []
+        real = structure._components
+        monkeypatch.setattr(structure, "_components",
+                            lambda *a: searched.append(a) or real(*a))
+        rng = random.Random(455)
+        for t in symmetric_tensors(456, 40):
+            assert list(structure._peel(t)) and not searched
+        for _ in range(40):
+            t = rand_sparse(rng, rng.randint(2, 4), rng.randint(2, 40), upper=0.85)
+            edges = structure._edges(t.coo.idx, t.dim)
+            if np.array_equal(edges, np.sort(edges % t.dim * t.dim + edges // t.dim)):
+                continue
+            searched.clear()
+            assert same_peel(t) and searched
+
+    def test_hypergraph_adjacency_and_subtensors(self, monkeypatch):
+        monkeypatch.setattr(structure, "_components", None)  # never reached
+        rng = random.Random(457)
+        for _ in range(30):
+            groups = [rng.randint(1, 8) for _ in range(rng.randint(1, 6))]
+            graph = rand_hypergraph(rng, rng.randint(2, 4), groups, edges_per_group=4)
+            a, comps = tb.adjacency_tensor(graph), tb.connected_components(graph)
+            assert list(structure._peel(a)) == comps
+            for comp in comps:
+                sub = tb.principal_subtensor(a, comp)
+                assert list(structure._peel(sub)) == [frozenset(range(1, len(comp) + 1))]
+
+
+class TestGet:
+    def test_dense_tensor_reads_the_view(self):
+        arr = np.random.default_rng(458).uniform(0.5, 1.0, (40, 40, 40))
+        t = tb.Tensor.from_dense(arr)
+        assert t.get((1, 2, 3)) == arr[0, 1, 2] and t.get(np.array([40, 1, 40])) == arr[39, 0, 39]
+        assert t.get((1, 2)) == 0.0 and t.get((41, 1, 1)) == 0.0 and t.get((0, 1, 1)) == 0.0
+        assert "entries" not in t.__dict__
+
+    def test_matches_the_mapping_on_a_mix_of_keys(self):
+        rng = random.Random(459)
+        components = [1, 2, 3, 4, 0, -1, 5, 2 ** 70, np.int64(2), np.uint64(3), np.int8(1),
+                      True, False, 1.0, 2.5, np.float64(3.0), np.bool_(True)]
+        for _ in range(60):
+            m, n = rng.randint(1, 3), rng.randint(1, 4)
+            arr = np.array([rng.choice([0.0, -1.5, 2.0]) for _ in range(n ** m)]).reshape(
+                (n,) * m)
+            built = [tb.Tensor.from_dense(arr), tb.Tensor(m, n, dict(
+                tb.Tensor.from_dense(arr).entries))]
+            keys = [tuple(rng.choice(components) for _ in range(rng.choice([m, m, m - 1, m + 1])))
+                    for _ in range(40)]
+            for t in built:
+                got = [t.get(key) for key in keys]
+                want = [t.entries.get(key, 0.0) for key in keys]
+                assert got == want and [type(v) for v in got] == [type(v) for v in want]
+
+
+class TestIndexSet:
+    def test_matches_the_component_loop(self):
+        rng = random.Random(460)
+        components = [1, 2, 3, 4, 5, 0, -1, 2 ** 70, np.int64(2), np.uint64(4), True, 1.0]
+
+        def outcome(fn, members, dim):
+            try:
+                return fn(members, dim)
+            except tb.errors.TriblockError as exc:
+                return type(exc).__name__, str(exc)
+
+        for _ in range(500):
+            members = [rng.choice(components[:5] * 6 + components[5:])
+                       for _ in range(rng.randint(0, 6))]
+            dim = rng.randint(1, 5)
+            got = outcome(core._index_set, members, dim)
+            assert got == outcome(loop_index_set, members, dim), (members, dim)
+            assert isinstance(got, tuple) or all(type(v) is int for v in got)
