@@ -3,14 +3,12 @@ every other module builds on: principal subtensors, permutation similarity,
 polynomial application, and the majorization / representation matrices.
 
 Storage is coordinate format: ``Tensor.coo``, read-only arrays of the
-0-based index rows and the nonzero doubles. An absent index reads as an
-exact structural zero, and every constructor drops exact zeros on the way
-in, so "is this entry zero" questions are answered without tolerances.
-The numeric kernels and the structural operations read only the view, and
-a tensor they build from arrays keeps only its view. ``Tensor.entries``,
-a read-only mapping from index tuples to values, is what
-``Tensor(order, dim, entries)`` stores; for a tensor built from arrays it
-is built from the view on first read.
+0-based index rows and the nonzero doubles, sorted by row. An absent index
+reads as an exact structural zero, and every constructor checks its input
+at once and drops exact zeros, so "is this entry zero" questions are
+answered without tolerances. The view is all a tensor stores;
+``Tensor.entries``, a read-only mapping from index tuples to values, is
+built from it on first read.
 """
 from __future__ import annotations
 
@@ -27,6 +25,7 @@ import numpy as np
 from .errors import (
     BadArity,
     DimensionMismatch,
+    DimensionTooLarge,
     DuplicateIndex,
     EmptyIndexSet,
     IndexOutOfRange,
@@ -40,7 +39,7 @@ _INT64_MAX = np.iinfo(np.int64).max  # an index component past it is out of rang
 
 
 class Coo(NamedTuple):
-    """The entries as read-only arrays, stably sorted by row (entry order within a row).
+    """The entries as read-only arrays, stably sorted by row (given order within a row).
 
     ``idx`` holds 0-based index rows (nnz x order, int64) and ``vals`` the
     values (float64); row i's entries sit at ``bounds[i]:bounds[i+1]``.
@@ -55,56 +54,47 @@ class Coo(NamedTuple):
 class Tensor:
     """An order-``order`` tensor on ``[1, dim]^order``, stored sparsely.
 
-    ``entries`` maps index tuples to nonzero values; missing tuples are
-    exact zeros. ``Tensor(order, dim, entries)`` keeps a read-only copy of
-    the mapping (or of the ``(index, value)`` pairs) passed in and builds
-    its view from it on first use. A tensor built from arrays keeps only
-    its view, and builds ``entries`` from it on first read. Instances are
-    immutable: operations return new tensors and never touch their inputs,
-    and values can be shared freely between threads.
+    ``Tensor(order, dim, entries)`` takes a mapping from index tuples to
+    values (or ``(index, value)`` pairs), checks it at once as
+    ``new_tensor`` does, naming the whole index where a component is at
+    fault, and drops exact zeros. Every tensor keeps only its view ``coo``;
+    ``entries`` is built from it on first read. Instances are immutable:
+    operations return new tensors and never touch their inputs, and values
+    can be shared freely between threads.
     """
 
     order: int
     dim: int
+    coo: Coo
 
     def __init__(self, order: int, dim: int, entries: Mapping[Index, float]):
-        # a proxy's copy() is the fast dict copy
-        entries = entries.copy() if isinstance(entries, MappingProxyType) else dict(entries)
-        self.__dict__.update(order=order, dim=dim, entries=MappingProxyType(entries))
+        order, dim = _shape(order, dim)
+        entries = dict(entries)
+        keys, values = entries.keys(), entries.values()
+        idx, vals = _screened(order, dim, keys, values) or _refuse(order, dim, keys, values, True)
+        keep = vals != 0.0
+        self.__dict__.update(order=order, dim=dim, coo=_row_sorted(idx[keep], vals[keep], dim))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.order, self.dim, self.entries) == (other.order, other.dim, other.entries)
+        return self.allclose(other, 0.0)
 
     def __reduce__(self):
-        return type(self), (self.order, self.dim, self.entries.copy())
+        return _from_arrays, (self.order, self.dim, self.coo.idx, self.coo.vals)
 
     @cached_property
     def entries(self) -> Mapping[Index, float]:
-        """The entries of a tensor built from arrays, in the order the arrays came in: built
-        from the view on first read, undoing its row sort, and kept."""
-        view, by_row = self.coo, self.__dict__["_by_row"]
-        back = slice(None) if by_row is None else by_row.argsort()
-        idx, vals = view.idx[back], view.vals[back]
-        return MappingProxyType(dict(zip(zip(*(idx + 1).T.tolist()), vals.tolist())))
-
-    @cached_property
-    def coo(self) -> Coo:
-        """Coordinate arrays of the stored mapping, built on first use and kept.
-
-        Every kernel indexes through this view, so building it checks the
-        entries as ``new_tensor`` does, naming the whole index where a
-        component is at fault.
-        """
-        m, n, keys, values = self.order, self.dim, self.entries.keys(), self.entries.values()
-        idx, vals = _screened(m, n, keys, values) or _refuse(m, n, keys, values, True)
-        return _row_sorted(idx, vals, self.dim)[0]
+        """The entries in view order (rows ascending, given order within a row), as a
+        read-only mapping built from the view on first read and kept."""
+        idx, vals = self.coo.idx + 1, self.coo.vals
+        return MappingProxyType(dict(zip(zip(*idx.T.tolist()), vals.tolist())))
 
     def get(self, index: Sequence[int]) -> float:
-        """Entry at a 1-based index tuple, zero when absent; an unbuilt mapping stays unbuilt."""
+        """Entry at a 1-based index tuple, zero when absent, read off the view (a key with
+        components that are not integers is looked up in ``entries``)."""
         key = tuple(index)
-        if "entries" in self.__dict__ or not all(map(_integer_type, set(map(type, key)))):
+        if not all(map(_integer_type, set(map(type, key)))):
             return self.entries.get(key, 0.0)
         if len(key) != self.order or not all(1 <= i <= self.dim for i in key):
             return 0.0
@@ -114,9 +104,7 @@ class Tensor:
 
     @property
     def nnz(self) -> int:
-        """The number of entries: the stored mapping's length, or else the view's."""
-        entries = self.__dict__.get("entries")
-        return len(self.coo.vals if entries is None else entries)
+        return len(self.coo.vals)
 
     def is_zero(self) -> bool:
         return self.nnz == 0
@@ -124,7 +112,8 @@ class Tensor:
     def to_dense(self) -> np.ndarray:
         """Dense ``(dim,) * order`` array with 0-based axes."""
         if self.dim ** self.order > _DENSE_GUARD:
-            raise MemoryError("tensor too large to densify")
+            raise DimensionTooLarge(f"densifying is capped at {_DENSE_GUARD} cells, "
+                                    f"got dim ** order = {self.dim ** self.order}")
         out = np.zeros((self.dim,) * self.order)
         out[tuple(self.coo.idx.T)] = self.coo.vals
         return out
@@ -154,16 +143,15 @@ class Tensor:
         return f"Tensor(order={self.order}, dim={self.dim}, nnz={self.nnz})"
 
 
-def _row_sorted(idx: np.ndarray, vals: np.ndarray, dim: int) -> tuple[Coo, np.ndarray | None]:
-    """The view of entries given as 0-based index rows and values, their stable sort by row,
-    and the sort's permutation (None where the rows are in order already)."""
+def _row_sorted(idx: np.ndarray, vals: np.ndarray, dim: int) -> Coo:
+    """The view of entries given as 0-based index rows and values: their stable sort by row."""
     rows = idx[:, 0]
-    by_row = None if (rows[1:] >= rows[:-1]).all() else rows.argsort(kind="stable")
-    if by_row is not None:
+    if not (rows[1:] >= rows[:-1]).all():
+        by_row = rows.argsort(kind="stable")
         idx, vals = idx[by_row], vals[by_row]
     idx.flags.writeable = vals.flags.writeable = False
     counts = np.bincount(idx[:, 0], minlength=dim)
-    return Coo(idx, vals, (0,) + tuple(np.cumsum(counts).tolist())), by_row
+    return Coo(idx, vals, (0,) + tuple(np.cumsum(counts).tolist()))
 
 
 def _codes(idx: np.ndarray, dim: int) -> np.ndarray:
@@ -195,12 +183,10 @@ def _check_finite(idx: np.ndarray, vals: np.ndarray) -> None:
 
 
 def _from_arrays(order: int, dim: int, idx: np.ndarray, vals: np.ndarray) -> Tensor:
-    """A tensor that keeps only its view: the stable sort by row of 0-based index rows (int64,
-    no index twice) and nonzero values (float64), which become read-only. Its ``entries``,
-    built on first read, follow the rows' order."""
+    """A tensor whose view is the stable sort by row of 0-based index rows (int64, no index
+    twice) and nonzero values (float64), which become read-only."""
     tensor = Tensor.__new__(Tensor)
-    view, by_row = _row_sorted(idx, vals, dim)
-    tensor.__dict__.update(order=order, dim=dim, coo=view, _by_row=by_row)
+    tensor.__dict__.update(order=order, dim=dim, coo=_row_sorted(idx, vals, dim))
     return tensor
 
 
@@ -371,13 +357,9 @@ def unit_tensor(order: int, dim: int) -> Tensor:
 
 def diagonal_tensor(order: int, diag: Sequence[float]) -> Tensor:
     """Tensor whose only (potential) nonzeros sit at positions (i, i, ..., i)."""
-    if order < 1:
-        raise OrderTooSmall(f"order must be >= 1, got {order}")
     values = [float(v) for v in diag]
-    if not values:
-        raise DimensionMismatch("diagonal must have at least one value")
-    return Tensor(order, len(values),
-                  {(i,) * order: v for i, v in enumerate(values, start=1) if v != 0.0})
+    order, dim = _shape(order, len(values))
+    return Tensor(order, dim, {(i,) * order: v for i, v in enumerate(values, start=1)})
 
 
 def principal_subtensor(tensor: Tensor, index_set: Iterable[int]) -> Tensor:

@@ -44,11 +44,10 @@ class ZSplit:
 
 def z_split(tensor: Tensor) -> ZSplit:
     """Split a Z-tensor with s equal to its largest diagonal entry."""
-    if not is_z_tensor(tensor):
-        bad = next(idx for idx, v in tensor.entries.items()
-                   if len(set(idx)) > 1 and v > 0.0)
-        raise NotZTensor(f"positive off-diagonal entry at {bad}")
     m, view, diagonal = tensor.order, tensor.coo, _equal_from(tensor, 0)
+    if not is_z_tensor(tensor):
+        bad = view.idx[((view.vals > 0.0) & ~diagonal).argmax()] + 1  # the first in view order
+        raise NotZTensor(f"positive off-diagonal entry at {tuple(bad.tolist())}")
     d = np.zeros(tensor.dim)
     d[view.idx[diagonal, 0]] = view.vals[diagonal]
     s = float(d.max())

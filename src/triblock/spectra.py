@@ -330,8 +330,10 @@ def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000) -
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    if (tensor.coo.vals < 0).any():
-        idx, v = next((idx, v) for idx, v in tensor.entries.items() if v < 0)
+    negative = tensor.coo.vals < 0
+    if negative.any():
+        k = negative.argmax()  # the first in view order
+        idx, v = tuple((tensor.coo.idx[k] + 1).tolist()), tensor.coo.vals[k].item()
         raise NegativeEntry(f"entry {idx} is negative: {v}")
 
     if tensor.is_zero():

@@ -19,7 +19,9 @@ so a change to the power iteration's arithmetic shows there, in
 ``radius_blocks`` and in ``components``, and nowhere else. The ``wire`` area parses and serializes each ensemble tensor as a
 document (``tensor_from_obj``, ``new_tensor``, ``loads_tensor``,
 ``dumps_tensor``), then with faulty records at random positions, and
-records each result or error message. The ``inverse`` area records
+records each result or error message. Its documents list the entries in
+the order of the tensor's view, not of its ``entries`` mapping, so two
+trees whose views agree compare the same documents. The ``inverse`` area records
 ``linalg.invert`` (with its warnings) and ``linalg.is_nonsingular`` on
 each ensemble tensor's majorization matrix and on a matrix of its own:
 small integers, Gaussians, block triangular integers (exact zeros over a
@@ -235,10 +237,11 @@ def wire_outcome(fn, *args) -> str:
 
 
 def area_wire(rng, t, out):
-    """The tensor as a document in dict order, with integer values and explicit zeros, then
-    with one or two faulty records (or a repeated index) at random positions."""
-    records = [{"i": list(idx), "v": int(v) if v.is_integer() and rng.random() < 0.5 else v}
-               for idx, v in t.entries.items()]
+    """The tensor as a document built from its view (``t.coo``, so it does not depend on the
+    order ``entries`` iterates in), with integer values and explicit zeros, then with one or
+    two faulty records (or a repeated index) at random positions."""
+    records = [{"i": idx, "v": int(v) if v.is_integer() and rng.random() < 0.5 else v}
+               for idx, v in zip((t.coo.idx + 1).tolist(), t.coo.vals.tolist())]
     for _ in range(rng.randint(0, 2)):
         zero = {"i": [rng.randint(1, t.dim) for _ in range(t.order)], "v": rng.choice([0, 0.0])}
         records.insert(rng.randint(0, len(records)), zero)

@@ -13,6 +13,7 @@ import triblock as tb
 from triblock.errors import (
     BadArity,
     DimensionMismatch,
+    DimensionTooLarge,
     DuplicateIndex,
     EmptyIndexSet,
     IndexOutOfRange,
@@ -93,14 +94,9 @@ class TestConstruction:
          r"index \(1180591620717411303424, 1\) has a component outside \[1, 2\]$"),
     ])
     def test_constructor_entries_checked_by_the_view(self, entries, error, message):
-        # Tensor(...) stores what it is given; every kernel reads the view, which refuses it
-        t = tb.Tensor(2, 2, entries)
-        readers = [lambda: t.coo, lambda: tb.apply(t, [1.0, 1.0]),
-                   lambda: tb.spectral_radius(t), lambda: tb.representation_matrix(t),
-                   lambda: tb.is_blocked(t, tb.Partition((1, 1)), tb.BlockKind.UTB1)]
-        for read in readers:
-            with pytest.raises(error, match=message):
-                read()
+        # Tensor(...) builds its view at once, so it refuses the mapping itself
+        with pytest.raises(error, match=message):
+            tb.Tensor(2, 2, entries)
 
     def test_bool_order_rejected(self):
         with pytest.raises(OrderTooSmall, match=r"^order must be an integer, got True$"):
@@ -138,6 +134,13 @@ class TestConstruction:
         for _ in range(10):
             t = rand_tensor(rng, 3, 3)
             assert tb.Tensor.from_dense(t.to_dense()) == t
+
+    def test_to_dense_refuses_past_the_guard(self):
+        t = tb.new_tensor(3, 300, [((1, 2, 3), 1.0)])  # 27,000,000 cells
+        with pytest.raises(DimensionTooLarge,
+                           match=r"^densifying is capped at 20000000 cells, "
+                                 r"got dim \*\* order = 27000000$"):
+            t.to_dense()
 
 
 class TestPrincipalSubtensor:

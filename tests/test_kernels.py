@@ -38,7 +38,7 @@ from triblock import product as product_module
 from triblock import core, spectra, structure, tensorio
 from triblock.blocked import _block_ends, _forbidden
 from triblock.core import Coo
-from triblock.errors import NegativeEntry, NotRightForm
+from triblock.errors import NegativeEntry, NotRightForm, OrderTooSmall, TriblockError
 from triblock.spectra import (
     _SHIFT,
     _block_radii,
@@ -453,9 +453,65 @@ class TestHandedOnView:
                 assert not handed.idx.flags.writeable and not handed.vals.flags.writeable
 
 
+def det_outcome(t: tb.Tensor, partition: tb.Partition, kind: BlockKind):
+    try:
+        return tb.det_blocked(t, partition, kind)
+    except TriblockError as exc:
+        return type(exc), str(exc)
+
+
+class TestMappingConstructor:
+    """``Tensor(order, dim, mapping)`` checks its mapping at once and keeps the view that
+    ``new_tensor`` keeps for the same pairs: exact zeros dropped."""
+
+    def test_explicit_zero_is_dropped(self):
+        entries = {(2, 1): 0.0, (1, 1): 1.0, (2, 2): 1.0}
+        utb1 = (tb.Partition((1, 1)), BlockKind.UTB1)
+        t, want = tb.Tensor(2, 2, entries), tb.new_tensor(2, 2, entries.items())
+        assert t.nnz == want.nnz == 2 and same_view(t.coo, want.coo)
+        for x in (t, want):
+            assert tb.is_blocked(x, *utb1) and tb.det_blocked(x, *utb1) == 1.0
+
+    def test_seeded_mappings_with_zeros_match_new_tensor(self):
+        rng = random.Random(446)
+        hidden = 0  # mappings whose zeros alone break the structure
+        for _ in range(150):
+            parts = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 3)))
+            kind, m = rng.choice(list(BlockKind)), rng.randint(2, 3)
+            partition = tb.Partition(parts)
+            entries = dict(rand_blocked(rng, parts, kind, m).entries)
+            zeros = [idx for idx in itertools.product(range(1, partition.n + 1), repeat=m)
+                     if idx not in entries and rng.random() < 0.2]
+            entries.update(dict.fromkeys(zeros, 0.0))
+            keys = list(entries)
+            rng.shuffle(keys)
+            mapping = {idx: entries[idx] for idx in keys}
+            t, want = tb.Tensor(m, partition.n, mapping), tb.new_tensor(m, partition.n,
+                                                                        mapping.items())
+            assert t.nnz == want.nnz and same_view(t.coo, want.coo)
+            assert tb.is_blocked(t, partition, kind) and tb.is_blocked(want, partition, kind)
+            for cut in (partition, tb.Partition((1,) * partition.n)):
+                assert det_outcome(t, cut, kind) == det_outcome(want, cut, kind)
+            ones = tb.new_tensor(m, partition.n, [(idx, 1.0) for idx in zeros])
+            hidden += not tb.is_blocked(ones, partition, kind)
+        assert hidden > 30, hidden
+
+    def test_order_refused_as_new_tensor_refuses_it(self):
+        for order, dim, entries, message in [(0, 2, {}, r"^order must be >= 1, got 0$"),
+                                             (True, 1, {(1,): 1.0},
+                                              r"^order must be an integer, got True$")]:
+            with pytest.raises(OrderTooSmall, match=message):
+                tb.new_tensor(order, dim, entries.items())
+            with pytest.raises(OrderTooSmall, match=message):
+                tb.Tensor(order, dim, entries)
+        for order in (True, 2.0):
+            with pytest.raises(OrderTooSmall, match=rf"^order must be an integer, got {order}$"):
+                tb.diagonal_tensor(order, [1.0])
+
+
 class TestViewOnlyStorage:
-    """A tensor built from arrays keeps only its view; its entries mapping is built on first
-    read, which none of the constructors and kernels below does."""
+    """Every tensor keeps only its view; its entries mapping is built on first read, which
+    none of the constructors, kernels and protocols below does."""
 
     @staticmethod
     def built(rng):
@@ -464,6 +520,9 @@ class TestViewOnlyStorage:
         t = tb.Tensor.from_dense(dense)
         yield t
         yield tb.new_tensor(3, 4, [((2, 1, 3), 1.5), ((1, 4, 4), 2.0), ((2, 2, 2), 0.0)])
+        yield tb.Tensor(3, 4, {(2, 1, 3): 1.5, (1, 4, 4): 2.0, (2, 2, 2): 0.0})
+        yield tb.diagonal_tensor(3, [1.0, 0.0, 2.0, 0.5])
+        yield tb.row_diagonal_from_matrix(dense[:, :, 0], 3)
         yield tensorio.loads_tensor(tensorio.dumps_tensor(t))  # the canonical reader
         yield tensorio.loads_tensor(tensorio.dumps_tensor(t).replace(", ", ","))  # the general one
         yield tb.principal_subtensor(t, [1, 3, 4])
@@ -474,11 +533,13 @@ class TestViewOnlyStorage:
         yield tb.z_split(tb.Tensor.from_dense(shift - dense)).b
         yield tb.adjacency_tensor(tb.Hypergraph.from_edge_lists(3, 4, [[1, 2, 3], [2, 3, 4]]))
         yield tb.unit_tensor(3, 4)
+        yield pickle.loads(pickle.dumps(t))
+        yield copy.deepcopy(t)
 
     def test_constructors_and_kernels_leave_the_mapping_unbuilt(self):
         rng = random.Random(442)
         for t in self.built(rng):
-            assert "entries" not in t.__dict__, t
+            assert set(t.__dict__) == {"order", "dim", "coo"}, t
             assert (t.coo.vals > 0).all()  # every kernel below runs
             tb.apply(t, [1.0] * t.dim)
             tb.spectral_radius(t)
@@ -492,6 +553,22 @@ class TestViewOnlyStorage:
             assert len(t.entries) == before and "entries" in t.__dict__  # built on first read
             assert t.entries is t.entries and t == tb.Tensor(t.order, t.dim, dict(t.entries))
 
+    def test_equality_pickle_and_deepcopy_leave_the_mapping_unbuilt(self):
+        rng = random.Random(445)
+        for t in self.built(rng):
+            doubled = core._from_arrays(t.order, t.dim, t.coo.idx, 2.0 * t.coo.vals)
+            copies = [pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t)]
+            assert all(c == t and same_view(c.coo, t.coo) for c in copies)
+            assert t != doubled and t != tb.Tensor(t.order + 1, t.dim, {})
+            for x in (t, doubled, *copies):
+                assert set(x.__dict__) == {"order", "dim", "coo"}, x
+
+    def test_entries_follow_the_view(self):
+        # rows ascending, the given order within a row
+        t = tb.Tensor(2, 3, {(3, 1): 1.0, (1, 3): 2.0, (3, 3): 0.0, (1, 1): 3.0, (2, 2): 4.0})
+        assert list(t.entries.items()) == [((1, 3), 2.0), ((1, 1), 3.0), ((2, 2), 4.0),
+                                           ((3, 1), 1.0)]
+
     def test_from_dense_retains_the_arrays_only(self):
         # 64,000 entries: 1.5 MB of indices and 0.5 MB of values; a dict of tuples beside
         # them took another 9.8 MB
@@ -503,6 +580,20 @@ class TestViewOnlyStorage:
         finally:
             tracemalloc.stop()
         assert t.nnz == 64_000 and retained < 4_000_000, retained
+
+    def test_permute_similar_retains_the_view_only(self):
+        # the swap (1 2) takes the rows out of order; the row sort's permutation (8 bytes an
+        # entry, 512,000 bytes here) is not kept beside the view
+        t = tb.Tensor.from_dense(np.random.default_rng(447).uniform(0.5, 1.0, (40, 40, 40)))
+        swap = tb.Permutation((2, 1) + tuple(range(3, 41)))
+        tracemalloc.start()
+        try:
+            p = tb.permute_similar(t, swap)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        view = p.coo.idx.nbytes + p.coo.vals.nbytes  # 2,048,000 bytes
+        assert retained < view + 64_000, (retained, view)
 
 
 class TestViewReaders:
@@ -582,8 +673,9 @@ class TestViewUsers:
         assert same_bits(t.to_dense(), arr)
 
     def test_negative_entry_reported_in_dict_order(self):
+        # the first offender in view order (rows ascending), not in the mapping's order
         t = tb.Tensor(3, 2, {(2, 1, 1): -1.0, (1, 1, 1): -2.0, (1, 2, 2): 1.0})
-        with pytest.raises(NegativeEntry, match=r"entry \(2, 1, 1\) is negative: -1.0"):
+        with pytest.raises(NegativeEntry, match=r"^entry \(1, 1, 1\) is negative: -2.0$"):
             tb.spectral_radius(t)
 
 

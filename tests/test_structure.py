@@ -1,6 +1,7 @@
 """Reducing sets, triangular normal forms, and hypergraph adjacency."""
 import itertools
 import random
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -590,12 +591,14 @@ class TestAdjacencyTensor:
         assert tb.diagonal_blocks(a, Partition((3, 3))) == [triangle, triangle]
 
     def test_entries_in_edge_then_permutation_order(self):
-        # the order the per-edge loop over itertools.permutations(sorted(edge)) gave
+        # view order: rows ascending, and within a row the order the per-edge loop over
+        # itertools.permutations(sorted(edge)) gave
         rng = random.Random(571)
         for k in (2, 3, 4):
             graph = rand_hypergraph(rng, k, [rng.randint(1, 7) for _ in range(3)], 5)
             a = tb.adjacency_tensor(graph)
-            want = [perm for edge in graph.edges for perm in itertools.permutations(sorted(edge))]
+            want = sorted((perm for edge in graph.edges
+                           for perm in itertools.permutations(sorted(edge))), key=itemgetter(0))
             assert list(a.entries) == want and all(type(i) is int for idx in want for i in idx)
             assert "coo" in a.__dict__  # handed on, not screened from the keys
 
