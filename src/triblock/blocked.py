@@ -175,7 +175,7 @@ def _inside(tensor: Tensor, partition: Partition) -> tuple[np.ndarray, np.ndarra
 def _principal_block(tensor: Tensor, inside: np.ndarray, c: int, d: int) -> Tensor:
     """The principal subtensor on (c, d], from the rows' slice of the view."""
     view = tensor.coo
-    lo, hi = view.bounds[c], view.bounds[d]
+    lo, hi = view.idx[:, 0].searchsorted([c, d])
     keep = inside[lo:hi]
     return _from_arrays(tensor.order, d - c, view.idx[lo:hi][keep] - c, view.vals[lo:hi][keep])
 

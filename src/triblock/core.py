@@ -3,12 +3,13 @@ every other module builds on: principal subtensors, permutation similarity,
 polynomial application, and the majorization / representation matrices.
 
 Storage is coordinate format: ``Tensor.coo``, read-only arrays of the
-0-based index rows and the nonzero doubles, sorted by row. An absent index
-reads as an exact structural zero, and every constructor checks its input
-at once and drops exact zeros, so "is this entry zero" questions are
-answered without tolerances. The view is all a tensor stores;
-``Tensor.entries``, a read-only mapping from index tuples to values, is
-built from it on first read.
+0-based index rows and the nonzero doubles, sorted by row and sized by the
+nonzeros alone (a row's slice is found by binary search on the rows). An
+absent index reads as an exact structural zero, and every constructor
+checks its input at once and drops exact zeros, so "is this entry zero"
+questions are answered without tolerances. The view is all a tensor
+stores; ``Tensor.entries``, a read-only mapping from index tuples to
+values, is built from it on first read.
 """
 from __future__ import annotations
 
@@ -42,12 +43,11 @@ class Coo(NamedTuple):
     """The entries as read-only arrays, stably sorted by row (given order within a row).
 
     ``idx`` holds 0-based index rows (nnz x order, int64) and ``vals`` the
-    values (float64); row i's entries sit at ``bounds[i]:bounds[i+1]``.
+    values (float64); row i's entries are where ``idx[:, 0]`` equals i.
     """
 
     idx: np.ndarray
     vals: np.ndarray
-    bounds: tuple[int, ...]
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -73,7 +73,7 @@ class Tensor:
         keys, values = entries.keys(), entries.values()
         idx, vals = _screened(order, dim, keys, values) or _refuse(order, dim, keys, values, True)
         keep = vals != 0.0
-        self.__dict__.update(order=order, dim=dim, coo=_row_sorted(idx[keep], vals[keep], dim))
+        self.__dict__.update(order=order, dim=dim, coo=_row_sorted(idx[keep], vals[keep]))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -91,16 +91,17 @@ class Tensor:
         return MappingProxyType(dict(zip(zip(*idx.T.tolist()), vals.tolist())))
 
     def get(self, index: Sequence[int]) -> float:
-        """Entry at a 1-based index tuple, zero when absent, read off the view (a key with
-        components that are not integers is looked up in ``entries``)."""
-        key = tuple(index)
-        if not all(map(_integer_type, set(map(type, key)))):
-            return self.entries.get(key, 0.0)
-        if len(key) != self.order or not all(1 <= i <= self.dim for i in key):
+        """Entry at a 1-based index tuple, zero when absent, read off the view. A component
+        equal to an integer counts as that integer, as ``1.0`` and ``True`` match ``1`` in a
+        dict; any other key reads zero."""
+        given = tuple(index)
+        try:  # int() refuses a component that is no number, nan or inf
+            key = _validated_index([int(i.real) for i in given], self.order, self.dim)
+        except (AttributeError, TypeError, ValueError, OverflowError, BadArity, IndexOutOfRange):
             return 0.0
-        lo, hi = self.coo.bounds[key[0] - 1:key[0] + 1]
+        lo, hi = self.coo.idx[:, 0].searchsorted([key[0] - 1, key[0]])
         hit = np.flatnonzero((self.coo.idx[lo:hi, 1:] == np.subtract(key[1:], 1)).all(axis=1))
-        return self.coo.vals[lo + hit[0]].item() if len(hit) else 0.0
+        return self.coo.vals[lo + hit[0]].item() if key == given and len(hit) else 0.0
 
     @property
     def nnz(self) -> int:
@@ -143,15 +144,14 @@ class Tensor:
         return f"Tensor(order={self.order}, dim={self.dim}, nnz={self.nnz})"
 
 
-def _row_sorted(idx: np.ndarray, vals: np.ndarray, dim: int) -> Coo:
+def _row_sorted(idx: np.ndarray, vals: np.ndarray) -> Coo:
     """The view of entries given as 0-based index rows and values: their stable sort by row."""
     rows = idx[:, 0]
     if not (rows[1:] >= rows[:-1]).all():
         by_row = rows.argsort(kind="stable")
         idx, vals = idx[by_row], vals[by_row]
     idx.flags.writeable = vals.flags.writeable = False
-    counts = np.bincount(idx[:, 0], minlength=dim)
-    return Coo(idx, vals, (0,) + tuple(np.cumsum(counts).tolist()))
+    return Coo(idx, vals)
 
 
 def _codes(idx: np.ndarray, dim: int) -> np.ndarray:
@@ -186,7 +186,7 @@ def _from_arrays(order: int, dim: int, idx: np.ndarray, vals: np.ndarray) -> Ten
     """A tensor whose view is the stable sort by row of 0-based index rows (int64, no index
     twice) and nonzero values (float64), which become read-only."""
     tensor = Tensor.__new__(Tensor)
-    tensor.__dict__.update(order=order, dim=dim, coo=_row_sorted(idx, vals, dim))
+    tensor.__dict__.update(order=order, dim=dim, coo=_row_sorted(idx, vals))
     return tensor
 
 
@@ -260,10 +260,7 @@ class Permutation:
         return self.image[i - 1]
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.dim
-        for i, img in enumerate(self.image, start=1):
-            inv[img - 1] = i
-        return Permutation(tuple(inv))
+        return Permutation(tuple((np.argsort(self.image) + 1).tolist()))
 
     def compose(self, other: "Permutation") -> "Permutation":
         """``self`` after ``other``: the result maps i to self(other(i))."""
@@ -364,11 +361,10 @@ def diagonal_tensor(order: int, diag: Sequence[float]) -> Tensor:
 
 def principal_subtensor(tensor: Tensor, index_set: Iterable[int]) -> Tensor:
     """Restrict to rows and columns in ``index_set``, relabelled 1..k in sorted order."""
-    members = _index_set(index_set, tensor.dim)
-    relabel = np.full(tensor.dim, -1, dtype=np.int64)
-    relabel[np.asarray(members) - 1] = np.arange(len(members))
-    view = tensor.coo
-    idx = relabel[view.idx]
+    members, view = np.asarray(_index_set(index_set, tensor.dim)) - 1, tensor.coo
+    relabel = np.full(members[-1] + 2, -1, dtype=np.int64)  # up to the largest member, then -1
+    relabel[members] = np.arange(len(members))
+    idx = relabel[np.minimum(view.idx, members[-1] + 1)]
     keep = np.ascontiguousarray(idx.T).min(axis=0) >= 0  # a min along the short axis is slow
     return _from_arrays(tensor.order, len(members), idx[keep], view.vals[keep])
 
@@ -401,10 +397,11 @@ def _complex_terms(vals: np.ndarray, feet: Iterable[np.ndarray],
     return re, im
 
 
-def _row_fsums(terms: np.ndarray, bounds: Sequence[int]) -> list[float]:
-    """math.fsum of each row's slice of a row-sorted term array."""
-    flat = terms.tolist()
-    return [math.fsum(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+def _row_fsums(rows: np.ndarray, n: int, *terms: np.ndarray) -> list[list[float]]:
+    """Per term array, math.fsum of the terms of each row 0 to n - 1, all sorted by ``rows``."""
+    starts = rows.searchsorted(np.arange(n + 1)).tolist()
+    return [[math.fsum(flat[lo:hi]) for lo, hi in zip(starts, starts[1:])]
+            for flat in map(np.ndarray.tolist, terms)]
 
 
 def apply(tensor: Tensor, x: Sequence[complex]) -> np.ndarray:
@@ -419,17 +416,15 @@ def apply(tensor: Tensor, x: Sequence[complex]) -> np.ndarray:
     xs = list(x)
     if len(xs) != tensor.dim:
         raise DimensionMismatch(f"vector has length {len(xs)}, tensor dim is {tensor.dim}")
-    view = tensor.coo
-    feet = view.idx.T[1:]
+    (idx, vals), n = tensor.coo, tensor.dim
     if any(isinstance(v, complex) for v in xs):
-        re, im = _complex_terms(view.vals, feet, np.asarray(xs, dtype=complex))
-        sums = map(complex, _row_fsums(re, view.bounds), _row_fsums(im, view.bounds))
-        return np.array(list(sums), dtype=complex)
+        re, im = _complex_terms(vals, idx.T[1:], np.asarray(xs, dtype=complex))
+        return np.array(list(map(complex, *_row_fsums(idx[:, 0], n, re, im))), dtype=complex)
     xv = np.asarray(xs, dtype=float)
-    terms = view.vals
-    for foot in feet:
+    terms = vals
+    for foot in idx.T[1:]:
         terms = terms * xv[foot]
-    return np.asarray(_row_fsums(terms, view.bounds), dtype=float)
+    return np.asarray(_row_fsums(idx[:, 0], n, terms)[0], dtype=float)
 
 
 def _equal_from(tensor: Tensor, first: int) -> np.ndarray:

@@ -28,18 +28,20 @@ _CODE_LIMIT = 1 << 63  # output codes stay below this, int64's bound
 _EXACT_LIMIT = 1 << 53  # integer sums below this are exact in float64
 
 
-def _chunks(bounds: Sequence[int], ends: Sequence[int]) -> Iterator[tuple[int, int]]:
+def _chunks(rows: np.ndarray, ends: Sequence[int]) -> Iterator[tuple[int, int]]:
     """Entry ranges of whole rows of ``a`` holding at most _CHUNK terms each.
 
-    ``ends[e]`` counts the terms of entries before e. A row whose own
-    terms exceed _CHUNK gets a range to itself.
+    ``rows`` holds the sorted rows of ``a``'s entries, ``ends[e]`` the
+    terms of entries before e. A row whose own terms exceed _CHUNK gets a
+    range to itself.
     """
+    starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist() + [len(rows)]  # stored rows
     first = 0
-    for row in range(1, len(bounds)):
-        if ends[bounds[row]] - ends[bounds[first]] > _CHUNK and row - 1 > first:
-            yield bounds[first], bounds[row - 1]
+    for row in range(1, len(starts)):
+        if ends[starts[row]] - ends[starts[first]] > _CHUNK and row - 1 > first:
+            yield starts[first], starts[row - 1]
             first = row - 1
-    yield bounds[first], bounds[-1]
+    yield starts[first], starts[-1]
 
 
 def _fsum(terms: np.ndarray) -> float:
@@ -113,25 +115,25 @@ def general_product(a: Tensor, b: Tensor) -> Tensor:
     alpha, width = np.zeros(len(bv.vals), dtype=np.int64), 1  # code of b's trailing tuple
     for column in bv.idx.T[1:]:
         alpha, width = _fold(alpha, width, column, n)
-    b_bounds, tails = np.asarray(bv.bounds), bv.idx[:, 1:]
+    b_rows, tails = bv.idx[:, 0], bv.idx[:, 1:]
     a_rows, feet = av.idx[:, 0], av.idx.T[1:]
-    counts = (b_bounds[1:] - b_bounds[:-1])[feet]  # per slot and a entry: b entries met
-    firsts = b_bounds[feet]
+    firsts = b_rows.searchsorted(feet)  # per slot and a entry: the first b entry met
+    counts = b_rows.searchsorted(feet, side="right") - firsts  # and how many
     per_entry = counts.prod(axis=0)
     ends = [0] + per_entry.cumsum().tolist()
     values = np.concatenate((av.vals, bv.vals))
     integral = bool((values == np.trunc(values)).all())
 
     rows, sums = [np.empty((0, out_order), dtype=np.int64)], [np.empty(0)]
-    # a term or a weight past the double range takes the fsum route; a nan weight (inf
-    # times an empty row's 0) belongs to an entry without terms, which ``ent`` leaves out
+    # a term or a sum of |term| past the double range takes the fsum route
     with np.errstate(over="ignore", invalid="ignore"):
-        if integral:  # per a entry, the sum of |term| over its terms
-            row_abs = np.bincount(bv.idx[:, 0], np.abs(bv.vals), n)
-            weights = np.abs(av.vals) * row_abs[feet].prod(axis=0)
-        for lo, hi in _chunks(av.bounds, ends):
+        if integral:  # per b entry, the sum of |b| over its row
+            stored = np.unique(b_rows, return_inverse=True)[1]
+            row_abs = np.bincount(stored, np.abs(bv.vals))[stored]
+        for lo, hi in _chunks(a_rows, ends):
             ent = lo + per_entry[lo:hi].nonzero()[0]  # entries meeting an empty row drop out
-            exact = integral and weights[ent].sum() < _EXACT_LIMIT  # any order is exact below it
+            exact = integral and (  # the chunk's sum of |term|, below which any order is exact
+                np.abs(av.vals[ent]) * row_abs[firsts[:, ent]].prod(axis=0)).sum() < _EXACT_LIMIT
             terms, code, top, picks = av.vals[ent], a_rows[ent], n, []
             for slot in range(m - 1):
                 if not len(ent):  # no terms, or every merged sum cancelled

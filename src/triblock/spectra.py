@@ -305,8 +305,7 @@ def _block_radii(tensor: Tensor, blocks: list, tol: float, max_iter: int, k: int
         terms = vals  # the residuals, each block's eigenvector taken as ``apply`` takes it
         for foot in columns[1:]:
             terms = terms * eig[foot]
-        bounds = np.searchsorted(columns[0], np.arange(n + 1)).tolist()
-        gaps = np.abs(np.asarray(_row_fsums(terms, bounds)) - rhos[home] * eig ** (m - 1))
+        gaps = np.abs(np.asarray(_row_fsums(columns[0], n, terms)[0]) - rhos[home] * eig ** (m - 1))
         return rhos * unit, steps, np.maximum.reduceat(gaps, starts) * unit, eig
 
 

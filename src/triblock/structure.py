@@ -41,9 +41,7 @@ def _reduces(tensor: Tensor, index_set: Iterable[int], weak: bool) -> bool:
     members = _index_set(index_set, tensor.dim)
     if len(members) == tensor.dim:
         return False  # must be proper
-    inside = np.zeros(tensor.dim, dtype=bool)
-    inside[np.asarray(members) - 1] = True
-    columns = inside[np.ascontiguousarray(tensor.coo.idx.T)]
+    columns = np.isin(np.ascontiguousarray(tensor.coo.idx.T), np.asarray(members) - 1)
     leaves = ~columns[1:].all(axis=0) if weak else ~columns[1:].any(axis=0)
     return not (columns[0] & leaves).any()
 
@@ -227,9 +225,12 @@ def _peel(tensor: Tensor) -> Iterator[frozenset[int]]:
         rows = sorted({u for v in sink for u in pred[v] if alive[u - 1] and v in succ[u]})
         if not rows:
             continue
-        entries = np.concatenate([coo.idx[coo.bounds[r - 1]:coo.bounds[r]] for r in rows])
+        at = np.array(rows)
+        lo, hi = coo.idx[:, 0].searchsorted(np.stack((at - 1, at)))  # their slices of the view
+        sizes = hi - lo
+        entries = coo.idx[np.arange(sizes.sum()) + np.repeat(hi - sizes.cumsum(), sizes)]
         kept = np.compress(np.logical_and.reduce([alive[i] for i in entries.T]), entries, axis=0)
-        for r, heads in zip(rows, _heads(_edges(kept, n), n, np.array(rows))):
+        for r, heads in zip(rows, _heads(_edges(kept, n), n, at)):
             succ[r] = heads
         for comp in {home[u] for u in rows}:
             place(_components({v: [w for w in succ[v] if w in comp] for v in comp}, comp))

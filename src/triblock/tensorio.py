@@ -50,13 +50,17 @@ _HEADER = re.compile(re.escape(_HEAD).replace("%d", "([1-9][0-9]{0,17})"))
 _NUMBER = b"0123456789.+-eE"  # the characters of JSON numbers
 
 
+def _sorted_entries(tensor: Tensor) -> tuple[list[list[int]], list[float]]:
+    """The 1-based index columns and the values of the view's entries, sorted by index."""
+    view = tensor.coo
+    by_index = np.lexsort(view.idx.T[::-1])
+    return [(column + 1).tolist() for column in view.idx[by_index].T], view.vals[by_index].tolist()
+
+
 def tensor_to_obj(tensor: Tensor) -> dict:
-    return {
-        "order": tensor.order,
-        "dim": tensor.dim,
-        "entries": [{"i": list(idx), "v": v}
-                    for idx, v in sorted(tensor.entries.items())],
-    }
+    columns, values = _sorted_entries(tensor)
+    entries = [{"i": index, "v": v} for *index, v in zip(*columns, values)]
+    return {"order": tensor.order, "dim": tensor.dim, "entries": entries}
 
 
 def _is_int(value: Any) -> bool:
@@ -120,11 +124,8 @@ def _record(order: int) -> str:
 
 def dumps_tensor(tensor: Tensor) -> str:
     """What ``dumps(tensor_to_obj(tensor))`` prints, written from the view: values as doubles."""
-    view = tensor.coo
-    by_index = np.lexsort(view.idx.T[::-1])
-    columns = [(column + 1).tolist() for column in view.idx[by_index].T]
-    entries = _JOIN.join(map(_record(tensor.order).__mod__,
-                             zip(*columns, view.vals[by_index].tolist())))
+    columns, values = _sorted_entries(tensor)
+    entries = _JOIN.join(map(_record(tensor.order).__mod__, zip(*columns, values)))
     return _DOCUMENT % (tensor.order, tensor.dim, entries)
 
 

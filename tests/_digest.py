@@ -94,12 +94,14 @@ VALUES = [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 0.5, -1.25]
 
 
 def canon(x) -> str:
-    """A text form that tells apart every output the digest compares."""
+    """A text form that tells apart every output the digest compares. A tensor's row starts
+    are derived from its view's rows, so a tree whose view stores them prints the same."""
     if isinstance(x, tb.Tensor):
         view = x.coo
         pairs = sorted((idx, v.hex()) for idx, v in x.entries.items())
+        starts = (0,) + tuple(view.idx[:, 0].searchsorted(range(1, x.dim + 1)).tolist())
         return (f"T{x.order},{x.dim},{pairs},{view.idx.tobytes().hex()},"
-                f"{view.vals.tobytes().hex()},{view.bounds}")
+                f"{view.vals.tobytes().hex()},{starts}")
     if isinstance(x, tb.SpectralResult):
         return canon([x.rho, x.eigvec, x.iterations, x.residual])
     if isinstance(x, tb.NormalForm):

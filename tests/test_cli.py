@@ -480,6 +480,50 @@ class TestProcessLevel:
         _assert_classifies_ex31([shutil.which("triblock")], fixtures_dir)
 
 
+# Run in a fresh interpreter whose address space is capped at 2 GiB: a tensor whose storage
+# grew with its dim (8 bytes a row at dim 10^9) could not be built there.
+HUGE_DIM_CHILD = """
+import contextlib, io, json, pickle, resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+import triblock as tb
+from triblock import cli, tensorio
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run([*argv, "--tensor", sys.argv[1]])
+    return code, json.loads(out.getvalue())
+
+assert run("classify", "--partition", "1,999999999", "--kind", "utb1") == (0, {"result": True})
+code, doc = run("blocks", "--partition", "1,999999999")
+assert code == 0 and doc == {"blocks": [
+    {"order": 2, "dim": 1, "entries": [{"i": [1, 1], "v": 1.0}]},
+    {"order": 2, "dim": 999999999, "entries": []}]}, doc
+with open(sys.argv[1]) as fh:
+    t = tensorio.loads_tensor(fh.read())
+assert (t.get((1, 1)), t.get((1.0, True)), t.get((2, 1)), t.get((10 ** 9, 10 ** 9))) == (
+    1.0, 1.0, 0.0, 0.0)
+assert t == tb.Tensor(2, 10 ** 9, {(1, 1): 1.0}) and t != tb.Tensor(2, 10 ** 9, {(2, 2): 1.0})
+copy = pickle.loads(pickle.dumps(t))
+assert copy == t and copy.dim == 10 ** 9
+assert tb.principal_subtensor(t, {1}) == tb.Tensor(2, 1, {(1, 1): 1.0})
+assert tb.general_product(t, t) == t
+"""
+
+
+def test_dim_1e9_document_in_a_fresh_interpreter(tmp_path):
+    pytest.importorskip("resource")
+    path = tmp_path / "huge.json"
+    path.write_text('{"order": 2, "dim": 1000000000, "entries": [{"i": [1, 1], "v": 1.0}]}')
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", HUGE_DIM_CHILD, str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _assert_classifies_ex31(command, fixtures_dir, env=None):
     proc = subprocess.run(
         [*command, "classify", "--tensor", str(fixtures_dir / "ex31.json"),

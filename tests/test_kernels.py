@@ -28,6 +28,8 @@ import random
 import time
 import tracemalloc
 import types
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -333,7 +335,7 @@ def rand_partition(rng, n):
 
 def same_view(got: Coo, want: Coo) -> bool:
     return (same_bits(got.idx, want.idx) and got.idx.shape == want.idx.shape
-            and same_bits(got.vals, want.vals) and got.bounds == want.bounds)
+            and same_bits(got.vals, want.vals))
 
 
 def same_tensor(got: tb.Tensor, want: tb.Tensor) -> bool:
@@ -537,6 +539,7 @@ class TestViewOnlyStorage:
         yield copy.deepcopy(t)
 
     def test_constructors_and_kernels_leave_the_mapping_unbuilt(self):
+        assert Coo._fields == ("idx", "vals")  # sized by the entries alone
         rng = random.Random(442)
         for t in self.built(rng):
             assert set(t.__dict__) == {"order", "dim", "coo"}, t
@@ -547,6 +550,8 @@ class TestViewOnlyStorage:
                 tb.is_blocked(t, tb.Partition((1, t.dim - 1)), BlockKind.UTB1)
                 tb.diagonal_blocks(t, tb.Partition((1, t.dim - 1)))
             tensorio.dumps_tensor(t)
+            tensorio.tensor_to_obj(t)
+            t.get((1.0,) * t.order)
             tb.verify_inverse(t, t, "left")
             assert "entries" not in t.__dict__, t
             before = t.nnz
@@ -1100,6 +1105,20 @@ class TestGet:
                 got = [t.get(key) for key in keys]
                 want = [t.entries.get(key, 0.0) for key in keys]
                 assert got == want and [type(v) for v in got] == [type(v) for v in want]
+
+    @pytest.mark.parametrize("key", [
+        (1, 2, 3), (1.0, 2, 3), (True, 2, 3), (np.float64(2.0), 1, 4), (4, 3.0, np.float32(2.0)),
+        (Fraction(3), 1, 1), (Decimal(2), 4, 4), (1 + 0j, 2, 3), (np.bool_(True), True, True),
+        (1, 2, 2.0), (1.5, 2, 3), ("1", 2, 3), (None, 2, 3), (math.nan, 2, 3), (math.inf, 2, 3),
+        (0.0, 1, 1), (5.0, 1, 1), (2.0 ** 70, 1, 1), (1.0, 2), (1.0, 2, 3, 4), ()], ids=repr)
+    def test_key_components_match_as_in_the_mapping(self, key):
+        arr = np.arange(1.0, 65.0).reshape(4, 4, 4)
+        arr[0, 1, 1] = 0.0  # (1, 2, 2) is absent
+        t = tb.Tensor.from_dense(arr)
+        got = t.get(key)
+        assert "entries" not in t.__dict__
+        want = t.entries.get(key, 0.0)
+        assert got == want and type(got) is type(want)
 
 
 class TestIndexSet:
