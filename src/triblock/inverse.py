@@ -5,7 +5,9 @@ to P applied to the unit tensor for the (then invertible) matrix P read
 off its rows; the unique left k-inverse is the unit tensor of order k
 times P^-1. Right inverses mirror this through tensors of the shape
 "unit tensor times Q": such a tensor factors entrywise into products of
-Q's row entries, which is what the recovery routine reconstructs.
+Q's row entries, which is what the recovery routine reconstructs. The
+right k-inverse of such a tensor is Q^-1 times the unit tensor of order
+k, the row-diagonal tensor with a[i, j, ..., j] = Q^-1[i, j], built directly.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from .core import (
     _equal_from,
     is_row_diagonal,
     majorization_matrix,
+    row_diagonal_from_matrix,
     tensor_from_matrix,
     unit_tensor,
 )
@@ -106,39 +109,21 @@ def recover_right_form(tensor: Tensor) -> RightFormRecovery:
         raise OrderTooSmall("right-form recovery needs order >= 2")
     m, n = tensor.order, tensor.dim
     degree = m - 1
-    q = np.zeros((n, n))
-    profile: list[tuple[int, ...]] = []
-    major, mixed = majorization_matrix(tensor), np.zeros((n, n))
-    if degree % 2 == 0:  # mixed[i, t] = a[i, anchor, t, ..., t], anchor i's first positive
-        idx = tensor.coo.idx
+    major = majorization_matrix(tensor)
+    if degree % 2 == 0 and (major < 0).any():
+        i, t = np.argwhere(major < 0)[0]  # the first in row-major order
+        raise NotRightForm(
+            f"entry ({i + 1}, {t + 1}, ...) = {major[i, t].item()} cannot be an even power")
+    # one cell at a time: NumPy's float64 power may differ from libm's pow in the last bit
+    mags = np.array([[_root_with_snap(abs(d), degree) for d in row] for row in major.tolist()])
+    if degree % 2 == 1:  # odd root: unique real solution, sign carried by the entry
+        signs = np.where(major < 0, -1, 1)
+    else:  # a[i, anchor, t, ..., t] = q[i, anchor] * q[i, t]^(m-2), anchor i's first positive
+        idx, mixed = tensor.coo.idx, np.zeros((n, n))
         hit = _equal_from(tensor, 2) & (idx[:, 1] == (major > 0).argmax(axis=1)[idx[:, 0]])
         mixed[idx[hit, 0], idx[hit, -1]] = tensor.coo.vals[hit]
-
-    for i, diag in enumerate(major.tolist(), start=1):
-        signs = [0] * n
-        if degree % 2 == 1:
-            # odd root: unique real solution, sign carried by the entry
-            for t, d in enumerate(diag):
-                mag = _root_with_snap(abs(d), degree)
-                signs[t] = 1 if d >= 0 else -1
-                q[i - 1, t] = signs[t] * mag
-        else:
-            for t, d in enumerate(diag):
-                if d < 0:
-                    raise NotRightForm(
-                        f"entry ({i}, {t + 1}, ...) = {d} cannot be an even power")
-            mags = [_root_with_snap(d, degree) for d in diag]
-            support = [t for t, v in enumerate(mags) if v > 0.0]
-            if support:
-                anchor = support[0]
-                signs[anchor] = 1
-                for t in support[1:]:
-                    # a[i, anchor, t, ..., t] = q[i, anchor] * q[i, t]^(m-2), odd power of q[i, t]
-                    signs[t] = 1 if mixed[i - 1, t] >= 0 else -1
-            for t in support:
-                q[i - 1, t] = signs[t] * mags[t]
-        profile.append(tuple(signs))
-
+        signs = np.where(major > 0, np.where(mixed < 0, -1, 1), 0)
+    q = signs * mags
     product = general_product(unit_tensor(m, n), tensor_from_matrix(q))
     idx, expected, got = _aligned(tensor, product)
     bad = np.flatnonzero(np.abs(got - expected) > VERIFY_TOL * np.maximum(1.0, np.abs(expected)))
@@ -149,11 +134,11 @@ def recover_right_form(tensor: Tensor) -> RightFormRecovery:
         raise NotRightForm(f"entry ({', '.join(map(str, (key + 1).tolist()))}) = "
                            f"{expected[bad[0]].item()} but the factorization gives {got}")
 
-    return RightFormRecovery(q, tuple(profile))
+    return RightFormRecovery(q, tuple(map(tuple, signs.tolist())))
 
 
 def right_k_inverse(tensor: Tensor, k: int) -> Tensor:
-    """A right inverse of order k for tensors of the form unit_tensor(m) * Q."""
+    """A right inverse of order k of unit_tensor(m) * Q: the row-diagonal tensor of Q^-1."""
     if k < 2:
         raise OrderTooSmall(f"right inverses need k >= 2, got {k}")
     try:
@@ -161,7 +146,7 @@ def right_k_inverse(tensor: Tensor, k: int) -> Tensor:
     except NotRightForm as exc:
         raise NotRightInvertible(str(exc)) from exc
     inv = _invert(recovery.q, "recovered factor matrix", NotRightInvertible)
-    return general_product(tensor_from_matrix(inv), unit_tensor(k, tensor.dim))
+    return row_diagonal_from_matrix(inv, k)
 
 
 def verify_inverse(candidate: Tensor, tensor: Tensor, side: str,

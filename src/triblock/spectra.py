@@ -22,7 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .blocked import BlockKind, Partition, _finest_refinement, _inside, _principal_block, is_blocked
-from .core import Tensor, _complex_terms, _equal_from, _row_fsums, apply
+# not called here, but kept a name of this module: bench/trace_layers.py wraps spectra.apply
+from .core import Tensor, _complex_terms, _equal_from, _row_fsums, apply  # noqa: F401
 from .errors import (
     BlockDetUnavailable,
     BlockSpectrumUnavailable,
@@ -409,9 +410,11 @@ def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
         raise ValueError("restarts and iters must be positive")
 
     jacobian = _oracle_jacobian(tensor)
+    (idx, vals), n = tensor.coo, tensor.dim
 
-    def objective(z: np.ndarray) -> tuple[float, np.ndarray]:
-        y = apply(tensor, list(z))
+    def objective(z: np.ndarray) -> tuple[float, np.ndarray]:  # y = apply(tensor, z)
+        re, im = _complex_terms(vals, idx.T[1:], z)
+        y = np.array(list(map(complex, *_row_fsums(idx[:, 0], n, re, im))), dtype=complex)
         return float(np.real(np.vdot(y, y))), y
 
     best_f = np.inf

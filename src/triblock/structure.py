@@ -346,8 +346,7 @@ def normal_form_3rd(tensor: Tensor) -> NormalForm:
     full = frozenset(range(1, tensor.dim + 1))
 
     def candidates(prefix: frozenset[int]) -> Iterator[frozenset[int]]:
-        rest = [(row, feet - prefix) for row, feet in pattern if row not in prefix]
-        blocks = {_closure(rest, {s}) for s in full - prefix}
+        blocks = {_closure(pattern, prefix | {s}) - prefix for s in full - prefix}
         return iter(sorted(blocks, key=lambda block: (len(block), sorted(block))))
 
     # an explicit stack: a chain can hold more blocks than Python's recursion limit

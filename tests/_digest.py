@@ -27,10 +27,14 @@ each ensemble tensor's majorization matrix and on a matrix of its own:
 small integers, Gaussians, block triangular integers (exact zeros over a
 negative determinant), singular, near the pivot floor, or scaled by a
 power of two. Its matrices keep pivots and inverses inside the double
-range. The ``product`` area records ``general_product`` of each ensemble
-tensor, as it is or scaled, by a right factor of its own: orders 1-3,
-integral or not, integral sums past 2^53 (the fsum route), and factors
-whose every term is past the double range (``ProductOutOfRange``). The
+range. It then records ``recover_right_form`` (Q and the sign profile),
+``right_k_inverse`` and ``left_k_inverse`` on a tensor unit_tensor(m) * Q
+of its own (orders 2-5, Q integral, dyadic or Gaussian, singular ones
+included) and on a copy with one or two entries changed. The ``product``
+area records ``general_product`` of each ensemble tensor, as it is or
+scaled, by a right factor of its own: orders 1-3, integral or not,
+integral sums past 2^53 (the fsum route), and factors whose every term
+is past the double range (``ProductOutOfRange``). The
 ``peel`` area records ``normal_form_2nd`` (sigma and
 partition), ``find_weakly_reducing_set`` and
 ``exists_first_type_normal_form`` on tensors of its own: non-symmetric
@@ -316,6 +320,27 @@ def inverse_matrix(rng: random.Random) -> list[list[float]]:
     return mat
 
 
+def right_forms(rng: random.Random) -> list[tb.Tensor]:
+    """unit_tensor(m) * Q for an integral, dyadic or Gaussian Q, maybe singular, and a copy
+    with 1-2 entries negated, nudged, zeroed or added, mostly not a right form."""
+    m, n = rng.randint(2, 5), rng.randint(1, 5)
+    n = min(n, 4) if m == 5 else n
+    cell = [lambda: float(rng.randint(-3, 3)), lambda: rng.choice([0.0, 0.5, -0.25, 1.5, -2.0]),
+            lambda: rng.gauss(0.0, 1.0) if rng.random() < 0.7 else 0.0][rng.randrange(3)]
+    q = [[cell() for _ in range(n)] for _ in range(n)]
+    form = tb.general_product(tb.unit_tensor(m, n), tb.tensor_from_matrix(q))
+    entries = dict(form.entries)
+    for _ in range(rng.randint(1, 2)):
+        key = tuple(rng.randint(1, n) for _ in range(m))
+        entries[key] = rng.choice([-1.0, 1.0 + 1e-9, 0.0]) * entries.get(key, 1.0)
+    return [form, shuffled(m, n, entries, rng)]
+
+
+def recovered(t: tb.Tensor) -> list:
+    recovery = tb.recover_right_form(t)
+    return [recovery.q, recovery.sign_profile]
+
+
 def area_inverse(rng, t, out):
     for mat in (tb.majorization_matrix(t), inverse_matrix(rng)):
         with warnings.catch_warnings(record=True) as caught:
@@ -323,6 +348,11 @@ def area_inverse(rng, t, out):
             out.append(outcome(linalg.invert, mat))
         out.append(canon([str(w.message) for w in caught]))
         out.append(canon(linalg.is_nonsingular(mat)))
+    k = rng.randint(2, 4)
+    for form in right_forms(rng):
+        out.append(outcome(recovered, form))
+        out.append(outcome(tb.right_k_inverse, form, k))
+        out.append(outcome(tb.left_k_inverse, form, k))
 
 
 def peel_tensors():

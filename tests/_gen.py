@@ -29,10 +29,11 @@ from triblock.errors import (
     NoConvergence,
     NormalFormUnavailable,
     NotRightForm,
+    NotRightInvertible,
     OrderTooSmall,
     SingularMatrix,
 )
-from triblock.inverse import VERIFY_TOL, _root_with_snap
+from triblock.inverse import VERIFY_TOL, _invert, _root_with_snap
 from triblock.linalg import PIVOT_RTOL, as_matrix
 from triblock.spectra import _SHIFT, _largest_row_sum
 from triblock.structure import _components, _stacked
@@ -498,6 +499,19 @@ def loop_recover_right_form(tensor: Tensor) -> RightFormRecovery:
             raise NotRightForm(f"entry ({', '.join(map(str, key))}) = {expected} "
                                f"but the factorization gives {got}")
     return RightFormRecovery(q, tuple(profile))
+
+
+def loop_right_k_inverse(tensor: Tensor, k: int) -> Tensor:
+    """``right_k_inverse`` through the product it replaced: Q^-1 times the order-k unit tensor,
+    with Q from ``loop_recover_right_form``."""
+    if k < 2:
+        raise OrderTooSmall(f"right inverses need k >= 2, got {k}")
+    try:
+        recovery = loop_recover_right_form(tensor)
+    except NotRightForm as exc:
+        raise NotRightInvertible(str(exc)) from exc
+    inv = _invert(recovery.q, "recovered factor matrix", NotRightInvertible)
+    return tb.general_product(tb.tensor_from_matrix(inv), tb.unit_tensor(k, tensor.dim))
 
 
 def loop_majorization_matrix(tensor: Tensor) -> np.ndarray:

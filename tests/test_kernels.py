@@ -40,7 +40,7 @@ from triblock import product as product_module
 from triblock import core, spectra, structure, tensorio
 from triblock.blocked import _block_ends, _forbidden
 from triblock.core import Coo
-from triblock.errors import NegativeEntry, NotRightForm, OrderTooSmall, TriblockError
+from triblock.errors import NegativeEntry, OrderTooSmall, TriblockError
 from triblock.spectra import (
     _SHIFT,
     _block_radii,
@@ -70,6 +70,7 @@ from _gen import (
     loop_normal_form_2nd,
     loop_pattern,
     loop_recover_right_form,
+    loop_right_k_inverse,
     loop_permute_similar,
     loop_principal_subtensor,
     loop_product,
@@ -603,7 +604,8 @@ class TestViewOnlyStorage:
 
 class TestViewReaders:
     """``allclose`` and ``recover_right_form`` read the views: their results and messages
-    are those of the dict loops."""
+    are those of the dict loops. ``right_k_inverse`` builds the row-diagonal tensor of Q^-1:
+    its view is that of the product it replaced."""
 
     def test_allclose(self):
         for rng, integral, density in ensemble(444, 80):
@@ -622,19 +624,27 @@ class TestViewReaders:
             assert a.allclose(a) and not a.allclose(tb.unit_tensor(order + 1, dim), math.inf)
 
     def test_recover_right_form(self):
+        """Unit-times-Q tensors with integral, dyadic or Gaussian Q, singular ones included,
+        and perturbed copies that are not right forms; the right k-inverse for k = 2-4."""
         rng = random.Random(445)
 
-        def outcome(recover, t):
+        def outcome(fn, *args):
             try:
-                got = recover(t)
-            except NotRightForm as exc:
-                return str(exc)
+                got = fn(*args)
+            except TriblockError as exc:
+                return type(exc), str(exc)
+            if isinstance(got, tb.Tensor):
+                view = got.coo
+                return got.order, got.dim, view.idx.shape, view.idx.tobytes(), view.vals.tobytes()
             return got.q.tobytes(), got.sign_profile
 
-        for _ in range(300):
-            m, n = rng.randint(2, 5), rng.randint(1, 4)
-            q = np.array([[rng.choice([0, 0, 1, -1, 2, -3, 0.5]) for _ in range(n)]
-                          for _ in range(n)], dtype=float)
+        cells = [lambda: rng.choice([0, 0, 1, -1, 2, -3, 0.5]),
+                 lambda: rng.choice([0, 0, 0.5, -0.25, 1.5, -2, 0.125]),
+                 lambda: rng.gauss(0.0, 1.0) if rng.random() < 0.7 else 0.0]
+        for trial in range(600):
+            m, n = rng.randint(2, 5), rng.randint(1, 4 if trial < 300 else 5)
+            cell = cells[0 if trial < 300 else 1 + trial % 2]
+            q = np.array([[cell() for _ in range(n)] for _ in range(n)], dtype=float)
             entries = dict(tb.general_product(tb.unit_tensor(m, n), tb.tensor_from_matrix(q))
                            .entries)
             for _ in range(rng.choice([0, 0, 1, 2])):
@@ -642,6 +652,8 @@ class TestViewReaders:
                 entries[key] = rng.choice([-1.0, 1.0 + 1e-9, 0.0]) * entries.get(key, 1.0)
             t = tb.new_tensor(m, n, list(entries.items()))
             assert outcome(tb.recover_right_form, t) == outcome(loop_recover_right_form, t)
+            for k in (2, 3, 4):
+                assert outcome(tb.right_k_inverse, t, k) == outcome(loop_right_k_inverse, t, k)
 
 
 class TestReadOnlyEntries:
