@@ -88,13 +88,12 @@ class RightFormRecovery:
 
 def _root_with_snap(value: float, degree: int) -> float:
     """Real degree-th root of a nonnegative value, snapped when exactly integral."""
-    if value == 0.0:
-        return 0.0
     root = value ** (1.0 / degree)
     nearest = round(root)
-    if nearest >= 0 and float(nearest ** degree) == value:
-        return float(nearest)
-    return root
+    try:
+        return float(nearest) if float(nearest ** degree) == value else root
+    except OverflowError:  # a power past the double range equals no finite value
+        return root
 
 
 def recover_right_form(tensor: Tensor) -> RightFormRecovery:

@@ -28,6 +28,7 @@ from .errors import (
 )
 
 _PREFIX_BUDGET = 1 << 12  # dead prefixes normal_form_3rd may hold before it gives up
+_FIRST_BATCH = 64  # small enough to stop early on reducible input, one call for blocks to dim 64
 
 
 def _check_order(tensor: Tensor) -> None:
@@ -56,48 +57,43 @@ def weakly_reduces(tensor: Tensor, index_set: Iterable[int]) -> bool:
     return _reduces(tensor, index_set, weak=True)
 
 
-def _pattern(tensor: Tensor) -> set[tuple[int, frozenset[int]]]:
-    """Each entry's row with the set of its trailing indices, 1-based, repeats dropped."""
-    return {(row[0], frozenset(row[1:])) for row in (tensor.coo.idx + 1).tolist()}
-
-
-def _closure(pattern: Iterable[tuple[int, frozenset[int]]],
-             inside: Iterable[int]) -> frozenset[int]:
-    """Least superset of ``inside`` holding ``row`` for each ``(row, feet)`` whose feet it holds.
-
-    Forward chaining: each pass drops the pairs whose row is already
-    inside and fires those whose feet all are, until none fires.
-    """
-    inside = set(inside)
+def _closures(idx: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Close each row of the boolean seeds × n matrix ``inside`` in place under the 0-based index
+    rows ``idx``, ANDing one foot column at a time (seeds × nnz) until a pass adds no row."""
+    rows, feet = idx[:, 0], idx[:, 1:].T
     while True:
-        pattern = [(row, feet) for row, feet in pattern if row not in inside]
-        fired = {row for row, feet in pattern if feet <= inside}
-        if not fired:
-            return frozenset(inside)
-        inside |= fired
+        fire = ~inside[:, rows]
+        for foot in feet:
+            fire &= inside[:, foot]
+        seeds, at = fire.nonzero()
+        if not len(seeds):
+            return inside
+        inside[seeds, rows[at]] = True
 
 
-def _reducing_set(pattern: Iterable[tuple[int, frozenset[int]]],
-                  members: frozenset[int]) -> Optional[frozenset[int]]:
-    """A strongly reducing set of the pattern's principal part on ``members``, or None.
+def _reducing_set(idx: np.ndarray, members: np.ndarray) -> Optional[frozenset[int]]:
+    """A strongly reducing set of the 0-based index rows ``idx`` on the mask ``members``, or None.
 
-    Seeds a closure from each member in turn; the complement of the first
-    closure that fails to swallow ``members`` strongly reduces. The search
-    is complete: any reducing set's complement is closed, so seeding
-    inside it must succeed.
+    Closes each member in turn as a seed; the complement of the first closure that fails
+    to swallow ``members`` strongly reduces. The search is complete: any reducing set's
+    complement is closed, so seeding inside it must succeed. Seeds go to ``_closures`` in
+    batches doubling from ``_FIRST_BATCH``: a logarithmic number of calls in all.
     """
-    inner = [(row, feet) for row, feet in pattern if row in members and feet <= members]
-    for seed in sorted(members):
-        inside = _closure(inner, {seed})
-        if inside != members:
-            return members - inside
+    inner, seeds, start = idx[members[idx].all(axis=1)], np.flatnonzero(members), 0
+    while start < len(seeds) > 1:  # a single member closes onto itself
+        batch = seeds[start:2 * start + _FIRST_BATCH]
+        inside = _closures(inner, batch[:, None] == np.arange(len(members)))
+        short = np.flatnonzero(inside.sum(axis=1) < len(seeds))
+        if len(short):
+            return frozenset((np.flatnonzero(members & ~inside[short[0]]) + 1).tolist())
+        start += len(batch)
     return None
 
 
 def find_reducing_set(tensor: Tensor) -> Optional[frozenset[int]]:
     """A strongly reducing index set, or None when the tensor is irreducible."""
     _check_order(tensor)
-    found = _reducing_set(_pattern(tensor), frozenset(range(1, tensor.dim + 1)))
+    found = _reducing_set(tensor.coo.idx, np.ones(tensor.dim, dtype=bool))
     assert found is None or strongly_reduces(tensor, found)
     return found
 
@@ -330,7 +326,7 @@ def normal_form_3rd(tensor: Tensor) -> NormalForm:
     If P is a closed prefix and B a valid next block, cl(P | {s}) = P | B
     for every s in B: P | B is closed, and B's own entries carry s to all
     of B. So the candidates after P are the sets cl(P | {s}) - P, closed
-    by construction; only irreducibility is left to test.
+    by construction and all from one ``_closures`` call; only irreducibility is left to test.
 
     Some reducible tensors have no such form (a_{122}=a_{233}=a_{312}=1:
     the only closed candidate prefix is {1} and the remainder {2,3} is
@@ -342,25 +338,26 @@ def normal_form_3rd(tensor: Tensor) -> NormalForm:
     12 or less reaches the limit.
     """
     _check_order(tensor)
-    pattern = _pattern(tensor)
-    full = frozenset(range(1, tensor.dim + 1))
+    idx = tensor.coo.idx
 
-    def candidates(prefix: frozenset[int]) -> Iterator[frozenset[int]]:
-        blocks = {_closure(pattern, prefix | {s}) - prefix for s in full - prefix}
-        return iter(sorted(blocks, key=lambda block: (len(block), sorted(block))))
+    def candidates(prefix: np.ndarray) -> Iterator[np.ndarray]:
+        inside = prefix | (np.flatnonzero(~prefix)[:, None] == np.arange(len(prefix)))
+        grown = {row.tobytes(): row for row in _closures(idx, inside)}
+        # rows sharing P compare as their blocks do: the first to hold a member ranks high
+        return map(grown.get, sorted(grown, key=lambda key: (-key.count(1), key), reverse=True))
 
     # an explicit stack: a chain can hold more blocks than Python's recursion limit
-    dead: set[frozenset[int]] = set()
-    prefixes, todo = [frozenset()], [candidates(frozenset())]
-    while prefixes[-1] != full:
-        grown = next((prefixes[-1] | block for block in todo[-1]
-                      if prefixes[-1] | block not in dead
-                      and _reducing_set(pattern, block) is None), None)
+    dead: set[bytes] = set()
+    empty = np.zeros(tensor.dim, dtype=bool)
+    prefixes, todo = [empty], [candidates(empty)]
+    while not prefixes[-1].all():
+        grown = next((grown for grown in todo[-1] if grown.tobytes() not in dead
+                      and _reducing_set(idx, grown & ~prefixes[-1]) is None), None)
         if grown is not None:
             prefixes.append(grown)
             todo.append(candidates(grown))
             continue
-        dead.add(prefixes.pop())
+        dead.add(prefixes.pop().tobytes())
         todo.pop()
         if not prefixes:
             raise NormalFormUnavailable(
@@ -370,7 +367,8 @@ def normal_form_3rd(tensor: Tensor) -> NormalForm:
             raise DimensionTooLarge(
                 f"decomposition search gave up at dim {tensor.dim} after "
                 f"{len(dead)} dead prefixes (limit {_PREFIX_BUDGET})")
-    chain = [outer - inner for inner, outer in zip(prefixes, prefixes[1:])]
+    chain = [frozenset((np.flatnonzero(outer & ~inner) + 1).tolist())
+             for inner, outer in zip(prefixes, prefixes[1:])]
     return _assemble(tensor, chain, BlockKind.UTB3, weak=False)
 
 

@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from triblock.blocked import _forbidden
 from triblock.errors import (
     BadArity,
     DimensionMismatch,
+    DimensionTooLarge,
     DuplicateIndex,
     FormatError,
     IndexOutOfRange,
@@ -36,7 +37,7 @@ from triblock.errors import (
 from triblock.inverse import VERIFY_TOL, _invert, _root_with_snap
 from triblock.linalg import PIVOT_RTOL, as_matrix
 from triblock.spectra import _SHIFT, _largest_row_sum
-from triblock.structure import _components, _stacked
+from triblock.structure import _PREFIX_BUDGET, _components, _stacked
 
 
 # ---------------------------------------------------------------- oracles
@@ -266,11 +267,6 @@ def loop_reduces(tensor: Tensor, members: frozenset[int], weak: bool) -> bool:
                    for idx in tensor.entries)
 
 
-def loop_pattern(tensor: Tensor) -> set:
-    """The (row, trailing index set) pairs of the entries, read off the dict."""
-    return {(idx[0], frozenset(idx[1:])) for idx in tensor.entries}
-
-
 def _loop_successors(idx: np.ndarray, alive: np.ndarray) -> list[set[int]]:
     """Successor sets on [1, n] of the entry digraph of the principal subtensor on the
     alive vertices (a boolean mask over [0, n)), rebuilt from every entry."""
@@ -345,6 +341,87 @@ def loop_connected_components(graph: tb.Hypergraph) -> list[frozenset[int]]:
     for v in range(1, graph.n + 1):
         groups.setdefault(find(v), set()).add(v)
     return [frozenset(g) for g in sorted(groups.values(), key=min)]
+
+
+# Strong reducibility and the third-type search ran on this pattern of (row, feet) pairs,
+# chained forward in Python, before one array closure kernel took them;
+# ``loop_find_reducing_set`` and ``loop_normal_form_3rd`` keep it as the reference.
+
+def _pattern(tensor: Tensor) -> set[tuple[int, frozenset[int]]]:
+    """Each entry's row with the set of its trailing indices, 1-based, repeats dropped."""
+    return {(row[0], frozenset(row[1:])) for row in (tensor.coo.idx + 1).tolist()}
+
+
+def _closure(pattern: Iterable[tuple[int, frozenset[int]]],
+             inside: Iterable[int]) -> frozenset[int]:
+    """Least superset of ``inside`` holding ``row`` for each ``(row, feet)`` whose feet it holds.
+
+    Forward chaining: each pass drops the pairs whose row is already
+    inside and fires those whose feet all are, until none fires.
+    """
+    inside = set(inside)
+    while True:
+        pattern = [(row, feet) for row, feet in pattern if row not in inside]
+        fired = {row for row, feet in pattern if feet <= inside}
+        if not fired:
+            return frozenset(inside)
+        inside |= fired
+
+
+def _reducing_set(pattern: Iterable[tuple[int, frozenset[int]]],
+                  members: frozenset[int]) -> Optional[frozenset[int]]:
+    """A strongly reducing set of the pattern's principal part on ``members``, or None.
+
+    Seeds a closure from each member in turn; the complement of the first
+    closure that fails to swallow ``members`` strongly reduces. The search
+    is complete: any reducing set's complement is closed, so seeding
+    inside it must succeed.
+    """
+    inner = [(row, feet) for row, feet in pattern if row in members and feet <= members]
+    for seed in sorted(members):
+        inside = _closure(inner, {seed})
+        if inside != members:
+            return members - inside
+    return None
+
+
+def loop_find_reducing_set(tensor: Tensor) -> Optional[frozenset[int]]:
+    """A strongly reducing index set, or None, by one pattern closure per seed."""
+    return _reducing_set(_pattern(tensor), frozenset(range(1, tensor.dim + 1)))
+
+
+def loop_normal_form_3rd(tensor: Tensor) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sigma image, parts) of the third-type search on the pattern, raising as it did."""
+    pattern = _pattern(tensor)
+    full = frozenset(range(1, tensor.dim + 1))
+
+    def candidates(prefix: frozenset[int]) -> Iterator[frozenset[int]]:
+        blocks = {_closure(pattern, prefix | {s}) - prefix for s in full - prefix}
+        return iter(sorted(blocks, key=lambda block: (len(block), sorted(block))))
+
+    # an explicit stack: a chain can hold more blocks than Python's recursion limit
+    dead: set[frozenset[int]] = set()
+    prefixes, todo = [frozenset()], [candidates(frozenset())]
+    while prefixes[-1] != full:
+        grown = next((prefixes[-1] | block for block in todo[-1]
+                      if prefixes[-1] | block not in dead
+                      and _reducing_set(pattern, block) is None), None)
+        if grown is not None:
+            prefixes.append(grown)
+            todo.append(candidates(grown))
+            continue
+        dead.add(prefixes.pop())
+        todo.pop()
+        if not prefixes:
+            raise NormalFormUnavailable(
+                "no permutation gives block upper triangular structure with "
+                "irreducible diagonal blocks")
+        if len(dead) > _PREFIX_BUDGET:
+            raise DimensionTooLarge(
+                f"decomposition search gave up at dim {tensor.dim} after "
+                f"{len(dead)} dead prefixes (limit {_PREFIX_BUDGET})")
+    chain = [outer - inner for inner, outer in zip(prefixes, prefixes[1:])]
+    return _stacked(chain).image, tuple(len(comp) for comp in chain)
 
 
 # The power iteration ``spectral_radius`` ran on weakly irreducible input before one batched

@@ -325,6 +325,18 @@ class TestInverses:
             "error": "NotRightInvertible",
             "detail": "recovered factor matrix: an inverse entry is beyond the double range"}
 
+    def test_right_inverse_root_power_past_the_double_range(self, capsys, tmp_path):
+        # the rounded 4th root of the largest double, raised back, overflows a float:
+        # the root is not snapped, and its product with the unit tensor is out of range
+        path = tmp_path / "a.json"
+        path.write_text('{"order": 5, "dim": 1, "entries": '
+                        '[{"i": [1, 1, 1, 1, 1], "v": 1.7976931348623157e308}]}')
+        code = cli.run(["right-inverse", "--tensor", str(path), "-k", "2"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "") and json.loads(out) == {
+            "error": "ProductOutOfRange",
+            "detail": "entry (1, 1, 1, 1, 1) of the product is beyond the double range"}
+
     def test_right_inverse_round_trip(self, capsys, tmp_path):
         q = [[2.0, 1.0], [0.0, 3.0]]
         a = tb.general_product(tb.unit_tensor(3, 2), tb.tensor_from_matrix(q))

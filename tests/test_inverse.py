@@ -16,6 +16,7 @@ from triblock.errors import (
     NotRightForm,
     NotRightInvertible,
     OrderTooSmall,
+    TriblockError,
 )
 
 from _gen import is_blocked_matrix, rand_blocked_unimodular, rand_unimodular
@@ -185,6 +186,12 @@ class TestRightKInverse:
         with pytest.raises(NotRightInvertible, match=want) as info:
             tb.right_k_inverse(tb.new_tensor(2, 1, [((1, 1), 1e-310)]), 2)
         assert "inverse entry is beyond the double range" in str(info.value.__cause__)
+
+    def test_root_power_past_the_double_range(self):
+        # float(round(root) ** 4) overflows: a domain error, not a bare OverflowError
+        a = tb.new_tensor(5, 1, [((1, 1, 1, 1, 1), 1.7976931348623157e308)])
+        with pytest.raises(TriblockError, match="beyond the double range"):
+            tb.right_k_inverse(a, 2)
 
     def test_pivot_past_the_double_range_warns_nothing(self):
         # the factorization check sums |terms| past the double range: that sum
