@@ -39,15 +39,19 @@ def _partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _positive(convert):
-    """An argparse type: ``convert`` the text, then refuse values that are not above zero."""
+def _checked(convert, test, word: str):
+    """An argparse type: ``convert`` the text, then refuse values that fail ``test``."""
     def parse(text: str):
         value = convert(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {word}, got {text!r}")
         return value
     parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
     return parse
+
+
+def _positive(convert):
+    return _checked(convert, lambda value: value > 0, "positive")
 
 
 def _read_tensor(path: str) -> Tensor:
@@ -102,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_tensor_flag(p)
     p.add_argument("--restarts", type=_positive(int), default=64)
     p.add_argument("--iters", type=_positive(int), default=200)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_checked(int, lambda value: value >= 0, "nonnegative"),
+                   default=7)
 
     for name, text in (("left-inverse", "unique left k-inverse"),
                        ("right-inverse", "canonical right k-inverse")):

@@ -78,6 +78,10 @@ class Tensor:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
+        mine, theirs = self.coo, other.coo  # equal views, as of a copy, need no alignment
+        if ((self.order, self.dim) == (other.order, other.dim)
+                and np.array_equal(mine.idx, theirs.idx) and np.array_equal(mine.vals, theirs.vals)):
+            return True
         return self.allclose(other, 0.0)
 
     def __reduce__(self):
@@ -381,7 +385,8 @@ def permute_similar(tensor: Tensor, sigma: Permutation) -> Tensor:
 
 def _complex_terms(vals: np.ndarray, feet: Iterable[np.ndarray],
                    z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of vals * z[f1] * z[f2] * ..., multiplied left to right.
+    """Real and imaginary parts of vals * z[f1] * z[f2] * ..., multiplied left to right,
+    for a vector z or each vector along the last axis of a stack.
 
     Each step is CPython's complex product (ar*br - ai*bi, ar*bi + ai*br);
     NumPy's complex multiply can differ from it in the last bit. Real
@@ -392,7 +397,7 @@ def _complex_terms(vals: np.ndarray, feet: Iterable[np.ndarray],
     zr, zi = z.real, z.imag
     re, im = vals, np.zeros(len(vals))
     for foot in feet:
-        br, bi = zr[foot], zi[foot]
+        br, bi = zr[..., foot], zi[..., foot]
         re, im = re * br - im * bi, re * bi + im * br
     return re, im
 

@@ -22,8 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .blocked import BlockKind, Partition, _finest_refinement, _inside, _principal_block, is_blocked
-# not called here, but kept a name of this module: bench/trace_layers.py wraps spectra.apply
-from .core import Tensor, _complex_terms, _equal_from, _row_fsums, apply  # noqa: F401
+from .core import Tensor, _complex_terms, _equal_from, _row_fsums, apply
 from .errors import (
     BlockDetUnavailable,
     BlockSpectrumUnavailable,
@@ -41,6 +40,12 @@ from .errors import (
 from .structure import _peel
 
 _ORACLE_GUARD = 6
+_ORACLE_BLOCK = 64  # restarts run in lockstep at once, so memory does not grow with restarts
+_ORACLE_TERMS = 1 << 15  # terms per chunk of the objective and the Jacobian, bounding their arrays
+# the gradient steps 2^-1 .. 2^-56 (the last above 1e-17) in batches that double: the first
+# four are tried beside each Newton move, then 5-8, 9-16, 17-32 and 33-56, each only where
+# no step before it lowers f
+_FIRST_HALVINGS, *_LATER_HALVINGS = np.split(np.ldexp(1.0, -np.arange(1, 57)), [4, 8, 16, 32])
 
 # kinds whose diagonal blocks determine determinant and spectrum
 _SUPPORTED = (BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2, BlockKind.DIAG)
@@ -359,13 +364,49 @@ class OracleReport:
     restarts_used: int
 
 
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _norms(w: np.ndarray) -> np.ndarray:
+    """The 2-norm of each vector along the last axis."""
+    return np.sqrt((w.real ** 2 + w.imag ** 2).sum(axis=-1))
+
+
+def _adjoint_times(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M^H v for each (n, n) matrix of a stack and the n-vector beside it."""
+    mr, mi, vr, vi = m.real, m.imag, v.real[:, :, None], v.imag[:, :, None]
+    return _complex((mr * vr + mi * vi).sum(axis=1), (mr * vi - mi * vr).sum(axis=1))
+
+
+def _min_norm_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The least-norm least-squares solution of each system of a stack, through its SVD.
+    Singular values at or below eps * n * s_max count as zero, as in lstsq(rcond=None)."""
+    u, s, vh = np.linalg.svd(jac)
+    keep = s > np.finfo(float).eps * jac.shape[-1] * s[:, :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    return _adjoint_times(vh, _adjoint_times(u, rhs) * inv)
+
+
+def _row_chunks(count: int, terms: int) -> list[slice]:
+    """Slices of a stack of ``count`` rows, each of ``terms`` terms, that hold at most
+    ``_ORACLE_TERMS`` terms (and at least one row) each."""
+    step = max(1, _ORACLE_TERMS // max(terms, 1))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
 def _oracle_jacobian(tensor: Tensor) -> Callable[[np.ndarray], np.ndarray]:
-    """The complex Jacobian of x -> apply(tensor, x), as a function of x.
+    """The complex Jacobians of x -> apply(tensor, x) at the rows of an (R, n) stack, as an
+    (R, n, n) stack.
 
     The partial of entry a[i, f_1..f_{m-1}] at position p is a times the
     other x[f_s], multiplied left to right; the partials are added into
-    jac[i, f_p] entry by entry, then position by position. The index
-    arrays depend only on the tensor, so they are built once here.
+    jac[i, f_p] entry by entry, then position by position (``np.bincount``
+    adds its weights in order), so a slice does not depend on the rows
+    beside it. The index arrays depend only on the tensor, so they are
+    built once here; rows go ``_ORACLE_TERMS`` partials at a time.
     """
     n, m = tensor.dim, tensor.order
     view = tensor.coo
@@ -373,16 +414,105 @@ def _oracle_jacobian(tensor: Tensor) -> Callable[[np.ndarray], np.ndarray]:
     others = [[s for s in range(m - 1) if s != p] for p in range(m - 1)]
     vals = np.repeat(view.vals, m - 1)  # one per (entry, position)
     other_feet = feet[:, others].reshape(len(vals), m - 2).T
-    cells = (np.repeat(view.idx[:, 0], m - 1), feet.ravel())
+    cells = np.repeat(view.idx[:, 0], m - 1) * n + feet.ravel()
 
     def jacobian(z: np.ndarray) -> np.ndarray:
-        partials = np.empty(len(vals), dtype=complex)
-        partials.real, partials.imag = _complex_terms(vals, other_feet, z)
-        jac = np.zeros((n, n), dtype=complex)
-        np.add.at(jac, cells, partials)
+        jac = np.empty((len(z), n, n), dtype=complex)
+        for rows in _row_chunks(len(z), len(vals)):
+            part = z[rows]
+            shape, size = (len(part), len(vals)), len(part) * n * n
+            codes = np.add.outer(np.arange(0, size, n * n), cells).ravel()
+            re, im = (np.broadcast_to(t, shape).ravel()  # order 2 has no other feet
+                      for t in _complex_terms(vals, other_feet, part))
+            jac[rows] = _complex(np.bincount(codes, re, size),
+                                 np.bincount(codes, im, size)).reshape(-1, n, n)
         return jac
 
     return jacobian
+
+
+def _oracle_objective(tensor: Tensor) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """f = ||y||^2 and y = apply(tensor, x) at the rows of a (K, n) stack. Each distinct
+    product x[f1] * x[f2] * ... is formed once, left to right (entries of a dense tensor
+    share them: a dim-4 order-3 one has 16 for its 64 entries); a term is its value times
+    that product, and a component sums its row's run of terms in the view plainly with
+    ``np.add.reduceat``. Rows go ``_ORACLE_TERMS`` terms at a time, which bounds the arrays
+    of a long line search."""
+    (idx, vals), n = tensor.coo, tensor.dim
+    feet, which = np.unique(idx[:, 1:], axis=0, return_inverse=True)
+    feet, which, ones = feet.T, which.reshape(-1), np.ones(len(feet))
+    rows, starts = np.unique(idx[:, 0], return_index=True)
+
+    def objective(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = np.zeros(z.shape, dtype=complex)
+        for chunk in _row_chunks(len(z), len(vals)):
+            re, im = _complex_terms(ones, feet, z[chunk])
+            y.real[chunk, rows] = np.add.reduceat(vals * re[:, which], starts, axis=1)
+            y.imag[chunk, rows] = np.add.reduceat(vals * im[:, which], starts, axis=1)
+        return (y.real ** 2 + y.imag ** 2).sum(axis=1), y
+
+    return objective
+
+
+def _descend(objective, trials: np.ndarray, allowed, z: np.ndarray, f: np.ndarray,
+             y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Move each of ``rows`` of z to the first of its trials (a (rows, k, n) stack), scaled
+    to unit length, that lowers f and that ``allowed`` (a (rows, k) mask, or True) lets it
+    take; f and y follow. Return which rows moved."""
+    norm = _norms(trials)
+    unit = trials * (1.0 / np.where(norm > 0, norm, 1.0))[..., None]
+    f_t, y_t = objective(unit.reshape(-1, z.shape[1]))
+    f_t = f_t.reshape(norm.shape)
+    lower = (norm > 0) & (f_t < f[rows, None]) & allowed
+    k = lower.argmax(axis=1)  # the first trial that lowers f
+    hit = lower[np.arange(len(rows)), k]
+    pick = np.flatnonzero(hit), k[hit]
+    z[rows[hit]], f[rows[hit]], y[rows[hit]] = unit[pick], f_t[pick], y_t.reshape(unit.shape)[pick]
+    return hit
+
+
+def _oracle_block(jacobian, objective, z: np.ndarray, iters: int) -> np.ndarray:
+    """The last point of the restart from each row of z, every restart run in lockstep.
+
+    Each step tries, for every live restart at once, the Gauss-Newton move
+    (solve J d = -y in least squares) beside ``_FIRST_HALVINGS`` of the
+    gradient step, and keeps the Newton move if it lowers f, else the first
+    of those halvings that does; where none does, the batches of
+    ``_LATER_HALVINGS`` follow, each for the restarts that no batch before
+    it moved. A restart stops when no move lowers f, or when the Newton
+    move does not and its gradient is below 1e-14, and then leaves the
+    live rows. A restart's path does not depend on the rows beside it: a
+    sum over a vector's components adds at most ``_ORACLE_GUARD`` < 8
+    numbers, which NumPy adds in order; the objective's ``np.add.reduceat``
+    and the Jacobian's ``np.bincount`` sum each row's terms on their own;
+    and the SVD works matrix by matrix.
+    """
+    last, live = z.copy(), np.arange(len(z))
+    f, y = objective(z)  # y is always the image of the current z
+    for _ in range(iters):
+        jac = jacobian(z)
+        # real-coordinate gradient of ||y||^2, packed back into a complex vector
+        grad = _adjoint_times(jac, y + y)
+        flat = _norms(grad) < 1e-14
+        trials = np.concatenate(((z + _min_norm_solve(jac, -y))[:, None],
+                                 z[:, None] - _FIRST_HALVINGS[:, None] * grad[:, None]), axis=1)
+        allowed = np.ones(trials.shape[:2], dtype=bool)
+        allowed[flat, 1:] = False  # a flat gradient leaves only the Newton move
+        moved = _descend(objective, trials, allowed, z, f, y, np.arange(len(z)))
+        rest = np.flatnonzero(~moved & ~flat)
+        for steps in _LATER_HALVINGS:
+            if not len(rest):
+                break
+            trials = z[rest, None] - steps[:, None] * grad[rest, None]
+            moved[rest] = _descend(objective, trials, True, z, f, y, rest)
+            rest = rest[~moved[rest]]
+        if not moved.all():
+            last[live[~moved]] = z[~moved]
+            z, f, y, live = z[moved], f[moved], y[moved], live[moved]
+            if not len(live):
+                break
+    last[live] = z
+    return last
 
 
 def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
@@ -393,13 +523,16 @@ def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
     projective zero (vanishing determinant); a minimum bounded away from
     zero certifies, numerically, that none exists. Each restart draws
     its own start from seed + restart index, so runs are reproducible
-    and independent of scheduling.
+    and independent of scheduling: the report is the first least of the
+    one-restart runs with seeds seed, ..., seed + restarts - 1, and
+    ``min_norm`` is ||apply(tensor, witness)||.
 
     Each iteration first tries a Gauss-Newton move (solve J d = -y in
     least squares); plain descent on ||A x||^2 flattens out quartically
     near a zero, while the Newton step keeps converging geometrically.
     Moves are only ever accepted when they lower the objective, so the
-    gradient line search below remains the fallback everywhere else.
+    gradient line search remains the fallback everywhere else. Restarts
+    run in lockstep, ``_ORACLE_BLOCK`` at a time (see ``_oracle_block``).
     """
     if tensor.order < 2:
         raise OrderTooSmall("the singularity probe needs order >= 2")
@@ -408,49 +541,22 @@ def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
             f"the probe is capped at dim {_ORACLE_GUARD}, got {tensor.dim}")
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
 
-    jacobian = _oracle_jacobian(tensor)
-    (idx, vals), n = tensor.coo, tensor.dim
+    jacobian, objective, n = _oracle_jacobian(tensor), _oracle_objective(tensor), tensor.dim
 
-    def objective(z: np.ndarray) -> tuple[float, np.ndarray]:  # y = apply(tensor, z)
-        re, im = _complex_terms(vals, idx.T[1:], z)
-        y = np.array(list(map(complex, *_row_fsums(idx[:, 0], n, re, im))), dtype=complex)
-        return float(np.real(np.vdot(y, y))), y
-
-    best_f = np.inf
-    best_z: Optional[np.ndarray] = None
-    for r in range(restarts):
+    def start(r: int) -> np.ndarray:
         rng = np.random.default_rng(seed + r)
-        z = rng.standard_normal(tensor.dim) + 1j * rng.standard_normal(tensor.dim)
-        z = z / np.linalg.norm(z)
-        f, y = objective(z)  # y is always the image of the current z
-        for _ in range(iters):
-            jac = jacobian(z)
-            delta = np.linalg.lstsq(jac, -y, rcond=None)[0]
-            norm = np.linalg.norm(z + delta)
-            if norm > 0:
-                trial = (z + delta) / norm
-                f_trial, y_trial = objective(trial)
-                if f_trial < f:
-                    z, f, y = trial, f_trial, y_trial
-                    continue
-            # real-coordinate gradient of ||y||^2, packed back into a complex vector
-            grad = 2.0 * np.conj(jac.T @ np.conj(y))
-            if np.linalg.norm(grad) < 1e-14:
-                break
-            for k in range(1, 57):  # steps 2^-1 down to 2^-56, the last above 1e-17
-                trial = z - 2.0 ** -k * grad
-                norm = np.linalg.norm(trial)
-                if norm > 0:
-                    trial = trial / norm
-                    f_trial, y_trial = objective(trial)
-                    if f_trial < f:
-                        z, f, y = trial, f_trial, y_trial
-                        break
-            else:
-                break
-        if f < best_f:
-            best_f, best_z = f, z
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return z / np.linalg.norm(z)
 
-    assert best_z is not None
-    return OracleReport(float(np.sqrt(max(best_f, 0.0))), best_z, restarts)
+    best, witness = math.inf, None
+    for lo in range(0, restarts, _ORACLE_BLOCK):
+        starts = np.array([start(r) for r in range(lo, min(lo + _ORACLE_BLOCK, restarts))])
+        for z in _oracle_block(jacobian, objective, starts, iters):
+            norm = float(np.linalg.norm(apply(tensor, z)))
+            score = math.inf if math.isnan(norm) else norm  # the first least; nan never wins
+            if witness is None or score < best:
+                best, min_norm, witness = score, norm, z
+    return OracleReport(min_norm, witness, restarts)

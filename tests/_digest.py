@@ -63,6 +63,14 @@ of the entry digraph goes both ways. None of ``radius``, ``wire``,
 ``inverse``, ``product``, ``peel``, ``refinement_wide``,
 ``radius_blocks``, ``wire_text`` and ``components`` draws from the
 ensemble's random stream, so adding them moved no other area's line.
+
+The singularity probe has an area of its own too, ``oracle``: it records
+``singularity_oracle`` (``min_norm``, witness and ``restarts_used``) with
+1-3 restarts, 5-60 iterations and a seed of its own on tensors of its
+own (orders 2-4, dims 1-7, dense, sparse or diagonal, and a zero tensor;
+dim 7 is past the probe's cap), then the ``oracle`` verb on
+``fixtures/``, which ``cli_fixtures`` leaves out. A change to the
+probe's arithmetic shows there and nowhere else.
 """
 from __future__ import annotations
 
@@ -94,6 +102,8 @@ WIDE_SEED = 20163
 WIDE_TRIALS = 60
 COMPONENTS_SEED = 20164
 COMPONENTS_TRIALS = 120
+ORACLE_SEED = 20165
+ORACLE_TRIALS = 40
 VALUES = [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 0.5, -1.25]
 
 
@@ -462,14 +472,43 @@ def area_components(graph, t) -> str:
     return "\n".join([canon(tb.connected_components(graph)), nf, outcome(tb.spectral_radius, t)])
 
 
+def oracle_cases():
+    """(tensor, restarts, iters, seed) for the ``oracle`` area, as the docstring describes."""
+    rng = random.Random(ORACLE_SEED)
+    yield tb.Tensor(3, 3, {}), 2, 20, 0
+    for _ in range(ORACLE_TRIALS):
+        order, dim = rng.randint(2, 4), rng.randint(1, 7)
+        pattern = rng.choice(["dense", "sparse", "diagonal"])
+        if pattern == "diagonal":
+            entries = {(i,) * order: rng.choice(VALUES) for i in range(1, dim + 1)}
+        else:
+            density = 1.0 if pattern == "dense" else 0.2
+            entries = {idx: rng.choice(VALUES)
+                       for idx in itertools.product(range(1, dim + 1), repeat=order)
+                       if rng.random() < density}
+        t = shuffled(order, dim, entries, rng)
+        yield t, rng.randint(1, 3), rng.choice([5, 20, 60]), rng.randint(0, 99)
+
+
+def area_oracle(t, restarts, iters, seed) -> str:
+    def probe():
+        report = tb.singularity_oracle(t, restarts=restarts, iters=iters, seed=seed)
+        return [report.min_norm, report.witness, report.restarts_used]
+    return outcome(probe)
+
+
 RADIUS_VERBS = {"rho", "mtensor", "hypergraph-rho"}
 
 
-def cli_digest(radius: bool) -> str:
-    """The runs of the radius verbs, or of all the others."""
-    h = hashlib.sha256()
+def cli_area(verb: str) -> str:
+    return "cli_radius" if verb in RADIUS_VERBS else "oracle" if verb == "oracle" else "cli_fixtures"
+
+
+def cli_digest(area: str, h=None) -> str:
+    """The runs of the verbs of one area (``cli_area``), added to ``h`` if given."""
+    h = h or hashlib.sha256()
     for argv in cli_runs():
-        if (argv[0] in RADIUS_VERBS) != radius:
+        if cli_area(argv[0]) != area:
             continue
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
@@ -521,8 +560,12 @@ def main() -> None:
         hashes["components"].update((area_components(graph, t) + "\n").encode())
     for name, h in hashes.items():
         print(name, h.hexdigest())
-    print("cli_fixtures", cli_digest(radius=False))
-    print("cli_radius", cli_digest(radius=True))
+    print("cli_fixtures", cli_digest("cli_fixtures"))
+    print("cli_radius", cli_digest("cli_radius"))
+    oracle = hashlib.sha256()
+    for case in oracle_cases():
+        oracle.update((area_oracle(*case) + "\n").encode())
+    print("oracle", cli_digest("oracle", oracle))
 
 
 if __name__ == "__main__":

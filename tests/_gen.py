@@ -20,6 +20,7 @@ import numpy as np
 import triblock as tb
 from triblock import BlockKind, Partition, RightFormRecovery, SpectralResult, Tensor, apply
 from triblock.blocked import _forbidden
+from triblock.core import _complex_terms, _row_fsums
 from triblock.errors import (
     BadArity,
     DimensionMismatch,
@@ -491,6 +492,56 @@ def loop_spectral_radius(tensor: Tensor, tol: float = 1e-10,
     best = max(results, key=lambda r: r.rho)  # the first maximum
     return tb.SpectralResult(best.rho, None, sum(r.iterations for r in results), best.residual)
 
+
+
+def loop_singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
+                            seed: int = 7) -> tb.OracleReport:
+    """``singularity_oracle`` as it ran each restart alone: one ``lstsq``, objective
+    (summed with ``math.fsum``) and line-search halving at a time, the first least f winning."""
+    (idx, vals), n = tensor.coo, tensor.dim
+
+    def objective(z: np.ndarray) -> tuple[float, np.ndarray]:  # y = apply(tensor, z)
+        re, im = _complex_terms(vals, idx.T[1:], z)
+        y = np.array(list(map(complex, *_row_fsums(idx[:, 0], n, re, im))), dtype=complex)
+        return float(np.real(np.vdot(y, y))), y
+
+    best_f = np.inf
+    best_z: Optional[np.ndarray] = None
+    for r in range(restarts):
+        rng = np.random.default_rng(seed + r)
+        z = rng.standard_normal(tensor.dim) + 1j * rng.standard_normal(tensor.dim)
+        z = z / np.linalg.norm(z)
+        f, y = objective(z)  # y is always the image of the current z
+        for _ in range(iters):
+            jac = loop_jacobian(tensor, z)
+            delta = np.linalg.lstsq(jac, -y, rcond=None)[0]
+            norm = np.linalg.norm(z + delta)
+            if norm > 0:
+                trial = (z + delta) / norm
+                f_trial, y_trial = objective(trial)
+                if f_trial < f:
+                    z, f, y = trial, f_trial, y_trial
+                    continue
+            # real-coordinate gradient of ||y||^2, packed back into a complex vector
+            grad = 2.0 * np.conj(jac.T @ np.conj(y))
+            if np.linalg.norm(grad) < 1e-14:
+                break
+            for k in range(1, 57):  # steps 2^-1 down to 2^-56, the last above 1e-17
+                trial = z - 2.0 ** -k * grad
+                norm = np.linalg.norm(trial)
+                if norm > 0:
+                    trial = trial / norm
+                    f_trial, y_trial = objective(trial)
+                    if f_trial < f:
+                        z, f, y = trial, f_trial, y_trial
+                        break
+            else:
+                break
+        if f < best_f:
+            best_f, best_z = f, z
+
+    assert best_z is not None
+    return tb.OracleReport(float(np.sqrt(max(best_f, 0.0))), best_z, restarts)
 
 def loop_first_type(tensor: Tensor):
     """The first-type witness with one fresh sink search per component."""

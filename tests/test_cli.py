@@ -280,6 +280,17 @@ class TestOracle:
         captured = capsys.readouterr()
         assert captured.out == "" and "must be positive" in captured.err
 
+    @pytest.mark.parametrize("value", ["-1", "-7"])
+    def test_negative_seed_is_a_usage_error(self, capsys, ex31_path, value):
+        assert cli.run(["oracle", "--tensor", ex31_path, "--seed", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"--seed: must be nonnegative, got '{value}'" in captured.err
+
+    def test_seed_zero_runs(self, capsys, ex31_path):
+        code, doc = run_cli(capsys, "oracle", "--tensor", ex31_path, "--seed", "0",
+                            "--restarts", "2", "--iters", "5")
+        assert code == 0 and doc["restarts_used"] == 2
+
     def test_deterministic_bytes(self, capsys, tmp_path):
         path = write_tensor(tmp_path, "a.json", tb.unit_tensor(3, 2))
         cli.run(["oracle", "--tensor", path, "--restarts", "4"])

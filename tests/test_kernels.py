@@ -309,11 +309,18 @@ class TestGeneralProduct:
 
 class TestOracleJacobian:
     def test_matches_loop(self):
+        # every slice of the stacked Jacobians is the per-entry loop's, whatever the stack
         for rng, integral, density in ensemble(406, 40):
             order, dim = rng.randint(2, 4), rng.randint(1, 6)
             t = rand_tensor(rng, order, dim, density, integral)
-            z = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim)])
-            assert same_bits(_oracle_jacobian(t)(z), loop_jacobian(t, z))
+            zs = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim)]
+                           for _ in range(rng.randint(1, 5))])
+            jac = _oracle_jacobian(t)
+            stacked = jac(zs)
+            assert stacked.shape == (len(zs), dim, dim)
+            for z, slice_ in zip(zs, stacked):
+                assert same_bits(slice_, loop_jacobian(t, z))
+                assert same_bits(jac(z[None])[0], slice_)
 
 
 def structured(seed, trials):
@@ -571,6 +578,23 @@ class TestViewOnlyStorage:
             assert t != doubled and t != tb.Tensor(t.order + 1, t.dim, {})
             for x in (t, doubled, *copies):
                 assert set(x.__dict__) == {"order", "dim", "coo"}, x
+
+    def test_equal_views_compare_equal(self, monkeypatch):
+        # a copy or a pickled tensor has the same view and skips the alignment; a tensor
+        # whose rows list their entries in another order aligns and compares equal too
+        t = tb.Tensor(3, 3, {(2, 1, 3): 1.5, (1, 2, 2): -2.0, (2, 3, 3): 4.0, (3, 1, 1): 0.5})
+        swapped = tb.Tensor(3, 3, {(1, 2, 2): -2.0, (2, 3, 3): 4.0, (2, 1, 3): 1.5,
+                                   (3, 1, 1): 0.5})
+        assert not same_view(swapped.coo, t.coo)
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_aligned", None)
+            for other in (t, copy.copy(t), pickle.loads(pickle.dumps(t))):
+                assert other == t and t == other
+        assert swapped == t and t == swapped
+        changed = tb.Tensor(3, 3, {(2, 1, 3): 1.5, (1, 2, 2): -2.0, (2, 3, 3): 4.0,
+                                   (3, 1, 1): 0.25})
+        assert t != changed and t != tb.Tensor(3, 4, dict(t.entries))
+        assert t != tb.Tensor(2, 3, {(1, 1): 1.0}) and tb.Tensor(3, 3, {}) == tb.Tensor(3, 3, {})
 
     def test_entries_follow_the_view(self):
         # rows ascending, the given order within a row

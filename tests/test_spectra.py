@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from _gen import (
     _power_iteration,
     brute_finest_refinement,
     loop_finest_refinement,
+    loop_singularity_oracle,
     rand_blocked,
     rand_irreducible_nonneg,
     rand_permutation,
@@ -726,3 +728,87 @@ class TestSingularityOracle:
             tb.singularity_oracle(tb.unit_tensor(3, 2), restarts=0)
         with pytest.raises(OrderTooSmall):
             tb.singularity_oracle(tb.new_tensor(1, 2, [((1,), 1.0)]))
+
+    def test_negative_seed_is_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_oracle_block", None)
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            tb.singularity_oracle(tb.unit_tensor(3, 2), seed=-1)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_restarts_are_independent(self, seed):
+        # 70 restarts span two lockstep blocks; each restart's path and the pick of the
+        # first least are those of one-restart runs, bit for bit
+        rng = np.random.default_rng(seed)
+        tensors = [tb.Tensor.from_dense(rng.uniform(-1.0, 1.0, (3, 3, 3))),
+                   tb.diagonal_tensor(3, [1.0, 0.0, 2.0]),
+                   tb.Tensor.from_dense(rng.uniform(-1.0, 1.0, (4, 4, 4, 4)))]
+        for t in tensors:
+            report = tb.singularity_oracle(t, restarts=70, iters=12, seed=seed)
+            singles = [tb.singularity_oracle(t, restarts=1, iters=12, seed=seed + r)
+                       for r in range(70)]
+            first = min(singles, key=lambda r: r.min_norm)
+            assert report.min_norm == first.min_norm and report.restarts_used == 70
+            assert report.witness.tobytes() == first.witness.tobytes()
+
+    def test_memory_stays_within_one_block(self):
+        t = tb.Tensor.from_dense(np.random.default_rng(3).uniform(-1.0, 1.0, (5, 5, 5, 5)))
+        peaks = []
+        for restarts in (spectra._ORACLE_BLOCK, 4 * spectra._ORACLE_BLOCK):
+            tracemalloc.start()
+            try:
+                tb.singularity_oracle(t, restarts=restarts, iters=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
+
+    def test_memory_of_a_block_on_a_high_order_tensor(self):
+        # a block of 64 restarts on a dense order-5 dim-6 tensor (7,776 entries, 31,104
+        # Jacobian partials a restart) keeps its arrays in chunks, so its peak stays near
+        # that of one restart run alone; all 64 rows at once would take about 140 MB
+        t = tb.Tensor.from_dense(np.random.default_rng(5).uniform(-1.0, 1.0, (6,) * 5))
+        peaks = []
+        for probe in (lambda: loop_singularity_oracle(t, restarts=1, iters=1),
+                      lambda: tb.singularity_oracle(t, restarts=spectra._ORACLE_BLOCK, iters=1)):
+            tracemalloc.start()
+            try:
+                probe()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 4 * peaks[0], peaks
+
+    def test_contract_on_an_ensemble(self):
+        # the witness is a unit vector and min_norm is the exactly summed norm of its image
+        rng = random.Random(692)
+        tensors = [tb.Tensor(3, 4, {}), tb.Tensor(2, 1, {})]
+        for _ in range(36):
+            order, dim = rng.randint(2, 4), rng.randint(1, 6)
+            pattern = rng.choice(["dense", "sparse", "diagonal"])
+            if pattern == "diagonal":
+                entries = {(i,) * order: rng.choice([-2.0, -0.5, 0.0, 1.0, 3.0])
+                           for i in range(1, dim + 1)}
+            else:
+                keep = 1.0 if pattern == "dense" else 0.2
+                entries = {idx: rng.uniform(-2.0, 2.0)
+                           for idx in itertools.product(range(1, dim + 1), repeat=order)
+                           if rng.random() < keep}
+            tensors.append(tb.Tensor(order, dim, entries))
+        for t in tensors:
+            report = tb.singularity_oracle(t, restarts=3, iters=25, seed=rng.randrange(100))
+            assert abs(np.linalg.norm(report.witness) - 1.0) <= 1e-12
+            assert report.min_norm == float(np.linalg.norm(tb.apply(t, report.witness)))
+            if t.is_zero():
+                assert report.min_norm == 0.0
+
+    def test_diagonal_floor_and_the_restart_loop(self):
+        # on a nonsingular order-3 diagonal tensor the minimum (sum d_i^-2)^(-1/2) is unique,
+        # so the lockstep run and the one-restart-at-a-time loop reach it alike
+        rng = random.Random(693)
+        for trial in range(12):
+            d = [rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) for _ in range(rng.randint(1, 6))]
+            t = tb.diagonal_tensor(3, d)
+            report = tb.singularity_oracle(t, restarts=4, iters=60, seed=trial)
+            assert report.min_norm == pytest.approx(sum(v ** -2 for v in d) ** -0.5, abs=1e-9)
+            loop = loop_singularity_oracle(t, restarts=4, iters=60, seed=trial)
+            assert report.min_norm == pytest.approx(loop.min_norm, abs=1e-9)
