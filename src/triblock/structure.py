@@ -110,16 +110,11 @@ def _edges(idx: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate((codes[:1], codes[1:][codes[1:] != codes[:-1]]))
 
 
-def _heads(edges: np.ndarray, n: int, rows: np.ndarray) -> list[list[int]]:
-    """The heads of sorted edge codes out of each of ``rows`` (ascending, 1-based)."""
-    starts, ends = np.searchsorted(edges, np.stack((rows - 1, rows)) * n).tolist()
-    heads = (edges % n + 1).tolist()
-    return [heads[lo:hi] for lo, hi in zip(starts, ends)]
-
-
 def _successors(edges: np.ndarray, n: int) -> list[list[int]]:
     """Successor lists on [1, n] (slot 0 unused) of sorted edge codes."""
-    return [[]] + _heads(edges, n, np.arange(1, n + 1))
+    starts = np.searchsorted(edges, np.arange(n + 1) * n).tolist()
+    heads = (edges % n + 1).tolist()
+    return [[]] + [heads[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
 
 def _components(succ, roots: Iterable[int]) -> list[frozenset[int]]:
@@ -182,54 +177,57 @@ def _classes(label: np.ndarray) -> list[frozenset[int]]:
     return [frozenset(flat[lo:hi]) for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), None])]
 
 
+def _sccs(idx: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
+    """Per vertex of [0, n), the least vertex of its strongly connected component in the entry
+    digraph of the 0-based index rows ``idx``, and whether no edge leaves a component. Where
+    every edge goes both ways they are ``_labels``' classes; elsewhere Tarjan finds them."""
+    edges = _edges(idx, n)
+    tails, heads = np.divmod(edges, n)
+    if np.array_equal(np.sort(heads * n + tails), edges):
+        return _labels(np.stack((tails, heads), 1)[tails < heads], n), True
+    label = np.arange(n)
+    for comp in _components(_successors(edges, n), range(1, n + 1)):
+        if len(comp) > 1:  # a single vertex labels itself
+            label[[v - 1 for v in comp]] = min(comp) - 1
+    return label, bool((label[tails] == label[heads]).all())
+
+
 def _peel(tensor: Tensor) -> Iterator[frozenset[int]]:
     """Sink components (no edge leaves them), each the one holding the smallest index once
     the earlier ones and every entry that mentions them are gone.
 
-    Where every edge goes both ways, they are the classes by least index: none has an edge
-    out, and no entry of one mentions another. Otherwise one search finds them. A peel
-    rebuilds only the rows with an edge into the sink, from their slices of the view, and
-    searches again only inside their components, which removing edges can only split.
-    Any other component keeps every edge, so it stays a sink or not.
+    A peel drops only entries that mention a peeled index, never one inside a block that
+    stays: the blocks are the components left once a search drops no entry with an index
+    outside its row's component. Kahn's counting (CACM 5(11), 1962) replays the order: a
+    block is a sink once each of its dropped entries has lost a foot to an earlier block.
     """
-    coo, n = tensor.coo, tensor.dim
-    edges = _edges(coo.idx, n)
-    back = np.sort(edges % n * n + edges // n)  # the reversed edges
-    if np.array_equal(back, edges):
-        yield from _classes(_labels(np.stack(divmod(edges[edges // n < edges % n], n), 1), n))
+    idx, n = tensor.coo.idx, tensor.dim
+    label, closed = _sccs(idx, n)
+    dropped = []
+    while not closed:
+        inside = (label[idx] == label[idx[:, :1]]).all(axis=1)
+        idx, dropped = idx[inside], [*dropped, idx[~inside]]
+        label, closed = _sccs(idx, n)
+    classes = _classes(label)
+    if not dropped:  # no entry leaves its block, so each block is a sink from the start
+        yield from classes
         return
-    succ, pred = _successors(edges, n), None
-    home: list[frozenset[int]] = [frozenset()] * (n + 1)
-    sinks: list[tuple[int, frozenset[int]]] = []
-    alive = np.ones(n, dtype=bool)
-
-    def place(parts: list[frozenset[int]]) -> None:
-        for part in parts:
-            for v in part:
-                home[v] = part
-            if all(part.issuperset(succ[v]) for v in part):
-                heapq.heappush(sinks, (min(part), part))
-
-    place(_components(succ, range(1, n + 1)))
-    while sinks:
-        sink = heapq.heappop(sinks)[1]
-        yield sink
-        alive[[v - 1 for v in sink]] = False
-        if not alive.any():
-            return
-        pred = pred or _successors(back, n)
-        rows = sorted({u for v in sink for u in pred[v] if alive[u - 1] and v in succ[u]})
-        if not rows:
-            continue
-        at = np.array(rows)
-        lo, hi = coo.idx[:, 0].searchsorted(np.stack((at - 1, at)))  # their slices of the view
-        sizes = hi - lo
-        entries = coo.idx[np.arange(sizes.sum()) + np.repeat(hi - sizes.cumsum(), sizes)]
-        kept = np.compress(np.logical_and.reduce([alive[i] for i in entries.T]), entries, axis=0)
-        for r, heads in zip(rows, _heads(_edges(kept, n), n, at)):
-            succ[r] = heads
-        for comp in {home[u] for u in rows}:
-            place(_components({v: [w for w in succ[v] if w in comp] for v in comp}, comp))
+    out = np.cumsum(label == np.arange(n))[label[np.concatenate(dropped)]] - 1  # block numbers
+    at, slot = np.nonzero(out[:, 1:] != out[:, :1])  # each dropped entry's feet elsewhere
+    feet = out[:, 1:][at, slot]
+    starts = [0, *np.bincount(feet, minlength=len(classes)).cumsum().tolist()]
+    lost, rows = at[np.argsort(feet)].tolist(), out[:, 0].tolist()  # by the foot's block
+    waiting = np.bincount(out[:, 0], minlength=len(classes)).tolist()
+    ready, gone = [b for b, count in enumerate(waiting) if not count], [False] * len(rows)
+    while ready:
+        b = heapq.heappop(ready)
+        yield classes[b]
+        for e in lost[starts[b]:starts[b + 1]]:
+            if not gone[e]:
+                gone[e] = True
+                waiting[rows[e]] -= 1
+                if not waiting[rows[e]]:
+                    heapq.heappush(ready, rows[e])
 
 
 def find_weakly_reducing_set(tensor: Tensor) -> Optional[frozenset[int]]:
@@ -242,8 +240,12 @@ def find_weakly_reducing_set(tensor: Tensor) -> Optional[frozenset[int]]:
     one containing the smallest index is returned for determinism.
     """
     _check_order(tensor)
-    found = next(_peel(tensor))
-    if len(found) == tensor.dim:
+    idx, n = tensor.coo.idx, tensor.dim
+    label = _sccs(idx, n)[0]
+    sink = label == np.arange(n)
+    sink[label[idx[(label[idx] != label[idx[:, :1]]).any(axis=1), 0]]] = False  # edges out
+    found = frozenset((np.flatnonzero(label == sink.argmax()) + 1).tolist())
+    if len(found) == n:
         return None
     assert weakly_reduces(tensor, found)
     return found
@@ -395,8 +397,8 @@ def exists_first_type_normal_form(tensor: Tensor) -> Optional[tuple[Permutation,
     component's principal subtensor is weakly irreducible (it can lose
     edges the component relies on: a_{123} = a_{213} = a_{333} = 1 has
     the component {1, 2} but an empty block there). So one more search
-    runs over the entries whose indices share a component: each such
-    subtensor is weakly irreducible when it finds no more components.
+    runs over the entries inside components: their subtensors are all
+    weakly irreducible when it labels every index as the first one did.
 
     The witness returned is the one with the lexicographically first
     sigma. Components are placed from the back, each time the one with
@@ -406,23 +408,20 @@ def exists_first_type_normal_form(tensor: Tensor) -> Optional[tuple[Permutation,
     """
     _check_order(tensor)
     idx, n = tensor.coo.idx, tensor.dim
-    succ = _successors(_edges(idx, n), n)
-    comps = _components(succ, range(1, n + 1))
-    if len(comps) < 2:
+    label = _sccs(idx, n)[0]
+    classes = {min(comp) - 1: comp for comp in _classes(label)}  # by label
+    inside = (label[idx] == label[idx[:, :1]]).all(axis=1)
+    if len(classes) < 2 or not np.array_equal(_sccs(idx[inside], n)[0], label):
         return None
-    labels = np.array(sorted((v, k) for k, comp in enumerate(comps) for v in comp))[idx, 1]
-    inner = _successors(_edges(idx[(labels == labels[:, :1]).all(axis=1)], n), n)
-    if len(_components(inner, range(1, n + 1))) > len(comps):
-        return None
-    leaves = {comp: set().union(*(succ[v] for v in comp)) - comp for comp in comps}
-    unplaced = sorted(comps, key=min)
-    placed: set[int] = set()
-    chain: list[frozenset[int]] = []
-    while unplaced:
-        last = next(i for i in reversed(range(len(unplaced))) if leaves[unplaced[i]] <= placed)
-        placed |= unplaced[last]
-        chain.append(unplaced.pop(last))
-    nf = _assemble(tensor, list(reversed(chain)), BlockKind.UTB1, weak=True)
+    leaves: dict[int, set[int]] = {root: set() for root in classes}
+    for row, *feet in label[idx[~inside]].tolist():
+        leaves[row].update(foot for foot in feet if foot != row)
+    roots, placed, chain = list(classes), set(), []
+    while roots:
+        last = next(i for i in reversed(range(len(roots))) if leaves[roots[i]] <= placed)
+        placed.add(roots[last])
+        chain.append(classes[roots.pop(last)])
+    nf = _assemble(tensor, chain[::-1], BlockKind.UTB1, weak=True)
     return nf.sigma, nf.partition
 
 

@@ -51,7 +51,7 @@ from triblock.spectra import (
     _largest_row_sum,
     _oracle_jacobian,
 )
-from triblock.structure import _components
+from triblock.structure import _components, _stacked
 
 from _gen import (
     _power_step,
@@ -746,6 +746,20 @@ class TestPeel:
             blocks += tb.normal_form_2nd(t).partition.r
         assert blocks > 300 * 5  # the peels are long, not one block each
 
+    def test_matches_loop_on_banded_patterns(self, monkeypatch):
+        # a band wraps round, so a component sheds entries that straddle its blocks over
+        # several searches before the fixpoint holds
+        searches, real = [], structure._sccs
+        monkeypatch.setattr(structure, "_sccs", lambda *a: searches.append(a) or real(*a))
+        rng, most = random.Random(423), 0
+        for trial in range(300):
+            t = rand_banded(rng, rng.randint(2, 4), rng.randint(1, 40))
+            searches.clear()
+            list(structure._peel(t))
+            most = max(most, len(searches))
+            assert same_peel(t), (trial, dict(t.entries))
+        assert most >= 3
+
     def test_matches_loop_on_split_hypergraphs(self):
         rng = random.Random(422)
         for _ in range(40):
@@ -761,7 +775,7 @@ class TestPeel:
         assert tb.normal_form_2nd(t).partition.parts == (1, 1, 1)
         assert tb.exists_first_type_normal_form(t) is None
 
-    def test_no_reversed_edges_after_the_last_sink(self, monkeypatch):
+    def test_one_successor_build_for_a_weakly_irreducible_cycle(self, monkeypatch):
         built = []
         real = structure._successors
         monkeypatch.setattr(structure, "_successors", lambda *a: built.append(a) or real(*a))
@@ -783,7 +797,9 @@ def timed(fn, *args):
 
 class TestPeelScale:
     """Wide bounds: the loop that rebuilt the digraph for every sink took about
-    a minute on the chain and 6 s on the pairs, and the search 6 s on the path."""
+    a minute on the chain and 6 s on the pairs, and the search 6 s on the path.
+    The peel that searched the giant component again after each sink took
+    22-33 s on the random tensor; the fixpoint of searches takes about 0.3 s."""
 
     def test_chain(self):
         # a_iii and a_{i,i+1,i+1}: every index is its own block, peeled from the end
@@ -794,6 +810,17 @@ class TestPeelScale:
         assert seconds < 3.0 and nf.partition.r == n
         seconds, rho = timed(tb.spectral_radius, chain)
         assert seconds < 3.0 and rho.rho == 1.0
+
+    def test_random_sparse_tensor(self):
+        # 3n random index tuples, repeats dropped: one giant component sheds a few hundred
+        # sinks; the weak set is one search, not the whole peel
+        n = 10_000
+        rows = np.random.default_rng(1).integers(1, n + 1, (3 * n, 3)).tolist()
+        t = tb.Tensor(3, n, dict.fromkeys(map(tuple, rows), 1.0))
+        seconds, nf = timed(tb.normal_form_2nd, t)
+        assert seconds < 5.0 and nf.partition.r > 100
+        weak, found = timed(tb.find_weakly_reducing_set, t)
+        assert weak <= seconds / 3 and found is not None and tb.weakly_reduces(t, found)
 
     def test_components_on_a_long_path(self):
         n = 20000
@@ -1202,9 +1229,14 @@ class TestSymmetricPeel:
             graph = rand_hypergraph(rng, rng.randint(2, 4), groups, edges_per_group=4)
             a, comps = tb.adjacency_tensor(graph), tb.connected_components(graph)
             assert list(structure._peel(a)) == comps
+            assert tb.find_weakly_reducing_set(a) == (comps[0] if len(comps) > 1 else None)
+            assert tb.exists_first_type_normal_form(a) == (None if len(comps) < 2 else (
+                _stacked(comps), tb.Partition(tuple(len(comp) for comp in comps))))
             for comp in comps:
                 sub = tb.principal_subtensor(a, comp)
                 assert list(structure._peel(sub)) == [frozenset(range(1, len(comp) + 1))]
+                assert tb.find_weakly_reducing_set(sub) is None
+                assert tb.exists_first_type_normal_form(sub) is None
 
 
 class TestGet:
