@@ -100,6 +100,10 @@ class RadiusOutOfRange(TriblockError):
     """A spectral radius is too large for a double."""
 
 
+class OracleOutOfRange(TriblockError):
+    """The singularity probe's values could pass the double range."""
+
+
 class ProductOutOfRange(TriblockError):
     """An entry of a general product is too large for a double."""
 

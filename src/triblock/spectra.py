@@ -33,6 +33,7 @@ from .errors import (
     NoConvergence,
     NotBlocked,
     NotDiagonal,
+    OracleOutOfRange,
     OrderTooSmall,
     RadiusOutOfRange,
     ThirdTypeUnsupported,
@@ -533,6 +534,10 @@ def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
     Moves are only ever accepted when they lower the objective, so the
     gradient line search remains the fallback everywhere else. Restarts
     run in lockstep, ``_ORACLE_BLOCK`` at a time (see ``_oracle_block``).
+
+    With r_i the absolute row sums, OracleOutOfRange refuses a tensor where
+    sum r_i^2 >= 2^500: below it ||A x||^2, the gradient's squared norm and
+    every trial's norm stay finite for a unit x.
     """
     if tensor.order < 2:
         raise OrderTooSmall("the singularity probe needs order >= 2")
@@ -543,8 +548,11 @@ def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
         raise ValueError("restarts and iters must be positive")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    (idx, vals), n = tensor.coo, tensor.dim
+    if math.hypot(*np.bincount(idx[:, 0], np.abs(vals), minlength=n).tolist()) >= 2.0 ** 250:
+        raise OracleOutOfRange("the probe needs the row sums' 2-norm below 2^250")
 
-    jacobian, objective, n = _oracle_jacobian(tensor), _oracle_objective(tensor), tensor.dim
+    jacobian, objective = _oracle_jacobian(tensor), _oracle_objective(tensor)
 
     def start(r: int) -> np.ndarray:
         rng = np.random.default_rng(seed + r)

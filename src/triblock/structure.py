@@ -110,45 +110,42 @@ def _edges(idx: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate((codes[:1], codes[1:][codes[1:] != codes[:-1]]))
 
 
-def _successors(edges: np.ndarray, n: int) -> list[list[int]]:
-    """Successor lists on [1, n] (slot 0 unused) of sorted edge codes."""
-    starts = np.searchsorted(edges, np.arange(n + 1) * n).tolist()
-    heads = (edges % n + 1).tolist()
-    return [[]] + [heads[lo:hi] for lo, hi in zip(starts, starts[1:])]
+def _scc_labels(edges: np.ndarray, n: int) -> np.ndarray:
+    """Per vertex of [0, n), the least vertex of its strongly connected component under the
+    sorted edge codes ``edges`` of ``_edges``.
 
-
-def _components(succ, roots: Iterable[int]) -> list[frozenset[int]]:
-    """Strongly connected components reachable from ``roots`` in the digraph v -> succ[v].
-
-    Tarjan's algorithm (SIAM J. Comput. 1(2), 1972) with a stack of
-    edge iterators in place of recursion: a vertex scans its edges up to
-    a new vertex and resumes there once that one is done. A virtual
-    vertex 0 with an edge to every root starts the search and comes out
-    last, on its own. Work items keep their vertex's place on the stack.
+    Pearce's one-array Tarjan (Inf. Process. Lett. 116(1), 2016), with a stack of
+    (vertex, next edge, root) frames in place of recursion: ``rindex`` holds a vertex's
+    visit index, then the least index it reaches, then its component's number, counted
+    down from n - 1 so that no finished vertex lowers a live one. A frame resumes at the
+    edge it left by, to read the index that edge's head came back with.
     """
-    order, low, done = {0: 0}, {0: 0}, set()
-    stack, found = [0], []
-    work = [(0, iter(roots), 0)]
-    while work:
-        v, edges, base = work[-1]
-        for w in edges:
-            if w not in order:
-                break
-            if w not in done and order[w] < low[v]:
-                low[v] = order[w]
-        else:
-            work.pop()
-            if work and low[v] < low[work[-1][0]]:
-                low[work[-1][0]] = low[v]
-            if low[v] == order[v]:
-                found.append(frozenset(stack[base:]))
-                del stack[base:]
-                done.update(found[-1])
+    starts = np.searchsorted(edges, np.arange(n + 1) * n).tolist()
+    heads, rindex, stack, index, c = (edges % n).tolist(), [0] * n, [], 1, n - 1
+    for s in range(n):
+        if rindex[s]:
             continue
-        order[w] = low[w] = len(order)
-        work.append((w, iter(succ[w]), len(stack)))
-        stack.append(w)
-    return found[:-1]
+        rindex[s], index, frames = index, index + 1, [(s, starts[s], True)]
+        while frames:
+            v, e, root = frames.pop()
+            for e in range(e, starts[v + 1]):
+                w = heads[e]
+                if not rindex[w]:
+                    frames += (v, e, root), (w, starts[w], True)
+                    rindex[w], index = index, index + 1
+                    break
+                if rindex[w] < rindex[v]:
+                    rindex[v], root = rindex[w], False
+            else:
+                if not root:
+                    stack.append(v)
+                    continue
+                while stack and rindex[stack[-1]] >= rindex[v]:
+                    rindex[stack.pop()], index = c, index - 1
+                rindex[v], index, c = c, index - 1, c - 1
+    comp, least = np.array(rindex), np.full(n, n)
+    np.minimum.at(least, comp, np.arange(n))
+    return least[comp]
 
 
 def _labels(pairs: np.ndarray, n: int) -> np.ndarray:
@@ -179,17 +176,35 @@ def _classes(label: np.ndarray) -> list[frozenset[int]]:
 
 def _sccs(idx: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
     """Per vertex of [0, n), the least vertex of its strongly connected component in the entry
-    digraph of the 0-based index rows ``idx``, and whether no edge leaves a component. Where
-    every edge goes both ways they are ``_labels``' classes; elsewhere Tarjan finds them."""
+    digraph of the 0-based index rows ``idx``, and whether no edge leaves a component: from
+    ``_labels`` where every edge goes both ways, from ``_scc_labels`` elsewhere."""
     edges = _edges(idx, n)
     tails, heads = np.divmod(edges, n)
     if np.array_equal(np.sort(heads * n + tails), edges):
         return _labels(np.stack((tails, heads), 1)[tails < heads], n), True
-    label = np.arange(n)
-    for comp in _components(_successors(edges, n), range(1, n + 1)):
-        if len(comp) > 1:  # a single vertex labels itself
-            label[[v - 1 for v in comp]] = min(comp) - 1
+    label = _scc_labels(edges, n)
     return label, bool((label[tails] == label[heads]).all())
+
+
+def _replay(rows: np.ndarray, count: int) -> Iterator[int]:
+    """Blocks 0, ..., count - 1 in Kahn's order (CACM 5(11), 1962), the least ready one first:
+    a block is ready once each of the ``rows`` it heads (its number, then its feet's blocks)
+    has lost a foot to a block yielded before. Every row needs a foot in another block."""
+    at, slot = np.nonzero(rows[:, 1:] != rows[:, :1])  # each row's feet elsewhere
+    feet = rows[:, 1:][at, slot]
+    starts = [0, *np.bincount(feet, minlength=count).cumsum().tolist()]
+    lost, heads = at[np.argsort(feet)].tolist(), rows[:, 0].tolist()  # by the foot's block
+    waiting = np.bincount(rows[:, 0], minlength=count).tolist()
+    ready, gone = [b for b, left in enumerate(waiting) if not left], [False] * len(heads)
+    while ready:
+        b = heapq.heappop(ready)
+        yield b
+        for e in lost[starts[b]:starts[b + 1]]:
+            if not gone[e]:
+                gone[e] = True
+                waiting[heads[e]] -= 1
+                if not waiting[heads[e]]:
+                    heapq.heappush(ready, heads[e])
 
 
 def _peel(tensor: Tensor) -> Iterator[frozenset[int]]:
@@ -198,8 +213,8 @@ def _peel(tensor: Tensor) -> Iterator[frozenset[int]]:
 
     A peel drops only entries that mention a peeled index, never one inside a block that
     stays: the blocks are the components left once a search drops no entry with an index
-    outside its row's component. Kahn's counting (CACM 5(11), 1962) replays the order: a
-    block is a sink once each of its dropped entries has lost a foot to an earlier block.
+    outside its row's component. ``_replay`` gives the order: a block is a sink once each
+    of its dropped entries has lost a foot to an earlier block.
     """
     idx, n = tensor.coo.idx, tensor.dim
     label, closed = _sccs(idx, n)
@@ -213,21 +228,7 @@ def _peel(tensor: Tensor) -> Iterator[frozenset[int]]:
         yield from classes
         return
     out = np.cumsum(label == np.arange(n))[label[np.concatenate(dropped)]] - 1  # block numbers
-    at, slot = np.nonzero(out[:, 1:] != out[:, :1])  # each dropped entry's feet elsewhere
-    feet = out[:, 1:][at, slot]
-    starts = [0, *np.bincount(feet, minlength=len(classes)).cumsum().tolist()]
-    lost, rows = at[np.argsort(feet)].tolist(), out[:, 0].tolist()  # by the foot's block
-    waiting = np.bincount(out[:, 0], minlength=len(classes)).tolist()
-    ready, gone = [b for b, count in enumerate(waiting) if not count], [False] * len(rows)
-    while ready:
-        b = heapq.heappop(ready)
-        yield classes[b]
-        for e in lost[starts[b]:starts[b + 1]]:
-            if not gone[e]:
-                gone[e] = True
-                waiting[rows[e]] -= 1
-                if not waiting[rows[e]]:
-                    heapq.heappush(ready, rows[e])
+    yield from map(classes.__getitem__, _replay(out, len(classes)))
 
 
 def find_weakly_reducing_set(tensor: Tensor) -> Optional[frozenset[int]]:
@@ -404,23 +405,19 @@ def exists_first_type_normal_form(tensor: Tensor) -> Optional[tuple[Permutation,
     sigma. Components are placed from the back, each time the one with
     the largest smallest index among those with no edge into an unplaced
     component: moving it last only moves earlier every component whose
-    smallest index is smaller.
+    smallest index is smaller. So ``_replay`` places them, numbered from
+    the largest smallest index down, with one row per edge between two.
     """
     _check_order(tensor)
     idx, n = tensor.coo.idx, tensor.dim
     label = _sccs(idx, n)[0]
-    classes = {min(comp) - 1: comp for comp in _classes(label)}  # by label
+    classes = _classes(label)
     inside = (label[idx] == label[idx[:, :1]]).all(axis=1)
     if len(classes) < 2 or not np.array_equal(_sccs(idx[inside], n)[0], label):
         return None
-    leaves: dict[int, set[int]] = {root: set() for root in classes}
-    for row, *feet in label[idx[~inside]].tolist():
-        leaves[row].update(foot for foot in feet if foot != row)
-    roots, placed, chain = list(classes), set(), []
-    while roots:
-        last = next(i for i in reversed(range(len(roots))) if leaves[roots[i]] <= placed)
-        placed.add(roots[last])
-        chain.append(classes[roots.pop(last)])
+    out = (len(classes) - np.cumsum(label == np.arange(n)))[label[idx[~inside]]]  # classes[~b]
+    pairs = np.stack(np.broadcast_arrays(out[:, :1], out[:, 1:]), -1).reshape(-1, 2)
+    chain = [classes[~b] for b in _replay(pairs[pairs[:, 0] != pairs[:, 1]], len(classes))]
     nf = _assemble(tensor, chain[::-1], BlockKind.UTB1, weak=True)
     return nf.sigma, nf.partition
 

@@ -38,7 +38,7 @@ from triblock.errors import (
 from triblock.inverse import VERIFY_TOL, _invert, _root_with_snap
 from triblock.linalg import PIVOT_RTOL, as_matrix
 from triblock.spectra import _SHIFT, _largest_row_sum
-from triblock.structure import _PREFIX_BUDGET, _components, _stacked
+from triblock.structure import _PREFIX_BUDGET, _stacked
 
 
 # ---------------------------------------------------------------- oracles
@@ -268,6 +268,43 @@ def loop_reduces(tensor: Tensor, members: frozenset[int], weak: bool) -> bool:
                    for idx in tensor.entries)
 
 
+# ``structure._sccs`` searched with this Tarjan before Pearce's one-array variant took its
+# place; ``_components`` keeps it as the reference.
+
+def _components(succ, roots: Iterable[int]) -> list[frozenset[int]]:
+    """Strongly connected components reachable from ``roots`` in the digraph v -> succ[v].
+
+    Tarjan's algorithm (SIAM J. Comput. 1(2), 1972) with a stack of
+    edge iterators in place of recursion: a vertex scans its edges up to
+    a new vertex and resumes there once that one is done. A virtual
+    vertex 0 with an edge to every root starts the search and comes out
+    last, on its own. Work items keep their vertex's place on the stack.
+    """
+    order, low, done = {0: 0}, {0: 0}, set()
+    stack, found = [0], []
+    work = [(0, iter(roots), 0)]
+    while work:
+        v, edges, base = work[-1]
+        for w in edges:
+            if w not in order:
+                break
+            if w not in done and order[w] < low[v]:
+                low[v] = order[w]
+        else:
+            work.pop()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] == order[v]:
+                found.append(frozenset(stack[base:]))
+                del stack[base:]
+                done.update(found[-1])
+            continue
+        order[w] = low[w] = len(order)
+        work.append((w, iter(succ[w]), len(stack)))
+        stack.append(w)
+    return found[:-1]
+
+
 def _loop_successors(idx: np.ndarray, alive: np.ndarray) -> list[set[int]]:
     """Successor sets on [1, n] of the entry digraph of the principal subtensor on the
     alive vertices (a boolean mask over [0, n)), rebuilt from every entry."""
@@ -277,6 +314,17 @@ def _loop_successors(idx: np.ndarray, alive: np.ndarray) -> list[set[int]]:
     for row in (kept + 1).tolist():
         succ[row[0]].update(row[1:])
     return succ
+
+
+def loop_sccs(idx: np.ndarray, n: int) -> tuple[list[int], bool]:
+    """``structure._sccs`` from the reference search: each vertex's least component member
+    (0-based), and whether every edge stays inside its component."""
+    succ, label, closed = _loop_successors(idx, np.ones(n, dtype=bool)), list(range(n)), True
+    for comp in _components(succ, range(1, n + 1)):
+        for v in comp:
+            label[v - 1] = min(comp) - 1
+        closed &= all(succ[v] <= comp for v in comp)
+    return label, closed
 
 
 def loop_sink(tensor: Tensor, alive: np.ndarray) -> frozenset[int]:

@@ -291,6 +291,14 @@ class TestOracle:
                             "--restarts", "2", "--iters", "5")
         assert code == 0 and doc["restarts_used"] == 2
 
+    @pytest.mark.parametrize("values", [[1e100, 1e100], [1e200, 1.0]])
+    def test_values_past_the_probe_range_are_one_error_document(self, capsys, tmp_path, values):
+        path = write_tensor(tmp_path, "a.json", tb.diagonal_tensor(3, values))
+        assert cli.run(["oracle", "--tensor", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.count("\n") == 1
+        assert json.loads(captured.out)["error"] == "OracleOutOfRange"
+
     def test_deterministic_bytes(self, capsys, tmp_path):
         path = write_tensor(tmp_path, "a.json", tb.unit_tensor(3, 2))
         cli.run(["oracle", "--tensor", path, "--restarts", "4"])

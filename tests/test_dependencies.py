@@ -19,11 +19,31 @@ def test_pyproject_lists_only_numpy():
     assert [re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0] for dep in deps] == ["numpy"]
 
 
-def test_import_loads_no_graph_library():
+def fresh_output(probe: str) -> str:
+    """What ``probe`` prints in a fresh interpreter that imports the package from ``src``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    probe = "import sys, triblock; print('networkx' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, timeout=60, check=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True).stdout.strip()
+
+
+def test_import_loads_no_graph_library():
+    assert fresh_output("import sys, triblock; print('networkx' in sys.modules)") == "False"
+
+
+def test_structure_and_radius_load_no_masked_arrays():
+    # NumPy 2.4's np.unique and np.setdiff1d import numpy.ma, about 1 MB of resident memory;
+    # the peel (which drops a_133 here), the weak set, the first-type witness and the radius
+    # need neither
+    probe = """
+import sys, triblock as tb
+t = tb.new_tensor(3, 4, [((1, 2, 2), 1.0), ((2, 1, 1), 2.0), ((3, 4, 4), 1.0),
+                         ((4, 3, 3), 1.0), ((1, 3, 3), 1.0)])
+assert tb.normal_form_2nd(t).partition.parts == (2, 2)
+assert tb.find_weakly_reducing_set(t) == {3, 4}
+assert tb.exists_first_type_normal_form(t) is not None
+assert tb.spectral_radius(t).rho > 1
+print('numpy.ma' in sys.modules)
+"""
+    assert fresh_output(probe) == "False"

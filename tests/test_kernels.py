@@ -17,11 +17,13 @@ the digraph for every sink gave, and stay near-linear at scale.
 ``connected_components`` must give what the union-find it replaced gave,
 its labelling kernel must take a logarithmic number of hook rounds, and
 the peel of a pattern whose edges all go both ways must give Tarjan's
-sinks in order of their least index. ``Tensor.get`` and the bulk index
-check must answer as the mapping and the component loop did. The closure
-kernel behind ``find_reducing_set``, ``is_irreducible`` and
-``normal_form_3rd`` must answer as the frozenset pattern it replaced did,
-errors included, and stay fast where that pattern's chaining took seconds.
+sinks in order of their least index. Pearce's search behind ``_sccs``
+must label and close as the Tarjan search it replaced did. ``Tensor.get``
+and the bulk index check must answer as the mapping and the component
+loop did. The closure kernel behind ``find_reducing_set``,
+``is_irreducible`` and ``normal_form_3rd`` must answer as the frozenset
+pattern it replaced did, errors included, and stay fast where that
+pattern's chaining took seconds.
 """
 import copy
 import itertools
@@ -51,9 +53,11 @@ from triblock.spectra import (
     _largest_row_sum,
     _oracle_jacobian,
 )
-from triblock.structure import _components, _stacked
+from triblock.structure import _stacked
 
 from _gen import (
+    _components,
+    _loop_successors,
     _power_step,
     loop_allclose,
     loop_apply,
@@ -75,6 +79,7 @@ from _gen import (
     loop_normal_form_3rd,
     loop_recover_right_form,
     loop_right_k_inverse,
+    loop_sccs,
     loop_permute_similar,
     loop_principal_subtensor,
     loop_product,
@@ -775,12 +780,12 @@ class TestPeel:
         assert tb.normal_form_2nd(t).partition.parts == (1, 1, 1)
         assert tb.exists_first_type_normal_form(t) is None
 
-    def test_one_successor_build_for_a_weakly_irreducible_cycle(self, monkeypatch):
-        built = []
-        real = structure._successors
-        monkeypatch.setattr(structure, "_successors", lambda *a: built.append(a) or real(*a))
+    def test_one_search_for_a_weakly_irreducible_cycle(self, monkeypatch):
+        searched = []
+        real = structure._scc_labels
+        monkeypatch.setattr(structure, "_scc_labels", lambda *a: searched.append(a) or real(*a))
         cycle = tb.new_tensor(3, 3, [((1, 2, 2), 1.0), ((2, 3, 3), 1.0), ((3, 1, 1), 1.0)])
-        assert list(structure._peel(cycle)) == [frozenset({1, 2, 3})] and len(built) == 1
+        assert list(structure._peel(cycle)) == [frozenset({1, 2, 3})] and len(searched) == 1
 
     def test_empty_tensor(self):
         t = tb.Tensor(3, 4, {})
@@ -824,9 +829,23 @@ class TestPeelScale:
 
     def test_components_on_a_long_path(self):
         n = 20000
-        succ = [set()] + [{v + 1} for v in range(1, n)] + [set()]
-        seconds, comps = timed(_components, succ, range(1, n + 1))
-        assert seconds < 1.0 and len(comps) == n
+        edges = np.arange(n - 1) * (n + 1) + 1  # the codes of v -> v + 1
+        seconds, label = timed(structure._scc_labels, edges, n)
+        assert seconds < 1.0 and len(set(label.tolist())) == n
+
+    def test_first_type_on_a_backward_chain(self):
+        # a_iii and a_{i+1,i,i}: every edge runs to a smaller index, so the witness is the
+        # reversal; scanning the unplaced components for each placement made it quadratic
+        n = 8000
+        chain = tb.new_tensor(3, n, [((i, i, i), 1.0) for i in range(1, n + 1)]
+                              + [((i + 1, i, i), 1.0) for i in range(1, n)])
+        peel, first = [], []
+        for _ in range(2):  # interleaved, best of two each
+            peel.append(timed(tb.normal_form_2nd, chain)[0])
+            seconds, (sigma, p) = timed(tb.exists_first_type_normal_form, chain)
+            first.append(seconds)
+        assert sigma.image == tuple(range(n, 0, -1)) and p.parts == (1,) * n
+        assert min(first) <= 2 * min(peel)
 
     def test_first_type_with_many_two_vertex_components(self):
         k = 2000
@@ -1198,7 +1217,7 @@ class TestSymmetricPeel:
         singletons = 0
         for trial, t in enumerate(symmetric_tensors(454, 300)):
             n = t.dim
-            comps = _components(structure._successors(structure._edges(t.coo.idx, n), n),
+            comps = _components(_loop_successors(t.coo.idx, np.ones(n, dtype=bool)),
                                 range(1, n + 1))
             assert list(structure._peel(t)) == sorted(comps, key=min), trial
             assert same_peel(t), trial
@@ -1207,8 +1226,8 @@ class TestSymmetricPeel:
 
     def test_asymmetric_input_takes_the_tarjan_path(self, monkeypatch):
         searched = []
-        real = structure._components
-        monkeypatch.setattr(structure, "_components",
+        real = structure._scc_labels
+        monkeypatch.setattr(structure, "_scc_labels",
                             lambda *a: searched.append(a) or real(*a))
         rng = random.Random(455)
         for t in symmetric_tensors(456, 40):
@@ -1222,7 +1241,7 @@ class TestSymmetricPeel:
             assert same_peel(t) and searched
 
     def test_hypergraph_adjacency_and_subtensors(self, monkeypatch):
-        monkeypatch.setattr(structure, "_components", None)  # never reached
+        monkeypatch.setattr(structure, "_scc_labels", None)  # never reached
         rng = random.Random(457)
         for _ in range(30):
             groups = [rng.randint(1, 8) for _ in range(rng.randint(1, 6))]
@@ -1237,6 +1256,37 @@ class TestSymmetricPeel:
                 assert list(structure._peel(sub)) == [frozenset(range(1, len(comp) + 1))]
                 assert tb.find_weakly_reducing_set(sub) is None
                 assert tb.exists_first_type_normal_form(sub) is None
+
+
+def reversed_labels(t: tb.Tensor) -> tb.Tensor:
+    """The tensor with index i renamed n + 1 - i, which turns an upper bias into a lower one."""
+    return tb.Tensor(t.order, t.dim, {tuple(t.dim + 1 - i for i in idx): v
+                                      for idx, v in t.entries.items()})
+
+
+class TestSccLabels:
+    """``_sccs`` labels and closes as the Tarjan search it replaced (``_gen._components``),
+    and Pearce's search runs without recursion on a 10^5-vertex path and cycle."""
+
+    def test_matches_tarjan_on_seeded_digraphs(self):
+        rng = random.Random(459)
+        for trial in range(3200):
+            pattern, m, n = trial % 4, rng.randint(2, 4), rng.randint(1, 40)
+            t = (rand_banded(rng, m, n) if pattern == 3
+                 else rand_sparse(rng, m, n, upper=0.85 if pattern else 0.0))
+            if pattern == 2:
+                t = reversed_labels(t)
+            label, closed = structure._sccs(t.coo.idx, n)
+            assert (label.tolist(), closed) == loop_sccs(t.coo.idx, n), (trial, dict(t.entries))
+
+    @pytest.mark.parametrize("cycle", [False, True])
+    def test_long_path_and_cycle(self, cycle):
+        n = 100_000
+        tails = np.arange(n if cycle else n - 1)
+        heads = (tails + 1) % n
+        seconds, (label, closed) = timed(structure._sccs, np.stack((tails, heads, heads), 1), n)
+        assert seconds < 2.0 and closed == cycle
+        assert np.array_equal(label, np.zeros(n, dtype=int) if cycle else np.arange(n))
 
 
 class TestGet:

@@ -23,6 +23,7 @@ from triblock.errors import (
     NoConvergence,
     NotBlocked,
     NotDiagonal,
+    OracleOutOfRange,
     OrderTooSmall,
     RadiusOutOfRange,
     ThirdTypeUnsupported,
@@ -733,6 +734,21 @@ class TestSingularityOracle:
         monkeypatch.setattr(spectra, "_oracle_block", None)
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
             tb.singularity_oracle(tb.unit_tensor(3, 2), seed=-1)
+
+    @pytest.mark.parametrize("values", [[1e100, 1e100], [1e200, 1.0], [1e100, 1.0], [2.0 ** 250]])
+    def test_values_past_the_probe_range_are_refused_before_any_work(self, monkeypatch, values):
+        # 10^100 I (least norm 7.07e99) once reported 0.0 at the zero vector, an overflowing
+        # halving step scaled to nothing; diag(1e200, 1) reported inf. Both are refused, as
+        # is diag(1e100, 1), which answered near 1 after a stream of overflow warnings.
+        monkeypatch.setattr(spectra, "_oracle_block", None)
+        with pytest.raises(OracleOutOfRange, match="2-norm below 2\\^250"):
+            tb.singularity_oracle(tb.diagonal_tensor(3, values))
+
+    def test_values_just_inside_the_probe_range_run(self):
+        # the row sums' squares add up to 2^499, below the 2^500 the refusal starts at
+        report = tb.singularity_oracle(tb.diagonal_tensor(3, [2.0 ** 249] * 2), restarts=2,
+                                       iters=20)
+        assert 2.0 ** 249 / math.sqrt(2) <= report.min_norm < math.inf
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_restarts_are_independent(self, seed):
