@@ -101,7 +101,7 @@ class RadiusOutOfRange(TriblockError):
 
 
 class OracleOutOfRange(TriblockError):
-    """The singularity probe's values could pass the double range."""
+    """The norm of the singularity probe's witness image is too large for a double."""
 
 
 class ProductOutOfRange(TriblockError):

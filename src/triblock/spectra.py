@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .blocked import BlockKind, Partition, _finest_refinement, _inside, _principal_block, is_blocked
-from .core import Tensor, _complex_terms, _equal_from, _row_fsums, apply
+from .core import Tensor, _complex_terms, _equal_from, _from_arrays, _row_fsums, apply
 from .errors import (
     BlockDetUnavailable,
     BlockSpectrumUnavailable,
@@ -43,10 +43,9 @@ from .structure import _peel
 _ORACLE_GUARD = 6
 _ORACLE_BLOCK = 64  # restarts run in lockstep at once, so memory does not grow with restarts
 _ORACLE_TERMS = 1 << 15  # terms per chunk of the objective and the Jacobian, bounding their arrays
-# the gradient steps 2^-1 .. 2^-56 (the last above 1e-17) in batches that double: the first
-# four are tried beside each Newton move, then 5-8, 9-16, 17-32 and 33-56, each only where
-# no step before it lowers f
-_FIRST_HALVINGS, *_LATER_HALVINGS = np.split(np.ldexp(1.0, -np.arange(1, 57)), [4, 8, 16, 32])
+# the gradient steps 2^3 .. 2^-28: the first four are tried beside each Newton move, the
+# rest only where none of those lowers f
+_FIRST_HALVINGS, _LATER_HALVINGS = np.split(np.ldexp(1.0, 3 - np.arange(32)), [4])
 
 # kinds whose diagonal blocks determine determinant and spectrum
 _SUPPORTED = (BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2, BlockKind.DIAG)
@@ -383,10 +382,12 @@ def _adjoint_times(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _min_norm_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The least-norm least-squares solution of each system of a stack, through its SVD.
-    Singular values at or below eps * n * s_max count as zero, as in lstsq(rcond=None)."""
+    """The least-norm least-squares solution of each system of a stack of matrices of rank
+    below n, through its SVD: the least singular value counts as zero (it is rounding, and
+    can pass the bound), as do those at or below eps * n * s_max, as in lstsq(rcond=None)."""
     u, s, vh = np.linalg.svd(jac)
     keep = s > np.finfo(float).eps * jac.shape[-1] * s[:, :1]
+    keep[:, -1] = False
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     return _adjoint_times(vh, _adjoint_times(u, rhs) * inv)
 
@@ -460,11 +461,11 @@ def _descend(objective, trials: np.ndarray, allowed, z: np.ndarray, f: np.ndarra
     """Move each of ``rows`` of z to the first of its trials (a (rows, k, n) stack), scaled
     to unit length, that lowers f and that ``allowed`` (a (rows, k) mask, or True) lets it
     take; f and y follow. Return which rows moved."""
-    norm = _norms(trials)
-    unit = trials * (1.0 / np.where(norm > 0, norm, 1.0))[..., None]
+    norm = _norms(trials)  # at least 1, as every move is tangent to the sphere at z
+    unit = trials * (1.0 / norm)[..., None]
     f_t, y_t = objective(unit.reshape(-1, z.shape[1]))
     f_t = f_t.reshape(norm.shape)
-    lower = (norm > 0) & (f_t < f[rows, None]) & allowed
+    lower = (f_t < f[rows, None]) & allowed
     k = lower.argmax(axis=1)  # the first trial that lowers f
     hit = lower[np.arange(len(rows)), k]
     pick = np.flatnonzero(hit), k[hit]
@@ -472,41 +473,43 @@ def _descend(objective, trials: np.ndarray, allowed, z: np.ndarray, f: np.ndarra
     return hit
 
 
-def _oracle_block(jacobian, objective, z: np.ndarray, iters: int) -> np.ndarray:
+def _oracle_block(jacobian, objective, z: np.ndarray, iters: int, degree: int) -> np.ndarray:
     """The last point of the restart from each row of z, every restart run in lockstep.
 
-    Each step tries, for every live restart at once, the Gauss-Newton move
-    (solve J d = -y in least squares) beside ``_FIRST_HALVINGS`` of the
-    gradient step, and keeps the Newton move if it lowers f, else the first
-    of those halvings that does; where none does, the batches of
-    ``_LATER_HALVINGS`` follow, each for the restarts that no batch before
-    it moved. A restart stops when no move lowers f, or when the Newton
-    move does not and its gradient is below 1e-14, and then leaves the
-    live rows. A restart's path does not depend on the rows beside it: a
-    sum over a vector's components adds at most ``_ORACLE_GUARD`` < 8
-    numbers, which NumPy adds in order; the objective's ``np.add.reduceat``
-    and the Jacobian's ``np.bincount`` sum each row's terms on their own;
-    and the SVD works matrix by matrix.
+    Each step tries, for every live restart at once, the projective Newton
+    move (Shub and Smale, J. Amer. Math. Soc. 6(2), 1993), the least-norm d
+    with (J P) d = -y, P = I - z z^H, beside the steps ``_FIRST_HALVINGS``
+    along the gradient on the sphere, grad - z (z^H grad); the map is
+    homogeneous of ``degree`` m - 1, so J z = (m - 1) y and
+    z^H grad = 2 (m - 1) ||y||^2. It keeps the Newton move if it lowers f,
+    else the first of those steps that does; where none does, the first of
+    ``_LATER_HALVINGS`` that does. A restart stops when no move lowers f,
+    or when the Newton move does not and its gradient is below
+    1e-14 ||y||, and then leaves the live rows. A restart's path does not
+    depend on the rows beside it: a sum over a vector's components adds at
+    most ``_ORACLE_GUARD`` < 8 numbers, which NumPy adds in order; a
+    product of two complex arrays is formed from real ones; the
+    objective's ``np.add.reduceat`` and the Jacobian's ``np.bincount`` sum
+    each row's terms on their own; and the SVD works matrix by matrix.
     """
     last, live = z.copy(), np.arange(len(z))
     f, y = objective(z)  # y is always the image of the current z
     for _ in range(iters):
         jac = jacobian(z)
-        # real-coordinate gradient of ||y||^2, packed back into a complex vector
-        grad = _adjoint_times(jac, y + y)
-        flat = _norms(grad) < 1e-14
-        trials = np.concatenate(((z + _min_norm_solve(jac, -y))[:, None],
+        # real-coordinate gradient of ||y||^2 on the sphere, packed into a complex vector
+        grad = _adjoint_times(jac, y + y) - (2 * degree) * f[:, None] * z
+        flat = _norms(grad) < 1e-14 * np.sqrt(f)
+        yr, yi, zr, zi = y.real[:, :, None], y.imag[:, :, None], z.real[:, None], z.imag[:, None]
+        tangent = jac - degree * _complex(yr * zr + yi * zi, yi * zr - yr * zi)  # J - (J z) z^H
+        trials = np.concatenate(((z + _min_norm_solve(tangent, -y))[:, None],
                                  z[:, None] - _FIRST_HALVINGS[:, None] * grad[:, None]), axis=1)
         allowed = np.ones(trials.shape[:2], dtype=bool)
         allowed[flat, 1:] = False  # a flat gradient leaves only the Newton move
         moved = _descend(objective, trials, allowed, z, f, y, np.arange(len(z)))
         rest = np.flatnonzero(~moved & ~flat)
-        for steps in _LATER_HALVINGS:
-            if not len(rest):
-                break
-            trials = z[rest, None] - steps[:, None] * grad[rest, None]
+        if len(rest):
+            trials = z[rest, None] - _LATER_HALVINGS[:, None] * grad[rest, None]
             moved[rest] = _descend(objective, trials, True, z, f, y, rest)
-            rest = rest[~moved[rest]]
         if not moved.all():
             last[live[~moved]] = z[~moved]
             z, f, y, live = z[moved], f[moved], y[moved], live[moved]
@@ -516,9 +519,20 @@ def _oracle_block(jacobian, objective, z: np.ndarray, iters: int) -> np.ndarray:
     return last
 
 
+def _image_norm(tensor: Tensor, z: np.ndarray) -> float:
+    """||apply(tensor, z)||, from its real and imaginary parts scaled by 2^-e, e the exponent
+    of the largest, so that no square overflows or underflows; inf past the double range."""
+    try:
+        parts = apply(tensor, z).view(float)
+        e = math.frexp(np.abs(parts).max())[1]
+        return math.ldexp(float(np.linalg.norm(np.ldexp(parts, -e))), e)
+    except OverflowError:
+        return math.inf
+
+
 def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
                        seed: int = 7) -> OracleReport:
-    """Projected gradient descent estimate of min ||A x||_2, ||x||_2 = 1, x complex.
+    """Newton-on-the-sphere estimate of min ||A x||_2, ||x||_2 = 1, x complex.
 
     A reported minimum near zero is strong evidence of a nontrivial
     projective zero (vanishing determinant); a minimum bounded away from
@@ -526,18 +540,21 @@ def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
     its own start from seed + restart index, so runs are reproducible
     and independent of scheduling: the report is the first least of the
     one-restart runs with seeds seed, ..., seed + restarts - 1, and
-    ``min_norm`` is ||apply(tensor, witness)||.
+    ``min_norm`` is ||apply(tensor, witness)|| (``_image_norm``).
 
-    Each iteration first tries a Gauss-Newton move (solve J d = -y in
-    least squares); plain descent on ||A x||^2 flattens out quartically
-    near a zero, while the Newton step keeps converging geometrically.
-    Moves are only ever accepted when they lower the objective, so the
-    gradient line search remains the fallback everywhere else. Restarts
-    run in lockstep, ``_ORACLE_BLOCK`` at a time (see ``_oracle_block``).
-
-    With r_i the absolute row sums, OracleOutOfRange refuses a tensor where
-    sum r_i^2 >= 2^500: below it ||A x||^2, the gradient's squared norm and
-    every trial's norm stay finite for a unit x.
+    The search runs on 2^-k A, k putting the 2-norm of the absolute row
+    sums in [1/2, 1): ||2^-k A x|| <= 1 for a unit x, and
+    min ||2^-k A x|| = 2^-k min ||A x|| exactly, so steps and stops are
+    relative to the tensor's scale. Its objective ||2^-k A x||^2 bottoms
+    out near 2^-1022, so a least norm below about 2^-511 of the scale
+    reads as zero; values more than about 2^1000 below the largest go
+    subnormal or zero once scaled and are lost to the search alone.
+    OracleOutOfRange refuses a run in which every restart's image has a
+    norm past the double range. Each iteration tries the projective
+    Newton move first (see ``_oracle_block``): plain descent on ||A x||^2
+    flattens out quartically near a zero, while Newton's step keeps
+    converging geometrically. Restarts run in lockstep, ``_ORACLE_BLOCK``
+    at a time.
     """
     if tensor.order < 2:
         raise OrderTooSmall("the singularity probe needs order >= 2")
@@ -549,10 +566,12 @@ def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     (idx, vals), n = tensor.coo, tensor.dim
-    if math.hypot(*np.bincount(idx[:, 0], np.abs(vals), minlength=n).tolist()) >= 2.0 ** 250:
-        raise OracleOutOfRange("the probe needs the row sums' 2-norm below 2^250")
-
-    jacobian, objective = _oracle_jacobian(tensor), _oracle_objective(tensor)
+    top = math.frexp(np.abs(vals).max(initial=0.0))[1]  # the row sums of 2^-top |A| are finite
+    sums = np.bincount(idx[:, 0], np.ldexp(np.abs(vals), -top), minlength=n)
+    k = top + math.frexp(math.hypot(*sums.tolist()))[1]
+    small = np.ldexp(vals, -k)
+    scaled = _from_arrays(tensor.order, n, idx[small != 0], small[small != 0])
+    jacobian, objective = _oracle_jacobian(scaled), _oracle_objective(scaled)
 
     def start(r: int) -> np.ndarray:
         rng = np.random.default_rng(seed + r)
@@ -562,9 +581,10 @@ def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
     best, witness = math.inf, None
     for lo in range(0, restarts, _ORACLE_BLOCK):
         starts = np.array([start(r) for r in range(lo, min(lo + _ORACLE_BLOCK, restarts))])
-        for z in _oracle_block(jacobian, objective, starts, iters):
-            norm = float(np.linalg.norm(apply(tensor, z)))
-            score = math.inf if math.isnan(norm) else norm  # the first least; nan never wins
-            if witness is None or score < best:
-                best, min_norm, witness = score, norm, z
-    return OracleReport(min_norm, witness, restarts)
+        for z in _oracle_block(jacobian, objective, starts, iters, tensor.order - 1):
+            score = _image_norm(tensor, z)
+            if witness is None or score < best:  # the first least
+                best, witness = score, z
+    if best == math.inf:
+        raise OracleOutOfRange("the witness's image has a norm past the double range")
+    return OracleReport(best, witness, restarts)

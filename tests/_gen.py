@@ -544,11 +544,19 @@ def loop_spectral_radius(tensor: Tensor, tol: float = 1e-10,
 
 def loop_singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
                             seed: int = 7) -> tb.OracleReport:
-    """``singularity_oracle`` as it ran each restart alone: one ``lstsq``, objective
-    (summed with ``math.fsum``) and line-search halving at a time, the first least f winning."""
+    """``singularity_oracle`` one restart at a time, on the tensor scaled by the power of two
+    that puts its absolute row sums' 2-norm in [1/2, 1): one ``lstsq`` of the Newton system
+    restricted to the tangent space (J Q c = -y and d = Q c, Q an orthonormal basis of the
+    vectors orthogonal to z), objective (summed with ``math.fsum``) and line-search step
+    along the gradient on the sphere at a time, the first least f winning; the least norm
+    is scaled back."""
     (idx, vals), n = tensor.coo, tensor.dim
+    sums = [math.fsum(np.abs(vals[idx[:, 0] == i])) for i in range(n)]
+    k = math.frexp(math.hypot(*sums))[1]
+    scaled = Tensor(tensor.order, n, {i: math.ldexp(v, -k) for i, v in tensor.entries.items()})
+    (idx, vals) = scaled.coo
 
-    def objective(z: np.ndarray) -> tuple[float, np.ndarray]:  # y = apply(tensor, z)
+    def objective(z: np.ndarray) -> tuple[float, np.ndarray]:  # y = apply(scaled, z)
         re, im = _complex_terms(vals, idx.T[1:], z)
         y = np.array(list(map(complex, *_row_fsums(idx[:, 0], n, re, im))), dtype=complex)
         return float(np.real(np.vdot(y, y))), y
@@ -561,8 +569,10 @@ def loop_singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200
         z = z / np.linalg.norm(z)
         f, y = objective(z)  # y is always the image of the current z
         for _ in range(iters):
-            jac = loop_jacobian(tensor, z)
-            delta = np.linalg.lstsq(jac, -y, rcond=None)[0]
+            jac = loop_jacobian(scaled, z)
+            # an orthonormal basis of the vectors orthogonal to z: the tangent space
+            basis = np.linalg.svd(np.conj(z)[None])[2][1:].conj().T
+            delta = basis @ np.linalg.lstsq(jac @ basis, -y, rcond=None)[0]
             norm = np.linalg.norm(z + delta)
             if norm > 0:
                 trial = (z + delta) / norm
@@ -570,12 +580,14 @@ def loop_singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200
                 if f_trial < f:
                     z, f, y = trial, f_trial, y_trial
                     continue
-            # real-coordinate gradient of ||y||^2, packed back into a complex vector
+            # real-coordinate gradient of ||y||^2, packed back into a complex vector, less its
+            # part along z
             grad = 2.0 * np.conj(jac.T @ np.conj(y))
-            if np.linalg.norm(grad) < 1e-14:
+            grad = grad - z * np.vdot(z, grad)
+            if np.linalg.norm(grad) < 1e-14 * math.sqrt(f):
                 break
-            for k in range(1, 57):  # steps 2^-1 down to 2^-56, the last above 1e-17
-                trial = z - 2.0 ** -k * grad
+            for h in range(-3, 29):  # steps 2^3 down to 2^-28
+                trial = z - 2.0 ** -h * grad
                 norm = np.linalg.norm(trial)
                 if norm > 0:
                     trial = trial / norm
@@ -589,7 +601,7 @@ def loop_singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200
             best_f, best_z = f, z
 
     assert best_z is not None
-    return tb.OracleReport(float(np.sqrt(max(best_f, 0.0))), best_z, restarts)
+    return tb.OracleReport(math.ldexp(float(np.sqrt(max(best_f, 0.0))), k), best_z, restarts)
 
 def loop_first_type(tensor: Tensor):
     """The first-type witness with one fresh sink search per component."""

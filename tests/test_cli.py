@@ -292,9 +292,24 @@ class TestOracle:
         assert code == 0 and doc["restarts_used"] == 2
 
     @pytest.mark.parametrize("values", [[1e100, 1e100], [1e200, 1.0]])
-    def test_values_past_the_probe_range_are_one_error_document(self, capsys, tmp_path, values):
+    def test_values_past_the_old_range_are_one_answer_document(self, capsys, tmp_path, values):
+        # the absolute row sums r_i have sum r_i^2 >= 2^500; the least norms are 1e100 / sqrt(2)
+        # and 1, the second 2^-664 below the tensor's scale, which the probe reads as zero
         path = write_tensor(tmp_path, "a.json", tb.diagonal_tensor(3, values))
-        assert cli.run(["oracle", "--tensor", path]) == 1
+        assert cli.run(["oracle", "--tensor", path, "--restarts", "4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.count("\n") == 1
+        min_norm = json.loads(captured.out)["min_norm"]
+        if values[1] == 1.0:
+            assert 1.0 <= min_norm < 1e-100 * values[0]
+        else:
+            assert min_norm == pytest.approx(1e100 / math.sqrt(2), rel=1e-15)
+
+    def test_a_least_norm_past_the_double_range_is_one_error_document(self, capsys, tmp_path):
+        c = 1.7e308  # ||A x|| = sqrt(2) * c for every unit x
+        t = tb.Tensor(2, 2, {(1, 1): c, (1, 2): c, (2, 1): c, (2, 2): -c})
+        path = write_tensor(tmp_path, "a.json", t)
+        assert cli.run(["oracle", "--tensor", path, "--restarts", "2", "--iters", "5"]) == 1
         captured = capsys.readouterr()
         assert captured.err == "" and captured.out.count("\n") == 1
         assert json.loads(captured.out)["error"] == "OracleOutOfRange"

@@ -46,6 +46,7 @@ from triblock.spectra import _finest_refinement
 UTB1 = BlockKind.UTB1
 LTB1 = BlockKind.LTB1
 UTB3 = BlockKind.UTB3
+EPS = np.finfo(float).eps
 
 
 def upper_triangular(diag, extras):
@@ -691,6 +692,7 @@ class TestRadiusLaws:
         assert res.residual == want
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSingularityOracle:
     def test_unit_tensor_floor(self):
         # min of ||(x1^2, x2^2)|| on the complex unit sphere is 1/sqrt(2)
@@ -736,19 +738,55 @@ class TestSingularityOracle:
             tb.singularity_oracle(tb.unit_tensor(3, 2), seed=-1)
 
     @pytest.mark.parametrize("values", [[1e100, 1e100], [1e200, 1.0], [1e100, 1.0], [2.0 ** 250]])
-    def test_values_past_the_probe_range_are_refused_before_any_work(self, monkeypatch, values):
-        # 10^100 I (least norm 7.07e99) once reported 0.0 at the zero vector, an overflowing
-        # halving step scaled to nothing; diag(1e200, 1) reported inf. Both are refused, as
-        # is diag(1e100, 1), which answered near 1 after a stream of overflow warnings.
-        monkeypatch.setattr(spectra, "_oracle_block", None)
-        with pytest.raises(OracleOutOfRange, match="2-norm below 2\\^250"):
-            tb.singularity_oracle(tb.diagonal_tensor(3, values))
+    def test_values_past_the_old_range_are_answered(self, values):
+        # with r_i the absolute row sums, sum r_i^2 >= 2^500 here; the search runs on the
+        # tensor scaled to row sums of norm below 1, so these answer with no overflow
+        report = tb.singularity_oracle(tb.diagonal_tensor(3, values), restarts=4)
+        floor = math.fsum(v ** -2.0 for v in values) ** -0.5
+        if values == [1e200, 1.0]:
+            # the least norm, 1, lies 2^-664 below the tensor's scale, past what the search
+            # resolves (its objective ||2^-k A x||^2 bottoms out near 2^-1022): the answer
+            # bounds the least norm from above and reads as zero at that scale
+            assert floor <= report.min_norm < 1e-100 * max(values)
+        else:
+            assert report.min_norm == pytest.approx(floor, rel=4 * EPS)
 
     def test_values_just_inside_the_probe_range_run(self):
-        # the row sums' squares add up to 2^499, below the 2^500 the refusal starts at
+        # the row sums' squares add up to 2^499
         report = tb.singularity_oracle(tb.diagonal_tensor(3, [2.0 ** 249] * 2), restarts=2,
                                        iters=20)
-        assert 2.0 ** 249 / math.sqrt(2) <= report.min_norm < math.inf
+        assert report.min_norm == pytest.approx(2.0 ** 249 / math.sqrt(2), rel=4 * EPS)
+
+    def test_a_least_norm_past_the_double_range_is_refused(self):
+        # ||A x|| = sqrt(2) * 1.7e308 for every unit x: no image of a witness has a norm
+        # that a double holds
+        c = 1.7e308
+        t = tb.Tensor(2, 2, {(1, 1): c, (1, 2): c, (2, 1): c, (2, 2): -c})
+        with pytest.raises(OracleOutOfRange, match="norm past the double range"):
+            tb.singularity_oracle(t, restarts=2, iters=5)
+
+    def test_values_lost_to_the_scaling_leave_an_upper_bound(self):
+        # 1e-300 scaled by 2^-997 is zero, so the search sees diag(c, 0) and heads for e_2;
+        # min_norm is still the norm of the witness's image under the tensor as given
+        t = tb.diagonal_tensor(3, [1e300, 1e-300])
+        report = tb.singularity_oracle(t, restarts=4)
+        assert abs(abs(report.witness[1]) - 1.0) < 1e-12
+        assert 1e-300 / 2 <= report.min_norm < 1e-100 * 1e300
+        assert report.min_norm == pytest.approx(
+            math.hypot(*np.abs(tb.apply(t, report.witness))), rel=4 * EPS)
+
+    def test_short_runs_match_the_restart_loop(self):
+        # the lockstep step and the loop's solve in a basis of the tangent space give one
+        # path; the least singular value of J P belongs to z and is dropped, whatever it is
+        rng = np.random.default_rng(694)
+        for trial in range(12):
+            order, dim = int(rng.integers(3, 5)), int(rng.integers(1, 6))
+            t = tb.Tensor.from_dense(rng.standard_normal((dim,) * order)
+                                     * 10.0 ** rng.integers(-30, 30))
+            for iters in (1, 4):
+                report = tb.singularity_oracle(t, restarts=3, iters=iters, seed=trial)
+                loop = loop_singularity_oracle(t, restarts=3, iters=iters, seed=trial)
+                assert report.min_norm == pytest.approx(loop.min_norm, rel=1e-9)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_restarts_are_independent(self, seed):
@@ -813,7 +851,15 @@ class TestSingularityOracle:
         for t in tensors:
             report = tb.singularity_oracle(t, restarts=3, iters=25, seed=rng.randrange(100))
             assert abs(np.linalg.norm(report.witness) - 1.0) <= 1e-12
-            assert report.min_norm == float(np.linalg.norm(tb.apply(t, report.witness)))
+            # the norm of the image's real and imaginary parts, read at their own power-of-two
+            # scale: np.linalg.norm's value wherever no square underflows, never 0.0 for a
+            # nonzero image
+            parts = tb.apply(t, report.witness).view(float)
+            e = int(np.frexp(np.abs(parts).max())[1])
+            assert report.min_norm == float(np.ldexp(np.linalg.norm(np.ldexp(parts, -e)), e))
+            assert report.min_norm == pytest.approx(np.linalg.norm(parts), rel=4 * EPS) \
+                or np.linalg.norm(parts) < 1e-150
+            assert (report.min_norm > 0.0) == bool(parts.any())
             if t.is_zero():
                 assert report.min_norm == 0.0
 
@@ -828,3 +874,46 @@ class TestSingularityOracle:
             assert report.min_norm == pytest.approx(sum(v ** -2 for v in d) ** -0.5, abs=1e-9)
             loop = loop_singularity_oracle(t, restarts=4, iters=60, seed=trial)
             assert report.min_norm == pytest.approx(loop.min_norm, abs=1e-9)
+
+
+def _scaled(t: tb.Tensor, s: float) -> tb.Tensor:
+    return tb.Tensor(t.order, t.dim, {i: s * v for i, v in t.entries.items()})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_oracle_scale_law():
+    # min ||s A x|| = s min ||A x||: the search runs on A scaled by a power of two, so a
+    # power-of-two s gives the same path and the same bits; a decimal s rounds each entry
+    tensors = [tb.diagonal_tensor(3, [1.0, 1.0]),
+               tb.Tensor.from_dense(np.random.default_rng(1).standard_normal((3, 3, 3))),
+               tb.Tensor.from_dense(np.random.default_rng(2).standard_normal((3, 3, 3, 3)))]
+    for t in tensors:
+        base = tb.singularity_oracle(t, restarts=16).min_norm
+        for k in (-600, -60, -1, 1, 60, 600):
+            assert tb.singularity_oracle(_scaled(t, 2.0 ** k), restarts=16).min_norm \
+                == math.ldexp(base, k)
+        for s in (0.1, 1e-5, 1e10, 1e40, 1e75):
+            got = tb.singularity_oracle(_scaled(t, s), restarts=16).min_norm
+            assert got == pytest.approx(s * base, rel=8 * EPS), s
+
+
+def _planted_zeros(seed: int):
+    """Order-3 and order-4 tensors of dims 3-6 with N(0, 1) entries, eight of each dim, and
+    a[:, j, ..., j] = 0 for a random j, so that e_j is a projective zero."""
+    rng = np.random.default_rng(seed)
+    for i in range(32):
+        dim, order = 3 + i // 8, 3 + i % 2
+        a = rng.standard_normal((dim,) * order)
+        a[(slice(None),) + (int(rng.integers(dim)),) * (order - 1)] = 0.0
+        yield tb.Tensor.from_dense(a)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_oracle_finds_planted_zeros():
+    # with the defaults, 27 of the 32 reach a least norm below 1e-8 of the largest absolute
+    # row sum (8, 8, 6 and 5 of 8 by dim)
+    found = []
+    for t in _planted_zeros(31):
+        rows = np.bincount(t.coo.idx[:, 0], np.abs(t.coo.vals), minlength=t.dim)
+        found.append(tb.singularity_oracle(t).min_norm < 1e-8 * rows.max())
+    assert sum(found) == 27, found
