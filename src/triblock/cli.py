@@ -13,7 +13,7 @@ import functools
 import sys
 from pathlib import Path
 
-from . import spectra, tensorio
+from . import spectra, structure, tensorio
 from .blocked import BlockKind, Partition, diagonal_blocks, is_blocked
 from .core import Tensor
 from .errors import TriblockError
@@ -23,7 +23,6 @@ from .product import general_product
 from .spectra import det_blocked, singularity_oracle, spectral_radius, spectrum_blocked
 from .structure import (
     adjacency_tensor,
-    connected_components,
     exists_first_type_normal_form,
     normal_form_2nd,
     normal_form_3rd,
@@ -215,7 +214,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         graph = tensorio.hypergraph_from_obj(
             tensorio.loads(Path(args.edges).read_text()))
         # a connected hypergraph's adjacency tensor is weakly irreducible
-        rhos = spectra._block_radii(adjacency_tensor(graph), connected_components(graph),
+        rhos = spectra._block_radii(adjacency_tensor(graph), structure._component_blocks(graph),
                                     args.tol, args.max_iter)[0].tolist()
         _emit(tensorio.dumps({"rho": max(rhos), "component_rhos": rhos}))
     else:  # pragma: no cover - argparse enforces the choices

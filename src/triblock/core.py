@@ -402,11 +402,41 @@ def _complex_terms(vals: np.ndarray, feet: Iterable[np.ndarray],
     return re, im
 
 
+def _fsum(values: list[float]) -> float:
+    """The values' sum, correctly rounded: +-inf past the double range, nan where an inf meets
+    a -inf or a nan.
+
+    math.fsum refuses a sum whose partial sums overflow in its order even
+    where the exact sum is in range. That sum is then taken exactly, as
+    integers over the values' common power-of-two denominator, and rounded
+    once by an int/int true division.
+    """
+    try:
+        return math.fsum(values)
+    except ValueError:  # inf - inf
+        return math.nan
+    except OverflowError:  # a partial sum, in the values' order
+        pass
+    special = [v for v in values if not math.isfinite(v)]
+    if special:  # no finite value changes their sum
+        return _fsum(special)
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(q for _, q in ratios)
+    total = sum(p * (scale // q) for p, q in ratios)
+    try:
+        return total / scale
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
 def _row_fsums(rows: np.ndarray, n: int, *terms: np.ndarray) -> list[list[float]]:
-    """Per term array, math.fsum of the terms of each row 0 to n - 1, all sorted by ``rows``."""
-    starts = rows.searchsorted(np.arange(n + 1)).tolist()
-    return [[math.fsum(flat[lo:hi]) for lo, hi in zip(starts, starts[1:])]
-            for flat in map(np.ndarray.tolist, terms)]
+    """Per term array, the sum of the terms of each row 0 to n - 1, all sorted by ``rows``:
+    math.fsum's, or ``_fsum``'s where a partial sum overflows or an inf meets a -inf."""
+    starts, flats = rows.searchsorted(np.arange(n + 1)).tolist(), [t.tolist() for t in terms]
+    try:
+        return [[math.fsum(flat[lo:hi]) for lo, hi in zip(starts, starts[1:])] for flat in flats]
+    except (OverflowError, ValueError):
+        return [[_fsum(flat[lo:hi]) for lo, hi in zip(starts, starts[1:])] for flat in flats]
 
 
 def apply(tensor: Tensor, x: Sequence[complex]) -> np.ndarray:

@@ -12,12 +12,11 @@ application.
 """
 from __future__ import annotations
 
-import math
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Tensor, _from_arrays
+from .core import Tensor, _from_arrays, _fsum
 from .errors import DimensionMismatch, OrderTooSmall, ProductOutOfRange
 
 # Terms expanded at once (a single row of ``a`` may hold more). A chunk
@@ -42,29 +41,6 @@ def _chunks(rows: np.ndarray, ends: Sequence[int]) -> Iterator[tuple[int, int]]:
             yield starts[first], starts[row - 1]
             first = row - 1
     yield starts[first], starts[-1]
-
-
-def _fsum(terms: np.ndarray) -> float:
-    """The terms' sum, correctly rounded, or inf where a term or the sum is past the double range.
-
-    math.fsum refuses a group whose partial sums overflow in its order
-    even where the exact sum is in range. That sum is then taken exactly,
-    as integers over the terms' common power-of-two denominator, and
-    rounded once by an int/int true division.
-    """
-    values = terms.tolist()
-    try:
-        return math.fsum(values)
-    except ValueError:  # inf - inf
-        return math.inf
-    except OverflowError:  # a partial sum, in generation order
-        pass
-    try:  # an infinite term has no integer ratio, and a sum past the range no quotient
-        ratios = [v.as_integer_ratio() for v in values]
-        scale = max(q for _, q in ratios)
-        return sum(p * (scale // q) for p, q in ratios) / scale
-    except OverflowError:
-        return math.inf
 
 
 def _fold(code: np.ndarray, top: int, digits: np.ndarray, base: int) -> tuple[np.ndarray, int]:
@@ -159,8 +135,8 @@ def general_product(a: Tensor, b: Tensor) -> Tensor:
                 if exact:
                     terms = np.add.reduceat(terms, starts)
                 else:
-                    cuts = starts.tolist() + [len(terms)]
-                    terms = np.array([_fsum(terms[s:e]) for s, e in zip(cuts, cuts[1:])])
+                    cuts, flat = starts.tolist() + [len(terms)], terms.tolist()
+                    terms = np.array([_fsum(flat[s:e]) for s, e in zip(cuts, cuts[1:])])
                 nonzero = terms != 0.0
                 first = order[starts[nonzero]]  # one term per nonzero sum
                 del order

@@ -21,7 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .blocked import BlockKind, Partition, _finest_refinement, _inside, _principal_block, is_blocked
+from .blocked import (_REFINE_ORDER, BlockKind, Partition, _finest_refinement, _inside,
+                      _principal_block, is_blocked)
 from .core import Tensor, _complex_terms, _equal_from, _from_arrays, _row_fsums, apply
 from .errors import (
     BlockDetUnavailable,
@@ -48,7 +49,7 @@ _ORACLE_TERMS = 1 << 15  # terms per chunk of the objective and the Jacobian, bo
 _FIRST_HALVINGS, _LATER_HALVINGS = np.split(np.ldexp(1.0, 3 - np.arange(32)), [4])
 
 # kinds whose diagonal blocks determine determinant and spectrum
-_SUPPORTED = (BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2, BlockKind.DIAG)
+_SUPPORTED = (*_REFINE_ORDER, BlockKind.DIAG)
 _UNAVAILABLE = {BlockDetUnavailable: "admits no supported refinement",
                 BlockSpectrumUnavailable: "cannot be reduced to dimension 1"}
 _PRECISION = 192  # mantissa bits kept while the determinant is raised to its power
@@ -239,9 +240,9 @@ def _unconverged(bounds, j: int, scale: float, unit: float, steps: int) -> NoCon
         iterations=steps)
 
 
-def _block_radii(tensor: Tensor, blocks: list, tol: float, max_iter: int, k: int = 0):
-    """Ng-Qi-Zhou bracketing of the radius of each of ``blocks``' principal subtensors
-    (weakly irreducible, or of dim 1 for the diagonal entry), batched in one iteration.
+def _block_radii(tensor: Tensor, block: np.ndarray, tol: float, max_iter: int, k: int = 0):
+    """Ng-Qi-Zhou bracketing of the radius of each principal subtensor on a block numbered in
+    ``block`` (weakly irreducible, or of dim 1), batched in one iteration.
 
     The view is relabelled so a block's rows are contiguous, its entries in that
     subtensor's order (one block holding every index already is). A block iterates on its
@@ -252,11 +253,11 @@ def _block_radii(tensor: Tensor, blocks: list, tol: float, max_iter: int, k: int
     and exact residuals (as ``apply`` sums rows) per block, and the eigenvectors in order.
     """
     m, n, unit = tensor.order, tensor.dim, 2.0 ** k
-    dims = np.array([len(block) for block in blocks])
+    dims = np.bincount(block)
     starts, home = np.cumsum(dims) - dims, np.repeat(np.arange(len(dims)), dims)
     columns, vals = np.ascontiguousarray(tensor.coo.idx.T), tensor.coo.vals
     if len(dims) > 1:
-        label = np.argsort(np.concatenate([sorted(block) for block in blocks]))  # old - 1 to new
+        label = np.argsort(block, kind="stable").argsort()  # old - 1 to new
         columns = label[columns]
         kept = np.flatnonzero((home[columns] == home[columns[0]]).all(axis=0))
         kept = kept[columns[0, kept].argsort(kind="stable")]
@@ -346,8 +347,7 @@ def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000) -
     # a row sum past the double range iterates on A / 2^k; the bound spares the exact test
     fits = float(tensor.coo.vals.max()) * tensor.nnz * 2 < math.inf
     k = 0 if fits or math.isfinite(_largest_row_sum(tensor)) else tensor.nnz.bit_length() + 1
-    # the sinks peeled last are the normal form's first blocks
-    rhos, steps, residuals, eig = _block_radii(tensor, [*_peel(tensor)][::-1], tol, max_iter, k)
+    rhos, steps, residuals, eig = _block_radii(tensor, _peel(tensor), tol, max_iter, k)
     j = int(np.argmax(rhos))  # the first maximum
     if rhos[j] == math.inf:
         raise RadiusOutOfRange("the spectral radius is past the double range")
@@ -522,12 +522,12 @@ def _oracle_block(jacobian, objective, z: np.ndarray, iters: int, degree: int) -
 def _image_norm(tensor: Tensor, z: np.ndarray) -> float:
     """||apply(tensor, z)||, from its real and imaginary parts scaled by 2^-e, e the exponent
     of the largest, so that no square overflows or underflows; inf past the double range."""
-    try:
-        parts = apply(tensor, z).view(float)
-        e = math.frexp(np.abs(parts).max())[1]
-        return math.ldexp(float(np.linalg.norm(np.ldexp(parts, -e))), e)
-    except OverflowError:
+    parts = apply(tensor, z).view(float)
+    top = np.abs(parts).max()
+    if not top < math.inf:  # a component past the range, or one where an inf met a -inf
         return math.inf
+    e = math.frexp(top)[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(parts, -e))), e)
 
 
 def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,

@@ -167,11 +167,9 @@ def _labels(pairs: np.ndarray, n: int) -> np.ndarray:
             label = label[label]
 
 
-def _classes(label: np.ndarray) -> list[frozenset[int]]:
-    """The 1-based classes of a labelling by least member, in order of their least member."""
-    order = np.argsort(label, kind="stable")
-    flat, cuts = (order + 1).tolist(), np.flatnonzero(np.diff(label[order])) + 1
-    return [frozenset(flat[lo:hi]) for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), None])]
+def _numbered(label: np.ndarray) -> np.ndarray:
+    """Per vertex, its class's number under a labelling by least member, in that member's order."""
+    return np.cumsum(label == np.arange(len(label)))[label] - 1
 
 
 def _sccs(idx: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
@@ -186,30 +184,34 @@ def _sccs(idx: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
     return label, bool((label[tails] == label[heads]).all())
 
 
-def _replay(rows: np.ndarray, count: int) -> Iterator[int]:
-    """Blocks 0, ..., count - 1 in Kahn's order (CACM 5(11), 1962), the least ready one first:
-    a block is ready once each of the ``rows`` it heads (its number, then its feet's blocks)
-    has lost a foot to a block yielded before. Every row needs a foot in another block."""
+def _replay(rows: np.ndarray, count: int) -> np.ndarray:
+    """Per block 0, ..., count - 1, its place from the back of Kahn's order (CACM 5(11), 1962),
+    the least ready one taken first: a block is ready once each of the ``rows`` it heads (its
+    number, then its feet's blocks) has lost a foot to a block taken before. Every row needs
+    a foot in another block."""
     at, slot = np.nonzero(rows[:, 1:] != rows[:, :1])  # each row's feet elsewhere
     feet = rows[:, 1:][at, slot]
     starts = [0, *np.bincount(feet, minlength=count).cumsum().tolist()]
     lost, heads = at[np.argsort(feet)].tolist(), rows[:, 0].tolist()  # by the foot's block
     waiting = np.bincount(rows[:, 0], minlength=count).tolist()
     ready, gone = [b for b, left in enumerate(waiting) if not left], [False] * len(heads)
+    place = [0] * count
     while ready:
         b = heapq.heappop(ready)
-        yield b
+        count -= 1
+        place[b] = count
         for e in lost[starts[b]:starts[b + 1]]:
             if not gone[e]:
                 gone[e] = True
                 waiting[heads[e]] -= 1
                 if not waiting[heads[e]]:
                     heapq.heappush(ready, heads[e])
+    return np.array(place)
 
 
-def _peel(tensor: Tensor) -> Iterator[frozenset[int]]:
-    """Sink components (no edge leaves them), each the one holding the smallest index once
-    the earlier ones and every entry that mentions them are gone.
+def _peel(tensor: Tensor) -> np.ndarray:
+    """Per 0-based index, its second-type block, numbered from the last sink peeled: each sink
+    (a component no edge leaves) holds the smallest index once the earlier ones are gone.
 
     A peel drops only entries that mention a peeled index, never one inside a block that
     stays: the blocks are the components left once a search drops no entry with an index
@@ -223,12 +225,11 @@ def _peel(tensor: Tensor) -> Iterator[frozenset[int]]:
         inside = (label[idx] == label[idx[:, :1]]).all(axis=1)
         idx, dropped = idx[inside], [*dropped, idx[~inside]]
         label, closed = _sccs(idx, n)
-    classes = _classes(label)
+    block = _numbered(label)
+    count = int(block.max()) + 1
     if not dropped:  # no entry leaves its block, so each block is a sink from the start
-        yield from classes
-        return
-    out = np.cumsum(label == np.arange(n))[label[np.concatenate(dropped)]] - 1  # block numbers
-    yield from map(classes.__getitem__, _replay(out, len(classes)))
+        return count - 1 - block
+    return _replay(block[np.concatenate(dropped)], count)[block]
 
 
 def find_weakly_reducing_set(tensor: Tensor) -> Optional[frozenset[int]]:
@@ -271,10 +272,9 @@ def reducing_to_utb(tensor: Tensor, index_set: Iterable[int],
     if not ok:
         kind = "weakly" if weak else "strongly"
         raise NotReducingSet(f"{members} does not {kind} reduce the tensor")
-    complement = set(range(1, tensor.dim + 1)) - set(members)
-    sigma = _stacked([complement, members])
+    sigma = _stacked(np.isin(np.arange(1, tensor.dim + 1), members))
     moved = permute_similar(tensor, sigma)
-    k = len(complement)
+    k = tensor.dim - len(members)
     expected = BlockKind.UTB1 if weak else BlockKind.UTB3
     if not is_blocked(moved, Partition((k, tensor.dim - k)), expected):
         raise AssertionError("verified reducing set failed to produce the block structure")
@@ -295,24 +295,20 @@ class NormalForm:
     blocks: tuple[Tensor, ...]
 
 
-def _stacked(chain: Iterable[Iterable[int]]) -> Permutation:
-    """The relabelling that lays the index blocks of ``chain`` out in order, each one sorted."""
-    return Permutation(tuple(old for comp in chain for old in sorted(comp))).inverse()
+def _stacked(block: np.ndarray) -> Permutation:
+    """The relabelling that lays out the blocks numbered in ``block`` in order, each sorted."""
+    return Permutation(tuple((np.argsort(block, kind="stable").argsort() + 1).tolist()))
 
 
-def _assemble(tensor: Tensor, chain: list[frozenset[int]], kind: BlockKind,
-              weak: bool) -> NormalForm:
-    """Turn an ordered list of index blocks into a NormalForm, verified on its own blocks."""
-    sigma = _stacked(chain)
-    partition = Partition(tuple(len(comp) for comp in chain))
+def _assemble(tensor: Tensor, block: np.ndarray, kind: BlockKind) -> NormalForm:
+    """The NormalForm of the blocks numbered in ``block`` (per 0-based index), its layout
+    verified. The search that numbered them proved each block (weakly) irreducible."""
+    sigma = _stacked(block)
+    partition = Partition(tuple(np.bincount(block).tolist()))
     moved = permute_similar(tensor, sigma)
     if partition.r >= 2 and not is_blocked(moved, partition, kind):
         raise AssertionError("normal form failed block verification")
-    blocks = tuple(diagonal_blocks(moved, partition))
-    check = is_weakly_irreducible if weak else is_irreducible
-    if not all(check(b) for b in blocks):
-        raise AssertionError("normal form produced a reducible diagonal block")
-    return NormalForm(sigma, partition, kind, blocks)
+    return NormalForm(sigma, partition, kind, tuple(diagonal_blocks(moved, partition)))
 
 
 def normal_form_3rd(tensor: Tensor) -> NormalForm:
@@ -370,9 +366,8 @@ def normal_form_3rd(tensor: Tensor) -> NormalForm:
             raise DimensionTooLarge(
                 f"decomposition search gave up at dim {tensor.dim} after "
                 f"{len(dead)} dead prefixes (limit {_PREFIX_BUDGET})")
-    chain = [frozenset((np.flatnonzero(outer & ~inner) + 1).tolist())
-             for inner, outer in zip(prefixes, prefixes[1:])]
-    return _assemble(tensor, chain, BlockKind.UTB3, weak=False)
+    # an index's block is the number of prefixes after the empty one that miss it
+    return _assemble(tensor, np.count_nonzero(~np.array(prefixes[1:]), axis=0), BlockKind.UTB3)
 
 
 def normal_form_2nd(tensor: Tensor) -> NormalForm:
@@ -384,7 +379,7 @@ def normal_form_2nd(tensor: Tensor) -> NormalForm:
     smallest index goes first, making the output deterministic.
     """
     _check_order(tensor)
-    return _assemble(tensor, list(_peel(tensor))[::-1], BlockKind.UTB2, weak=True)
+    return _assemble(tensor, _peel(tensor), BlockKind.UTB2)
 
 
 def exists_first_type_normal_form(tensor: Tensor) -> Optional[tuple[Permutation, Partition]]:
@@ -411,14 +406,14 @@ def exists_first_type_normal_form(tensor: Tensor) -> Optional[tuple[Permutation,
     _check_order(tensor)
     idx, n = tensor.coo.idx, tensor.dim
     label = _sccs(idx, n)[0]
-    classes = _classes(label)
     inside = (label[idx] == label[idx[:, :1]]).all(axis=1)
-    if len(classes) < 2 or not np.array_equal(_sccs(idx[inside], n)[0], label):
-        return None
-    out = (len(classes) - np.cumsum(label == np.arange(n)))[label[idx[~inside]]]  # classes[~b]
+    if not label.any() or not np.array_equal(_sccs(idx[inside], n)[0], label):
+        return None  # one component, or one whose subtensor is weakly reducible
+    count = np.count_nonzero(label == np.arange(n))
+    block = count - 1 - _numbered(label)  # from the largest least index down
+    out = block[idx[~inside]]
     pairs = np.stack(np.broadcast_arrays(out[:, :1], out[:, 1:]), -1).reshape(-1, 2)
-    chain = [classes[~b] for b in _replay(pairs[pairs[:, 0] != pairs[:, 1]], len(classes))]
-    nf = _assemble(tensor, chain[::-1], BlockKind.UTB1, weak=True)
+    nf = _assemble(tensor, _replay(pairs[pairs[:, 0] != pairs[:, 1]], count)[block], BlockKind.UTB1)
     return nf.sigma, nf.partition
 
 
@@ -469,11 +464,16 @@ def adjacency_tensor(graph: Hypergraph) -> Tensor:
     return _from_arrays(k, graph.n, idx, np.full(len(idx), 1.0 / math.factorial(k - 1)))
 
 
-def connected_components(graph: Hypergraph) -> list[frozenset[int]]:
-    """Vertex classes reachable through shared edges, sorted by smallest member.
-
-    Each edge joins its least vertex to the others, and ``_labels`` labels
-    the classes; isolated vertices come back as singletons.
-    """
+def _component_blocks(graph: Hypergraph) -> np.ndarray:
+    """Per 0-based vertex, the number of its class under shared edges, in order of least
+    member. Each edge joins its least vertex to the others, and ``_labels`` labels the classes."""
     pairs = _edge_rows(graph)[:, [(0, j) for j in range(1, graph.k)]].reshape(-1, 2)
-    return _classes(_labels(pairs, graph.n))
+    return _numbered(_labels(pairs, graph.n))
+
+
+def connected_components(graph: Hypergraph) -> list[frozenset[int]]:
+    """Vertex classes reachable through shared edges, sorted by smallest member; isolated
+    vertices come back as singletons."""
+    block = _component_blocks(graph)
+    flat, cuts = (np.argsort(block, kind="stable") + 1).tolist(), np.bincount(block).cumsum()
+    return [frozenset(flat[lo:hi]) for lo, hi in zip([0, *cuts.tolist()], cuts.tolist())]

@@ -33,7 +33,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .blocked import Partition
 from .core import Tensor, _in_range, _nonzero_tensor, _tensor_from_entries
 from .errors import FormatError
 from .spectra import SpectrumFactored
@@ -234,17 +233,3 @@ def hypergraph_from_obj(obj: Any) -> Hypergraph:
         if not isinstance(edge, list) or not all(map(_is_int, edge)):
             raise FormatError(f"bad edge record: {edge!r}")
     return Hypergraph.from_edge_lists(k, n, edges)
-
-
-def hypergraph_to_obj(graph: Hypergraph) -> dict:
-    return {
-        "k": graph.k,
-        "n": graph.n,
-        "edges": [sorted(edge) for edge in graph.edges],
-    }
-
-
-def partition_from_obj(obj: Any) -> Partition:
-    if not isinstance(obj, list) or not all(isinstance(p, int) for p in obj):
-        raise FormatError(f"partition must be a list of integers, got {obj!r}")
-    return Partition(tuple(obj))

@@ -38,10 +38,15 @@ from triblock.errors import (
 from triblock.inverse import VERIFY_TOL, _invert, _root_with_snap
 from triblock.linalg import PIVOT_RTOL, as_matrix
 from triblock.spectra import _SHIFT, _largest_row_sum
-from triblock.structure import _PREFIX_BUDGET, _stacked
+from triblock.structure import _PREFIX_BUDGET
 
 
 # ---------------------------------------------------------------- oracles
+
+def _stacked(chain: Iterable[Iterable[int]]) -> tb.Permutation:
+    """The relabelling that lays the index blocks of ``chain`` out in order, each one sorted."""
+    return tb.Permutation(tuple(old for comp in chain for old in sorted(comp))).inverse()
+
 
 def dense_apply(tensor: Tensor, x):
     """Brute-force polynomial application over every index tuple."""

@@ -282,6 +282,27 @@ class TestApply:
             e[j] = 1.0
             assert tb.apply(t, e) == pytest.approx(m[:, j], abs=0)
 
+    @pytest.mark.parametrize("terms, want", [
+        ([1e308, 1e308, -1e308], 1e308),  # fsum's partial sums overflow in this order
+        ([1e308, 1e308, -1e308, -1e308, 3e-320], 3e-320),
+        ([1e308, 1e308, 1e308, -1e308], math.inf),  # the exact sum, 2e308, is past the range
+        ([-1e308, -1e308, -1e308, 1e308], -math.inf),
+    ])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_rows_past_fsums_partial_sums(self, terms, want, kind):
+        n = len(terms)
+        t = tb.new_tensor(2, n, [((1, j), v) for j, v in enumerate(terms, 1)] + [((2, 1), 1.0)])
+        got = tb.apply(t, [kind(1)] * n)
+        assert got.dtype == kind and got.tolist() == [want, 1.0] + [0.0] * (n - 2)
+        if math.isfinite(want):
+            vector = tb.new_tensor(1, n, [((j,), 1.0) for j in range(1, n + 1)])
+            assert tb.general_product(t, vector).entries == {(1,): want, (2,): 1.0}
+
+    def test_infinite_terms_of_both_signs(self):
+        t = tb.new_tensor(2, 3, [((1, 1), 1.0), ((1, 2), -1.0), ((2, 1), 1.0), ((2, 2), 1.0)])
+        got = tb.apply(t, [math.inf, math.inf, 1.0])
+        assert math.isnan(got[0]) and got[1:].tolist() == [math.inf, 0.0]
+
     def test_order_one_rejected(self):
         with pytest.raises(OrderTooSmall):
             tb.apply(tb.new_tensor(1, 2, [((1,), 1.0)]), [1.0, 1.0])

@@ -53,12 +53,11 @@ from triblock.spectra import (
     _largest_row_sum,
     _oracle_jacobian,
 )
-from triblock.structure import _stacked
-
 from _gen import (
     _components,
     _loop_successors,
     _power_step,
+    _stacked,
     loop_allclose,
     loop_apply,
     loop_block_ends,
@@ -728,6 +727,15 @@ class TestViewUsers:
             tb.spectral_radius(t)
 
 
+def numbered(blocks, n: int) -> list[int]:
+    """Per 0-based index, the place in ``blocks``, from 0, of the block holding it."""
+    out = [None] * n
+    for b, comp in enumerate(blocks):
+        for i in comp:
+            out[i - 1] = b
+    return out
+
+
 def same_peel(t: tb.Tensor) -> bool:
     nf = tb.normal_form_2nd(t)
     return ((nf.sigma.image, nf.partition.parts) == loop_normal_form_2nd(t)
@@ -760,7 +768,7 @@ class TestPeel:
         for trial in range(300):
             t = rand_banded(rng, rng.randint(2, 4), rng.randint(1, 40))
             searches.clear()
-            list(structure._peel(t))
+            structure._peel(t)
             most = max(most, len(searches))
             assert same_peel(t), (trial, dict(t.entries))
         assert most >= 3
@@ -785,7 +793,7 @@ class TestPeel:
         real = structure._scc_labels
         monkeypatch.setattr(structure, "_scc_labels", lambda *a: searched.append(a) or real(*a))
         cycle = tb.new_tensor(3, 3, [((1, 2, 2), 1.0), ((2, 3, 3), 1.0), ((3, 1, 1), 1.0)])
-        assert list(structure._peel(cycle)) == [frozenset({1, 2, 3})] and len(searched) == 1
+        assert structure._peel(cycle).tolist() == [0, 0, 0] and len(searched) == 1
 
     def test_empty_tensor(self):
         t = tb.Tensor(3, 4, {})
@@ -1056,7 +1064,9 @@ class TestBlockRadii:
             adjacency, comps = tb.adjacency_tensor(graph), tb.connected_components(graph)
             want = [radius_outcome(tb.spectral_radius, tb.principal_subtensor(adjacency, c))
                     for c in comps]
-            rhos, steps, residuals, _ = _block_radii(adjacency, comps, 1e-10, 10000)
+            block = structure._component_blocks(graph)
+            assert block.tolist() == numbered(comps, graph.n)
+            rhos, steps, residuals, _ = _block_radii(adjacency, block, 1e-10, 10000)
             got = zip(rhos.tolist(), steps.tolist(), residuals.tolist())
             assert [(rho.hex(), count, gap.hex()) for rho, count, gap in got] == [
                 (w[0], w[2], w[3]) for w in want]
@@ -1099,8 +1109,9 @@ class TestBlockRadii:
         got = tb.spectral_radius(t)
         assert radius_outcome(lambda: got) == radius_outcome(lambda: want)
         assert got.iterations == 11 + 216
-        # the row sums before the loop, then one bincount a step: the link entry is in neither
-        assert fed == [64_000 + 6] * (1 + 11) + [6] * (216 - 11)
+        # the block dims and the row sums before the loop, then one bincount a step: the link
+        # entry is in neither
+        assert fed == [46] + [64_000 + 6] * (1 + 11) + [6] * (216 - 11)
 
 
 class CountingHooks:
@@ -1210,8 +1221,9 @@ def symmetric_tensors(seed: int, count: int):
 
 
 class TestSymmetricPeel:
-    """Where every edge of the entry digraph goes both ways, ``_peel`` gives the classes
-    of the undirected graph in order of their least index, without the Tarjan search."""
+    """Where every edge of the entry digraph goes both ways, ``_peel`` numbers the classes
+    of the undirected graph in order of their least index, the last as block 0, without the
+    Tarjan search."""
 
     def test_matches_tarjan_sinks(self):
         singletons = 0
@@ -1219,7 +1231,8 @@ class TestSymmetricPeel:
             n = t.dim
             comps = _components(_loop_successors(t.coo.idx, np.ones(n, dtype=bool)),
                                 range(1, n + 1))
-            assert list(structure._peel(t)) == sorted(comps, key=min), trial
+            # the classes in order of least index are peeled in turn, the last as block 0
+            assert structure._peel(t).tolist() == numbered(sorted(comps, key=min)[::-1], n), trial
             assert same_peel(t), trial
             singletons += sum(len(c) == 1 for c in comps)
         assert singletons > 300  # indices with no entries come out on their own
@@ -1231,7 +1244,7 @@ class TestSymmetricPeel:
                             lambda *a: searched.append(a) or real(*a))
         rng = random.Random(455)
         for t in symmetric_tensors(456, 40):
-            assert list(structure._peel(t)) and not searched
+            assert len(structure._peel(t)) == t.dim and not searched
         for _ in range(40):
             t = rand_sparse(rng, rng.randint(2, 4), rng.randint(2, 40), upper=0.85)
             edges = structure._edges(t.coo.idx, t.dim)
@@ -1247,13 +1260,13 @@ class TestSymmetricPeel:
             groups = [rng.randint(1, 8) for _ in range(rng.randint(1, 6))]
             graph = rand_hypergraph(rng, rng.randint(2, 4), groups, edges_per_group=4)
             a, comps = tb.adjacency_tensor(graph), tb.connected_components(graph)
-            assert list(structure._peel(a)) == comps
+            assert structure._peel(a).tolist() == numbered(comps[::-1], graph.n)
             assert tb.find_weakly_reducing_set(a) == (comps[0] if len(comps) > 1 else None)
             assert tb.exists_first_type_normal_form(a) == (None if len(comps) < 2 else (
                 _stacked(comps), tb.Partition(tuple(len(comp) for comp in comps))))
             for comp in comps:
                 sub = tb.principal_subtensor(a, comp)
-                assert list(structure._peel(sub)) == [frozenset(range(1, len(comp) + 1))]
+                assert structure._peel(sub).tolist() == [0] * len(comp)
                 assert tb.find_weakly_reducing_set(sub) is None
                 assert tb.exists_first_type_normal_form(sub) is None
 

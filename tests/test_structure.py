@@ -539,6 +539,44 @@ class TestFirstTypeWitness:
         assert all(tb.is_weakly_irreducible(b) for b in tb.diagonal_blocks(moved, p))
 
 
+class TestFormsTakeTheSearchesProofs:
+    """Each search proves the blocks it numbers: the closure search that every third-type
+    block is irreducible, the peel's last component search and the first-type search over
+    the entries inside components that every block is weakly irreducible. So the forms run
+    no block test of their own; the blocks are checked here once the tests are back."""
+
+    def test_no_block_is_tested_again(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a normal form tested a block again")
+
+        tensors = [*third_form_ensemble(86, 150, 30), *first_type_ensemble(87, 150),
+                   *sink_ensemble(88, 150)]
+        with monkeypatch.context() as patched:
+            for name in ("is_irreducible", "is_weakly_irreducible", "find_reducing_set",
+                         "find_weakly_reducing_set"):
+                patched.setattr(structure, name, refuse)
+            forms = []
+            for a in tensors:
+                try:
+                    third = tb.normal_form_3rd(a)
+                except (NormalFormUnavailable, DimensionTooLarge):
+                    third = None
+                forms.append((a, third, tb.normal_form_2nd(a), tb.exists_first_type_normal_form(a)))
+        assert structure.is_irreducible is tb.is_irreducible
+        counts = [0, 0]
+        for a, third, second, first in forms:
+            if third is not None:
+                verify_normal_form(a, third, weak=False)
+                counts[0] += third.partition.r > 1
+            verify_normal_form(a, second, weak=True)
+            if first is not None:
+                sigma, p = first
+                counts[1] += 1
+                verify_normal_form(a, tb.NormalForm(sigma, p, BlockKind.UTB1, tuple(
+                    tb.diagonal_blocks(tb.permute_similar(a, sigma), p))), weak=True)
+        assert min(counts) > 100, counts
+
+
 class TestHypergraphValidation:
     def test_pair_uniformity_is_the_floor(self):
         with pytest.raises(InvalidHypergraph):
