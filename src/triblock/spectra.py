@@ -39,7 +39,7 @@ from .errors import (
     RadiusOutOfRange,
     ThirdTypeUnsupported,
 )
-from .structure import _peel
+from .structure import Hypergraph, _component_blocks, _peel, adjacency_tensor
 
 _ORACLE_GUARD = 6
 _ORACLE_BLOCK = 64  # restarts run in lockstep at once, so memory does not grow with restarts
@@ -316,6 +316,13 @@ def _block_radii(tensor: Tensor, block: np.ndarray, tol: float, max_iter: int, k
         return rhos * unit, steps, np.maximum.reduceat(gaps, starts) * unit, eig
 
 
+def _check_controls(tol: float, max_iter: int) -> None:
+    if not tol > 0:  # nan too
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+
+
 def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000) -> SpectralResult:
     """Largest H-eigenvalue of a nonnegative tensor.
 
@@ -332,10 +339,7 @@ def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000) -
     """
     if tensor.order < 2:
         raise OrderTooSmall("spectral radius needs order >= 2")
-    if not tol > 0:  # nan too
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
+    _check_controls(tol, max_iter)
     negative = tensor.coo.vals < 0
     if negative.any():
         k = negative.argmax()  # the first in view order
@@ -353,6 +357,16 @@ def spectral_radius(tensor: Tensor, tol: float = 1e-10, max_iter: int = 10000) -
         raise RadiusOutOfRange("the spectral radius is past the double range")
     return SpectralResult(float(rhos[j]), eig if len(rhos) == 1 else None, int(steps.sum()),
                           float(residuals[j]))
+
+
+def hypergraph_radii(graph: Hypergraph, tol: float = 1e-10, max_iter: int = 10000) -> list[float]:
+    """The spectral radius of each connected component's adjacency tensor, in order of least
+    vertex, from one batched iteration: a component's principal subtensor is weakly
+    irreducible, so each is one block. ``tol`` and ``max_iter`` act as in
+    ``spectral_radius``, which gives the same radius on each component's subtensor."""
+    _check_controls(tol, max_iter)
+    rhos = _block_radii(adjacency_tensor(graph), _component_blocks(graph), tol, max_iter)[0]
+    return rhos.tolist()
 
 
 @dataclass(frozen=True)

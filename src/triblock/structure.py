@@ -300,14 +300,22 @@ def _stacked(block: np.ndarray) -> Permutation:
     return Permutation(tuple((np.argsort(block, kind="stable").argsort() + 1).tolist()))
 
 
-def _assemble(tensor: Tensor, block: np.ndarray, kind: BlockKind) -> NormalForm:
-    """The NormalForm of the blocks numbered in ``block`` (per 0-based index), its layout
-    verified. The search that numbered them proved each block (weakly) irreducible."""
+def _layout(tensor: Tensor, block: np.ndarray,
+            kind: BlockKind) -> tuple[Permutation, Partition, Tensor]:
+    """The relabelling and the partition that lay out the blocks numbered in ``block`` (per
+    0-based index), and the relabelled tensor, verified ``kind`` blocked over them."""
     sigma = _stacked(block)
     partition = Partition(tuple(np.bincount(block).tolist()))
     moved = permute_similar(tensor, sigma)
     if partition.r >= 2 and not is_blocked(moved, partition, kind):
         raise AssertionError("normal form failed block verification")
+    return sigma, partition, moved
+
+
+def _assemble(tensor: Tensor, block: np.ndarray, kind: BlockKind) -> NormalForm:
+    """The NormalForm of the blocks numbered in ``block``, its layout verified. The search
+    that numbered them proved each block (weakly) irreducible."""
+    sigma, partition, moved = _layout(tensor, block, kind)
     return NormalForm(sigma, partition, kind, tuple(diagonal_blocks(moved, partition)))
 
 
@@ -413,8 +421,8 @@ def exists_first_type_normal_form(tensor: Tensor) -> Optional[tuple[Permutation,
     block = count - 1 - _numbered(label)  # from the largest least index down
     out = block[idx[~inside]]
     pairs = np.stack(np.broadcast_arrays(out[:, :1], out[:, 1:]), -1).reshape(-1, 2)
-    nf = _assemble(tensor, _replay(pairs[pairs[:, 0] != pairs[:, 1]], count)[block], BlockKind.UTB1)
-    return nf.sigma, nf.partition
+    place = _replay(pairs[pairs[:, 0] != pairs[:, 1]], count)
+    return _layout(tensor, place[block], BlockKind.UTB1)[:2]
 
 
 @dataclass(frozen=True)

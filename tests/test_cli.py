@@ -1,4 +1,5 @@
 """Command line behavior: output documents, exit codes, error envelopes."""
+import ast
 import itertools
 import json
 import math
@@ -503,6 +504,22 @@ class TestProcessLevel:
                             "--partition", "1", "--kind", "diag")
         assert code == 1 and doc["error"] == "FormatError"
 
+    @pytest.mark.parametrize("argv, want", [
+        (["classify", "--tensor", "{dir}", "--partition", "1,1", "--kind", "utb3"], "IsADirectory"),
+        (["hypergraph-rho", "--edges", "{dir}"], "IsADirectory"),
+        (["classify", "--tensor", "{bad}", "--partition", "1,1", "--kind", "utb3"], "FormatError"),
+        (["product", "{ex31}", "{ex31}", "-o", "{dir}"], "IsADirectory"),
+    ], ids=["tensor-is-a-directory", "edges-is-a-directory", "not-utf8", "output-is-a-directory"])
+    def test_unreadable_paths_are_one_error_document(self, capsys, tmp_path, ex31_path, argv,
+                                                     want):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x00")
+        paths = {"dir": str(tmp_path), "bad": str(bad), "ex31": ex31_path}
+        code = cli.run([arg.format(**paths) for arg in argv])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert out.count("\n") == 1 and json.loads(out)["error"] == want
+
     def test_unknown_command(self, capsys):
         code, doc = run_cli(capsys, "frobnicate")
         assert code == 2 and doc is None
@@ -524,6 +541,20 @@ class TestProcessLevel:
                         reason="the triblock console script is not installed on PATH")
     def test_installed_console_script(self, fixtures_dir):
         _assert_classifies_ex31([shutil.which("triblock")], fixtures_dir)
+
+
+def test_cli_reaches_no_private_name():
+    """cli.py takes only public names from the other triblock modules."""
+    tree = ast.parse((ROOT / "src" / "triblock" / "cli.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    modules = {alias.asname or alias.name for node in imports if node.module is None
+               for alias in node.names}
+    private = [alias.name for node in imports for alias in node.names
+               if alias.name.startswith("_")]
+    private += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")]
+    assert "tensorio" in modules and private == []
 
 
 # Run in a fresh interpreter whose address space is capped at 2 GiB: a tensor whose storage

@@ -36,6 +36,7 @@ from _gen import (
     loop_finest_refinement,
     loop_singularity_oracle,
     rand_blocked,
+    rand_hypergraph,
     rand_irreducible_nonneg,
     rand_permutation,
     rand_tensor,
@@ -563,6 +564,29 @@ class TestSpectralRadius:
             tb.spectral_radius(a, max_iter=1)
         assert err.value.iterations == 1
         assert err.value.lower <= math.sqrt(3.0) <= err.value.upper
+
+
+class TestHypergraphRadii:
+    def test_each_component_as_spectral_radius_gives_it(self):
+        rng = random.Random(435)
+        for trial in range(40):
+            groups = [rng.randint(1, 9) for _ in range(rng.randint(1, 5))]
+            graph = rand_hypergraph(rng, rng.randint(2, 4), groups,
+                                    edges_per_group=rng.randint(1, 6))
+            adjacency = tb.adjacency_tensor(graph)
+            want = [tb.spectral_radius(tb.principal_subtensor(adjacency, c)).rho
+                    for c in tb.connected_components(graph)]
+            assert [rho.hex() for rho in tb.hypergraph_radii(graph)] == [
+                rho.hex() for rho in want]
+
+    def test_bad_controls_rejected(self):
+        graph = tb.Hypergraph.from_edge_lists(3, 3, [[1, 2, 3]])
+        for tol in (0.0, -1e-10, math.nan):
+            with pytest.raises(ValueError, match="^tol must be positive$"):
+                tb.hypergraph_radii(graph, tol=tol)
+        for max_iter in (0, -3):
+            with pytest.raises(ValueError, match="^max_iter must be positive$"):
+                tb.hypergraph_radii(graph, max_iter=max_iter)
 
 
 CYCLE_WEIGHTS = (1, 2, 3, 1, 5, 2)

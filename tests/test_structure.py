@@ -539,6 +539,19 @@ class TestFirstTypeWitness:
         assert all(tb.is_weakly_irreducible(b) for b in tb.diagonal_blocks(moved, p))
 
 
+    def test_builds_no_block_tensor(self, monkeypatch):
+        # the witness is a layout: sigma and the partition, with no diagonal block built
+        tensors = list(first_type_ensemble(89, 150))
+        want = [tb.exists_first_type_normal_form(a) for a in tensors]
+        assert sum(w is not None for w in want) > 30
+
+        def refuse(*args):
+            raise AssertionError("the first-type witness built a block tensor")
+
+        monkeypatch.setattr(structure, "diagonal_blocks", refuse)
+        assert [tb.exists_first_type_normal_form(a) for a in tensors] == want
+
+
 class TestFormsTakeTheSearchesProofs:
     """Each search proves the blocks it numbers: the closure search that every third-type
     block is irreducible, the peel's last component search and the first-type search over
