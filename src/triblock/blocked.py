@@ -165,27 +165,27 @@ def is_blocked(tensor: Tensor, partition: Partition, kind: BlockKind) -> bool:
     return not _forbidden(kind, sums[block - 1], sums[block], lo, hi).any()
 
 
-def _inside(tensor: Tensor, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """Per entry of the view: its row's block j (1-based) and whether all its indices lie in it."""
-    columns = np.ascontiguousarray(tensor.coo.idx.T)  # 0-based, one row per index position
-    block = np.searchsorted(np.asarray(partition._sums), columns, side="right")
-    return block[0], (block == block[0]).all(axis=0)
+def _split(tensor: Tensor, partition: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The view's entries wholly inside their row's block: index rows, values, block offsets."""
+    view, sums = tensor.coo, np.asarray(partition._sums)
+    columns = np.ascontiguousarray(view.idx.T)  # 0-based, one row per index position
+    block = np.searchsorted(sums, columns, side="right")
+    inside = (block == block[0]).all(axis=0)
+    idx = view.idx[inside]
+    return idx, view.vals[inside], idx[:, 0].searchsorted(sums)  # r + 1, the last their count
 
 
-def _principal_block(tensor: Tensor, inside: np.ndarray, c: int, d: int) -> Tensor:
-    """The principal subtensor on (c, d], from the rows' slice of the view."""
-    view = tensor.coo
-    lo, hi = view.idx[:, 0].searchsorted([c, d])
-    keep = inside[lo:hi]
-    return _from_arrays(tensor.order, d - c, view.idx[lo:hi][keep] - c, view.vals[lo:hi][keep])
+def _blocks(order: int, partition: Partition, split, which: np.ndarray) -> list[Tensor]:
+    """Blocks ``which`` (0-based) of a ``_split``, each owning its arrays, not views of it."""
+    (idx, vals, first), sums = split, partition._sums
+    return [_from_arrays(order, sums[j + 1] - sums[j], idx[lo:hi] - sums[j], vals[lo:hi].copy())
+            for j, lo, hi in zip(which.tolist(), first[which].tolist(), first[which + 1].tolist())]
 
 
 def diagonal_blocks(tensor: Tensor, partition: Partition) -> list[Tensor]:
-    """The principal subtensors on the partition's index blocks, all from one pass."""
+    """The principal subtensors on the partition's index blocks, all cut from one split."""
     _check_fits(tensor, partition)
-    inside = _inside(tensor, partition)[1]
-    return [_principal_block(tensor, inside, c, d)
-            for c, d in zip(partition._sums, partition._sums[1:])]
+    return _blocks(tensor.order, partition, _split(tensor, partition), np.arange(partition.r))
 
 
 # A lower kind is the upper kind of the reversed index order, i -> n+1-i.

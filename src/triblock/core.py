@@ -468,6 +468,13 @@ def _equal_from(tensor: Tensor, first: int) -> np.ndarray:
     return (columns == columns[-1]).all(axis=0)
 
 
+def _diagonal(tensor: Tensor) -> np.ndarray:
+    """The diagonal a_{i...i}, i = 1..n, zero where no entry is stored."""
+    plain, out = _equal_from(tensor, 0), np.zeros(tensor.dim)
+    out[tensor.coo.idx[plain, 0]] = tensor.coo.vals[plain]
+    return out
+
+
 def is_row_diagonal(tensor: Tensor) -> bool:
     """True when every nonzero entry has all trailing indices equal."""
     if tensor.order < 2:

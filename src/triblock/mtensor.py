@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Tensor, _equal_from, _from_arrays
+from .core import Tensor, _diagonal, _equal_from, _from_arrays
 from .errors import NotZTensor, OrderTooSmall
 from .spectra import _largest_row_sum, spectral_radius
 
@@ -48,8 +48,7 @@ def z_split(tensor: Tensor) -> ZSplit:
     if not is_z_tensor(tensor):
         bad = view.idx[((view.vals > 0.0) & ~diagonal).argmax()] + 1  # the first in view order
         raise NotZTensor(f"positive off-diagonal entry at {tuple(bad.tolist())}")
-    d = np.zeros(tensor.dim)
-    d[view.idx[diagonal, 0]] = view.vals[diagonal]
+    d = _diagonal(tensor)
     s = float(d.max())
     shifted = np.flatnonzero(d != s)  # the rows of b's nonzero diagonal, s - d_i
     idx = np.concatenate((np.repeat(shifted[:, None], m, axis=1), view.idx[~diagonal]))

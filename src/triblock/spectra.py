@@ -9,7 +9,7 @@ factors as
 
 and the characteristic polynomial factors the same way, so spectra come
 back as (block eigenvalue, exponent) pairs rather than flat multisets.
-Both read one walk of the recursion, whose leaves are those pairs.
+Both check one walk of the recursion, whose leaves are then the diagonal.
 Third-type structure is excluded: it genuinely does not satisfy the
 formula, and asking for it is an error rather than a wrong number.
 """
@@ -21,9 +21,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .blocked import (_REFINE_ORDER, BlockKind, Partition, _finest_refinement, _inside,
-                      _principal_block, is_blocked)
-from .core import Tensor, _complex_terms, _equal_from, _from_arrays, _row_fsums, apply
+from .blocked import (_REFINE_ORDER, BlockKind, Partition, _blocks, _finest_refinement, _split,
+                      is_blocked)
+from .core import Tensor, _complex_terms, _diagonal, _equal_from, _from_arrays, _row_fsums, apply
 from .errors import (
     BlockDetUnavailable,
     BlockSpectrumUnavailable,
@@ -60,11 +60,10 @@ def _is_diagonal(tensor: Tensor) -> bool:
 
 
 def det_dim1(tensor: Tensor) -> float:
-    """Determinant of a dimension-1 tensor: its single entry."""
+    """Determinant of a dimension-1 tensor, its single entry, as ``det_blocked`` computes it."""
     if tensor.dim != 1:
         raise DimensionMismatch(f"expected dim 1, got {tensor.dim}")
-    vals = tensor.coo.vals  # one entry at most: every index is (1, ..., 1)
-    return vals[0].item() if len(vals) else 0.0
+    return det_blocked(tensor, Partition((1,)), BlockKind.DIAG)
 
 
 def det_diagonal(tensor: Tensor) -> float:
@@ -86,26 +85,24 @@ def _checked(tensor: Tensor, partition: Partition, kind: BlockKind) -> None:
         raise NotBlocked(f"tensor is not {partition}-{kind.token} blocked")
 
 
-def _leaves(tensor: Tensor, partition: Partition, unavailable: type):
-    """The dimension-1 leaves of the block recursion, left to right, each of exponent (m-1)^(n-1).
-
-    A block with no off-diagonal entry of its own yields its diagonal from the view; any
-    other is built to recurse into its finest refinement, or raises ``unavailable``.
-    """
-    view, (rows, inside) = tensor.coo, _inside(tensor, partition)
-    plain = _equal_from(tensor, 0)
-    busy = np.bincount(rows[inside & ~plain], minlength=partition.r + 1)
-    diagonal = np.zeros(tensor.dim)
-    diagonal[view.idx[plain, 0]] = view.vals[plain]
-    for j, (c, d) in enumerate(zip(partition._sums, partition._sums[1:]), start=1):
-        if not busy[j]:
-            yield from diagonal[c:d].tolist()
-            continue
-        block = _principal_block(tensor, inside, c, d)
-        refinement = _finest_refinement(block)
+def _check_refinable(tensor: Tensor, partition: Partition, unavailable: type) -> None:
+    """Raise ``unavailable`` at the first block, depth first and left to right, with an
+    off-diagonal entry of its own and no supported refinement; else the leaves are the diagonal.
+    An explicit stack, leftmost on top, holds the blocks yet to refine, each refined when popped."""
+    todo: list[Tensor] = []  # explicit, as the nesting can pass Python's recursion limit
+    while True:
+        idx, _, first = split = _split(tensor, partition)
+        columns = np.ascontiguousarray(idx.T)
+        off = np.flatnonzero((columns != columns[0]).any(axis=0))  # the off-diagonal entries
+        busy = np.flatnonzero(np.bincount(first.searchsorted(off, side="right"))) - 1  # 0-based
+        todo += _blocks(tensor.order, partition, split, busy[::-1])
+        if not todo:
+            return
+        tensor = todo.pop()
+        refinement = _finest_refinement(tensor)
         if refinement is None:
-            raise unavailable(f"a dim-{d - c} diagonal block {_UNAVAILABLE[unavailable]}")
-        yield from _leaves(block, refinement[0], unavailable)
+            raise unavailable(f"a dim-{tensor.dim} diagonal block {_UNAVAILABLE[unavailable]}")
+        partition = refinement[0]
 
 
 def _truncated(mantissa: int, exponent: int, sticky: bool) -> tuple[int, int, bool]:
@@ -114,18 +111,16 @@ def _truncated(mantissa: int, exponent: int, sticky: bool) -> tuple[int, int, bo
     return mantissa >> drop, exponent + drop, sticky or (mantissa & ((1 << drop) - 1)) != 0
 
 
-def _det(leaves, exponent: int) -> float:
+def _det(leaves: list[float], exponent: int) -> float:
     """The product of the leaves' powers: 0.0 if a leaf is zero, else a nonzero double.
 
-    Every leaf of a walk has the exponent e = (m-1)^(n-1), so the
-    determinant is P^e for the exact product P of the entries, and as every
-    denominator is a power of two, |P| = M * 2^K. (M, K) is raised to e by
-    squaring, each product cut to its top _PRECISION bits with a sticky bit
-    set if a dropped bit was, so the one rounding at the end (an int/int
-    division, subnormals included) is correct. A determinant no double
-    holds raises DeterminantOutOfRange, with log|det| from the same pair.
+    The leaves are the diagonal entries, each of exponent e = (m-1)^(n-1), so the determinant
+    is P^e for the exact product P of the entries; as every denominator is a power of two,
+    |P| = M * 2^K. (M, K) is raised to e by squaring, each product cut to its top _PRECISION
+    bits with a sticky bit set if a dropped bit was, so the one rounding at the end (an int/int
+    division, subnormals included) is correct. A determinant no double holds raises
+    DeterminantOutOfRange, with log|det| from the same pair.
     """
-    leaves = list(leaves)
     if 0 in leaves:
         return 0.0
     sign = -1 if exponent % 2 and sum(value < 0 for value in leaves) % 2 else 1
@@ -155,14 +150,14 @@ def _det(leaves, exponent: int) -> float:
 
 
 def det_blocked(tensor: Tensor, partition: Partition, kind: BlockKind) -> float:
-    """Determinant through the block formula, from the leaves of its recursion.
+    """Determinant through the block formula, from the leaves of its recursion: the diagonal.
 
     A block with no supported refinement raises BlockDetUnavailable, third-type
     input ThirdTypeUnsupported, and a determinant no double holds DeterminantOutOfRange.
     """
     _checked(tensor, partition, kind)
-    return _det(_leaves(tensor, partition, BlockDetUnavailable),
-                (tensor.order - 1) ** (tensor.dim - 1))
+    _check_refinable(tensor, partition, BlockDetUnavailable)
+    return _det(_diagonal(tensor).tolist(), (tensor.order - 1) ** (tensor.dim - 1))
 
 
 @dataclass(frozen=True)
@@ -189,14 +184,12 @@ class SpectrumFactored:
 
 
 def spectrum_blocked(tensor: Tensor, partition: Partition, kind: BlockKind) -> SpectrumFactored:
-    """Factored spectrum over a supported block structure: one item per leaf of the recursion."""
+    """Factored spectrum over a supported block structure: one item per leaf, the diagonal."""
     _checked(tensor, partition, kind)
+    _check_refinable(tensor, partition, BlockSpectrumUnavailable)
     exponent = (tensor.order - 1) ** (tensor.dim - 1)  # every leaf's, as in ``_det``
-    items = [SpectrumItem((value,), exponent)
-             for value in _leaves(tensor, partition, BlockSpectrumUnavailable)]
-    if len(items) != tensor.dim:  # one leaf per index, each with the same exponent
-        raise AssertionError("spectrum bookkeeping lost degrees")
-    return SpectrumFactored(tuple(items), tensor.dim * exponent)
+    return SpectrumFactored(tuple(SpectrumItem((value,), exponent) for value in
+                                  _diagonal(tensor).tolist()), tensor.dim * exponent)
 
 
 @dataclass(frozen=True)

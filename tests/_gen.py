@@ -802,6 +802,24 @@ def loop_finest_refinement(tensor: Tensor):
     return min(found)[2:] if found else None
 
 
+def loop_block_walk(tensor: Tensor, partition: Partition):
+    """The block recursion of ``det_blocked`` and ``spectrum_blocked`` as a plain recursion over
+    ``loop_diagonal_blocks`` and ``loop_finest_refinement``: the values of its dim-1 leaves,
+    left to right, or the dim of the first block, depth first, that has an off-diagonal entry
+    of its own and no supported refinement."""
+    leaves = []
+    for block in loop_diagonal_blocks(tensor, partition):
+        if all(len(set(idx)) == 1 for idx in block.entries):
+            leaves += [block.get((i,) * block.order) for i in range(1, block.dim + 1)]
+            continue
+        refinement = loop_finest_refinement(block)
+        found = block.dim if refinement is None else loop_block_walk(block, refinement[0])
+        if isinstance(found, int):
+            return found
+        leaves += found
+    return leaves
+
+
 def brute_sink(tensor: Tensor) -> frozenset[int]:
     """The sink component holding the smallest index, from reachability sets:
     v lies in a sink component exactly when all it reaches reaches it back."""
@@ -1095,6 +1113,60 @@ def rand_blocked(rng: random.Random, parts: tuple[int, ...], kind: BlockKind,
         if idx not in banned and rng.random() < density:
             entries.append((idx, float(rng.choice(values))))
     return tb.new_tensor(m, n, entries)
+
+
+def _nested_entries(rng: random.Random, m: int, n: int, depth: int) -> dict:
+    """The entries of one block of ``rand_nested``, 1-based within it."""
+    pick = rng.random() if n > 1 else 0.0
+    if pick < 0.2:  # diagonal only, now and then with a zero
+        return {(i,) * m: rng.choice([1.0, -1.0, 2.0, -0.5, 0.0 if rng.random() < 0.3 else 1.5])
+                for i in range(1, n + 1)}
+    if depth == 0 or pick < 0.45:  # a cycle i -> i + 1 -> ... -> i: no supported refinement
+        entries = {(i,) * m: rng.choice([1.0, -2.0, 0.5]) for i in range(1, n + 1)}
+        entries.update({(i,) + (i % n + 1,) * (m - 1): 1.0 for i in range(1, n + 1)})
+        return entries
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(3, n - 1))))
+    p = Partition(tuple(b - a for a, b in zip([0] + cuts, cuts + [n])))
+    kind = rng.choice([BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2])
+    entries = {}
+    for j in range(1, p.r + 1):
+        c = p.S(j - 1)
+        entries.update({tuple(i + c for i in idx): v for idx, v in
+                        _nested_entries(rng, m, p.parts[j - 1], depth - 1).items()})
+    for idx in itertools.product(range(1, n + 1), repeat=m):
+        j = p.block_of(idx[0])
+        if (not all(i in p.block(j) for i in idx) and rng.random() < 0.3
+                and not _forbidden(kind, p.S(j - 1), p.S(j), min(idx[1:]), max(idx[1:]))):
+            entries[idx] = float(rng.choice(NONZERO))
+    return entries
+
+
+def rand_nested(rng: random.Random, m: int, n: int) -> Tensor:
+    """A tensor whose blocks nest up to three deep: each block is diagonal, a cycle (no
+    supported refinement), or split again under a random supported kind with random entries
+    between its blocks that the kind allows. Entries with a zero value are dropped."""
+    return tb.new_tensor(m, n, [(idx, v) for idx, v in _nested_entries(rng, m, n, 3).items() if v])
+
+
+def zigzag(n: int) -> Tensor:
+    """The order-2 dim-n unit-diagonal matrix whose blocks nest n - 1 deep under
+    ``Partition((1, n - 1))`` and ``UTB1``: each level peels one index, alternately by UTB1
+    as (1, k - 1) and by LTB1 as (k - 1, 1)."""
+    entries = {(i, i): 1.0 for i in range(1, n + 1)}
+    lo, hi, upper = 1, n, True
+    while hi > lo:
+        if upper:
+            entries[(lo, hi)] = 1.0
+            if hi - lo >= 2:
+                entries[(hi, lo + 1)] = 1.0
+            lo += 1
+        else:
+            entries[(hi, lo)] = 1.0
+            if hi - lo >= 2:
+                entries[(lo, hi - 1)] = 1.0
+            hi -= 1
+        upper = not upper
+    return Tensor(2, n, entries)
 
 
 WIRE_VALUES = [0, 0.0, -0.0, 1, -2, 3, 0.5, -1.25, 1e-300, 1e300]

@@ -14,7 +14,7 @@ import pytest
 import triblock as tb
 from triblock import cli, tensorio
 
-from _gen import UNDERFLOWING
+from _gen import UNDERFLOWING, zigzag
 
 try:
     import tomllib
@@ -157,6 +157,18 @@ def test_dimension_million_two_entries(tmp_path, verb, error):
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (1, ""), proc.stderr[-2000:]
     assert json.loads(proc.stdout)["error"] == error
+
+
+def test_nesting_deeper_than_the_recursion_limit(tmp_path):
+    # the zigzag's blocks nest 1199 deep; one document and no traceback, in a fresh interpreter
+    path = write_tensor(tmp_path, "a.json", zigzag(1200))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "triblock.cli", "det", "--tensor", path,
+                           "--partition", "1,1199", "--kind", "utb1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == {"det": 1.0}
 
 
 class TestSpectrum:

@@ -397,6 +397,8 @@ class TestStructuralOps:
             p = rand_partition(rng, t.dim)
             got, want = tb.diagonal_blocks(t, p), loop_diagonal_blocks(t, p)
             assert len(got) == len(want) and all(map(same_tensor, got, want))
+            # each block owns its arrays: none keeps the whole split alive
+            assert all(b.coo.idx.base is None and b.coo.vals.base is None for b in got)
 
     def test_from_dense_and_row_diagonal(self):
         for rng, t in structured(411, 30):

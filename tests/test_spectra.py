@@ -3,6 +3,7 @@ and the complex singularity probe."""
 import itertools
 import math
 import random
+import sys
 import time
 import tracemalloc
 import warnings
@@ -33,13 +34,16 @@ from _gen import (
     UNDERFLOWING,
     _power_iteration,
     brute_finest_refinement,
+    loop_block_walk,
     loop_finest_refinement,
     loop_singularity_oracle,
     rand_blocked,
     rand_hypergraph,
     rand_irreducible_nonneg,
+    rand_nested,
     rand_permutation,
     rand_tensor,
+    zigzag,
 )
 from triblock import core, spectra
 from triblock.spectra import _finest_refinement
@@ -73,6 +77,14 @@ class TestDetDim1:
     def test_needs_dim_one(self):
         with pytest.raises(DimensionMismatch):
             tb.det_dim1(tb.unit_tensor(3, 2))
+
+    def test_order_one_is_refused_as_by_the_other_determinants(self):
+        a = tb.new_tensor(1, 1, [((1,), 5.0)])
+        for det in (tb.det_dim1, tb.det_diagonal):
+            with pytest.raises(OrderTooSmall, match="determinants need order >= 2"):
+                det(a)
+        with pytest.raises(DimensionMismatch):
+            tb.det_dim1(tb.new_tensor(1, 2, [((1,), 5.0)]))
 
 
 class TestDetDiagonal:
@@ -469,6 +481,74 @@ class TestSpectrumBlocked:
         assert tb.is_blocked(a, p, UTB1)
         with pytest.raises(BlockSpectrumUnavailable):
             tb.spectrum_blocked(a, p, UTB1)
+
+
+def walk_outcome(call, a, p, kind):
+    """The value or (error class, message) of one call."""
+    try:
+        return call(a, p, kind)
+    except Exception as exc:  # compared by class and message
+        return type(exc), str(exc)
+
+
+class TestBlockWalk:
+    def test_deeper_than_the_recursion_limit(self):
+        n = sys.getrecursionlimit() + 200
+        a, p = zigzag(n), Partition((1, n - 1))
+        assert tb.det_blocked(a, p, UTB1) == 1.0
+        spec = tb.spectrum_blocked(a, p, UTB1)
+        assert spec.items == (tb.SpectrumItem((1.0,), 1),) * n and spec.total_degree == n
+
+    def test_descendant_fails_before_a_later_sibling(self):
+        # (1, 3) refines to (1, 2), whose dim-2 cycle fails before the dim-3 cycle after it
+        diag = [((i, i, i), 1.0) for i in range(1, 7)]
+        cycles = [((2, 3, 3), 1.0), ((3, 2, 2), 1.0),
+                  ((4, 5, 5), 1.0), ((5, 6, 6), 1.0), ((6, 4, 4), 1.0)]
+        a = tb.new_tensor(3, 6, diag + cycles + [((1, 2, 2), 2.0), ((1, 5, 6), 3.0)])
+        p = Partition((3, 3))
+        assert loop_block_walk(a, p) == 2
+        with pytest.raises(BlockDetUnavailable,
+                           match="^a dim-2 diagonal block admits no supported refinement$"):
+            tb.det_blocked(a, p, UTB1)
+        with pytest.raises(BlockSpectrumUnavailable,
+                           match="^a dim-2 diagonal block cannot be reduced to dimension 1$"):
+            tb.spectrum_blocked(a, p, UTB1)
+
+    def test_matches_the_plain_recursion(self):
+        rng, refused, nested, kinds = random.Random(34), 0, 0, list(spectra._SUPPORTED)
+        for trial in range(240):
+            m = 2 + trial % 2
+            a = rand_nested(rng, m, rng.randint(2, 9 if m == 2 else 7))
+            kind = rng.choice(kinds)
+            found = tb.blocked_partitions(a, kind)
+            p = rng.choice(found) if found else Partition((a.dim,))
+            kind = kind if found else BlockKind.DIAG
+            want = loop_block_walk(a, p)
+            det = walk_outcome(tb.det_blocked, a, p, kind)
+            spec = walk_outcome(tb.spectrum_blocked, a, p, kind)
+            e = (m - 1) ** (a.dim - 1)
+            if isinstance(want, int):
+                refused += 1
+                nested += want not in p.parts  # no top-level block has that dim
+                block = f"a dim-{want} diagonal block"
+                assert det == (BlockDetUnavailable, f"{block} admits no supported refinement"), trial
+                assert spec == (BlockSpectrumUnavailable,
+                                f"{block} cannot be reduced to dimension 1"), trial
+                continue
+            assert spec == tb.SpectrumFactored(tuple(tb.SpectrumItem((v,), e) for v in want),
+                                               a.dim * e), trial
+            exact = math.prod(Fraction(v) for v in want) ** e
+            try:
+                rounded = float(exact)  # 0.0 below the double range
+            except OverflowError:
+                rounded = 0.0
+            if exact == 0:
+                assert det == 0.0 and math.copysign(1.0, det) == 1.0, trial
+            elif rounded:
+                assert det == rounded, trial
+            else:
+                assert det[0] is DeterminantOutOfRange, trial
+        assert 40 <= refused <= 200 and nested >= 10, (refused, nested)
 
 
 class TestSpectralRadius:
