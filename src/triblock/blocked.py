@@ -22,7 +22,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -165,34 +165,22 @@ def is_blocked(tensor: Tensor, partition: Partition, kind: BlockKind) -> bool:
     return not _forbidden(kind, sums[block - 1], sums[block], lo, hi).any()
 
 
-def _split(tensor: Tensor, partition: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The view's entries wholly inside their row's block: index rows, values, block offsets."""
-    view, sums = tensor.coo, np.asarray(partition._sums)
-    columns = np.ascontiguousarray(view.idx.T)  # 0-based, one row per index position
-    block = np.searchsorted(sums, columns, side="right")
-    inside = (block == block[0]).all(axis=0)
-    idx = view.idx[inside]
-    return idx, view.vals[inside], idx[:, 0].searchsorted(sums)  # r + 1, the last their count
-
-
-def _blocks(order: int, partition: Partition, split, which: np.ndarray) -> list[Tensor]:
-    """Blocks ``which`` (0-based) of a ``_split``, each owning its arrays, not views of it."""
-    (idx, vals, first), sums = split, partition._sums
-    return [_from_arrays(order, sums[j + 1] - sums[j], idx[lo:hi] - sums[j], vals[lo:hi].copy())
-            for j, lo, hi in zip(which.tolist(), first[which].tolist(), first[which + 1].tolist())]
-
-
 def diagonal_blocks(tensor: Tensor, partition: Partition) -> list[Tensor]:
-    """The principal subtensors on the partition's index blocks, all cut from one split."""
+    """The principal subtensors on the partition's index blocks, each owning its arrays: one
+    slice each of the view's entries wholly inside their row's block, in row order."""
     _check_fits(tensor, partition)
-    return _blocks(tensor.order, partition, _split(tensor, partition), np.arange(partition.r))
+    view, sums = tensor.coo, partition._sums
+    block = np.searchsorted(sums, np.ascontiguousarray(view.idx.T), side="right")
+    inside = (block == block[0]).all(axis=0)
+    idx, vals = view.idx[inside], view.vals[inside]
+    first = idx[:, 0].searchsorted(sums).tolist()  # r + 1, the last their count
+    return [_from_arrays(tensor.order, d - c, idx[lo:hi] - c, vals[lo:hi].copy())
+            for c, d, lo, hi in zip(sums, sums[1:], first, first[1:])]
 
 
 # A lower kind is the upper kind of the reversed index order, i -> n+1-i.
 _MIRROR = {BlockKind.LTB1: BlockKind.UTB1, BlockKind.LTB2: BlockKind.UTB2,
            BlockKind.LTB3: BlockKind.UTB3}
-# the supported kinds, in the order that breaks ties between their finest refinements
-_REFINE_ORDER = (BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2)
 
 
 def _last_ends(tensor: Tensor, kind: BlockKind, spans) -> np.ndarray:
@@ -219,27 +207,6 @@ def _last_ends(tensor: Tensor, kind: BlockKind, spans) -> np.ndarray:
             half = 1 << (k - 1)
             reach[half:] = np.minimum(reach[half:], reach[:-half])
     return reach
-
-
-def _finest_refinement(tensor: Tensor) -> Optional[tuple[Partition, BlockKind]]:
-    """The refinement with the most parts over the supported kinds, or None.
-
-    An upper kind allows (c, d] when d <= D(c), and D(0) = n. So every cut
-    is reachable from 0, and as merging two valid chains gives one, the
-    finest chain is every cut c from which n is: the nearest such cut past
-    c is at most D(c). A lower kind sweeps its mirror. Ties between kinds
-    break toward the earlier kind, making the recursion deterministic.
-    """
-    n, spans, chains = tensor.dim, _spans(tensor), []
-    for kind in _REFINE_ORDER:
-        last, cuts = _last_ends(tensor, kind, spans).tolist(), [n]
-        for c in range(n - 1, -1, -1):
-            if cuts[-1] <= last[c]:
-                cuts.append(c)
-        parts = tuple(b - a for b, a in zip(cuts, cuts[1:]))  # right to left
-        chains.append((parts if kind in _MIRROR else parts[::-1], kind))
-    parts, kind = max(chains, key=lambda chain: len(chain[0]))  # the first of the longest
-    return (Partition(parts), kind) if len(parts) >= 2 else None
 
 
 def _block_ends(tensor: Tensor, kinds: Sequence[BlockKind]) -> Iterator[list[list[int]]]:

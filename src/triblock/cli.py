@@ -6,14 +6,16 @@ with exit status 1. A file that cannot be read or written gives the
 OSError's class name without "Error" as its code (``FileNotFound``,
 ``IsADirectory``); one that is not UTF-8 text gives ``FormatError``.
 Usage problems (unknown commands, malformed flags, unknown kind tokens)
-exit with status 2 via argparse. Identical inputs and seeds always
-produce byte-identical output. Each verb is declared once, in
+exit with status 2 via argparse. A reader that closes stdout early ends
+the process with status 1 and no traceback. Identical inputs and seeds
+always produce byte-identical output. Each verb is declared once, in
 ``build_parser``, with the function from its arguments to its output.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -208,7 +210,14 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> int:
-    return run(sys.argv[1:])
+    """``run`` on the process's arguments; a closed stdout gives status 1, no traceback."""
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()  # inside the try, so a closed pipe is met here and not at exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

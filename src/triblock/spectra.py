@@ -9,7 +9,8 @@ factors as
 
 and the characteristic polynomial factors the same way, so spectra come
 back as (block eigenvalue, exponent) pairs rather than flat multisets.
-Both check one walk of the recursion, whose leaves are then the diagonal.
+Both first check, by one fixpoint over cut positions, that the structure
+refines down to leaves on the diagonal (``_check_refinable``).
 Third-type structure is excluded: it genuinely does not satisfy the
 formula, and asking for it is an error rather than a wrong number.
 """
@@ -21,8 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .blocked import (_REFINE_ORDER, BlockKind, Partition, _blocks, _finest_refinement, _split,
-                      is_blocked)
+from .blocked import BlockKind, Partition, _spans, is_blocked
 from .core import Tensor, _complex_terms, _diagonal, _equal_from, _from_arrays, _row_fsums, apply
 from .errors import (
     BlockDetUnavailable,
@@ -49,7 +49,7 @@ _ORACLE_TERMS = 1 << 15  # terms per chunk of the objective and the Jacobian, bo
 _FIRST_HALVINGS, _LATER_HALVINGS = np.split(np.ldexp(1.0, 3 - np.arange(32)), [4])
 
 # kinds whose diagonal blocks determine determinant and spectrum
-_SUPPORTED = (*_REFINE_ORDER, BlockKind.DIAG)
+_SUPPORTED = (BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2, BlockKind.DIAG)
 _UNAVAILABLE = {BlockDetUnavailable: "admits no supported refinement",
                 BlockSpectrumUnavailable: "cannot be reduced to dimension 1"}
 _PRECISION = 192  # mantissa bits kept while the determinant is raised to its power
@@ -86,23 +86,40 @@ def _checked(tensor: Tensor, partition: Partition, kind: BlockKind) -> None:
 
 
 def _check_refinable(tensor: Tensor, partition: Partition, unavailable: type) -> None:
-    """Raise ``unavailable`` at the first block, depth first and left to right, with an
-    off-diagonal entry of its own and no supported refinement; else the leaves are the diagonal.
-    An explicit stack, leftmost on top, holds the blocks yet to refine, each refined when popped."""
-    todo: list[Tensor] = []  # explicit, as the nesting can pass Python's recursion limit
-    while True:
-        idx, _, first = split = _split(tensor, partition)
-        columns = np.ascontiguousarray(idx.T)
-        off = np.flatnonzero((columns != columns[0]).any(axis=0))  # the off-diagonal entries
-        busy = np.flatnonzero(np.bincount(first.searchsorted(off, side="right"))) - 1  # 0-based
-        todo += _blocks(tensor.order, partition, split, busy[::-1])
-        if not todo:
-            return
-        tensor = todo.pop()
-        refinement = _finest_refinement(tensor)
-        if refinement is None:
-            raise unavailable(f"a dim-{tensor.dim} diagonal block {_UNAVAILABLE[unavailable]}")
-        partition = refinement[0]
+    """Raise ``unavailable`` unless supported refinements split every block down to blocks
+    with no off-diagonal entry of their own, so that the leaves are the diagonal.
+
+    One loop over a mask of cuts on [0, n] does it, by two facts about ``_BOXES``. A block has
+    a supported refinement exactly when it has a two-part UTB1 or LTB1 one (an upper kind's
+    last cut keeps its last part and starts the first where ``lo <= c`` cannot hold, and with
+    two parts utb2's box is utb1's; a lower kind's first cut, mirrored): a UTB1 cut at c when
+    no entry inside the block has lo <= c < row, an LTB1 one when none has row <= c < hi. And
+    a cut valid on a block stays valid on each sub-block holding it inside, which holds fewer
+    entries: so every order of refinement reaches one finest partition, and the first refusal
+    of a depth-first, left-to-right walk is its leftmost block of dim 2 or more. Each round
+    cuts at every position that one kind's entries leave uncovered.
+    """
+    n, (rows, lo, hi) = tensor.dim, _spans(tensor)
+    least, most = np.minimum(rows, lo), np.maximum(rows, hi)
+    block = np.searchsorted(partition._sums, (least, most))  # an index's block, 1-based
+    inside = (least < most) & (block[0] == block[1])  # the off-diagonal entries inside a block
+    if not inside.any():  # the leaves are the diagonal already: build no array of length n
+        return
+    cut = np.zeros(n + 1, dtype=bool)
+    cut[list(partition._sums)] = True
+    while inside.any():
+        rows, lo, hi, least, most = (a[inside] for a in (rows, lo, hi, least, most))
+        free = np.zeros(n + 1, dtype=bool)
+        for start, stop in ((lo, rows), (rows, hi)):  # UTB1 forbids [lo, row), LTB1 [row, hi)
+            free |= np.cumsum(np.bincount(start, minlength=n + 1)
+                              - np.bincount(np.maximum(start, stop), minlength=n + 1)) == 0
+        if (free <= cut).all():
+            dims = np.diff(np.flatnonzero(cut))
+            raise unavailable(
+                f"a dim-{dims[dims > 1][0]} diagonal block {_UNAVAILABLE[unavailable]}")
+        cut |= free
+        label = np.cumsum(cut)  # index i lies in block label[i - 1]
+        inside = label[least - 1] == label[most - 1]
 
 
 def _truncated(mantissa: int, exponent: int, sticky: bool) -> tuple[int, int, bool]:

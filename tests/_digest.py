@@ -8,7 +8,12 @@ trees that print the same lines give the same outputs on a fixed seeded
 ensemble of tensors whose dict order is shuffled against row order:
 entries bit for bit (as a mapping) with their coordinate views, answers,
 error classes with their messages, and CLI stdout on ``fixtures/`` byte
-for byte. It reads only names that have long been part of the package,
+for byte. The ``block_walk`` area records ``det_blocked`` and
+``spectrum_blocked`` of each ensemble tensor under the one-block
+``diag`` partition, ``Partition((dim,))``, so the block walk starts from
+the whole tensor. The CLI areas refuse to run without ``fixtures/`` beside
+the tool's directory (a copy of the tool outside the repository), where
+their digest would be that of nothing. It reads only names that have long been part of the package,
 so it runs unchanged against an older ``src/`` for a before/after
 comparison. pytest does not collect it (the name does not start with
 ``test_``).
@@ -40,10 +45,10 @@ partition), ``find_weakly_reducing_set`` and
 ``exists_first_type_normal_form`` on tensors of its own: non-symmetric
 and mostly reducible, up to dim 40, with trailing indices mostly at or
 after the row, so one peel takes many blocks. The
-``refinement_wide`` area records ``_finest_refinement``, then
-``det_blocked`` and ``spectrum_blocked`` under a partition of their own
-and under that refinement, on tensors of dims 13-120, past the
-ensemble's: up to 3n random index tuples, trailing indices mostly at or
+``refinement_wide`` area records ``det_blocked`` and
+``spectrum_blocked`` under a partition of their own, where the tensor is
+blocked under it, and under the one-block ``diag`` partition, on tensors
+of dims 13-120, past the ensemble's: up to 3n random index tuples, trailing indices mostly at or
 after the row, at or before it, or anywhere, half of them blocked, with
 a diagonal of mostly ±1. The ``radius_blocks`` area records
 ``spectral_radius``, with the default ``max_iter`` and with 20, on the
@@ -92,7 +97,6 @@ import triblock as tb  # noqa: E402
 from triblock import BlockKind, Partition, cli, linalg, tensorio  # noqa: E402
 from triblock.blocked import _block_ends, _forbidden  # noqa: E402
 from triblock.errors import TriblockError  # noqa: E402
-from triblock.spectra import _finest_refinement  # noqa: E402
 
 SEED = 20161
 TRIALS = 160
@@ -213,8 +217,10 @@ def area_normal_forms(rng, t, p, kind, out):
     out.append(outcome(tb.exists_first_type_normal_form, t))
 
 
-def area_refinement(rng, t, p, kind, out):
-    out.append(canon(_finest_refinement(t)))
+def area_block_walk(rng, t, p, kind, out):
+    one = Partition((t.dim,))  # every tensor of order 2 or more is diag-blocked under it
+    out.append(outcome(tb.det_blocked, t, one, BlockKind.DIAG))
+    out.append(outcome(tb.spectrum_blocked, t, one, BlockKind.DIAG))
 
 
 def area_det_spectrum(rng, t, p, kind, out):
@@ -412,9 +418,8 @@ def wide_tensors():
 
 
 def area_refinement_wide(t, p, kind) -> str:
-    found = _finest_refinement(t)
-    out = [canon(found)]
-    for q, k in ([(p, kind)] if kind is not None else []) + ([found] if found else []):
+    out = []
+    for q, k in ([(p, kind)] if kind is not None else []) + [(Partition((t.dim,)), BlockKind.DIAG)]:
         out.append(outcome(tb.det_blocked, t, q, k))
         out.append(outcome(tb.spectrum_blocked, t, q, k))
     return "\n".join(out)
@@ -422,8 +427,10 @@ def area_refinement_wide(t, p, kind) -> str:
 
 def cli_runs():
     """Every verb on every fixture it applies to, with a few partitions."""
-    fx = ROOT / "fixtures"
-    for path in sorted(fx.glob("*.json")):
+    paths = sorted((ROOT / "fixtures").glob("*.json"))
+    if not paths:  # the CLI areas would print the digest of nothing
+        sys.exit(f"no fixtures under {ROOT / 'fixtures'}: run the tool from the repository")
+    for path in paths:
         name = str(path)
         if "hyper" in path.name:
             yield ["hypergraph-rho", "--edges", name]
@@ -523,7 +530,7 @@ AREAS = {
     "block_ends": area_block_ends,
     "reducing_sets": area_reducing,
     "normal_forms": area_normal_forms,
-    "finest_refinement": area_refinement,
+    "block_walk": area_block_walk,
     "det_spectrum": area_det_spectrum,
     "majorization": area_majorization,
 }

@@ -171,6 +171,27 @@ def test_nesting_deeper_than_the_recursion_limit(tmp_path):
     assert json.loads(proc.stdout) == {"det": 1.0}
 
 
+@pytest.mark.parametrize("verb", ["classify", "spectrum"])
+def test_reader_that_closes_stdout_early(tmp_path, fixtures_dir, verb):
+    # stdout is a pipe whose read end is closed: status 1 and no traceback, for a one-line
+    # answer and for the dim-1200 zigzag's spectrum, far longer than a pipe holds
+    if verb == "classify":
+        argv = ["--tensor", str(fixtures_dir / "ex31.json"), "--partition", "1,1", "--kind", "utb1"]
+    else:
+        argv = ["--tensor", write_tensor(tmp_path, "a.json", zigzag(1200)),
+                "--partition", "1,1199", "--kind", "utb1"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "triblock.cli", verb, *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, ""), proc.stderr[-2000:]
+
+
 class TestSpectrum:
     def test_diagonal_blocks(self, capsys, tmp_path):
         path = write_tensor(tmp_path, "a.json", tb.diagonal_tensor(3, [2.0, 3.0]))

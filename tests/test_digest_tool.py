@@ -1,7 +1,7 @@
 """The before/after digest tool still runs against this tree's ``src/``.
 
 ``tests/_digest.py`` imports private names of the package (``_block_ends``,
-``_forbidden``, ``_finest_refinement``), so renaming one would only surface
+``_forbidden``), so renaming one would only surface
 when the tool is next run to compare two trees.
 """
 import re
@@ -11,7 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 AREAS = ["subtensors_permutations_blocks", "is_blocked", "block_ends", "reducing_sets",
-         "normal_forms", "finest_refinement", "det_spectrum", "majorization", "radius",
+         "normal_forms", "block_walk", "det_spectrum", "majorization", "radius",
          "wire", "inverse", "product", "peel", "refinement_wide", "radius_blocks", "wire_text",
          "components", "cli_fixtures", "cli_radius", "oracle"]
 

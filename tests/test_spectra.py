@@ -46,7 +46,6 @@ from _gen import (
     zigzag,
 )
 from triblock import core, spectra
-from triblock.spectra import _finest_refinement
 
 UTB1 = BlockKind.UTB1
 LTB1 = BlockKind.LTB1
@@ -118,54 +117,6 @@ class TestDetDiagonal:
 def unit_upper_matrix(n: int) -> tb.Tensor:
     return tb.new_tensor(2, n, [((i, j), 1.0) for i in range(1, n + 1)
                                 for j in range(i, n + 1)])
-
-
-class TestFinestRefinement:
-    def test_matches_exhaustive_search(self):
-        rng = random.Random(88)
-        kinds = [BlockKind.UTB1, BlockKind.UTB2, BlockKind.LTB1, BlockKind.LTB2]
-        winners = {}
-        for trial in range(160):
-            m = (2, 3, 3, 4)[trial % 4]
-            n = rng.randint(2, 8 if m < 4 else 5)
-            if trial % 3:
-                cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
-                parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
-                a = rand_blocked(rng, parts, kinds[trial % 4], m, density=0.3)
-            else:
-                a = rand_tensor(rng, n, m, density=rng.choice([0.03, 0.1, 0.3]))
-            want = brute_finest_refinement(a)
-            assert _finest_refinement(a) == want, trial
-            assert loop_finest_refinement(a) == want, trial
-            if want is not None:
-                winners[want[1]] = winners.get(want[1], 0) + 1
-        assert set(winners) == set(kinds), winners
-
-    def test_matches_loop_reference_past_brute_force(self):
-        # dims 13-40, beyond the exhaustive search: up to 3n random index tuples whose
-        # trailing indices mostly lie at or after the row (upper), at or before it (lower),
-        # or anywhere (unbiased)
-        rng = random.Random(89)
-        winners, parts = {}, set()
-        for trial in range(60):
-            m, n, pattern = rng.randint(2, 4), rng.randint(13, 40), trial % 3
-            entries = {}
-            for _ in range(rng.randint(0, 3 * n)):
-                row = rng.randint(1, n)
-                lo, hi = ((row, n), (1, row), (1, n))[pattern if rng.random() < 0.9 else 2]
-                entries[(row,) + tuple(rng.randint(lo, hi) for _ in range(m - 1))] = 1.0
-            a = tb.Tensor(m, n, entries)
-            want = loop_finest_refinement(a)
-            assert _finest_refinement(a) == want, trial
-            if want is not None:
-                winners[want[1]] = winners.get(want[1], 0) + 1
-                parts.add(want[0].r)
-        assert set(winners) == {UTB1, BlockKind.UTB2, LTB1, BlockKind.LTB2}, winners
-        assert len(parts) > 10, parts  # refinements of many sizes, not only all singletons
-
-    def test_no_dimension_cap(self):
-        p, kind = _finest_refinement(unit_upper_matrix(20))
-        assert p.parts == (1,) * 20 and kind == UTB1
 
 
 class TestDetBlocked:
@@ -491,6 +442,34 @@ def walk_outcome(call, a, p, kind):
         return type(exc), str(exc)
 
 
+def check_walk(a, p, kind, trial):
+    """det_blocked and spectrum_blocked against the plain recursion; True if it refuses."""
+    want = loop_block_walk(a, p)
+    det = walk_outcome(tb.det_blocked, a, p, kind)
+    spec = walk_outcome(tb.spectrum_blocked, a, p, kind)
+    e = (a.order - 1) ** (a.dim - 1)
+    if isinstance(want, int):
+        block = f"a dim-{want} diagonal block"
+        assert det == (BlockDetUnavailable, f"{block} admits no supported refinement"), trial
+        assert spec == (BlockSpectrumUnavailable,
+                        f"{block} cannot be reduced to dimension 1"), trial
+        return True
+    assert spec == tb.SpectrumFactored(tuple(tb.SpectrumItem((v,), e) for v in want),
+                                       a.dim * e), trial
+    exact = math.prod(Fraction(v) for v in want) ** e
+    try:
+        rounded = float(exact)  # 0.0 below the double range
+    except OverflowError:
+        rounded = 0.0
+    if exact == 0:
+        assert det == 0.0 and math.copysign(1.0, det) == 1.0, trial
+    elif rounded:
+        assert det == rounded, trial
+    else:
+        assert det[0] is DeterminantOutOfRange, trial
+    return False
+
+
 class TestBlockWalk:
     def test_deeper_than_the_recursion_limit(self):
         n = sys.getrecursionlimit() + 200
@@ -514,6 +493,25 @@ class TestBlockWalk:
                            match="^a dim-2 diagonal block cannot be reduced to dimension 1$"):
             tb.spectrum_blocked(a, p, UTB1)
 
+    def test_refines_exactly_when_a_two_part_first_type_cut_exists(self):
+        # the walk's first fact: some supported refinement exists (the exhaustive search finds
+        # one) exactly when a two-part cut carries utb1 or ltb1
+        rng, kinds, refinable = random.Random(88), [UTB1, BlockKind.UTB2, LTB1, BlockKind.LTB2], 0
+        for trial in range(160):
+            m = (2, 3, 3, 4)[trial % 4]
+            n = rng.randint(2, 8 if m < 4 else 5)
+            if trial % 3:
+                cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+                parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+                a = rand_blocked(rng, parts, kinds[trial % 4], m, density=0.3)
+            else:
+                a = rand_tensor(rng, n, m, density=rng.choice([0.03, 0.1, 0.3]))
+            two_part = any(tb.is_blocked(a, Partition((c, n - c)), kind)
+                           for c in range(1, n) for kind in (UTB1, LTB1))
+            assert (brute_finest_refinement(a) is not None) == two_part, trial
+            refinable += two_part
+        assert 20 <= refinable <= 140, refinable
+
     def test_matches_the_plain_recursion(self):
         rng, refused, nested, kinds = random.Random(34), 0, 0, list(spectra._SUPPORTED)
         for trial in range(240):
@@ -522,33 +520,36 @@ class TestBlockWalk:
             kind = rng.choice(kinds)
             found = tb.blocked_partitions(a, kind)
             p = rng.choice(found) if found else Partition((a.dim,))
-            kind = kind if found else BlockKind.DIAG
-            want = loop_block_walk(a, p)
-            det = walk_outcome(tb.det_blocked, a, p, kind)
-            spec = walk_outcome(tb.spectrum_blocked, a, p, kind)
-            e = (m - 1) ** (a.dim - 1)
-            if isinstance(want, int):
+            if check_walk(a, p, kind if found else BlockKind.DIAG, trial):
                 refused += 1
-                nested += want not in p.parts  # no top-level block has that dim
-                block = f"a dim-{want} diagonal block"
-                assert det == (BlockDetUnavailable, f"{block} admits no supported refinement"), trial
-                assert spec == (BlockSpectrumUnavailable,
-                                f"{block} cannot be reduced to dimension 1"), trial
-                continue
-            assert spec == tb.SpectrumFactored(tuple(tb.SpectrumItem((v,), e) for v in want),
-                                               a.dim * e), trial
-            exact = math.prod(Fraction(v) for v in want) ** e
-            try:
-                rounded = float(exact)  # 0.0 below the double range
-            except OverflowError:
-                rounded = 0.0
-            if exact == 0:
-                assert det == 0.0 and math.copysign(1.0, det) == 1.0, trial
-            elif rounded:
-                assert det == rounded, trial
-            else:
-                assert det[0] is DeterminantOutOfRange, trial
+                nested += loop_block_walk(a, p) not in p.parts  # no top-level block has that dim
         assert 40 <= refused <= 200 and nested >= 10, (refused, nested)
+
+
+class TestFinestRefinement:
+    def test_matches_loop_reference_past_brute_force(self):
+        # dims 13-40, past the partition enumeration, under one block: up to 3n random index
+        # tuples whose trailing indices mostly lie at or after the row (upper), at or before it
+        # (lower), or anywhere (unbiased); the walk reaches the leaves or the refusal of the
+        # reference's recursion over its finest refinements
+        rng = random.Random(89)
+        winners, parts, refused = {}, set(), 0
+        for trial in range(60):
+            m, n, pattern = rng.randint(2, 4), rng.randint(13, 40), trial % 3
+            entries = {}
+            for _ in range(rng.randint(0, 3 * n)):
+                row = rng.randint(1, n)
+                lo, hi = ((row, n), (1, row), (1, n))[pattern if rng.random() < 0.9 else 2]
+                entries[(row,) + tuple(rng.randint(lo, hi) for _ in range(m - 1))] = 1.0
+            a = tb.Tensor(m, n, entries)
+            refused += check_walk(a, Partition((n,)), BlockKind.DIAG, trial)
+            want = loop_finest_refinement(a)
+            if want is not None:
+                winners[want[1]] = winners.get(want[1], 0) + 1
+                parts.add(want[0].r)
+        assert 10 <= refused <= 50, refused
+        assert set(winners) == {UTB1, BlockKind.UTB2, LTB1, BlockKind.LTB2}, winners
+        assert len(parts) > 10, parts  # refinements of many sizes, not only all singletons
 
 
 class TestSpectralRadius:
