@@ -261,6 +261,9 @@ def _block_radii(tensor: Tensor, block: np.ndarray, tol: float, max_iter: int, k
     raises at once with its last bounds; past ``max_iter`` the first block still open
     raises. Runs on A / 2^k; returns, in the input's scale, arrays of the radii, step counts
     and exact residuals (as ``apply`` sums rows) per block, and the eigenvectors in order.
+    A step sums each row's run of terms by ``np.add.reduceat``: every row that steps holds an
+    entry of its block, as a peel block of dim >= 2 is strongly connected on its kept entries
+    and a hypergraph component of dim >= 2 has an edge at every vertex (dim 1 never steps).
     """
     m, n, unit = tensor.order, tensor.dim, 2.0 ** k
     dims = np.bincount(block)
@@ -273,13 +276,14 @@ def _block_radii(tensor: Tensor, block: np.ndarray, tol: float, max_iter: int, k
         kept = kept[columns[0, kept].argsort(kind="stable")]
         columns, vals = columns.take(kept, axis=1), vals[kept]
     vals = np.ldexp(vals, -k) if k else vals
-    sums = np.bincount(columns[0], vals, minlength=n)
+    sums = np.bincount(columns[0], vals, minlength=n)  # as _largest_row_sum, bit for bit
     scale = np.maximum.reduceat(sums, starts)
     rhos, steps, eig = sums[starts], np.zeros(len(dims), dtype=int), np.ones(n)  # dim 1: its entry
     rows, feet = columns[0], columns[1:]
     weights = vals / (scale.repeat(dims)[rows] if len(dims) > 1 else scale)  # each row's scale
     x, labels, live, act = np.ones(n), np.arange(n), dims > 1, np.arange(len(dims))
     offsets, here, gone = starts, home, not live.all()  # here: each active row's block
+    runs = rows.searchsorted(np.arange(n))  # each active row's first entry
     check = int(math.log(1 / _LEAST, _FALL))  # from powers of 1, no earlier step reaches _LEAST
     # ratios past a broken bracket may divide by 0, and a radius past the double range is inf
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -294,11 +298,12 @@ def _block_radii(tensor: Tensor, block: np.ndarray, tol: float, max_iter: int, k
                 x, labels, act = x[kept_rows], labels[kept_rows], act[keep]
                 sizes = dims[act]
                 offsets, here = np.cumsum(sizes) - sizes, np.repeat(np.arange(act.size), sizes)
+                runs = rows.searchsorted(np.arange(len(x)))
             terms = weights
             for foot in feet:
                 terms = terms * x[foot]
             power = x ** (m - 1)
-            y = np.bincount(rows, terms, minlength=len(x)) + _SHIFT * power
+            y = np.add.reduceat(terms, runs) + _SHIFT * power
             ratios = y / power
             bounds = np.minimum.reduceat(ratios, offsets), np.maximum.reduceat(ratios, offsets)
             if it == check:

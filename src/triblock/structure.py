@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .blocked import BlockKind, Partition, diagonal_blocks, is_blocked
-from .core import Permutation, Tensor, _from_arrays, _index_set, permute_similar
+from .core import Permutation, Tensor, _from_arrays, _index_set, _integer_type, permute_similar
 from .errors import (
     DimensionTooLarge,
     InvalidHypergraph,
@@ -106,7 +106,10 @@ def is_irreducible(tensor: Tensor) -> bool:
 def _edges(idx: np.ndarray, n: int) -> np.ndarray:
     """Sorted codes (i-1)*n + (t-1) of the entry digraph's edges i -> t, one per row-i entry
     and trailing index t, from 0-based index rows (``Tensor.coo.idx``); repeats dropped."""
-    codes = np.sort(idx[:, :1] * n + idx[:, 1:], axis=None)
+    codes = idx[:, :1] * n + idx[:, 1:]
+    if n * n <= codes.size:  # dense: a table of the n^2 edges, no larger than the codes
+        return np.flatnonzero(np.bincount(codes.ravel(), minlength=n * n))
+    codes = np.sort(codes, axis=None)
     return np.concatenate((codes[:1], codes[1:][codes[1:] != codes[:-1]]))
 
 
@@ -438,12 +441,19 @@ class Hypergraph:
             raise InvalidHypergraph(f"edges need at least two vertices, got k={self.k}")
         if self.n < 1:
             raise InvalidHypergraph(f"vertex count must be positive, got {self.n}")
+        flat = [*itertools.chain(*self.edges)]
+        if (set(map(len, self.edges)) <= {self.k} and all(map(_integer_type, set(map(type, flat))))
+                and (not flat or 1 <= min(flat) and max(flat) <= self.n)
+                and len(set(self.edges)) == len(self.edges)):
+            return  # all edges checked at once; the loop below names the first at fault
         seen = set()
         for edge in self.edges:
             if len(edge) != self.k:
                 raise InvalidHypergraph(
                     f"edge {sorted(edge)} has {len(edge)} distinct vertices, expected {self.k}")
             for v in edge:
+                if not _integer_type(type(v)):
+                    raise InvalidHypergraph(f"vertex {v!r} is not an integer")
                 if not 1 <= v <= self.n:
                     raise InvalidHypergraph(f"vertex {v} outside [1, {self.n}]")
             if edge in seen:
@@ -452,8 +462,7 @@ class Hypergraph:
 
     @classmethod
     def from_edge_lists(cls, k: int, n: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
-        fixed = tuple(frozenset(int(v) for v in edge) for edge in edges)
-        return cls(k, n, fixed)
+        return cls(k, n, tuple(map(frozenset, edges)))
 
 
 def _edge_rows(graph: Hypergraph) -> np.ndarray:

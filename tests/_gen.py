@@ -484,20 +484,24 @@ def loop_normal_form_3rd(tensor: Tensor) -> tuple[tuple[int, ...], tuple[int, ..
 def _power_step(tensor: Tensor, scale: float) -> Callable[[np.ndarray], np.ndarray]:
     """The iteration's map x -> (A/scale) x^(m-1) + _SHIFT * x^[m-1], for positive x.
 
-    Each term is multiplied left to right and each row summed by
-    ``np.bincount`` in plain float64: every term is nonnegative, so the
-    sum is accurate to a few ulps, and the bracket does not need
-    ``apply``'s exact ``fsum``. The index arrays are built once here.
+    Each term is multiplied left to right and each row's run of terms
+    summed by ``np.add.reduceat`` in plain float64, as ``_block_radii``
+    sums them: every term is nonnegative, so the sum is accurate to a few
+    ulps, and the bracket does not need ``apply``'s exact ``fsum``. Rows
+    without entries stay 0. The index arrays are built once here.
     """
     view, n, m = tensor.coo, tensor.dim, tensor.order
     rows, feet = view.idx[:, 0].copy(), np.ascontiguousarray(view.idx.T[1:])
+    runs = np.flatnonzero(np.diff(rows, prepend=-1))  # each nonempty row's first entry
     vals = view.vals / scale
 
     def step(x: np.ndarray) -> np.ndarray:
         terms = vals
         for foot in feet:
             terms = terms * x[foot]
-        return np.bincount(rows, terms, minlength=n) + _SHIFT * x ** (m - 1)
+        sums = np.zeros(n)
+        sums[rows[runs]] = np.add.reduceat(terms, runs)
+        return sums + _SHIFT * x ** (m - 1)
 
     return step
 

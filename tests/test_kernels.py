@@ -797,6 +797,19 @@ class TestPeel:
         cycle = tb.new_tensor(3, 3, [((1, 2, 2), 1.0), ((2, 3, 3), 1.0), ((3, 1, 1), 1.0)])
         assert structure._peel(cycle).tolist() == [0, 0, 0] and len(searched) == 1
 
+    def test_edge_table_matches_the_sort(self):
+        # dense input marks a table of the n^2 edges instead of sorting its codes
+        rng, paths = random.Random(424), set()
+        for trial in range(200):
+            order, dim = rng.randint(2, 4), rng.randint(1, 12)
+            density = rng.choice([0.02, 0.1, 0.4, 1.0]) if dim ** order <= 2000 else 0.03
+            idx = rand_tensor(rng, order, dim, density, True).coo.idx
+            codes = np.sort(idx[:, :1] * dim + idx[:, 1:], axis=None)
+            want = np.concatenate((codes[:1], codes[1:][codes[1:] != codes[:-1]]))
+            assert same_bits(structure._edges(idx, dim), want), trial
+            paths.add(dim * dim <= codes.size)
+        assert paths == {True, False}
+
     def test_empty_tensor(self):
         t = tb.Tensor(3, 4, {})
         assert same_peel(t)
@@ -832,10 +845,14 @@ class TestPeelScale:
         n = 10_000
         rows = np.random.default_rng(1).integers(1, n + 1, (3 * n, 3)).tolist()
         t = tb.Tensor(3, n, dict.fromkeys(map(tuple, rows), 1.0))
-        seconds, nf = timed(tb.normal_form_2nd, t)
-        assert seconds < 5.0 and nf.partition.r > 100
-        weak, found = timed(tb.find_weakly_reducing_set, t)
-        assert weak <= seconds / 3 and found is not None and tb.weakly_reduces(t, found)
+        peel, weak = [], []
+        for _ in range(3):  # interleaved, best of three each
+            seconds, nf = timed(tb.normal_form_2nd, t)
+            peel.append(seconds)
+            seconds, found = timed(tb.find_weakly_reducing_set, t)
+            weak.append(seconds)
+        assert min(peel) < 5.0 and nf.partition.r > 100
+        assert min(weak) <= min(peel) / 3 and found is not None and tb.weakly_reduces(t, found)
 
     def test_components_on_a_long_path(self):
         n = 20000
@@ -1090,7 +1107,7 @@ class TestBlockRadii:
     def test_converged_blocks_leave_the_loop(self, monkeypatch):
         # a dense dim-40 block (11 steps) linked to a weighted 6-cycle (216 steps): without
         # compaction every cycle step also multiplies the dense block's 64,000 entries; with
-        # it, no step after the 11th does. Each step sums its terms by rows in one bincount.
+        # it, no step after the 11th does. Each step sums its terms by rows in one reduceat.
         rng = np.random.default_rng(433)
         dense = {idx: rng.uniform(0.01, 1.0) for idx in itertools.product(range(1, 41), repeat=3)}
         cycle = {(41 + i, 41 + (i + 1) % 6, 41 + (i + 1) % 6): w
@@ -1098,7 +1115,7 @@ class TestBlockRadii:
         t = tb.Tensor(3, 46, {**dense, **cycle, (1, 41, 41): 1.0})
         want, fed = loop_spectral_radius(t), []
 
-        class Counting:  # numpy as spectra sees it, recording the length each bincount sums
+        class Counting:  # numpy as spectra sees it, recording the length each row sum takes
             def __getattr__(self, name):
                 return getattr(np, name)
 
@@ -1107,12 +1124,18 @@ class TestBlockRadii:
                 fed.append(len(x))
                 return np.bincount(x, *args, **kwargs)
 
+            class add:
+                @staticmethod
+                def reduceat(terms, *args, **kwargs):
+                    fed.append(len(terms))
+                    return np.add.reduceat(terms, *args, **kwargs)
+
         monkeypatch.setattr(spectra, "np", Counting())
         got = tb.spectral_radius(t)
         assert radius_outcome(lambda: got) == radius_outcome(lambda: want)
         assert got.iterations == 11 + 216
-        # the block dims and the row sums before the loop, then one bincount a step: the link
-        # entry is in neither
+        # the block dims and the row sums before the loop (bincounts), then one reduceat a
+        # step: the link entry is in neither
         assert fed == [46] + [64_000 + 6] * (1 + 11) + [6] * (216 - 11)
 
 

@@ -619,6 +619,33 @@ class TestHypergraphValidation:
         graph = tb.Hypergraph.from_edge_lists(3, 5, [[3, 1, 2]])
         assert graph.edges == (frozenset({1, 2, 3}),)
 
+    @pytest.mark.parametrize("build, shown", [
+        (lambda: tb.Hypergraph.from_edge_lists(3, 5, [[1.7, 2, 3]]), "1.7"),  # not truncated
+        (lambda: tb.Hypergraph(3, 5, (frozenset({1.5, 2, 3}),)), "1.5"),
+        (lambda: tb.Hypergraph.from_edge_lists(3, 5, [["a", 2, 3]]), "'a'"),
+        (lambda: tb.Hypergraph.from_edge_lists(3, 5, [[True, 2, 3]]), "True"),  # not vertex 1
+    ], ids=["float_in_a_list", "float_in_a_set", "str", "bool"])
+    def test_non_integer_vertex(self, build, shown):
+        with pytest.raises(InvalidHypergraph) as err:
+            build()
+        assert str(err.value) == f"vertex {shown} is not an integer"
+
+    def test_numpy_integer_vertices(self):
+        graph = tb.Hypergraph.from_edge_lists(3, 5, np.array([[3, 1, 2], [2, 4, 5]]))
+        assert graph.edges == (frozenset({1, 2, 3}), frozenset({2, 4, 5}))
+
+    def test_first_fault_is_named(self):
+        # the bulk check finds a fault; the message names the first edge at fault, as the
+        # edge-by-edge loop always did
+        cases = [([[1, 2, 3], [1, 2], [1, 2, 9]], "edge [1, 2] has 2 distinct vertices, "
+                                                  "expected 3"),
+                 ([[1, 2, 3], [2, 3, 7], [3, 2, 1], [0, 1, 2]], "vertex 7 outside [1, 5]"),
+                 ([[1, 2, 3], [4, 5, 1], [3, 1, 2], [1, 2.0, 3]], "duplicate edge [1, 2, 3]")]
+        for edges, message in cases:
+            with pytest.raises(InvalidHypergraph) as err:
+                tb.Hypergraph.from_edge_lists(3, 5, edges)
+            assert str(err.value) == message
+
 
 class TestAdjacencyTensor:
     def test_single_triple_edge(self):
