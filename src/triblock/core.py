@@ -37,6 +37,9 @@ Index = tuple[int, ...]
 
 _DENSE_GUARD = 20_000_000  # refuse to densify anything bigger than this
 _INT64_MAX = np.iinfo(np.int64).max  # an index component past it is out of range
+_VECTORISED = 1_000  # terms from which _segment_fsums sums by extraction
+_ROW_LIMIT = 1 << 26  # terms from which it does not: _extracted needs len (len + 2) 2^-53 <= 2
+_EXTRACT_LIMIT = 2.0 ** 900  # |terms| below it leave (len + 2) max|t| far inside the doubles
 
 
 class Coo(NamedTuple):
@@ -429,22 +432,82 @@ def _fsum(values: list[float]) -> float:
         return math.inf if total > 0 else -math.inf
 
 
-def _row_fsums(rows: np.ndarray, n: int, *terms: np.ndarray) -> list[list[float]]:
-    """Per term array, the sum of the terms of each row 0 to n - 1, all sorted by ``rows``:
-    math.fsum's, or ``_fsum``'s where a partial sum overflows or an inf meets a -inf."""
-    starts, flats = rows.searchsorted(np.arange(n + 1)).tolist(), [t.tolist() for t in terms]
-    try:
-        return [[math.fsum(flat[lo:hi]) for lo, hi in zip(starts, starts[1:])] for flat in flats]
-    except (OverflowError, ValueError):
-        return [[_fsum(flat[lo:hi]) for lo, hi in zip(starts, starts[1:])] for flat in flats]
+def _extracted(terms: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """Per segment of ``lengths`` terms from ``starts`` (contiguous, none empty), a sum by
+    error-free extraction and whether it is certified as the correctly rounded one; none is
+    where a term is not finite or reaches 2^900.
+
+    Rump, Ogita and Oishi, "Accurate floating-point summation, Part I"
+    (SIAM J. Sci. Comput. 31(1), 2008). With sigma = 2^e above (len + 2)
+    max|t| (and 2^-1022), each term splits exactly as t = q + r, where
+    q = (sigma + t) - sigma is a multiple of 2^-53 sigma and |r| <= 2^-53
+    sigma. So the q sum, at most sigma in size, is exact in any order, and
+    the r sum is off by at most len^2 2^-106 sigma; it is exact where
+    len 2^-53 sigma <= min|t|, as every partial sum is then a double on
+    the grid of the least term. c = q-sum + r-sum is certified where the r
+    sum is exact, or where that bound plus the exact rounding error of c
+    (TwoSum) leaves the exact sum nearer c than either neighbour of c, a
+    tie not included.
+    """
+    size = np.abs(terms)
+    top, least = np.maximum.reduceat(size, starts), np.minimum.reduceat(size, starts)
+    if not top.max() < _EXTRACT_LIMIT:  # a nan or an inf too
+        return top, np.zeros(len(top), dtype=bool)
+    exponent = np.frexp(np.maximum(top * (lengths + 2), 2.0 ** -1022))[1]
+    sigma = np.ldexp(1.0, exponent).repeat(lengths)
+    high = terms + sigma
+    high -= sigma
+    low = np.add.reduceat(np.subtract(terms, high, out=size), starts)
+    high = np.add.reduceat(high, starts)
+    c = high + low
+    back = c - high
+    err = (high - (c - back)) + (low - back)  # high + low = c + err exactly
+    bound = np.ldexp(np.square(lengths, dtype=float), exponent - 106)
+    certified = np.ldexp(lengths, exponent - 53) <= least
+    certified |= (2 * (err + bound) < np.nextafter(c, np.inf) - c) \
+        & (2 * (err - bound) > np.nextafter(c, -np.inf) - c)
+    return c, certified
+
+
+def _segment_fsums(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``_fsum`` of each segment ``terms[bounds[i]:bounds[i + 1]]``, where ``bounds`` rises
+    from 0 to ``len(terms)``; an empty segment sums to 0.0.
+
+    A call of at least _VECTORISED terms is summed by ``_extracted``, and
+    only the segments it leaves uncertified go through ``_fsum``. Below that
+    size one math.fsum per segment is faster: 40 against 44 us for 60 rows
+    of 12 uniform terms, 60 against 43 us for 100 rows of 10 (best of 9,
+    2 shared cores).
+    """
+    if not _VECTORISED <= len(terms) < _ROW_LIMIT:
+        flat, ends = terms.tolist(), bounds.tolist()
+        try:
+            return np.array([math.fsum(flat[lo:hi]) for lo, hi in zip(ends, ends[1:])])
+        except (OverflowError, ValueError):
+            return np.array([_fsum(flat[lo:hi]) for lo, hi in zip(ends, ends[1:])])
+    lengths = np.diff(bounds)
+    out, todo = np.zeros(len(lengths)), np.flatnonzero(lengths)
+    out[todo], certified = _extracted(terms, bounds[todo], lengths[todo])
+    for i in todo[~certified].tolist():
+        out[i] = _fsum(terms[bounds[i]:bounds[i + 1]].tolist())
+    return out
+
+
+def _row_fsums(rows: np.ndarray, n: int, *terms: np.ndarray) -> list[np.ndarray]:
+    """Per term array, ``_segment_fsums`` of the terms of each row 0 to n - 1, all sorted by
+    ``rows``."""
+    bounds = rows.searchsorted(np.arange(n + 1))
+    return [_segment_fsums(t, bounds) for t in terms]
 
 
 def apply(tensor: Tensor, x: Sequence[complex]) -> np.ndarray:
     """Evaluate the degree-(order-1) polynomial map: y_i = sum a[i, i2..im] * x_i2 ... x_im.
 
     Accepts real or complex vectors. Each term is multiplied left to
-    right and each output component is accumulated with exact
-    compensated summation, so integer inputs stay exact.
+    right, and each output component (each real and imaginary part) is
+    its row's sum correctly rounded, bit for bit as math.fsum rounds it:
+    by a certified vectorised sum, with fsum where that cannot certify a
+    row. Integer inputs stay exact.
     """
     if tensor.order < 2:
         raise OrderTooSmall("polynomial application needs order >= 2")
@@ -454,12 +517,15 @@ def apply(tensor: Tensor, x: Sequence[complex]) -> np.ndarray:
     (idx, vals), n = tensor.coo, tensor.dim
     if any(isinstance(v, complex) for v in xs):
         re, im = _complex_terms(vals, idx.T[1:], np.asarray(xs, dtype=complex))
-        return np.array(list(map(complex, *_row_fsums(idx[:, 0], n, re, im))), dtype=complex)
+        re, im = _row_fsums(idx[:, 0], n, re, im)
+        out = re.astype(complex)
+        out.imag = im
+        return out
     xv = np.asarray(xs, dtype=float)
     terms = vals
     for foot in idx.T[1:]:
         terms = terms * xv[foot]
-    return np.asarray(_row_fsums(idx[:, 0], n, terms)[0], dtype=float)
+    return _row_fsums(idx[:, 0], n, terms)[0]
 
 
 def _equal_from(tensor: Tensor, first: int) -> np.ndarray:

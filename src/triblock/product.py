@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Tensor, _from_arrays, _fsum
+from .core import Tensor, _from_arrays, _segment_fsums
 from .errors import DimensionMismatch, OrderTooSmall, ProductOutOfRange
 
 # Terms expanded at once (a single row of ``a`` may hold more). A chunk
@@ -60,9 +60,9 @@ def general_product(a: Tensor, b: Tensor) -> Tensor:
     """Product of ``a`` (order >= 2) with ``b`` (order >= 1) over a shared dimension.
 
     Sparse throughout: only stored entries of ``a`` meet only stored rows
-    of ``b``. Every output coordinate is accumulated with compensated
-    summation and exact zeros are dropped, so integer inputs give exact
-    integer outputs and structural zeros stay structural.
+    of ``b``. Every output coordinate is its terms' correctly rounded sum
+    and exact zeros are dropped, so integer inputs give exact integer
+    outputs and structural zeros stay structural.
 
     Terms are expanded per chunk of whole rows of ``a``, so no output
     coordinate spans two chunks, one slot of ``a`` at a time: slot s
@@ -75,8 +75,9 @@ def general_product(a: Tensor, b: Tensor) -> Tensor:
     terms sharing a key are summed after every slot and zero sums are
     dropped: a dense order-3 product expands n^3·r + n^2·r^2 terms, not
     n^3·r^2, for rows of r entries. Otherwise nothing merges before the
-    last slot, and each output coordinate is the ``_fsum`` of its terms in
-    generation order. Terms or sums past the double range raise ProductOutOfRange.
+    last slot, and each output coordinate is the ``_segment_fsums`` of its
+    terms in generation order: their sum rounded as math.fsum rounds it.
+    Terms or sums past the double range raise ProductOutOfRange.
     """
     if a.order < 2:
         raise OrderTooSmall("left factor must have order >= 2")
@@ -135,8 +136,7 @@ def general_product(a: Tensor, b: Tensor) -> Tensor:
                 if exact:
                     terms = np.add.reduceat(terms, starts)
                 else:
-                    cuts, flat = starts.tolist() + [len(terms)], terms.tolist()
-                    terms = np.array([_fsum(flat[s:e]) for s, e in zip(cuts, cuts[1:])])
+                    terms = _segment_fsums(terms, np.append(starts, len(terms)))
                 nonzero = terms != 0.0
                 first = order[starts[nonzero]]  # one term per nonzero sum
                 del order

@@ -327,7 +327,7 @@ def _block_radii(tensor: Tensor, block: np.ndarray, tol: float, max_iter: int, k
         terms = vals  # the residuals, each block's eigenvector taken as ``apply`` takes it
         for foot in columns[1:]:
             terms = terms * eig[foot]
-        gaps = np.abs(np.asarray(_row_fsums(columns[0], n, terms)[0]) - rhos[home] * eig ** (m - 1))
+        gaps = np.abs(_row_fsums(columns[0], n, terms)[0] - rhos[home] * eig ** (m - 1))
         return rhos * unit, steps, np.maximum.reduceat(gaps, starts) * unit, eig
 
 

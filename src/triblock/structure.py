@@ -430,7 +430,8 @@ def exists_first_type_normal_form(tensor: Tensor) -> Optional[tuple[Permutation,
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """A k-uniform hypergraph on vertices [1, n]; edges are k-sets."""
+    """A k-uniform hypergraph on vertices [1, n]; edges are k-sets, each a frozenset
+    (``from_edge_lists`` takes sequences)."""
 
     k: int
     n: int
@@ -441,13 +442,18 @@ class Hypergraph:
             raise InvalidHypergraph(f"edges need at least two vertices, got k={self.k}")
         if self.n < 1:
             raise InvalidHypergraph(f"vertex count must be positive, got {self.n}")
-        flat = [*itertools.chain(*self.edges)]
-        if (set(map(len, self.edges)) <= {self.k} and all(map(_integer_type, set(map(type, flat))))
+        # as frozensets, sizes count distinct vertices and edges compare whatever their order
+        sets = all(isinstance(edge, frozenset) for edge in self.edges)
+        flat = [*itertools.chain(*self.edges)] if sets else []
+        if (sets and set(map(len, self.edges)) <= {self.k}
+                and all(map(_integer_type, set(map(type, flat))))
                 and (not flat or 1 <= min(flat) and max(flat) <= self.n)
                 and len(set(self.edges)) == len(self.edges)):
             return  # all edges checked at once; the loop below names the first at fault
         seen = set()
         for edge in self.edges:
+            if not isinstance(edge, frozenset):
+                raise InvalidHypergraph(f"edge {edge!r} is not a frozenset")
             if len(edge) != self.k:
                 raise InvalidHypergraph(
                     f"edge {sorted(edge)} has {len(edge)} distinct vertices, expected {self.k}")

@@ -20,7 +20,7 @@ import numpy as np
 import triblock as tb
 from triblock import BlockKind, Partition, RightFormRecovery, SpectralResult, Tensor, apply
 from triblock.blocked import _forbidden
-from triblock.core import _complex_terms, _row_fsums
+from triblock.core import _complex_terms
 from triblock.errors import (
     BadArity,
     DimensionMismatch,
@@ -565,9 +565,11 @@ def loop_singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200
     scaled = Tensor(tensor.order, n, {i: math.ldexp(v, -k) for i, v in tensor.entries.items()})
     (idx, vals) = scaled.coo
 
+    rows = [np.flatnonzero(idx[:, 0] == i) for i in range(n)]
+
     def objective(z: np.ndarray) -> tuple[float, np.ndarray]:  # y = apply(scaled, z)
         re, im = _complex_terms(vals, idx.T[1:], z)
-        y = np.array(list(map(complex, *_row_fsums(idx[:, 0], n, re, im))), dtype=complex)
+        y = np.array([complex(math.fsum(re[r].tolist()), math.fsum(im[r].tolist())) for r in rows])
         return float(np.real(np.vdot(y, y))), y
 
     best_f = np.inf

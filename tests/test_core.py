@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import triblock as tb
+from triblock import core
 from triblock.errors import (
     BadArity,
     DimensionMismatch,
@@ -310,6 +311,91 @@ class TestApply:
     def test_length_mismatch(self, ex31):
         with pytest.raises(DimensionMismatch):
             tb.apply(ex31, [1.0])
+
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # signed zeros and subnormals among them
+    st.integers(-2 ** 60, 2 ** 60).map(float),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1080, 905)),  # 1e-320 to 2^905
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.0 ** -1022, 1e-16, 1.0, 1e16,
+                     math.nextafter(2.0 ** 900, 0.0), 2.0 ** 900, 1e308, -1e308,
+                     1.7976931348623157e308]),
+)
+
+
+@st.composite
+def segments(draw):
+    """Rows of terms, every other one or all but the least negated beside them so that sums
+    cancel, many within 8 to 140 binades of one another; in half the calls a term may be
+    +-inf or nan."""
+    values = _FINITE
+    if draw(st.booleans()):
+        values = st.one_of(_FINITE, st.sampled_from([math.inf, -math.inf, math.nan]))
+    top, span = draw(st.integers(-1074, 900)), draw(st.integers(8, 140))
+    window = st.builds(lambda m, e: math.ldexp(m, top - 53 - e),  # full mantissas below 2^top
+                       st.integers(-2 ** 53, 2 ** 53), st.integers(0, span))
+    negated = st.sampled_from([slice(None, None, 2), slice(1, None)])  # or all but the least
+
+    def cancelling(terms):
+        return st.tuples(st.lists(terms, max_size=12), negated).flatmap(
+            lambda row: st.permutations(row[0] + [-v for v in sorted(row[0], key=abs)[row[1]]]))
+
+    return draw(st.lists(cancelling(values) | cancelling(window), max_size=10))
+
+
+def reference_fsum(row: list) -> float:
+    try:
+        return math.fsum(row)
+    except (OverflowError, ValueError):  # a partial sum overflows, or an inf meets a -inf
+        return core._fsum(row)
+
+
+class TestSegmentFsums:
+    """``core._segment_fsums`` is math.fsum (``_fsum`` where fsum raises), bit for bit, in
+    this interpreter, on either side of the size where it starts to sum by extraction."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(segments())
+    def test_equals_fsum_bit_for_bit(self, rows):
+        for pad in ([], [[0.5] * core._VECTORISED]):  # a padded call takes the vectorised path
+            given_rows = rows + pad
+            terms = np.array([v for row in given_rows for v in row], dtype=float)
+            bounds = np.cumsum([0] + [len(row) for row in given_rows])
+            got = core._segment_fsums(terms, bounds)
+            want = np.array([reference_fsum(row) for row in given_rows], dtype=float)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_sums_far_below_their_terms(self):
+        # all but one term cancel, leaving a sum 2^-60 to 2^-140 of the others: the r sum
+        # rounds, and certifying it as exact would move the result by many ulps
+        rng = random.Random(5)
+        rows = []
+        for _ in range(2000):
+            big = [rng.uniform(0.5, 1.0) * 2.0 ** rng.randint(-3, 3)
+                   for _ in range(rng.randint(1, 6))]
+            tiny = math.ldexp(rng.getrandbits(53), rng.randint(-193, -113))
+            row = big + [tiny] + [-v for v in big]
+            rng.shuffle(row)
+            rows.append(row)
+        terms = np.array([v for row in rows for v in row])
+        got = core._segment_fsums(terms, np.cumsum([0] + [len(row) for row in rows]))
+        want = np.array([math.fsum(row) for row in rows])
+        assert len(terms) >= core._VECTORISED
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_dense_nonnegative_rows_take_no_fallback(self, monkeypatch):
+        # the radius residual of a dense order-3 dim-20 tensor: 20 rows of 400 terms
+        certified, extracted = [], core._extracted
+
+        def spy(*args):
+            sums, ok = extracted(*args)
+            certified.append(ok)
+            return sums, ok
+
+        monkeypatch.setattr(core, "_extracted", spy)
+        t = tb.Tensor.from_dense(np.random.default_rng(3).uniform(0.01, 1.0, (20, 20, 20)))
+        tb.spectral_radius(t)
+        assert len(certified) == 1 and certified[0].all()
 
 
 class TestRowMatrices:

@@ -147,6 +147,13 @@ class TestApply:
             x = rand_vector(rng, dim, kind)
             assert same_bits(tb.apply(t, x), loop_apply(t, x))
 
+    @pytest.mark.parametrize("kind", ["real", "int", "complex"])
+    def test_matches_loop_past_the_vectorised_size(self, kind):
+        for rng, integral, _ in ensemble(403, 6):
+            t = rand_tensor(rng, 3, rng.randint(11, 14), 1.0, integral)
+            x = rand_vector(rng, t.dim, kind)
+            assert t.nnz >= core._VECTORISED and same_bits(tb.apply(t, x), loop_apply(t, x))
+
     def test_empty_tensor(self):
         t = tb.Tensor(3, 4, {})
         assert same_bits(tb.apply(t, [1.0] * 4), np.zeros(4))
@@ -809,6 +816,13 @@ class TestPeel:
             assert same_bits(structure._edges(idx, dim), want), trial
             paths.add(dim * dim <= codes.size)
         assert paths == {True, False}
+
+    @pytest.mark.parametrize("kind", ["real", "int", "complex"])
+    def test_matches_loop_past_the_vectorised_size(self, kind):
+        for rng, integral, _ in ensemble(403, 6):
+            t = rand_tensor(rng, 3, rng.randint(11, 14), 1.0, integral)
+            x = rand_vector(rng, t.dim, kind)
+            assert t.nnz >= core._VECTORISED and same_bits(tb.apply(t, x), loop_apply(t, x))
 
     def test_empty_tensor(self):
         t = tb.Tensor(3, 4, {})

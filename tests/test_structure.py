@@ -615,6 +615,15 @@ class TestHypergraphValidation:
         with pytest.raises(InvalidHypergraph):
             tb.Hypergraph.from_edge_lists(3, 3, [[1, 2, 3], [3, 2, 1]])
 
+    @pytest.mark.parametrize("edges", [
+        ((1, 1, 2),),  # a repeated vertex: two distinct vertices, not three
+        ((1, 2, 3), (3, 2, 1)),  # one edge twice, as 12 adjacency entries where 6 belong
+        ([1, 2, 3],),  # unhashable
+    ], ids=["repeated_vertex", "same_edge_reordered", "list_edge"])
+    def test_edges_that_are_not_sets(self, edges):
+        with pytest.raises(InvalidHypergraph):
+            tb.Hypergraph(3, 5, edges)
+
     def test_edges_are_stored_as_sets(self):
         graph = tb.Hypergraph.from_edge_lists(3, 5, [[3, 1, 2]])
         assert graph.edges == (frozenset({1, 2, 3}),)
