@@ -18,7 +18,8 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .blocked import BlockKind, Partition, diagonal_blocks, is_blocked
-from .core import Permutation, Tensor, _from_arrays, _index_set, _integer_type, permute_similar
+from .core import (Permutation, Tensor, _equal_from, _from_arrays, _index_set, _integer_type,
+                   permute_similar)
 from .errors import (
     DimensionTooLarge,
     InvalidHypergraph,
@@ -106,7 +107,9 @@ def is_irreducible(tensor: Tensor) -> bool:
 def _edges(idx: np.ndarray, n: int) -> np.ndarray:
     """Sorted codes (i-1)*n + (t-1) of the entry digraph's edges i -> t, one per row-i entry
     and trailing index t, from 0-based index rows (``Tensor.coo.idx``); repeats dropped."""
-    codes = idx[:, :1] * n + idx[:, 1:]
+    heads, codes = idx[:, 0] * n, np.empty((idx.shape[1] - 1, len(idx)), dtype=idx.dtype)
+    for p, column in enumerate(codes, 1):  # a column at a time: broadcasting over the short
+        np.add(heads, idx[:, p], out=column)  # trailing axis takes twice as long
     if n * n <= codes.size:  # dense: a table of the n^2 edges, no larger than the codes
         return np.flatnonzero(np.bincount(codes.ravel(), minlength=n * n))
     codes = np.sort(codes, axis=None)
@@ -219,9 +222,13 @@ def _peel(tensor: Tensor) -> np.ndarray:
     A peel drops only entries that mention a peeled index, never one inside a block that
     stays: the blocks are the components left once a search drops no entry with an index
     outside its row's component. ``_replay`` gives the order: a block is a sink once each
-    of its dropped entries has lost a foot to an earlier block.
+    of its dropped entries has lost a foot to an earlier block. A tensor with an entry at
+    every off-diagonal position is one block without a search: its digraph is complete.
     """
     idx, n = tensor.coo.idx, tensor.dim
+    off = n ** tensor.order - n  # the off-diagonal positions
+    if len(idx) >= off and len(idx) - np.count_nonzero(_equal_from(tensor, 0)) == off:
+        return np.zeros(n, dtype=int)
     label, closed = _sccs(idx, n)
     dropped = []
     while not closed:

@@ -21,9 +21,15 @@ comparison. pytest does not collect it (the name does not start with
 The spectral radius has areas of its own, ``radius`` for the API and
 ``cli_radius`` for the ``rho``, ``mtensor`` and ``hypergraph-rho`` verbs,
 so a change to the power iteration's arithmetic shows there, in
-``radius_blocks`` and in ``components``, and nowhere else. The ``wire`` area parses and serializes each ensemble tensor as a
-document (``tensor_from_obj``, ``new_tensor``, ``loads_tensor``,
-``dumps_tensor``), then with faulty records at random positions, and
+``radius_blocks`` and in ``components``, and nowhere else. After the
+ensemble, ``radius`` also records ``spectral_radius``, with the default
+``max_iter`` and with 20, on tensors of its own that hold a block near
+the floor of the dense step (orders 2-4 at dims 44-56, 12-16 and 6-8,
+all or about half or three quarters of the entries, alone or linked from
+a weighted 6-cycle), so both sides of that rule show there. The
+``wire`` area parses and serializes each ensemble tensor as a document
+(``tensor_from_obj``, ``new_tensor``, ``loads_tensor``, ``dumps_tensor``),
+then with faulty records at random positions, and
 records each result or error message. Its documents list the entries in
 the order of the tensor's view, not of its ``entries`` mapping, so two
 trees whose views agree compare the same documents. The ``inverse`` area records
@@ -108,6 +114,8 @@ COMPONENTS_SEED = 20164
 COMPONENTS_TRIALS = 120
 ORACLE_SEED = 20165
 ORACLE_TRIALS = 40
+DENSE_SEED = 20166
+DENSE_TRIALS = 16
 VALUES = [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 0.5, -1.25]
 
 
@@ -385,6 +393,24 @@ def peel_tensors():
         yield shuffled(order, dim, entries, rng)
 
 
+def dense_tensors():
+    """Tensors with a block near the dense step's floor, as the docstring describes."""
+    rng = random.Random(DENSE_SEED)
+    for _ in range(DENSE_TRIALS):
+        order = rng.randint(2, 4)
+        dim = rng.randint(*{2: (44, 56), 3: (12, 16), 4: (6, 8)}[order])
+        density = rng.choice([0.5, 0.75, 1.0])
+        entries = {idx: rng.uniform(0.01, 1.0)
+                   for idx in itertools.product(range(1, dim + 1), repeat=order)
+                   if rng.random() < density}
+        if rng.random() < 0.5:
+            entries.update({(dim + i,) + (dim + i % 6 + 1,) * (order - 1): w for i, w in
+                            enumerate((1.0, 2.0, 3.0, 1.0, 5.0, 2.0), start=1)})
+            entries[(dim + 1,) + (1,) * (order - 1)] = 1.0
+            dim += 6
+        yield shuffled(order, dim, entries, rng)
+
+
 def area_peel(t) -> str:
     nf = tb.normal_form_2nd(t)
     return canon([nf.sigma, nf.partition, tb.find_weakly_reducing_set(t),
@@ -558,6 +584,8 @@ def main() -> None:
         out = []
         area_wire_text(random.Random(f"wire_text{trial}"), t, out)
         hashes["wire_text"].update(("\n".join(out) + "\n").encode())
+    for t in dense_tensors():
+        hashes["radius"].update((area_radius_blocks(t) + "\n").encode())
     for t in peel_tensors():
         hashes["peel"].update((area_peel(t) + "\n").encode())
         hashes["radius_blocks"].update((area_radius_blocks(t) + "\n").encode())

@@ -37,7 +37,7 @@ from triblock.errors import (
 )
 from triblock.inverse import VERIFY_TOL, _invert, _root_with_snap
 from triblock.linalg import PIVOT_RTOL, as_matrix
-from triblock.spectra import _SHIFT, _largest_row_sum
+from triblock.spectra import _SHIFT, _is_dense, _largest_row_sum
 from triblock.structure import _PREFIX_BUDGET
 
 
@@ -484,13 +484,22 @@ def loop_normal_form_3rd(tensor: Tensor) -> tuple[tuple[int, ...], tuple[int, ..
 def _power_step(tensor: Tensor, scale: float) -> Callable[[np.ndarray], np.ndarray]:
     """The iteration's map x -> (A/scale) x^(m-1) + _SHIFT * x^[m-1], for positive x.
 
-    Each term is multiplied left to right and each row's run of terms
-    summed by ``np.add.reduceat`` in plain float64, as ``_block_radii``
-    sums them: every term is nonnegative, so the sum is accurate to a few
+    A tensor that ``_is_dense`` takes is stepped as ``_block_radii`` steps
+    such a block: its n x n^(m-1) unfolding divided by the scale times
+    x (x) ... (x) x (``np.kron``, left to right), in one matrix-vector
+    product. Any other has each term multiplied left to right and each
+    row's run of terms summed by ``np.add.reduceat``. Both sum in plain
+    float64: every term is nonnegative, so the sum is accurate to a few
     ulps, and the bracket does not need ``apply``'s exact ``fsum``. Rows
-    without entries stay 0. The index arrays are built once here.
+    without entries stay 0. The arrays are built once here.
     """
     view, n, m = tensor.coo, tensor.dim, tensor.order
+    if _is_dense(n, m, tensor.nnz):
+        unfolding = np.zeros((n,) * m)
+        unfolding[tuple(view.idx.T)] = view.vals / scale
+        unfolding = unfolding.reshape(n, -1)
+        return lambda x: (unfolding @ functools.reduce(np.kron, [x] * (m - 1))
+                          + _SHIFT * x ** (m - 1))
     rows, feet = view.idx[:, 0].copy(), np.ascontiguousarray(view.idx.T[1:])
     runs = np.flatnonzero(np.diff(rows, prepend=-1))  # each nonempty row's first entry
     vals = view.vals / scale

@@ -162,15 +162,24 @@ class TestApply:
 
 class TestPowerStep:
     def test_matches_loop_apply_plus_shift(self):
-        # nonnegative terms: float64 sums agree with fsum to a few ulps per component
-        for rng, integral, density in ensemble(415, 60):
-            order, dim = rng.randint(2, 4), rng.randint(1, 6)
+        # nonnegative terms: float64 sums agree with fsum to a few ulps per component. Small
+        # tensors step by terms; those at dims 44-50, 12-15 and 7 (orders 2, 3 and 4) lie on
+        # both sides of the dense rule, by their entry count and by their density
+        small = ((rng, integral, density, rng.randint(2, 4), rng.randint(1, 6))
+                 for rng, integral, density in ensemble(415, 60))
+        large = ((rng, integral, rng.choice([0.3, 0.45, 0.6, 1.0]), order,
+                  {2: rng.randint(44, 50), 3: rng.randint(12, 15), 4: 7}[order])
+                 for rng, integral, _ in ensemble(416, 24) for order in [rng.randint(2, 4)])
+        seen = set()
+        for rng, integral, density, order, dim in itertools.chain(small, large):
             t = tb.Tensor(order, dim, {idx: abs(v) for idx, v in
                                        rand_entries(rng, order, dim, density, integral).items()})
             x = np.abs(rand_vector(rng, dim, "real"))
             scale = _largest_row_sum(t) or 1.0
             want = loop_apply(t, x) / scale + _SHIFT * x ** (order - 1)
             np.testing.assert_allclose(_power_step(t, scale)(x), want, rtol=1e-13, atol=0)
+            seen.add((dim > 6, spectra._is_dense(dim, order, t.nnz)))
+        assert seen == {(False, False), (True, False), (True, True)}
 
 
 class TestGeneralProduct:
@@ -804,6 +813,30 @@ class TestPeel:
         cycle = tb.new_tensor(3, 3, [((1, 2, 2), 1.0), ((2, 3, 3), 1.0), ((3, 1, 1), 1.0)])
         assert structure._peel(cycle).tolist() == [0, 0, 0] and len(searched) == 1
 
+    def test_complete_off_diagonal_pattern_is_one_block(self, monkeypatch):
+        # every off-diagonal position held, any diagonal: one block with no search; one
+        # off-diagonal position missing: the search runs and agrees with the loop
+        searches, real = [], structure._sccs
+        monkeypatch.setattr(structure, "_sccs", lambda *a: searches.append(a) or real(*a))
+        rng = random.Random(425)
+        for trial in range(120):
+            order, dim = rng.randint(2, 4), rng.randint(1, 7)
+            if dim ** order > 1500:
+                continue
+            entries = {idx: rng.choice([0.5, 1.0, 2.0])
+                       for idx in itertools.product(range(1, dim + 1), repeat=order)
+                       if len(set(idx)) > 1 or rng.random() < 0.5}
+            missing = dim > 1 and rng.random() < 0.5
+            if missing:
+                del entries[rng.choice([idx for idx in entries if len(set(idx)) > 1])]
+            t = tb.Tensor(order, dim, entries)
+            searches.clear()
+            block = structure._peel(t)
+            assert bool(searches) == missing, trial
+            assert same_peel(t), trial
+            if not missing:
+                assert block.tolist() == [0] * dim and block.dtype == np.int64
+
     def test_edge_table_matches_the_sort(self):
         # dense input marks a table of the n^2 edges instead of sorting its codes
         rng, paths = random.Random(424), set()
@@ -1119,19 +1152,25 @@ class TestBlockRadii:
         assert got[1] is None and got[2] == 216
 
     def test_converged_blocks_leave_the_loop(self, monkeypatch):
-        # a dense dim-40 block (11 steps) linked to a weighted 6-cycle (216 steps): without
-        # compaction every cycle step also multiplies the dense block's 64,000 entries; with
-        # it, no step after the 11th does. Each step sums its terms by rows in one reduceat.
+        # a dense dim-40 block (11 steps) linked to a weighted 6-cycle (216 steps): the dense
+        # block steps by its unfolding, one x (x) x a step, and with compaction no step after
+        # its 11th forms one. The cycle's terms are summed by rows in one reduceat a step.
         rng = np.random.default_rng(433)
         dense = {idx: rng.uniform(0.01, 1.0) for idx in itertools.product(range(1, 41), repeat=3)}
         cycle = {(41 + i, 41 + (i + 1) % 6, 41 + (i + 1) % 6): w
                  for i, w in enumerate((1.0, 2.0, 3.0, 1.0, 5.0, 2.0))}
         t = tb.Tensor(3, 46, {**dense, **cycle, (1, 41, 41): 1.0})
-        want, fed = loop_spectral_radius(t), []
+        want, fed, outer = loop_spectral_radius(t), [], []
 
         class Counting:  # numpy as spectra sees it, recording the length each row sum takes
             def __getattr__(self, name):
                 return getattr(np, name)
+
+            class multiply:
+                @staticmethod
+                def outer(a, b):
+                    outer.append(a.size * b.size)
+                    return np.multiply.outer(a, b)
 
             @staticmethod
             def bincount(x, *args, **kwargs):
@@ -1149,8 +1188,94 @@ class TestBlockRadii:
         assert radius_outcome(lambda: got) == radius_outcome(lambda: want)
         assert got.iterations == 11 + 216
         # the block dims and the row sums before the loop (bincounts), then one reduceat a
-        # step: the link entry is in neither
-        assert fed == [46] + [64_000 + 6] * (1 + 11) + [6] * (216 - 11)
+        # step over the cycle's terms alone: the link entry is in no block
+        assert spectra._is_dense(40, 3, 64_000) and not spectra._is_dense(6, 3, 6)
+        assert fed == [46, 64_000 + 6] + [6] * 216
+        assert outer == [40 * 40] * 11
+
+    @staticmethod
+    def own_and_batched(t: tb.Tensor, block: np.ndarray):
+        """Per block of ``block``, (rho, steps, residual) from ``spectral_radius`` on its
+        principal subtensor, and from one batched ``_block_radii`` call, in hex."""
+        members = [(np.flatnonzero(block == b) + 1).tolist() for b in range(block.max() + 1)]
+        own = [tb.spectral_radius(tb.principal_subtensor(t, index)) for index in members]
+        rhos, steps, residuals, _ = _block_radii(t, block, 1e-10, 10000)
+        return ([(r.rho.hex(), r.iterations, r.residual.hex()) for r in own],
+                [(rho.hex(), count, gap.hex()) for rho, count, gap in
+                 zip(rhos.tolist(), steps.tolist(), residuals.tolist())])
+
+    def test_dense_block_beside_sparse_blocks(self):
+        # a full dim-14 block (2,744 entries, dense) on shuffled indices, a weighted 6-cycle,
+        # a sparse dim-5 block and two dim-1 blocks, each linked into the one before, so the
+        # dense block is the peel's last
+        rng = random.Random(435)
+        perm = rng.sample(range(1, 28), 27)
+        groups = [perm[:14], perm[14:20], perm[20:25], perm[25:26], perm[26:]]
+        entries = {tuple(groups[0][i] for i in local): rng.uniform(0.01, 1.0)
+                   for local in itertools.product(range(14), repeat=3)}
+        for g, weights in ((groups[1], (1.0, 2.0, 3.0, 1.0, 5.0, 2.0)),
+                           (groups[2], (0.5, 1.0, 1.0, 2.0, 0.25))):
+            entries.update({(g[i], g[(i + 1) % len(g)], g[(i + 1) % len(g)]): w
+                            for i, w in enumerate(weights)})
+        entries.update({(groups[2][0], groups[2][3], groups[2][1]): 4.0,
+                        (groups[3][0],) * 3: 7.0})
+        for g, h in zip(groups, groups[1:]):
+            entries[(h[0], g[0], g[-1])] = 1.0
+        t = tb.Tensor(3, 27, entries)
+        block = structure._peel(t)
+        assert np.bincount(block).tolist() == [1, 1, 5, 6, 14]
+        assert spectra._is_dense(14, 3, 14 ** 3) and not spectra._is_dense(6, 3, 6)
+        own, batched = self.own_and_batched(t, block)
+        assert batched == own
+        assert radius_outcome(tb.spectral_radius, t) == radius_outcome(loop_spectral_radius, t)
+
+    def test_many_full_blocks_under_the_floor(self):
+        # 500 full dim-2 order-3 blocks: each passes d^m <= 2e but has 8 entries, under the
+        # floor, so all of them sum terms; each is its own iteration bit for bit
+        rng = np.random.default_rng(436)
+        t = tb.Tensor(3, 1000, {(2 * b + i + 1, 2 * b + j + 1, 2 * b + k + 1): v
+                                for b in range(500)
+                                for (i, j, k), v in zip(itertools.product(range(2), repeat=3),
+                                                        rng.uniform(0.01, 1.0, 8).tolist())})
+        assert not spectra._is_dense(2, 3, 8)
+        own, batched = self.own_and_batched(t, np.arange(1000) // 2)
+        assert batched == own
+
+    def test_hypergraph_with_complete_components(self):
+        # complete 3-graphs on 7 vertices (210 entries: d^m <= 2e, under the floor) and on 14
+        # (2,184 entries: dense) on interleaved vertices, beside a path and isolated vertices
+        k7, k14 = list(range(1, 15, 2)), list(range(2, 30, 2))
+        path = [(15, 17, 19), (19, 21, 23)]
+        edges = ([frozenset(e) for e in itertools.combinations(k14, 3)]
+                 + [frozenset(e) for e in itertools.combinations(k7, 3)]
+                 + [frozenset(e) for e in path])
+        graph = tb.Hypergraph(3, 31, tuple(edges))
+        adjacency, comps = tb.adjacency_tensor(graph), tb.connected_components(graph)
+        sizes = {len(c): tb.principal_subtensor(adjacency, c).nnz for c in comps}
+        assert sizes[14] == 2184 and sizes[7] == 210
+        assert spectra._is_dense(14, 3, 2184) and not spectra._is_dense(7, 3, 210)
+        assert 7 ** 3 <= 2 * 210
+        want = [tb.spectral_radius(tb.principal_subtensor(adjacency, c)).rho for c in comps]
+        assert [r.hex() for r in tb.hypergraph_radii(graph)] == [r.hex() for r in want]
+        own, batched = self.own_and_batched(adjacency, structure._component_blocks(graph))
+        assert batched == own
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_sparse_cycle_builds_no_unfolding(self, order):
+        # a dim-10^5 cycle is one block of 10^5 entries: past the floor, but its unfolding
+        # would take 8 n^m bytes (n^m is past 2^63 at order 4), so it sums terms
+        n = 100_000
+        t = tb.Tensor(order, n, {(i,) + (i % n + 1,) * (order - 1): 1.0
+                                 for i in range(1, n + 1)})
+        t.coo  # the view is built before the count starts
+        tracemalloc.start()
+        try:
+            got = tb.spectral_radius(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (got.rho, got.iterations) == (1.0, 1)
+        assert peak < 64_000_000 < 8 * n ** order, peak
 
 
 class CountingHooks:
