@@ -7,7 +7,7 @@ pattern over the nonzero entries, read off the ends (c, d) =
 minimum ``lo`` and maximum ``hi`` of the entry's trailing indices: one
 box of block ends, two for ``DIAG``, in which a row must vanish. The
 table ``_BOXES`` is the one place the kinds are defined; the per-entry
-test ``is_blocked`` and the last-end bound ``_last_ends`` both read it.
+test ``is_blocked`` and the block-end search ``_block_ends`` both read it.
 
 Trailing indices lie in [1, n], so no test needs the block's position.
 Each reads only its row's block: a partition carries a kind exactly
@@ -30,6 +30,7 @@ from .core import Tensor, _from_arrays
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
+    IndexOutOfRange,
     OrderTooSmall,
     PartitionTooCoarse,
 )
@@ -71,14 +72,20 @@ class Partition:
 
     def S(self, j: int) -> int:
         """Prefix sum S_j = n_1 + ... + n_j, with S_0 = 0."""
+        if not 0 <= j <= self.r:
+            raise IndexOutOfRange(f"prefix {j} outside [0, {self.r}]")
         return self._sums[j]
 
     def block(self, j: int) -> range:
         """The 1-based index block I_j."""
+        if not 1 <= j <= self.r:
+            raise IndexOutOfRange(f"block {j} outside [1, {self.r}]")
         return range(self.S(j - 1) + 1, self.S(j) + 1)
 
     def block_of(self, i: int) -> int:
         """Which block a row index belongs to."""
+        if not 1 <= i <= self.n:
+            raise IndexOutOfRange(f"index {i} outside [1, {self.n}]")
         return bisect_left(self._sums, i, lo=1)
 
     def __str__(self) -> str:
@@ -112,8 +119,9 @@ class BlockKind(enum.Enum):
 
 _LO, _HI = 0, 1  # a box bound: the row's trailing minimum or maximum
 
-# Per kind, the boxes (c0, c1, d0, d1) of block ends (c, d) where a row
-# must vanish: c0 <= c < c1 and d0 <= d < d1, None for an absent bound.
+# Per kind, the boxes (c0, c1, d0, d1) of block ends (c, d) where a row must vanish:
+# c0 <= c < c1 and d0 <= d < d1, None for an absent bound. A kind has at most one
+# upper box (one with c0) and one lower box (one with d1).
 _BOXES = {
     BlockKind.UTB1: ((_LO, None, None, None),),  # lo <= c
     BlockKind.UTB2: ((_LO, None, _HI, None),),  # lo <= c and hi <= d
@@ -144,7 +152,7 @@ def _spans(tensor: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, trailing minimum and trailing maximum of every entry of the view, 1-based."""
     if tensor.order < 2:
         raise OrderTooSmall("blocked structure needs order >= 2")
-    columns = np.ascontiguousarray(tensor.coo.idx.T) + 1  # a short-axis min or max is slow
+    columns = np.add(tensor.coo.idx.T, 1, order="C")  # a short-axis min or max is slow
     return columns[0], columns[1:].min(axis=0), columns[1:].max(axis=0)
 
 
@@ -178,63 +186,52 @@ def diagonal_blocks(tensor: Tensor, partition: Partition) -> list[Tensor]:
             for c, d, lo, hi in zip(sums, sums[1:], first, first[1:])]
 
 
-# A lower kind is the upper kind of the reversed index order, i -> n+1-i.
-_MIRROR = {BlockKind.LTB1: BlockKind.UTB1, BlockKind.LTB2: BlockKind.UTB2,
-           BlockKind.LTB3: BlockKind.UTB3}
-
-
-def _last_ends(tensor: Tensor, kind: BlockKind, spans) -> np.ndarray:
-    """D(c), c in [0, n]: an upper kind allows (c, d] exactly when d <= D(c); a lower kind's mirror.
-
-    An upper box forbids the starts start <= c < r with all ends d >= e, e
-    the larger of r and the box's bound on d, if any: D(c) is the least
-    e - 1 over the boxes covering c, n if none does. A box's starts are two
-    power-of-two ranges, whose minima are pushed down a level at a time.
-    """
-    n, (rows, lo, hi) = tensor.dim, spans
-    if kind in _MIRROR:  # a block (c, d] goes to (n-d, n-c]
-        kind, rows, lo, hi = _MIRROR[kind], n + 1 - rows, n + 1 - hi, n + 1 - lo
-    ((c0, _, d0, _),) = _BOXES[kind]
-    start, stop = (lo, hi)[c0], rows
-    last = stop - 1 if d0 is None else np.maximum((lo, hi)[d0], stop) - 1
-    level = np.frexp(np.maximum(stop - start, 0))[1] - 1  # largest k, 2^k <= stop - start, or -1
-    reach = np.full(n + 1, n)
-    for k in range(level.max(initial=-1), -1, -1):
-        at = level == k
-        np.minimum.at(reach, start[at], last[at])
-        np.minimum.at(reach, stop[at] - (1 << k), last[at])
-        if k:  # a range [c, c + 2^(k-1)) lies in the level-k ones from c and c - 2^(k-1)
-            half = 1 << (k - 1)
-            reach[half:] = np.minimum(reach[half:], reach[:-half])
-    return reach
-
-
 def _block_ends(tensor: Tensor, kinds: Sequence[BlockKind]) -> Iterator[list[list[int]]]:
     """Per kind in turn: for each start c in [0, n), the ends d whose block (c, d] it allows.
 
-    They are those with d <= D(c) and S(d) <= c: an upper kind sets D, a lower kind S, its
-    mirror's D reversed, and DIAG, with the boxes of UTB1 and LTB1, both.
+    Each box of a distinct span (r, lo, hi) is a rectangle of forbidden block ends: an upper
+    box the starts span[c0] <= c < r with the ends from e = max(r, span[d0]), or r without
+    d0; a lower box the ends r <= d < span[d1] with the starts below f = min(r, span[c1]),
+    or r without c1. So (c, d] is allowed exactly when d <= D(c), the least e - 1 over the
+    upper boxes covering c (n if none does), and S(d) <= c, the largest f over the lower
+    boxes covering d (0 if none does).
     """
-    n, spans = tensor.dim, _spans(tensor)
+    n = tensor.dim
+    seen = np.zeros((n + 1,) * 3, dtype=bool)  # a table of spans: 13^3 = 2,197 at the cap
+    seen[_spans(tensor)] = True
+    (rows, *span), at = np.nonzero(seen), np.arange(n + 1)[:, None]
     for kind in kinds:
-        last, first = np.full(n + 1, n), np.zeros(n + 1, dtype=np.int64)
-        for half in (BlockKind.UTB1, BlockKind.LTB1) if kind is BlockKind.DIAG else (kind,):
-            if half in _MIRROR:
-                first = n - _last_ends(tensor, half, spans)[::-1]
-            else:
-                last = _last_ends(tensor, half, spans)
-        last, first = last.tolist(), first.tolist()
+        last, first = [n] * (n + 1), [0] * (n + 1)
+        for c0, c1, d0, d1 in _BOXES[kind]:
+            if c0 is not None:  # an upper box: D over the starts it covers
+                e = rows if d0 is None else np.maximum(rows, span[d0])
+                covers = (span[c0] <= at) & (at < rows)
+                last = np.where(covers, e - 1, n).min(axis=1, initial=n).tolist()
+            else:  # a lower box: S over the ends it covers
+                f = rows if c1 is None else np.minimum(rows, span[c1])
+                covers = (rows <= at) & (at < span[d1])
+                first = np.where(covers, f, 0).max(axis=1, initial=0).tolist()
         yield [[d for d in range(c + 1, last[c] + 1) if first[d] <= c] for c in range(n)]
 
 
-def _chains(ends: list, start: int = 0) -> Iterator[tuple[int, ...]]:
-    """Parts of every chain of allowed blocks (c, d] from ``start`` to n, lexicographically."""
-    if start == len(ends):
+def _chains(ends: list) -> Iterator[tuple[int, ...]]:
+    """Parts of every chain of allowed blocks (c, d] from 0 to n, lexicographically, on an
+    explicit stack: a chain can hold more blocks than Python's recursion limit."""
+    n, parts, todo = len(ends), [], [(0, iter(ends[0]))] if ends else []
+    if not ends:
         yield ()
-        return
-    for end in ends[start]:
-        for rest in _chains(ends, end):
-            yield (end - start,) + rest
+    while todo:
+        start, later = todo[-1]
+        for end in later:
+            if end == n:
+                yield (*parts, end - start)
+            else:
+                parts.append(end - start)
+                todo.append((end, iter(ends[end])))
+                break
+        else:
+            todo.pop()
+            parts[-1:] = []  # the start 0 has no part before it
 
 
 def compositions(n: int, r_min: int = 1) -> Iterator[tuple[int, ...]]:

@@ -11,6 +11,7 @@ from triblock import BlockKind, Partition
 from triblock.errors import (
     DimensionMismatch,
     DimensionTooLarge,
+    IndexOutOfRange,
     OrderTooSmall,
     PartitionTooCoarse,
 )
@@ -86,6 +87,15 @@ class TestPartition:
         assert [p.S(j) for j in range(4)] == [0, 2, 3, 6]
         assert list(p.block(2)) == [3]
         assert [p.block_of(i) for i in range(1, 7)] == [1, 1, 2, 3, 3, 3]
+
+    def test_indices_out_of_range(self):
+        p = Partition((1, 2))
+        for call, bad in [(p.block_of, (0, 4, 9, -1)), (p.S, (-1, 3, 5)), (p.block, (0, 3, -1))]:
+            for value in bad:
+                with pytest.raises(IndexOutOfRange):
+                    call(value)
+        assert [p.block_of(1), p.block_of(3), p.S(0), p.S(2)] == [1, 2, 0, 3]
+        assert list(p.block(1)) == [1] and list(p.block(2)) == [2, 3]
 
     def test_from_string_round_trip(self):
         p = Partition.from_string("1,1,2")
@@ -468,3 +478,7 @@ class TestCompositions:
         # 2^29 compositions: only a generator can hand out the first ones
         first = itertools.islice(tb.compositions(30, 2), 2)
         assert list(first) == [(1,) * 30, (1,) * 28 + (2,)]
+
+    def test_chains_deeper_than_the_recursion_limit(self):
+        first = itertools.islice(tb.compositions(5000), 3)
+        assert list(first) == [(1,) * 5000, (1,) * 4998 + (2,), (1,) * 4997 + (2, 1)]

@@ -401,6 +401,35 @@ class TestBlockEnds:
             want = [loop_block_ends(t, kind) for kind in BlockKind]
             assert list(_block_ends(t, tuple(BlockKind))) == want, trial
 
+    def test_matches_loop_dense_up_to_the_cap(self):
+        # dims 9-12 at densities 0.5-1.0, plain and blocked: up to 12 * 78 distinct spans
+        rng = random.Random(409)
+        for trial in range(18):
+            m, n, density = 2 + trial % 3, rng.randint(9, 12), rng.choice([0.5, 0.75, 1.0])
+            if trial % 2:
+                cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+                parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+                t = rand_blocked(rng, parts, rng.choice(list(BlockKind)), m, density)
+            else:
+                t = rand_tensor(rng, m, n, density, True)
+            want = [loop_block_ends(t, kind) for kind in BlockKind]
+            assert list(_block_ends(t, tuple(BlockKind))) == want, trial
+
+    def test_dense_order_five_peak(self):
+        # 248,832 entries: the entry columns and spans take about 14 MB at the peak; the
+        # power-of-two range-min reached 26.9 MB, and a table over the 13 starts per entry
+        # rather than per distinct span would add 26 MB more
+        t = tb.Tensor.from_dense(np.ones((12,) * 5))
+        t.coo  # the view is built before the count starts
+        tracemalloc.start()
+        try:
+            ends = list(_block_ends(t, tuple(BlockKind)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ends[-1] == [[12]] + [[]] * 11  # diag: only the single block
+        assert peak < 20_000_000, peak
+
 
 class TestStructuralOps:
     def test_subtensors_permutations_and_blocks(self):
