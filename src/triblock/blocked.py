@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Tensor, _from_arrays
+from .core import Tensor, _from_arrays, _integer_type
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -47,8 +47,7 @@ class Partition:
     def __post_init__(self):
         if not self.parts:
             raise PartitionTooCoarse("partition needs at least one part")
-        if any(not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 1
-               for p in self.parts):
+        if any(not _integer_type(type(p)) or p < 1 for p in self.parts):
             raise DimensionMismatch(f"parts must be positive integers, got {self.parts}")
         parts = tuple(int(p) for p in self.parts)
         object.__setattr__(self, "parts", parts)
@@ -235,7 +234,10 @@ def _chains(ends: list) -> Iterator[tuple[int, ...]]:
 
 
 def compositions(n: int, r_min: int = 1) -> Iterator[tuple[int, ...]]:
-    """All ordered partitions of n with at least ``r_min`` parts, lexicographically."""
+    """All ordered partitions of n with at least ``r_min`` parts, lexicographically; n must be
+    an integer (not a bool) >= 0."""
+    if not _integer_type(type(n)) or n < 0:
+        raise DimensionMismatch(f"n must be an integer >= 0, got {n!r}")
     every = [range(c + 1, n + 1) for c in range(n)]
     return (parts for parts in _chains(every) if len(parts) >= r_min)
 

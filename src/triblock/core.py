@@ -405,6 +405,13 @@ def _complex_terms(vals: np.ndarray, feet: Iterable[np.ndarray],
     return re, im
 
 
+def _terms(vals: np.ndarray, feet: Iterable[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """vals * x[f1] * x[f2] * ..., multiplied left to right, for a real vector x."""
+    for foot in feet:
+        vals = vals * x[foot]
+    return vals
+
+
 def _fsum(values: list[float]) -> float:
     """The values' sum, correctly rounded: +-inf past the double range, nan where an inf meets
     a -inf or a nan.
@@ -521,11 +528,7 @@ def apply(tensor: Tensor, x: Sequence[complex]) -> np.ndarray:
         out = re.astype(complex)
         out.imag = im
         return out
-    xv = np.asarray(xs, dtype=float)
-    terms = vals
-    for foot in idx.T[1:]:
-        terms = terms * xv[foot]
-    return _row_fsums(idx[:, 0], n, terms)[0]
+    return _row_fsums(idx[:, 0], n, _terms(vals, idx.T[1:], np.asarray(xs, dtype=float)))[0]
 
 
 def _equal_from(tensor: Tensor, first: int) -> np.ndarray:
@@ -582,8 +585,9 @@ def representation_matrix(tensor: Tensor) -> np.ndarray:
 
 def row_diagonal_from_matrix(values: np.ndarray, order: int) -> Tensor:
     """Build the row-diagonal tensor with a[i, j, ..., j] = P[i, j]."""
-    if order < 2:
+    if _integer_type(type(order)) and order < 2:
         raise OrderTooSmall("row-diagonal tensors need order >= 2")
+    order = _shape(order, 1)[0]  # refuses an order that is no integer, as unit_tensor does
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")

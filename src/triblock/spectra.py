@@ -23,7 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .blocked import BlockKind, Partition, _spans, is_blocked
-from .core import Tensor, _complex_terms, _diagonal, _equal_from, _from_arrays, _row_fsums, apply
+from .core import (Tensor, _complex_terms, _diagonal, _equal_from, _from_arrays, _integer_type,
+                   _row_fsums, _terms, apply)
 from .errors import (
     BlockDetUnavailable,
     BlockSpectrumUnavailable,
@@ -129,7 +130,7 @@ def _truncated(mantissa: int, exponent: int, sticky: bool) -> tuple[int, int, bo
 
 
 def _det(leaves: list[float], exponent: int) -> float:
-    """The product of the leaves' powers: 0.0 if a leaf is zero, else a nonzero double.
+    """The product of the leaves' powers, none of them zero: a nonzero double.
 
     The leaves are the diagonal entries, each of exponent e = (m-1)^(n-1), so the determinant
     is P^e for the exact product P of the entries; as every denominator is a power of two,
@@ -138,8 +139,6 @@ def _det(leaves: list[float], exponent: int) -> float:
     division, subnormals included) is correct. A determinant no double holds raises
     DeterminantOutOfRange, with log|det| from the same pair.
     """
-    if 0 in leaves:
-        return 0.0
     sign = -1 if exponent % 2 and sum(value < 0 for value in leaves) % 2 else 1
     ratios = [abs(value).as_integer_ratio() for value in leaves]  # d a power of two
     base, scale, sticky = _truncated(
@@ -167,14 +166,18 @@ def _det(leaves: list[float], exponent: int) -> float:
 
 
 def det_blocked(tensor: Tensor, partition: Partition, kind: BlockKind) -> float:
-    """Determinant through the block formula, from the leaves of its recursion: the diagonal.
+    """Determinant through the block formula, from the leaves of its recursion: the stored
+    diagonal entries, 0.0 unless all n are stored, with no array of length n built.
 
     A block with no supported refinement raises BlockDetUnavailable, third-type
     input ThirdTypeUnsupported, and a determinant no double holds DeterminantOutOfRange.
     """
     _checked(tensor, partition, kind)
     _check_refinable(tensor, partition, BlockDetUnavailable)
-    return _det(_diagonal(tensor).tolist(), (tensor.order - 1) ** (tensor.dim - 1))
+    plain = _equal_from(tensor, 0)
+    if np.count_nonzero(plain) < tensor.dim:
+        return 0.0
+    return _det(tensor.coo.vals[plain].tolist(), (tensor.order - 1) ** (tensor.dim - 1))
 
 
 @dataclass(frozen=True)
@@ -262,15 +265,6 @@ def _kron(x: np.ndarray, m: int) -> np.ndarray:
     for _ in range(m - 2):
         out = np.multiply.outer(out, x).ravel()
     return out
-
-
-def _term_sums(weights: np.ndarray, feet: np.ndarray, x: np.ndarray,
-               runs: np.ndarray) -> np.ndarray:
-    """Each run's sum of its terms, a weight times x at each of its feet, left to right."""
-    terms = weights
-    for foot in feet:
-        terms = terms * x[foot]
-    return np.add.reduceat(terms, runs)
 
 
 def _unconverged(bounds, j: int, scale: float, unit: float, steps: int) -> NoConvergence:
@@ -374,10 +368,10 @@ def _block_radii(tensor: Tensor, block: np.ndarray, tol: float, max_iter: int, k
                 for lo, hi, unfold in slots:
                     y[lo:hi] = unfold @ _kron(x[lo:hi], m)
                 if len(rows):
-                    y[spots] = _term_sums(weights, feet, x, runs)
+                    y[spots] = np.add.reduceat(_terms(weights, feet, x), runs)
                 y += _SHIFT * power
             else:
-                y = _term_sums(weights, feet, x, runs) + _SHIFT * power
+                y = np.add.reduceat(_terms(weights, feet, x), runs) + _SHIFT * power
             ratios = y / power
             bounds = np.minimum.reduceat(ratios, offsets), np.maximum.reduceat(ratios, offsets)
             if it == check:
@@ -398,16 +392,17 @@ def _block_radii(tensor: Tensor, block: np.ndarray, tol: float, max_iter: int, k
         if live.any():
             j = int(np.argmax(live[act]))
             raise _unconverged(bounds, j, scale[act[j]], unit, max_iter)
-        terms = vals  # the residuals, each block's eigenvector taken as ``apply`` takes it
-        for foot in columns[1:]:
-            terms = terms * eig[foot]
-        gaps = np.abs(_row_fsums(columns[0], n, terms)[0] - rhos[home] * eig ** (m - 1))
+        # the residuals, each block's eigenvector taken as ``apply`` takes it
+        images = _row_fsums(columns[0], n, _terms(vals, columns[1:], eig))[0]
+        gaps = np.abs(images - rhos[home] * eig ** (m - 1))
         return rhos * unit, steps, np.maximum.reduceat(gaps, starts) * unit, eig
 
 
 def _check_controls(tol: float, max_iter: int) -> None:
     if not tol > 0:  # nan too
         raise ValueError("tol must be positive")
+    if not _integer_type(type(max_iter)):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
 
@@ -664,6 +659,9 @@ def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
     if tensor.dim > _ORACLE_GUARD:
         raise DimensionTooLarge(
             f"the probe is capped at dim {_ORACLE_GUARD}, got {tensor.dim}")
+    for name, value in (("restarts", restarts), ("iters", iters), ("seed", seed)):
+        if not _integer_type(type(value)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be positive")
     if seed < 0:

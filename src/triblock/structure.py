@@ -282,12 +282,8 @@ def reducing_to_utb(tensor: Tensor, index_set: Iterable[int],
     if not ok:
         kind = "weakly" if weak else "strongly"
         raise NotReducingSet(f"{members} does not {kind} reduce the tensor")
-    sigma = _stacked(np.isin(np.arange(1, tensor.dim + 1), members))
-    moved = permute_similar(tensor, sigma)
-    k = tensor.dim - len(members)
-    expected = BlockKind.UTB1 if weak else BlockKind.UTB3
-    if not is_blocked(moved, Partition((k, tensor.dim - k)), expected):
-        raise AssertionError("verified reducing set failed to produce the block structure")
+    block = np.isin(np.arange(1, tensor.dim + 1), members)  # the set is block 1, the rest 0
+    sigma, _, moved = _layout(tensor, block, BlockKind.UTB1 if weak else BlockKind.UTB3)
     return sigma, moved
 
 
@@ -305,20 +301,16 @@ class NormalForm:
     blocks: tuple[Tensor, ...]
 
 
-def _stacked(block: np.ndarray) -> Permutation:
-    """The relabelling that lays out the blocks numbered in ``block`` in order, each sorted."""
-    return Permutation(tuple((np.argsort(block, kind="stable").argsort() + 1).tolist()))
-
-
 def _layout(tensor: Tensor, block: np.ndarray,
             kind: BlockKind) -> tuple[Permutation, Partition, Tensor]:
     """The relabelling and the partition that lay out the blocks numbered in ``block`` (per
-    0-based index), and the relabelled tensor, verified ``kind`` blocked over them."""
-    sigma = _stacked(block)
+    0-based index) in order, each sorted, and the relabelled tensor, verified ``kind``
+    blocked over them."""
+    sigma = Permutation(tuple((np.argsort(block, kind="stable").argsort() + 1).tolist()))
     partition = Partition(tuple(np.bincount(block).tolist()))
     moved = permute_similar(tensor, sigma)
     if partition.r >= 2 and not is_blocked(moved, partition, kind):
-        raise AssertionError("normal form failed block verification")
+        raise AssertionError("the layout failed block verification")
     return sigma, partition, moved
 
 
@@ -445,6 +437,9 @@ class Hypergraph:
     edges: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        for name, value in (("k", self.k), ("n", self.n)):
+            if not _integer_type(type(value)):
+                raise InvalidHypergraph(f"{name} must be an integer, got {value!r}")
         if self.k < 2:
             raise InvalidHypergraph(f"edges need at least two vertices, got k={self.k}")
         if self.n < 1:

@@ -33,7 +33,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .core import Tensor, _in_range, _nonzero_tensor, _tensor_from_entries
+from .core import Tensor, _in_range, _integer_type, _nonzero_tensor, _tensor_from_entries
 from .errors import FormatError
 from .spectra import SpectrumFactored
 from .structure import Hypergraph, NormalForm
@@ -62,11 +62,6 @@ def tensor_to_obj(tensor: Tensor) -> dict:
     return {"order": tensor.order, "dim": tensor.dim, "entries": entries}
 
 
-def _is_int(value: Any) -> bool:
-    """Whether a parsed JSON value is an integer: true and false are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_record(item: Any) -> bool:
     return (isinstance(item, dict) and "i" in item and "v" in item and isinstance(item["i"], list)
             and isinstance(item["v"], (int, float)) and not isinstance(item["v"], bool))
@@ -92,7 +87,7 @@ def tensor_from_obj(obj: Any) -> Tensor:
     if missing:
         raise FormatError(f"tensor document lacks keys: {sorted(missing)}")
     order, dim, raw = obj["order"], obj["dim"], obj["entries"]
-    if not (_is_int(order) and _is_int(dim)):
+    if not (_integer_type(type(order)) and _integer_type(type(dim))):
         raise FormatError("order and dim must be integers")
     if not isinstance(raw, list):
         raise FormatError("entries must be a list")
@@ -227,9 +222,9 @@ def hypergraph_from_obj(obj: Any) -> Hypergraph:
     if missing:
         raise FormatError(f"hypergraph document lacks keys: {sorted(missing)}")
     k, n, edges = obj["k"], obj["n"], obj["edges"]
-    if not (_is_int(k) and _is_int(n) and isinstance(edges, list)):
+    if not (_integer_type(type(k)) and _integer_type(type(n)) and isinstance(edges, list)):
         raise FormatError("k and n must be integers and edges a list")
     for edge in edges:
-        if not isinstance(edge, list) or not all(map(_is_int, edge)):
+        if not isinstance(edge, list) or not all(map(_integer_type, map(type, edge))):
             raise FormatError(f"bad edge record: {edge!r}")
     return Hypergraph.from_edge_lists(k, n, edges)

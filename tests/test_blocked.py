@@ -482,3 +482,15 @@ class TestCompositions:
     def test_chains_deeper_than_the_recursion_limit(self):
         first = itertools.islice(tb.compositions(5000), 3)
         assert list(first) == [(1,) * 5000, (1,) * 4998 + (2,), (1,) * 4997 + (2, 1)]
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, -2, True, "3", None])
+    def test_n_must_be_an_integer_at_least_zero(self, n):
+        # refused at the call, before the generator is drawn from
+        with pytest.raises(DimensionMismatch, match="^n must be an integer >= 0, got "):
+            tb.compositions(n)
+        with pytest.raises(DimensionMismatch):
+            tb.compositions(n, 0)
+
+    def test_zero_and_numpy_integers(self):
+        assert list(tb.compositions(0)) == [] and list(tb.compositions(0, 0)) == [()]
+        assert list(tb.compositions(np.int64(3), 2)) == [(1, 1, 1), (1, 2), (2, 1)]

@@ -600,13 +600,17 @@ resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
 import triblock as tb
 from triblock import cli, tensorio
 
-def run(*argv):
+def run(*argv, path=sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.run([*argv, "--tensor", sys.argv[1]])
+        code = cli.run([*argv, "--tensor", path])
     return code, json.loads(out.getvalue())
 
 assert run("classify", "--partition", "1,999999999", "--kind", "utb1") == (0, {"result": True})
+# the determinant reads the stored diagonal alone: a missing diagonal entry makes it 0.0
+for path in sys.argv[1:]:
+    assert run("det", "--partition", "1,999999999", "--kind", "utb1", path=path) == (
+        0, {"det": 0.0})
 code, doc = run("blocks", "--partition", "1,999999999")
 assert code == 0 and doc == {"blocks": [
     {"order": 2, "dim": 1, "entries": [{"i": [1, 1], "v": 1.0}]},
@@ -625,11 +629,13 @@ assert tb.general_product(t, t) == t
 
 def test_dim_1e9_document_in_a_fresh_interpreter(tmp_path):
     pytest.importorskip("resource")
-    path = tmp_path / "huge.json"
+    path, cubic = tmp_path / "huge.json", tmp_path / "huge3.json"
     path.write_text('{"order": 2, "dim": 1000000000, "entries": [{"i": [1, 1], "v": 1.0}]}')
+    cubic.write_text('{"order": 3, "dim": 1000000000, "entries": '
+                     '[{"i": [1, 1, 1], "v": 2.0}, {"i": [2, 2, 2], "v": 3.0}]}')
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", HUGE_DIM_CHILD, str(path)],
+    proc = subprocess.run([sys.executable, "-c", HUGE_DIM_CHILD, str(path), str(cubic)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
 

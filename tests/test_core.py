@@ -446,6 +446,17 @@ class TestRowMatrices:
         p = np.array([[0.0, 1.5], [-2.0, 0.25]])
         assert np.array_equal(tb.majorization_matrix(tb.tensor_from_matrix(p)), p)
 
+    @pytest.mark.parametrize("order", [2.5, 3.0, True, "3", None])
+    def test_row_diagonal_order_must_be_an_integer(self, order):
+        with pytest.raises(OrderTooSmall, match="^order must be an integer, got "):
+            tb.row_diagonal_from_matrix(np.eye(2), order)
+
+    def test_row_diagonal_order_below_two(self):
+        for order in (1, 0, -3, np.int64(1)):
+            with pytest.raises(OrderTooSmall, match="^row-diagonal tensors need order >= 2$"):
+                tb.row_diagonal_from_matrix(np.eye(2), order)
+        assert tb.row_diagonal_from_matrix(np.eye(2), np.int64(3)).order.__class__ is int
+
     def test_row_diagonal_equals_product_with_unit(self):
         p = np.array([[2.0, 1.0], [0.0, -1.0]])
         direct = tb.row_diagonal_from_matrix(p, 3)

@@ -181,6 +181,14 @@ class TestRightKInverse:
         with pytest.raises(OrderTooSmall):
             tb.right_k_inverse(tb.unit_tensor(3, 2), 1)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0])
+    def test_order_must_be_an_integer(self, k):
+        # refused as row_diagonal_from_matrix refuses it, not with a bare TypeError
+        with pytest.raises(OrderTooSmall, match="^order must be an integer, got "):
+            tb.right_k_inverse(tb.unit_tensor(3, 2), k)
+        with pytest.raises(OrderTooSmall):
+            tb.right_k_inverse(tb.unit_tensor(3, 2), True)
+
     def test_inverse_past_the_double_range(self):
         want = "^recovered factor matrix: an inverse entry is beyond the double range$"
         with pytest.raises(NotRightInvertible, match=want) as info:

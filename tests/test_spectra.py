@@ -638,6 +638,9 @@ class TestSpectralRadius:
                 tb.spectral_radius(a, tol=tol)
         with pytest.raises(ValueError):
             tb.spectral_radius(a, max_iter=0)
+        for max_iter in (2.5, 100.0, True, "100", None):
+            with pytest.raises(ValueError, match="^max_iter must be an integer, got "):
+                tb.spectral_radius(a, max_iter=max_iter)
 
     def test_no_convergence_carries_bounds(self):
         a = tb.tensor_from_matrix(np.array([[0.0, 3.0], [1.0, 0.0]]))
@@ -667,6 +670,9 @@ class TestHypergraphRadii:
                 tb.hypergraph_radii(graph, tol=tol)
         for max_iter in (0, -3):
             with pytest.raises(ValueError, match="^max_iter must be positive$"):
+                tb.hypergraph_radii(graph, max_iter=max_iter)
+        for max_iter in (2.5, 100.0, True):
+            with pytest.raises(ValueError, match="^max_iter must be an integer, got "):
                 tb.hypergraph_radii(graph, max_iter=max_iter)
 
 
@@ -796,6 +802,28 @@ class TestRadiusLaws:
         want = np.max(np.abs(core.apply(t, res.eigvec) - res.rho * res.eigvec ** 2))
         assert res.residual == want
 
+    def test_one_exact_apply_for_the_residual_of_a_dense_block(self, monkeypatch):
+        # the twin of the 6-cycle above for a block whose steps go through its unfolding:
+        # the residual is still apply's, not read off the unfolding
+        calls, kron, unfolded = [], [], spectra._kron
+
+        def counted(rows, n, *terms):
+            calls.append(n)
+            return core._row_fsums(rows, n, *terms)
+
+        def traced(x, m):
+            kron.append(len(x))
+            return unfolded(x, m)
+
+        monkeypatch.setattr(spectra, "_row_fsums", counted)
+        monkeypatch.setattr(spectra, "_kron", traced)
+        t = tb.Tensor.from_dense(np.random.default_rng(5).random((14, 14, 14)))
+        assert t.nnz == 14 ** 3 and spectra._is_dense(14, 3, t.nnz)
+        res = tb.spectral_radius(t)
+        assert res.iterations > 1 and kron == [14] * res.iterations and calls == [14]
+        want = np.max(np.abs(core.apply(t, res.eigvec) - res.rho * res.eigvec ** 2))
+        assert res.residual == want
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSingularityOracle:
@@ -836,6 +864,13 @@ class TestSingularityOracle:
             tb.singularity_oracle(tb.unit_tensor(3, 2), restarts=0)
         with pytest.raises(OrderTooSmall):
             tb.singularity_oracle(tb.new_tensor(1, 2, [((1,), 1.0)]))
+
+    @pytest.mark.parametrize("name", ["restarts", "iters", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_controls_must_be_integers(self, name, value, monkeypatch):
+        monkeypatch.setattr(spectra, "_oracle_block", None)  # refused before any work
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            tb.singularity_oracle(tb.unit_tensor(3, 2), **{name: value})
 
     def test_negative_seed_is_refused_before_any_work(self, monkeypatch):
         monkeypatch.setattr(spectra, "_oracle_block", None)

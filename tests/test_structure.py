@@ -624,6 +624,17 @@ class TestHypergraphValidation:
         with pytest.raises(InvalidHypergraph):
             tb.Hypergraph(3, 5, edges)
 
+    @pytest.mark.parametrize("k, n, name", [
+        (3.0, 4, "k"), (3, 4.0, "n"), (True, 4, "k"), (3, "4", "n"), (None, 4, "k"),
+    ], ids=["float_k", "float_n", "bool_k", "str_n", "none_k"])
+    def test_k_and_n_must_be_integers(self, k, n, name):
+        with pytest.raises(InvalidHypergraph, match=f"^{name} must be an integer, got "):
+            tb.Hypergraph(k, n, (frozenset({1, 2, 3}),))
+
+    def test_numpy_integer_k_and_n(self):
+        graph = tb.Hypergraph(np.int64(3), np.int64(4), (frozenset({1, 2, 3}),))
+        assert tb.connected_components(graph) == [frozenset({1, 2, 3}), frozenset({4})]
+
     def test_edges_are_stored_as_sets(self):
         graph = tb.Hypergraph.from_edge_lists(3, 5, [[3, 1, 2]])
         assert graph.edges == (frozenset({1, 2, 3}),)
