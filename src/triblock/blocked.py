@@ -238,6 +238,8 @@ def compositions(n: int, r_min: int = 1) -> Iterator[tuple[int, ...]]:
     an integer (not a bool) >= 0."""
     if not _integer_type(type(n)) or n < 0:
         raise DimensionMismatch(f"n must be an integer >= 0, got {n!r}")
+    if not _integer_type(type(r_min)):
+        raise DimensionMismatch(f"r_min must be an integer, got {r_min!r}")
     every = [range(c + 1, n + 1) for c in range(n)]
     return (parts for parts in _chains(every) if len(parts) >= r_min)
 
@@ -250,6 +252,8 @@ def blocked_partitions(tensor: Tensor, kind: BlockKind, r_min: int = 1) -> list[
     under all 2^(n-1) compositions. Triangular kinds silently skip the
     single-block composition, which they cannot carry by definition.
     """
+    if not _integer_type(type(r_min)):
+        raise DimensionMismatch(f"r_min must be an integer, got {r_min!r}")
     if tensor.dim > _ENUM_GUARD:
         raise DimensionTooLarge(
             f"partition enumeration is capped at dim {_ENUM_GUARD}, got {tensor.dim}")

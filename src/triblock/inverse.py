@@ -21,6 +21,7 @@ from .core import (
     Tensor,
     _aligned,
     _equal_from,
+    _integer_type,
     is_row_diagonal,
     majorization_matrix,
     row_diagonal_from_matrix,
@@ -52,6 +53,8 @@ def has_left_inverse(tensor: Tensor) -> bool:
 
 def left_k_inverse(tensor: Tensor, k: int) -> Tensor:
     """The unique left inverse of order k: unit tensor times the inverse row matrix."""
+    if not _integer_type(type(k)):  # a bool included, before any work
+        raise OrderTooSmall(f"order must be an integer, got {k!r}")
     if k < 2:
         raise OrderTooSmall(f"left inverses need k >= 2, got {k}")
     if tensor.order < 2:
@@ -138,6 +141,8 @@ def recover_right_form(tensor: Tensor) -> RightFormRecovery:
 
 def right_k_inverse(tensor: Tensor, k: int) -> Tensor:
     """A right inverse of order k of unit_tensor(m) * Q: the row-diagonal tensor of Q^-1."""
+    if not _integer_type(type(k)):  # a bool included, before any work
+        raise OrderTooSmall(f"order must be an integer, got {k!r}")
     if k < 2:
         raise OrderTooSmall(f"right inverses need k >= 2, got {k}")
     try:

@@ -82,6 +82,20 @@ own (orders 2-4, dims 1-7, dense, sparse or diagonal, and a zero tensor;
 dim 7 is past the probe's cap), then the ``oracle`` verb on
 ``fixtures/``, which ``cli_fixtures`` leaves out. A change to the
 probe's arithmetic shows there and nowhere else.
+
+The last area, ``product_dense``, records ``general_product`` on
+integral factors of its own, orders 2-4 times 1-3 with the product's
+largest stage at most 2^15 cells, so that most of them take the dense
+route (76 of 142 at its introduction; the rest hold fewer than half a
+term per cell, or pass 2^53): entries of -3..3, all or about three
+quarters or half of them held, some rows of the right factor empty, or
+its second row a copy of its first against negated entries of the left
+factor, so sums cancel to zero. Each pair is also recorded with the
+left factor scaled so that the sum of |term| is just below 2^53, and
+just past it, where the product goes by the sparse route. CI's
+one-thread and default-thread runs compare the dense route's BLAS
+contractions there; the area prints after ``oracle``, so the lines
+before it are those of trees that predate it.
 """
 from __future__ import annotations
 
@@ -116,6 +130,8 @@ ORACLE_SEED = 20165
 ORACLE_TRIALS = 40
 DENSE_SEED = 20166
 DENSE_TRIALS = 16
+PRODUCT_SEED = 20167
+PRODUCT_TRIALS = 48
 VALUES = [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 0.5, -1.25]
 
 
@@ -451,6 +467,38 @@ def area_refinement_wide(t, p, kind) -> str:
     return "\n".join(out)
 
 
+def dense_products():
+    """Integral factor pairs of the dense route, as the docstring describes."""
+    rng = random.Random(PRODUCT_SEED)
+    for _ in range(PRODUCT_TRIALS):
+        m, k = rng.randint(2, 4), rng.randint(1, 3)
+        stage = max(m, (m - 1) * (k - 1) + 1)
+        dim = rng.randint(2, max(d for d in range(2, 13) if d ** stage <= 1 << 15))
+        a_held, b_held = rng.choice([1.0, 0.75, 0.5]), rng.choice([1.0, 0.75])
+        span = range(1, dim + 1)
+        a = {idx: float(rng.choice([-3, -2, -1, 1, 2, 3]))
+             for idx in itertools.product(span, repeat=m) if rng.random() < a_held}
+        b = {idx: float(rng.choice([-3, -2, -1, 1, 2, 3]))
+             for idx in itertools.product(span, repeat=k) if rng.random() < b_held}
+        style = rng.randrange(3)
+        if style == 1:  # some rows of b empty
+            empty = rng.sample(span, rng.randint(1, dim - 1))
+            b = {idx: v for idx, v in b.items() if idx[0] not in empty}
+        elif style == 2:  # b's row 2 copies row 1, and a's first foot 2 negates foot 1
+            b = {idx: v for idx, v in b.items() if idx[0] != 2}
+            b.update({(2,) + idx[1:]: v for idx, v in b.items() if idx[0] == 1})
+            a = {idx: v for idx, v in a.items() if idx[1] != 2}
+            a.update({idx[:1] + (2,) + idx[2:]: -v for idx, v in a.items() if idx[1] == 1})
+        rows = [sum(abs(v) for idx, v in b.items() if idx[0] == i) for i in range(dim + 1)]
+        weight = sum(abs(v) * math.prod(rows[j] for j in idx[1:]) for idx, v in a.items())
+        left, right = shuffled(m, dim, a, rng), shuffled(k, dim, b, rng)
+        yield left, right
+        if weight:  # |term| summing to just below 2^53, then past it
+            scale = (2 ** 53 - 1) // int(weight)
+            for s in (scale, scale + 1):
+                yield tb.Tensor(m, dim, {idx: v * s for idx, v in left.entries.items()}), right
+
+
 def cli_runs():
     """Every verb on every fixture it applies to, with a few partitions."""
     paths = sorted((ROOT / "fixtures").glob("*.json"))
@@ -601,6 +649,10 @@ def main() -> None:
     for case in oracle_cases():
         oracle.update((area_oracle(*case) + "\n").encode())
     print("oracle", cli_digest("oracle", oracle))
+    product_dense = hashlib.sha256()
+    for a, b in dense_products():
+        product_dense.update((outcome(tb.general_product, a, b) + "\n").encode())
+    print("product_dense", product_dense.hexdigest())
 
 
 if __name__ == "__main__":

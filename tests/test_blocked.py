@@ -491,6 +491,14 @@ class TestCompositions:
         with pytest.raises(DimensionMismatch):
             tb.compositions(n, 0)
 
+    @pytest.mark.parametrize("r_min", [2.5, True, "2", float("nan")])
+    def test_r_min_must_be_an_integer(self, r_min):
+        # 2.5 acted as r_min=3 and "2" raised a bare TypeError
+        with pytest.raises(DimensionMismatch, match="^r_min must be an integer, got "):
+            tb.compositions(3, r_min)
+        with pytest.raises(DimensionMismatch, match="^r_min must be an integer, got "):
+            tb.blocked_partitions(tb.unit_tensor(3, 3), BlockKind.UTB1, r_min)
+
     def test_zero_and_numpy_integers(self):
         assert list(tb.compositions(0)) == [] and list(tb.compositions(0, 0)) == [()]
         assert list(tb.compositions(np.int64(3), 2)) == [(1, 1, 1), (1, 2), (2, 1)]

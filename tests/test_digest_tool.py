@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 AREAS = ["subtensors_permutations_blocks", "is_blocked", "block_ends", "reducing_sets",
          "normal_forms", "block_walk", "det_spectrum", "majorization", "radius",
          "wire", "inverse", "product", "peel", "refinement_wide", "radius_blocks", "wire_text",
-         "components", "cli_fixtures", "cli_radius", "oracle"]
+         "components", "cli_fixtures", "cli_radius", "oracle", "product_dense"]
 
 
 def test_digest_prints_one_hash_per_area():

@@ -97,6 +97,12 @@ class TestLeftKInverse:
         with pytest.raises(OrderTooSmall):
             tb.left_k_inverse(tb.unit_tensor(3, 2), 1)
 
+    @pytest.mark.parametrize("k", ["3", 2.5, True])
+    def test_k_must_be_an_integer(self, ex24, k):
+        # refused before the row test, which ex24 fails, not with a bare TypeError
+        with pytest.raises(OrderTooSmall, match="^order must be an integer, got "):
+            tb.left_k_inverse(ex24, k)
+
     def test_inverse_past_the_double_range(self):
         # 1 / 1e-310 is beyond the largest double: a range fault, not a singular matrix
         want = "^row matrix: an inverse entry is beyond the double range$"
@@ -180,6 +186,12 @@ class TestRightKInverse:
             tb.right_k_inverse(unit_times([[1, 1], [1, 1]]), 2)
         with pytest.raises(OrderTooSmall):
             tb.right_k_inverse(tb.unit_tensor(3, 2), 1)
+
+    @pytest.mark.parametrize("k", ["3", 2.5, True])
+    def test_k_must_be_an_integer(self, ex24, k):
+        # refused before Q is recovered, which ex24 fails, not with a bare TypeError
+        with pytest.raises(OrderTooSmall, match="^order must be an integer, got "):
+            tb.right_k_inverse(ex24, k)
 
     @pytest.mark.parametrize("k", [2.5, 3.0])
     def test_order_must_be_an_integer(self, k):

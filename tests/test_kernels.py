@@ -8,7 +8,9 @@ predicates, the majorization and representation matrices) all read
 exactly, not just to a tolerance. The power iteration's step is the one
 kernel that sums in plain float64: the reference iteration's step in
 ``_gen`` is held to ``loop_apply`` plus the shift within a relative 1e-13,
-and the batched radius to that reference bit for bit.
+and the batched radius to that reference bit for bit. The dense route of
+exact products must give the sparse route's view bit for bit, within a
+memory bound.
 Also pinned: the view a structural operation hands on to its result, the
 read-only ``entries`` mapping and pickling. The incremental peel behind
 ``normal_form_2nd``, ``find_weakly_reducing_set`` and
@@ -182,6 +184,28 @@ class TestPowerStep:
         assert seen == {(False, False), (True, False), (True, True)}
 
 
+def spy_routes(monkeypatch) -> dict:
+    """Counts, from here on, of products taken densely and of merges by ``_segment_fsums``."""
+    calls = {"dense": 0, "fsum": 0}
+    for key, name in (("dense", "_dense_product"), ("fsum", "_segment_fsums")):
+        def spy(*args, key=key, real=getattr(product_module, name)):
+            calls[key] += 1
+            return real(*args)
+        monkeypatch.setattr(product_module, name, spy)
+    return calls
+
+
+def expansion(a: tb.Tensor, b: tb.Tensor) -> tuple[int, int]:
+    """The integral product's full expansion, exactly: its number of terms and their sum of
+    |term|, which is |a| times the row sums of |b| at the feet."""
+    counts, sums = [0] * (a.dim + 1), [0] * (a.dim + 1)
+    for idx, v in b.entries.items():
+        counts[idx[0]] += 1
+        sums[idx[0]] += int(abs(v))
+    return (sum(math.prod(counts[j] for j in idx[1:]) for idx in a.entries),
+            sum(int(abs(v)) * math.prod(sums[j] for j in idx[1:]) for idx, v in a.entries.items()))
+
+
 class TestGeneralProduct:
     def test_matches_loop(self):
         for rng, integral, density in ensemble(402, 80):
@@ -216,10 +240,15 @@ class TestGeneralProduct:
 
     def test_rows_larger_than_a_chunk(self, monkeypatch):
         monkeypatch.setattr(product_module, "_CHUNK", 5)
+        monkeypatch.setattr(product_module, "_DENSE_CELLS", 0)  # half the integral ones go dense
+        calls = spy_routes(monkeypatch)
         for rng, integral, density in ensemble(404, 8):
             a = rand_tensor(rng, 3, 4, max(density, 0.3), integral)
             b = rand_tensor(rng, 3, 4, 0.5, integral)
+            fsums = calls["fsum"]
             assert bits(tb.general_product(a, b).entries) == bits(loop_product(a, b))
+            assert (calls["fsum"] == fsums) == integral  # integral chunks merge exactly
+        assert calls["dense"] == 0
 
     def test_codes_past_int64(self):
         # 90^10 > 2^64 output coordinates: codes must be re-ranked before they
@@ -244,6 +273,7 @@ class TestGeneralProduct:
         # partial terms differ in their last foot and cancel in the last slot, and rows 1
         # and 4 of the matrix product cancel whole.
         monkeypatch.setattr(product_module, "_CHUNK", chunk)  # 1: each row a chunk of its own
+        calls = spy_routes(monkeypatch)  # every product here merges exactly, sparsely
         b = tb.Tensor(3, 4, {**{(j, s, t): float(s + 2 * t) for j in (1, 2)
                                 for s in (1, 2, 4) for t in (1, 3)},
                              (3, 2, 2): 2.0, (4, 2, 2): -2.0})
@@ -260,6 +290,7 @@ class TestGeneralProduct:
         everything = tb.Tensor(2, 4, {(1, 1): 1.0, (1, 2): -1.0})
         assert tb.general_product(everything, b).entries == {}
         assert tb.general_product(a, tb.Tensor(3, 4, {})).nnz == 0
+        assert calls == {"dense": 0, "fsum": 0}
 
     def test_three_slots_with_cancellation(self):
         # order-4 left factors with values +-1, so partial terms often cancel in each slot
@@ -280,8 +311,9 @@ class TestGeneralProduct:
 
     def test_feet_on_empty_rows_of_b(self, monkeypatch):
         rng = random.Random(417)
-        for chunk in (1 << 14, 7):
+        for chunk, cells in ((1 << 14, product_module._DENSE_CELLS), (7, 0)):
             monkeypatch.setattr(product_module, "_CHUNK", chunk)
+            monkeypatch.setattr(product_module, "_DENSE_CELLS", cells)  # 7: chunks, not dense
             for _, integral, density in ensemble(418, 30):
                 m, k, dim = rng.randint(2, 4), rng.randint(1, 3), rng.randint(2, 4)
                 a = rand_tensor(rng, m, dim, max(density, 0.5), integral)
@@ -309,7 +341,8 @@ class TestGeneralProduct:
         assert bits(c.entries) == bits(loop_product(a, b))
 
     def test_dense_integral_dim_eight_is_fast(self):
-        # 512 x 64 x 64 terms one by one; after the first slot's merge, 32k + 262k
+        # 512 x 64 x 64 terms one by one; the sparse route's merges expand 32k + 262k, the
+        # dense route's stages hold 512, 4,096 and 32,768 cells
         rng = np.random.default_rng(3)
         a, b = (tb.Tensor.from_dense(rng.integers(1, 10, (8,) * 3).astype(float))
                 for _ in range(2))
@@ -320,6 +353,115 @@ class TestGeneralProduct:
             tb.general_product(a, b)
             times.append(time.perf_counter() - start)
         assert min(times) < 0.1
+
+    def test_dense_route_matches_sparse_route(self, monkeypatch):
+        # entries, view order and bits: orders 2-4 times 1-3, values +-1 and +-2 that often
+        # cancel to zero, and feet on empty rows of b
+        calls, cap = spy_routes(monkeypatch), product_module._DENSE_CELLS
+        rng = random.Random(420)
+        taken = cancelled = on_empty = 0
+        for trial in range(150):
+            m, k = rng.randint(2, 4), rng.randint(1, 3)
+            stage = max(m, (m - 1) * (k - 1) + 1)
+            dim = rng.randint(1, max(d for d in range(1, 9) if d ** stage <= cap))
+            a = tb.Tensor(m, dim, {idx: float(rng.choice([-2, -1, 1, 2])) for idx in
+                                   itertools.product(range(1, dim + 1), repeat=m)
+                                   if rng.random() < 0.8})
+            empty = set(rng.sample(range(1, dim + 1), rng.randint(0, dim - 1)))
+            b = tb.Tensor(k, dim, {idx: float(rng.choice([-2, -1, 1, 2])) for idx in
+                                   itertools.product(range(1, dim + 1), repeat=k)
+                                   if idx[0] not in empty and rng.random() < 0.8})
+            before = calls["dense"]
+            dense = tb.general_product(a, b)
+            if calls["dense"] == before:
+                continue
+            monkeypatch.setattr(product_module, "_DENSE_CELLS", 0)
+            sparse = tb.general_product(a, b)
+            absolute = tb.general_product(tb.Tensor(m, dim, {i: abs(v) for i, v in a.entries.items()}),
+                                          tb.Tensor(k, dim, {i: abs(v) for i, v in b.entries.items()}))
+            monkeypatch.setattr(product_module, "_DENSE_CELLS", cap)
+            assert same_view(dense.coo, sparse.coo), trial
+            taken += 1
+            cancelled += dense.nnz < absolute.nnz
+            on_empty += bool(empty) and any(set(idx[1:]) & empty for idx in a.entries)
+        assert taken >= 80 and cancelled >= 40 and on_empty >= 40, (taken, cancelled, on_empty)
+
+    def test_dense_route_up_to_two_to_53(self, monkeypatch):
+        # a scaled so that the sum of |term| is 2^53 - 1 or less goes densely, and equals the
+        # reference; one more step of the scale passes 2^53 and goes sparsely
+        calls = spy_routes(monkeypatch)
+        rng = random.Random(421)
+        checked = 0
+        for trial in range(40):
+            m, k, dim = rng.randint(2, 4), rng.randint(1, 3), rng.randint(2, 3)
+            a = rand_tensor(rng, m, dim, 1.0, True)
+            b = rand_tensor(rng, k, dim, rng.choice([0.6, 1.0]), True)
+            terms, weight = expansion(a, b)
+            if dim ** max(m, (m - 1) * (k - 1) + 1) > 2 * terms:  # too few terms to go densely
+                continue
+            checked += 1
+            scale = (2 ** 53 - 1) // weight
+            for s, dense in ((scale, True), (scale + 1, False)):
+                scaled = tb.Tensor(m, dim, {idx: v * s for idx, v in a.entries.items()})
+                before = calls["dense"]
+                c = tb.general_product(scaled, b)
+                assert (calls["dense"] > before) == dense, (trial, s)
+                assert bits(c.entries) == bits(loop_product(scaled, b)), (trial, s)
+        assert checked >= 25, checked
+
+    def test_dense_route_leaves_out_feet_on_empty_rows(self, monkeypatch):
+        # a[1, 1, 2] meets the empty row 2 of b: laid out, its partial term 2^1001 * 2^23 would
+        # pass the double range after the first slot and give inf * 0 = nan after the second
+        calls = spy_routes(monkeypatch)
+        a = tb.Tensor(3, 2, {(1, 1, 1): 1.0, (2, 1, 1): 1.0, (1, 1, 2): 2.0 ** 1001})
+        b = tb.Tensor(2, 2, {(1, 1): 2.0 ** 23, (1, 2): 2.0 ** 23})
+        assert bits(tb.general_product(a, b).entries) == bits(loop_product(a, b))
+        assert calls["dense"] == 1
+
+    def test_dense_route_memory(self, monkeypatch):
+        # The dense route holds its stages, at most _DENSE_CELLS doubles each, where the sparse
+        # route holds a chunk's partial terms. On the dim-8 order-3 product (32,768 cells) its
+        # peak is below the sparse route's; where every row of b holds the same 8 tuples, so the
+        # product has 288 entries, it stays below twice the sparse route's.
+        rng = np.random.default_rng(422)
+        ones_on = np.zeros((8, 64))
+        ones_on[:, rng.choice(64, 8, replace=False)] = rng.integers(1, 4, (8, 8))
+        pairs = [(tb.Tensor.from_dense(rng.integers(1, 10, (8,) * 3).astype(float)),
+                  tb.Tensor.from_dense(rng.integers(1, 10, (8,) * 3).astype(float)), 1.0),
+                 (tb.Tensor.from_dense(rng.integers(1, 4, (8,) * 3).astype(float)),
+                  tb.Tensor.from_dense(ones_on.reshape(8, 8, 8)), 2.0)]
+        calls, cap = spy_routes(monkeypatch), product_module._DENSE_CELLS
+        for a, b, ratio in pairs:
+            a.coo, b.coo  # the views are built before the count starts
+            peaks = []
+            for cells in (cap, 0):
+                monkeypatch.setattr(product_module, "_DENSE_CELLS", cells)
+                tracemalloc.start()
+                try:
+                    tb.general_product(a, b)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                peaks.append(peak)
+            assert peaks[0] < ratio * peaks[1], peaks
+        assert calls["dense"] == 2
+
+    def test_unmerged_early_slots(self, monkeypatch):
+        # one entry of a per (row, feet still to come), as in unit_tensor(m) times Q: the early
+        # merges are skipped, and the products are those of the loop
+        monkeypatch.setattr(product_module, "_DENSE_CELLS", 0)
+        rng = random.Random(423)
+        for trial in range(40):
+            m, k, dim = rng.randint(3, 5), rng.randint(1, 3), rng.randint(1, 4)
+            if trial % 2:
+                a = tb.unit_tensor(m, dim)
+            else:  # row i's entries have distinct last feet, any feet before them
+                a = tb.Tensor(m, dim, {(i,) + tuple(rng.randint(1, dim) for _ in range(m - 2))
+                                       + (t,): float(rng.choice([-3, -1, 1, 2]))
+                                       for i in range(1, dim + 1) for t in range(1, dim + 1)
+                                       if rng.random() < 0.7})
+            b = rand_tensor(rng, k, dim, rng.choice([0.5, 1.0]), True)
+            assert bits(tb.general_product(a, b).entries) == bits(loop_product(a, b)), trial
 
     def test_fold_reranks_near_the_int64_bound(self):
         code = np.array([2 ** 62 + 1, 7, 2 ** 62, 7])
