@@ -140,8 +140,7 @@ class Tensor:
 
     def allclose(self, other: "Tensor", tol: float = 0.0) -> bool:
         """Entrywise agreement within an absolute tolerance, which must be a number >= 0."""
-        if not tol >= 0:
-            raise ValueError("tol must be nonnegative")
+        _check_real("tol", tol, strict=False)
         if (self.order, self.dim) != (other.order, other.dim):
             return False
         _, mine, theirs = _aligned(self, other)
@@ -281,6 +280,18 @@ def _integer_type(kind: type) -> bool:
     return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
+def _check_real(name: str, value, strict: bool = True) -> None:
+    """Refuse a control that is not above 0 (``strict``) or at least 0 with a ValueError that
+    names it: nan, and a value that cannot be compared with 0 at all, such as None or a
+    string, are refused alike."""
+    try:
+        fine = bool(value > 0 if strict else value >= 0)
+    except (TypeError, ValueError):  # no order with 0, or no single truth value
+        fine = False
+    if not fine:
+        raise ValueError(f"{name} must be {'positive' if strict else 'nonnegative'}")
+
+
 def _shape(order, dim) -> tuple[int, int]:
     """``order`` and ``dim`` as Python ints, each refused unless an integer (not a bool) >= 1."""
     for name, value, error in (("order", order, OrderTooSmall), ("dim", dim, DimensionMismatch)):
@@ -389,7 +400,8 @@ def permute_similar(tensor: Tensor, sigma: Permutation) -> Tensor:
 def _complex_terms(vals: np.ndarray, feet: Iterable[np.ndarray],
                    z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of vals * z[f1] * z[f2] * ..., multiplied left to right,
-    for a vector z or each vector along the last axis of a stack.
+    for a vector z or each vector along the last axis of a stack; ``vals`` may be real or
+    complex.
 
     Each step is CPython's complex product (ar*br - ai*bi, ar*bi + ai*br);
     NumPy's complex multiply can differ from it in the last bit. Real
@@ -398,11 +410,40 @@ def _complex_terms(vals: np.ndarray, feet: Iterable[np.ndarray],
     sum here keeps (or gives nan beside an infinite component).
     """
     zr, zi = z.real, z.imag
-    re, im = vals, np.zeros(len(vals))
+    re, im = vals.real, vals.imag
     for foot in feet:
-        br, bi = zr[..., foot], zi[..., foot]
+        br, bi = zr.take(foot, axis=-1), zi.take(foot, axis=-1)  # C order, as zr[..., foot] is not
         re, im = re * br - im * bi, re * bi + im * br
     return re, im
+
+
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array in lexicographic order, and the place of each
+    row of ``keys`` among them: ``np.unique(keys, axis=0, return_inverse=True)`` without the
+    ``numpy.ma`` import that it costs."""
+    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    place = np.empty(len(keys), dtype=np.int64)
+    place[order] = np.cumsum(first) - 1
+    return ordered[first], place
+
+
+def _forms(tensor: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The polynomial view of A x^(m-1): component i is the form sum_beta c[i, beta] x^beta,
+    one coefficient per row and multiset beta of feet (Qi, J. Symbolic Comput. 40, 2005).
+
+    Returns the distinct multisets as sorted feet (K x (m - 1), 0-based, in lexicographic
+    order), then per form the place of its multiset among them, its row and its
+    coefficient: the sum of its entries' values, added in view order. Forms are in order of
+    multiset, then row; a coefficient whose entries cancel is kept as 0.0.
+    """
+    idx, vals = tensor.coo
+    monomials, which = _distinct_rows(np.sort(idx[:, 1:], axis=1))
+    forms, home = _distinct_rows(np.stack((which, idx[:, 0]), axis=1))
+    coefs = np.bincount(home, vals, minlength=len(forms)).astype(float, copy=False)
+    return monomials, forms[:, 0], forms[:, 1], coefs
 
 
 def _terms(vals: np.ndarray, feet: Iterable[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -537,9 +578,11 @@ def _equal_from(tensor: Tensor, first: int) -> np.ndarray:
     return (columns == columns[-1]).all(axis=0)
 
 
-def _diagonal(tensor: Tensor) -> np.ndarray:
-    """The diagonal a_{i...i}, i = 1..n, zero where no entry is stored."""
-    plain, out = _equal_from(tensor, 0), np.zeros(tensor.dim)
+def _diagonal(tensor: Tensor, plain: np.ndarray | None = None) -> np.ndarray:
+    """The diagonal a_{i...i}, i = 1..n, zero where no entry is stored; ``plain`` may give
+    ``_equal_from(tensor, 0)`` where the caller has it."""
+    plain = _equal_from(tensor, 0) if plain is None else plain
+    out = np.zeros(tensor.dim)
     out[tensor.coo.idx[plain, 0]] = tensor.coo.vals[plain]
     return out
 

@@ -20,6 +20,7 @@ from . import linalg
 from .core import (
     Tensor,
     _aligned,
+    _check_real,
     _equal_from,
     _integer_type,
     is_row_diagonal,
@@ -164,8 +165,7 @@ def verify_inverse(candidate: Tensor, tensor: Tensor, side: str,
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if candidate.dim != tensor.dim:
         raise DimensionMismatch(f"dimensions differ: {candidate.dim} vs {tensor.dim}")
-    if not tol >= 0:  # before the product, which may raise for its own reasons
-        raise ValueError("tol must be nonnegative")
+    _check_real("tol", tol, strict=False)  # before the product, which may raise itself
     if side == "left":
         prod = general_product(candidate, tensor)
     else:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Tensor, _diagonal, _equal_from, _from_arrays
+from .core import Tensor, _check_real, _diagonal, _equal_from, _from_arrays
 from .errors import NotZTensor, OrderTooSmall
 from .spectra import _largest_row_sum, spectral_radius
 
@@ -29,9 +29,16 @@ DEFAULT_TOL = 1e-9
 
 def is_z_tensor(tensor: Tensor) -> bool:
     """Every off-diagonal entry is nonpositive."""
+    return _z_mask(tensor)[1]
+
+
+def _z_mask(tensor: Tensor) -> tuple[np.ndarray, bool]:
+    """Which entries of the view lie on the diagonal, and whether every other one is
+    nonpositive: the one diagonal mask that the Z test, the split and the report share."""
     if tensor.order < 2:
         raise OrderTooSmall("Z-tensor classification needs order >= 2")
-    return bool((tensor.coo.vals[~_equal_from(tensor, 0)] <= 0.0).all())
+    diagonal = _equal_from(tensor, 0)
+    return diagonal, bool((tensor.coo.vals[~diagonal] <= 0.0).all())
 
 
 @dataclass(frozen=True)
@@ -44,11 +51,18 @@ class ZSplit:
 
 def z_split(tensor: Tensor) -> ZSplit:
     """Split a Z-tensor with s equal to its largest diagonal entry."""
-    m, view, diagonal = tensor.order, tensor.coo, _equal_from(tensor, 0)
-    if not is_z_tensor(tensor):
+    diagonal, is_z = _z_mask(tensor)
+    if not is_z:
+        view = tensor.coo
         bad = view.idx[((view.vals > 0.0) & ~diagonal).argmax()] + 1  # the first in view order
         raise NotZTensor(f"positive off-diagonal entry at {tuple(bad.tolist())}")
-    d = _diagonal(tensor)
+    return _z_split(tensor, diagonal)
+
+
+def _z_split(tensor: Tensor, diagonal: np.ndarray) -> ZSplit:
+    """``z_split`` of a Z-tensor, given its view's diagonal mask (``_z_mask``)."""
+    m, view = tensor.order, tensor.coo
+    d = _diagonal(tensor, diagonal)
     s = float(d.max())
     shifted = np.flatnonzero(d != s)  # the rows of b's nonzero diagonal, s - d_i
     idx = np.concatenate((np.repeat(shifted[:, None], m, axis=1), view.idx[~diagonal]))
@@ -56,22 +70,22 @@ def z_split(tensor: Tensor) -> ZSplit:
     return ZSplit(s, _from_arrays(m, tensor.dim, idx, vals))
 
 
-def _split_margin(tensor: Tensor, tol: float) -> tuple[ZSplit, float, float]:
-    """The canonical split, its margin s - rho(b), and the band tol * r the margin is read in."""
-    split = z_split(tensor)
+def _split_margin(split: ZSplit, tol: float) -> tuple[float, float]:
+    """The split's margin s - rho(b), and the band tol * r the margin is read in."""
+    _check_real("tol", tol)  # before min(), which would compare tol with 1e-10
     rho = spectral_radius(split.b, tol=min(tol, 1e-10)).rho
-    return split, split.s - rho, tol * _largest_row_sum(split.b)
+    return split.s - rho, tol * _largest_row_sum(split.b)
 
 
 def is_m_tensor(tensor: Tensor, tol: float = DEFAULT_TOL) -> bool:
     """s >= rho(b) up to tol relative to b's scale; raises NotZTensor otherwise."""
-    _, margin, band = _split_margin(tensor, tol)
+    margin, band = _split_margin(z_split(tensor), tol)
     return margin >= -band
 
 
 def is_nonsingular_m_tensor(tensor: Tensor, tol: float = DEFAULT_TOL) -> bool:
     """Strict margin: s > rho(b) by more than tol relative to b's scale."""
-    _, margin, band = _split_margin(tensor, tol)
+    margin, band = _split_margin(z_split(tensor), tol)
     return margin > band
 
 
@@ -83,9 +97,11 @@ def is_positive_tensor(tensor: Tensor) -> bool:
 
 def m_tensor_report(tensor: Tensor, tol: float = DEFAULT_TOL) -> dict:
     """One-pass classification used by the command line tool."""
-    if not is_z_tensor(tensor):
+    diagonal, is_z = _z_mask(tensor)
+    if not is_z:
         return {"z": False, "m": False, "nonsingular_m": False, "s": None, "rho": None}
-    split, margin, band = _split_margin(tensor, tol)
+    split = _z_split(tensor, diagonal)
+    margin, band = _split_margin(split, tol)
     return {
         "z": True,
         "m": bool(margin >= -band),

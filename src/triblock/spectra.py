@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .blocked import BlockKind, Partition, _spans, is_blocked
-from .core import (Tensor, _complex_terms, _diagonal, _equal_from, _from_arrays, _integer_type,
-                   _row_fsums, _terms, apply)
+from .core import (Tensor, _check_real, _complex_terms, _diagonal, _distinct_rows, _equal_from,
+                   _forms, _from_arrays, _integer_type, _row_fsums, _terms, apply)
 from .errors import (
     BlockDetUnavailable,
     BlockSpectrumUnavailable,
@@ -44,7 +44,7 @@ from .structure import Hypergraph, _component_blocks, _peel, adjacency_tensor
 
 _ORACLE_GUARD = 6
 _ORACLE_BLOCK = 64  # restarts run in lockstep at once, so memory does not grow with restarts
-_ORACLE_TERMS = 1 << 15  # terms per chunk of the objective and the Jacobian, bounding their arrays
+_ORACLE_TERMS = 1 << 15  # cells per chunk of the objective's and the Jacobian's contractions
 # the gradient steps 2^3 .. 2^-28: the first four are tried beside each Newton move, the
 # rest only where none of those lowers f
 _FIRST_HALVINGS, _LATER_HALVINGS = np.split(np.ldexp(1.0, 3 - np.arange(32)), [4])
@@ -399,8 +399,7 @@ def _block_radii(tensor: Tensor, block: np.ndarray, tol: float, max_iter: int, k
 
 
 def _check_controls(tol: float, max_iter: int) -> None:
-    if not tol > 0:  # nan too
-        raise ValueError("tol must be positive")
+    _check_real("tol", tol)
     if not _integer_type(type(max_iter)):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
@@ -490,68 +489,66 @@ def _min_norm_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _adjoint_times(vh, _adjoint_times(u, rhs) * inv)
 
 
-def _row_chunks(count: int, terms: int) -> list[slice]:
-    """Slices of a stack of ``count`` rows, each of ``terms`` terms, that hold at most
-    ``_ORACLE_TERMS`` terms (and at least one row) each."""
-    step = max(1, _ORACLE_TERMS // max(terms, 1))
-    return [slice(lo, lo + step) for lo in range(0, count, step)]
+def _monomials(feet: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """z^(feet_k) = z[f1] * z[f2] * ... for each row k of ``feet`` and each row of z, as a
+    complex (rows, K) stack, multiplied left to right from z[f1] by ``_complex_terms``;
+    with no feet, the K ones of a constant."""
+    if not feet.shape[1]:
+        return np.ones(len(feet), dtype=complex)
+    first = z.take(feet[:, 0], axis=-1)
+    return first if feet.shape[1] == 1 else _complex(*_complex_terms(first, feet.T[1:], z))
 
 
-def _oracle_jacobian(tensor: Tensor) -> Callable[[np.ndarray], np.ndarray]:
-    """The complex Jacobians of x -> apply(tensor, x) at the rows of an (R, n) stack, as an
-    (R, n, n) stack.
+def _contracted(feet: np.ndarray, table: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k z^(feet_k) table[k] for each row of z, as a (rows, cells) stack, for K x f
+    ``feet`` and a complex K x cells ``table`` of real numbers.
 
-    The partial of entry a[i, f_1..f_{m-1}] at position p is a times the
-    other x[f_s], multiplied left to right; the partials are added into
-    jac[i, f_p] entry by entry, then position by position (``np.bincount``
-    adds its weights in order), so a slice does not depend on the rows
-    beside it. The index arrays depend only on the tensor, so they are
-    built once here; rows go ``_ORACLE_TERMS`` partials at a time.
+    The monomials are ``_monomials``. A product with a real number held as
+    a complex one is that of its real and imaginary parts, and the sum
+    over k is NumPy's reduction over the middle axis of (rows, K, cells),
+    which adds slice k to the sum of the slices before it, so a row's
+    value does not depend on the rows beside it. BLAS would round by its
+    own blocking and alignment, and breaks that. Rows go at most
+    ``_ORACLE_TERMS`` cells of the stack at a time.
+    """
+    out = np.empty((len(z), table.shape[1]), dtype=complex)
+    step = max(1, _ORACLE_TERMS // max(table.size, 1))
+    for lo in range(0, len(z), step):
+        mono = _monomials(feet, z[lo:lo + step])
+        out[lo:lo + step] = (mono[..., None] * table).sum(axis=-2)  # no feet: one row
+    return out
+
+
+def _oracle_maps(tensor: Tensor):
+    """The objective z -> (||y||^2, y), y = A z^(m-1), and the complex Jacobians of y, on the
+    rows of an (R, n) stack, both read off the tensor's merged forms (``core._forms``).
+
+    y contracts the monomials x^beta with the K x n coefficients C of the
+    forms. The partial of x^beta in x_j is mult_j(beta) x^(beta - j), so
+    the Jacobian contracts the distinct monomials of m - 2 feet with a
+    table D of K' x n^2 cells, D[beta - j, (i, j)] = mult_j(beta) C[beta, i],
+    built one foot position at a time (order 2's has one monomial, 1).
     """
     n, m = tensor.dim, tensor.order
-    view = tensor.coo
-    feet = view.idx[:, 1:]
-    others = [[s for s in range(m - 1) if s != p] for p in range(m - 1)]
-    vals = np.repeat(view.vals, m - 1)  # one per (entry, position)
-    other_feet = feet[:, others].reshape(len(vals), m - 2).T
-    cells = np.repeat(view.idx[:, 0], m - 1) * n + feet.ravel()
-
-    def jacobian(z: np.ndarray) -> np.ndarray:
-        jac = np.empty((len(z), n, n), dtype=complex)
-        for rows in _row_chunks(len(z), len(vals)):
-            part = z[rows]
-            shape, size = (len(part), len(vals)), len(part) * n * n
-            codes = np.add.outer(np.arange(0, size, n * n), cells).ravel()
-            re, im = (np.broadcast_to(t, shape).ravel()  # order 2 has no other feet
-                      for t in _complex_terms(vals, other_feet, part))
-            jac[rows] = _complex(np.bincount(codes, re, size),
-                                 np.bincount(codes, im, size)).reshape(-1, n, n)
-        return jac
-
-    return jacobian
-
-
-def _oracle_objective(tensor: Tensor) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """f = ||y||^2 and y = apply(tensor, x) at the rows of a (K, n) stack. Each distinct
-    product x[f1] * x[f2] * ... is formed once, left to right (entries of a dense tensor
-    share them: a dim-4 order-3 one has 16 for its 64 entries); a term is its value times
-    that product, and a component sums its row's run of terms in the view plainly with
-    ``np.add.reduceat``. Rows go ``_ORACLE_TERMS`` terms at a time, which bounds the arrays
-    of a long line search."""
-    (idx, vals), n = tensor.coo, tensor.dim
-    feet, which = np.unique(idx[:, 1:], axis=0, return_inverse=True)
-    feet, which, ones = feet.T, which.reshape(-1), np.ones(len(feet))
-    rows, starts = np.unique(idx[:, 0], return_index=True)
+    monomials, which, rows, coefs = _forms(tensor)
+    table = np.zeros((len(monomials), n))
+    table[which, rows] = coefs
+    lower, place = _distinct_rows(np.concatenate(
+        [np.delete(monomials, p, axis=1) for p in range(m - 1)]))
+    place = place.reshape(m - 1, len(monomials))
+    partials = np.zeros((len(lower), n, n))
+    for p in range(m - 1):  # beta minus its foot p and that foot determine beta
+        partials[place[p], :, monomials[:, p]] += table
+    table, partials = table.astype(complex), partials.reshape(len(lower), n * n).astype(complex)
 
     def objective(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = np.zeros(z.shape, dtype=complex)
-        for chunk in _row_chunks(len(z), len(vals)):
-            re, im = _complex_terms(ones, feet, z[chunk])
-            y.real[chunk, rows] = np.add.reduceat(vals * re[:, which], starts, axis=1)
-            y.imag[chunk, rows] = np.add.reduceat(vals * im[:, which], starts, axis=1)
+        y = _contracted(monomials, table, z)
         return (y.real ** 2 + y.imag ** 2).sum(axis=1), y
 
-    return objective
+    def jacobian(z: np.ndarray) -> np.ndarray:
+        return _contracted(lower, partials, z).reshape(-1, n, n)
+
+    return objective, jacobian
 
 
 def _descend(objective, trials: np.ndarray, allowed, z: np.ndarray, f: np.ndarray,
@@ -564,10 +561,10 @@ def _descend(objective, trials: np.ndarray, allowed, z: np.ndarray, f: np.ndarra
     f_t, y_t = objective(unit.reshape(-1, z.shape[1]))
     f_t = f_t.reshape(norm.shape)
     lower = (f_t < f[rows, None]) & allowed
-    k = lower.argmax(axis=1)  # the first trial that lowers f
-    hit = lower[np.arange(len(rows)), k]
-    pick = np.flatnonzero(hit), k[hit]
-    z[rows[hit]], f[rows[hit]], y[rows[hit]] = unit[pick], f_t[pick], y_t.reshape(unit.shape)[pick]
+    hit = lower.any(axis=1)
+    pick = np.flatnonzero(hit), lower[hit].argmax(axis=1)  # the first trial that lowers f
+    moved = rows[hit]
+    z[moved], f[moved], y[moved] = unit[pick], f_t[pick], y_t.reshape(unit.shape)[pick]
     return hit
 
 
@@ -587,8 +584,8 @@ def _oracle_block(jacobian, objective, z: np.ndarray, iters: int, degree: int) -
     depend on the rows beside it: a sum over a vector's components adds at
     most ``_ORACLE_GUARD`` < 8 numbers, which NumPy adds in order; a
     product of two complex arrays is formed from real ones; the
-    objective's ``np.add.reduceat`` and the Jacobian's ``np.bincount`` sum
-    each row's terms on their own; and the SVD works matrix by matrix.
+    objective and the Jacobian sum each row's monomials on their own
+    (``_contracted``); and the SVD works matrix by matrix.
     """
     last, live = z.copy(), np.arange(len(z))
     f, y = objective(z)  # y is always the image of the current z
@@ -672,7 +669,7 @@ def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
     k = top + math.frexp(math.hypot(*sums.tolist()))[1]
     small = np.ldexp(vals, -k)
     scaled = _from_arrays(tensor.order, n, idx[small != 0], small[small != 0])
-    jacobian, objective = _oracle_jacobian(scaled), _oracle_objective(scaled)
+    objective, jacobian = _oracle_maps(scaled)
 
     def start(r: int) -> np.ndarray:
         rng = np.random.default_rng(seed + r)

@@ -79,7 +79,10 @@ The singularity probe has an area of its own too, ``oracle``: it records
 ``singularity_oracle`` (``min_norm``, witness and ``restarts_used``) with
 1-3 restarts, 5-60 iterations and a seed of its own on tensors of its
 own (orders 2-4, dims 1-7, dense, sparse or diagonal, and a zero tensor;
-dim 7 is past the probe's cap), then the ``oracle`` verb on
+dim 7 is past the probe's cap), then on a dense order-5 and a dense
+order-6 tensor of dim 6 with uniform entries in [-1, 1), drawn from a
+stream of their own after those cases (2 restarts, 20 iterations), so
+the high-order path is pinned, and then the ``oracle`` verb on
 ``fixtures/``, which ``cli_fixtures`` leaves out. A change to the
 probe's arithmetic shows there and nowhere else.
 
@@ -128,6 +131,7 @@ COMPONENTS_SEED = 20164
 COMPONENTS_TRIALS = 120
 ORACLE_SEED = 20165
 ORACLE_TRIALS = 40
+ORACLE_HIGH_SEED = 20168
 DENSE_SEED = 20166
 DENSE_TRIALS = 16
 PRODUCT_SEED = 20167
@@ -569,6 +573,11 @@ def oracle_cases():
                        if rng.random() < density}
         t = shuffled(order, dim, entries, rng)
         yield t, rng.randint(1, 3), rng.choice([5, 20, 60]), rng.randint(0, 99)
+    high = random.Random(ORACLE_HIGH_SEED)
+    for order in (5, 6):
+        entries = {idx: high.uniform(-1.0, 1.0) for idx in itertools.product(range(1, 7),
+                                                                             repeat=order)}
+        yield shuffled(order, 6, entries, high), 2, 20, high.randint(0, 99)
 
 
 def area_oracle(t, restarts, iters, seed) -> str:

@@ -142,6 +142,57 @@ def loop_jacobian(tensor: Tensor, z: np.ndarray) -> np.ndarray:
     return jac
 
 
+def loop_forms(tensor: Tensor) -> dict:
+    """The merged forms as a dict loop: {(sorted 0-based feet, 0-based row): coefficient},
+    each coefficient its entries' values added from 0.0 in view order, the keys in order of
+    feet, then row."""
+    forms: dict = {}
+    for idx, a in tensor.entries.items():  # view order
+        key = (tuple(sorted(t - 1 for t in idx[1:])), idx[0] - 1)
+        forms[key] = forms.get(key, 0.0) + a
+    return dict(sorted(forms.items()))
+
+
+def _loop_contraction(tables: dict, z: np.ndarray, cells: int) -> np.ndarray:
+    """sum over the keys gamma of ``tables`` in sorted order of z^gamma * tables[gamma][c],
+    per cell c from 0j: z^gamma multiplied left to right from z[gamma[0]] in CPython's
+    complex arithmetic (1 for no feet), each product with the real number as a complex one,
+    zero cells included."""
+    out = [0j] * cells
+    for gamma in sorted(tables):
+        mono = complex(z[gamma[0]]) if gamma else 1 + 0j
+        for f in gamma[1:]:
+            mono *= complex(z[f])
+        out = [acc + mono * complex(v) for acc, v in zip(out, tables[gamma])]
+    return np.array(out, dtype=complex)
+
+
+def loop_forms_objective(tensor: Tensor, z: np.ndarray) -> np.ndarray:
+    """The probe's image y = A z^(m-1) as it is read off the merged forms: per distinct
+    multiset of feet in order, its monomial times its coefficients C[beta, i] in each row."""
+    tables: dict = {}
+    for (beta, i), c in loop_forms(tensor).items():
+        tables.setdefault(beta, [0.0] * tensor.dim)[i] = c
+    return _loop_contraction(tables, z, tensor.dim)
+
+
+def loop_forms_jacobian(tensor: Tensor, z: np.ndarray) -> np.ndarray:
+    """The probe's Jacobian as it is read off the merged forms: D[gamma][i, j] adds, foot
+    position by foot position, C[beta, i] for each position p of beta whose removal leaves
+    gamma and that holds j, from 0.0; the distinct gamma of m - 2 feet are contracted in
+    order."""
+    n, m = tensor.dim, tensor.order
+    forms = loop_forms(tensor)
+    tables: dict = {}
+    for beta in dict.fromkeys(beta for beta, _ in forms):
+        for p in range(m - 1):
+            tables.setdefault(beta[:p] + beta[p + 1:], [0.0] * (n * n))
+    for p in range(m - 1):
+        for (beta, i), c in forms.items():
+            tables[beta[:p] + beta[p + 1:]][i * n + beta[p]] += c
+    return _loop_contraction(tables, z, n * n).reshape(n, n)
+
+
 def loop_block_ends(tensor: Tensor, kind: BlockKind) -> list[list[int]]:
     """Allowed block ends by re-testing every row's trailing spans per block."""
     spans = [set() for _ in range(tensor.dim + 1)]

@@ -462,3 +462,33 @@ class TestRowMatrices:
         direct = tb.row_diagonal_from_matrix(p, 3)
         via_product = tb.general_product(tb.tensor_from_matrix(p), tb.unit_tensor(3, 2))
         assert direct == via_product
+
+
+def _z_tensor() -> tb.Tensor:
+    return tb.Tensor(3, 2, {(1, 1, 1): 2.0, (2, 2, 2): 2.0, (1, 2, 2): -1.0})
+
+
+# every public control named tol, the sign it must have, and a call that reaches its check
+TOL_ENTRY_POINTS = {
+    "spectral_radius": ("positive", lambda tol: tb.spectral_radius(tb.unit_tensor(3, 2), tol)),
+    "hypergraph_radii": ("positive", lambda tol: tb.hypergraph_radii(
+        tb.Hypergraph.from_edge_lists(3, 3, [[1, 2, 3]]), tol)),
+    "verify_inverse": ("nonnegative", lambda tol: tb.verify_inverse(
+        tb.unit_tensor(3, 2), tb.unit_tensor(3, 2), "left", tol)),
+    "Tensor.allclose": ("nonnegative", lambda tol: tb.unit_tensor(3, 2).allclose(
+        tb.unit_tensor(3, 2), tol)),
+    "is_m_tensor": ("positive", lambda tol: tb.is_m_tensor(_z_tensor(), tol)),
+    "is_nonsingular_m_tensor": ("positive", lambda tol: tb.is_nonsingular_m_tensor(
+        _z_tensor(), tol)),
+    "m_tensor_report": ("positive", lambda tol: tb.m_tensor_report(_z_tensor(), tol)),
+}
+
+
+@pytest.mark.parametrize("value", ["x", None, object()], ids=["str", "None", "object"])
+@pytest.mark.parametrize("entry", list(TOL_ENTRY_POINTS))
+def test_a_tol_that_is_no_number_is_refused(entry, value):
+    # the ValueError each entry point gives nan, not a bare TypeError from comparing with 0
+    sign, call = TOL_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^tol must be {sign}$"):
+        call(value)
+    call(1e-9)  # and the call answers with a number

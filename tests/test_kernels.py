@@ -53,7 +53,7 @@ from triblock.spectra import (
     _block_radii,
     _is_diagonal,
     _largest_row_sum,
-    _oracle_jacobian,
+    _oracle_maps,
 )
 from _gen import (
     _components,
@@ -74,6 +74,9 @@ from _gen import (
     loop_is_diagonal,
     loop_is_row_diagonal,
     loop_is_z_tensor,
+    loop_forms,
+    loop_forms_jacobian,
+    loop_forms_objective,
     loop_jacobian,
     loop_majorization_matrix,
     loop_normal_form_2nd,
@@ -128,6 +131,13 @@ def rand_vector(rng, dim, kind):
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+EPS = np.finfo(float).eps
+
+
+def abs_tensor(t: tb.Tensor) -> tb.Tensor:
+    return tb.Tensor(t.order, t.dim, {idx: abs(v) for idx, v in t.entries.items()})
 
 
 def bits(entries) -> dict:
@@ -470,19 +480,38 @@ class TestGeneralProduct:
         assert top == 3 * 4
 
 class TestOracleJacobian:
+    def test_forms_match_loop(self):
+        # the merged forms: distinct sorted feet, and per form its place among them, its row
+        # and its entries' values added in view order
+        for rng, integral, density in ensemble(405, 40):
+            t = rand_tensor(rng, rng.randint(1, 5), rng.randint(1, 6), density, integral)
+            monomials, which, rows, coefs = core._forms(t)
+            want = loop_forms(t)
+            assert monomials.shape == (len(dict.fromkeys(b for b, _ in want)), t.order - 1)
+            got = {(tuple(monomials[k].tolist()), i): c
+                   for k, i, c in zip(which.tolist(), rows.tolist(), coefs.tolist())}
+            assert list(got) == list(want) and bits(got) == bits(want)
+
     def test_matches_loop(self):
-        # every slice of the stacked Jacobians is the per-entry loop's, whatever the stack
+        # every slice of the stacked Jacobians and images is the forms-ordered loop's,
+        # whatever the stack, and within a few ulps of the per-entry loop's Jacobian
         for rng, integral, density in ensemble(406, 40):
             order, dim = rng.randint(2, 4), rng.randint(1, 6)
             t = rand_tensor(rng, order, dim, density, integral)
             zs = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim)]
                            for _ in range(rng.randint(1, 5))])
-            jac = _oracle_jacobian(t)
-            stacked = jac(zs)
-            assert stacked.shape == (len(zs), dim, dim)
-            for z, slice_ in zip(zs, stacked):
-                assert same_bits(slice_, loop_jacobian(t, z))
+            objective, jac = _oracle_maps(t)
+            stacked, (f, y) = jac(zs), objective(zs)
+            assert stacked.shape == (len(zs), dim, dim) and y.shape == (len(zs), dim)
+            for z, slice_, image in zip(zs, stacked, y):
+                assert same_bits(slice_, loop_forms_jacobian(t, z))
                 assert same_bits(jac(z[None])[0], slice_)
+                assert same_bits(image, loop_forms_objective(t, z))
+                assert same_bits(objective(z[None])[1][0], image)
+                # the sums of |term| bound each cell's rounding in either order
+                scale = loop_jacobian(abs_tensor(t), np.abs(z)).real
+                assert (np.abs(slice_ - loop_jacobian(t, z)) <= 8 * order * EPS * scale).all()
+            assert same_bits(f, (y.real ** 2 + y.imag ** 2).sum(axis=1))
 
 
 def structured(seed, trials):

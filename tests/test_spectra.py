@@ -931,11 +931,17 @@ class TestSingularityOracle:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_restarts_are_independent(self, seed):
         # 70 restarts span two lockstep blocks; each restart's path and the pick of the
-        # first least are those of one-restart runs, bit for bit
+        # first least are those of one-restart runs, bit for bit: also where there are no
+        # monomials (zero tensors), where the Jacobian is constant (order 2), and on a
+        # sparse high-order tensor
         rng = np.random.default_rng(seed)
+        feet = rng.integers(1, 7, (40, 8)).tolist()
         tensors = [tb.Tensor.from_dense(rng.uniform(-1.0, 1.0, (3, 3, 3))),
                    tb.diagonal_tensor(3, [1.0, 0.0, 2.0]),
-                   tb.Tensor.from_dense(rng.uniform(-1.0, 1.0, (4, 4, 4, 4)))]
+                   tb.Tensor.from_dense(rng.uniform(-1.0, 1.0, (4, 4, 4, 4))),
+                   tb.Tensor(2, 3, {}), tb.Tensor(3, 2, {}), tb.Tensor(4, 4, {}),
+                   tb.tensor_from_matrix(rng.uniform(-1.0, 1.0, (4, 4))),
+                   tb.Tensor(8, 6, dict(zip(map(tuple, feet), rng.uniform(-1.0, 1.0, 40))))]
         for t in tensors:
             report = tb.singularity_oracle(t, restarts=70, iters=12, seed=seed)
             singles = [tb.singularity_oracle(t, restarts=1, iters=12, seed=seed + r)
@@ -971,6 +977,20 @@ class TestSingularityOracle:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 4 * peaks[0], peaks
+
+    def test_memory_of_a_block_on_an_order_6_tensor(self):
+        # a block of 64 restarts on a dense order-6 dim-6 tensor (46,656 entries, 252
+        # monomials of 5 feet, 126 of 4) stays below 16 MB once the first call has loaded
+        # what it loads; per-entry Jacobian index arrays took it to 32 MB
+        t = tb.Tensor.from_dense(np.random.default_rng(5).uniform(-1.0, 1.0, (6,) * 6))
+        tb.singularity_oracle(t, restarts=1, iters=1)
+        tracemalloc.start()
+        try:
+            tb.singularity_oracle(t, restarts=64, iters=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, peak
 
     def test_contract_on_an_ensemble(self):
         # the witness is a unit vector and min_norm is the exactly summed norm of its image
