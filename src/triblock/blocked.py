@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Tensor, _from_arrays, _integer_type
+from .core import Tensor, _check_integer, _from_arrays, _integer_type
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -151,7 +151,7 @@ def _spans(tensor: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, trailing minimum and trailing maximum of every entry of the view, 1-based."""
     if tensor.order < 2:
         raise OrderTooSmall("blocked structure needs order >= 2")
-    columns = np.add(tensor.coo.idx.T, 1, order="C")  # a short-axis min or max is slow
+    columns = tensor.coo.idx.T + 1
     return columns[0], columns[1:].min(axis=0), columns[1:].max(axis=0)
 
 
@@ -177,11 +177,11 @@ def diagonal_blocks(tensor: Tensor, partition: Partition) -> list[Tensor]:
     slice each of the view's entries wholly inside their row's block, in row order."""
     _check_fits(tensor, partition)
     view, sums = tensor.coo, partition._sums
-    block = np.searchsorted(sums, np.ascontiguousarray(view.idx.T), side="right")
+    block = np.searchsorted(sums, view.idx.T, side="right")
     inside = (block == block[0]).all(axis=0)
-    idx, vals = view.idx[inside], view.vals[inside]
-    first = idx[:, 0].searchsorted(sums).tolist()  # r + 1, the last their count
-    return [_from_arrays(tensor.order, d - c, idx[lo:hi] - c, vals[lo:hi].copy())
+    columns, vals = view.idx.T.compress(inside, axis=1), view.vals[inside]
+    first = columns[0].searchsorted(sums).tolist()  # r + 1, the last their count
+    return [_from_arrays(tensor.order, d - c, columns[:, lo:hi].T - c, vals[lo:hi].copy())
             for c, d, lo, hi in zip(sums, sums[1:], first, first[1:])]
 
 
@@ -238,8 +238,7 @@ def compositions(n: int, r_min: int = 1) -> Iterator[tuple[int, ...]]:
     an integer (not a bool) >= 0."""
     if not _integer_type(type(n)) or n < 0:
         raise DimensionMismatch(f"n must be an integer >= 0, got {n!r}")
-    if not _integer_type(type(r_min)):
-        raise DimensionMismatch(f"r_min must be an integer, got {r_min!r}")
+    _check_integer("r_min", r_min, DimensionMismatch)
     every = [range(c + 1, n + 1) for c in range(n)]
     return (parts for parts in _chains(every) if len(parts) >= r_min)
 
@@ -252,8 +251,7 @@ def blocked_partitions(tensor: Tensor, kind: BlockKind, r_min: int = 1) -> list[
     under all 2^(n-1) compositions. Triangular kinds silently skip the
     single-block composition, which they cannot carry by definition.
     """
-    if not _integer_type(type(r_min)):
-        raise DimensionMismatch(f"r_min must be an integer, got {r_min!r}")
+    _check_integer("r_min", r_min, DimensionMismatch)
     if tensor.dim > _ENUM_GUARD:
         raise DimensionTooLarge(
             f"partition enumeration is capped at dim {_ENUM_GUARD}, got {tensor.dim}")

@@ -47,6 +47,9 @@ class Coo(NamedTuple):
 
     ``idx`` holds 0-based index rows (nnz x order, int64) and ``vals`` the
     values (float64); row i's entries are where ``idx[:, 0]`` equals i.
+    ``idx`` is stored column-major (Fortran order): each position's column,
+    ``idx[:, p]`` or ``idx.T[p]``, is contiguous, so kernels read and filter
+    the columns of ``idx.T`` in place.
     """
 
     idx: np.ndarray
@@ -76,7 +79,8 @@ class Tensor:
         keys, values = entries.keys(), entries.values()
         idx, vals = _screened(order, dim, keys, values) or _refuse(order, dim, keys, values, True)
         keep = vals != 0.0
-        self.__dict__.update(order=order, dim=dim, coo=_row_sorted(idx[keep], vals[keep]))
+        idx, vals = idx.T.compress(keep, axis=1).T, vals[keep]
+        self.__dict__.update(order=order, dim=dim, coo=_row_sorted(idx, vals))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -134,7 +138,7 @@ class Tensor:
         if arr.shape != (dim,) * order or order < 1 or dim < 1:
             raise DimensionMismatch(f"expected a hypercubic array, got shape {arr.shape}")
         nonzero = np.nonzero(arr)  # C order: index tuples come out sorted
-        idx, vals = np.stack(nonzero, axis=1), arr[nonzero]
+        idx, vals = np.stack(nonzero).T, arr[nonzero]
         _check_finite(idx, vals)
         return _from_arrays(order, dim, idx, vals)
 
@@ -151,11 +155,12 @@ class Tensor:
 
 
 def _row_sorted(idx: np.ndarray, vals: np.ndarray) -> Coo:
-    """The view of entries given as 0-based index rows and values: their stable sort by row."""
+    """The view of entries given as 0-based index rows and values: their stable sort by row.
+    Callers build ``idx`` column-major, as ``Coo`` keeps it; a sort gathers whole columns."""
     rows = idx[:, 0]
     if not (rows[1:] >= rows[:-1]).all():
         by_row = rows.argsort(kind="stable")
-        idx, vals = idx[by_row], vals[by_row]
+        idx, vals = idx.T.take(by_row, axis=1).T, vals[by_row]
     idx.flags.writeable = vals.flags.writeable = False
     return Coo(idx, vals)
 
@@ -208,37 +213,32 @@ def _screened(order: int, dim: int, keys, values):
 
 
 def _in_range(order: int, dim: int, flat, values):
-    """The 0-based index rows (int64) and the values (float64) of integer components ``flat``,
-    ``order`` to an entry, if every component is in ``[1, dim]`` and int64 and every value is
-    a finite double; None otherwise."""
+    """The 0-based index rows (int64, column-major) and the values (float64) of integer
+    components ``flat``, ``order`` to an entry, if every component is in ``[1, dim]`` and int64
+    and every value is a finite double; None otherwise."""
     n = len(values)
     try:
-        idx = np.fromiter(flat, np.int64, n * order).reshape(n, order)
+        flat = np.fromiter(flat, np.int64, n * order)
         vals = np.fromiter(values, float, n)  # only None converts where float() refuses: to nan
     except (TypeError, ValueError, OverflowError):
         return None
-    if not np.isfinite(vals).all() or n and (idx.min() < 1 or idx.max() > dim):
+    if not np.isfinite(vals).all() or n and (flat.min() < 1 or flat.max() > dim):
         return None
-    idx -= 1
-    return idx, vals
+    return np.subtract(flat.reshape(n, order), 1, order="F"), vals
 
 
 def _refuse(order: int, dim: int, keys, values, name_index: bool) -> NoReturn:
-    """Raise for the first entry that fails ``_screened`` or repeats an earlier index: the
-    last of the shortest prefix that fails, found by bisection. Its index is checked by
-    ``_validated_index``, then for a repeat, then its value by ``float`` and for finiteness."""
-    keys, values = list(keys), list(values)
-    lo, hi = 0, len(keys)  # keys[:lo] pass, keys[:hi] do not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        passes = _screened(order, dim, keys[:mid], values[:mid]) is not None \
-            and len(set(map(tuple, keys[:mid]))) == mid
-        lo, hi = (mid, hi) if passes else (lo, mid)
-    idx = _validated_index(keys[lo], order, dim, name_index)
-    if idx in set(map(tuple, keys[:lo])):
-        raise DuplicateIndex(f"index {idx} supplied twice")
-    float(values[lo])  # raises what float() raises on a value it cannot convert
-    raise ValueError(f"entry {idx} is not finite: {values[lo]!r}")
+    """Raise for the first entry that fails ``_screened`` or repeats an earlier index, checking
+    each in order by ``_validated_index``, for a repeat, then by ``float`` and for finiteness."""
+    seen = set()
+    for key, value in zip(keys, values):
+        idx = _validated_index(key, order, dim, name_index)
+        if idx in seen:
+            raise DuplicateIndex(f"index {idx} supplied twice")
+        seen.add(idx)
+        if not math.isfinite(float(value)):
+            raise ValueError(f"entry {idx} is not finite: {value!r}")
+    raise AssertionError("no entry fails the checks that refused them in bulk")
 
 
 @dataclass(frozen=True)
@@ -280,6 +280,11 @@ def _integer_type(kind: type) -> bool:
     return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
+def _check_integer(name: str, value, error: type[Exception]) -> None:
+    if not _integer_type(type(value)):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 def _check_real(name: str, value, strict: bool = True) -> None:
     """Refuse a control that is not above 0 (``strict``) or at least 0 with a ValueError that
     names it: nan, and a value that cannot be compared with 0 at all, such as None or a
@@ -295,8 +300,7 @@ def _check_real(name: str, value, strict: bool = True) -> None:
 def _shape(order, dim) -> tuple[int, int]:
     """``order`` and ``dim`` as Python ints, each refused unless an integer (not a bool) >= 1."""
     for name, value, error in (("order", order, OrderTooSmall), ("dim", dim, DimensionMismatch)):
-        if not _integer_type(type(value)):
-            raise error(f"{name} must be an integer, got {value!r}")
+        _check_integer(name, value, error)
         if value < 1:
             raise error(f"{name} must be >= 1, got {value}")
     return int(order), int(dim)
@@ -360,14 +364,14 @@ def _nonzero_tensor(order: int, dim: int, idx: np.ndarray, vals: np.ndarray) -> 
         return None
     nonzero = vals != 0.0
     if not nonzero.all():
-        idx, vals = idx[nonzero], vals[nonzero]
+        idx, vals = idx.T.compress(nonzero, axis=1).T, vals[nonzero]
     return _from_arrays(order, dim, idx, vals)
 
 
 def unit_tensor(order: int, dim: int) -> Tensor:
     """The identity for the tensor product: 1 on the all-equal diagonal."""
     order, dim = _shape(order, dim)
-    return _from_arrays(order, dim, np.arange(dim).repeat(order).reshape(dim, order), np.ones(dim))
+    return _from_arrays(order, dim, np.arange(dim)[None].repeat(order, 0).T, np.ones(dim))
 
 
 def diagonal_tensor(order: int, diag: Sequence[float]) -> Tensor:
@@ -382,9 +386,10 @@ def principal_subtensor(tensor: Tensor, index_set: Iterable[int]) -> Tensor:
     members, view = np.asarray(_index_set(index_set, tensor.dim)) - 1, tensor.coo
     relabel = np.full(members[-1] + 2, -1, dtype=np.int64)  # up to the largest member, then -1
     relabel[members] = np.arange(len(members))
-    idx = relabel[np.minimum(view.idx, members[-1] + 1)]
-    keep = np.ascontiguousarray(idx.T).min(axis=0) >= 0  # a min along the short axis is slow
-    return _from_arrays(tensor.order, len(members), idx[keep], view.vals[keep])
+    columns = relabel[np.minimum(view.idx.T, members[-1] + 1)]
+    keep = columns.min(axis=0) >= 0
+    return _from_arrays(tensor.order, len(members), columns.compress(keep, axis=1).T,
+                        view.vals[keep])
 
 
 def permute_similar(tensor: Tensor, sigma: Permutation) -> Tensor:
@@ -394,7 +399,7 @@ def permute_similar(tensor: Tensor, sigma: Permutation) -> Tensor:
             f"permutation acts on [1, {sigma.dim}] but tensor dim is {tensor.dim}")
     view = tensor.coo
     lookup = np.asarray(sigma.image, dtype=np.int64) - 1
-    return _from_arrays(tensor.order, tensor.dim, lookup[view.idx], view.vals)
+    return _from_arrays(tensor.order, tensor.dim, lookup[view.idx.T].T, view.vals)
 
 
 def _complex_terms(vals: np.ndarray, feet: Iterable[np.ndarray],
@@ -574,7 +579,7 @@ def apply(tensor: Tensor, x: Sequence[complex]) -> np.ndarray:
 
 def _equal_from(tensor: Tensor, first: int) -> np.ndarray:
     """Per entry of the view: are its indices from position ``first`` on all equal?"""
-    columns = np.ascontiguousarray(tensor.coo.idx.T[first:])
+    columns = tensor.coo.idx.T[first:]
     return (columns == columns[-1]).all(axis=0)
 
 
@@ -635,7 +640,7 @@ def row_diagonal_from_matrix(values: np.ndarray, order: int) -> Tensor:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
     rows, columns = np.nonzero(arr)  # row-major: the entries come row by row
-    idx, vals = np.stack((rows,) + (columns,) * (order - 1), axis=1), arr[rows, columns]
+    idx, vals = np.stack((rows,) + (columns,) * (order - 1)).T, arr[rows, columns]
     _check_finite(idx, vals)
     return _from_arrays(order, arr.shape[0], idx, vals)
 

@@ -20,9 +20,9 @@ from . import linalg
 from .core import (
     Tensor,
     _aligned,
+    _check_integer,
     _check_real,
     _equal_from,
-    _integer_type,
     is_row_diagonal,
     majorization_matrix,
     row_diagonal_from_matrix,
@@ -52,12 +52,15 @@ def has_left_inverse(tensor: Tensor) -> bool:
     return linalg.is_nonsingular(majorization_matrix(tensor))
 
 
+def _check_inverse_order(k, side: str) -> None:
+    _check_integer("order", k, OrderTooSmall)  # a bool included, before any work
+    if k < 2:
+        raise OrderTooSmall(f"{side} inverses need k >= 2, got {k}")
+
+
 def left_k_inverse(tensor: Tensor, k: int) -> Tensor:
     """The unique left inverse of order k: unit tensor times the inverse row matrix."""
-    if not _integer_type(type(k)):  # a bool included, before any work
-        raise OrderTooSmall(f"order must be an integer, got {k!r}")
-    if k < 2:
-        raise OrderTooSmall(f"left inverses need k >= 2, got {k}")
+    _check_inverse_order(k, "left")
     if tensor.order < 2:
         raise OrderTooSmall("inverses need order >= 2")
     if not is_row_diagonal(tensor):
@@ -142,10 +145,7 @@ def recover_right_form(tensor: Tensor) -> RightFormRecovery:
 
 def right_k_inverse(tensor: Tensor, k: int) -> Tensor:
     """A right inverse of order k of unit_tensor(m) * Q: the row-diagonal tensor of Q^-1."""
-    if not _integer_type(type(k)):  # a bool included, before any work
-        raise OrderTooSmall(f"order must be an integer, got {k!r}")
-    if k < 2:
-        raise OrderTooSmall(f"right inverses need k >= 2, got {k}")
+    _check_inverse_order(k, "right")
     try:
         recovery = recover_right_form(tensor)
     except NotRightForm as exc:

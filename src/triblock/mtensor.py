@@ -65,9 +65,9 @@ def _z_split(tensor: Tensor, diagonal: np.ndarray) -> ZSplit:
     d = _diagonal(tensor, diagonal)
     s = float(d.max())
     shifted = np.flatnonzero(d != s)  # the rows of b's nonzero diagonal, s - d_i
-    idx = np.concatenate((np.repeat(shifted[:, None], m, axis=1), view.idx[~diagonal]))
+    columns = np.hstack((shifted[None].repeat(m, 0), view.idx.T.compress(~diagonal, axis=1)))
     vals = np.concatenate((s - d[shifted], -view.vals[~diagonal]))
-    return ZSplit(s, _from_arrays(m, tensor.dim, idx, vals))
+    return ZSplit(s, _from_arrays(m, tensor.dim, columns.T, vals))
 
 
 def _split_margin(split: ZSplit, tol: float) -> tuple[float, float]:

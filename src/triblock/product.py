@@ -125,7 +125,7 @@ def general_product(a: Tensor, b: Tensor) -> Tensor:
     alpha, width = np.zeros(len(bv.vals), dtype=np.int64), 1  # code of b's trailing tuple
     for column in bv.idx.T[1:]:
         alpha, width = _fold(alpha, width, column, n)
-    b_rows, tails = bv.idx[:, 0], bv.idx[:, 1:]
+    b_rows, tails = bv.idx[:, 0], bv.idx.T[1:]
     a_rows, feet = av.idx[:, 0], av.idx.T[1:]
     firsts = b_rows.searchsorted(feet)  # per slot and a entry: the first b entry met
     counts = b_rows.searchsorted(feet, side="right") - firsts  # and how many
@@ -145,7 +145,7 @@ def general_product(a: Tensor, b: Tensor) -> Tensor:
         if integral and n ** max(m, out_order) <= min(2 * ends[-1], _DENSE_CELLS) \
                 and weight.sum() < _EXACT_LIMIT:  # every partial sum is exact in any order
             dense = np.zeros((n,) * m)  # but for entries outside the bound, which meet no term
-            dense[tuple(av.idx[live].T)] = av.vals[live]
+            dense[tuple(av.idx.T.compress(live, axis=1))] = av.vals[live]
             unfolding = np.zeros((n, n ** (k - 1)))
             unfolding[b_rows, alpha] = bv.vals
             return _from_arrays(out_order, n, *_dense_product(dense, unfolding, out_order))
@@ -159,7 +159,7 @@ def general_product(a: Tensor, b: Tensor) -> Tensor:
             if len(key) <= top and (np.diff(np.sort(key)) != 0).all():
                 unmerged = slot + 1
                 break
-        rows, sums = [np.empty((0, out_order), dtype=np.int64)], [np.empty(0)]
+        columns, sums = [np.empty((out_order, 0), dtype=np.int64)], [np.empty(0)]
         for lo, hi in _chunks(a_rows, ends):
             ent = lo + per_entry[lo:hi].nonzero()[0]  # entries meeting an empty row drop out
             # the chunk's sum of |term|, below which any order is exact
@@ -196,10 +196,10 @@ def general_product(a: Tensor, b: Tensor) -> Tensor:
                 terms, ent, code = terms[nonzero], ent[first], code[first]
                 picks = [p[first] for p in picks]
             if len(ent):
-                rows.append(np.concatenate([a_rows[ent, None]] + [tails[p] for p in picks], 1))
+                columns.append(np.vstack([a_rows[ent]] + [tails.take(p, axis=1) for p in picks]))
                 sums.append(terms)
 
-    idx, vals = np.concatenate(rows), np.concatenate(sums)
+    idx, vals = np.hstack(columns).T, np.concatenate(sums)
     if not np.isfinite(vals).all():
         key = tuple((idx[np.flatnonzero(~np.isfinite(vals))[0]] + 1).tolist())
         raise ProductOutOfRange(f"entry {key} of the product is beyond the double range")

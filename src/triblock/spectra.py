@@ -24,7 +24,7 @@ import numpy as np
 
 from .blocked import BlockKind, Partition, _spans, is_blocked
 from .core import (Tensor, _check_real, _complex_terms, _diagonal, _distinct_rows, _equal_from,
-                   _forms, _from_arrays, _integer_type, _row_fsums, _terms, apply)
+                   _forms, _from_arrays, _check_integer, _row_fsums, _terms, apply)
 from .errors import (
     BlockDetUnavailable,
     BlockSpectrumUnavailable,
@@ -299,7 +299,7 @@ def _block_radii(tensor: Tensor, block: np.ndarray, tol: float, max_iter: int, k
     m, n, unit = tensor.order, tensor.dim, 2.0 ** k
     dims = np.bincount(block)
     starts, home = np.cumsum(dims) - dims, np.repeat(np.arange(len(dims)), dims)
-    columns, vals = np.ascontiguousarray(tensor.coo.idx.T), tensor.coo.vals
+    columns, vals = tensor.coo.idx.T, tensor.coo.vals
     if len(dims) > 1:
         label = np.argsort(block, kind="stable").argsort()  # old - 1 to new
         columns = label[columns]
@@ -330,7 +330,7 @@ def _block_radii(tensor: Tensor, block: np.ndarray, tol: float, max_iter: int, k
     if unfolded:  # the dense blocks' entries, a run each, leave the terms
         cuts = [0, *(i for b in unfolded for i in (first[b], first[b + 1])), len(rows)]
         kept = np.concatenate([np.arange(lo, hi) for lo, hi in zip(cuts[::2], cuts[1::2])])
-        rows, feet, weights = rows[kept], feet[:, kept], weights[kept]
+        rows, feet, weights = rows[kept], feet.take(kept, axis=1), weights[kept]
     x, labels, live, act = np.ones(n), np.arange(n), dims > 1, np.arange(len(dims))
     offsets, here, gone = starts, home, not live.all()  # here: each active row's block
 
@@ -357,7 +357,8 @@ def _block_radii(tensor: Tensor, block: np.ndarray, tol: float, max_iter: int, k
                     break
                 kept_rows = np.repeat(keep, dims[act])
                 relabel, kept = np.cumsum(kept_rows) - 1, kept_rows[rows]
-                rows, feet, weights = relabel[rows[kept]], relabel[feet[:, kept]], weights[kept]
+                rows, weights = relabel[rows[kept]], weights[kept]
+                feet = relabel[feet.compress(kept, axis=1)]
                 x, labels, act = x[kept_rows], labels[kept_rows], act[keep]
                 sizes = dims[act]
                 offsets, here = np.cumsum(sizes) - sizes, np.repeat(np.arange(act.size), sizes)
@@ -400,8 +401,7 @@ def _block_radii(tensor: Tensor, block: np.ndarray, tol: float, max_iter: int, k
 
 def _check_controls(tol: float, max_iter: int) -> None:
     _check_real("tol", tol)
-    if not _integer_type(type(max_iter)):
-        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+    _check_integer("max_iter", max_iter, ValueError)
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
 
@@ -657,8 +657,7 @@ def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
         raise DimensionTooLarge(
             f"the probe is capped at dim {_ORACLE_GUARD}, got {tensor.dim}")
     for name, value in (("restarts", restarts), ("iters", iters), ("seed", seed)):
-        if not _integer_type(type(value)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integer(name, value, ValueError)
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be positive")
     if seed < 0:
@@ -668,7 +667,7 @@ def singularity_oracle(tensor: Tensor, restarts: int = 64, iters: int = 200,
     sums = np.bincount(idx[:, 0], np.ldexp(np.abs(vals), -top), minlength=n)
     k = top + math.frexp(math.hypot(*sums.tolist()))[1]
     small = np.ldexp(vals, -k)
-    scaled = _from_arrays(tensor.order, n, idx[small != 0], small[small != 0])
+    scaled = _from_arrays(tensor.order, n, idx.T.compress(small != 0, axis=1).T, small[small != 0])
     objective, jacobian = _oracle_maps(scaled)
 
     def start(r: int) -> np.ndarray:

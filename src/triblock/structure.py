@@ -18,8 +18,8 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .blocked import BlockKind, Partition, diagonal_blocks, is_blocked
-from .core import (Permutation, Tensor, _equal_from, _from_arrays, _index_set, _integer_type,
-                   permute_similar)
+from .core import (Permutation, Tensor, _check_integer, _equal_from, _from_arrays, _index_set,
+                   _integer_type, permute_similar)
 from .errors import (
     DimensionTooLarge,
     InvalidHypergraph,
@@ -43,7 +43,7 @@ def _reduces(tensor: Tensor, index_set: Iterable[int], weak: bool) -> bool:
     members = _index_set(index_set, tensor.dim)
     if len(members) == tensor.dim:
         return False  # must be proper
-    columns = np.isin(np.ascontiguousarray(tensor.coo.idx.T), np.asarray(members) - 1)
+    columns = np.isin(tensor.coo.idx.T, np.asarray(members) - 1)
     leaves = ~columns[1:].all(axis=0) if weak else ~columns[1:].any(axis=0)
     return not (columns[0] & leaves).any()
 
@@ -58,10 +58,10 @@ def weakly_reduces(tensor: Tensor, index_set: Iterable[int]) -> bool:
     return _reduces(tensor, index_set, weak=True)
 
 
-def _closures(idx: np.ndarray, inside: np.ndarray) -> np.ndarray:
+def _closures(columns: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """Close each row of the boolean seeds × n matrix ``inside`` in place under the 0-based index
-    rows ``idx``, ANDing one foot column at a time (seeds × nnz) until a pass adds no row."""
-    rows, feet = idx[:, 0], idx[:, 1:].T
+    columns ``columns`` (``idx.T``), ANDing a foot at a time (seeds × nnz) until none fires."""
+    rows, feet = columns[0], columns[1:]
     while True:
         fire = ~inside[:, rows]
         for foot in feet:
@@ -72,15 +72,16 @@ def _closures(idx: np.ndarray, inside: np.ndarray) -> np.ndarray:
         inside[seeds, rows[at]] = True
 
 
-def _reducing_set(idx: np.ndarray, members: np.ndarray) -> Optional[frozenset[int]]:
-    """A strongly reducing set of the 0-based index rows ``idx`` on the mask ``members``, or None.
+def _reducing_set(columns: np.ndarray, members: np.ndarray) -> Optional[frozenset[int]]:
+    """A strongly reducing set of the index columns ``columns`` on the mask ``members``, or None.
 
     Closes each member in turn as a seed; the complement of the first closure that fails
     to swallow ``members`` strongly reduces. The search is complete: any reducing set's
     complement is closed, so seeding inside it must succeed. Seeds go to ``_closures`` in
     batches doubling from ``_FIRST_BATCH``: a logarithmic number of calls in all.
     """
-    inner, seeds, start = idx[members[idx].all(axis=1)], np.flatnonzero(members), 0
+    inner = columns.compress(members[columns].all(axis=0), axis=1)
+    seeds, start = np.flatnonzero(members), 0
     while start < len(seeds) > 1:  # a single member closes onto itself
         batch = seeds[start:2 * start + _FIRST_BATCH]
         inside = _closures(inner, batch[:, None] == np.arange(len(members)))
@@ -94,7 +95,7 @@ def _reducing_set(idx: np.ndarray, members: np.ndarray) -> Optional[frozenset[in
 def find_reducing_set(tensor: Tensor) -> Optional[frozenset[int]]:
     """A strongly reducing index set, or None when the tensor is irreducible."""
     _check_order(tensor)
-    found = _reducing_set(tensor.coo.idx, np.ones(tensor.dim, dtype=bool))
+    found = _reducing_set(tensor.coo.idx.T, np.ones(tensor.dim, dtype=bool))
     assert found is None or strongly_reduces(tensor, found)
     return found
 
@@ -107,9 +108,7 @@ def is_irreducible(tensor: Tensor) -> bool:
 def _edges(idx: np.ndarray, n: int) -> np.ndarray:
     """Sorted codes (i-1)*n + (t-1) of the entry digraph's edges i -> t, one per row-i entry
     and trailing index t, from 0-based index rows (``Tensor.coo.idx``); repeats dropped."""
-    heads, codes = idx[:, 0] * n, np.empty((idx.shape[1] - 1, len(idx)), dtype=idx.dtype)
-    for p, column in enumerate(codes, 1):  # a column at a time: broadcasting over the short
-        np.add(heads, idx[:, p], out=column)  # trailing axis takes twice as long
+    codes = idx.T[1:] + idx[:, 0] * n
     if n * n <= codes.size:  # dense: a table of the n^2 edges, no larger than the codes
         return np.flatnonzero(np.bincount(codes.ravel(), minlength=n * n))
     codes = np.sort(codes, axis=None)
@@ -232,8 +231,8 @@ def _peel(tensor: Tensor) -> np.ndarray:
     label, closed = _sccs(idx, n)
     dropped = []
     while not closed:
-        inside = (label[idx] == label[idx[:, :1]]).all(axis=1)
-        idx, dropped = idx[inside], [*dropped, idx[~inside]]
+        inside = (label[idx.T] == label[idx[:, 0]]).all(axis=0)
+        idx, dropped = idx.T.compress(inside, axis=1).T, [*dropped, idx[~inside]]
         label, closed = _sccs(idx, n)
     block = _numbered(label)
     count = int(block.max()) + 1
@@ -255,7 +254,7 @@ def find_weakly_reducing_set(tensor: Tensor) -> Optional[frozenset[int]]:
     idx, n = tensor.coo.idx, tensor.dim
     label = _sccs(idx, n)[0]
     sink = label == np.arange(n)
-    sink[label[idx[(label[idx] != label[idx[:, :1]]).any(axis=1), 0]]] = False  # edges out
+    sink[label[idx[(label[idx.T] != label[idx[:, 0]]).any(axis=0), 0]]] = False  # edges out
     found = frozenset((np.flatnonzero(label == sink.argmax()) + 1).tolist())
     if len(found) == n:
         return None
@@ -347,11 +346,11 @@ def normal_form_3rd(tensor: Tensor) -> NormalForm:
     12 or less reaches the limit.
     """
     _check_order(tensor)
-    idx = tensor.coo.idx
+    columns = tensor.coo.idx.T
 
     def candidates(prefix: np.ndarray) -> Iterator[np.ndarray]:
         inside = prefix | (np.flatnonzero(~prefix)[:, None] == np.arange(len(prefix)))
-        grown = {row.tobytes(): row for row in _closures(idx, inside)}
+        grown = {row.tobytes(): row for row in _closures(columns, inside)}
         # rows sharing P compare as their blocks do: the first to hold a member ranks high
         return map(grown.get, sorted(grown, key=lambda key: (-key.count(1), key), reverse=True))
 
@@ -361,7 +360,7 @@ def normal_form_3rd(tensor: Tensor) -> NormalForm:
     prefixes, todo = [empty], [candidates(empty)]
     while not prefixes[-1].all():
         grown = next((grown for grown in todo[-1] if grown.tobytes() not in dead
-                      and _reducing_set(idx, grown & ~prefixes[-1]) is None), None)
+                      and _reducing_set(columns, grown & ~prefixes[-1]) is None), None)
         if grown is not None:
             prefixes.append(grown)
             todo.append(candidates(grown))
@@ -416,8 +415,8 @@ def exists_first_type_normal_form(tensor: Tensor) -> Optional[tuple[Permutation,
     _check_order(tensor)
     idx, n = tensor.coo.idx, tensor.dim
     label = _sccs(idx, n)[0]
-    inside = (label[idx] == label[idx[:, :1]]).all(axis=1)
-    if not label.any() or not np.array_equal(_sccs(idx[inside], n)[0], label):
+    inside = (label[idx.T] == label[idx[:, 0]]).all(axis=0)
+    if not label.any() or not np.array_equal(_sccs(idx.T.compress(inside, axis=1).T, n)[0], label):
         return None  # one component, or one whose subtensor is weakly reducible
     count = np.count_nonzero(label == np.arange(n))
     block = count - 1 - _numbered(label)  # from the largest least index down
@@ -438,8 +437,7 @@ class Hypergraph:
 
     def __post_init__(self):
         for name, value in (("k", self.k), ("n", self.n)):
-            if not _integer_type(type(value)):
-                raise InvalidHypergraph(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, value, InvalidHypergraph)
         if self.k < 2:
             raise InvalidHypergraph(f"edges need at least two vertices, got k={self.k}")
         if self.n < 1:
@@ -484,9 +482,9 @@ def adjacency_tensor(graph: Hypergraph) -> Tensor:
     The normalization makes applying the tensor to a vector reproduce,
     in each edge coordinate, the plain product over the other vertices.
     """
-    k = graph.k  # the entries come edge by edge
-    idx = _edge_rows(graph)[:, list(itertools.permutations(range(k)))].reshape(-1, k)
-    return _from_arrays(k, graph.n, idx, np.full(len(idx), 1.0 / math.factorial(k - 1)))
+    k, rows = graph.k, _edge_rows(graph)  # the entries come edge by edge, then by arrangement
+    columns = np.stack([rows[:, at].ravel() for at in zip(*itertools.permutations(range(k)))])
+    return _from_arrays(k, graph.n, columns.T, np.full(columns.shape[1], 1 / math.factorial(k - 1)))
 
 
 def _component_blocks(graph: Hypergraph) -> np.ndarray:

@@ -53,7 +53,7 @@ def _sorted_entries(tensor: Tensor) -> tuple[list[list[int]], list[float]]:
     """The 1-based index columns and the values of the view's entries, sorted by index."""
     view = tensor.coo
     by_index = np.lexsort(view.idx.T[::-1])
-    return [(column + 1).tolist() for column in view.idx[by_index].T], view.vals[by_index].tolist()
+    return (view.idx.T.take(by_index, axis=1) + 1).tolist(), view.vals[by_index].tolist()
 
 
 def tensor_to_obj(tensor: Tensor) -> dict:

@@ -47,3 +47,14 @@ assert tb.spectral_radius(t).rho > 1
 print('numpy.ma' in sys.modules)
 """
     assert fresh_output(probe) == "False"
+
+
+def test_no_row_major_copy_of_a_view_index_array():
+    # a view's index rows are stored column-major (``core.Coo``), so kernels read the columns
+    # of ``idx.T`` in place; a C-ordered copy of an index array would undo that
+    copies = re.compile(r"ascontiguousarray\(|order\s*=\s*[\"']C[\"']")
+    found = [f"{path.name}:{number}: {line.strip()}"
+             for path in sorted((ROOT / "src" / "triblock").glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if copies.search(line) and re.search(r"\bidx\b", line)]
+    assert found == []

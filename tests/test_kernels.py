@@ -661,12 +661,35 @@ class TestStructuralOps:
         assert not _is_diagonal(row_diag)
 
 
+def assert_handed(child: tb.Tensor) -> None:
+    """The view a constructor or an operation hands its result: the one ``Tensor.coo`` would
+    build from the result's entries, of int64 and float64, read-only, the index rows stored
+    column-major."""
+    handed = child.__dict__["coo"]  # seeded, not built on first use
+    assert same_view(handed, tb.Tensor(child.order, child.dim, child.entries).coo)
+    assert handed.idx.dtype == np.int64 and handed.vals.dtype == np.float64
+    assert not handed.idx.flags.writeable and not handed.vals.flags.writeable
+    assert handed.idx.flags.f_contiguous
+
+
 class TestHandedOnView:
-    """A structural operation hands its result a view; it must be the one
-    ``Tensor.coo`` would build from the result's entries, and read-only."""
+    """Every constructor and structural operation hands its result a view; it must be the one
+    ``Tensor.coo`` would build from the result's entries, read-only and column-major."""
 
     @staticmethod
     def children(rng, t):
+        pairs = list(t.entries.items())
+        rng.shuffle(pairs)  # given order differs from row order
+        yield tb.new_tensor(t.order, t.dim, pairs)
+        yield tb.Tensor(t.order, t.dim, dict(pairs))
+        yield tensorio.loads_tensor(tensorio.dumps_tensor(t))  # the canonical reader
+        records = [{"i": list(i), "v": v} for i, v in pairs]  # in given order, not row order
+        doc = tensorio.dumps({"order": t.order, "dim": t.dim, "entries": records})
+        yield tensorio.loads_tensor(doc.replace(", ", ","))  # the general reader
+        yield tb.unit_tensor(t.order, t.dim)
+        yield tb.diagonal_tensor(t.order, [rng.choice([0.0, 1.5, -2.0]) for _ in range(t.dim)])
+        yield pickle.loads(pickle.dumps(t))
+        yield copy.deepcopy(t)
         yield tb.principal_subtensor(t, rng.sample(range(1, t.dim + 1), rng.randint(1, t.dim)))
         yield tb.permute_similar(t, rand_permutation(rng, t.dim))
         yield from tb.diagonal_blocks(t, rand_partition(rng, t.dim))
@@ -681,11 +704,21 @@ class TestHandedOnView:
 
     def test_view_is_rebuilt_view(self):
         for rng, t in structured(415, 40):
+            assert_handed(t)
             for child in self.children(rng, t):
-                handed = child.__dict__["coo"]  # seeded, not built on first use
-                assert same_view(handed, tb.Tensor(child.order, child.dim, child.entries).coo)
-                assert handed.idx.dtype == np.int64 and handed.vals.dtype == np.float64
-                assert not handed.idx.flags.writeable and not handed.vals.flags.writeable
+                assert_handed(child)
+
+    def test_both_product_routes_hand_on_views(self, monkeypatch):
+        calls, cap = spy_routes(monkeypatch), product_module._DENSE_CELLS
+        taken = []
+        for rng, t in structured(417, 30):
+            b = rand_tensor(rng, rng.randint(1, 2 if t.order == 4 else 3), t.dim, 0.5, True)
+            for cells in (cap, 0):  # 0: every product goes sparsely
+                monkeypatch.setattr(product_module, "_DENSE_CELLS", cells)
+                before = calls["dense"]
+                assert_handed(tb.general_product(t, b))
+                taken.append(calls["dense"] > before)
+        assert 5 <= sum(taken[::2]) < len(taken) // 2 and not any(taken[1::2])  # both routes
 
 
 def det_outcome(t: tb.Tensor, partition: tb.Partition, kind: BlockKind):

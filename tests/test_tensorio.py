@@ -49,14 +49,15 @@ def outcome(read, *args):
 
 def same_outcome(got, want) -> bool:
     """The same error class and message, or the same entries in the same order with the
-    same read-only view, array for array; the parsed tensor's view is handed on."""
+    same read-only view, array for array; the parsed tensor's view is handed on, its index
+    rows column-major."""
     if isinstance(want, Exception) or isinstance(got, Exception):
         return type(got) is type(want) and str(got) == str(want)
     handed, built = got.__dict__.get("coo"), want.coo
     return ((got.order, got.dim) == (want.order, want.dim)
             and [(k, v.hex()) for k, v in got.entries.items()]
             == [(k, v.hex()) for k, v in want.entries.items()]
-            and handed is not None
+            and handed is not None and handed.idx.flags.f_contiguous
             and all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
                     and not a.flags.writeable for a, b in zip(handed, built)))
 
