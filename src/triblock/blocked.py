@@ -6,8 +6,10 @@ pattern over the nonzero entries, read off the ends (c, d) =
 (S_{j-1}, S_j) of the row's block, S_j = n_1 + ... + n_j, and the
 minimum ``lo`` and maximum ``hi`` of the entry's trailing indices: one
 box of block ends, two for ``DIAG``, in which a row must vanish. The
-table ``_BOXES`` is the one place the kinds are defined; the per-entry
-test ``is_blocked`` and the block-end search ``_block_ends`` both read it.
+table ``_BOXES`` is the one place the kinds are defined; the structure
+test ``is_blocked`` and the block-end search ``_block_ends`` both read it,
+over the tensor's spans (row, lo, hi), ``Tensor.spans``: each is built once
+per tensor and holds each distinct span once where its table is small.
 
 Trailing indices lie in [1, n], so no test needs the block's position.
 Each reads only its row's block: a partition carries a kind exactly
@@ -31,7 +33,6 @@ from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
     IndexOutOfRange,
-    OrderTooSmall,
     PartitionTooCoarse,
 )
 
@@ -147,14 +148,6 @@ def _forbidden(kind: BlockKind, c, d, lo, hi):
     return hit
 
 
-def _spans(tensor: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, trailing minimum and trailing maximum of every entry of the view, 1-based."""
-    if tensor.order < 2:
-        raise OrderTooSmall("blocked structure needs order >= 2")
-    columns = tensor.coo.idx.T + 1
-    return columns[0], columns[1:].min(axis=0), columns[1:].max(axis=0)
-
-
 def _check_fits(tensor: Tensor, partition: Partition) -> None:
     if partition.n != tensor.dim:
         raise DimensionMismatch(
@@ -163,7 +156,7 @@ def _check_fits(tensor: Tensor, partition: Partition) -> None:
 
 def is_blocked(tensor: Tensor, partition: Partition, kind: BlockKind) -> bool:
     """Exact structural test: does every stored entry avoid the kind's vanishing region?"""
-    rows, lo, hi = _spans(tensor)  # OrderTooSmall below order 2
+    rows, lo, hi = tensor.spans  # OrderTooSmall below order 2
     _check_fits(tensor, partition)
     if kind.is_triangular and partition.r < 2:
         raise PartitionTooCoarse(f"{kind.token} structure needs at least two blocks")
@@ -188,17 +181,15 @@ def diagonal_blocks(tensor: Tensor, partition: Partition) -> list[Tensor]:
 def _block_ends(tensor: Tensor, kinds: Sequence[BlockKind]) -> Iterator[list[list[int]]]:
     """Per kind in turn: for each start c in [0, n), the ends d whose block (c, d] it allows.
 
-    Each box of a distinct span (r, lo, hi) is a rectangle of forbidden block ends: an upper
+    Each box of a span (r, lo, hi) is a rectangle of forbidden block ends: an upper
     box the starts span[c0] <= c < r with the ends from e = max(r, span[d0]), or r without
     d0; a lower box the ends r <= d < span[d1] with the starts below f = min(r, span[c1]),
     or r without c1. So (c, d] is allowed exactly when d <= D(c), the least e - 1 over the
     upper boxes covering c (n if none does), and S(d) <= c, the largest f over the lower
     boxes covering d (0 if none does).
     """
-    n = tensor.dim
-    seen = np.zeros((n + 1,) * 3, dtype=bool)  # a table of spans: 13^3 = 2,197 at the cap
-    seen[_spans(tensor)] = True
-    (rows, *span), at = np.nonzero(seen), np.arange(n + 1)[:, None]
+    n, (rows, *span) = tensor.dim, tensor.spans
+    at = np.arange(n + 1)[:, None]
     for kind in kinds:
         last, first = [n] * (n + 1), [0] * (n + 1)
         for c0, c1, d0, d1 in _BOXES[kind]:

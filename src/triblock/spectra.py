@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blocked import BlockKind, Partition, _spans, is_blocked
+from .blocked import BlockKind, Partition, is_blocked
 from .core import (Tensor, _check_real, _complex_terms, _diagonal, _distinct_rows, _equal_from,
                    _forms, _from_arrays, _check_integer, _row_fsums, _terms, apply)
 from .errors import (
@@ -100,7 +100,7 @@ def _check_refinable(tensor: Tensor, partition: Partition, unavailable: type) ->
     of a depth-first, left-to-right walk is its leftmost block of dim 2 or more. Each round
     cuts at every position that one kind's entries leave uncovered.
     """
-    n, (rows, lo, hi) = tensor.dim, _spans(tensor)
+    n, (rows, lo, hi) = tensor.dim, tensor.spans
     least, most = np.minimum(rows, lo), np.maximum(rows, hi)
     block = np.searchsorted(partition._sums, (least, most))  # an index's block, 1-based
     inside = (least < most) & (block[0] == block[1])  # the off-diagonal entries inside a block

@@ -607,6 +607,10 @@ def run(*argv, path=sys.argv[1]):
     return code, json.loads(out.getvalue())
 
 assert run("classify", "--partition", "1,999999999", "--kind", "utb1") == (0, {"result": True})
+# the order-3 document's spans are read entry by entry: no table of dim^3 cells is formed
+for kind in ("utb1", "utb2", "utb3", "ltb1", "ltb2", "ltb3", "diag"):
+    assert run("classify", "--partition", "1,999999999", "--kind", kind, path=sys.argv[2]) == (
+        0, {"result": True}), kind
 # the determinant reads the stored diagonal alone: a missing diagonal entry makes it 0.0
 for path in sys.argv[1:]:
     assert run("det", "--partition", "1,999999999", "--kind", "utb1", path=path) == (
@@ -623,6 +627,8 @@ assert t == tb.Tensor(2, 10 ** 9, {(1, 1): 1.0}) and t != tb.Tensor(2, 10 ** 9, 
 copy = pickle.loads(pickle.dumps(t))
 assert copy == t and copy.dim == 10 ** 9
 assert tb.principal_subtensor(t, {1}) == tb.Tensor(2, 1, {(1, 1): 1.0})
+# a member at the dim relabels by binary search: no table runs up to it
+assert tb.principal_subtensor(t, {1, 10 ** 9}) == tb.Tensor(2, 2, {(1, 1): 1.0})
 assert tb.general_product(t, t) == t
 """
 

@@ -49,6 +49,35 @@ print('numpy.ma' in sys.modules)
     assert fresh_output(probe) == "False"
 
 
+def test_blocked_structure_loads_no_masked_arrays():
+    # the span view is deduplicated through a table of flags, not np.unique(axis=0): every
+    # kind's test, the partition search, the block walk and the classify verb, on tensors
+    # on both sides of the table rule
+    probe = f"""
+import contextlib, io, sys, numpy as np, triblock as tb
+from triblock import cli
+t = tb.new_tensor(3, 4, [((1, 1, 1), 2.0), ((1, 2, 3), 1.0), ((2, 2, 2), -1.0),
+                         ((3, 3, 4), 1.0), ((3, 4, 3), 1.0), ((3, 3, 3), 1.0), ((4, 4, 4), 3.0)])
+wide = tb.new_tensor(3, 40, [((1, 1, 1), 1.0), ((2, 40, 3), 1.0), ((39, 39, 40), 1.0)])
+p, utb1 = tb.Partition((2, 2)), tb.BlockKind.UTB1
+assert [tb.is_blocked(t, p, k) for k in tb.BlockKind] == [True, True, True, False, False,
+                                                          True, False]
+assert [tb.is_blocked(wide, tb.Partition((1, 39)), k) for k in tb.BlockKind] == [True] * 7
+dense = tb.Tensor.from_dense(np.ones((4, 4, 4)))
+assert [tb.is_blocked(dense, p, k) for k in tb.BlockKind] == [False] * 7
+assert len(tb.blocked_partitions(dense, tb.BlockKind.DIAG)) == 1
+assert len(tb.blocked_partitions(t, utb1)) == 7
+assert tb.det_blocked(t, p, utb1) == 6.0 ** 8
+assert tb.spectrum_blocked(t, p, utb1).total_degree == 32
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.run(["classify", "--tensor", {str(ROOT / "fixtures" / "ex31.json")!r},
+                    "--partition", "1,1", "--kind", "utb3"])
+assert code == 0 and out.getvalue().strip() == '{{"result": true}}', out.getvalue()
+print('numpy.ma' in sys.modules)
+"""
+    assert fresh_output(probe) == "False"
+
+
 def test_no_row_major_copy_of_a_view_index_array():
     # a view's index rows are stored column-major (``core.Coo``), so kernels read the columns
     # of ``idx.T`` in place; a C-ordered copy of an index array would undo that

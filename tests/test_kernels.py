@@ -47,7 +47,12 @@ from triblock import product as product_module
 from triblock import core, spectra, structure, tensorio
 from triblock.blocked import _block_ends, _forbidden
 from triblock.core import Coo
-from triblock.errors import NegativeEntry, OrderTooSmall, TriblockError
+from triblock.errors import (
+    BlockSpectrumUnavailable,
+    NegativeEntry,
+    OrderTooSmall,
+    TriblockError,
+)
 from triblock.spectra import (
     _SHIFT,
     _block_radii,
@@ -63,6 +68,7 @@ from _gen import (
     loop_allclose,
     loop_apply,
     loop_block_ends,
+    loop_block_walk,
     loop_diagonal_blocks,
     loop_find_reducing_set,
     loop_find_weakly_reducing_set,
@@ -602,6 +608,107 @@ class TestBlockEnds:
         assert peak < 20_000_000, peak
 
 
+def forbidden(kind: BlockKind, p: tb.Partition, idx: tuple) -> bool:
+    j = p.block_of(idx[0])
+    return bool(_forbidden(kind, p.S(j - 1), p.S(j), min(idx[1:]), max(idx[1:])))
+
+
+def span_cases(seed):
+    """(tensor, partition, kind): dense order-4 tensors (many entries to a span), sparse ones
+    of dims 17-24 (past the span table), order 2 and zero tensors; every other one holds only
+    the positions its partition and kind allow."""
+    rng = random.Random(seed)
+    for trial in range(36):
+        shape = trial % 4
+        if shape == 0:
+            m, n = 4, rng.randint(3, 7)
+            entries = rand_entries(rng, m, n, rng.choice([0.6, 1.0]), True)
+        elif shape == 1:
+            m, n = rng.randint(2, 4), rng.randint(17, 24)
+            entries = {tuple(rng.randint(1, n) for _ in range(m)): 1.0 for _ in range(2 * n)}
+        elif shape == 2:
+            m, n = 2, rng.randint(1, 9)
+            entries = rand_entries(rng, m, n, rng.choice([0.3, 0.7]), True)
+        else:
+            m, n, entries = rng.randint(2, 4), rng.choice([1, 5, 20]), {}
+        p, kind = rand_partition(rng, n), rng.choice(list(BlockKind))
+        if trial % 2 == 0:
+            entries = {idx: v for idx, v in entries.items() if not forbidden(kind, p, idx)}
+        yield tb.Tensor(m, n, entries), p, kind
+
+
+class TestSpanView:
+    """``Tensor.spans``: each distinct (row, lo, hi) once in that order where its table is
+    small, every entry's span in view order past that; built once per tensor, read-only,
+    never pickled or handed on, and all the block-kind tests read it."""
+
+    def test_holds_the_entries_spans(self):
+        deduplicated = past = 0
+        for t, _, _ in span_cases(419):
+            spans = [(idx[0], min(idx[1:]), max(idx[1:])) for idx in t.entries]
+            got = list(zip(*(column.tolist() for column in t.spans)))
+            if t.dim ** 3 <= t.nnz:
+                assert got == sorted(set(spans))
+                deduplicated += len(got) < t.nnz
+            else:
+                assert got == spans
+                past += t.nnz > 0
+            assert all(column.dtype == np.int64 for column in t.spans)
+        assert deduplicated >= 5 and past >= 5, (deduplicated, past)
+
+    def test_block_tests_match_loops(self):
+        # every kind, the block ends and the block walk, on both sides of the table rule
+        walked = 0
+        for trial, (t, p, kind) in enumerate(span_cases(420)):
+            for k in BlockKind:
+                if not (k.is_triangular and p.r < 2):
+                    assert tb.is_blocked(t, p, k) is loop_is_blocked(t, p, k), (trial, k)
+            want = [loop_block_ends(t, k) for k in BlockKind]
+            assert list(_block_ends(t, tuple(BlockKind))) == want, trial
+            carried = trial % 2 == 0 and (p.r > 1 or not kind.is_triangular)
+            if carried and kind in spectra._SUPPORTED:
+                walked += 1
+            else:  # one block under diag: every tensor carries it
+                p, kind = tb.Partition((t.dim,)), BlockKind.DIAG
+            want = loop_block_walk(t, p)
+            try:
+                got = [item.eigenvalues[0] for item in tb.spectrum_blocked(t, p, kind).items]
+            except BlockSpectrumUnavailable as exc:
+                got = str(exc)
+            assert got == (want if isinstance(want, list) else
+                           f"a dim-{want} diagonal block cannot be reduced to dimension 1"), trial
+        assert walked >= 5, walked
+
+    def test_built_once_per_tensor(self, monkeypatch):
+        built, build = [], core._span_view
+        monkeypatch.setattr(core, "_span_view", lambda t: built.append(t) or build(t))
+        t = tb.new_tensor(3, 4, [((1, 1, 1), 2.0), ((1, 2, 3), 1.0), ((2, 2, 2), -1.0),
+                                 ((3, 3, 4), 1.0), ((3, 4, 3), 1.0), ((3, 3, 3), 1.0),
+                                 ((4, 4, 4), 3.0)])
+        p, utb1 = tb.Partition((2, 2)), BlockKind.UTB1
+        assert [tb.is_blocked(t, p, k) for k in BlockKind] == [True, True, True, False, False,
+                                                               True, False]
+        assert tb.det_blocked(t, p, utb1) == 6.0 ** 8
+        assert len(tb.blocked_partitions(t, utb1)) == 7
+        assert len(built) == 1 and built[0] is t
+
+    def test_read_only_and_never_handed_on(self):
+        rng = random.Random(421)
+        t = rand_tensor(rng, 3, 6, 0.3, True)
+        before = pickle.dumps(t)
+        for column in t.spans:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[:1] = 0
+        assert "spans" in t.__dict__ and pickle.dumps(t) == before
+        for child in (pickle.loads(before), copy.deepcopy(t),
+                      tb.permute_similar(t, rand_permutation(rng, t.dim)),
+                      tb.principal_subtensor(t, range(1, t.dim + 1))):
+            assert "spans" not in child.__dict__
+        with pytest.raises(OrderTooSmall):
+            tb.Tensor(1, 3, {(2,): 1.0}).spans
+
+
 class TestStructuralOps:
     def test_subtensors_permutations_and_blocks(self):
         for rng, t in structured(410, 60):
@@ -615,6 +722,19 @@ class TestStructuralOps:
             assert len(got) == len(want) and all(map(same_tensor, got, want))
             # each block owns its arrays: none keeps the whole split alive
             assert all(b.coo.idx.base is None and b.coo.vals.base is None for b in got)
+
+    def test_subtensors_past_the_relabel_table(self):
+        # a largest member far past the entries: each index's place by binary search
+        rng = random.Random(422)
+        for trial in range(20):
+            m, n = rng.randint(2, 4), rng.choice([10 ** 5, 10 ** 9])
+            pool = sorted(rng.sample(range(1, n + 1), 12))
+            t = tb.Tensor(m, n, {tuple(rng.choice(pool) for _ in range(m)): value(rng, False)
+                                 for _ in range(30)})
+            members = rng.sample(pool, rng.randint(1, 12)) + [n]
+            assert n + 1 > 8 * (t.nnz * m + len(members)) + 4096  # past the table
+            assert same_tensor(tb.principal_subtensor(t, members),
+                               loop_principal_subtensor(t, members)), trial
 
     def test_from_dense_and_row_diagonal(self):
         for rng, t in structured(411, 30):
@@ -719,6 +839,30 @@ class TestHandedOnView:
                 assert_handed(tb.general_product(t, b))
                 taken.append(calls["dense"] > before)
         assert 5 <= sum(taken[::2]) < len(taken) // 2 and not any(taken[1::2])  # both routes
+
+    def test_row_major_sorted_payload_is_laid_out_column_major(self):
+        # sorted index rows stored row-major, as a pickle made before the view was column-major
+        # holds them, are copied column-major once; column-major ones are kept as given
+        class RowMajorPickle:
+            def __init__(self, t):
+                self.t = t
+
+            def __reduce__(self):
+                t = self.t
+                return core._from_arrays, (t.order, t.dim, np.ascontiguousarray(t.coo.idx),
+                                           t.coo.vals)
+
+        row_major = 0
+        for rng, t in structured(418, 30):
+            rows = np.ascontiguousarray(t.coo.idx)
+            row_major += not rows.flags.f_contiguous
+            for child in (core._from_arrays(t.order, t.dim, rows, t.coo.vals.copy()),
+                          pickle.loads(pickle.dumps(RowMajorPickle(t)))):
+                assert_handed(child)
+                assert same_tensor(child, t)
+            given = np.asfortranarray(t.coo.idx)
+            assert core._from_arrays(t.order, t.dim, given, t.coo.vals.copy()).coo.idx is given
+        assert row_major >= 20
 
 
 def det_outcome(t: tb.Tensor, partition: tb.Partition, kind: BlockKind):
