@@ -259,11 +259,12 @@ def _screened(order: int, dim: int, keys, values):
 
 def _in_range(order: int, dim: int, flat, values):
     """The 0-based index rows (int64, column-major) and the values (float64) of integer
-    components ``flat``, ``order`` to an entry, if every component is in ``[1, dim]`` and int64
-    and every value is a finite double; None otherwise."""
+    components ``flat`` (an int64 array, or an iterable), ``order`` to an entry, if every
+    component is in ``[1, dim]`` and int64 and every value is a finite double; None otherwise."""
     n = len(values)
     try:
-        flat = np.fromiter(flat, np.int64, n * order)
+        if not isinstance(flat, np.ndarray):
+            flat = np.fromiter(flat, np.int64, n * order)
         vals = np.fromiter(values, float, n)  # only None converts where float() refuses: to nan
     except (TypeError, ValueError, OverflowError):
         return None

@@ -64,9 +64,16 @@ def _z_split(tensor: Tensor, diagonal: np.ndarray) -> ZSplit:
     m, view = tensor.order, tensor.coo
     d = _diagonal(tensor, diagonal)
     s = float(d.max())
-    shifted = np.flatnonzero(d != s)  # the rows of b's nonzero diagonal, s - d_i
-    columns = np.hstack((shifted[None].repeat(m, 0), view.idx.T.compress(~diagonal, axis=1)))
-    vals = np.concatenate((s - d[shifted], -view.vals[~diagonal]))
+    shifted, off = np.flatnonzero(d != s), ~diagonal  # the rows of b's diagonal, s - d_i
+    kept = [column[off] for column in view.idx.T]  # the off-diagonal entries, rows sorted
+    # each diagonal entry heads its row, where a stable sort by row would put it
+    at = kept[0].searchsorted(shifted) + np.arange(len(shifted))
+    rest = np.ones(len(at) + len(kept[0]), bool)
+    rest[at] = False
+    columns, vals = np.empty((m, len(rest)), np.int64), np.empty(len(rest))
+    for column, given in zip(columns, kept):
+        column[rest], column[at] = given, shifted
+    vals[rest], vals[at] = -view.vals[off], s - d[shifted]
     return ZSplit(s, _from_arrays(m, tensor.dim, columns.T, vals))
 
 

@@ -18,7 +18,10 @@ double value (``FormatError``).
 ``loads_tensor`` reads a document in exactly the layout ``dumps_tensor``
 writes (at least one record, maybe followed by JSON whitespace) from the
 text straight to index and value arrays, without the JSON object tree.
-Every other text, and every canonical one with a faulty number, index or
+It scans the body's bytes with NumPy, span by span of whole records:
+the structure is checked against the record template, the indices are
+read from their digits, and ``json.loads`` reads only the values. Every
+other text, and every canonical one with a faulty number, index or
 value, goes through ``tensor_from_obj(loads(text))``, so every refusal
 comes from that one path.
 """
@@ -47,6 +50,9 @@ _JOIN = ", "
 _HEAD, _TAIL = _DOCUMENT.split("%s")
 _HEADER = re.compile(re.escape(_HEAD).replace("%d", "([1-9][0-9]{0,17})"))
 _NUMBER = b"0123456789.+-eE"  # the characters of JSON numbers
+_FLAGS = bytes(c in _NUMBER for c in range(256))  # 1 for a number character, else 0
+_BLANK = bytes(c if c in _NUMBER else ord(" ") for c in range(256))  # numbers kept, else spaces
+_SPAN = 1 << 18  # characters of records ``_canonical_tensor`` scans at a time
 
 
 def _sorted_entries(tensor: Tensor) -> tuple[list[list[int]], list[float]]:
@@ -128,45 +134,87 @@ def _canonical_tensor(text: str) -> Tensor | None:
     one record and maybe followed by JSON whitespace, read from the text straight to index and
     value arrays; None for any other text and wherever the general path would raise.
 
-    With the number characters deleted, the records must be the skeleton of the record
-    template joined k times. Each structural token between two numbers then becomes one
-    separator, and the result must read as a flat JSON array of k·(order + 1) numbers whose
-    index slots are ints. A number outside its slot leaves a token in place, where the array
-    does not parse, or splits a separator, which the count of separators finds.
+    The body is read in spans of whole records, each cut just after the closing of a record
+    that _JOIN and the next opening follow, about _SPAN characters apart. As each span must
+    hold records joined by _JOIN on its own (``_span_records``), the spans join to a valid body.
     """
     header = _HEADER.match(text)
     end = len(text.rstrip(" \t\n\r"))
-    if header is None or not text.endswith(_TAIL, 0, end):
-        return None
+    if header is None or not text.endswith(_TAIL, 0, end) or not text.isascii():
+        return None  # an ASCII text's characters are its bytes
     order, dim = int(header[1]), int(header[2])
-    body = text[header.end():end - len(_TAIL)]
-    if len(body) < order or not body.isascii():  # a record holds order digits; ASCII encodes
+    start, stop = header.end(), end - len(_TAIL)
+    if stop - start < order:  # a record holds order digits; no template past the text's size
         return None
     pieces = re.split("%[dr]", _record(order))  # opening, separators, middle, closing
-    opening, middle, closing = pieces[0], pieces[-2], pieces[-1]
-    skeleton, join = "".join(pieces).encode().translate(None, _NUMBER), _JOIN.encode()
-    found = body.encode().translate(None, _NUMBER)
-    records = (len(found) + len(join)) // (len(skeleton) + len(join))
-    if found != join.join([skeleton] * records) \
-            or not (body.startswith(opening) and body.endswith(closing)):
-        return None
-    slots = records * (order + 1)
-    flat = body[len(opening):-len(closing)].replace(middle, _JOIN)
-    flat = flat.replace(closing + _JOIN + opening, _JOIN)
-    if flat.count(_JOIN) != slots - 1:
-        return None
-    try:
-        numbers = json.loads("[%s]" % flat)
-    except ValueError:  # not a JSON number, a token left in place, or an integer too long
-        return None
-    if len(numbers) != slots:
-        return None
-    values = numbers[order::order + 1]
-    del numbers[order::order + 1]
-    if not set(map(type, numbers)) <= {int}:
-        return None
-    checked = _in_range(order, dim, numbers, values)
+    cut, columns, values = pieces[-1] + _JOIN + pieces[0], [], []
+    while start < stop:
+        at = text.find(cut, start + _SPAN, stop)
+        at = stop if at < 0 else at + len(pieces[-1])
+        read = _span_records(text[start:at].encode(), pieces)
+        if read is None:
+            return None
+        columns.append(read[0])
+        values += read[1]
+        start = at + len(_JOIN)
+    checked = _in_range(order, dim, np.concatenate(columns), values)
     return checked and _nonzero_tensor(order, dim, *checked)
+
+
+def _span_records(span: bytes, pieces: list[str]) -> tuple[np.ndarray, list] | None:
+    """The index components (int64, record by record) and the values of a span that holds k
+    records of the template ``pieces`` joined by _JOIN; None for any other span.
+
+    With the number characters deleted, the span must be the records' skeleton joined k times.
+    Each maximal run of number characters is a token, and the run of other characters before
+    each token must be as long as the template's run before its slot, so each token sits in its
+    slot: an empty slot, or a number inside a piece, fails this. Index tokens must be
+    ``[1-9][0-9]{0,17}`` and are read digit by digit. The values are left to ``json.loads``, on
+    a copy of the span where all but the value tokens, and the commas of the joins, are blanked.
+    """
+    skeleton, join = "".join(pieces).encode(), _JOIN.encode()
+    found = span.translate(None, _NUMBER)
+    k = (len(found) + len(join)) // (len(skeleton) + len(join))
+    if k < 1 or found + join != (skeleton + join) * k:
+        return None
+    del found
+    flags = np.frombuffer(span.translate(_FLAGS), bool)
+    if flags[0] or flags[-1]:
+        return None
+    bounds = np.flatnonzero(flags[1:] != flags[:-1])
+    bounds += 1  # token starts and ends, alternating
+    width = len(pieces) - 1  # slots per record: the index components and the value
+    if len(bounds) != 2 * k * width:
+        return None
+    del flags
+    # the run before each slot: a closing, the join and an opening, then the pieces between
+    runs = [len(pieces[-1] + _JOIN + pieces[0]), *map(len, pieces[1:-1])]
+    # per token, the run before it (before the first, the opening) and its length
+    before = np.concatenate(([len(pieces[0]) - runs[0]], bounds[:-1]))
+    steps = (bounds - before).reshape(k, width, 2)
+    if (steps[..., 0] != runs).any():
+        return None
+    first, size = bounds[0::2].reshape(k, width)[:, :-1].ravel(), steps[:, :-1, 1].ravel()
+    digits = np.frombuffer(span, np.uint8)
+    longest = int(size.max())
+    if longest > 18 or (digits[first] == ord("0")).any():
+        return None
+    blank = bytearray(span).translate(_BLANK)
+    kept = np.frombuffer(blank, np.uint8)
+    index = np.zeros(len(first), np.int64)
+    for j in range(longest):
+        live, at = size > j, first + j
+        digit = digits.take(at, mode="clip") - ord("0")  # uint8: every other byte above 9
+        if (live & (digit > 9)).any():
+            return None
+        index = np.where(live, index * 10 + digit, index)
+        kept[at[live]] = ord(" ")
+    kept[bounds[2 * width - 1:-1:2 * width] + len(pieces[-1])] = ord(",")  # the joins' commas
+    kept[0], kept[-1] = ord("["), ord("]")  # over the first opening and the last closing
+    try:
+        return index, json.loads(blank)
+    except ValueError:  # not a JSON number, or an integer too long
+        return None
 
 
 def loads_tensor(text: str) -> Tensor:

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import triblock as tb
-from triblock import BlockKind, Partition
+from triblock import BlockKind, Partition, core
 from triblock.errors import NotZTensor, OrderTooSmall
 
 from _gen import (
     is_irreducible_matrix,
     is_nonsingular_m_matrix,
     is_z_matrix,
+    loop_z_split,
     rand_blocked_m_matrix,
     rand_irreducible_nonneg,
     rand_m_matrix,
@@ -97,6 +98,38 @@ class TestZSplit:
             assert split.s == max(a.get((i,) * m) for i in range(1, n + 1))
             assert all(v >= 0.0 for v in split.b.entries.values())
             assert reconstruct(split, m, n) == a
+
+
+class TestSplitView:
+    def test_diagonal_entries_head_their_rows_without_a_sort(self, monkeypatch):
+        # b's view is the stable sort by row of its diagonal entries followed by the rest in
+        # view order; z_split builds it in that order, so the rows it hands on are sorted
+        given = []
+
+        def spy(idx, vals):
+            given.append(idx[:, 0].copy())
+            return row_sorted(idx, vals)
+
+        row_sorted = core._row_sorted
+        monkeypatch.setattr(core, "_row_sorted", spy)
+        rng = random.Random(43)
+        heads = 0
+        for _ in range(60):
+            n, m = rng.randint(1, 7), rng.choice([2, 3, 4])
+            z = tb.Tensor(m, n, {idx: float(rng.randint(-2, 3)) if len(set(idx)) == 1
+                                 else -float(rng.randint(1, 3))
+                                 for idx in itertools.product(range(1, n + 1), repeat=m)
+                                 if rng.random() < 0.4})
+            assert z.coo.idx.flags.f_contiguous  # the given view is built before the split
+            given.clear()
+            b = tb.z_split(z).b
+            assert len(given) == 1 and (given[0][1:] >= given[0][:-1]).all()
+            want = loop_z_split(z)[1].coo
+            assert b.coo.idx.flags.f_contiguous and not b.coo.idx.flags.writeable
+            assert b.coo.idx.tobytes() == want.idx.tobytes()
+            assert b.coo.vals.tobytes() == want.vals.tobytes()
+            heads += len(set(map(tuple, b.coo.idx.tolist())) & {(i,) * m for i in range(n)})
+        assert heads > 50  # shifted diagonal entries were placed
 
 
 class TestMTensorClassification:

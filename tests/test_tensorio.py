@@ -9,6 +9,8 @@ import itertools
 import json
 import math
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +269,133 @@ class TestCanonicalReader:
         want = tensorio.loads_tensor(text)
         monkeypatch.setattr(tensorio, "tensor_from_obj", None)
         assert same_outcome(tensorio.loads_tensor(text), want)
+
+    # the body is scanned in spans cut after a record's closing; each span must pass alone
+    @pytest.mark.parametrize("span", [1, 64, 300])
+    def test_seeded_documents_in_short_spans(self, monkeypatch, span):
+        monkeypatch.setattr(tensorio, "_SPAN", span)
+        self.test_seeded_documents_and_their_mutations()
+
+    CUT = '}, {"i": ['
+    # one fault each: (name, a pattern of the record and what its first match becomes)
+    RECORD_FAULTS = [
+        ("digit inside a piece", '"v": ', '"v"7: '),
+        ("digit inside the opening", r'\{"i": \[', '{"i"3: ['),
+        ("deleted separator byte", ", ", ","),
+        ("empty index slot", r"\[\d+", "["),
+        ("empty value slot", r": [^}]*\}", ": }"),
+        ("0-led index", r"\[", "[0"),
+        ("19-digit index", r"\[\d+", "[1000000000000000000"),
+        ("value past the double range", r": [^}]*\}", ": 1e400}"),
+    ]
+    JOIN_FAULTS = [("digit inside the join", '}, {', '}, 5{'),
+                   ("deleted separator byte in the join", '}, {', '},{'),
+                   ("deleted brace of the join", '}, {', '}, ')]
+
+    @staticmethod
+    def records_around_cut(text: str) -> tuple[int, int, int]:
+        """Where the record before the first cut starts, where the cut falls (after that
+        record's closing) and where the record after it ends, for the patched span."""
+        body = text.index("[", text.index('"entries"')) + 1
+        cut = text.find(TestCanonicalReader.CUT, body + tensorio._SPAN) + 1
+        assert cut > 0
+        return text.rindex('{"i": [', 0, cut), cut, text.index("}", cut + 2) + 1
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    @pytest.mark.parametrize("fault", RECORD_FAULTS, ids=[f[0] for f in RECORD_FAULTS])
+    def test_fault_next_to_a_cut(self, monkeypatch, where, fault):
+        monkeypatch.setattr(tensorio, "_SPAN", 300)
+        text = TestCheckedOnce.DENSE
+        assert self.assert_same_as_general(text)
+        first, cut, last = self.records_around_cut(text)
+        start, end = (first, cut) if where == "before" else (cut + 2, last)
+        _, pattern, replacement = fault
+        record, edits = re.subn(pattern, replacement, text[start:end], count=1)
+        assert edits == 1
+        assert not self.assert_same_as_general(text[:start] + record + text[end:])
+
+    @pytest.mark.parametrize("fault", JOIN_FAULTS, ids=[f[0] for f in JOIN_FAULTS])
+    def test_fault_across_a_cut(self, monkeypatch, fault):
+        monkeypatch.setattr(tensorio, "_SPAN", 300)
+        text = TestCheckedOnce.DENSE
+        _, cut, _ = self.records_around_cut(text)
+        _, old, new = fault
+        assert text.startswith(old, cut - 1)
+        assert not self.assert_same_as_general(text[:cut - 1] + new + text[cut - 1 + len(old):])
+
+    @pytest.mark.parametrize("index", ["-1", "+1", "01", "0", "1.0", "1e2", "1E2",
+                                       "1000000000000000000", "18446744073709551617",
+                                       "9" * 30])
+    def test_index_text_the_general_path_decides(self, index):
+        # under the largest dim the header admits; 2^64 + 1 would wrap to 1 in int64
+        text = '{"order": 2, "dim": %d, "entries": [{"i": [1, 2], "v": 1.0}, ' \
+               '{"i": [%s, 3], "v": 2.0}]}' % (10 ** 18 - 1, index)
+        assert not self.assert_same_as_general(text)
+
+    @pytest.mark.parametrize("body", ['5{"i": [1], "v": 1.0}', '{"i": [1], "v": 1.0}5',
+                                      '5555555{"i": [], "v": 1.0}5',
+                                      '5{"i": [1], "v": 1.0}, {"i": [2], "v": 2.0}5'])
+    def test_numbers_outside_the_records(self, body):
+        assert not self.assert_same_as_general('{"order": 1, "dim": 9, "entries": [%s]}' % body)
+
+    @pytest.mark.parametrize("span", [1, 1 << 18])
+    def test_indices_of_every_length_up_to_18_digits(self, monkeypatch, span):
+        monkeypatch.setattr(tensorio, "_SPAN", span)
+        dim = 10 ** 18 - 1
+        rng = random.Random(1105)
+        firsts = [rng.randrange(10 ** (k - 1), 10 ** k) for k in range(1, 19)] + [dim]
+        records = ", ".join('{"i": [%d, %d], "v": %r}' % (i, rng.randrange(1, dim + 1), 0.5 + k)
+                            for k, i in enumerate(firsts))
+        text = '{"order": 2, "dim": %d, "entries": [%s]}' % (dim, records)
+        assert self.assert_same_as_general(text)
+        assert [i for i, _ in tensorio.loads_tensor(text).entries] == firsts
+
+
+def canonical_text(order: int, dim: int, values: list[str]) -> str:
+    """A document in the canonical layout, written out by hand: one record per index tuple in
+    sorted order, each with the value token given."""
+    indices = itertools.product(range(1, dim + 1), repeat=order)
+    records = ", ".join('{"i": [%s], "v": %s}' % (", ".join(map(str, index)), value)
+                        for index, value in zip(indices, values))
+    return '{"order": %d, "dim": %d, "entries": [%s]}' % (order, dim, records)
+
+
+# values at the edges of the double range, signed zeros and JSON's other number forms
+EDGE_VALUES = ["5e-324", "-2.5e-320", "2.2250738585072014e-308", "1e+308", "-1e308",
+               "1.7976931348623157e+308", "-0.0", "0", "2", "-7", "1E+2", "3.5E-3"]
+
+
+class TestCanonicalReaderAtScale:
+    """Large canonical documents, scanned in many spans, read directly as the general path
+    reads them."""
+
+    @staticmethod
+    def text(order: int, dim: int, seed: int) -> str:
+        rng = random.Random(seed)
+        values = [repr(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300))
+                  for _ in range(dim ** order)]
+        for k in rng.sample(range(len(values)), 40 * len(EDGE_VALUES)):
+            values[k] = EDGE_VALUES[k % len(EDGE_VALUES)]
+        return canonical_text(order, dim, values)
+
+    @pytest.mark.parametrize("order, dim", [(3, 40), (2, 300)])
+    def test_reads_as_the_general_path(self, monkeypatch, order, dim):
+        text = self.text(order, dim, 1106 + order)
+        assert len(text) > 4 * tensorio._SPAN
+        want = general_read(text)
+        monkeypatch.setattr(tensorio, "tensor_from_obj", None)
+        assert same_outcome(tensorio.loads_tensor(text), want)
+
+    def test_peak_memory(self):
+        rng = np.random.default_rng(1107)
+        text = tensorio.dumps_tensor(tb.Tensor.from_dense(rng.uniform(0.01, 1.0, (40,) * 3)))
+        tracemalloc.start()
+        try:
+            tensorio.loads_tensor(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(text), (peak, len(text))
 
 
 class TestSerializer:
