@@ -63,7 +63,12 @@ def _read(path: str) -> str:
 
 
 def _read_tensor(path: str) -> Tensor:
-    return tensorio.loads_tensor(_read(path))
+    """The tensor document at ``path``. ``loads_tensor`` takes the file's bytes: it scans a
+    canonical document as it is and decodes any other as ``_read`` does."""
+    try:
+        return tensorio.loads_tensor(Path(path).read_bytes())
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _rho(tensor: Tensor, args: argparse.Namespace) -> str:

@@ -404,10 +404,13 @@ def _tensor_from_entries(order: int, dim: int, keys: list, values: list) -> Tens
 
 def _nonzero_tensor(order: int, dim: int, idx: np.ndarray, vals: np.ndarray) -> Tensor | None:
     """``_from_arrays`` on checked entries, exact zeros dropped; None where an index repeats,
-    maybe one first given the value 0."""
-    codes = np.sort(_codes(idx, dim))
-    if (codes[1:] == codes[:-1]).any():
-        return None
+    maybe one first given the value 0. The index codes are sorted to find a repeat only where
+    they do not already increase, as those of a canonical document and of sorted input do."""
+    codes = _codes(idx, dim)
+    if not (codes[1:] > codes[:-1]).all():
+        codes = np.sort(codes)
+        if (codes[1:] == codes[:-1]).any():
+            return None
     nonzero = vals != 0.0
     if not nonzero.all():
         idx, vals = idx.T.compress(nonzero, axis=1).T, vals[nonzero]

@@ -15,18 +15,20 @@ then entry by entry its arity, each component's type and range, a
 repeat of an earlier index (even one given the value 0), and a finite
 double value (``FormatError``).
 
-``loads_tensor`` reads a document in exactly the layout ``dumps_tensor``
-writes (at least one record, maybe followed by JSON whitespace) from the
-text straight to index and value arrays, without the JSON object tree.
-It scans the body's bytes with NumPy, span by span of whole records:
+``loads_tensor`` reads a document, given as text or as a file's bytes, in
+exactly the layout ``dumps_tensor`` writes (at least one record, maybe
+followed by JSON whitespace) from its bytes straight to index and value
+arrays, without the JSON object tree, once it is long enough for that to
+pay. It scans the body's bytes with NumPy, span by span of whole records:
 the structure is checked against the record template, the indices are
 read from their digits, and ``json.loads`` reads only the values. Every
-other text, and every canonical one with a faulty number, index or
+other document, and every canonical one with a faulty number, index or
 value, goes through ``tensor_from_obj(loads(text))``, so every refusal
 comes from that one path.
 """
 from __future__ import annotations
 
+import io
 import json
 import re
 import sys
@@ -48,11 +50,13 @@ _DOCUMENT = '{"order": %d, "dim": %d, "entries": [%s]}'
 _RECORD = '{"i": [%s], "v": %%r}'
 _JOIN = ", "
 _HEAD, _TAIL = _DOCUMENT.split("%s")
-_HEADER = re.compile(re.escape(_HEAD).replace("%d", "([1-9][0-9]{0,17})"))
+_HEADER = re.compile(re.escape(_HEAD).replace("%d", "([1-9][0-9]{0,17})").encode())
+_SPACE = b" \t\n\r"  # JSON whitespace
 _NUMBER = b"0123456789.+-eE"  # the characters of JSON numbers
 _FLAGS = bytes(c in _NUMBER for c in range(256))  # 1 for a number character, else 0
 _BLANK = bytes(c if c in _NUMBER else ord(" ") for c in range(256))  # numbers kept, else spaces
 _SPAN = 1 << 18  # characters of records ``_canonical_tensor`` scans at a time
+_SCANNED = 2500  # the shortest document ``loads_tensor`` scans: the general path reads faster
 
 
 def _sorted_entries(tensor: Tensor) -> tuple[list[list[int]], list[float]]:
@@ -116,42 +120,81 @@ def loads(text: str) -> Any:
         raise FormatError(f"invalid JSON: {exc}") from exc
 
 
-def _record(order: int) -> str:
-    """The record template of an order-``order`` tensor: ``%d`` per index component, ``%r``
-    for the value."""
-    return _RECORD % _JOIN.join(["%d"] * order)
+def _pieces(order: int) -> list[str]:
+    """The text of an order-``order`` record around its slots: the opening, the separators
+    between index components, the piece before the value and the closing."""
+    return re.split("%[dr]", _RECORD % _JOIN.join(["%d"] * order))
+
+
+def _index_order(tensor: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """The view's 0-based index columns and values sorted by index. The view is taken as it
+    is where it is in that order already, that is where from each index to the next every
+    component that falls comes after one that rises (one vectorised test, at any dim)."""
+    view = tensor.coo
+    columns, values = view.idx.T, view.vals
+    steps = columns[:, 1:] - columns[:, :-1]
+    if (np.logical_or.accumulate(steps > 0, axis=0) | (steps >= 0)).all():
+        return columns, values
+    by_index = np.lexsort(columns[::-1])
+    return columns.take(by_index, axis=1), values[by_index]
 
 
 def dumps_tensor(tensor: Tensor) -> str:
-    """What ``dumps(tensor_to_obj(tensor))`` prints, written from the view: values as doubles."""
-    columns, values = _sorted_entries(tensor)
-    entries = _JOIN.join(map(_record(tensor.order).__mod__, zip(*columns, values)))
-    return _DOCUMENT % (tensor.order, tensor.dim, entries)
+    """What ``dumps(tensor_to_obj(tensor))`` prints, written from the view: values as doubles.
+
+    Each record is three strings: the previous record's closing, the join and the opening
+    with the leading components, one string per run of records that share them; the last
+    component with the piece before the value, from a table where the dim is no larger than
+    the entries; and the value's ``repr``. They are laid into one list and joined once."""
+    order, dim, n = tensor.order, tensor.dim, tensor.nnz
+    if not n:
+        return _DOCUMENT % (order, dim, "")
+    columns, values = _index_order(tensor)
+    pieces = _pieces(order)
+    lead, last, parts = columns[:-1], columns[-1], [""] * (3 * n + 2)
+    starts = np.ones(n, dtype=bool)  # where a run of equal leading components starts
+    (lead[:, 1:] != lead[:, :-1]).any(axis=0, out=starts[1:])
+    opening = pieces[-1] + _JOIN + pieces[0] + "".join(f"%d{sep}" for sep in pieces[1:-2])
+    runs = list(map(opening.__mod__, map(tuple, (lead.T[starts] + 1).tolist())))
+    parts[1:-1:3] = np.array(runs, dtype=object).take(starts.cumsum() - 1).tolist()
+    parts[1] = parts[1][len(pieces[-1] + _JOIN):]  # the first record follows no other
+    before_value = "%d" + pieces[-2]
+    if dim <= n:
+        table = np.array([before_value % j for j in range(1, dim + 1)], dtype=object)
+        parts[2:-1:3] = table.take(last).tolist()
+    else:
+        parts[2:-1:3] = map(before_value.__mod__, (last + 1).tolist())
+    parts[3:-1:3] = map(float.__repr__, values.tolist())
+    parts[0], parts[-1] = _HEAD % (order, dim), pieces[-1] + _TAIL
+    return "".join(parts)
 
 
-def _canonical_tensor(text: str) -> Tensor | None:
+def _canonical_tensor(text: str | bytes) -> Tensor | None:
     """The tensor of a document in exactly the layout ``dumps_tensor`` writes, with at least
-    one record and maybe followed by JSON whitespace, read from the text straight to index and
-    value arrays; None for any other text and wherever the general path would raise.
+    one record and maybe followed by JSON whitespace, read from its bytes (a text's encoding)
+    straight to index and value arrays; None for any other text and wherever the general
+    path would raise.
 
     The body is read in spans of whole records, each cut just after the closing of a record
     that _JOIN and the next opening follow, about _SPAN characters apart. As each span must
     hold records joined by _JOIN on its own (``_span_records``), the spans join to a valid body.
     """
-    header = _HEADER.match(text)
-    end = len(text.rstrip(" \t\n\r"))
-    if header is None or not text.endswith(_TAIL, 0, end) or not text.isascii():
-        return None  # an ASCII text's characters are its bytes
+    if isinstance(text, str):
+        text = text.encode()  # a text that is not ASCII gives bytes that are not, refused below
+    header, stop = _HEADER.match(text), text.rfind(_TAIL.encode())  # the end found from the end
+    if header is None or stop < 0 or text[stop + len(_TAIL):].strip(_SPACE) \
+            or not text.isascii():
+        return None
     order, dim = int(header[1]), int(header[2])
-    start, stop = header.end(), end - len(_TAIL)
+    start = header.end()
     if stop - start < order:  # a record holds order digits; no template past the text's size
         return None
-    pieces = re.split("%[dr]", _record(order))  # opening, separators, middle, closing
-    cut, columns, values = pieces[-1] + _JOIN + pieces[0], [], []
+    pieces = _pieces(order)
+    cut, columns, values = (pieces[-1] + _JOIN + pieces[0]).encode(), [], []
     while start < stop:
         at = text.find(cut, start + _SPAN, stop)
         at = stop if at < 0 else at + len(pieces[-1])
-        read = _span_records(text[start:at].encode(), pieces)
+        read = _span_records(text[start:at], pieces)
         if read is None:
             return None
         columns.append(read[0])
@@ -217,10 +260,16 @@ def _span_records(span: bytes, pieces: list[str]) -> tuple[np.ndarray, list] | N
         return None
 
 
-def loads_tensor(text: str) -> Tensor:
-    """The tensor of a document: a canonical one read directly, any other through
-    ``tensor_from_obj``, which raises every refusal."""
-    return _canonical_tensor(text) or tensor_from_obj(loads(text))
+def loads_tensor(text: str | bytes) -> Tensor:
+    """The tensor of a document, given as text or as a file's bytes: a canonical one of at
+    least _SCANNED characters read directly, any other through ``tensor_from_obj``, which
+    raises every refusal. Bytes go there decoded as ``Path.read_text(encoding="utf-8")``
+    decodes a file, UTF-8 with universal newlines; bytes that are not UTF-8 raise its
+    UnicodeDecodeError."""
+    tensor = len(text) >= _SCANNED and _canonical_tensor(text)
+    if isinstance(text, bytes) and not tensor:
+        text = io.TextIOWrapper(io.BytesIO(text), encoding="utf-8").read()
+    return tensor or tensor_from_obj(loads(text))
 
 
 def spectrum_to_obj(spectrum: SpectrumFactored) -> dict:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,7 +19,8 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 import triblock as tb
-from triblock import BlockKind, Partition, RightFormRecovery, SpectralResult, Tensor, apply
+from triblock import (BlockKind, Partition, RightFormRecovery, SpectralResult, Tensor, apply,
+                      tensorio)
 from triblock.blocked import _forbidden
 from triblock.core import _complex_terms
 from triblock.errors import (
@@ -1434,3 +1436,29 @@ def rand_hypergraph(rng: random.Random, k: int, groups: list[int],
 UNDERFLOWING = {(1, 1, 2): 3.43e219, (1, 3, 2): 7.99e175, (2, 1, 2): 3.79e-266,
                 (2, 2, 1): 3.27e88, (2, 2, 2): 1.83e234, (2, 3, 1): 6.89e-219,
                 (3, 3, 1): 5.05e68, (3, 3, 2): 3.73e-24}
+
+
+def byte_documents() -> list[tuple[str, bytes, str]]:
+    """Tensor files, as bytes, that a reader of their bytes and a reader of their text could
+    take differently, with what the text reader gives: a tensor, a refusal, or bytes that are
+    not UTF-8. Each is an order-3 document of dim 20, small (below the length the canonical
+    scan starts at) or large and in the canonical layout."""
+    rng = np.random.default_rng(1115)
+    large = tensorio.dumps_tensor(Tensor.from_dense(rng.uniform(0.01, 1.0, (20,) * 3))).encode()
+    small = tensorio.dumps_tensor(tb.new_tensor(3, 20, [((1, 2, 3), 1.5), ((20, 1, 7), -2.0)]))
+    deep = large.index(b".", len(large) // 2) + 1  # a digit of a value halfway through
+    pretty = json.dumps(json.loads(small), indent=1).replace("\n", "\r\n").encode()
+    lone_cr = small.encode().replace(b", ", b",\r", 1)
+    return [
+        ("not-utf8-first-byte", b"\xff" + large, "UnicodeDecodeError"),
+        ("not-utf8-deep-inside", large[:deep] + b"\xc3" + large[deep + 1:], "UnicodeDecodeError"),
+        ("bom-small", b"\xef\xbb\xbf" + small.encode(), "FormatError"),
+        ("bom-large", b"\xef\xbb\xbf" + large, "FormatError"),
+        ("crlf-after-small", small.encode() + b"\r\n", "Tensor"),
+        ("crlf-after-large", large + b"\r\n", "Tensor"),
+        ("crlf-pretty", pretty, "Tensor"),
+        ("crlf-pretty-json-error", pretty.replace(b'"v": -2.0', b'"v": -2.0,'), "FormatError"),
+        ("lone-cr", lone_cr, "Tensor"),
+        ("lone-cr-json-error", lone_cr.replace(b"}]}", b"]}"), "FormatError"),
+        ("lone-cr-after-large", large + b"\r", "Tensor"),
+    ]

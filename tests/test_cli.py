@@ -14,7 +14,7 @@ import pytest
 import triblock as tb
 from triblock import cli, tensorio
 
-from _gen import UNDERFLOWING, zigzag
+from _gen import UNDERFLOWING, byte_documents, zigzag
 
 try:
     import tomllib
@@ -574,6 +574,33 @@ class TestProcessLevel:
                         reason="the triblock console script is not installed on PATH")
     def test_installed_console_script(self, fixtures_dir):
         _assert_classifies_ex31([shutil.which("triblock")], fixtures_dir)
+
+
+BYTE_DOCUMENTS = byte_documents()
+
+
+def text_read_blocks(path: Path, partition: tb.Partition) -> tuple[int, str]:
+    """The exit status and stdout of ``blocks`` on the tensor file when the file is read as
+    text, ``Path.read_text(encoding="utf-8")``, and parsed by ``loads_tensor``."""
+    try:
+        tensor = tensorio.loads_tensor(path.read_text(encoding="utf-8"))
+        return 0, tensorio.dumps_blocks(tb.diagonal_blocks(tensor, partition)) + "\n"
+    except UnicodeDecodeError as exc:
+        doc = {"error": "FormatError", "detail": f"{path} is not UTF-8 text: {exc}"}
+    except tb.errors.TriblockError as exc:
+        doc = {"error": type(exc).__name__, "detail": str(exc)}
+    return 1, tensorio.dumps(doc) + "\n"
+
+
+@pytest.mark.parametrize("data", [d[1] for d in BYTE_DOCUMENTS],
+                         ids=[d[0] for d in BYTE_DOCUMENTS])
+def test_tensor_files_are_read_as_their_text(capsys, tmp_path, data):
+    # the verbs read a tensor file's bytes; status and stdout are those of reading its text
+    path = tmp_path / "tensor.json"
+    path.write_bytes(data)
+    code = cli.run(["blocks", "--tensor", str(path), "--partition", "20"])
+    out, err = capsys.readouterr()
+    assert err == "" and (code, out) == text_read_blocks(path, tb.Partition((20,)))
 
 
 def test_cli_reaches_no_private_name():

@@ -19,7 +19,8 @@ import triblock as tb
 from triblock import BlockKind, Partition, Permutation, core, tensorio
 from triblock.errors import BadArity, FormatError, IndexOutOfRange
 
-from _gen import WIRE_FAULTS, loop_new_tensor, loop_tensor_from_obj, rand_tensor, rand_wire_doc
+from _gen import (WIRE_FAULTS, byte_documents, loop_new_tensor, loop_tensor_from_obj, rand_tensor,
+                  rand_wire_doc)
 
 MALFORMED = [
     [],
@@ -219,10 +220,15 @@ class TestCanonicalReader:
     reader returns None on every other text, and never raises."""
 
     def assert_same_as_general(self, text: str) -> bool:
+        """The text, and its bytes, read as the general path reads the text: directly where
+        the scan accepts them (at any length), and through ``loads_tensor``."""
         fast = tensorio._canonical_tensor(text)  # raises nothing, whatever the text
-        got, want = outcome(tensorio.loads_tensor, text), outcome(general_read, text)
-        assert same_outcome(got, want), text
-        assert fast is None or same_outcome(fast, want), text
+        want = outcome(general_read, text)
+        for doc in (text, text.encode()):
+            assert same_outcome(outcome(tensorio.loads_tensor, doc), want), doc
+            read = tensorio._canonical_tensor(doc)
+            assert (read is None) == (fast is None), doc
+            assert read is None or same_outcome(read, want), doc
         return fast is not None
 
     def test_seeded_documents_and_their_mutations(self):
@@ -269,6 +275,22 @@ class TestCanonicalReader:
         want = tensorio.loads_tensor(text)
         monkeypatch.setattr(tensorio, "tensor_from_obj", None)
         assert same_outcome(tensorio.loads_tensor(text), want)
+
+    # loads_tensor scans a document from _SCANNED characters on; a shorter one, which the
+    # general path reads faster, goes there straight
+    @pytest.mark.parametrize("pad, scanned", [(-1, False), (0, True), (1, True)])
+    def test_scanned_from_the_crossover(self, monkeypatch, pad, scanned):
+        text = tensorio.dumps_tensor(tb.Tensor.from_dense(np.arange(1.0, 28.0).reshape(3, 3, 3)))
+        text += " " * (tensorio._SCANNED + pad - len(text))  # JSON whitespace after the tail
+        assert self.assert_same_as_general(text)
+        calls, scan, want = [], tensorio._canonical_tensor, general_read(text)
+        monkeypatch.setattr(tensorio, "_canonical_tensor",
+                            lambda doc: calls.append(type(doc)) or scan(doc))
+        if scanned:
+            monkeypatch.setattr(tensorio, "tensor_from_obj", None)
+        for doc in (text, text.encode()):
+            assert same_outcome(tensorio.loads_tensor(doc), want)
+        assert calls == ([str, bytes] if scanned else [])
 
     # the body is scanned in spans cut after a record's closing; each span must pass alone
     @pytest.mark.parametrize("span", [1, 64, 300])
@@ -351,6 +373,63 @@ class TestCanonicalReader:
         assert [i for i, _ in tensorio.loads_tensor(text).entries] == firsts
 
 
+BYTE_DOCUMENTS = byte_documents()
+
+
+class TestBytesIn:
+    """``loads_tensor`` on a file's bytes gives what it gives on the file's text as
+    ``Path.read_text(encoding="utf-8")`` reads it, or raises the UnicodeDecodeError that
+    reading raises."""
+
+    @pytest.mark.parametrize("data, kind", [d[1:] for d in BYTE_DOCUMENTS],
+                             ids=[d[0] for d in BYTE_DOCUMENTS])
+    def test_read_as_the_file_s_text(self, tmp_path, data, kind):
+        path = tmp_path / "tensor.json"
+        path.write_bytes(data)
+        want = outcome(lambda: tensorio.loads_tensor(path.read_text(encoding="utf-8")))
+        assert type(want).__name__ == kind
+        assert same_outcome(outcome(tensorio.loads_tensor, data), want)
+
+
+class TestRepeats:
+    """A repeated index is refused with the loop's ``DuplicateIndex`` message, by
+    ``new_tensor`` and by ``loads_tensor`` on a canonical document (which the scan declines),
+    whether the entries come sorted or not: with integer codes of the index rows (dim 6) and
+    with their ranks past int64 (dim 10^9)."""
+
+    @staticmethod
+    def pairs(case: str, dim: int) -> list:
+        rng = random.Random(1116)
+        components = sorted(rng.sample(range(1, dim + 1), 6))
+        keys = sorted(rng.sample(list(itertools.product(components, repeat=3)), 100))
+        pairs = [(key, 0.5 + k) for k, key in enumerate(keys)]
+        if case == "adjacent in sorted entries":
+            pairs.insert(51, (keys[50], 2.0))
+        elif case == "far from its twin in shuffled entries":
+            rng.shuffle(pairs)
+            pairs.append((pairs[1][0], 2.0))
+        else:  # first given the value 0, then given another right after
+            pairs[30] = (keys[30], 0.0)
+            pairs.insert(31, (keys[30], 2.0))
+        return pairs
+
+    @pytest.mark.parametrize("dim", [6, 10 ** 9])
+    @pytest.mark.parametrize("case", ["adjacent in sorted entries",
+                                      "far from its twin in shuffled entries",
+                                      "first given the value 0"])
+    def test_refused_as_by_the_loop(self, case, dim):
+        assert (dim ** 3 > np.iinfo(np.int64).max) == (dim > 6)
+        pairs = self.pairs(case, dim)
+        want = outcome(loop_new_tensor, 3, dim, pairs)
+        assert isinstance(want, tb.errors.DuplicateIndex)
+        assert same_outcome(outcome(tb.new_tensor, 3, dim, pairs), want)
+        text = '{"order": 3, "dim": %d, "entries": [%s]}' % (dim, ", ".join(
+            '{"i": [%d, %d, %d], "v": %r}' % (*key, value) for key, value in pairs))
+        assert len(text) >= tensorio._SCANNED and tensorio._canonical_tensor(text) is None
+        for doc in (text, text.encode()):
+            assert same_outcome(outcome(tensorio.loads_tensor, doc), want)
+
+
 def canonical_text(order: int, dim: int, values: list[str]) -> str:
     """A document in the canonical layout, written out by hand: one record per index tuple in
     sorted order, each with the value token given."""
@@ -387,18 +466,42 @@ class TestCanonicalReaderAtScale:
         assert same_outcome(tensorio.loads_tensor(text), want)
 
     def test_peak_memory(self):
+        # as the CLI prints it, a document ends in a newline: its end is found without a copy;
+        # the CLI reads the bytes, and a text is read through its encoding
         rng = np.random.default_rng(1107)
         text = tensorio.dumps_tensor(tb.Tensor.from_dense(rng.uniform(0.01, 1.0, (40,) * 3)))
-        tracemalloc.start()
-        try:
-            tensorio.loads_tensor(text)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * len(text), (peak, len(text))
+        for doc in (text, text + "\n", text.encode(), (text + "\n").encode()):
+            tracemalloc.start()
+            try:
+                tensorio.loads_tensor(doc)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * len(text), (peak, len(text), doc[-1:])
+
+
+def in_index_order(tensor) -> bool:
+    """Whether the tensor's view lists its entries sorted by index, as the writer needs them."""
+    rows = list(map(tuple, tensor.coo.idx.tolist()))
+    return rows == sorted(rows)
+
+
+# values at the edges of the double range, subnormals, and integers the raw constructor keeps
+EDGE_DOUBLES = [5e-324, -5e-324, 2.5e-320, -1e-310, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 2, -7, 2 ** 53 + 1, 1e16, 0.1]
 
 
 class TestSerializer:
+    @staticmethod
+    def assert_writes_the_dict_document(t):
+        """``dumps_tensor``, ``dumps_blocks`` and ``dumps_normal_form`` print what ``dumps`` of
+        the dict documents prints, byte for byte."""
+        doc = tensorio.tensor_to_obj(t)
+        assert tensorio.dumps_tensor(t) == tensorio.dumps(doc)
+        assert tensorio.dumps_blocks([t, t]) == tensorio.dumps({"blocks": [doc, doc]})
+        nf = tb.NormalForm(Permutation((2, 1)), Partition((1, 1)), BlockKind.UTB3, (t, t))
+        assert tensorio.dumps_normal_form(nf) == tensorio.dumps(tensorio.normal_form_to_obj(nf))
+
     def test_matches_the_dict_document(self):
         rng = random.Random(1103)
         for _ in range(60):
@@ -416,6 +519,59 @@ class TestSerializer:
             blocks = tb.diagonal_blocks(t, p)
             assert tensorio.dumps_blocks(blocks) == tensorio.dumps(
                 {"blocks": [tensorio.tensor_to_obj(b) for b in blocks]})
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_orders_and_views(self, order):
+        # one record per run of leading components, many records per run, and the last
+        # component from a table (dim <= nnz) or formatted per record; views in index order
+        # and views the writer sorts
+        rng = random.Random(1108 + order)
+        dim = [40, 9, 5, 4, 3][order - 1]
+        cells = list(itertools.product(range(1, dim + 1), repeat=order))
+        for density in (0.05, 0.5, 1.0):
+            keys = [k for k in cells if rng.random() < density] or cells[:1]
+            rng.shuffle(keys)
+            values = [rng.choice(EDGE_DOUBLES) if rng.random() < 0.2
+                      else rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300) for _ in keys]
+            shuffled = tb.Tensor(order, dim, dict(zip(keys, values)))
+            read = tensorio.loads_tensor(tensorio.dumps_tensor(shuffled))
+            dense = tb.Tensor.from_dense(np.reshape(
+                [rng.choice([0.0, 1.5, -2.0]) for _ in cells], (dim,) * order))
+            sigma = Permutation(tuple(rng.sample(range(1, dim + 1), dim)))
+            moved = tb.permute_similar(read, sigma)
+            sub = tb.principal_subtensor(read, sorted(rng.sample(range(1, dim + 1), dim - 1))
+                                         if dim > 1 else [1])
+            assert in_index_order(read) and in_index_order(dense)
+            if order > 1 and density == 1.0:  # all but order 1 come in row order only
+                assert not in_index_order(shuffled) and not in_index_order(moved)
+            for t in (shuffled, read, dense, moved, sub):
+                self.assert_writes_the_dict_document(t)
+
+    def test_components_of_many_digits(self):
+        rng = random.Random(1113)
+        for order in (1, 2, 3, 5):
+            rows = [rng.randrange(1, 10 ** 9 + 1) for _ in range(3)]  # rows repeat
+            keys = {(rng.choice(rows), *(rng.randrange(1, 10 ** 9 + 1) for _ in range(order - 1))):
+                    v for v in EDGE_DOUBLES * 20}
+            keys[(10 ** 9,) * order] = 1.0
+            keys[(1,) * order] = -1.0
+            t = tb.Tensor(order, 10 ** 9, keys)
+            assert order == 1 or not in_index_order(t)
+            self.assert_writes_the_dict_document(t)
+            self.assert_writes_the_dict_document(tensorio.loads_tensor(tensorio.dumps_tensor(t)))
+
+    @pytest.mark.parametrize("entries", [{}, {(2, 1, 3): 5e-324}, {(1, 1, 1): -2}],
+                             ids=["nnz0", "nnz1", "nnz1-integer"])
+    def test_no_entry_or_one(self, entries):
+        for t in (tb.Tensor(3, 3, entries), tb.new_tensor(3, 3, list(entries.items()))):
+            self.assert_writes_the_dict_document(t)
+
+    def test_edge_values(self):
+        for dim in (4, 20):  # per record, and from the table
+            keys = list(itertools.product(range(1, dim + 1), repeat=2))[:len(EDGE_DOUBLES)]
+            t = tb.Tensor(2, dim, dict(zip(keys, EDGE_DOUBLES)))
+            assert [v for _, v in sorted(t.entries.items())] == [float(v) for v in EDGE_DOUBLES]
+            self.assert_writes_the_dict_document(t)
 
     def test_normal_form_matches_the_dict_document(self, ex31, ex61):
         for nf in (tb.normal_form_3rd(ex31), tb.normal_form_2nd(ex61), tb.normal_form_3rd(ex61)):
